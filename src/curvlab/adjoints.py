@@ -103,13 +103,18 @@ class AdjointReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))
 
 
 def _rel(lhs, rhs):
     num = np.max(np.abs(lhs - rhs))
-    den = 1.0 + max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    den = 1.0 + np.maximum(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     return float(num / den)
+
+
+def _accumulate(res: Dict[str, float], key: str, value) -> None:
+    """Running maximum that keeps a NaN (Python's max would drop it)."""
+    res[key] = float(np.maximum(res[key], value))
 
 
 def verify_adjoint_identities(
@@ -167,14 +172,14 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
     # (c1)  dbar*(f omega) = f dbar* omega + i d f
     lhs = dbar_star_scalar_omega(cx, fval.astype(complex), df_holo)
     rhs = fval[..., None] * theta + 1j * df_holo
-    res["c1"] = max(res["c1"], _rel(lhs, rhs))
+    _accumulate(res, "c1", _rel(lhs, rhs))
 
     # (c2)  <dbar dbar* omega, omega> = |dbar* omega|^2 - i d* dbar* omega
     C = -np.einsum("...li->...il", dtheta)  # coefficients of dbar(theta)
     lhs2 = inner_11(cx.Hinv, C, 1j * cx.H)
     adj, _ = _adjoint_term_from_blocks(cx)
     rhs2 = inner_oneform(cx.Hinv, theta, theta) - adj
-    res["c2"] = max(res["c2"], _rel(lhs2, rhs2))
+    _accumulate(res, "c2", _rel(lhs2, rhs2))
 
     # conformal metric and blocks
     metric_f = conformal_metric(metric, f)
@@ -183,7 +188,7 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
     # (c4)  dbar*_f omega_f = dbar* omega + (n - 1) i d f
     theta_f = _dbar_star_omega_components(cxf)
     rhs4 = theta + (n - 1) * 1j * df_holo
-    res["c4"] = max(res["c4"], _rel(theta_f, rhs4))
+    _accumulate(res, "c4", _rel(theta_f, rhs4))
 
     # (c5)  d*(f eta) = f d* eta - <eta, d f>
     ev, deta = eta.values_and_dbar(pts)
@@ -191,7 +196,7 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
     dfeta = fval[..., None, None] * deta + np.einsum("...j,...i->...ji", fj.d1[..., n:], ev)
     lhs5 = p_star_of_form(cx, feta, dfeta)
     rhs5 = fval * p_star_of_form(cx, ev, deta) - inner_oneform(cx.Hinv, ev, df_holo)
-    res["c5"] = max(res["c5"], _rel(lhs5, rhs5))
+    _accumulate(res, "c5", _rel(lhs5, rhs5))
 
     # (c6)  i d*_f dbar*_f omega_f
     #       = e^-f (i d* dbar* omega - (n-1)(Delta_d f + tr i d dbar f)
@@ -201,25 +206,25 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
     trf = np.real(trace_i_ddbar(cx, fj))
     g2 = np.real(grad_norm_sq(cx, fj))
     rhs6 = np.exp(-fval) * (adj - (n - 1) * (lap + trf) + (n - 1) ** 2 * g2)
-    res["c6"] = max(res["c6"], _rel(adj_f, rhs6))
+    _accumulate(res, "c6", _rel(adj_f, rhs6))
 
     # (c7)  d*_f eta = e^-f (d* eta - (n - 1) <eta, d f>)
     lhs7 = p_star_of_form(cxf, ev, deta)
     rhs7 = np.exp(-fval) * (
         p_star_of_form(cx, ev, deta) - (n - 1) * inner_oneform(cx.Hinv, ev, df_holo)
     )
-    res["c7"] = max(res["c7"], _rel(lhs7, rhs7))
+    _accumulate(res, "c7", _rel(lhs7, rhs7))
 
     # (c8)  i <dbar* omega, d f> = dbar* dbar f + tr_omega i d dbar f
     lhs8 = 1j * inner_oneform(cx.Hinv, theta, df_holo)
     ddf_anti = fj.d2[..., n:, :n]
     dbar_star_dbar_f = np.conj(p_star_of_form(cx, df_holo, ddf_anti))
     rhs8 = dbar_star_dbar_f + trace_i_ddbar(cx, fj)
-    res["c8"] = max(res["c8"], _rel(lhs8, rhs8))
+    _accumulate(res, "c8", _rel(lhs8, rhs8))
 
     # (c3)  Gauduchon specialization of (c2): the adjoint term drops out
     if gauduchon_base:
-        res["c3"] = max(res["c3"], _rel(lhs2, inner_oneform(cx.Hinv, theta, theta)))
+        _accumulate(res, "c3", _rel(lhs2, inner_oneform(cx.Hinv, theta, theta)))
 
 
 def _weak_identities(metric, grid: QuadratureGrid, f, eta, phi, res, cx: CxBlocks):
@@ -236,15 +241,13 @@ def _weak_identities(metric, grid: QuadratureGrid, f, eta, phi, res, cx: CxBlock
     # <d* eta, phi> = <eta, d phi>
     lhs = np.sum(w * p_star_of_form(cx, ev, deta) * pval)
     rhs = np.sum(w * inner_oneform(cx.Hinv, ev, pj.d1[..., :n]))
-    res["weak_p_star"] = max(
-        res["weak_p_star"], abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-    )
+    _accumulate(res, "weak_p_star", abs(lhs - rhs) / (1.0 + np.maximum(abs(lhs), abs(rhs))))
 
     # <dbar*(f omega), eta> = <f omega, dbar eta>
     theta_f = dbar_star_scalar_omega(cx, fval.astype(complex), fj.d1[..., :n])
     lhs2 = np.sum(w * inner_oneform(cx.Hinv, theta_f, ev))
     C = -np.einsum("...li->...il", deta)  # dbar(eta) coefficients
     rhs2 = np.sum(w * fval * inner_11(cx.Hinv, 1j * H, C))
-    res["weak_dbar_star"] = max(
-        res["weak_dbar_star"], abs(lhs2 - rhs2) / (1.0 + max(abs(lhs2), abs(rhs2)))
+    _accumulate(
+        res, "weak_dbar_star", abs(lhs2 - rhs2) / (1.0 + np.maximum(abs(lhs2), abs(rhs2)))
     )

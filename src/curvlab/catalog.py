@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, UnknownId
 from .fields import (
+    BasisJets,
     OneFormField,
     ScalarField,
     hopf_monomial,
@@ -27,6 +28,7 @@ from .fields import (
     random_torus_oneform,
     random_torus_scalar,
     torus_mode,
+    torus_mode_vectors,
 )
 from .geometry import (
     FullDomain,
@@ -38,7 +40,7 @@ from .geometry import (
     UpperHalfFirstDomain,
     metric_jet_from_entries,
 )
-from .jets import Jet2, coordinate_jets, exp_linear, squared_radius
+from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
 
 CATALOG_IDS = (
     "torus-flat",
@@ -152,15 +154,6 @@ _PERTURBATION_MODES = {
 }
 
 
-def _mode_vectors(m, l, periods):
-    m = np.asarray(m, dtype=float)
-    l = np.asarray(l, dtype=float)
-    p = np.asarray(periods, dtype=float)
-    a = np.pi * (1j * m + l) / p
-    b = np.pi * (1j * m - l) / p
-    return a, b
-
-
 def _kahler_potential_metric(n: int, periods, amplitude: float) -> HermitianMetricField:
     """h = Id + d dbar(phi) for a fixed real periodic potential phi.
 
@@ -175,7 +168,7 @@ def _kahler_potential_metric(n: int, periods, amplitude: float) -> HermitianMetr
         batch = z.shape[:-1]
         ent = [[Jet2.constant(n, 1.0 if i == j else 0.0, batch) for j in range(n)] for i in range(n)]
         for m, l, c in modes:
-            a, b = _mode_vectors(m, l, periods)
+            a, b = torus_mode_vectors(m, l, periods)
             scale = amplitude / (len(modes) * max(np.linalg.norm(a) * np.linalg.norm(b), 1.0))
             E = exp_linear(z, a, b, scale * c)
             Ec = exp_linear(z, np.conj(b), np.conj(a), scale * np.conj(c))
@@ -204,7 +197,7 @@ def _perturbed_torus_metric(n: int, periods, amplitude: float) -> HermitianMetri
             if max(i, j) >= n:
                 continue
             for m, l, c in modes:
-                a, b = _mode_vectors(np.array(m[:n]), np.array(l[:n]), periods)
+                a, b = torus_mode_vectors(np.array(m[:n]), np.array(l[:n]), periods)
                 E = exp_linear(z, a, b, amplitude * c)
                 if i == j:
                     ent[i][j] = ent[i][j] + E.real()
@@ -388,7 +381,7 @@ def hopf_grid(
     }
     return QuadratureGrid(
         metric.name, z, leb, metric, axes=axes,
-        basis=_hopf_basis(), basis_batch=_hopf_basis_batch(),
+        basis=HopfBasis(),
     )
 
 
@@ -416,62 +409,123 @@ def _hopf_basis_spec(kmax_t: int = 2, max_degree: int = 4):
     return spec
 
 
-def _hopf_basis(kmax_t: int = 2, max_degree: int = 4):
+_FACTOR_CHUNK = 2048  # nodes per stacked evaluation of a solved combination
+
+
+class HopfBasis:
     """Radial Fourier modes times scaling-invariant sphere monomials.
+
+    Every basis function is the real or imaginary part of a complex
+    product phi = R_k m_j (`_hopf_basis_spec` gives the order): a radial
+    mode R_k = exp(i beta_k t), t = log |z|, times a sphere monomial
+    m_j = z^a zbar^b / |z|^(|a|+|b|).  One call evaluates the whole family
+    at a node chunk: each distinct monomial is built once, from its parent
+    by one product with a unit factor z_i/|z| or zbar_i/|z|, and the
+    complex products carry only the value, gradient and mixed Hessian
+    block (BasisJets).
 
     The candidate list is linearly dependent on purpose (monomials of
     |z_i|^2 / |z|^2 sum to one); the solver prunes it through the Gram
     matrix before assembling the operator.
     """
-    basis = []
-    for (k, ab, cd, part) in _hopf_basis_spec(kmax_t, max_degree):
-        mode = hopf_radial_mode(k)
-        mono = hopf_monomial(ab, cd)
 
-        def fn(z, m=mode, mo=mono, part=part):
-            full = m(z) * mo(z)
-            return full.real() if part == "re" else full.imag()
+    def __init__(self, kmax_t: int = 2, max_degree: int = 4):
+        spec = _hopf_basis_spec(kmax_t, max_degree)
+        monos = sorted({ab + cd for _, ab, cd, _ in spec}, key=lambda m: (sum(m), m))
+        pos = {m: j for j, m in enumerate(monos)}
+        self._parents = [_monomial_parent(m, pos) for m in monos[1:]]
+        self._all = np.ones(len(monos), dtype=bool)
+        self._betas = [2.0 * np.pi * k / np.log(2.0) for k in range(kmax_t + 1)]
+        self.index = np.array([k * len(monos) + pos[ab + cd] for k, ab, cd, _ in spec])
+        self.imag = np.array([part == "im" for *_, part in spec])
 
-        basis.append(ScalarField(fn, f"{part}{k}{ab}{cd}"))
-    return basis
+    def __len__(self) -> int:
+        return len(self.index)
 
+    def _monomials(self, z, need):
+        """|z|^2 and the Jet2 of every monomial j with need[j] (None elsewhere).
 
-def _hopf_basis_batch(kmax_t: int = 2, max_degree: int = 4):
-    """Evaluate the whole Hopf basis at once, sharing cached subexpressions."""
-    spec = _hopf_basis_spec(kmax_t, max_degree)
-    log2 = np.log(2.0)
-
-    def evaluate(z):
-        z = np.asarray(z, dtype=complex)
+        `need` must hold every parent of a needed monomial.
+        """
         zs, zbs = coordinate_jets(z)
         r2 = zs[0] * zbs[0] + zs[1] * zbs[1]
-        # coordinate powers and inverse-radius powers, built once
-        maxd = max_degree
-        zpow = [[Jet2.constant(2, 1.0, z.shape[:-1])] for _ in range(2)]
-        zbpow = [[Jet2.constant(2, 1.0, z.shape[:-1])] for _ in range(2)]
-        for i in range(2):
-            for _ in range(maxd):
-                zpow[i].append(zpow[i][-1] * zs[i])
-                zbpow[i].append(zbpow[i][-1] * zbs[i])
-        rpow = {0: Jet2.constant(2, 1.0, z.shape[:-1])}
-        for d in range(1, maxd + 1):
-            rpow[d] = r2 ** (-0.5 * d)
-        radial = {}
-        for k in range(kmax_t + 1):
-            radial[k] = r2 ** (0.5j * (2.0 * np.pi * k / log2)) if k else None
-        mono_cache = {}
-        out = []
-        for (k, ab, cd, part) in spec:
-            key = (ab, cd)
-            if key not in mono_cache:
-                deg = sum(ab) + sum(cd)
-                m = rpow[deg] * zpow[0][ab[0]] * zpow[1][ab[1]] * zbpow[0][cd[0]] * zbpow[1][cd[1]]
-                mono_cache[key] = m
-            full = mono_cache[key] if k == 0 else radial[k] * mono_cache[key]
-            out.append(full.real() if part == "re" else full.imag())
-        return out
+        rinv = r2 ** -0.5
+        units = [c * rinv for c in zs + zbs]
+        monos = [Jet2.constant(2, 1.0, z.shape[:-1])]
+        for j, (parent, unit) in enumerate(self._parents, start=1):
+            monos.append(monos[parent] * units[unit] if need[j] else None)
+        return r2, monos
 
-    return evaluate
+    def __call__(self, z) -> BasisJets:
+        z = np.asarray(z, dtype=complex)
+        r2, monos = self._monomials(z, self._all)
+        m = MixedJet.stack(monos)
+        phis = [m] + [MixedJet.of(r2 ** (0.5j * b)) * m for b in self._betas[1:]]
+        return BasisJets(MixedJet.concatenate(phis), self.index, self.imag)
+
+    def field(self, coeffs, name: str) -> ScalarField:
+        """u = sum c_s phi_s with full jets, regrouped per radial mode.
+
+        Row s adds c_s Re(R_k m_j) or c_s Im(R_k m_j) = Re(-i c_s R_k m_j),
+        so u = Re sum_k R_k sum_j W[k, j] m_j.  Only the modes and monomials
+        with a nonzero coefficient are evaluated.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        nmono = len(self._all)
+        W = np.zeros(len(self._betas) * nmono, dtype=complex)
+        np.add.at(W, self.index, np.where(self.imag, -1j * coeffs, coeffs))
+        W = W.reshape(len(self._betas), nmono)
+        modes = [k for k in range(len(self._betas)) if np.any(W[k] != 0)]
+        cols = np.nonzero(np.any(W != 0, axis=0))[0]
+        need = np.zeros(nmono, dtype=bool)
+        need[cols] = True
+        for j in range(nmono - 1, 0, -1):  # parents precede their children
+            if need[j]:
+                need[self._parents[j - 1][0]] = True
+
+        def evaluate(z):
+            r2, monos = self._monomials(z, need)
+            val = np.stack([monos[j].val for j in cols])
+            d1 = np.stack([monos[j].d1 for j in cols])
+            d2 = np.stack([monos[j].d2 for j in cols])
+            total = None
+            for k in modes:
+                w = W[k, cols]
+                term = Jet2(2, w @ val, np.tensordot(w, d1, 1), np.tensordot(w, d2, 1))
+                if k:
+                    term = r2 ** (0.5j * self._betas[k]) * term
+                total = term if total is None else total + term
+            return total.real()
+
+        return ScalarField(lambda z: _in_chunks(evaluate, z, _FACTOR_CHUNK), name)
+
+
+def _monomial_parent(m, pos):
+    """(parent index, unit factor) of monomial (a, b, c, d) of degree >= 1.
+
+    The zbar exponents are lowered first, which keeps (a, b) >= (c, d), so
+    the parent is in the spec too.  Unit factors are ordered z1, z2, zbar1,
+    zbar2 (each over |z|), matching the exponent slots.
+    """
+    for slot in (2, 3, 0, 1):
+        if m[slot]:
+            parent = tuple(e - (i == slot) for i, e in enumerate(m))
+            return pos[parent], slot
+    raise ValueError("the constant monomial has no parent")
+
+
+def _in_chunks(fn, z, size: int) -> Jet2:
+    """fn over chunks of at most `size` points of z, joined into one Jet2."""
+    batch = z.shape[:-1]
+    pts = z.reshape(-1, z.shape[-1])
+    parts = [fn(pts[lo : lo + size]) for lo in range(0, max(len(pts), 1), size)]
+    dim = parts[0].d1.shape[-1]
+    return Jet2(
+        parts[0].n,
+        np.concatenate([p.val for p in parts]).reshape(batch),
+        np.concatenate([p.d1 for p in parts]).reshape(batch + (dim,)),
+        np.concatenate([p.d2 for p in parts]).reshape(batch + (dim, dim)),
+    )
 
 
 # ---------------------------------------------------------------------------

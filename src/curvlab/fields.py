@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet2, coordinate_jets, exp_linear, squared_radius
+from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
 
 
 class ScalarField:
@@ -88,18 +88,88 @@ class OneFormField:
 
 
 # ---------------------------------------------------------------------------
+# function bases for Galerkin solves
+# ---------------------------------------------------------------------------
+
+
+class BasisJets:
+    """A real function basis at one node chunk, as stacked complex jets.
+
+    `jet` holds complex functions along its leading axis; real basis
+    function s is the real part of function index[s], or its imaginary
+    part where imag[s].  Only scalar-valued results of a real operator
+    (values, L phi) may be read off by `rows`, since L(Re phi) = Re(L phi)
+    holds for such an operator, while derivatives of Re phi mix conjugate
+    slots.
+    """
+
+    __slots__ = ("jet", "index", "imag")
+
+    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray):
+        self.jet = jet
+        self.index = index
+        self.imag = imag
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """Real rows (len(self), ...) from per-function complex values x."""
+        x = x[self.index]
+        return np.where(self.imag.reshape((-1,) + (1,) * (x.ndim - 1)), x.imag, x.real)
+
+
+class FieldBasis:
+    """A plain list of real ScalarFields, stacked for Galerkin solves.
+
+    Calling it at a node chunk gives BasisJets; `field` turns coefficients
+    into the combination sum c_s phi_s with full jets.
+    """
+
+    def __init__(self, fields: Sequence[ScalarField]):
+        self.fields = list(fields)
+        self.index = np.arange(len(self.fields))
+        self.imag = np.zeros(len(self.fields), dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.fields)
+
+    def __call__(self, z) -> BasisJets:
+        return BasisJets(MixedJet.stack([phi(z) for phi in self.fields]), self.index, self.imag)
+
+    def field(self, coeffs, name: str) -> ScalarField:
+        """sum c_s phi_s over the nonzero coefficients."""
+        terms = [(float(c), phi) for c, phi in zip(coeffs, self.fields) if c != 0.0]
+
+        def fn(z):
+            out = terms[0][1](z) * terms[0][0]
+            for c, phi in terms[1:]:
+                out = out + phi(z) * c
+            return out
+
+        return ScalarField(fn, name)
+
+
+# ---------------------------------------------------------------------------
 # periodic (torus) constructions
 # ---------------------------------------------------------------------------
 
 
-def torus_mode(m, l, periods, coeff=1.0) -> ScalarField:
-    """Complex exponential exp(2 pi i (m.x/p + l.y/p)) as a jet field."""
+def torus_mode_vectors(m, l, periods):
+    """(a, b) with exp(a.z + b.zbar) = exp(2 pi i (m.x/p + l.y/p))."""
     m = np.asarray(m, dtype=float)
     l = np.asarray(l, dtype=float)
     p = np.asarray(periods, dtype=float)
     a = np.pi * (1j * m + l) / p
     b = np.pi * (1j * m - l) / p
-    return ScalarField(lambda z: exp_linear(z, a, b, coeff), f"mode{tuple(m)}{tuple(l)}")
+    return a, b
+
+
+def torus_mode(m, l, periods, coeff=1.0) -> ScalarField:
+    """Complex exponential exp(2 pi i (m.x/p + l.y/p)) as a jet field."""
+    a, b = torus_mode_vectors(m, l, periods)
+    name = f"mode{tuple(np.asarray(m, dtype=float))}{tuple(np.asarray(l, dtype=float))}"
+    return ScalarField(lambda z: exp_linear(z, a, b, coeff), name)
 
 
 def random_torus_scalar(rng, n, periods, amplitude=0.1, kmax=2, modes=4) -> ScalarField:

@@ -5,6 +5,17 @@ top-form i d dbar (u omega^(n-1)) must vanish.  The solver discretizes
 that operator over a basis of smooth functions on the manifold (Galerkin,
 with quadrature inner products), finds the near-null vector by shifted
 inverse-power iteration, and enforces positivity of u.
+
+The basis is evaluated one node chunk at a time as stacked jets
+(`QuadratureGrid.basis_batch`): complex functions phi along a leading
+axis, carrying the value, gradient and mixed Hessian block that the
+operator reads.  The operator L is real (it maps real u to real
+densities), so L(Re phi) = Re(L phi) and L(Im phi) = Im(L phi): it is
+applied once per complex function and both real basis rows are read off.
+On the Hopf grid these are the products R_k m_j of radial modes and
+sphere monomials.  The solved u is kept as basis coefficients, regrouped
+per radial mode there (u = Re sum_k R_k sum_j W_kj m_j), and evaluated
+with full jets over the surviving modes and monomials only.
 """
 
 from __future__ import annotations
@@ -200,13 +211,16 @@ def gauduchon_operator_coefficients(jet: MetricJet):
 
 
 def apply_gauduchon_operator(coeffs, ujet):
-    """L u from precomputed coefficients and the Jet2 of u."""
+    """L u from precomputed coefficients and the jet of u.
+
+    `ujet` is a Jet2 or a MixedJet; a stacked family (leading axis before
+    the node axis) gets L applied to every member at once.
+    """
     a, b_holo, b_anti, c = coeffs
     n = a.shape[-1]
-    d1, d2 = ujet.d1, ujet.d2
-    mixed = d2[..., :n, n:]
+    d1 = ujet.d1
     out = (
-        np.einsum("...ij,...ij->...", a, mixed)
+        np.einsum("...ij,...ij->...", a, ujet.mixed)
         + np.einsum("...i,...i->...", b_holo, d1[..., :n])
         + np.einsum("...i,...i->...", b_anti, d1[..., n:])
         + c * ujet.val
@@ -245,11 +259,15 @@ def gauduchon_residual(metric: HermitianMetricField, where, engine: Optional[Der
 
 @dataclass
 class GauduchonSolution:
+    """The solved factor, with u = e^((n-1) f) as node values, as basis
+    coefficients (zero below the 1e-14 relative cut) and as a field."""
+
     factor: ConformalFactor
     u_nodes: np.ndarray
     eigen_residual: float
     iterations: int
-    converged: bool
+    coeffs: np.ndarray
+    u_field: ScalarField
 
 
 def solve_gauduchon_factor(
@@ -284,31 +302,20 @@ def solve_gauduchon(
     n = metric.n
     if n < 2:
         raise ValueError("the Gauduchon factor is only determined for n >= 2")
-    basis = grid.basis
     nodes = grid.nodes
     N = len(nodes)
-    m = len(basis)
+    m = len(grid.basis)
 
     w = _volume_weights(metric, grid, engine)
 
-    coeff_chunks = []
-    for lo in range(0, N, CHUNK):
-        jet = metric.jet(nodes[lo : lo + CHUNK], engine)
-        coeff_chunks.append(gauduchon_operator_coefficients(jet))
-
     vals = np.empty((m, N))
     lvals = np.empty((m, N))
-    for ci, lo in enumerate(range(0, N, CHUNK)):
-        pts = nodes[lo : lo + CHUNK]
-        if grid.basis_batch is not None:
-            jets = grid.basis_batch(pts)
-        else:
-            jets = [phi(pts) for phi in basis]
-        for k, uj in enumerate(jets):
-            vals[k, lo : lo + len(pts)] = np.real(uj.val)
-            lvals[k, lo : lo + len(pts)] = np.real(
-                apply_gauduchon_operator(coeff_chunks[ci], uj)
-            )
+    for lo in range(0, N, CHUNK):
+        sl = slice(lo, lo + CHUNK)
+        coeffs = gauduchon_operator_coefficients(metric.jet(nodes[sl], engine))
+        batch = grid.basis_batch(nodes[sl])
+        vals[:, sl] = batch.rows(batch.jet.val)
+        lvals[:, sl] = batch.rows(apply_gauduchon_operator(coeffs, batch.jet))
 
     gram = (vals * w) @ vals.T
     evals, evecs = np.linalg.eigh(gram)
@@ -356,21 +363,13 @@ def solve_gauduchon(
         )
 
     coeffs = np.asarray(c_cand, dtype=float)
-    keep = np.abs(coeffs) > 1e-14 * np.max(np.abs(coeffs))
-    terms = [(float(coeffs[k]), basis[k]) for k in np.nonzero(keep)[0]]
-
-    def u_fn(z):
-        out = terms[0][1](z) * terms[0][0]
-        for ck, phik in terms[1:]:
-            out = out + phik(z) * ck
-        return out
-
-    u_field = ScalarField(u_fn, "gauduchon-u")
+    coeffs = np.where(np.abs(coeffs) > 1e-14 * np.max(np.abs(coeffs)), coeffs, 0.0)
+    u_field = grid.basis.field(coeffs, "gauduchon-u")
     f_nodes = np.log(u_nodes) / (n - 1)
     mean = float(np.mean(f_nodes))
     f_field = u_field.log() * (1.0 / (n - 1)) - mean
     factor = ConformalFactor(grid, f_nodes - mean, f_field)
-    return GauduchonSolution(factor, u_nodes, res, it, converged)
+    return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field)
 
 
 def _volume_weights(metric, grid, engine=None):
@@ -413,7 +412,6 @@ class TotalCurvatureCheck:
     residual: float
     gradient_term: float
     factor: ConformalFactor
-    solver_converged: bool
 
 
 def _total_identity(metric, grid, f: ConformalFactor, engine=None):
@@ -463,7 +461,7 @@ def theorem_t_check(
     sol = solve_gauduchon(metric, grid, engine, **solver_kw)
     lhs, rhs, grad_term, _ = _total_identity(metric, grid, sol.factor, engine)
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-    return TotalCurvatureCheck(lhs, rhs, residual, grad_term, sol.factor, sol.converged)
+    return TotalCurvatureCheck(lhs, rhs, residual, grad_term, sol.factor)
 
 
 # ---------------------------------------------------------------------------

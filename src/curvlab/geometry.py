@@ -25,6 +25,7 @@ from .errors import (
     NotPositive,
     StencilOutOfDomain,
 )
+from .fields import FieldBasis
 from .jets import Jet2
 
 ChartPoint = np.ndarray  # complex array of shape (n,); batches use (..., n)
@@ -448,8 +449,12 @@ class QuadratureGrid:
     lebesgue_w: np.ndarray  # (N,)
     metric: HermitianMetricField
     axes: Optional[dict] = None  # structured-grid info for diff ops
-    basis: Optional[list] = None  # smooth function basis (Gauduchon, descent)
-    basis_batch: Optional[Callable] = None  # evaluates the whole basis at once
+    # smooth function basis for the Gauduchon solver: a FieldBasis (a plain
+    # list of ScalarFields is wrapped in one) or a catalog.HopfBasis
+    basis: Optional[object] = None
+    # evaluates the whole basis at a node chunk (BasisJets); the basis itself
+    # unless given
+    basis_batch: Optional[Callable] = None
     volume_convention: str = VOLUME_CONVENTION
 
     _volume_w: Optional[np.ndarray] = field(default=None, repr=False)
@@ -461,6 +466,10 @@ class QuadratureGrid:
             raise ValueError("nodes and weights must align")
         if np.any(self.lebesgue_w <= 0):
             raise ValueError("quadrature weights must be positive")
+        if isinstance(self.basis, (list, tuple)):
+            self.basis = FieldBasis(self.basis)
+        if self.basis_batch is None:
+            self.basis_batch = self.basis
 
     @property
     def n(self) -> int:

@@ -151,6 +151,67 @@ class Jet2:
     def imag(self):
         return (self - self.conj()) * (-0.5j)
 
+    @property
+    def mixed(self):
+        """The mixed Hessian block: mixed[..., i, j] = d_i d_jbar."""
+        return self.d2[..., : self.n, self.n :]
+
+
+class MixedJet:
+    """Value, gradient and mixed Hessian block d_i d_jbar of a scalar field.
+
+    The mixed block is closed under products, so a family of fields built
+    by multiplication can carry it alone.  It is all that a second-order
+    operator sum a[i, j] d_i d_jbar + first-order terms reads, at a quarter
+    of the second-order storage of a Jet2.  Like Jet2, every component
+    broadcasts over leading axes, which lets one object hold a whole
+    function family along its first axis.
+    """
+
+    __slots__ = ("n", "val", "d1", "mixed")
+
+    def __init__(self, n: int, val, d1, mixed):
+        self.n = n
+        self.val = val
+        self.d1 = d1
+        self.mixed = mixed
+
+    @classmethod
+    def of(cls, jet: Jet2):
+        return cls(jet.n, jet.val, jet.d1, jet.mixed)
+
+    @classmethod
+    def stack(cls, jets):
+        """Single jets (Jet2 or MixedJet) stacked along a new leading axis."""
+        return cls(
+            jets[0].n,
+            np.stack([j.val for j in jets]),
+            np.stack([j.d1 for j in jets]),
+            np.stack([j.mixed for j in jets]),
+        )
+
+    @classmethod
+    def concatenate(cls, jets):
+        """Stacked jets joined along their leading axis."""
+        return cls(
+            jets[0].n,
+            np.concatenate([j.val for j in jets]),
+            np.concatenate([j.d1 for j in jets]),
+            np.concatenate([j.mixed for j in jets]),
+        )
+
+    def __mul__(self, o):
+        n = self.n
+        val = self.val * o.val
+        d1 = self.d1 * o.val[..., None] + o.d1 * self.val[..., None]
+        mixed = (
+            self.mixed * o.val[..., None, None]
+            + o.mixed * self.val[..., None, None]
+            + self.d1[..., :n, None] * o.d1[..., None, n:]
+            + o.d1[..., :n, None] * self.d1[..., None, n:]
+        )
+        return MixedJet(n, val, d1, mixed)
+
 
 def coordinate_jets(z):
     """All 2n coordinate jets (z^1..z^n, zbar^1..zbar^n) at points z."""

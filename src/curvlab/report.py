@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -29,10 +30,13 @@ class Report:
     timing: float = 0.0
 
     def add(self, check, manifold, value, residual=None, tol=None, passed=True):
-        self.records.append(CheckRecord(check, manifold, float(value),
-                                        None if residual is None else float(residual),
+        """Append a record; one whose value or residual is not finite fails."""
+        value = float(value)
+        residual = None if residual is None else float(residual)
+        finite = math.isfinite(value) and (residual is None or math.isfinite(residual))
+        self.records.append(CheckRecord(check, manifold, value, residual,
                                         None if tol is None else float(tol),
-                                        bool(passed)))
+                                        bool(passed) and finite))
 
     @property
     def overall_pass(self) -> bool:

@@ -373,7 +373,7 @@ def scalar_identity_residual(metric, point, engine=None) -> ScalarReport:
         torsion_norm_sq=tsq,
         adjoint_term=adj,
         identity_residual=residual,
-        imag_defect=max(im_s, im_a),
+        imag_defect=float(np.maximum(im_s, im_a)),
     )
 
 

@@ -112,6 +112,32 @@ def test_failing_record_propagates():
     assert not rep.overall_pass
 
 
+def test_non_finite_record_fails():
+    rep = Report(command="demo")
+    rep.add("x", "m", float("nan"), None, None, True)
+    rep.add("y", "m", 0.0, float("inf"), 1.0, True)
+    assert [r.passed for r in rep.records] == [False, False]
+    assert not rep.overall_pass
+
+
+def test_planted_nan_fails_check_identities(monkeypatch):
+    from curvlab import tensors
+
+    original = tensors.scalar_identity_residual
+
+    def planted(metric, points, engine=None):
+        rep = original(metric, points, engine)
+        rep.identity_residual[0] = np.nan
+        return rep
+
+    monkeypatch.setattr(tensors, "scalar_identity_residual", planted)
+    code, report = run(make_config(["check-identities", "--manifold", "torus-flat",
+                                    "--points", "50"]))
+    rec = {r.check: r for r in report.records}["scalar_identity_rel_residual"]
+    assert np.isnan(rec.value) and not rec.passed
+    assert code == 1
+
+
 def test_unknown_format_rejected():
     from curvlab.errors import IoFailure
 
