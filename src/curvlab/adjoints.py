@@ -108,7 +108,7 @@ class AdjointReport:
 
 def _rel(lhs, rhs):
     num = np.max(np.abs(lhs - rhs))
-    den = 1.0 + np.maximum(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    den = 1.0 + max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(num / den)
 
 
@@ -241,13 +241,11 @@ def _weak_identities(metric, grid: QuadratureGrid, f, eta, phi, res, cx: CxBlock
     # <d* eta, phi> = <eta, d phi>
     lhs = np.sum(w * p_star_of_form(cx, ev, deta) * pval)
     rhs = np.sum(w * inner_oneform(cx.Hinv, ev, pj.d1[..., :n]))
-    _accumulate(res, "weak_p_star", abs(lhs - rhs) / (1.0 + np.maximum(abs(lhs), abs(rhs))))
+    _accumulate(res, "weak_p_star", abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
 
     # <dbar*(f omega), eta> = <f omega, dbar eta>
     theta_f = dbar_star_scalar_omega(cx, fval.astype(complex), fj.d1[..., :n])
     lhs2 = np.sum(w * inner_oneform(cx.Hinv, theta_f, ev))
     C = -np.einsum("...li->...il", deta)  # dbar(eta) coefficients
     rhs2 = np.sum(w * fval * inner_11(cx.Hinv, 1j * H, C))
-    _accumulate(
-        res, "weak_dbar_star", abs(lhs2 - rhs2) / (1.0 + np.maximum(abs(lhs2), abs(rhs2)))
-    )
+    _accumulate(res, "weak_dbar_star", abs(lhs2 - rhs2) / (1.0 + max(abs(lhs2), abs(rhs2))))

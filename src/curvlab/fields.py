@@ -114,9 +114,9 @@ class BasisJets:
         return len(self.index)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        """Real rows (len(self), ...) from per-function complex values x."""
+        """Real rows (len(self), N) from per-function complex values x (F, N)."""
         x = x[self.index]
-        return np.where(self.imag.reshape((-1,) + (1,) * (x.ndim - 1)), x.imag, x.real)
+        return np.where(self.imag[:, None], x.imag, x.real)
 
 
 class FieldBasis:
