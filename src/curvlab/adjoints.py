@@ -59,18 +59,13 @@ def dbar_star_scalar_omega(cx: CxBlocks, u, du_holo):
     return np.einsum("...ik,...k->...i", cx.H, psi)
 
 
-def p_star_of_form(cx: CxBlocks, eta_vals, deta_anti):
-    """d*(eta) for a (1, 0)-form given values and dbar-derivatives."""
-    return p_star_oneform(cx, eta_vals, deta_anti)
-
-
 def laplacian_d(cx: CxBlocks, fjet):
     """Hodge Laplacian d* d f of a real function from its Jet2."""
     n = cx.n
     # d* d f = dbar* dbar f + d* d f; for real f the two terms are conjugate
     df_vals = fjet.d1[..., :n]
     ddf_anti = fjet.d2[..., n:, :n]  # [..., j, i] = d_jbar d_i f
-    p = p_star_of_form(cx, df_vals, ddf_anti)
+    p = p_star_oneform(cx, df_vals, ddf_anti)
     return 2.0 * np.real(p)
 
 
@@ -131,6 +126,8 @@ def verify_adjoint_identities(
     evaluated at random chart points, and the two defining adjoint
     properties are integrated over the quadrature grid.
     """
+    if triples < 1:
+        raise ValueError(f"the adjoint suite needs at least one triple, got {triples}")
     if entry.grid is None:
         raise QuadratureUnsupported(f"{entry.spec.id} supports pointwise evaluation only")
     from .catalog import rng_from_seed  # local import; catalog pulls fields too
@@ -194,8 +191,8 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
     ev, deta = eta.values_and_dbar(pts)
     feta = fval[..., None] * ev
     dfeta = fval[..., None, None] * deta + np.einsum("...j,...i->...ji", fj.d1[..., n:], ev)
-    lhs5 = p_star_of_form(cx, feta, dfeta)
-    rhs5 = fval * p_star_of_form(cx, ev, deta) - inner_oneform(cx.Hinv, ev, df_holo)
+    lhs5 = p_star_oneform(cx, feta, dfeta)
+    rhs5 = fval * p_star_oneform(cx, ev, deta) - inner_oneform(cx.Hinv, ev, df_holo)
     _accumulate(res, "c5", _rel(lhs5, rhs5))
 
     # (c6)  i d*_f dbar*_f omega_f
@@ -209,16 +206,16 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
     _accumulate(res, "c6", _rel(adj_f, rhs6))
 
     # (c7)  d*_f eta = e^-f (d* eta - (n - 1) <eta, d f>)
-    lhs7 = p_star_of_form(cxf, ev, deta)
+    lhs7 = p_star_oneform(cxf, ev, deta)
     rhs7 = np.exp(-fval) * (
-        p_star_of_form(cx, ev, deta) - (n - 1) * inner_oneform(cx.Hinv, ev, df_holo)
+        p_star_oneform(cx, ev, deta) - (n - 1) * inner_oneform(cx.Hinv, ev, df_holo)
     )
     _accumulate(res, "c7", _rel(lhs7, rhs7))
 
     # (c8)  i <dbar* omega, d f> = dbar* dbar f + tr_omega i d dbar f
     lhs8 = 1j * inner_oneform(cx.Hinv, theta, df_holo)
     ddf_anti = fj.d2[..., n:, :n]
-    dbar_star_dbar_f = np.conj(p_star_of_form(cx, df_holo, ddf_anti))
+    dbar_star_dbar_f = np.conj(p_star_oneform(cx, df_holo, ddf_anti))
     rhs8 = dbar_star_dbar_f + trace_i_ddbar(cx, fj)
     _accumulate(res, "c8", _rel(lhs8, rhs8))
 
@@ -239,7 +236,7 @@ def _weak_identities(metric, grid: QuadratureGrid, f, eta, phi, res, cx: CxBlock
     ev, deta = eta.values_and_dbar(nodes)
 
     # <d* eta, phi> = <eta, d phi>
-    lhs = np.sum(w * p_star_of_form(cx, ev, deta) * pval)
+    lhs = np.sum(w * p_star_oneform(cx, ev, deta) * pval)
     rhs = np.sum(w * inner_oneform(cx.Hinv, ev, pj.d1[..., :n]))
     _accumulate(res, "weak_p_star", abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
 

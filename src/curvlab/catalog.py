@@ -22,6 +22,7 @@ from .fields import (
     OneFormField,
     ScalarField,
     hopf_monomial,
+    hopf_radial_frequency,
     hopf_radial_mode,
     random_hopf_oneform,
     random_hopf_scalar,
@@ -435,7 +436,7 @@ class HopfBasis:
         pos = {m: j for j, m in enumerate(monos)}
         self._parents = [_monomial_parent(m, pos) for m in monos[1:]]
         self._all = np.ones(len(monos), dtype=bool)
-        self._betas = [2.0 * np.pi * k / np.log(2.0) for k in range(kmax_t + 1)]
+        self._betas = [hopf_radial_frequency(k) for k in range(kmax_t + 1)]
         self.index = np.array([k * len(monos) + pos[ab + cd] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
 

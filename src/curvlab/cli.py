@@ -414,6 +414,9 @@ def make_config(argv) -> RunConfig:
         cfg.spin = True
     if ns.qpos:
         cfg.qpos = True
+    for key in ("points", "triples"):
+        if getattr(cfg, key) < 1:
+            raise ValueError(f"--{key} must be at least 1, got {getattr(cfg, key)}")
     return cfg
 
 

@@ -172,34 +172,76 @@ def torus_mode(m, l, periods, coeff=1.0) -> ScalarField:
     return ScalarField(lambda z: exp_linear(z, a, b, coeff), name)
 
 
-def random_torus_scalar(rng, n, periods, amplitude=0.1, kmax=2, modes=4) -> ScalarField:
-    """Real random band-limited periodic field (zero-mean modes only)."""
-    terms = []
+class TorusTerms:
+    """The sum over terms t of c_t exp(a_t . z + b_t . zbar), in one pass.
+
+    The phases of all terms come from two matrix products; the gradient
+    and Hessian contract the weighted exponentials with (a_t, b_t) and its
+    outer square over the term axis.
+    """
+
+    def __init__(self, coeff, a, b):
+        self.coeff = np.asarray(coeff, dtype=complex)
+        self.a = np.asarray(a, dtype=complex)
+        self.b = np.asarray(b, dtype=complex)
+        self.ab = np.concatenate([self.a, self.b], axis=1)
+        self.ab2 = np.einsum("ta,tb->tab", self.ab, self.ab).reshape(len(self.ab), -1)
+
+    def jet(self, z) -> Jet2:
+        z = np.asarray(z, dtype=complex)
+        m = self.ab.shape[1]
+        e = np.exp(z @ self.a.T + np.conj(z) @ self.b.T) * self.coeff
+        d2 = (e @ self.ab2).reshape(e.shape[:-1] + (m, m))
+        return Jet2(m // 2, e.sum(axis=-1), e @ self.ab, d2)
+
+
+def _draw_torus_terms(rng, n, periods, amplitude, kmax, modes):
+    """Coefficients and mode vectors (c, a, b) of `modes` nonzero random modes."""
+    cs, avs, bvs = [], [], []
     for _ in range(modes):
         while True:
             m = rng.integers(-kmax, kmax + 1, size=n)
             l = rng.integers(-kmax, kmax + 1, size=n)
             if np.any(m) or np.any(l):
                 break
-        c = (rng.normal() + 1j * rng.normal()) * amplitude / modes
-        terms.append((m, l, c))
+        a, b = torus_mode_vectors(m, l, periods)
+        avs.append(a)
+        bvs.append(b)
+        cs.append((rng.normal() + 1j * rng.normal()) * amplitude / modes)
+    return np.array(cs), np.array(avs), np.array(bvs)
+
+
+def _plus_conj(plain, conj, name: str) -> ScalarField:
+    """The field plain + conj(conj) of two term tables; 2 Re(plain) if they are one."""
 
     def fn(z):
-        out = None
-        for m, l, c in terms:
-            mode = torus_mode(m, l, periods, c)(z)
-            out = mode if out is None else out + mode
-        return out.real() * 2.0
+        jet = plain.jet(z)
+        other = jet if conj is plain else conj.jet(z)
+        return jet + other.conj()
 
-    return ScalarField(fn, "random-periodic")
+    return ScalarField(fn, name)
+
+
+def random_torus_scalar(rng, n, periods, amplitude=0.1, kmax=2, modes=4) -> ScalarField:
+    """Real random band-limited periodic field (zero-mean modes only)."""
+    terms = TorusTerms(*_draw_torus_terms(rng, n, periods, amplitude, kmax, modes))
+    return _plus_conj(terms, terms, "random-periodic")
 
 
 def random_torus_oneform(rng, n, periods, amplitude=0.1, kmax=2, modes=3) -> OneFormField:
+    """Random (1, 0)-form whose components are re + i im of two random fields.
+
+    With re = 2 Re R and im = 2 Re I for term sums R and I, the component
+    is (R + iI) + conj(R - iI): two tables over the same modes.
+    """
     comps = []
     for _ in range(n):
-        re = random_torus_scalar(rng, n, periods, amplitude, kmax, modes)
-        im = random_torus_scalar(rng, n, periods, amplitude, kmax, modes)
-        comps.append(ScalarField(lambda z, re=re, im=im: re(z) + im(z) * 1j))
+        c_re, a_re, b_re = _draw_torus_terms(rng, n, periods, amplitude, kmax, modes)
+        c_im, a_im, b_im = _draw_torus_terms(rng, n, periods, amplitude, kmax, modes)
+        a, b = np.concatenate([a_re, a_im]), np.concatenate([b_re, b_im])
+        plain = TorusTerms(np.concatenate([c_re, 1j * c_im]), a, b)
+        conj = TorusTerms(np.concatenate([c_re, -1j * c_im]), a, b)
+        comps.append(_plus_conj(plain, conj, "random-periodic-component"))
     return OneFormField(comps)
 
 
@@ -208,12 +250,17 @@ def random_torus_oneform(rng, n, periods, amplitude=0.1, kmax=2, modes=3) -> One
 # ---------------------------------------------------------------------------
 
 
+def hopf_radial_frequency(k: int) -> float:
+    """beta_k = 2 pi k / log 2: exp(i beta_k log |z|) is invariant under z -> 2z."""
+    return 2.0 * np.pi * k / np.log(2.0)
+
+
 def hopf_radial_mode(k: int) -> ScalarField:
     """exp(i beta_k t) with t = log |z| and beta_k = 2 pi k / log 2.
 
     Invariant under z -> 2z, hence well defined on the quotient surface.
     """
-    beta = 2.0 * np.pi * k / np.log(2.0)
+    beta = hopf_radial_frequency(k)
 
     def fn(z):
         return squared_radius(z) ** (0.5j * beta)
@@ -243,39 +290,129 @@ def hopf_monomial(alpha, beta) -> ScalarField:
     return ScalarField(fn, f"mono{alpha}{beta}")
 
 
-def random_hopf_scalar(rng, amplitude=0.1, kmax=2, modes=4) -> ScalarField:
-    """Real random invariant field: radial modes times sphere monomials."""
-    monos = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)),
-             ((1, 0), (1, 0)), ((2, 0), (0, 0)), ((1, 1), (0, 0))]
-    terms = []
+class HopfTerms:
+    """The sum over terms t of c_t w^e_t s^p_t, in one pass.
+
+    w = (z, zbar) holds the 2n coordinate slots, e_t a term's exponent per
+    slot and s = |z|^2.  With S_t = s^p_t and monomial P_t = c_t w^e_t,
+
+        d (P S)   = S dP + (p / s) P S ds,
+        dd (P S)  = S ddP + (p / s) S (dP ds + ds dP)
+                    + (p (p - 1) / s^2) P S ds ds + (p / s) P S dds,
+
+    and ds = (zbar, z), dds are shared by every term.  The derivatives of
+    a monomial are monomials again, so each jet component is one weighted
+    sum of products S_t * monomial over (term, monomial) pairs; the
+    weights are fixed here, and `jet` contracts them with one matrix
+    product.  Nothing divides by a coordinate, so points with z_i = 0
+    stay exact.
+    """
+
+    def __init__(self, coeff, expo, power):
+        expo = np.asarray(expo, dtype=int)
+        power = np.asarray(power, dtype=complex)
+        m = expo.shape[1]
+        # output rows: value, p * value, p (p - 1) * value, dP (m), p * dP (m), ddP (m * m)
+        rows = {}
+
+        def add(t, e, out, weight):
+            key = (t, tuple(e))
+            rows.setdefault(key, np.zeros(3 + 2 * m + m * m, dtype=complex))[out] += weight
+
+        for t, (c, e, p) in enumerate(zip(np.asarray(coeff, dtype=complex), expo, power)):
+            add(t, e, 0, c)
+            add(t, e, 1, c * p)
+            add(t, e, 2, c * p * (p - 1.0))
+            for i in np.flatnonzero(e):
+                ei = e.copy()
+                ei[i] -= 1
+                add(t, ei, 3 + i, c * e[i])
+                add(t, ei, 3 + m + i, c * e[i] * p)
+                for j in np.flatnonzero(ei):
+                    eij = ei.copy()
+                    eij[j] -= 1
+                    add(t, eij, 3 + 2 * m + i * m + j, c * e[i] * ei[j])
+
+        monos = sorted({e for _, e in rows})
+        self.m = m
+        self.power = power
+        self.term = np.array([t for t, _ in rows])
+        self.mono = np.array([monos.index(e) for _, e in rows])
+        self.mono_expo = np.array(monos, dtype=int)  # (monomial, slot)
+        self.weights = np.array(list(rows.values()))  # (pair, output)
+
+    def jet(self, z) -> Jet2:
+        z = np.asarray(z, dtype=complex)
+        batch, m, n = z.shape[:-1], self.m, self.m // 2
+        z = z.reshape(-1, n)
+        w = np.concatenate([z, np.conj(z)], axis=1)
+        s = np.sum(z.real**2 + z.imag**2, axis=1)
+
+        powers = [np.ones_like(w.T)]
+        for _ in range(self.mono_expo.max(initial=0)):
+            powers.append(powers[-1] * w.T)
+        powers = np.stack(powers)  # (power, slot, node)
+        mono = powers[self.mono_expo[:, 0], 0]
+        for slot in range(1, m):
+            mono = mono * powers[self.mono_expo[:, slot], slot]
+        radial = np.exp(np.outer(self.power, np.log(s)))  # (term, node)
+        out = (radial[self.term] * mono[self.mono]).T @ self.weights  # (node, output)
+
+        # dd(PS) = ddP + x ds + ds x + (p / s) dds, x = (p dP + p (p - 1) P ds / 2s) / s
+        ds = w[:, np.r_[n:m, 0:n]]
+        pv = out[:, 1] / s
+        x = (out[:, 3 + m : 3 + 2 * m] + (0.5 * out[:, 2] / s)[:, None] * ds) / s[:, None]
+        d1 = out[:, 3 : 3 + m] + pv[:, None] * ds
+        outer = x[:, :, None] * ds[:, None, :]
+        d2 = out[:, 3 + 2 * m :].reshape(-1, m, m) + outer + outer.transpose(0, 2, 1)
+        for i in range(n):
+            d2[:, i, n + i] += pv
+            d2[:, n + i, i] += pv
+        return Jet2(n, out[:, 0].reshape(batch), d1.reshape(batch + (m,)),
+                    d2.reshape(batch + (m, m)))
+
+
+_HOPF_MONOS = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)),
+               ((1, 0), (1, 0)), ((2, 0), (0, 0)), ((1, 1), (0, 0))]
+
+
+def _draw_hopf_terms(rng, amplitude, kmax, modes):
+    """(c, e, p) of `modes` terms c R_k(z) z^a zbar^b / |z|^|e| with random k and (a, b).
+
+    Each term is c z^a zbar^b s^p with s = |z|^2 and p = i beta_k / 2 - |e| / 2.
+    """
+    cs, es, ps = [], [], []
     for _ in range(modes):
         k = int(rng.integers(-kmax, kmax + 1))
-        a, b = monos[int(rng.integers(0, len(monos)))]
-        c = (rng.normal() + 1j * rng.normal()) * amplitude / modes
-        terms.append((k, a, b, c))
+        a, b = _HOPF_MONOS[int(rng.integers(0, len(_HOPF_MONOS)))]
+        cs.append((rng.normal() + 1j * rng.normal()) * amplitude / modes)
+        es.append(a + b)
+        ps.append(0.5j * hopf_radial_frequency(k) - 0.5 * (sum(a) + sum(b)))
+    return np.array(cs), np.array(es), np.array(ps)
 
-    def fn(z):
-        out = None
-        for k, a, b, c in terms:
-            t = hopf_radial_mode(k)(z) * hopf_monomial(a, b)(z) * c
-            out = t if out is None else out + t
-        return out.real() * 2.0
 
-    return ScalarField(fn, "random-hopf")
+def random_hopf_scalar(rng, amplitude=0.1, kmax=2, modes=4) -> ScalarField:
+    """Real random invariant field: radial modes times sphere monomials."""
+    terms = HopfTerms(*_draw_hopf_terms(rng, amplitude, kmax, modes))
+    return _plus_conj(terms, terms, "random-hopf")
 
 
 def random_hopf_oneform(rng, amplitude=0.1, kmax=2, modes=3) -> OneFormField:
-    """Random invariant (1, 0)-form; components scale like 1/z under z -> 2z."""
+    """Random invariant (1, 0)-form; components scale like 1/z under z -> 2z.
+
+    Component i is (re + i im) zbar_i / |z|^2 with re = 2 Re R, im = 2 Re I
+    for term sums R and I, that is (R + iI) zbar_i / s + conj((R - iI) z_i / s):
+    two tables whose exponents gain zbar_i or z_i and whose powers drop by 1.
+    """
     n = 2
+    unit = np.eye(2 * n, dtype=int)
     comps = []
     for i in range(n):
-        scal_re = random_hopf_scalar(rng, amplitude, kmax, modes)
-        scal_im = random_hopf_scalar(rng, amplitude, kmax, modes)
-
-        def comp(z, i=i, fr=scal_re, fi=scal_im):
-            zbs = coordinate_jets(z)[1]
-            weight = zbs[i] * squared_radius(z).reciprocal()
-            return (fr(z) + fi(z) * 1j) * weight
-
-        comps.append(ScalarField(comp))
+        c_re, e_re, p_re = _draw_hopf_terms(rng, amplitude, kmax, modes)
+        c_im, e_im, p_im = _draw_hopf_terms(rng, amplitude, kmax, modes)
+        expo = np.concatenate([e_re, e_im])
+        power = np.concatenate([p_re, p_im]) - 1.0
+        plain = HopfTerms(np.concatenate([c_re, 1j * c_im]), expo + unit[n + i], power)
+        conj = HopfTerms(np.concatenate([c_re, -1j * c_im]), expo + unit[i], power)
+        comps.append(_plus_conj(plain, conj, "random-hopf-component"))
     return OneFormField(comps)

@@ -44,17 +44,28 @@ class Report:
 
 
 def _num(x: Optional[float]) -> str:
+    """A JSON number at 17 significant digits; nan and +-inf as the strings
+    "nan", "inf" and "-inf", since JSON has no non-finite numbers."""
     if x is None:
         return "null"
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):
+        return f'"{x}"'
+    return format(x, ".17g")
+
+
+def _float(v) -> Optional[float]:
+    """Inverse of _num on a field parsed with integers read as floats."""
+    return None if v is None else float(v)
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:
     """Serialize a report.
 
     Text mode is an aligned human table (with verdicts and timing);
-    records mode is line-delimited self-describing records with numeric
-    fields at 17 significant digits, byte-stable across identical runs.
+    records mode is line-delimited self-describing JSON records with
+    numeric fields at 17 significant digits, byte-stable across identical
+    runs; a non-finite field is the string "nan", "inf" or "-inf".
     """
     if fmt == "records":
         lines = []
@@ -88,17 +99,20 @@ def emit_report(report: Report, fmt: str = "text") -> str:
 
 
 def parse_records(text: str):
-    """Round-trip parser for records mode (bit-exact on numeric fields)."""
+    """Round-trip parser for records mode (bit-exact on numeric fields).
+
+    Integers are read as floats so that "-0" keeps its sign.
+    """
     out = []
     for line in filter(None, text.splitlines()):
-        obj = json.loads(line)
+        obj = json.loads(line, parse_int=float)
         if "verdict" in obj:
             out.append(obj)
             continue
         out.append(
             CheckRecord(
-                obj["check"], obj["manifold"], obj["value"],
-                obj["residual"], obj["tol"], obj["pass"],
+                obj["check"], obj["manifold"], _float(obj["value"]),
+                _float(obj["residual"]), _float(obj["tol"]), obj["pass"],
             )
         )
     return out

@@ -64,7 +64,7 @@ def test_conformal_coclosure_shift_on_hopf(hopf, rng):
 
 def test_weak_adjoint_property_directly(flat_torus, rng):
     # <d* eta, phi> = <eta, d phi> under the spectral torus quadrature
-    from curvlab.adjoints import p_star_of_form
+    from curvlab.tensors import p_star_oneform as p_star_of_form
 
     eta = flat_torus.random_oneform(rng, 0.2)
     phi = flat_torus.random_scalar(rng, 0.2)
@@ -76,6 +76,11 @@ def test_weak_adjoint_property_directly(flat_torus, rng):
     lhs = np.sum(w * p_star_of_form(cx, ev, deta) * np.real(pj.val))
     rhs = np.sum(w * inner_oneform(cx.Hinv, ev, pj.d1[..., :2]))
     assert abs(lhs - rhs) / (1 + abs(lhs)) < 1e-6
+
+
+def test_suite_needs_a_triple(flat_torus):
+    with pytest.raises(ValueError):
+        verify_adjoint_identities(flat_torus, seed=0, triples=0)
 
 
 def test_inoue_unsupported(inoue):

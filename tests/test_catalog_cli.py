@@ -171,6 +171,18 @@ def test_cli_config_error(capsys):
     assert code == 2
 
 
+def test_cli_check_identities_rejects_zero_points(capsys):
+    code = main(["check-identities", "--manifold", "torus-flat", "--points", "0", "--grid", "4"])
+    assert code == 2
+    assert "--points" in capsys.readouterr().err
+
+
+def test_cli_adjoints_rejects_zero_triples(capsys):
+    code = main(["adjoints", "--manifold", "torus-flat", "--grid", "4", "--triples", "0"])
+    assert code == 2
+    assert "--triples" in capsys.readouterr().err
+
+
 def test_cli_quadrature_unsupported(capsys):
     code = main(["theorem-t", "--manifold", "inoue-chart"])
     assert code == 2

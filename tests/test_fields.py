@@ -1,0 +1,186 @@
+"""The random adjoint-suite fields against their term-by-term construction."""
+
+import numpy as np
+import pytest
+
+from curvlab.catalog import rng_from_seed
+from curvlab.fields import (
+    OneFormField,
+    ScalarField,
+    hopf_monomial,
+    hopf_radial_mode,
+    random_hopf_oneform,
+    random_hopf_scalar,
+    random_torus_oneform,
+    random_torus_scalar,
+    torus_mode,
+)
+from curvlab.jets import coordinate_jets, squared_radius
+
+# ---------------------------------------------------------------------------
+# reference: each term its own jet, summed with Jet2 arithmetic
+# ---------------------------------------------------------------------------
+
+
+def reference_torus_scalar(rng, n, periods, amplitude=0.1, kmax=2, modes=4):
+    terms = []
+    for _ in range(modes):
+        while True:
+            m = rng.integers(-kmax, kmax + 1, size=n)
+            l = rng.integers(-kmax, kmax + 1, size=n)
+            if np.any(m) or np.any(l):
+                break
+        c = (rng.normal() + 1j * rng.normal()) * amplitude / modes
+        terms.append((m, l, c))
+
+    def fn(z):
+        out = None
+        for m, l, c in terms:
+            mode = torus_mode(m, l, periods, c)(z)
+            out = mode if out is None else out + mode
+        return out.real() * 2.0
+
+    return ScalarField(fn)
+
+
+def reference_torus_oneform(rng, n, periods, amplitude=0.1, kmax=2, modes=3):
+    comps = []
+    for _ in range(n):
+        re = reference_torus_scalar(rng, n, periods, amplitude, kmax, modes)
+        im = reference_torus_scalar(rng, n, periods, amplitude, kmax, modes)
+        comps.append(ScalarField(lambda z, re=re, im=im: re(z) + im(z) * 1j))
+    return OneFormField(comps)
+
+
+def reference_hopf_scalar(rng, amplitude=0.1, kmax=2, modes=4):
+    monos = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)),
+             ((1, 0), (1, 0)), ((2, 0), (0, 0)), ((1, 1), (0, 0))]
+    terms = []
+    for _ in range(modes):
+        k = int(rng.integers(-kmax, kmax + 1))
+        a, b = monos[int(rng.integers(0, len(monos)))]
+        c = (rng.normal() + 1j * rng.normal()) * amplitude / modes
+        terms.append((k, a, b, c))
+
+    def fn(z):
+        out = None
+        for k, a, b, c in terms:
+            t = hopf_radial_mode(k)(z) * hopf_monomial(a, b)(z) * c
+            out = t if out is None else out + t
+        return out.real() * 2.0
+
+    return ScalarField(fn)
+
+
+def reference_hopf_oneform(rng, amplitude=0.1, kmax=2, modes=3):
+    comps = []
+    for i in range(2):
+        fr = reference_hopf_scalar(rng, amplitude, kmax, modes)
+        fi = reference_hopf_scalar(rng, amplitude, kmax, modes)
+
+        def comp(z, i=i, fr=fr, fi=fi):
+            weight = coordinate_jets(z)[1][i] * squared_radius(z).reciprocal()
+            return (fr(z) + fi(z) * 1j) * weight
+
+        comps.append(ScalarField(comp))
+    return OneFormField(comps)
+
+
+# ---------------------------------------------------------------------------
+# the families under test, drawn as the adjoint suite draws a triple
+# ---------------------------------------------------------------------------
+
+PERIODS = (1.0, 1.0)
+
+FAMILIES = {
+    "torus": (
+        lambda rng: random_torus_scalar(rng, 2, PERIODS, 0.1),
+        lambda rng: random_torus_oneform(rng, 2, PERIODS, 0.1),
+        lambda rng: reference_torus_scalar(rng, 2, PERIODS, 0.1),
+        lambda rng: reference_torus_oneform(rng, 2, PERIODS, 0.1),
+    ),
+    "hopf": (
+        lambda rng: random_hopf_scalar(rng, 0.1),
+        lambda rng: random_hopf_oneform(rng, 0.1),
+        lambda rng: reference_hopf_scalar(rng, 0.1),
+        lambda rng: reference_hopf_oneform(rng, 0.1),
+    ),
+}
+
+
+def _draw(scalar, oneform, rng):
+    return scalar(rng), oneform(rng), scalar(rng)
+
+
+def _triples(family, seed):
+    scalar, oneform, ref_scalar, ref_oneform = FAMILIES[family]
+    rng, ref_rng = rng_from_seed(seed), rng_from_seed(seed)
+    return _draw(scalar, oneform, rng), _draw(ref_scalar, ref_oneform, ref_rng), rng, ref_rng
+
+
+def _entry(family, flat_torus, hopf):
+    return flat_torus if family == "torus" else hopf
+
+
+def _close(got, want, tol=1e-13):
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    return float(np.max(err)) <= tol
+
+
+def _jets(fields, z):
+    f, eta, phi = fields
+    return [f(z), phi(z)] + eta.jets(z)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_random_fields_match_term_by_term_reference_at_points(family, flat_torus, hopf):
+    got, want, _, _ = _triples(family, seed=31)
+    z = _entry(family, flat_torus, hopf).random_points(rng_from_seed(32), 64)
+    for g, w in zip(_jets(got, z), _jets(want, z)):
+        for part in ("val", "d1", "d2"):
+            assert _close(getattr(g, part), getattr(w, part)), part
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_random_fields_match_term_by_term_reference_on_grid(family, flat_torus, hopf):
+    got, want, _, _ = _triples(family, seed=33)
+    nodes = _entry(family, flat_torus, hopf).grid.nodes
+    for g, w in zip(_jets(got, nodes), _jets(want, nodes)):
+        assert _close(g.val, w.val)
+        assert _close(g.d1, w.d1)
+    # the path the weak identities take
+    ev, deta = got[1].values_and_dbar(nodes)
+    ev_ref, deta_ref = want[1].values_and_dbar(nodes)
+    assert _close(ev, ev_ref) and _close(deta, deta_ref)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_random_fields_consume_the_reference_draws(family):
+    _, _, rng, ref_rng = _triples(family, seed=35)
+    assert np.array_equal(rng.random(8), ref_rng.random(8))
+
+
+def test_scalar_values_are_exactly_real(hopf, flat_torus):
+    for family in FAMILIES:
+        got, _, _, _ = _triples(family, seed=36)
+        z = _entry(family, flat_torus, hopf).random_points(rng_from_seed(37), 16)
+        assert np.all(got[0](z).val.imag == 0.0)
+
+
+def test_hopf_fields_exact_where_a_coordinate_vanishes():
+    # no coordinate is divided by, so z_i = 0 is an ordinary point
+    got, want, _, _ = _triples("hopf", seed=38)
+    z = np.array([[1.0 + 0.0j, 0.0], [0.0, 0.7 - 0.4j], [0.3j, 1.2]])
+    for g, w in zip(_jets(got, z), _jets(want, z)):
+        for part in ("val", "d1", "d2"):
+            assert np.all(np.isfinite(getattr(g, part)))
+            assert _close(getattr(g, part), getattr(w, part)), part
+
+
+def test_single_point_keeps_its_shape(hopf, flat_torus):
+    for family in FAMILIES:
+        got, want, _, _ = _triples(family, seed=39)
+        z = _entry(family, flat_torus, hopf).random_points(rng_from_seed(40), 1)[0]
+        g, w = got[0](z), want[0](z)
+        assert g.val.shape == () and g.d1.shape == (4,) and g.d2.shape == (4, 4)
+        assert _close(g.d2, w.d2)
