@@ -19,11 +19,11 @@ import numpy as np
 from .errors import NotPositiveDefinite, UnknownId
 from .fields import (
     BasisJets,
+    HopfTerms,
     OneFormField,
     ScalarField,
-    hopf_monomial,
     hopf_radial_frequency,
-    hopf_radial_mode,
+    plus_conj,
     random_hopf_oneform,
     random_hopf_scalar,
     random_torus_oneform,
@@ -243,10 +243,20 @@ def _hopf_standard_metric() -> HermitianMetricField:
 
 
 def hopf_conformal_direction() -> ScalarField:
-    """The fixed smooth invariant field g used by the conformal Hopf family."""
-    cos1 = ScalarField(lambda z: hopf_radial_mode(1)(z).real(), "cos-t")
-    y = ScalarField(lambda z: hopf_monomial((1, 0), (0, 1))(z).real() * 2.0, "Re z1 zb2")
-    return cos1 * 0.25 + (cos1 * y) * 0.2
+    """The fixed smooth invariant field g used by the conformal Hopf family.
+
+    g = 0.25 cos(beta_1 t) + 0.2 cos(beta_1 t) 2 Re(z1 zbar2) / |z|^2 with
+    t = log |z|, that is T + conj(T) for the one term table
+    T = R_1 (0.125 + 0.1 z1 zbar2 / |z|^2 + 0.1 z2 zbar1 / |z|^2) and
+    R_1 = |z|^(i beta_1), the radial mode `hopf_radial_mode(1)`.
+    """
+    p = 0.5j * hopf_radial_frequency(1)
+    terms = HopfTerms(
+        [0.125, 0.1, 0.1],
+        [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0)],  # exponents of z1, z2, zbar1, zbar2
+        [p, p - 1.0, p - 1.0],
+    )
+    return plus_conj(terms, terms, "hopf-conformal-direction")
 
 
 def _hopf_conformal_metric(t: float):

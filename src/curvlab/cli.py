@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--t", dest="conformal_t", type=float, help="conformal family parameter")
     ap.add_argument("--derivative-mode", choices=["analytic", "fd"])
     ap.add_argument("--sequential", action="store_true",
-                    help="force the deterministic sequential evaluation path")
+                    help="accepted for compatibility; does nothing, every run is sequential")
     ap.add_argument("--format", dest="fmt", choices=["text", "records"])
     ap.add_argument("--out", help="write the report to this path")
     ap.add_argument("--chern", help="Chern numbers, e.g. 'c1^2=0,c2=24'")

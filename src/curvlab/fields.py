@@ -211,7 +211,7 @@ def _draw_torus_terms(rng, n, periods, amplitude, kmax, modes):
     return np.array(cs), np.array(avs), np.array(bvs)
 
 
-def _plus_conj(plain, conj, name: str) -> ScalarField:
+def plus_conj(plain, conj, name: str) -> ScalarField:
     """The field plain + conj(conj) of two term tables; 2 Re(plain) if they are one."""
 
     def fn(z):
@@ -225,7 +225,7 @@ def _plus_conj(plain, conj, name: str) -> ScalarField:
 def random_torus_scalar(rng, n, periods, amplitude=0.1, kmax=2, modes=4) -> ScalarField:
     """Real random band-limited periodic field (zero-mean modes only)."""
     terms = TorusTerms(*_draw_torus_terms(rng, n, periods, amplitude, kmax, modes))
-    return _plus_conj(terms, terms, "random-periodic")
+    return plus_conj(terms, terms, "random-periodic")
 
 
 def random_torus_oneform(rng, n, periods, amplitude=0.1, kmax=2, modes=3) -> OneFormField:
@@ -241,7 +241,7 @@ def random_torus_oneform(rng, n, periods, amplitude=0.1, kmax=2, modes=3) -> One
         a, b = np.concatenate([a_re, a_im]), np.concatenate([b_re, b_im])
         plain = TorusTerms(np.concatenate([c_re, 1j * c_im]), a, b)
         conj = TorusTerms(np.concatenate([c_re, -1j * c_im]), a, b)
-        comps.append(_plus_conj(plain, conj, "random-periodic-component"))
+        comps.append(plus_conj(plain, conj, "random-periodic-component"))
     return OneFormField(comps)
 
 
@@ -394,7 +394,7 @@ def _draw_hopf_terms(rng, amplitude, kmax, modes):
 def random_hopf_scalar(rng, amplitude=0.1, kmax=2, modes=4) -> ScalarField:
     """Real random invariant field: radial modes times sphere monomials."""
     terms = HopfTerms(*_draw_hopf_terms(rng, amplitude, kmax, modes))
-    return _plus_conj(terms, terms, "random-hopf")
+    return plus_conj(terms, terms, "random-hopf")
 
 
 def random_hopf_oneform(rng, amplitude=0.1, kmax=2, modes=3) -> OneFormField:
@@ -414,5 +414,5 @@ def random_hopf_oneform(rng, amplitude=0.1, kmax=2, modes=3) -> OneFormField:
         power = np.concatenate([p_re, p_im]) - 1.0
         plain = HopfTerms(np.concatenate([c_re, 1j * c_im]), expo + unit[n + i], power)
         conj = HopfTerms(np.concatenate([c_re, -1j * c_im]), expo + unit[i], power)
-        comps.append(_plus_conj(plain, conj, "random-hopf-component"))
+        comps.append(plus_conj(plain, conj, "random-hopf-component"))
     return OneFormField(comps)

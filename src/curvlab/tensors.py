@@ -5,6 +5,17 @@ Everything here works on the complexified 2n-letter index alphabet
 The real-coordinate Levi-Civita pipeline at the bottom of the module is a
 deliberately independent implementation used as the verification oracle
 for the complexified route; the two must never share intermediate code.
+
+The curvature is computed on the letter blocks its consumer reads
+(hol = holomorphic letters, anti = antiholomorphic, all = both):
+
+- the Riemannian scalar (`riemannian_scalar`, `scalar_and_torsion_from_jet`,
+  `scalar_identity_residual`) and the Hermitian-symmetry check read
+  R_{i jbar k lbar} only, which needs d_B Gamma^C_{AD} on the blocks
+  (anti, hol, hol, hol) and (hol, hol, anti, hol);
+- d_jbar of dbar*(omega), the adjoint term, reads (hol, hol, anti, hol),
+  so the scalar identity builds that block once for both;
+- `curvature_complexified` and `riemannian_ricci` take all letters.
 """
 
 from __future__ import annotations
@@ -53,7 +64,17 @@ class ScalarReport:
 
 
 class CxBlocks:
-    """Complexified metric data over the 2n-letter alphabet."""
+    """Complexified metric data over the 2n-letter alphabet.
+
+    A letter block is an index range: `hol` (0..n-1), `anti` (n..2n-1) or
+    `letters` (all 2n).  The Christoffel derivative and the lowered
+    curvature are built on the blocks a consumer asks for, four ranges at
+    a time, and cached per block.  Only the free indices are restricted:
+    each contraction runs over all letters in the same order, except that
+    the lowering skips the letters where h vanishes, and adding an exact
+    zero changes no sum.  So a block holds the same numbers as the
+    matching slice of the all-letters tensor.
+    """
 
     def __init__(self, jet: MetricJet, need_second: bool = True):
         H = np.asarray(jet.H, dtype=complex)
@@ -67,6 +88,11 @@ class CxBlocks:
         self.d1H = np.asarray(jet.d1, dtype=complex)
         self.d2H = np.asarray(jet.d2, dtype=complex) if need_second else None
         batch = H.shape[:-2]
+        self.hol, self.anti, self.letters = range(n), range(n, 2 * n), range(2 * n)
+        # the block R_{i jbar k lbar}
+        self.hermitian_letters = (self.hol, self.anti, self.hol, self.anti)
+        self._dgamma = {}
+        self._rlow = {}
 
         hC = np.zeros(batch + (2 * n, 2 * n), dtype=complex)
         hC[..., :n, n:] = H
@@ -94,6 +120,9 @@ class CxBlocks:
         # P[i, j] = h^{i jbar}, the mixed inverse pairing
         self.P = hCinv[..., :n, n:]
 
+    def _key(self, blocks):
+        return (self.letters,) * 4 if blocks is None else tuple(blocks)
+
     # -- connection ----------------------------------------------------
 
     def christoffel(self) -> np.ndarray:
@@ -109,56 +138,113 @@ class CxBlocks:
             self._term = term
         return self._gamma
 
-    def christoffel_derivative(self) -> np.ndarray:
-        """dG[..., B, C, A, D] = d_B Gamma^C_{AD}."""
+    def christoffel_derivative(self, blocks=None) -> np.ndarray:
+        """dG[..., B, C, A, D] = d_B Gamma^C_{AD} on the letter blocks (B, C, A, D).
+
+        `blocks` is four index ranges; all letters by default.
+        """
         if self.d2hC is None:
             raise ValueError("second derivatives were not requested")
-        if not hasattr(self, "_dgamma"):
+        key = self._key(blocks)
+        if key not in self._dgamma:
+            B, C, A, D = (slice(r.start, r.stop) for r in key)
             self.christoffel()
+            d2 = self.d2hC[..., B, :, :, :]
             dterm = (
-                np.einsum("...bdae->...bade", self.d2hC)
-                + self.d2hC
-                - np.einsum("...bead->...bade", self.d2hC)
+                np.einsum("...bdae->...bade", d2[..., D, A, :])
+                + d2[..., A, D, :]
+                - np.einsum("...bead->...bade", d2[..., :, A, D])
             )
+            hCinv = self.hCinv[..., C, :]
             dhCinv = -np.einsum(
-                "...cf,...bfg,...ge->...bce", self.hCinv, self.dhC, self.hCinv
+                "...cf,...bfg,...ge->...bce", hCinv, self.dhC[..., B, :, :], self.hCinv
             )
-            self._dgamma = 0.5 * (
-                np.einsum("...bce,...ade->...bcad", dhCinv, self._term)
-                + np.einsum("...ce,...bade->...bcad", self.hCinv, dterm)
+            self._dgamma[key] = 0.5 * (
+                np.einsum("...bce,...ade->...bcad", dhCinv, self._term[..., A, D, :])
+                + np.einsum("...ce,...bade->...bcad", hCinv, dterm)
             )
-        return self._dgamma
+        return self._dgamma[key]
 
     # -- curvature -------------------------------------------------------
 
-    def curvature_lowered(self, check_symmetry: bool = True) -> np.ndarray:
-        """Rlow[..., A, B, C, D] = R(d_A, d_B, d_C, d_D), all letters."""
-        if not hasattr(self, "_rlow"):
+    def curvature_lowered(self, blocks=None, check_symmetry: bool = True) -> np.ndarray:
+        """Rlow[..., A, B, C, D] = R(d_A, d_B, d_C, d_D) on the letter blocks (A, B, C, D).
+
+        `blocks` is four index ranges; all letters by default.  Lowering
+        with h pairs d only with letters e of the opposite type, so the
+        raised tensor is needed on those e alone.
+        """
+        key = self._key(blocks)
+        if key not in self._rlow:
+            A, B, C, D = key
+            E = {self.hol: self.anti, self.anti: self.hol}.get(D, self.letters)
+            a, b, c, d, e = (slice(r.start, r.stop) for r in (A, B, C, D, E))
             G = self.christoffel()
-            dG = self.christoffel_derivative()
             rup = -(
-                np.einsum("...bdac->...dabc", dG)
-                - np.einsum("...adbc->...dabc", dG)
-                + np.einsum("...fac,...dfb->...dabc", G, G)
-                - np.einsum("...fbc,...daf->...dabc", G, G)
+                np.einsum("...bdac->...dabc", self.christoffel_derivative((B, E, A, C)))
+                - np.einsum("...adbc->...dabc", self.christoffel_derivative((A, E, B, C)))
+                + np.einsum("...fac,...dfb->...dabc", G[..., :, a, c], G[..., e, :, b])
+                - np.einsum("...fbc,...daf->...dabc", G[..., :, b, c], G[..., e, a, :])
             )
-            self._rlow = np.einsum("...eabc,...ed->...abcd", rup, self.hC)
+            self._rlow[key] = np.einsum("...eabc,...ed->...abcd", rup, self.hC[..., e, d])
         if check_symmetry:
-            res = self.hermitian_symmetry_residual(self._rlow)
-            scale = 1.0 + float(np.max(np.abs(self._rlow)))
-            if res > HERMITIAN_SYMMETRY_TOL * scale:
+            res = self.hermitian_symmetry_residual()
+            scale = self.hermitian_symmetry_scale()
+            if not res <= HERMITIAN_SYMMETRY_TOL * scale:  # a NaN fails too
                 raise CrossCheckFailed(
                     f"curvature Hermitian symmetry violated: {res:.3e} (scale {scale:.1e})"
                 )
-        return self._rlow
+        return self._rlow[key]
 
-    def hermitian_symmetry_residual(self, rlow: Optional[np.ndarray] = None) -> float:
+    def curvature_hermitian(self) -> np.ndarray:
+        """The block R_{i jbar k lbar}, unchecked; a view of the all-letters
+        tensor once that is built."""
+        full = self._rlow.get(self._key(None))
+        if full is not None:
+            n = self.n
+            return full[..., :n, n:, :n, n:]
+        return self.curvature_lowered(self.hermitian_letters, check_symmetry=False)
+
+    def hermitian_symmetry_residual(self) -> float:
         """max |R_{i jbar k lbar} - conj(R_{j ibar l kbar})|."""
-        r = self.curvature_lowered(check_symmetry=False) if rlow is None else rlow
-        n = self.n
-        a = r[..., :n, n:, :n, n:]  # a[i,j,k,l] = R_{i jbar k lbar}
+        a = self.curvature_hermitian()  # a[i,j,k,l] = R_{i jbar k lbar}
         b = np.conj(np.einsum("...jilk->...ijkl", a))
         return float(np.max(np.abs(a - b)))
+
+    def hermitian_symmetry_scale(self) -> float:
+        """1 + max |R_{i jbar k lbar}|, the scale of the symmetry tolerance."""
+        return 1.0 + float(np.max(np.abs(self.curvature_hermitian())))
+
+    # -- first- and second-order scalars -----------------------------------
+
+    def torsion(self):
+        """(T[..., k, i, j] = T^k_{ij}, |T|^2)."""
+        n = self.n
+        Dh = self.d1H[..., :n, :, :]  # d_i H[j, l]
+        diff = Dh - np.einsum("...ijl->...jil", Dh)
+        T = np.einsum("...kl,...ijl->...kij", self.P, diff)
+        nsq = np.einsum(
+            "...ip,...jq,...kl,...kij,...lpq->...", self.P, self.P, self.H, T, np.conj(T)
+        )
+        return T, np.real(nsq)
+
+    def chern_ricci(self):
+        """(R_{i jbar} = -d_i d_jbar log det h, its trace s_C)."""
+        if self.d2H is None:
+            raise ValueError("second derivatives were not requested")
+        n = self.n
+        M2 = self.d2H[..., :n, n:, :, :]  # d_i d_jbar H
+        t1 = np.einsum("...kl,...ijlk->...ij", self.Hinv, M2)
+        t2 = np.einsum(
+            "...ab,...ibc,...cd,...jda->...ij",
+            self.Hinv,
+            self.d1H[..., :n, :, :],
+            self.Hinv,
+            self.d1H[..., n:, :, :],
+        )
+        ricci = -(t1 - t2)
+        s_c = np.einsum("...ij,...ji->...", ricci, self.Hinv)
+        return ricci, np.real(s_c)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +272,8 @@ def christoffel(metric, point, engine=None) -> TensorBlock:
 
 def torsion(metric, point, engine=None):
     """Torsion T^k_{ij} and its squared norm |T|^2 >= 0."""
-    cx = CxBlocks(_jet(metric, point, engine), need_second=False)
-    n = cx.n
-    Dh = cx.d1H[..., :n, :, :]  # d_i H[j, l]
-    diff = Dh - np.einsum("...ijl->...jil", Dh)
-    T = np.einsum("...kl,...ijl->...kij", cx.P, diff)
-    nsq = np.einsum(
-        "...ip,...jq,...kl,...kij,...lpq->...",
-        cx.P,
-        cx.P,
-        cx.H,
-        T,
-        np.conj(T),
-    )
-    return TensorBlock("torsion", "k;ij", T, np.asarray(point)), np.real(nsq)
+    T, nsq = CxBlocks(_jet(metric, point, engine), need_second=False).torsion()
+    return TensorBlock("torsion", "k;ij", T, np.asarray(point)), nsq
 
 
 def curvature_complexified(metric, point, engine=None) -> TensorBlock:
@@ -215,34 +289,14 @@ def chern_ricci(metric, point, engine=None):
 
 
 def chern_ricci_from_jet(jet: MetricJet):
-    cx = CxBlocks(jet)
-    n = cx.n
-    M2 = cx.d2H[..., :n, n:, :, :]  # d_i d_jbar H
-    t1 = np.einsum("...kl,...ijlk->...ij", cx.Hinv, M2)
-    t2 = np.einsum(
-        "...ab,...ibc,...cd,...jda->...ij",
-        cx.Hinv,
-        cx.d1H[..., :n, :, :],
-        cx.Hinv,
-        cx.d1H[..., n:, :, :],
-    )
-    ricci = -(t1 - t2)
-    s_c = np.einsum("...ij,...ji->...", ricci, cx.Hinv)
-    return ricci, np.real(s_c)
+    return CxBlocks(jet).chern_ricci()
 
 
 def scalar_and_torsion_from_jet(jet: MetricJet):
     """(s, |T|^2) from a metric jet; the lean path for integral checks."""
     cx = CxBlocks(jet)
     s, _ = _scalar_from_blocks(cx)
-    n = cx.n
-    Dh = cx.d1H[..., :n, :, :]
-    diff = Dh - np.einsum("...ijl->...jil", Dh)
-    T = np.einsum("...kl,...ijl->...kij", cx.P, diff)
-    tsq = np.real(
-        np.einsum("...ip,...jq,...kl,...kij,...lpq->...", cx.P, cx.P, cx.H, T, np.conj(T))
-    )
-    return s, tsq
+    return s, cx.torsion()[1]
 
 
 def riemannian_scalar(metric, point, engine=None):
@@ -252,8 +306,7 @@ def riemannian_scalar(metric, point, engine=None):
 
 
 def _scalar_from_blocks(cx: CxBlocks):
-    n = cx.n
-    A1 = cx.curvature_lowered()[..., :n, n:, :n, n:]  # A1[i,j,k,l] = R_{i jbar k lbar}
+    A1 = cx.curvature_lowered(cx.hermitian_letters)  # A1[i,j,k,l] = R_{i jbar k lbar}
     sR = np.einsum("...ij,...kl,...ilkj->...", cx.P, cx.P, A1)
     sH = np.einsum("...ij,...kl,...ijkl->...", cx.P, cx.P, A1)
     s = 2.0 * (2.0 * sR - sH)
@@ -298,9 +351,8 @@ def _dbar_star_omega_components(cx: CxBlocks) -> np.ndarray:
 
 def _dbar_star_omega_dbar(cx: CxBlocks) -> np.ndarray:
     """dtheta[..., j, i] = d_jbar of component i of dbar*(omega)."""
-    n = cx.n
-    dG = cx.christoffel_derivative()
-    dgsum = np.einsum("...jkik->...ji", dG[..., :n, :n, n:, :n])
+    dG = cx.christoffel_derivative((cx.hol, cx.hol, cx.anti, cx.hol))
+    dgsum = np.einsum("...jkik->...ji", dG)
     return 2j * np.conj(dgsum)
 
 
@@ -347,23 +399,8 @@ def scalar_identity_residual(metric, point, engine=None) -> ScalarReport:
     point = np.asarray(point, dtype=complex)
     cx = CxBlocks(_jet(metric, point, engine))
     s, im_s = _scalar_from_blocks(cx)
-    n = cx.n
-    Dh = cx.d1H[..., :n, :, :]
-    diff = Dh - np.einsum("...ijl->...jil", Dh)
-    T = np.einsum("...kl,...ijl->...kij", cx.P, diff)
-    tsq = np.real(
-        np.einsum("...ip,...jq,...kl,...kij,...lpq->...", cx.P, cx.P, cx.H, T, np.conj(T))
-    )
-    M2 = cx.d2H[..., :n, n:, :, :]
-    t1 = np.einsum("...kl,...ijlk->...ij", cx.Hinv, M2)
-    t2 = np.einsum(
-        "...ab,...ibc,...cd,...jda->...ij",
-        cx.Hinv,
-        cx.d1H[..., :n, :, :],
-        cx.Hinv,
-        cx.d1H[..., n:, :, :],
-    )
-    s_c = np.real(np.einsum("...ij,...ji->...", -(t1 - t2), cx.Hinv))
+    _, tsq = cx.torsion()
+    _, s_c = cx.chern_ricci()
     adj, im_a = _adjoint_term_from_blocks(cx)
     residual = s - (2.0 * s_c - 2.0 * adj - 0.5 * tsq)
     return ScalarReport(

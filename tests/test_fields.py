@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curvlab.catalog import rng_from_seed
+from curvlab.catalog import hopf_conformal_direction, rng_from_seed
 from curvlab.fields import (
     OneFormField,
     ScalarField,
@@ -184,3 +184,25 @@ def test_single_point_keeps_its_shape(hopf, flat_torus):
         g, w = got[0](z), want[0](z)
         assert g.val.shape == () and g.d1.shape == (4,) and g.d2.shape == (4, 4)
         assert _close(g.d2, w.d2)
+
+
+# ---------------------------------------------------------------------------
+# the direction of the hopf-conformal family
+# ---------------------------------------------------------------------------
+
+
+def reference_conformal_direction():
+    """g = 0.25 cos + 0.2 cos * 2 Re(z1 zbar2 / |z|^2), as Jet2 closures."""
+    cos1 = ScalarField(lambda z: hopf_radial_mode(1)(z).real())
+    y = ScalarField(lambda z: hopf_monomial((1, 0), (0, 1))(z).real() * 2.0)
+    return cos1 * 0.25 + (cos1 * y) * 0.2
+
+
+def test_conformal_direction_matches_closure_reference(hopf):
+    got, want = hopf_conformal_direction(), reference_conformal_direction()
+    zeros = np.array([[0.0, 1.3 + 0.2j], [0.7j, 0.0], [1.5, 0.0], [0.0, -1.1]])
+    for z in (hopf.grid.nodes, zeros):
+        g, w = got(z), want(z)
+        for part in ("val", "d1", "d2"):
+            assert np.all(np.isfinite(getattr(g, part)))
+            assert _close(getattr(g, part), getattr(w, part)), part

@@ -12,6 +12,7 @@ from curvlab.errors import (
 )
 from curvlab.geometry import (
     DerivativeEngine,
+    HermitianMetricField,
     UpperHalfFirstDomain,
     hermitian_to_real,
     integrate,
@@ -146,6 +147,20 @@ def test_crosscheck_failed_on_corrupted_jets(rng):
         wirtinger(liar, z, order=1, engine=eng)
 
 
+def test_crosscheck_fails_on_a_nan_in_the_analytic_jet(perturbed_torus, rng):
+    metric = perturbed_torus.metric
+
+    def nan_jet(z):
+        jet = metric.jet_fn(z)
+        jet.d1[0, 0, 0, 0] = np.nan  # one gradient entry at one point
+        return jet
+
+    bad = HermitianMetricField(metric.n, metric.value_fn, nan_jet, metric.domain, "nan-jet")
+    eng = DerivativeEngine(mode="fd", step=1e-3, crosscheck=True)
+    with pytest.raises(CrossCheckFailed):
+        bad.jet(perturbed_torus.random_points(rng, 4), eng)
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -186,3 +201,4 @@ def test_grid_weights_positive(flat_torus, hopf):
     for entry in (flat_torus, hopf):
         assert np.all(entry.grid.lebesgue_w > 0)
         assert np.all(entry.grid.volume_w > 0)
+

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from curvlab import tensors
+from curvlab.catalog import CATALOG_IDS, ManifoldSpec, build_manifold
+from curvlab.errors import CrossCheckFailed
 from curvlab.fields import constant_field
 from curvlab.gauduchon import conformal_metric
 from tests.conftest import hopf_points
@@ -129,6 +131,31 @@ def test_curvature_hermitian_symmetry(hopf, rng):
     pts = annulus_points(rng, 10)
     cx = tensors.CxBlocks(hopf.metric.jet(pts))
     assert cx.hermitian_symmetry_residual() < 1e-10
+
+
+@pytest.mark.parametrize("mid", CATALOG_IDS)
+def test_curvature_blocks_are_slices_of_the_all_letters_tensor(mid, rng):
+    entry = build_manifold(ManifoldSpec(mid, resolution=4))
+    jet = entry.metric.jet(entry.random_points(rng, 40))
+    n = entry.metric.n
+    full = tensors.CxBlocks(jet)
+    R, dG = full.curvature_lowered(), full.christoffel_derivative()
+    cx = tensors.CxBlocks(jet)
+    block = cx.curvature_lowered(cx.hermitian_letters)
+    assert np.max(np.abs(block - R[..., :n, n:, :n, n:])) <= 1e-13
+    dblock = cx.christoffel_derivative((cx.hol, cx.hol, cx.anti, cx.hol))
+    assert np.max(np.abs(dblock - dG[..., :n, :n, n:, :n])) <= 1e-13
+    # the symmetry tolerance scales with the block it checks: never looser
+    # than when it scaled with the whole tensor
+    assert cx.hermitian_symmetry_scale() <= 1.0 + np.max(np.abs(R))
+
+
+def test_symmetry_check_fails_on_a_nan(perturbed_torus, rng):
+    jet = perturbed_torus.metric.jet(perturbed_torus.random_points(rng, 5))
+    n = 2
+    jet.d2[0, 0, n, 0, 0] = jet.d2[0, n, 0, 0, 0] = np.nan  # d_1 d_1bar h_{1 1bar}, one point
+    with pytest.raises(CrossCheckFailed):
+        tensors.scalar_and_torsion_from_jet(jet)
 
 
 # ---------------------------------------------------------------------------
