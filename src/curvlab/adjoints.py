@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import QuadratureUnsupported
 from .gauduchon import conformal_metric
-from .geometry import DerivativeEngine, QuadratureGrid
+from .geometry import DerivativeEngine, QuadratureGrid, volume_weights
 from .tensors import (
     CxBlocks,
     _adjoint_term_from_blocks,
@@ -134,13 +134,13 @@ def verify_adjoint_identities(
 
     rng = rng_from_seed(seed)
     metric = entry.metric
-    n = metric.n
     grid = entry.grid
     res: Dict[str, float] = {k: 0.0 for k in
                              ["c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8",
                               "weak_p_star", "weak_dbar_star"]}
 
     cx_nodes = CxBlocks(metric.jet(grid.nodes, engine), need_second=False)
+    w = volume_weights(metric, grid)
     for _ in range(triples):
         f = entry.random_scalar(rng, amplitude)
         eta = entry.random_oneform(rng, amplitude)
@@ -150,7 +150,7 @@ def verify_adjoint_identities(
             metric, f, eta, pts, res, engine,
             gauduchon_base=entry.gauduchon_by_construction,
         )
-        _weak_identities(metric, grid, f, eta, phi, res, cx_nodes)
+        _weak_identities(grid, w, f, eta, phi, res, cx_nodes)
     if not entry.gauduchon_by_construction:
         res.pop("c3")  # specialization only applies to a Gauduchon base
     return AdjointReport(entry.spec.id, seed, triples, res)
@@ -224,11 +224,11 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
         _accumulate(res, "c3", _rel(lhs2, inner_oneform(cx.Hinv, theta, theta)))
 
 
-def _weak_identities(metric, grid: QuadratureGrid, f, eta, phi, res, cx: CxBlocks):
+def _weak_identities(grid: QuadratureGrid, w, f, eta, phi, res, cx: CxBlocks):
+    """The two defining adjoint properties, integrated with volume weights w."""
     nodes = grid.nodes
-    n = metric.n
+    n = cx.n
     H = cx.H
-    w = grid.lebesgue_w * np.real(np.linalg.det(H)) * 2.0**n
 
     fj = f(nodes)
     pj = phi(nodes)

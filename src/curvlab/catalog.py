@@ -155,6 +155,41 @@ _PERTURBATION_MODES = {
 }
 
 
+# A torus metric's entries are one formula evaluated in either of two
+# arithmetics: Jet2 entries for `jet`, plain complex arrays for `value`,
+# so that reading H does not build every derivative.  Both run the same
+# operations in the same order, so value(z) equals jet(z).H bit for bit.
+_JET_OPS = (Jet2.constant, exp_linear)
+
+
+def _value_constant(n, c, batch):
+    return np.full(batch, c, dtype=complex)
+
+
+def _value_mode(z, a, b, coeff):
+    return coeff * np.exp(z @ a + np.conj(z) @ b)
+
+
+_VALUE_OPS = (_value_constant, _value_mode)
+
+
+def _stack_values(ent):
+    n = len(ent)
+    return np.stack([np.stack([ent[i][j] for j in range(n)], axis=-1) for i in range(n)], axis=-2)
+
+
+def _entry_metric(n: int, entries, periods, name: str) -> HermitianMetricField:
+    """The metric whose entries `entries(z, ops)` builds with ops = (constant, mode)."""
+
+    def value(z):
+        return _stack_values(entries(np.asarray(z, dtype=complex), _VALUE_OPS))
+
+    def jet(z):
+        return metric_jet_from_entries(entries(np.asarray(z, dtype=complex), _JET_OPS))
+
+    return HermitianMetricField(n, value, jet, PeriodicDomain(periods), name)
+
+
 def _kahler_potential_metric(n: int, periods, amplitude: float) -> HermitianMetricField:
     """h = Id + d dbar(phi) for a fixed real periodic potential phi.
 
@@ -164,59 +199,45 @@ def _kahler_potential_metric(n: int, periods, amplitude: float) -> HermitianMetr
     modes = [(np.array(m + (0,) * (n - 2))[:n], np.array(l + (0,) * (n - 2))[:n], c)
              for (m, l, c) in _POTENTIAL_MODES]
 
-    def entries(z):
-        z = np.asarray(z, dtype=complex)
+    def entries(z, ops):
+        constant, mode = ops
         batch = z.shape[:-1]
-        ent = [[Jet2.constant(n, 1.0 if i == j else 0.0, batch) for j in range(n)] for i in range(n)]
+        ent = [[constant(n, 1.0 if i == j else 0.0, batch) for j in range(n)] for i in range(n)]
         for m, l, c in modes:
             a, b = torus_mode_vectors(m, l, periods)
             scale = amplitude / (len(modes) * max(np.linalg.norm(a) * np.linalg.norm(b), 1.0))
-            E = exp_linear(z, a, b, scale * c)
-            Ec = exp_linear(z, np.conj(b), np.conj(a), scale * np.conj(c))
+            E = mode(z, a, b, scale * c)
+            Ec = mode(z, np.conj(b), np.conj(a), scale * np.conj(c))
             for i in range(n):
                 for j in range(n):
                     ent[i][j] = ent[i][j] + E * (a[i] * b[j]) + Ec * (np.conj(b[i]) * np.conj(a[j]))
         return ent
 
-    def value(z):
-        return metric_jet_from_entries(entries(z)).H
-
-    def jet(z):
-        return metric_jet_from_entries(entries(z))
-
-    return HermitianMetricField(n, value, jet, PeriodicDomain(periods), "torus-kahler-potential")
+    return _entry_metric(n, entries, periods, "torus-kahler-potential")
 
 
 def _perturbed_torus_metric(n: int, periods, amplitude: float) -> HermitianMetricField:
     """Hermitian positive-definite, deliberately non-Kahler perturbation."""
 
-    def entries(z):
-        z = np.asarray(z, dtype=complex)
+    def entries(z, ops):
+        constant, mode = ops
         batch = z.shape[:-1]
-        ent = [[Jet2.constant(n, 1.0 if i == j else 0.0, batch) for j in range(n)] for i in range(n)]
+        ent = [[constant(n, 1.0 if i == j else 0.0, batch) for j in range(n)] for i in range(n)]
         for (i, j), modes in _PERTURBATION_MODES.items():
             if max(i, j) >= n:
                 continue
             for m, l, c in modes:
                 a, b = torus_mode_vectors(np.array(m[:n]), np.array(l[:n]), periods)
-                E = exp_linear(z, a, b, amplitude * c)
+                E = mode(z, a, b, amplitude * c)
                 if i == j:
-                    ent[i][j] = ent[i][j] + E.real()
+                    ent[i][j] = ent[i][j] + (E + E.conj()) * 0.5  # Re E
                 else:
                     half = E * 0.5
                     ent[i][j] = ent[i][j] + half
                     ent[j][i] = ent[j][i] + half.conj()
         return ent
 
-    def value(z):
-        return metric_jet_from_entries(entries(z)).H
-
-    def jet(z):
-        return metric_jet_from_entries(entries(z))
-
-    return HermitianMetricField(
-        n, value, jet, PeriodicDomain(periods), "torus-hermitian-perturbed"
-    )
+    return _entry_metric(n, entries, periods, "torus-hermitian-perturbed")
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +449,15 @@ class HopfBasis:
 
     Every basis function is the real or imaginary part of a complex
     product phi = R_k m_j (`_hopf_basis_spec` gives the order): a radial
-    mode R_k = exp(i beta_k t), t = log |z|, times a sphere monomial
-    m_j = z^a zbar^b / |z|^(|a|+|b|).  One call evaluates the whole family
-    at a node chunk: each distinct monomial is built once, from its parent
-    by one product with a unit factor z_i/|z| or zbar_i/|z|, and the
-    complex products carry only the value, gradient and mixed Hessian
-    block (BasisJets).
+    mode R_k = exp(i beta_k t) = s^p_k, with t = log |z|, s = |z|^2 and
+    p_k = i beta_k / 2, times a sphere monomial m_j = z^a zbar^b / |z|^(|a|+|b|).
+    One call evaluates the monomials at a node chunk as one stacked
+    MixedJet (value, gradient and mixed Hessian block): each is built from
+    its parent by one product with a unit factor z_i/|z| or zbar_i/|z|,
+    all monomials of one degree and one unit factor in one stacked
+    product.  The products R_k m_j are never formed: the basis declares
+    the exponents p_k (k >= 1) in its BasisJets, and the solver lifts
+    L m_j to L(R_k m_j) by the Leibniz rule (`gauduchon.lift_radial_modes`).
 
     The candidate list is linearly dependent on purpose (monomials of
     |z_i|^2 / |z|^2 sum to one); the solver prunes it through the Gram
@@ -445,8 +469,18 @@ class HopfBasis:
         monos = sorted({ab + cd for _, ab, cd, _ in spec}, key=lambda m: (sum(m), m))
         pos = {m: j for j, m in enumerate(monos)}
         self._parents = [_monomial_parent(m, pos) for m in monos[1:]]
-        self._all = np.ones(len(monos), dtype=bool)
-        self._betas = [hopf_radial_frequency(k) for k in range(kmax_t + 1)]
+        self._nmono = len(monos)
+        # one stacked product per degree and unit factor: a monomial's parent
+        # has one degree less
+        degree = np.array([sum(m) for m in monos])
+        parents = np.array([(0, 0)] + self._parents)  # row 0 pads the constant
+        self._groups = []
+        for d in range(1, degree.max() + 1):
+            for unit in range(4):
+                js = np.flatnonzero((degree == d) & (parents[:, 1] == unit))
+                if len(js):
+                    self._groups.append((js, parents[js, 0], unit))
+        self.powers = 0.5j * np.array([hopf_radial_frequency(k) for k in range(1, kmax_t + 1)])
         self.index = np.array([k * len(monos) + pos[ab + cd] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
 
@@ -469,10 +503,17 @@ class HopfBasis:
 
     def __call__(self, z) -> BasisJets:
         z = np.asarray(z, dtype=complex)
-        r2, monos = self._monomials(z, self._all)
-        m = MixedJet.stack(monos)
-        phis = [m] + [MixedJet.of(r2 ** (0.5j * b)) * m for b in self._betas[1:]]
-        return BasisJets(MixedJet.concatenate(phis), self.index, self.imag)
+        zs, zbs = coordinate_jets(z)
+        rinv = MixedJet.of((zs[0] * zbs[0] + zs[1] * zbs[1]) ** -0.5)
+        units = [MixedJet.of(c) * rinv for c in zs + zbs]
+        val = np.empty((self._nmono,) + z.shape[:-1], dtype=complex)
+        d1 = np.empty(val.shape + (4,), dtype=complex)
+        mixed = np.empty(val.shape + (2, 2), dtype=complex)
+        val[0], d1[0], mixed[0] = 1.0, 0.0, 0.0
+        for js, parent, unit in self._groups:
+            prod = MixedJet(2, val[parent], d1[parent], mixed[parent]) * units[unit]
+            val[js], d1[js], mixed[js] = prod.val, prod.d1, prod.mixed
+        return BasisJets(MixedJet(2, val, d1, mixed), self.index, self.imag, self.powers)
 
     def field(self, coeffs, name: str) -> ScalarField:
         """u = sum c_s phi_s with full jets, regrouped per radial mode.
@@ -482,11 +523,12 @@ class HopfBasis:
         with a nonzero coefficient are evaluated.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        nmono = len(self._all)
-        W = np.zeros(len(self._betas) * nmono, dtype=complex)
+        nmono = self._nmono
+        nmodes = len(self.powers) + 1
+        W = np.zeros(nmodes * nmono, dtype=complex)
         np.add.at(W, self.index, np.where(self.imag, -1j * coeffs, coeffs))
-        W = W.reshape(len(self._betas), nmono)
-        modes = [k for k in range(len(self._betas)) if np.any(W[k] != 0)]
+        W = W.reshape(nmodes, nmono)
+        modes = [k for k in range(nmodes) if np.any(W[k] != 0)]
         cols = np.nonzero(np.any(W != 0, axis=0))[0]
         need = np.zeros(nmono, dtype=bool)
         need[cols] = True
@@ -504,7 +546,7 @@ class HopfBasis:
                 w = W[k, cols]
                 term = Jet2(2, w @ val, np.tensordot(w, d1, 1), np.tensordot(w, d2, 1))
                 if k:
-                    term = r2 ** (0.5j * self._betas[k]) * term
+                    term = r2 ** self.powers[k - 1] * term
                 total = term if total is None else total + term
             return total.real()
 

@@ -256,6 +256,7 @@ def cmd_yamabe(cfg: RunConfig, report: Report):
     report.add("yamabe_terminal_quotient", cfg.manifold, result.estimate, None, None, True)
     report.add("yamabe_gradient_norm", cfg.manifold, result.trace[-1].gradient_norm,
                None, None, True)
+    report.add("yamabe_converged", cfg.manifold, float(result.converged), None, None, True)
     report.verdicts.append(result.note)
     if not result.converged and not monotone:
         raise NonConvergence("descent failed to make progress")

@@ -95,26 +95,30 @@ class OneFormField:
 class BasisJets:
     """A real function basis at one node chunk, as stacked complex jets.
 
-    `jet` holds complex functions along its leading axis; real basis
-    function s is the real part of function index[s], or its imaginary
-    part where imag[s].  Only scalar-valued results of a real operator
-    (values, L phi) may be read off by `rows`, since L(Re phi) = Re(L phi)
-    holds for such an operator, while derivatives of Re phi mix conjugate
-    slots.
+    `jet` holds F complex functions m_j along its leading axis.  A basis
+    may declare radial exponents p_1..p_K: complex function k F + j is
+    then R_k m_j with R_k = s^p_k, s = |z|^2 (and R_0 = 1), and only its
+    value and L-value are formed, from the jets of m_j (the radial lift
+    in `gauduchon`).  Real basis function s is the real part of complex
+    function index[s], or its imaginary part where imag[s].  Only
+    scalar-valued results of a real operator (values, L phi) may be read
+    off by `rows`, since L(Re phi) = Re(L phi) holds for such an
+    operator, while derivatives of Re phi mix conjugate slots.
     """
 
-    __slots__ = ("jet", "index", "imag")
+    __slots__ = ("jet", "index", "imag", "powers")
 
-    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray):
+    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=()):
         self.jet = jet
         self.index = index
         self.imag = imag
+        self.powers = np.asarray(powers, dtype=complex)
 
     def __len__(self) -> int:
         return len(self.index)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        """Real rows (len(self), N) from per-function complex values x (F, N)."""
+        """Real rows (len(self), N) from per-function complex values x ((K + 1) F, N)."""
         x = x[self.index]
         return np.where(self.imag[:, None], x.imag, x.real)
 

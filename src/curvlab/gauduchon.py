@@ -7,15 +7,22 @@ with quadrature inner products), finds the near-null vector by shifted
 inverse-power iteration, and enforces positivity of u.
 
 The basis is evaluated one node chunk at a time as stacked jets
-(`QuadratureGrid.basis_batch`): complex functions phi along a leading
+(`QuadratureGrid.basis_batch`): complex functions m along a leading
 axis, carrying the value, gradient and mixed Hessian block that the
 operator reads.  The operator L is real (it maps real u to real
 densities), so L(Re phi) = Re(L phi) and L(Im phi) = Im(L phi): it is
 applied once per complex function and both real basis rows are read off.
-On the Hopf grid these are the products R_k m_j of radial modes and
-sphere monomials.  The solved u is kept as basis coefficients, regrouped
-per radial mode there (u = Re sum_k R_k sum_j W_kj m_j), and evaluated
-with full jets over the surviving modes and monomials only.
+
+On the Hopf grid the complex functions are products phi = R_k m_j of a
+radial mode R_k = s^p_k (s = |z|^2) and a sphere monomial m_j.  The
+basis stacks the monomials only and declares the exponents p_k;
+`lift_radial_modes` applies L to the monomials once and lifts the result
+to every product by the Leibniz rule, with the derivatives of s shared
+by all of them, so no product jet is formed.  A basis without radial
+exponents (a plain field list) gives m and L m as they are.  The solved u
+is kept as basis coefficients, regrouped per radial mode on the Hopf
+grid (u = Re sum_k R_k sum_j W_kj m_j), and evaluated with full jets over
+the surviving modes and monomials only.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .geometry import (
     HermitianMetricField,
     MetricJet,
     QuadratureGrid,
+    volume_weights,
 )
 from .tensors import chern_ricci, chern_ricci_from_jet, scalar_and_torsion_from_jet
 
@@ -228,6 +236,49 @@ def apply_gauduchon_operator(coeffs, ujet):
     return out
 
 
+def lift_radial_modes(coeffs, batch, z):
+    """Values and L-values of every complex function of `batch`, ((K + 1) F, N) each.
+
+    L is applied once, to the F stacked functions m = batch.jet.  For a
+    radial exponent p of the batch, the function g m with g = s^p and
+    s = |z|^2 follows by the Leibniz rule, with ds = (zbar, z) and
+    d_i d_jbar s = delta_ij:
+
+        L(g m) = g [L m + (p / s)(A_m + m B) + (p (p - 1) / s^2) m C],
+
+    A_m = sum a_il (zbar_i d_lbar m + z_l d_i m),  B = tr a + b.zbar + b~.z,
+    C = zbar^T a z.  B and C are shared by every function.  A batch
+    without radial exponents gives m and L m unchanged.
+    """
+    m = batch.jet
+    lm = apply_gauduchon_operator(coeffs, m)
+    if not len(batch.powers):
+        return m.val, lm
+    a, b_holo, b_anti, _ = coeffs
+    n = a.shape[-1]
+    zb = np.conj(z)
+    s = np.sum(z * zb, axis=-1)
+    u = np.einsum("...il,...i->...l", a, zb)  # weight of d_lbar m in A_m
+    v = np.einsum("...il,...l->...i", a, z)  # weight of d_i m in A_m
+    B = (
+        np.einsum("...ii->...", a)
+        + np.einsum("...i,...i->...", b_holo, zb)
+        + np.einsum("...i,...i->...", b_anti, z)
+    )
+    C = np.einsum("...l,...l->...", u, z)
+    A = np.einsum("...i,...i->...", v, m.d1[..., :n]) + np.einsum(
+        "...l,...l->...", u, m.d1[..., n:]
+    )
+    first = (A + m.val * B) / s
+    second = m.val * (C / s**2)
+    vals, lvals = [m.val], [lm]
+    for p in batch.powers:
+        g = s**p
+        vals.append(g * m.val)
+        lvals.append(g * (lm + p * first + (p * (p - 1.0)) * second))
+    return np.concatenate(vals), np.concatenate(lvals)
+
+
 def gauduchon_residual(metric: HermitianMetricField, where, engine: Optional[DerivativeEngine] = None):
     """Normalized density of i d dbar omega^(n-1).
 
@@ -306,7 +357,7 @@ def solve_gauduchon(
     N = len(nodes)
     m = len(grid.basis)
 
-    w = _volume_weights(metric, grid, engine)
+    w = volume_weights(metric, grid)
 
     vals = np.empty((m, N))
     lvals = np.empty((m, N))
@@ -314,8 +365,9 @@ def solve_gauduchon(
         sl = slice(lo, lo + CHUNK)
         coeffs = gauduchon_operator_coefficients(metric.jet(nodes[sl], engine))
         batch = grid.basis_batch(nodes[sl])
-        vals[:, sl] = batch.rows(batch.jet.val)
-        lvals[:, sl] = batch.rows(apply_gauduchon_operator(coeffs, batch.jet))
+        val, lval = lift_radial_modes(coeffs, batch, nodes[sl])
+        vals[:, sl] = batch.rows(val)
+        lvals[:, sl] = batch.rows(lval)
 
     gram = (vals * w) @ vals.T
     evals, evecs = np.linalg.eigh(gram)
@@ -372,12 +424,6 @@ def solve_gauduchon(
     return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field)
 
 
-def _volume_weights(metric, grid, engine=None):
-    H = metric.value(grid.nodes)
-    dens = np.real(np.linalg.det(H)) * 2.0**metric.n
-    return grid.lebesgue_w * dens
-
-
 # ---------------------------------------------------------------------------
 # totals and the conformal total-curvature identity
 # ---------------------------------------------------------------------------
@@ -397,7 +443,7 @@ def total_chern_scalar(
     res = gauduchon_residual(metric, grid, engine)
     if res > residual_tol:
         raise NotGauduchon(f"residual {res:.3e} exceeds {residual_tol:g}")
-    w = _volume_weights(metric, grid, engine)
+    w = volume_weights(metric, grid)
     out = 0.0
     for lo in range(0, len(grid.nodes), CHUNK):
         _, s_c = chern_ricci(metric, grid.nodes[lo : lo + CHUNK], engine)
@@ -423,7 +469,7 @@ def _total_identity(metric, grid, f: ConformalFactor, engine=None):
     Also returns the volume of omega_f.
     """
     n = metric.n
-    w = _volume_weights(metric, grid, engine)
+    w = volume_weights(metric, grid)
     nodes = grid.nodes
     lhs = 0.0
     rhs_bulk = 0.0

@@ -431,6 +431,12 @@ def wirtinger(fld, point, order: int = 1, engine: Optional[DerivativeEngine] = N
 # ---------------------------------------------------------------------------
 
 
+def volume_weights(metric: HermitianMetricField, grid: QuadratureGrid) -> np.ndarray:
+    """Node weights of the volume form: Lebesgue weights times det(h) 2^n."""
+    H = metric.value(grid.nodes)
+    return grid.lebesgue_w * (np.real(np.linalg.det(H)) * 2.0**metric.n)
+
+
 @dataclass
 class QuadratureGrid:
     """Quadrature nodes with weights for the declared volume convention.
@@ -475,9 +481,7 @@ class QuadratureGrid:
     @property
     def volume_w(self) -> np.ndarray:
         if self._volume_w is None:
-            H = self.metric.value(self.nodes)
-            dens = np.real(np.linalg.det(H)) * 2.0**self.n
-            self._volume_w = self.lebesgue_w * dens
+            self._volume_w = volume_weights(self.metric, self)
         return self._volume_w
 
     def volume(self) -> float:

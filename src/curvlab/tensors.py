@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossCheckFailed, SingularMetric
-from .geometry import DerivativeEngine, HermitianMetricField, MetricJet
+from .geometry import DerivativeEngine, HermitianMetricField, MetricJet, hermitian_to_real
 
 HERMITIAN_SYMMETRY_TOL = 1e-10
 
@@ -109,13 +109,9 @@ class CxBlocks:
         dhC[..., :, n:, :n] = np.swapaxes(self.d1H, -1, -2)
         self.dhC = dhC
 
-        if need_second:
-            d2hC = np.zeros(batch + (2 * n, 2 * n, 2 * n, 2 * n), dtype=complex)
-            d2hC[..., :, :, :n, n:] = self.d2H
-            d2hC[..., :, :, n:, :n] = np.swapaxes(self.d2H, -1, -2)
-            self.d2hC = d2hC
-        else:
-            self.d2hC = None
+        # the (2n)^4 second-derivative block, built on first use by
+        # christoffel_derivative; the Chern-Ricci form reads d2H alone
+        self.d2hC = None
 
         # P[i, j] = h^{i jbar}, the mixed inverse pairing
         self.P = hCinv[..., :n, n:]
@@ -143,10 +139,16 @@ class CxBlocks:
 
         `blocks` is four index ranges; all letters by default.
         """
-        if self.d2hC is None:
+        if self.d2H is None:
             raise ValueError("second derivatives were not requested")
         key = self._key(blocks)
         if key not in self._dgamma:
+            if self.d2hC is None:
+                n = self.n
+                d2hC = np.zeros(self.H.shape[:-2] + (2 * n,) * 4, dtype=complex)
+                d2hC[..., :, :, :n, n:] = self.d2H
+                d2hC[..., :, :, n:, :n] = np.swapaxes(self.d2H, -1, -2)
+                self.d2hC = d2hC
             B, C, A, D = (slice(r.start, r.stop) for r in key)
             self.christoffel()
             d2 = self.d2hC[..., B, :, :, :]
@@ -435,24 +437,15 @@ def _real_from_wirtinger(n: int) -> np.ndarray:
     return _REAL_FROM_WIRTINGER_CACHE[n]
 
 
-def _real_blocks(M: np.ndarray) -> np.ndarray:
-    """Assemble [[2 Re M, 2 Im M], [-2 Im M, 2 Re M]] on the last two axes."""
-    A = 2.0 * np.real(M)
-    B = 2.0 * np.imag(M)
-    top = np.concatenate([A, B], axis=-1)
-    bot = np.concatenate([-B, A], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
 def real_metric_jets(jet: MetricJet):
     """Real metric g and its first/second real-coordinate derivatives."""
     n = jet.n
     V = _real_from_wirtinger(n)
     dH = np.einsum("aA,...Aij->...aij", V, jet.d1)
     d2H = np.einsum("aA,bB,...ABij->...abij", V, V, jet.d2)
-    G = _real_blocks(jet.H)
-    dG = _real_blocks(dH)
-    d2G = _real_blocks(d2H)
+    G = hermitian_to_real(jet.H)
+    dG = hermitian_to_real(dH)
+    d2G = hermitian_to_real(d2H)
     return G, dG, d2G
 
 

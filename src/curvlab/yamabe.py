@@ -20,7 +20,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .geometry import DerivativeEngine, HermitianMetricField, QuadratureGrid
+from .geometry import (
+    DerivativeEngine,
+    HermitianMetricField,
+    QuadratureGrid,
+    hermitian_to_real,
+    volume_weights,
+)
 from .tensors import real_metric_jets, riemannian_scalar, _real_from_wirtinger
 
 EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
@@ -89,7 +95,7 @@ def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid,
                     engine: Optional[DerivativeEngine] = None) -> float:
     """Total scalar curvature of e^f g over volume^(1 - 1/n)."""
     n = metric.n
-    w = _volume_w(metric, grid)
+    w = volume_weights(metric, grid)
     fval = np.real(f(grid.nodes).val)
     stilde = np.concatenate([
         conformal_scalar_riemannian(metric, f, grid.nodes[lo : lo + CHUNK], engine)
@@ -98,11 +104,6 @@ def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid,
     E = float(np.sum(w * np.exp(n * fval) * stilde))
     V = float(np.sum(w * np.exp(n * fval)))
     return E / V ** (1.0 - 1.0 / n)
-
-
-def _volume_w(metric, grid):
-    H = metric.value(grid.nodes)
-    return grid.lebesgue_w * np.real(np.linalg.det(H)) * 2.0**metric.n
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +233,13 @@ def minimize_quotient(
     n = metric.n
     m = 2 * n
     c = (m - 1) * (m - 2) / 4.0
-    w = _volume_w(metric, grid)
+    w = volume_weights(metric, grid)
     nodal = NodalDerivatives(grid)
     s = np.concatenate([
         riemannian_scalar(metric, grid.nodes[lo : lo + CHUNK], engine)[0]
         for lo in range(0, len(grid.nodes), CHUNK)
     ])
-    G, _, _ = real_metric_jets(metric.jet(grid.nodes, engine))
-    Ginv = np.linalg.inv(G)
+    Ginv = np.linalg.inv(hermitian_to_real(metric.value(grid.nodes)))
 
     if f0 is None:
         f = np.zeros(len(grid.nodes))

@@ -25,6 +25,16 @@ def test_all_catalog_ids_build():
         assert np.min(np.linalg.eigvalsh(H)) > 0
 
 
+@pytest.mark.parametrize("mid, dim", [("torus-kahler-potential", 1), ("torus-kahler-potential", 3),
+                                      ("torus-hermitian-perturbed", 1),
+                                      ("torus-hermitian-perturbed", 2)])
+def test_torus_metric_value_is_the_jet_value(mid, dim):
+    # value builds no derivatives, yet runs the jet's arithmetic on values
+    entry = build_manifold(ManifoldSpec(mid, dim=dim, resolution=4))
+    pts = np.concatenate([entry.grid.nodes, entry.random_points(rng_from_seed(3), 50)])
+    assert np.array_equal(entry.metric.value(pts), entry.metric.jet(pts).H)
+
+
 def test_unknown_id():
     with pytest.raises(UnknownId):
         ManifoldSpec("klein-bottle")
@@ -233,6 +243,16 @@ def test_cli_check_identities_records(tmp_path, capsys):
     recs = [r for r in parse_records(out.read_text()) if isinstance(r, CheckRecord)]
     assert any(r.check == "scalar_identity_rel_residual" for r in recs)
     assert all(r.passed for r in recs)
+
+
+@pytest.mark.parametrize("iters, converged", [(1, 0.0), (200, 1.0)])
+def test_cli_yamabe_reports_convergence(iters, converged):
+    code, report = run(make_config(
+        ["yamabe", "--manifold", "torus-flat", "--grid", "4", "--iters", str(iters), "--seed", "1"]
+    ))
+    assert code == 0  # an unconverged but monotone descent still exits 0
+    rec = next(r for r in report.records if r.check == "yamabe_converged")
+    assert rec.value == converged and rec.passed
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -12,7 +12,13 @@ from curvlab.catalog import (
     rng_from_seed,
 )
 from curvlab.errors import NoPositiveNullVector, NonConvergence, NotGauduchon
-from curvlab.fields import ScalarField, constant_field, hopf_monomial, hopf_radial_mode
+from curvlab.fields import (
+    ScalarField,
+    constant_field,
+    hopf_monomial,
+    hopf_radial_frequency,
+    hopf_radial_mode,
+)
 from curvlab.gauduchon import (
     ConformalFactor,
     KodairaStatement,
@@ -22,12 +28,14 @@ from curvlab.gauduchon import (
     conformal_metric,
     gauduchon_operator_coefficients,
     gauduchon_residual,
+    lift_radial_modes,
     solve_gauduchon,
     solve_gauduchon_factor,
     theorem_t_check,
     total_chern_scalar,
 )
-from curvlab.jets import Jet2
+from curvlab.jets import Jet2, MixedJet
+from tests.conftest import hopf_points
 
 
 def planted_direction():
@@ -142,18 +150,52 @@ def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     spec = _hopf_basis_spec()
     assert len(batch) == len(spec) == 222
     # derivatives of Re/Im phi mix conjugate slots, so a row carries its
-    # value and L; the jets are compared on the complex function phi
-    vals = batch.rows(batch.jet.val)
-    lvals = batch.rows(apply_gauduchon_operator(coeffs, batch.jet))
+    # value and L; the jets are compared on the sphere monomials m_j
+    val, lval = lift_radial_modes(coeffs, batch, z)
+    vals, lvals = batch.rows(val), batch.rows(lval)
+    nmono = len(batch.jet.val)
     for s, entry in enumerate(spec):
-        phi = _complex_mode(z, *entry[:3])
-        i = batch.index[s]
-        assert _rel(batch.jet.val[i], phi.val) < 1e-13
-        assert _rel(batch.jet.d1[i], phi.d1) < 1e-13
-        assert _rel(batch.jet.mixed[i], phi.mixed) < 1e-13
+        j = batch.index[s] % nmono
+        m = hopf_monomial(*entry[1:3])(z)
+        assert _rel(batch.jet.val[j], m.val) < 1e-13
+        assert _rel(batch.jet.d1[j], m.d1) < 1e-13
+        assert _rel(batch.jet.mixed[j], m.mixed) < 1e-13
         ref = _reference_row(z, *entry)
         assert _rel(vals[s], np.real(ref.val)) < 1e-13
         assert _rel(lvals[s], np.real(apply_gauduchon_operator(coeffs, ref))) < 1e-13
+
+
+def _axis_points(rng, count):
+    """Annulus points, a third with z1 = 0 and a third with z2 = 0."""
+    z = hopf_points(rng, count)
+    z[: count // 3, 0] = 0.0
+    z[count // 3 : 2 * count // 3, 1] = 0.0
+    return z
+
+
+@pytest.mark.parametrize("kind", ["gauduchon", "random"])
+def test_radial_lift_matches_the_formed_products(conformal, kind):
+    rng = rng_from_seed(66)
+    z = _axis_points(rng, 48)
+    if kind == "gauduchon":
+        coeffs = gauduchon_operator_coefficients(conformal.metric.jet(z))
+    else:
+        shapes = [(48, 2, 2), (48, 2), (48, 2), (48,)]
+        coeffs = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
+    batch = conformal.grid.basis_batch(z)
+    val, lval = lift_radial_modes(coeffs, batch, z)
+    assert len(batch.powers) == 2
+    m = batch.jet
+    nmono = len(m.val)
+    for k, p in enumerate(batch.powers, start=1):
+        radial = hopf_radial_mode(k)(z)
+        assert p == 0.5j * hopf_radial_frequency(k)
+        phi = MixedJet.of(radial) * m
+        block = slice(k * nmono, (k + 1) * nmono)
+        assert _rel(val[block], phi.val) < 1e-13
+        assert _rel(lval[block], apply_gauduchon_operator(coeffs, phi)) < 1e-13
+    assert np.array_equal(val[:nmono], m.val)
+    assert np.array_equal(lval[:nmono], apply_gauduchon_operator(coeffs, m))
 
 
 def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution):

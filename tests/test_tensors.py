@@ -182,6 +182,24 @@ def test_hopf_chern_scalar_is_two(hopf, rng):
             assert np.max(np.abs(ric[:, i, j] - expected)) < 1e-11
 
 
+def test_second_derivative_block_is_built_on_first_use(perturbed_torus, rng):
+    jet = perturbed_torus.metric.jet(perturbed_torus.random_points(rng, 20))
+    cx = tensors.CxBlocks(jet)
+    ricci, s_c = cx.chern_ricci()
+    assert cx.d2hC is None
+    ricci_jet, s_c_jet = tensors.chern_ricci_from_jet(jet)
+    assert np.array_equal(ricci, ricci_jet) and np.array_equal(s_c, s_c_jet)
+
+    cx.christoffel_derivative((cx.hol, cx.hol, cx.anti, cx.hol))
+    n = cx.n
+    assert cx.d2hC.shape == (20,) + (2 * n,) * 4
+    assert np.array_equal(cx.d2hC[..., :n, n:], cx.d2H)
+    assert np.array_equal(cx.d2hC[..., n:, :n], np.swapaxes(cx.d2H, -1, -2))
+    assert not np.any(cx.d2hC[..., :n, :n]) and not np.any(cx.d2hC[..., n:, n:])
+    again_ricci, again_s_c = cx.chern_ricci()
+    assert np.array_equal(again_ricci, ricci) and np.array_equal(again_s_c, s_c)
+
+
 def test_inoue_bundle_curvature_coefficient(rng):
     from curvlab.catalog import inoue_bundle_metric
 
