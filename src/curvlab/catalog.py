@@ -227,7 +227,8 @@ def _perturbed_torus_metric(n: int, periods, amplitude: float) -> HermitianMetri
             if max(i, j) >= n:
                 continue
             for m, l, c in modes:
-                a, b = torus_mode_vectors(np.array(m[:n]), np.array(l[:n]), periods)
+                a, b = torus_mode_vectors(np.array(m + (0,) * (n - 2))[:n],
+                                          np.array(l + (0,) * (n - 2))[:n], periods)
                 E = mode(z, a, b, amplitude * c)
                 if i == j:
                     ent[i][j] = ent[i][j] + (E + E.conj()) * 0.5  # Re E

@@ -199,6 +199,12 @@ def gauduchon_operator_coefficients(jet: MetricJet):
     dd_alpha, _, _ = tower["ddbar"]
 
     batch = H.shape[:-2]
+    vol = forms.volume_top(H)
+
+    def density(arr):
+        # forms.density with the volume form computed once for all nine ratios
+        return forms.top_component(arr, n) / vol
+
     a = np.zeros(batch + (n, n), dtype=complex)
     b_holo = np.zeros(batch + (n,), dtype=complex)
     b_anti = np.zeros(batch + (n,), dtype=complex)
@@ -209,12 +215,12 @@ def gauduchon_operator_coefficients(jet: MetricJet):
             ej = np.zeros(n, dtype=complex)
             ej[j] = 1.0
             unit = 1j * np.einsum("i,j->ij", ei, ej)  # i dz^i ^ dzbar^j
-            a[..., i, j] = forms.density(forms.wedge(unit, 1, 1, alpha, pa, qa), H)
+            a[..., i, j] = density(forms.wedge(unit, 1, 1, alpha, pa, qa))
         # i dz^i ^ dbar(alpha)
-        b_holo[..., i] = forms.density(forms.wedge(1j * ei, 1, 0, db_alpha, pb, qb), H)
+        b_holo[..., i] = density(forms.wedge(1j * ei, 1, 0, db_alpha, pb, qb))
         # -i dzbar^i ^ d(alpha)
-        b_anti[..., i] = forms.density(forms.wedge(-1j * ei, 0, 1, d_alpha, pd, qd), H)
-    c = 1j * forms.density(dd_alpha, H)
+        b_anti[..., i] = density(forms.wedge(-1j * ei, 0, 1, d_alpha, pd, qd))
+    c = 1j * density(dd_alpha)
     return a, b_holo, b_anti, c
 
 

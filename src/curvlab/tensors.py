@@ -16,6 +16,10 @@ The curvature is computed on the letter blocks its consumer reads
 - d_jbar of dbar*(omega), the adjoint term, reads (hol, hol, anti, hol),
   so the scalar identity builds that block once for both;
 - `curvature_complexified` and `riemannian_ricci` take all letters.
+
+Contractions with several operands pass `optimize=True`, so numpy plans
+them as batched matrix products; one-operand einsums are index
+permutations and stay plain.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ class CxBlocks:
                 + self.dhC
                 - np.einsum("...eab->...abe", self.dhC)
             )
-            self._gamma = 0.5 * np.einsum("...ce,...abe->...cab", self.hCinv, term)
+            self._gamma = 0.5 * np.einsum("...ce,...abe->...cab", self.hCinv, term, optimize=True)
             self._term = term
         return self._gamma
 
@@ -159,11 +163,17 @@ class CxBlocks:
             )
             hCinv = self.hCinv[..., C, :]
             dhCinv = -np.einsum(
-                "...cf,...bfg,...ge->...bce", hCinv, self.dhC[..., B, :, :], self.hCinv
+                "...cf,...bfg,...ge->...bce",
+                hCinv,
+                self.dhC[..., B, :, :],
+                self.hCinv,
+                optimize=True,
             )
             self._dgamma[key] = 0.5 * (
-                np.einsum("...bce,...ade->...bcad", dhCinv, self._term[..., A, D, :])
-                + np.einsum("...ce,...bade->...bcad", hCinv, dterm)
+                np.einsum(
+                    "...bce,...ade->...bcad", dhCinv, self._term[..., A, D, :], optimize=True
+                )
+                + np.einsum("...ce,...bade->...bcad", hCinv, dterm, optimize=True)
             )
         return self._dgamma[key]
 
@@ -185,10 +195,16 @@ class CxBlocks:
             rup = -(
                 np.einsum("...bdac->...dabc", self.christoffel_derivative((B, E, A, C)))
                 - np.einsum("...adbc->...dabc", self.christoffel_derivative((A, E, B, C)))
-                + np.einsum("...fac,...dfb->...dabc", G[..., :, a, c], G[..., e, :, b])
-                - np.einsum("...fbc,...daf->...dabc", G[..., :, b, c], G[..., e, a, :])
+                + np.einsum(
+                    "...fac,...dfb->...dabc", G[..., :, a, c], G[..., e, :, b], optimize=True
+                )
+                - np.einsum(
+                    "...fbc,...daf->...dabc", G[..., :, b, c], G[..., e, a, :], optimize=True
+                )
             )
-            self._rlow[key] = np.einsum("...eabc,...ed->...abcd", rup, self.hC[..., e, d])
+            self._rlow[key] = np.einsum(
+                "...eabc,...ed->...abcd", rup, self.hC[..., e, d], optimize=True
+            )
         if check_symmetry:
             res = self.hermitian_symmetry_residual()
             scale = self.hermitian_symmetry_scale()
@@ -224,9 +240,15 @@ class CxBlocks:
         n = self.n
         Dh = self.d1H[..., :n, :, :]  # d_i H[j, l]
         diff = Dh - np.einsum("...ijl->...jil", Dh)
-        T = np.einsum("...kl,...ijl->...kij", self.P, diff)
+        T = np.einsum("...kl,...ijl->...kij", self.P, diff, optimize=True)
         nsq = np.einsum(
-            "...ip,...jq,...kl,...kij,...lpq->...", self.P, self.P, self.H, T, np.conj(T)
+            "...ip,...jq,...kl,...kij,...lpq->...",
+            self.P,
+            self.P,
+            self.H,
+            T,
+            np.conj(T),
+            optimize=True,
         )
         return T, np.real(nsq)
 
@@ -236,16 +258,17 @@ class CxBlocks:
             raise ValueError("second derivatives were not requested")
         n = self.n
         M2 = self.d2H[..., :n, n:, :, :]  # d_i d_jbar H
-        t1 = np.einsum("...kl,...ijlk->...ij", self.Hinv, M2)
+        t1 = np.einsum("...kl,...ijlk->...ij", self.Hinv, M2, optimize=True)
         t2 = np.einsum(
             "...ab,...ibc,...cd,...jda->...ij",
             self.Hinv,
             self.d1H[..., :n, :, :],
             self.Hinv,
             self.d1H[..., n:, :, :],
+            optimize=True,
         )
         ricci = -(t1 - t2)
-        s_c = np.einsum("...ij,...ji->...", ricci, self.Hinv)
+        s_c = np.einsum("...ij,...ji->...", ricci, self.Hinv, optimize=True)
         return ricci, np.real(s_c)
 
 
@@ -309,8 +332,8 @@ def riemannian_scalar(metric, point, engine=None):
 
 def _scalar_from_blocks(cx: CxBlocks):
     A1 = cx.curvature_lowered(cx.hermitian_letters)  # A1[i,j,k,l] = R_{i jbar k lbar}
-    sR = np.einsum("...ij,...kl,...ilkj->...", cx.P, cx.P, A1)
-    sH = np.einsum("...ij,...kl,...ijkl->...", cx.P, cx.P, A1)
+    sR = np.einsum("...ij,...kl,...ilkj->...", cx.P, cx.P, A1, optimize=True)
+    sH = np.einsum("...ij,...kl,...ijkl->...", cx.P, cx.P, A1, optimize=True)
     s = 2.0 * (2.0 * sR - sH)
     return np.real(s), float(np.max(np.abs(np.imag(s))))
 
@@ -323,8 +346,8 @@ def riemannian_ricci(metric, point, X, Y, engine=None):
     Xc = _complexify_vector(np.asarray(X, dtype=float), n)
     Yc = _complexify_vector(np.asarray(Y, dtype=float), n)
     S = R[..., :n, :, :, n:]  # S[i, A, B, l]
-    val = np.einsum("...il,...iABl,A,B->...", cx.P, S, Xc, Yc) + np.einsum(
-        "...il,...iABl,A,B->...", cx.P, S, Yc, Xc
+    val = np.einsum("...il,...iABl,A,B->...", cx.P, S, Xc, Yc, optimize=True) + np.einsum(
+        "...il,...iABl,A,B->...", cx.P, S, Yc, Xc, optimize=True
     )
     return np.real(val)
 
@@ -367,14 +390,16 @@ def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.n
     """
     n = cx.n
     Hinv, d1H = cx.Hinv, cx.d1H
-    dHinv_anti = -np.einsum("...ab,...jbc,...cd->...jad", Hinv, d1H[..., n:, :, :], Hinv)
-    dlogdet_anti = np.einsum("...ab,...jba->...j", Hinv, d1H[..., n:, :, :])
+    dHinv_anti = -np.einsum(
+        "...ab,...jbc,...cd->...jad", Hinv, d1H[..., n:, :, :], Hinv, optimize=True
+    )
+    dlogdet_anti = np.einsum("...ab,...jba->...j", Hinv, d1H[..., n:, :, :], optimize=True)
     # d*eta = -sum_{i,j} [ (d_jbar eta_i) Hinv[j,i] + eta_i d_jbar Hinv[j,i]
     #                      + eta_i Hinv[j,i] d_jbar log det H ]
     return -(
-        np.einsum("...ji,...ji->...", deta_anti, Hinv)
-        + np.einsum("...i,...jji->...", eta, dHinv_anti)
-        + np.einsum("...i,...ji,...j->...", eta, Hinv, dlogdet_anti)
+        np.einsum("...ji,...ji->...", deta_anti, Hinv, optimize=True)
+        + np.einsum("...i,...jji->...", eta, dHinv_anti, optimize=True)
+        + np.einsum("...i,...ji,...j->...", eta, Hinv, dlogdet_anti, optimize=True)
     )
 
 
@@ -441,8 +466,8 @@ def real_metric_jets(jet: MetricJet):
     """Real metric g and its first/second real-coordinate derivatives."""
     n = jet.n
     V = _real_from_wirtinger(n)
-    dH = np.einsum("aA,...Aij->...aij", V, jet.d1)
-    d2H = np.einsum("aA,bB,...ABij->...abij", V, V, jet.d2)
+    dH = np.einsum("aA,...Aij->...aij", V, jet.d1, optimize=True)
+    d2H = np.einsum("aA,bB,...ABij->...abij", V, V, jet.d2, optimize=True)
     G = hermitian_to_real(jet.H)
     dG = hermitian_to_real(dH)
     d2G = hermitian_to_real(d2H)
@@ -472,24 +497,24 @@ def _brace(dG):
 def _real_riemann(G, dG, d2G):
     """Real Riemann tensor R^a_{bcd} and helpers from metric jets."""
     Ginv = np.linalg.inv(G)
-    Gam = 0.5 * np.einsum("...ad,...bcd->...abc", Ginv, _brace(dG))
-    dGinv = -np.einsum("...ae,...ceg,...gd->...cad", Ginv, dG, Ginv)
+    Gam = 0.5 * np.einsum("...ad,...bcd->...abc", Ginv, _brace(dG), optimize=True)
+    dGinv = -np.einsum("...ae,...ceg,...gd->...cad", Ginv, dG, Ginv, optimize=True)
     dbrace = (
         d2G
         + np.einsum("...ecbd->...ebcd", d2G)
         - np.einsum("...edbc->...ebcd", d2G)
     )
     dGam = 0.5 * (
-        np.einsum("...ead,...bcd->...eabc", dGinv, _brace(dG))
-        + np.einsum("...ad,...ebcd->...eabc", Ginv, dbrace)
+        np.einsum("...ead,...bcd->...eabc", dGinv, _brace(dG), optimize=True)
+        + np.einsum("...ad,...ebcd->...eabc", Ginv, dbrace, optimize=True)
     )
     # R^a_{bcd} = d_c Gam^a_{db} - d_d Gam^a_{cb}
     #             + Gam^a_{ce} Gam^e_{db} - Gam^a_{de} Gam^e_{cb}
     riem = (
         np.einsum("...cadb->...abcd", dGam)
         - np.einsum("...dacb->...abcd", dGam)
-        + np.einsum("...ace,...edb->...abcd", Gam, Gam)
-        - np.einsum("...ade,...ecb->...abcd", Gam, Gam)
+        + np.einsum("...ace,...edb->...abcd", Gam, Gam, optimize=True)
+        - np.einsum("...ade,...ecb->...abcd", Gam, Gam, optimize=True)
     )
     return riem, Ginv
 
@@ -497,13 +522,13 @@ def _real_riemann(G, dG, d2G):
 def _real_scalar(G, dG, d2G):
     riem, Ginv = _real_riemann(G, dG, d2G)
     ricci = np.einsum("...abad->...bd", riem)
-    return np.real(np.einsum("...bd,...bd->...", Ginv, ricci))
+    return np.real(np.einsum("...bd,...bd->...", Ginv, ricci, optimize=True))
 
 
 def real_curvature_lowered(jet: MetricJet):
     """Fully lowered real Riemann tensor, Ricci and metric, oracle-side."""
     G, dG, d2G = real_metric_jets(jet)
     riem, Ginv = _real_riemann(G, dG, d2G)
-    rlow = np.einsum("...ae,...ebcd->...abcd", G, riem)
+    rlow = np.einsum("...ae,...ebcd->...abcd", G, riem, optimize=True)
     ricci = np.einsum("...abad->...bd", riem)
     return rlow, ricci, G, Ginv

@@ -115,7 +115,9 @@ def complexified_real_oracle(metric, pts):
     jet = metric.jet(pts)
     rlow, _, _, _ = tensors.real_curvature_lowered(jet)
     W = _wirtinger_matrix(metric.n)
-    return np.einsum("Aa,Bb,Cc,Dd,...dcab->...ABCD", W, W, W, W, rlow.astype(complex))
+    return np.einsum(
+        "Aa,Bb,Cc,Dd,...dcab->...ABCD", W, W, W, W, rlow.astype(complex), optimize=True
+    )
 
 
 @pytest.mark.parametrize("fixture", ["hopf", "perturbed_torus", "kahler_torus", "inoue"])
@@ -311,6 +313,26 @@ def test_scalar_identity_general(fixture, request, rng):
     assert np.max(rel) < 1e-6
     assert rep.imag_defect < 1e-10
     assert np.min(rep.torsion_norm_sq) > -1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ManifoldSpec(mid, resolution=4) for mid in CATALOG_IDS]
+    + [ManifoldSpec("torus-hermitian-perturbed", dim=3, resolution=4)],
+    ids=lambda spec: f"{spec.id}-dim{spec.dim}",
+)
+def test_routes_agree_to_round_off(spec, rng):
+    # the 1e-6 gates above would not see a rewrite that loses digits
+    entry = build_manifold(spec)
+    pts = entry.random_points(rng, 300)
+    rep = tensors.scalar_identity_residual(entry.metric, pts)
+    oracle = tensors.riemannian_scalar_real_oracle(entry.metric, pts)
+    scale = 1.0 + np.abs(rep.s)
+    assert np.all(np.abs(rep.s - oracle) <= 1e-12 * scale)
+    assert np.all(np.abs(rep.identity_residual) <= 1e-12 * scale)
+    R = tensors.curvature_complexified(entry.metric, pts).components
+    gap = np.max(np.abs(R - complexified_real_oracle(entry.metric, pts)))
+    assert gap <= 1e-12 * (1.0 + np.max(np.abs(R)))
 
 
 def test_hopf_identity_budget(hopf, rng):
