@@ -39,6 +39,7 @@ from .geometry import (
     PuncturedDomain,
     QuadratureGrid,
     UpperHalfFirstDomain,
+    map_nodes,
     metric_jet_from_entries,
 )
 from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
@@ -82,10 +83,6 @@ class CatalogEntry:
     kahler: bool
     gauduchon_by_construction: bool
     notes: str = ""
-
-    @property
-    def quadrature_capable(self) -> bool:
-        return self.grid is not None
 
     def random_points(self, rng, count: int) -> np.ndarray:
         return self.sampler(rng, count)
@@ -442,9 +439,6 @@ def _hopf_basis_spec(kmax_t: int = 2, max_degree: int = 4):
     return spec
 
 
-_FACTOR_CHUNK = 2048  # nodes per stacked evaluation of a solved combination
-
-
 class HopfBasis:
     """Radial Fourier modes times scaling-invariant sphere monomials.
 
@@ -481,6 +475,7 @@ class HopfBasis:
                 js = np.flatnonzero((degree == d) & (parents[:, 1] == unit))
                 if len(js):
                     self._groups.append((js, parents[js, 0], unit))
+        self._every = self._plan(np.arange(self._nmono))
         self.powers = 0.5j * np.array([hopf_radial_frequency(k) for k in range(1, kmax_t + 1)])
         self.index = np.array([k * len(monos) + pos[ab + cd] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
@@ -488,40 +483,57 @@ class HopfBasis:
     def __len__(self) -> int:
         return len(self.index)
 
-    def _monomials(self, z, need):
-        """|z|^2 and the Jet2 of every monomial j with need[j] (None elsewhere).
+    def _plan(self, rows):
+        """The recurrence restricted to the monomials `rows`, stored in that order.
 
-        `need` must hold every parent of a needed monomial.
+        `rows` must hold the parent of each of its monomials.  Gives the
+        groups (stored positions of the monomials and of their parents, unit
+        factor), the number of rows and the position of the constant.
         """
+        at = np.full(self._nmono, -1)
+        at[rows] = np.arange(len(rows))
+        groups = []
+        for js, parent, unit in self._groups:
+            keep = at[js] >= 0
+            if np.any(keep):
+                groups.append((at[js[keep]], at[parent[keep]], unit))
+        return groups, len(rows), at[0]
+
+    def _stack(self, z, jet_type, plan):
+        """|z|^2 as a Jet2, and the monomials of `plan` as one stacked `jet_type`.
+
+        jet_type is MixedJet (value, gradient, mixed block: what assembly
+        reads) or Jet2 (full Hessians, for the solved factor).
+        """
+        groups, size, const = plan
+
+        def arrays(jet):
+            return jet.val, jet.d1, (jet.d2 if jet_type is Jet2 else jet.mixed)
+
         zs, zbs = coordinate_jets(z)
         r2 = zs[0] * zbs[0] + zs[1] * zbs[1]
-        rinv = r2 ** -0.5
-        units = [c * rinv for c in zs + zbs]
-        monos = [Jet2.constant(2, 1.0, z.shape[:-1])]
-        for j, (parent, unit) in enumerate(self._parents, start=1):
-            monos.append(monos[parent] * units[unit] if need[j] else None)
-        return r2, monos
+        lift = MixedJet.of if jet_type is MixedJet else (lambda jet: jet)
+        rinv = lift(r2 ** -0.5)
+        units = [lift(c) * rinv for c in zs + zbs]
+        parts = [np.empty((size,) + a.shape, dtype=complex) for a in arrays(units[0])]
+        parts[0][const], parts[1][const], parts[2][const] = 1.0, 0.0, 0.0
+        for js, parent, unit in groups:
+            prod = jet_type(2, *(p[parent] for p in parts)) * units[unit]
+            for p, x in zip(parts, arrays(prod)):
+                p[js] = x
+        return r2, jet_type(2, *parts)
 
     def __call__(self, z) -> BasisJets:
-        z = np.asarray(z, dtype=complex)
-        zs, zbs = coordinate_jets(z)
-        rinv = MixedJet.of((zs[0] * zbs[0] + zs[1] * zbs[1]) ** -0.5)
-        units = [MixedJet.of(c) * rinv for c in zs + zbs]
-        val = np.empty((self._nmono,) + z.shape[:-1], dtype=complex)
-        d1 = np.empty(val.shape + (4,), dtype=complex)
-        mixed = np.empty(val.shape + (2, 2), dtype=complex)
-        val[0], d1[0], mixed[0] = 1.0, 0.0, 0.0
-        for js, parent, unit in self._groups:
-            prod = MixedJet(2, val[parent], d1[parent], mixed[parent]) * units[unit]
-            val[js], d1[js], mixed[js] = prod.val, prod.d1, prod.mixed
-        return BasisJets(MixedJet(2, val, d1, mixed), self.index, self.imag, self.powers)
+        _, monos = self._stack(np.asarray(z, dtype=complex), MixedJet, self._every)
+        return BasisJets(monos, self.index, self.imag, self.powers)
 
     def field(self, coeffs, name: str) -> ScalarField:
         """u = sum c_s phi_s with full jets, regrouped per radial mode.
 
         Row s adds c_s Re(R_k m_j) or c_s Im(R_k m_j) = Re(-i c_s R_k m_j),
         so u = Re sum_k R_k sum_j W[k, j] m_j.  Only the modes and monomials
-        with a nonzero coefficient are evaluated.
+        with a nonzero coefficient are evaluated, through the recurrence of
+        `__call__` restricted to them and their parents, carrying Jet2s.
         """
         coeffs = np.asarray(coeffs, dtype=float)
         nmono = self._nmono
@@ -536,12 +548,14 @@ class HopfBasis:
         for j in range(nmono - 1, 0, -1):  # parents precede their children
             if need[j]:
                 need[self._parents[j - 1][0]] = True
+        need[cols] = False
+        # the monomials with a coefficient first, then the parents they need
+        plan = self._plan(np.concatenate([cols, np.nonzero(need)[0]]))
+        used = slice(len(cols))
 
-        def evaluate(z):
-            r2, monos = self._monomials(z, need)
-            val = np.stack([monos[j].val for j in cols])
-            d1 = np.stack([monos[j].d1 for j in cols])
-            d2 = np.stack([monos[j].d2 for j in cols])
+        def chunk(z):
+            r2, monos = self._stack(z, Jet2, plan)
+            val, d1, d2 = monos.val[used], monos.d1[used], monos.d2[used]
             total = None
             for k in modes:
                 w = W[k, cols]
@@ -549,9 +563,16 @@ class HopfBasis:
                 if k:
                     term = r2 ** self.powers[k - 1] * term
                 total = term if total is None else total + term
-            return total.real()
+            total = total.real()
+            return total.val, total.d1, total.d2
 
-        return ScalarField(lambda z: _in_chunks(evaluate, z, _FACTOR_CHUNK), name)
+        def evaluate(z):
+            batch = z.shape[:-1]
+            val, d1, d2 = map_nodes(chunk, z.reshape(-1, 2))
+            return Jet2(2, val.reshape(batch), d1.reshape(batch + (4,)),
+                        d2.reshape(batch + (4, 4)))
+
+        return ScalarField(evaluate, name)
 
 
 def _monomial_parent(m, pos):
@@ -566,20 +587,6 @@ def _monomial_parent(m, pos):
             parent = tuple(e - (i == slot) for i, e in enumerate(m))
             return pos[parent], slot
     raise ValueError("the constant monomial has no parent")
-
-
-def _in_chunks(fn, z, size: int) -> Jet2:
-    """fn over chunks of at most `size` points of z, joined into one Jet2."""
-    batch = z.shape[:-1]
-    pts = z.reshape(-1, z.shape[-1])
-    parts = [fn(pts[lo : lo + size]) for lo in range(0, max(len(pts), 1), size)]
-    dim = parts[0].d1.shape[-1]
-    return Jet2(
-        parts[0].n,
-        np.concatenate([p.val for p in parts]).reshape(batch),
-        np.concatenate([p.d1 for p in parts]).reshape(batch + (dim,)),
-        np.concatenate([p.d2 for p in parts]).reshape(batch + (dim, dim)),
-    )
 
 
 # ---------------------------------------------------------------------------

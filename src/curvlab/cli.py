@@ -2,8 +2,10 @@
 
 Commands: check-identities, adjoints, gauduchon, theorem-t, classify,
 yamabe, ahat, lebrun-table.  Exit codes: 0 all checks pass, 1 check
-failure, 2 configuration error, 3 numerical non-convergence.  A config
-file of `key = value` lines mirrors the flags; command-line wins.
+failure (including a failed numerical check that stops a command: a
+cross-check, Gauduchon gate, non-finite integrand or singular metric),
+2 configuration error, 3 numerical non-convergence.  A config file of
+`key = value` lines mirrors the flags; command-line wins.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ from .charclasses import (
     pontryagin_from_chern,
 )
 from .errors import (
+    CrossCheckFailed,
     CurvlabError,
     NonConvergence,
+    NonFiniteIntegrand,
     NoPositiveNullVector,
     NonIntegerSpinWarning,
+    NotGauduchon,
     QuadratureUnsupported,
+    SingularMetric,
     UnknownId,
 )
 from .gauduchon import (
@@ -42,7 +48,7 @@ from .gauduchon import (
     solve_gauduchon,
     theorem_t_check,
 )
-from .geometry import DerivativeEngine
+from .geometry import DerivativeEngine, map_nodes
 from .report import Report, emit_report
 
 DEFAULT_TOLERANCES = {
@@ -67,7 +73,6 @@ class RunConfig:
     iters: int = 200
     conformal_t: float = 0.1
     derivative_mode: str = "analytic"
-    sequential: bool = False
     fmt: str = "text"
     out: Optional[str] = None
     chern: Optional[str] = None
@@ -126,20 +131,22 @@ def cmd_check_identities(cfg: RunConfig, report: Report):
     rng = rng_from_seed(cfg.seed)
     pts = entry.random_points(rng, cfg.points)
     tol = cfg.identity_tol
-    # per-chunk maxima (from 0.0), reduced with numpy so that a NaN propagates
-    rel, oracle, imag, tors, adj, twosc = ([0.0] for _ in range(6))
-    for lo in range(0, len(pts), 1024):
-        chunk = pts[lo : lo + 1024]
+
+    def deviations(chunk):
         rep = tensors.scalar_identity_residual(entry.metric, chunk, cfg.engine)
-        rel.append(np.max(np.abs(rep.identity_residual) / (1.0 + np.abs(rep.s))))
         s_oracle = tensors.riemannian_scalar_real_oracle(entry.metric, chunk, cfg.engine)
-        oracle.append(np.max(np.abs(rep.s - s_oracle)))
-        imag.append(rep.imag_defect)
-        tors.append(np.max(rep.torsion_norm_sq))
-        adj.append(np.max(np.abs(rep.adjoint_term)))
-        twosc.append(np.max(np.abs(rep.s - 2.0 * rep.s_c)))
+        return (
+            np.abs(rep.identity_residual) / (1.0 + np.abs(rep.s)),
+            np.abs(rep.s - s_oracle),
+            np.full(len(chunk), rep.imag_defect),  # one value per chunk
+            rep.torsion_norm_sq,
+            np.abs(rep.adjoint_term),
+            np.abs(rep.s - 2.0 * rep.s_c),
+        )
+
+    # maxima from 0.0, reduced with numpy so that a NaN propagates
     rel_max, oracle_max, imag_max, tors_max, adj_max, twosc_max = (
-        float(np.max(v)) for v in (rel, oracle, imag, tors, adj, twosc)
+        float(np.max(v, initial=0.0)) for v in map_nodes(deviations, pts)
     )
     report.add("scalar_identity_rel_residual", cfg.manifold, rel_max, rel_max, tol, rel_max <= tol)
     report.add("two_oracle_scalar_agreement", cfg.manifold, oracle_max, oracle_max, tol, oracle_max <= tol)
@@ -327,16 +334,18 @@ def run(cfg: RunConfig):
     t0 = time.time()
     try:
         COMMANDS[cfg.command](cfg, report)
+        code = 0 if report.overall_pass else 1
     except (NonConvergence, NoPositiveNullVector) as exc:
         report.verdicts.append(f"non-convergence: {exc}")
-        report.timing = time.time() - t0
-        return 3, report
+        code = 3
     except (UnknownId, QuadratureUnsupported, ValueError) as exc:
         report.verdicts.append(f"config error: {exc}")
-        report.timing = time.time() - t0
-        return 2, report
+        code = 2
+    except (CrossCheckFailed, NotGauduchon, NonFiniteIntegrand, SingularMetric) as exc:
+        report.verdicts.append(f"check failed: {exc}")
+        code = 1
     report.timing = time.time() - t0
-    return (0 if report.overall_pass else 1), report
+    return code, report
 
 
 def _echo(cfg: RunConfig) -> str:
@@ -345,8 +354,6 @@ def _echo(cfg: RunConfig) -> str:
         parts.append(f"grid={cfg.grid}")
     if cfg.command == "ahat":
         parts.append(f"dim={cfg.dim} spin={cfg.spin}")
-    if cfg.sequential:
-        parts.append("sequential")
     return " ".join(parts)
 
 
@@ -384,7 +391,6 @@ _CONFIG_TYPES = {
     "seed": int, "grid": int, "points": int, "triples": int, "iters": int,
     "dim": int, "conformal_t": float, "spin": lambda s: s.lower() in ("1", "true", "yes"),
     "qpos": lambda s: s.lower() in ("1", "true", "yes"),
-    "sequential": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
 
@@ -401,6 +407,8 @@ def make_config(argv) -> RunConfig:
                 key = "conformal_t"
             if key == "format":
                 key = "fmt"
+            if key == "sequential":
+                continue  # accepted for compatibility, like --sequential
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, _CONFIG_TYPES.get(key, str)(val))
@@ -409,8 +417,6 @@ def make_config(argv) -> RunConfig:
         val = getattr(ns, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if ns.sequential:
-        cfg.sequential = True
     if ns.spin:
         cfg.spin = True
     if ns.qpos:

@@ -46,11 +46,10 @@ from .geometry import (
     HermitianMetricField,
     MetricJet,
     QuadratureGrid,
+    map_nodes,
     volume_weights,
 )
 from .tensors import chern_ricci, chern_ricci_from_jet, scalar_and_torsion_from_jet
-
-CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +290,15 @@ def gauduchon_residual(metric: HermitianMetricField, where, engine: Optional[Der
     On a quadrature grid the max over nodes is returned; for a plain point
     array (pointwise-only charts) the per-point values come back instead.
     """
+
+    def density(pts):
+        jet = metric.jet(pts, engine)
+        dd_alpha, _, _ = _alpha_tower(jet)["ddbar"]
+        return np.real(1j * forms.density(dd_alpha, jet.H))
+
     if isinstance(where, QuadratureGrid):
-        nodes = where.nodes
-        reduce_max = True
-    else:
-        nodes = np.asarray(where, dtype=complex)
-        reduce_max = False
-    vals = []
-    for lo in range(0, len(nodes), CHUNK):
-        jet = metric.jet(nodes[lo : lo + CHUNK], engine)
-        tower = _alpha_tower(jet)
-        dd_alpha, _, _ = tower["ddbar"]
-        vals.append(np.real(1j * forms.density(dd_alpha, jet.H)))
-    vals = np.concatenate(vals)
-    if reduce_max:
-        return float(np.max(np.abs(vals)))
-    return vals
+        return float(np.max(np.abs(map_nodes(density, where.nodes))))
+    return map_nodes(density, np.asarray(where, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +351,17 @@ def solve_gauduchon(
     n = metric.n
     if n < 2:
         raise ValueError("the Gauduchon factor is only determined for n >= 2")
-    nodes = grid.nodes
-    N = len(nodes)
-    m = len(grid.basis)
 
     w = volume_weights(metric, grid)
 
-    vals = np.empty((m, N))
-    lvals = np.empty((m, N))
-    for lo in range(0, N, CHUNK):
-        sl = slice(lo, lo + CHUNK)
-        coeffs = gauduchon_operator_coefficients(metric.jet(nodes[sl], engine))
-        batch = grid.basis_batch(nodes[sl])
-        val, lval = lift_radial_modes(coeffs, batch, nodes[sl])
-        vals[:, sl] = batch.rows(val)
-        lvals[:, sl] = batch.rows(lval)
+    def rows(pts):
+        coeffs = gauduchon_operator_coefficients(metric.jet(pts, engine))
+        batch = grid.basis_batch(pts)
+        val, lval = lift_radial_modes(coeffs, batch, pts)
+        return batch.rows(val), batch.rows(lval)
+
+    # (m, N) each: one row per basis function, written chunk by chunk
+    vals, lvals = map_nodes(rows, grid.nodes, axis=-1)
 
     gram = (vals * w) @ vals.T
     evals, evecs = np.linalg.eigh(gram)
@@ -450,11 +438,8 @@ def total_chern_scalar(
     if res > residual_tol:
         raise NotGauduchon(f"residual {res:.3e} exceeds {residual_tol:g}")
     w = volume_weights(metric, grid)
-    out = 0.0
-    for lo in range(0, len(grid.nodes), CHUNK):
-        _, s_c = chern_ricci(metric, grid.nodes[lo : lo + CHUNK], engine)
-        out += float(np.sum(w[lo : lo + CHUNK] * s_c))
-    return out
+    s_c = map_nodes(lambda pts: chern_ricci(metric, pts, engine)[1], grid.nodes)
+    return float(np.sum(w * s_c))
 
 
 @dataclass
@@ -475,30 +460,27 @@ def _total_identity(metric, grid, f: ConformalFactor, engine=None):
     Also returns the volume of omega_f.
     """
     n = metric.n
-    w = volume_weights(metric, grid)
-    nodes = grid.nodes
-    lhs = 0.0
-    rhs_bulk = 0.0
-    grad_term = 0.0
-    vol_f = 0.0
-    for lo in range(0, len(nodes), CHUNK):
-        pts = nodes[lo : lo + CHUNK]
-        wi = w[lo : lo + CHUNK]
+
+    def integrands(pts):
         fj = f.field(pts)
-        fval = np.real(fj.val)
         base_jet = metric.jet(pts, engine)
         _, s_c_f = chern_ricci_from_jet(compose_conformal_jet(base_jet, fj.exp()))
-        lhs += float(np.sum(wi * np.exp(n * fval) * s_c_f))
-        vol_f += float(np.sum(wi * np.exp(n * fval)))
         s, tsq = scalar_and_torsion_from_jet(base_jet)
-        rhs_bulk += float(np.sum(wi * np.exp((n - 1) * fval) * (0.5 * s + 0.25 * tsq)))
         Hinv = np.linalg.inv(base_jet.H)
         df2 = np.real(
             np.einsum("...i,...ji,...j->...", fj.d1[..., :n], Hinv, fj.d1[..., n:])
         )
-        grad_term += float(np.sum(wi * np.exp((n - 1) * fval) * df2))
-    grad_term *= (n - 1) ** 2
-    return lhs, rhs_bulk + grad_term, grad_term, vol_f
+        return np.real(fj.val), s_c_f, 0.5 * s + 0.25 * tsq, df2
+
+    fval, s_c_f, bulk, df2 = map_nodes(integrands, grid.nodes)
+    w = volume_weights(metric, grid)
+    w_f = w * np.exp(n * fval)  # volume weights of omega_f
+    w_u = w * np.exp((n - 1) * fval)  # base weights times u = e^((n-1) f)
+    lhs = float(np.sum(w_f * s_c_f))
+    vol_f = float(np.sum(w_f))
+    grad_term = float(np.sum(w_u * df2)) * (n - 1) ** 2
+    rhs = float(np.sum(w_u * bulk)) + grad_term
+    return lhs, rhs, grad_term, vol_f
 
 
 def theorem_t_check(

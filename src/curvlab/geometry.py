@@ -30,8 +30,31 @@ from .jets import Jet2
 
 ChartPoint = np.ndarray  # complex array of shape (n,); batches use (..., n)
 
-# the one volume convention used by every integral and norm in the package
-VOLUME_CONVENTION = "omega^n / n! = det(h) * 2^n * (Lebesgue measure of the real chart coordinates)"
+NODE_CHUNK = 1024  # nodes per call of every chunked map over grid nodes
+
+
+def map_nodes(fn, nodes, axis: int = 0):
+    """fn over chunks of at most NODE_CHUNK rows of `nodes`, joined along `axis`.
+
+    fn returns an array or a tuple of arrays holding the chunk's nodes along
+    `axis` (0 or -1).  Each chunk's result is written into one output per
+    array, allocated at the first chunk; no per-chunk list is joined.
+    """
+    N = len(nodes)
+    out = None
+    for lo in range(0, max(N, 1), NODE_CHUNK):
+        hi = min(lo + NODE_CHUNK, N)
+        res = fn(nodes[lo:hi])
+        parts = res if isinstance(res, tuple) else (res,)
+        if out is None:
+            out = []
+            for p in parts:
+                shape = list(p.shape)
+                shape[axis] = N
+                out.append(np.empty(shape, dtype=p.dtype))
+        for o, p in zip(out, parts):
+            np.moveaxis(o, axis, 0)[lo:hi] = np.moveaxis(p, axis, 0)
+    return tuple(out) if isinstance(res, tuple) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +172,16 @@ class HermitianMetricField:
         return self.value_fn(np.asarray(z, dtype=complex))
 
     def jet(self, z, engine: "DerivativeEngine" = None) -> MetricJet:
+        """The jet by the engine's route; with engine.crosscheck and both
+        routes present, the analytic and finite-difference jets are compared."""
         z = np.asarray(z, dtype=complex)
         eng = engine or DEFAULT_ENGINE
-        if eng.mode == "analytic":
-            if self.jet_fn is None:
-                raise ValueError(f"metric {self.name!r} has no analytic derivatives")
-            return self.jet_fn(z)
-        fd = eng.matrix_jet(self.value_fn, z, self.domain)
-        if eng.crosscheck and self.jet_fn is not None:
-            ana = self.jet_fn(z)
+        if eng.mode == "analytic" and self.jet_fn is None:
+            raise ValueError(f"metric {self.name!r} has no analytic derivatives")
+        check = eng.crosscheck and self.jet_fn is not None
+        ana = self.jet_fn(z) if eng.mode == "analytic" or check else None
+        fd = eng.matrix_jet(self.value_fn, z, self.domain) if eng.mode == "fd" or check else None
+        if check:
             err = np.max([
                 _maxabs(ana.H - fd.H),
                 _maxabs(ana.d1 - fd.d1),
@@ -167,7 +191,7 @@ class HermitianMetricField:
                 raise CrossCheckFailed(
                     f"analytic vs finite-difference jet mismatch {err:.3e} on {self.name!r}"
                 )
-        return fd
+        return ana if eng.mode == "analytic" else fd
 
     def check_positive(self, z, tol: float = 1e-12):
         """Hermitian symmetry and positive-definiteness screen at points z."""
@@ -379,48 +403,35 @@ def wirtinger(fld, point, order: int = 1, engine: Optional[DerivativeEngine] = N
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     z = np.asarray(point, dtype=complex)
-    n = z.shape[-1]
 
     if isinstance(fld, HermitianMetricField):
-        eng = engine or (DEFAULT_ENGINE if fld.has_analytic else FD_ENGINE)
-        jet = fld.jet(z, eng if not fld.has_analytic or eng.mode == "fd" else None)
-        if fld.has_analytic and eng.crosscheck:
-            fld.jet(z, DerivativeEngine(mode="fd", step=eng.step, crosscheck=True,
-                                        crosscheck_tol=eng.crosscheck_tol))
-        out = {"value": jet.H,
-               "holo": jet.d1[..., :n, :, :],
-               "anti": jet.d1[..., n:, :, :]}
-        if order == 2:
-            out["second"] = jet.d2
-        return out
-    elif callable(fld) and isinstance(fld(z), Jet2):
-        eng = engine or DEFAULT_ENGINE
-        j = fld(z)
-        val, d1, d2 = j.val, j.d1, j.d2
-        if eng.mode == "fd" or eng.crosscheck:
-            fd = eng.scalar_jet(lambda p: fld(p).val, z)
-            if eng.crosscheck:
-                err = max(_maxabs(fd.d1 - d1), _maxabs(fd.d2 - d2) * eng.step)
-                if err > eng.crosscheck_tol:
-                    raise CrossCheckFailed(f"jet cross-check failed: {err:.3e}")
-            if eng.mode == "fd":
-                d1, d2 = fd.d1, fd.d2
+        jet = fld.jet(z, engine or (DEFAULT_ENGINE if fld.has_analytic else FD_ENGINE))
+        val, d1, d2 = jet.H, jet.d1, jet.d2
     else:
-        eng = engine or FD_ENGINE
-        probe = np.asarray(fld(z))
-        if probe.shape == z.shape[:-1]:
-            j = eng.scalar_jet(fld, z)
-            val, d1, d2 = j.val, j.d1, j.d2
+        probe = fld(z)
+        if isinstance(probe, Jet2):
+            eng = engine or DEFAULT_ENGINE
+            val, d1, d2 = probe.val, probe.d1, probe.d2
+            if eng.mode == "fd" or eng.crosscheck:
+                fd = eng.scalar_jet(lambda p: fld(p).val, z)
+                if eng.crosscheck:
+                    err = max(_maxabs(fd.d1 - d1), _maxabs(fd.d2 - d2) * eng.step)
+                    if err > eng.crosscheck_tol:
+                        raise CrossCheckFailed(f"jet cross-check failed: {err:.3e}")
+                if eng.mode == "fd":
+                    d1, d2 = fd.d1, fd.d2
         else:
-            jm = eng.matrix_jet(fld, z)
-            out = {"value": jm.H,
-                   "holo": jm.d1[..., :n, :, :],
-                   "anti": jm.d1[..., n:, :, :]}
-            if order == 2:
-                out["second"] = jm.d2
-            return out
+            eng = engine or FD_ENGINE
+            if np.shape(probe) == z.shape[:-1]:
+                jet = eng.scalar_jet(fld, z)
+                val, d1, d2 = jet.val, jet.d1, jet.d2
+            else:
+                jet = eng.matrix_jet(fld, z)
+                val, d1, d2 = jet.H, jet.d1, jet.d2
 
-    out = {"value": val, "holo": d1[..., :n], "anti": d1[..., n:]}
+    # the derivative slot follows the batch axes, for scalar and matrix fields
+    holo, anti = np.split(d1, 2, axis=z.ndim - 1)
+    out = {"value": val, "holo": holo, "anti": anti}
     if order == 2:
         out["second"] = d2
     return out
@@ -458,7 +469,6 @@ class QuadratureGrid:
     # evaluates the whole basis at a node chunk (BasisJets); the basis itself
     # unless given
     basis_batch: Optional[Callable] = None
-    volume_convention: str = VOLUME_CONVENTION
 
     _volume_w: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -484,9 +494,6 @@ class QuadratureGrid:
             self._volume_w = volume_weights(self.metric, self)
         return self._volume_w
 
-    def volume(self) -> float:
-        return float(np.sum(self.volume_w))
-
 
 def integrate(grid: QuadratureGrid, integrand) -> float:
     """Integral of a pointwise scalar against the grid's volume weights."""
@@ -501,8 +508,3 @@ def integrate(grid: QuadratureGrid, integrand) -> float:
         idx = int(np.argmax(bad))
         raise NonFiniteIntegrand(idx, vals[idx])
     return float(np.sum(grid.volume_w * vals))
-
-
-def integrate_lebesgue(grid: QuadratureGrid, values) -> float:
-    vals = np.asarray(values, dtype=float)
-    return float(np.sum(grid.lebesgue_w * vals))

@@ -25,13 +25,12 @@ from .geometry import (
     HermitianMetricField,
     QuadratureGrid,
     hermitian_to_real,
+    map_nodes,
     volume_weights,
 )
 from .tensors import real_metric_jets, riemannian_scalar, _real_from_wirtinger
 
 EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
-
-CHUNK = 4096
 
 
 @dataclass
@@ -97,10 +96,9 @@ def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid,
     n = metric.n
     w = volume_weights(metric, grid)
     fval = np.real(f(grid.nodes).val)
-    stilde = np.concatenate([
-        conformal_scalar_riemannian(metric, f, grid.nodes[lo : lo + CHUNK], engine)
-        for lo in range(0, len(grid.nodes), CHUNK)
-    ])
+    stilde = map_nodes(
+        lambda pts: conformal_scalar_riemannian(metric, f, pts, engine), grid.nodes
+    )
     E = float(np.sum(w * np.exp(n * fval) * stilde))
     V = float(np.sum(w * np.exp(n * fval)))
     return E / V ** (1.0 - 1.0 / n)
@@ -235,10 +233,7 @@ def minimize_quotient(
     c = (m - 1) * (m - 2) / 4.0
     w = volume_weights(metric, grid)
     nodal = NodalDerivatives(grid)
-    s = np.concatenate([
-        riemannian_scalar(metric, grid.nodes[lo : lo + CHUNK], engine)[0]
-        for lo in range(0, len(grid.nodes), CHUNK)
-    ])
+    s = map_nodes(lambda pts: riemannian_scalar(metric, pts, engine)[0], grid.nodes)
     Ginv = np.linalg.inv(hermitian_to_real(metric.value(grid.nodes)))
 
     if f0 is None:

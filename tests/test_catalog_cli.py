@@ -233,6 +233,34 @@ def test_exit_code_on_non_convergence(monkeypatch):
     assert any("non-convergence" in v for v in report.verdicts)
 
 
+def test_exit_code_on_a_failed_numerical_check(monkeypatch, capsys):
+    from curvlab import cli as climod
+    from curvlab.errors import NotGauduchon
+
+    def gate(cfg, report):
+        report.add("gauduchon_residual_input", cfg.manifold, 0.5, None, None, True)
+        raise NotGauduchon("forced for the exit-code contract")
+
+    monkeypatch.setitem(climod.COMMANDS, "gauduchon", gate)
+    code, report = run(make_config(["gauduchon", "--manifold", "hopf-standard"]))
+    assert code == 1
+    assert report.verdicts == ["check failed: forced for the exit-code contract"]
+    assert [r.check for r in report.records] == ["gauduchon_residual_input"]
+    # main prints the report with the records gathered so far
+    assert main(["gauduchon", "--manifold", "hopf-standard", "--format", "records"]) == 1
+    out = capsys.readouterr()
+    assert "gauduchon_residual_input" in out.out and "check failed" in out.out
+    assert out.err == ""
+
+
+def test_sequential_is_a_no_op(tmp_path):
+    cfgfile = tmp_path / "seq.cfg"
+    cfgfile.write_text("sequential = true\n")
+    plain = make_config(["lebrun-table"])
+    for argv in (["lebrun-table", "--sequential"], ["lebrun-table", "--config", str(cfgfile)]):
+        assert make_config(argv) == plain
+
+
 def test_cli_check_identities_records(tmp_path, capsys):
     out = tmp_path / "r.txt"
     code = main([

@@ -198,17 +198,27 @@ def test_radial_lift_matches_the_formed_products(conformal, kind):
     assert np.array_equal(lval[:nmono], apply_gauduchon_operator(coeffs, m))
 
 
-def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution):
-    sol = conformal_solution
-    z = conformal.random_points(rng_from_seed(65), 64)
-    got = sol.u_field(z)
-    want = None
-    for c, entry in zip(sol.coeffs, _hopf_basis_spec()):
-        if c != 0.0:
-            term = _reference_row(z, *entry) * c
-            want = term if want is None else want + term
-    for part in ("val", "d1", "d2"):
-        assert _rel(getattr(got, part), getattr(want, part)) < 1e-13, part
+def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf):
+    # on hopf-standard only 6 of the 38 monomials carry a coefficient, so the
+    # recurrence builds them and their parents alone
+    standard = solve_gauduchon(hopf.metric, hopf.grid)
+    for entry, sol in ((conformal, conformal_solution), (hopf, standard)):
+        z = entry.random_points(rng_from_seed(65), 64)
+        got = sol.u_field(z)
+        want = None
+        used = set()
+        for c, spec in zip(sol.coeffs, _hopf_basis_spec()):
+            if c != 0.0:
+                term = _reference_row(z, *spec) * c
+                want = term if want is None else want + term
+                used.add(spec[1:3])
+        for part in ("val", "d1", "d2"):
+            assert _rel(getattr(got, part), getattr(want, part)) < 1e-13, part
+        # a batch shape and a single point give the same jets
+        batched = sol.u_field(z.reshape(8, 8, 2))
+        assert np.array_equal(batched.d2.reshape(64, 4, 4), got.d2)
+        assert _rel(sol.u_field(z[5]).d1, got.d1[5]) < 1e-15
+    assert len(used) == 6
 
 
 @pytest.mark.xfail(

@@ -11,11 +11,13 @@ from curvlab.errors import (
     StencilOutOfDomain,
 )
 from curvlab.geometry import (
+    NODE_CHUNK,
     DerivativeEngine,
     HermitianMetricField,
     UpperHalfFirstDomain,
     hermitian_to_real,
     integrate,
+    map_nodes,
     real_to_hermitian,
     standard_complex_structure,
     wirtinger,
@@ -161,6 +163,25 @@ def test_crosscheck_fails_on_a_nan_in_the_analytic_jet(perturbed_torus, rng):
         bad.jet(perturbed_torus.random_points(rng, 4), eng)
 
 
+def test_crosscheck_in_analytic_mode(perturbed_torus, rng):
+    metric = perturbed_torus.metric
+    pts = perturbed_torus.random_points(rng, 4)
+    eng = DerivativeEngine(mode="analytic", step=1e-3, crosscheck=True)
+    jet = metric.jet(pts, eng)  # the analytic jet, checked against fd
+    assert np.array_equal(jet.d2, metric.jet_fn(pts).d2)
+
+    def shifted_jet(z):
+        jet = metric.jet_fn(z)
+        jet.d1 = jet.d1 + 1e-2
+        return jet
+
+    bad = HermitianMetricField(metric.n, metric.value_fn, shifted_jet, metric.domain, "shifted")
+    with pytest.raises(CrossCheckFailed):
+        bad.jet(pts, eng)
+    with pytest.raises(CrossCheckFailed):
+        wirtinger(bad, pts, engine=eng)
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -195,6 +216,27 @@ def test_non_finite_integrand(flat_torus):
     with pytest.raises(NonFiniteIntegrand) as err:
         integrate(flat_torus.grid, vals)
     assert err.value.node_index == 17
+
+
+@pytest.mark.parametrize("count", [1, NODE_CHUNK, 2 * NODE_CHUNK + 1])
+def test_map_nodes_matches_the_unchunked_evaluation(count, rng):
+    z = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        r2 = np.sum(np.abs(pts) ** 2, axis=-1)
+        return r2, pts[:, :, None] * np.conj(pts)[:, None, :]
+
+    r2, outer = map_nodes(fn, z)
+    want_r2, want_outer = fn(z)
+    assert max(sizes[:-1]) <= NODE_CHUNK and sum(sizes[:-1]) == count
+    assert np.array_equal(r2, want_r2) and np.array_equal(outer, want_outer)
+    assert outer.dtype == complex and r2.dtype == float
+    # node axis last, single output
+    rows = map_nodes(lambda pts: np.stack([pts[:, 0], 2.0 * pts[:, 1]]), z, axis=-1)
+    assert rows.shape == (2, count) and rows.flags.c_contiguous
+    assert np.array_equal(rows, np.stack([z[:, 0], 2.0 * z[:, 1]]))
 
 
 def test_grid_weights_positive(flat_torus, hopf):
