@@ -345,6 +345,7 @@ def run(cfg: RunConfig):
         report.verdicts.append(f"check failed: {exc}")
         code = 1
     report.timing = time.time() - t0
+    report.exit_code = code
     return code, report
 
 

@@ -180,8 +180,10 @@ class TorusTerms:
     """The sum over terms t of c_t exp(a_t . z + b_t . zbar), in one pass.
 
     The phases of all terms come from two matrix products; the gradient
-    and Hessian contract the weighted exponentials with (a_t, b_t) and its
-    outer square over the term axis.
+    contracts the weighted exponentials with (a_t, b_t) over the term
+    axis.  The Hessian, their contraction with the outer square of
+    (a_t, b_t), is left pending: `hessian` recomputes the exponentials
+    from a private copy of the points when `d2` is first read.
     """
 
     def __init__(self, coeff, a, b):
@@ -191,12 +193,20 @@ class TorusTerms:
         self.ab = np.concatenate([self.a, self.b], axis=1)
         self.ab2 = np.einsum("ta,tb->tab", self.ab, self.ab).reshape(len(self.ab), -1)
 
-    def jet(self, z) -> Jet2:
-        z = np.asarray(z, dtype=complex)
+    def _terms(self, z):
+        """The weighted exponentials, (..., term)."""
+        return np.exp(z @ self.a.T + np.conj(z) @ self.b.T) * self.coeff
+
+    def hessian(self, z) -> np.ndarray:
         m = self.ab.shape[1]
-        e = np.exp(z @ self.a.T + np.conj(z) @ self.b.T) * self.coeff
-        d2 = (e @ self.ab2).reshape(e.shape[:-1] + (m, m))
-        return Jet2(m // 2, e.sum(axis=-1), e @ self.ab, d2)
+        e = self._terms(z)
+        return (e @ self.ab2).reshape(e.shape[:-1] + (m, m))
+
+    def jet(self, z) -> Jet2:
+        z = np.array(z, dtype=complex)  # private: the pending Hessian reads it later
+        e = self._terms(z)
+        return Jet2(self.ab.shape[1] // 2, e.sum(axis=-1), e @ self.ab,
+                    lambda: self.hessian(z))
 
 
 def _draw_torus_terms(rng, n, periods, amplitude, kmax, modes):
@@ -220,8 +230,8 @@ def plus_conj(plain, conj, name: str) -> ScalarField:
 
     def fn(z):
         jet = plain.jet(z)
-        other = jet if conj is plain else conj.jet(z)
-        return jet + other.conj()
+        other = (jet if conj is plain else conj.jet(z)).conj()
+        return Jet2(jet.n, jet.val + other.val, jet.d1 + other.d1, lambda: jet.d2 + other.d2)
 
     return ScalarField(fn, name)
 
@@ -310,6 +320,12 @@ class HopfTerms:
     weights are fixed here, and `jet` contracts them with one matrix
     product.  Nothing divides by a coordinate, so points with z_i = 0
     stay exact.
+
+    `jet` contracts only the value and gradient weights (the first
+    3 + 2m outputs) and leaves the Hessian pending.  When `d2` is first
+    read, `hessian` forms the pair products again from a private copy of
+    the points and contracts all the weights, so a jet never keeps the
+    (node, pair) products alive.
     """
 
     def __init__(self, coeff, expo, power):
@@ -344,14 +360,13 @@ class HopfTerms:
         self.mono = np.array([monos.index(e) for _, e in rows])
         self.mono_expo = np.array(monos, dtype=int)  # (monomial, slot)
         self.weights = np.array(list(rows.values()))  # (pair, output)
+        self.weights_d1 = self.weights[:, : 3 + 2 * m].copy()  # value and gradient outputs
 
-    def jet(self, z) -> Jet2:
-        z = np.asarray(z, dtype=complex)
-        batch, m, n = z.shape[:-1], self.m, self.m // 2
-        z = z.reshape(-1, n)
+    def _products(self, z):
+        """Slots w (node, 2n), s = |z|^2 and the pair products S_t * monomial (node, pair)."""
+        m = self.m
         w = np.concatenate([z, np.conj(z)], axis=1)
         s = np.sum(z.real**2 + z.imag**2, axis=1)
-
         powers = [np.ones_like(w.T)]
         for _ in range(self.mono_expo.max(initial=0)):
             powers.append(powers[-1] * w.T)
@@ -360,20 +375,36 @@ class HopfTerms:
         for slot in range(1, m):
             mono = mono * powers[self.mono_expo[:, slot], slot]
         radial = np.exp(np.outer(self.power, np.log(s)))  # (term, node)
-        out = (radial[self.term] * mono[self.mono]).T @ self.weights  # (node, output)
+        return w, s, (radial[self.term] * mono[self.mono]).T
 
+    def hessian(self, z) -> np.ndarray:
+        """dd(PS) at points z (node, n)."""
+        m, n = self.m, self.m // 2
+        w, s, products = self._products(z)
+        out = products @ self.weights  # (node, output)
         # dd(PS) = ddP + x ds + ds x + (p / s) dds, x = (p dP + p (p - 1) P ds / 2s) / s
         ds = w[:, np.r_[n:m, 0:n]]
         pv = out[:, 1] / s
         x = (out[:, 3 + m : 3 + 2 * m] + (0.5 * out[:, 2] / s)[:, None] * ds) / s[:, None]
-        d1 = out[:, 3 : 3 + m] + pv[:, None] * ds
         outer = x[:, :, None] * ds[:, None, :]
         d2 = out[:, 3 + 2 * m :].reshape(-1, m, m) + outer + outer.transpose(0, 2, 1)
         for i in range(n):
             d2[:, i, n + i] += pv
             d2[:, n + i, i] += pv
-        return Jet2(n, out[:, 0].reshape(batch), d1.reshape(batch + (m,)),
-                    d2.reshape(batch + (m, m)))
+        return d2
+
+    def jet(self, z) -> Jet2:
+        batch, m, n = np.shape(z)[:-1], self.m, self.m // 2
+        # private: the pending Hessian reads it later
+        z = np.array(z, dtype=complex).reshape(-1, n)
+        w, s, products = self._products(z)
+        out = products @ self.weights_d1  # (node, output)
+        pv = out[:, 1] / s
+        d1 = out[:, 3 : 3 + m] + pv[:, None] * w[:, np.r_[n:m, 0:n]]
+        # a copy of the value column, so a jet kept for its pending Hessian
+        # does not keep `out` alive
+        return Jet2(n, out[:, 0].reshape(batch).copy(), d1.reshape(batch + (m,)),
+                    lambda: self.hessian(z).reshape(batch + (m, m)))
 
 
 _HOPF_MONOS = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)),

@@ -415,8 +415,9 @@ def wirtinger(fld, point, order: int = 1, engine: Optional[DerivativeEngine] = N
             if eng.mode == "fd" or eng.crosscheck:
                 fd = eng.scalar_jet(lambda p: fld(p).val, z)
                 if eng.crosscheck:
-                    err = max(_maxabs(fd.d1 - d1), _maxabs(fd.d2 - d2) * eng.step)
-                    if err > eng.crosscheck_tol:
+                    # np.max keeps a NaN, where the builtin max may drop it
+                    err = np.max([_maxabs(fd.d1 - d1), _maxabs(fd.d2 - d2) * eng.step])
+                    if not err <= eng.crosscheck_tol:
                         raise CrossCheckFailed(f"jet cross-check failed: {err:.3e}")
                 if eng.mode == "fd":
                     d1, d2 = fd.d1, fd.d2

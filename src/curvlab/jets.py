@@ -9,6 +9,12 @@ axes, which lets a single expression evaluate a field on a whole grid.
 
 Slot convention: index A in [0, n) is the holomorphic derivative d/dz^A,
 index n + A is the antiholomorphic derivative d/dzbar^A.
+
+The Hessian of a Jet2 may be pending: given as a zero-argument callable,
+it is computed on the first read of `d2` and kept.  Arithmetic with a
+plain number and `conj` keep a pending Hessian pending; every other
+operation reads `d2` and so forces it.  A field evaluated on a whole grid
+for its values and gradients then never builds its second derivatives.
 """
 
 from __future__ import annotations
@@ -21,15 +27,34 @@ def _outer(a, b):
 
 
 class Jet2:
-    """Value, gradient and Hessian of a scalar field in Wirtinger slots."""
+    """Value, gradient and Hessian of a scalar field in Wirtinger slots.
 
-    __slots__ = ("n", "val", "d1", "d2")
+    `d2` is an array, or a zero-argument callable returning it that runs
+    on the first read of `d2` (a pending Hessian).
+    """
+
+    __slots__ = ("n", "val", "d1", "_d2")
 
     def __init__(self, n: int, val, d1, d2):
         self.n = n
         self.val = np.asarray(val, dtype=complex)
         self.d1 = np.asarray(d1, dtype=complex)
-        self.d2 = np.asarray(d2, dtype=complex)
+        self._d2 = d2 if callable(d2) else np.asarray(d2, dtype=complex)
+
+    @property
+    def d2(self) -> np.ndarray:
+        if callable(self._d2):
+            self._d2 = np.asarray(self._d2(), dtype=complex)
+        return self._d2
+
+    @property
+    def pending(self) -> bool:
+        """True while the Hessian has not been computed."""
+        return callable(self._d2)
+
+    def _map_d2(self, fn):
+        """fn(d2), or a pending fn(d2) while d2 is pending."""
+        return (lambda: fn(self.d2)) if self.pending else fn(self._d2)
 
     # -- constructors -------------------------------------------------
 
@@ -69,6 +94,11 @@ class Jet2:
             return other
         return Jet2.constant(self.n, other, np.shape(np.asarray(other)))
 
+    @staticmethod
+    def _plain(other) -> bool:
+        """A number (not a jet, not an array): the cheap arithmetic case."""
+        return not isinstance(other, Jet2) and np.ndim(other) == 0
+
     def _chain(self, f0, f1, f2):
         """Jet of F(self) given F, F', F'' evaluated at self.val."""
         d1 = f1[..., None] * self.d1
@@ -78,21 +108,26 @@ class Jet2:
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other):
+        if self._plain(other):
+            return Jet2(self.n, self.val + other, self.d1.copy(), self._map_d2(np.copy))
         o = self._lift(other)
         return Jet2(self.n, self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.n, -self.val, -self.d1, -self.d2)
+        return Jet2(self.n, -self.val, -self.d1, self._map_d2(np.negative))
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if self._plain(other):
+            return Jet2(self.n, self.val * other, self.d1 * other,
+                        self._map_d2(lambda d2: d2 * other))
         o = self._lift(other)
         val = self.val * o.val
         d1 = self.d1 * o.val[..., None] + o.d1 * self.val[..., None]
@@ -142,7 +177,7 @@ class Jet2:
         n = self.n
         idx = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
         d1 = np.conj(self.d1[..., idx])
-        d2 = np.conj(self.d2[..., idx, :][..., :, idx])
+        d2 = self._map_d2(lambda d2: np.conj(d2[..., idx, :][..., :, idx]))
         return Jet2(n, np.conj(self.val), d1, d2)
 
     def real(self):

@@ -22,12 +22,14 @@ class CheckRecord:
 
 @dataclass
 class Report:
-    """Command echo plus per-check records; overall pass iff every record passes."""
+    """Command echo plus per-check records; overall pass iff every record
+    passes and the run that filled it exited 0."""
 
     command: str
     records: List[CheckRecord] = field(default_factory=list)
     verdicts: List[str] = field(default_factory=list)
     timing: float = 0.0
+    exit_code: int = 0
 
     def add(self, check, manifold, value, residual=None, tol=None, passed=True):
         """Append a record; one whose value or residual is not finite fails."""
@@ -40,7 +42,7 @@ class Report:
 
     @property
     def overall_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+        return self.exit_code == 0 and all(r.passed for r in self.records)
 
 
 def _num(x: Optional[float]) -> str:

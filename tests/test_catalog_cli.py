@@ -1,5 +1,7 @@
 """Catalog construction, CLI exit contract, and report serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,40 @@ def test_planted_nan_fails_check_identities(monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("part", ["val", "d1"])
+def test_planted_nan_on_the_grid_fails_adjoints(monkeypatch, part):
+    # a NaN at one grid node of the first random scalar of the triple must
+    # survive the weak identities' reductions and fail a record
+    from curvlab.catalog import CatalogEntry
+    from curvlab.fields import ScalarField
+
+    original = CatalogEntry.random_scalar
+    planted_once = []
+
+    def planted(entry, rng, amplitude=0.1):
+        fld = original(entry, rng, amplitude)
+        if planted_once:
+            return fld
+        planted_once.append(fld)
+
+        def fn(z):
+            jet = fld(z)
+            if len(z) == len(entry.grid.nodes):
+                getattr(jet, part)[7] = np.nan
+            return jet
+
+        return ScalarField(fn, fld.name)
+
+    monkeypatch.setattr(CatalogEntry, "random_scalar", planted)
+    code, report = run(make_config(["adjoints", "--manifold", "hopf-standard",
+                                    "--triples", "1"]))
+    failed = [r for r in report.records if not r.passed]
+    assert code == 1
+    assert failed and all(np.isnan(r.value) for r in failed)
+    assert "adjoint_weak_dbar_star" in {r.check for r in failed}
+    assert all(np.isfinite(r.value) for r in report.records if r.check.startswith("adjoint_c"))
+
+
 def test_unknown_format_rejected():
     from curvlab.errors import IoFailure
 
@@ -251,6 +287,29 @@ def test_exit_code_on_a_failed_numerical_check(monkeypatch, capsys):
     out = capsys.readouterr()
     assert "gauduchon_residual_input" in out.out and "check failed" in out.out
     assert out.err == ""
+
+
+@pytest.mark.parametrize("error, code", [("NotGauduchon", 1), ("NonConvergence", 3)])
+def test_text_footer_fails_when_a_command_stops(monkeypatch, capsys, error, code):
+    from curvlab import cli as climod
+    from curvlab import errors
+
+    def gate(cfg, report):
+        report.add("gauduchon_residual_input", cfg.manifold, 0.5, None, None, True)
+        raise getattr(errors, error)("forced for the footer contract")
+
+    monkeypatch.setitem(climod.COMMANDS, "gauduchon", gate)
+    assert main(["gauduchon", "--manifold", "hopf-standard"]) == code
+    text = capsys.readouterr().out
+    assert "PASS" in text.splitlines()[3]  # the one record passed
+    assert text.rstrip("\n").endswith("overall FAIL")
+    assert main(["gauduchon", "--manifold", "hopf-standard", "--format", "records"]) == code
+    assert capsys.readouterr().out == (
+        '{"check": "gauduchon_residual_input", "manifold": "hopf-standard", "value": 0.5, '
+        '"residual": null, "tol": null, "pass": true}\n'
+        + json.dumps({"verdict": ("check failed: " if code == 1 else "non-convergence: ")
+                      + "forced for the footer contract"}) + "\n"
+    )
 
 
 def test_sequential_is_a_no_op(tmp_path):

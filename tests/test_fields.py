@@ -1,12 +1,15 @@
-"""The random adjoint-suite fields against their term-by-term construction."""
+"""The random adjoint-suite fields against their term-by-term construction,
+and the pending Hessians of their term tables."""
 
 import numpy as np
 import pytest
 
-from curvlab.catalog import hopf_conformal_direction, rng_from_seed
+from curvlab.catalog import ManifoldSpec, build_manifold, hopf_conformal_direction, rng_from_seed
 from curvlab.fields import (
+    HopfTerms,
     OneFormField,
     ScalarField,
+    TorusTerms,
     hopf_monomial,
     hopf_radial_mode,
     random_hopf_oneform,
@@ -15,7 +18,8 @@ from curvlab.fields import (
     random_torus_scalar,
     torus_mode,
 )
-from curvlab.jets import coordinate_jets, squared_radius
+from curvlab.geometry import volume_weights
+from curvlab.jets import Jet2, coordinate_jets, squared_radius
 
 # ---------------------------------------------------------------------------
 # reference: each term its own jet, summed with Jet2 arithmetic
@@ -206,3 +210,69 @@ def test_conformal_direction_matches_closure_reference(hopf):
         for part in ("val", "d1", "d2"):
             assert np.all(np.isfinite(getattr(g, part)))
             assert _close(getattr(g, part), getattr(w, part)), part
+
+
+# ---------------------------------------------------------------------------
+# pending Hessians: value and gradient reads never build second derivatives
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def no_hessians(monkeypatch):
+    """Make every term table's second-order routine raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Hessian was computed")
+
+    monkeypatch.setattr(HopfTerms, "hessian", forbidden)
+    monkeypatch.setattr(TorusTerms, "hessian", forbidden)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_value_and_gradient_reads_compute_no_hessian(family, flat_torus, hopf, no_hessians):
+    (f, eta, phi), _, _, _ = _triples(family, seed=41)
+    nodes = _entry(family, flat_torus, hopf).grid.nodes
+    ev, deta = eta.values_and_dbar(nodes)
+    assert np.all(np.isfinite(ev)) and np.all(np.isfinite(deta))
+    assert np.all(np.isfinite(f.values(nodes)))
+    jet = (phi * 0.5 - 0.25)(nodes)
+    assert jet.pending and np.all(np.isfinite(jet.d1))
+    with pytest.raises(AssertionError, match="Hessian"):
+        jet.d2
+
+
+def test_hopf_conformal_values_compute_no_hessian(no_hessians):
+    entry = build_manifold(ManifoldSpec("hopf-conformal", conformal_t=0.1))  # screens values
+    H = entry.metric.value(entry.grid.nodes)
+    w = volume_weights(entry.metric, entry.grid)
+    assert np.all(np.isfinite(H)) and np.all(w > 0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_pending_hessian_keeps_the_original_points(family, flat_torus, hopf):
+    (f, eta, _), _, _, _ = _triples(family, seed=42)
+    entry = _entry(family, flat_torus, hopf)
+    z = entry.random_points(rng_from_seed(43), 32)
+    want = [f(z).d2] + [j.d2 for j in eta.jets(z)]
+    buf = z.copy()
+    jets = [f(buf)] + eta.jets(buf)
+    buf[:] = entry.random_points(rng_from_seed(44), 32)  # the caller reuses its buffer
+    for jet, w in zip(jets, want):
+        assert jet.pending
+        assert np.array_equal(jet.d2, w)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("op", [lambda j: j * 0.3, lambda j: j * (0.2 - 1.1j), lambda j: 2.5 * j,
+                                lambda j: j + 0.7, lambda j: 1.5 + j, lambda j: j - 0.4,
+                                lambda j: 0.4 - j, lambda j: -j, lambda j: j.conj()])
+def test_number_arithmetic_keeps_pending_and_matches_eager(family, flat_torus, hopf, op):
+    (f, _, _), _, _, _ = _triples(family, seed=45)
+    z = _entry(family, flat_torus, hopf).random_points(rng_from_seed(46), 16)
+    pending = f(z)
+    eager = Jet2(pending.n, pending.val, pending.d1, f(z).d2)
+    got, want = op(pending), op(eager)
+    assert got.pending and not want.pending
+    for part in ("val", "d1", "d2"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    assert not pending.pending  # the result read the operand's Hessian, once

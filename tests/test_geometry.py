@@ -163,6 +163,17 @@ def test_crosscheck_fails_on_a_nan_in_the_analytic_jet(perturbed_torus, rng):
         bad.jet(perturbed_torus.random_points(rng, 4), eng)
 
 
+def test_scalar_crosscheck_fails_on_a_nan_in_the_analytic_jet(rng):
+    def nan_jet(z):
+        jet = squared_radius(z)
+        jet.d1[0, 0] = np.nan  # one gradient entry at one point
+        return jet
+
+    z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    with pytest.raises(CrossCheckFailed):
+        wirtinger(nan_jet, z, order=1, engine=DerivativeEngine(crosscheck=True))
+
+
 def test_crosscheck_in_analytic_mode(perturbed_torus, rng):
     metric = perturbed_torus.metric
     pts = perturbed_torus.random_points(rng, 4)

@@ -82,3 +82,28 @@ def test_constant_jet_shapes():
     assert c.val.shape == (4,)
     assert c.d1.shape == (4, 6)
     assert np.allclose(c.d2, 0.0)
+
+
+def test_number_arithmetic_matches_constant_jet_arithmetic(rng):
+    # the plain-number path skips the zero jet a constant would bring
+    j = composite(random_points(rng, 6))
+    for c in (0.3, -1.7, 0.2 - 1.1j):
+        const = Jet2.constant(j.n, c)
+        for got, want in ((j * c, j * const), (j + c, j + const), (j - c, j - const),
+                          (c - j, -j + const)):
+            for part in ("val", "d1", "d2"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def test_pending_hessian_is_computed_once_on_read():
+    calls = []
+
+    def hessian():
+        calls.append(1)
+        return np.eye(4)
+
+    j = Jet2(2, 1.0, np.zeros(4), hessian)
+    k = (j * 2.0 + 1.0).conj()
+    assert j.pending and k.pending and not calls
+    assert np.array_equal(k.d2, 2.0 * np.eye(4)) and np.array_equal(j.d2, np.eye(4))
+    assert calls == [1] and not k.pending
