@@ -10,13 +10,13 @@ smooth fields.  Residuals are normalized by 1 + |dominant term|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from .errors import QuadratureUnsupported
 from .gauduchon import conformal_metric
-from .geometry import DerivativeEngine, QuadratureGrid, volume_weights
+from .geometry import QuadratureGrid, volume_weights
 from .tensors import (
     CxBlocks,
     _adjoint_term_from_blocks,
@@ -107,6 +107,10 @@ def _rel(lhs, rhs):
     return float(num / den)
 
 
+POINTS_PER_TRIPLE = 40  # random chart points per triple for the pointwise identities
+AMPLITUDE = 0.1  # amplitude of the random fields f, eta and phi
+
+
 def _accumulate(res: Dict[str, float], key: str, value) -> None:
     """Running maximum that keeps a NaN (Python's max would drop it)."""
     res[key] = float(np.maximum(res[key], value))
@@ -116,9 +120,6 @@ def verify_adjoint_identities(
     entry,
     seed: int = 0,
     triples: int = 20,
-    points_per_triple: int = 40,
-    amplitude: float = 0.1,
-    engine: Optional[DerivativeEngine] = None,
 ) -> AdjointReport:
     """Pointwise and weak residuals of the eight adjoint identities.
 
@@ -139,16 +140,15 @@ def verify_adjoint_identities(
                              ["c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8",
                               "weak_p_star", "weak_dbar_star"]}
 
-    cx_nodes = CxBlocks(metric.jet(grid.nodes, engine), need_second=False)
+    cx_nodes = CxBlocks(metric.jet(grid.nodes), need_second=False)
     w = volume_weights(metric, grid)
     for _ in range(triples):
-        f = entry.random_scalar(rng, amplitude)
-        eta = entry.random_oneform(rng, amplitude)
-        phi = entry.random_scalar(rng, amplitude)
-        pts = entry.random_points(rng, points_per_triple)
+        f = entry.random_scalar(rng, AMPLITUDE)
+        eta = entry.random_oneform(rng, AMPLITUDE)
+        phi = entry.random_scalar(rng, AMPLITUDE)
+        pts = entry.random_points(rng, POINTS_PER_TRIPLE)
         _pointwise_identities(
-            metric, f, eta, pts, res, engine,
-            gauduchon_base=entry.gauduchon_by_construction,
+            metric, f, eta, pts, res, gauduchon_base=entry.gauduchon_by_construction
         )
         _weak_identities(grid, w, f, eta, phi, res, cx_nodes)
     if not entry.gauduchon_by_construction:
@@ -156,9 +156,9 @@ def verify_adjoint_identities(
     return AdjointReport(entry.spec.id, seed, triples, res)
 
 
-def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=False):
+def _pointwise_identities(metric, f, eta, pts, res, gauduchon_base=False):
     n = metric.n
-    cx = CxBlocks(metric.jet(pts, engine))
+    cx = CxBlocks(metric.jet(pts))
     fj = f(pts)
     fval = np.real(fj.val)
     df_holo = fj.d1[..., :n]
@@ -180,7 +180,7 @@ def _pointwise_identities(metric, f, eta, pts, res, engine=None, gauduchon_base=
 
     # conformal metric and blocks
     metric_f = conformal_metric(metric, f)
-    cxf = CxBlocks(metric_f.jet(pts, engine))
+    cxf = CxBlocks(metric_f.jet(pts))
 
     # (c4)  dbar*_f omega_f = dbar* omega + (n - 1) i d f
     theta_f = _dbar_star_omega_components(cxf)

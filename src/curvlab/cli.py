@@ -4,7 +4,8 @@ Commands: check-identities, adjoints, gauduchon, theorem-t, classify,
 yamabe, ahat, lebrun-table.  Exit codes: 0 all checks pass, 1 check
 failure (including a failed numerical check that stops a command: a
 cross-check, Gauduchon gate, non-finite integrand or singular metric),
-2 configuration error, 3 numerical non-convergence.  A config file of
+2 configuration error (including a characteristic number that `ahat`
+needs but was not given), 3 numerical non-convergence.  A config file of
 `key = value` lines mirrors the flags; command-line wins.
 """
 
@@ -32,6 +33,7 @@ from .charclasses import (
 from .errors import (
     CrossCheckFailed,
     CurvlabError,
+    MissingMonomial,
     NonConvergence,
     NonFiniteIntegrand,
     NoPositiveNullVector,
@@ -48,7 +50,7 @@ from .gauduchon import (
     solve_gauduchon,
     theorem_t_check,
 )
-from .geometry import DerivativeEngine, map_nodes
+from .geometry import DerivativeEngine, HermitianMetricField, map_nodes
 from .report import Report, emit_report
 
 DEFAULT_TOLERANCES = {
@@ -82,9 +84,10 @@ class RunConfig:
     qpos: bool = False
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
-    @property
-    def engine(self) -> DerivativeEngine:
-        return DerivativeEngine(mode=self.derivative_mode)
+    def bind(self, metric: HermitianMetricField) -> HermitianMetricField:
+        """`metric`, set in place to the run's derivative route."""
+        metric.engine = DerivativeEngine(mode=self.derivative_mode)
+        return metric
 
     @property
     def identity_tol(self) -> float:
@@ -123,7 +126,9 @@ def _entry(cfg: RunConfig):
         conformal_t=cfg.conformal_t,
         seed=cfg.seed,
     )
-    return build_manifold(spec)
+    entry = build_manifold(spec)
+    cfg.bind(entry.metric)  # entry.grid.metric is the same object
+    return entry
 
 
 def cmd_check_identities(cfg: RunConfig, report: Report):
@@ -133,8 +138,8 @@ def cmd_check_identities(cfg: RunConfig, report: Report):
     tol = cfg.identity_tol
 
     def deviations(chunk):
-        rep = tensors.scalar_identity_residual(entry.metric, chunk, cfg.engine)
-        s_oracle = tensors.riemannian_scalar_real_oracle(entry.metric, chunk, cfg.engine)
+        rep = tensors.scalar_identity_residual(entry.metric, chunk)
+        s_oracle = tensors.riemannian_scalar_real_oracle(entry.metric, chunk)
         return (
             np.abs(rep.identity_residual) / (1.0 + np.abs(rep.s)),
             np.abs(rep.s - s_oracle),
@@ -164,8 +169,7 @@ def _inoue_bundle_check(cfg: RunConfig, report: Report):
     """Closed-form check of the canonical-bundle curvature on the w-chart."""
     rng = rng_from_seed(cfg.seed + 1)
     w = rng.uniform(-1.0, 1.0, size=cfg.points) + 1j * rng.uniform(0.5, 2.5, size=cfg.points)
-    bundle = inoue_bundle_metric()
-    ric, _ = tensors.chern_ricci(bundle, w[:, None], cfg.engine)
+    ric, _ = tensors.chern_ricci(cfg.bind(inoue_bundle_metric()), w[:, None])
     coeff = -np.real(ric[..., 0, 0])  # curvature coefficient of the dual metric
     expected = -1.0 / (2.0 * np.imag(w) ** 2)
     err = float(np.max(np.abs(coeff - expected)))
@@ -175,7 +179,7 @@ def _inoue_bundle_check(cfg: RunConfig, report: Report):
 def cmd_adjoints(cfg: RunConfig, report: Report):
     entry = _entry(cfg)
     tol = cfg.tolerances["adjoint_hopf" if cfg.manifold.startswith("hopf") else "adjoint_torus"]
-    rep = verify_adjoint_identities(entry, seed=cfg.seed, triples=cfg.triples, engine=cfg.engine)
+    rep = verify_adjoint_identities(entry, seed=cfg.seed, triples=cfg.triples)
     for key in sorted(rep.residuals):
         val = rep.residuals[key]
         report.add(f"adjoint_{key}", cfg.manifold, val, val, tol, val <= tol)
@@ -187,16 +191,16 @@ def cmd_gauduchon(cfg: RunConfig, report: Report):
     if entry.grid is None:
         rng = rng_from_seed(cfg.seed)
         pts = entry.random_points(rng, cfg.points)
-        vals = gauduchon_residual(entry.metric, pts, cfg.engine)
+        vals = gauduchon_residual(entry.metric, pts)
         vmax = float(np.max(np.abs(vals)))
         report.add("gauduchon_residual_pointwise_max", cfg.manifold, vmax, vmax, 1e-8, vmax <= 1e-8)
         report.verdicts.append("pointwise chart: no global solve attempted")
         return 0
-    res_in = gauduchon_residual(entry.metric, entry.grid, cfg.engine)
+    res_in = gauduchon_residual(entry.metric, entry.grid)
     report.add("gauduchon_residual_input", cfg.manifold, res_in, None, None, True)
-    sol = solve_gauduchon(entry.metric, entry.grid, cfg.engine)
+    sol = solve_gauduchon(entry.metric, entry.grid)
     stol = cfg.solver_tol()
-    res_out = gauduchon_residual(conformal_metric(entry.metric, sol.factor), entry.grid, cfg.engine)
+    res_out = gauduchon_residual(conformal_metric(entry.metric, sol.factor), entry.grid)
     report.add("gauduchon_residual_solved", cfg.manifold, res_out, res_out, stol, res_out <= stol)
     fmax = float(np.max(np.abs(sol.factor.values)))
     if entry.gauduchon_by_construction:
@@ -213,7 +217,7 @@ def cmd_theorem_t(cfg: RunConfig, report: Report):
     if entry.grid is None:
         raise QuadratureUnsupported(f"{cfg.manifold} has no quadrature grid")
     tol = cfg.tolerances["quadrature"]
-    chk = theorem_t_check(entry.metric, entry.grid, cfg.engine)
+    chk = theorem_t_check(entry.metric, entry.grid)
     report.add("theorem_t_lhs", cfg.manifold, chk.lhs, None, None, True)
     report.add("theorem_t_rhs", cfg.manifold, chk.rhs, None, None, True)
     report.add("theorem_t_residual", cfg.manifold, chk.residual, chk.residual, tol, chk.residual <= tol)
@@ -227,7 +231,7 @@ def cmd_classify(cfg: RunConfig, report: Report):
         # pointwise chart: report the curvature-form sign instead of solving
         rng = rng_from_seed(cfg.seed)
         pts = entry.random_points(rng, cfg.points)
-        ric, _ = tensors.chern_ricci(entry.metric, pts, cfg.engine)
+        ric, _ = tensors.chern_ricci(entry.metric, pts)
         eig = np.linalg.eigvalsh(ric)
         emax = float(np.max(eig))
         report.add("ricci_form_max_eigenvalue", cfg.manifold, emax, None, None, True)
@@ -236,11 +240,9 @@ def cmd_classify(cfg: RunConfig, report: Report):
         return 0
     rng = rng_from_seed(cfg.seed)
     pts = entry.random_points(rng, 100)
-    _, tors = tensors.torsion(entry.metric, pts, cfg.engine)
-    verdict = classify(
-        entry.metric, entry.grid, entry.kahler, float(np.max(tors)),
-        cfg.engine, manifold=cfg.manifold,
-    )
+    _, tors = tensors.torsion(entry.metric, pts)
+    verdict = classify(entry.metric, entry.grid, entry.kahler, float(np.max(tors)),
+                       manifold=cfg.manifold)
     report.add("total_chern_scalar_gauduchon", cfg.manifold, verdict.total_chern_scalar,
                None, None, True)
     report.verdicts.append(f"{verdict.kodaira_statement.value} (sign {verdict.sign}; {verdict.notes})")
@@ -253,9 +255,7 @@ def cmd_yamabe(cfg: RunConfig, report: Report):
         raise QuadratureUnsupported(f"{cfg.manifold} has no quadrature grid")
     rng = rng_from_seed(cfg.seed)
     f0 = np.real(entry.random_scalar(rng, 0.05)(entry.grid.nodes).val)
-    result = yamabe.minimize_quotient(
-        entry.metric, entry.grid, max_iters=cfg.iters, seed=cfg.seed, f0=f0, engine=cfg.engine
-    )
+    result = yamabe.minimize_quotient(entry.metric, entry.grid, max_iters=cfg.iters, f0=f0)
     qs = [t.quotient for t in result.trace]
     monotone = all(qs[i + 1] <= qs[i] + 1e-14 for i in range(len(qs) - 1))
     report.add("yamabe_trace_monotone", cfg.manifold, float(monotone), None, None, monotone)
@@ -338,7 +338,7 @@ def run(cfg: RunConfig):
     except (NonConvergence, NoPositiveNullVector) as exc:
         report.verdicts.append(f"non-convergence: {exc}")
         code = 3
-    except (UnknownId, QuadratureUnsupported, ValueError) as exc:
+    except (UnknownId, QuadratureUnsupported, MissingMonomial, ValueError) as exc:
         report.verdicts.append(f"config error: {exc}")
         code = 2
     except (CrossCheckFailed, NotGauduchon, NonFiniteIntegrand, SingularMetric) as exc:

@@ -27,7 +27,7 @@ the surviving modes and monomials only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .fields import ScalarField
 from .geometry import (
-    DerivativeEngine,
     HermitianMetricField,
     MetricJet,
     QuadratureGrid,
@@ -68,7 +67,6 @@ class ConformalFactor:
     grid: Optional[QuadratureGrid]
     values: np.ndarray
     field: Optional[ScalarField] = None
-    normalization: str = "mean-zero"
 
     @classmethod
     def from_field(cls, grid: QuadratureGrid, fld: ScalarField):
@@ -103,7 +101,8 @@ def compose_conformal_jet(base: MetricJet, uj) -> MetricJet:
 
 
 def conformal_metric(metric: HermitianMetricField, factor) -> HermitianMetricField:
-    """The metric e^f h with derivative evaluators composed by product rule."""
+    """The metric e^f h with derivative evaluators composed by product rule,
+    on the derivative route of `metric`."""
     fld = factor.field if isinstance(factor, ConformalFactor) else factor
     if fld is None:
         raise ValueError("conformal factor lacks a smooth field evaluator")
@@ -118,13 +117,8 @@ def conformal_metric(metric: HermitianMetricField, factor) -> HermitianMetricFie
         def jet_fn(z):
             return compose_conformal_jet(metric.jet_fn(z), fld(z).exp())
 
-    return HermitianMetricField(
-        n=metric.n,
-        value_fn=value,
-        jet_fn=jet_fn,
-        domain=metric.domain,
-        name=f"conformal({metric.name})",
-    )
+    # the copy keeps n, the domain and the derivative route of `metric`
+    return replace(metric, value_fn=value, jet_fn=jet_fn, name=f"conformal({metric.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +278,7 @@ def lift_radial_modes(coeffs, batch, z):
     return np.concatenate(vals), np.concatenate(lvals)
 
 
-def gauduchon_residual(metric: HermitianMetricField, where, engine: Optional[DerivativeEngine] = None):
+def gauduchon_residual(metric: HermitianMetricField, where):
     """Normalized density of i d dbar omega^(n-1).
 
     On a quadrature grid the max over nodes is returned; for a plain point
@@ -292,7 +286,7 @@ def gauduchon_residual(metric: HermitianMetricField, where, engine: Optional[Der
     """
 
     def density(pts):
-        jet = metric.jet(pts, engine)
+        jet = metric.jet(pts)
         dd_alpha, _, _ = _alpha_tower(jet)["ddbar"]
         return np.real(1j * forms.density(dd_alpha, jet.H))
 
@@ -319,33 +313,19 @@ class GauduchonSolution:
     u_field: ScalarField
 
 
-def solve_gauduchon_factor(
-    metric: HermitianMetricField,
-    grid: QuadratureGrid,
-    engine: Optional[DerivativeEngine] = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-    prune_tol: float = 1e-9,
-    positivity_tol: float = 1e-8,
-) -> ConformalFactor:
-    """Gauduchon factor of the conformal class of `metric` on `grid`.
-
-    The positive null vector of the discretized operator gives
-    u = e^((n-1) f); f is returned mean-zero over the grid nodes.
-    """
-    sol = solve_gauduchon(metric, grid, engine, tol, max_iter, prune_tol, positivity_tol)
-    return sol.factor
-
-
 def solve_gauduchon(
     metric: HermitianMetricField,
     grid: QuadratureGrid,
-    engine: Optional[DerivativeEngine] = None,
     tol: float = 1e-10,
     max_iter: int = 60,
     prune_tol: float = 1e-9,
     positivity_tol: float = 1e-8,
 ) -> GauduchonSolution:
+    """Gauduchon factor of the conformal class of `metric` on `grid`.
+
+    The positive null vector of the discretized operator gives
+    u = e^((n-1) f); the factor f is mean-zero over the grid nodes.
+    """
     if grid is None or grid.basis is None:
         raise QuadratureUnsupported("manifold provides no quadrature grid / basis")
     n = metric.n
@@ -355,7 +335,7 @@ def solve_gauduchon(
     w = volume_weights(metric, grid)
 
     def rows(pts):
-        coeffs = gauduchon_operator_coefficients(metric.jet(pts, engine))
+        coeffs = gauduchon_operator_coefficients(metric.jet(pts))
         batch = grid.basis_batch(pts)
         val, lval = lift_radial_modes(coeffs, batch, pts)
         return batch.rows(val), batch.rows(lval)
@@ -426,7 +406,6 @@ def solve_gauduchon(
 def total_chern_scalar(
     metric: HermitianMetricField,
     grid: QuadratureGrid,
-    engine: Optional[DerivativeEngine] = None,
     residual_tol: float = 1e-4,
 ) -> float:
     """Integral of the Chern scalar curvature over the grid.
@@ -434,11 +413,11 @@ def total_chern_scalar(
     Guarded by the Gauduchon residual: the total is the verdict-driving
     quantity only on a Gauduchon representative.
     """
-    res = gauduchon_residual(metric, grid, engine)
+    res = gauduchon_residual(metric, grid)
     if res > residual_tol:
         raise NotGauduchon(f"residual {res:.3e} exceeds {residual_tol:g}")
     w = volume_weights(metric, grid)
-    s_c = map_nodes(lambda pts: chern_ricci(metric, pts, engine)[1], grid.nodes)
+    s_c = map_nodes(lambda pts: chern_ricci(metric, pts)[1], grid.nodes)
     return float(np.sum(w * s_c))
 
 
@@ -451,7 +430,7 @@ class TotalCurvatureCheck:
     factor: ConformalFactor
 
 
-def _total_identity(metric, grid, f: ConformalFactor, engine=None):
+def _total_identity(metric, grid, f: ConformalFactor):
     """Both routes to the Gauduchon total: Chern side and Riemannian side.
 
     lhs = integral of s_C(omega_f) against the volume of omega_f;
@@ -463,7 +442,7 @@ def _total_identity(metric, grid, f: ConformalFactor, engine=None):
 
     def integrands(pts):
         fj = f.field(pts)
-        base_jet = metric.jet(pts, engine)
+        base_jet = metric.jet(pts)
         _, s_c_f = chern_ricci_from_jet(compose_conformal_jet(base_jet, fj.exp()))
         s, tsq = scalar_and_torsion_from_jet(base_jet)
         Hinv = np.linalg.inv(base_jet.H)
@@ -483,17 +462,12 @@ def _total_identity(metric, grid, f: ConformalFactor, engine=None):
     return lhs, rhs, grad_term, vol_f
 
 
-def theorem_t_check(
-    metric: HermitianMetricField,
-    grid: QuadratureGrid,
-    engine: Optional[DerivativeEngine] = None,
-    **solver_kw,
-) -> TotalCurvatureCheck:
+def theorem_t_check(metric: HermitianMetricField, grid: QuadratureGrid) -> TotalCurvatureCheck:
     """Total Chern scalar curvature of the Gauduchon representative vs the
     conformally weighted Riemannian scalar / torsion integral.
     """
-    sol = solve_gauduchon(metric, grid, engine, **solver_kw)
-    lhs, rhs, grad_term, _ = _total_identity(metric, grid, sol.factor, engine)
+    sol = solve_gauduchon(metric, grid)
+    lhs, rhs, grad_term, _ = _total_identity(metric, grid, sol.factor)
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     return TotalCurvatureCheck(lhs, rhs, residual, grad_term, sol.factor)
 
@@ -501,6 +475,12 @@ def theorem_t_check(
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
+
+
+EPS_SIGN_SCALE = 1e-6  # sign band per unit volume
+FACTOR_TOL = 1e-6  # max |f| of a Gauduchon factor that counts as trivial
+TORSION_TOL = 1e-8  # max |T|^2 of a torsion-free (Kahler) metric
+CERTIFY_TOL = 1e-3  # relative identity gap above which a total is not certified
 
 
 class KodairaStatement(str, Enum):
@@ -531,28 +511,22 @@ def classify(
     grid: QuadratureGrid,
     kahler_flag: bool,
     torsion_max: float,
-    engine: Optional[DerivativeEngine] = None,
     manifold: str = "",
-    eps_sign_scale: float = 1e-6,
-    factor_tol: float = 1e-6,
-    torsion_tol: float = 1e-8,
-    certify_tol: float = 1e-3,
-    **solver_kw,
 ) -> Verdict:
     """Sign-based verdict for the conformal class of `metric`.
 
     The total is computed along the Chern route and certified against the
     independently computed Riemannian route (the two sides of the
     total-curvature identity); a sign must clear both the band
-    eps_sign_scale * volume and twice the measured identity gap.  An
-    uncertified total (relative gap above `certify_tol`) stays
+    EPS_SIGN_SCALE * volume and twice the measured identity gap.  An
+    uncertified total (relative gap above CERTIFY_TOL) stays
     Indeterminate: the discretization cannot support a sign claim there.
     """
-    sol = solve_gauduchon(metric, grid, engine, **solver_kw)
+    sol = solve_gauduchon(metric, grid)
     f = sol.factor
-    total, rhs, _, vol = _total_identity(metric, grid, f, engine)
+    total, rhs, _, vol = _total_identity(metric, grid, f)
     gap = abs(total - rhs)
-    if gap > certify_tol * (1.0 + abs(total)):
+    if gap > CERTIFY_TOL * (1.0 + abs(total)):
         return Verdict(
             manifold or metric.name,
             0.0,
@@ -561,7 +535,7 @@ def classify(
             f"total not certified: identity gap {gap:.3e} vs total {total:.3e}; "
             "refine the basis or grid",
         )
-    eps = max(eps_sign_scale * vol, 2.0 * gap)
+    eps = max(EPS_SIGN_SCALE * vol, 2.0 * gap)
     if total > eps:
         sign = "positive"
     elif total < -eps:
@@ -579,8 +553,8 @@ def classify(
     elif (
         sign == "zero"
         and kahler_flag
-        and torsion_max <= torsion_tol
-        and f_variation <= factor_tol
+        and torsion_max <= TORSION_TOL
+        and f_variation <= FACTOR_TOL
     ):
         statement = KodairaStatement.KAHLER_CY
     else:

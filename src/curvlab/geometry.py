@@ -13,7 +13,7 @@ Every integral and global norm in the package uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,8 +27,6 @@ from .errors import (
 )
 from .fields import FieldBasis
 from .jets import Jet2
-
-ChartPoint = np.ndarray  # complex array of shape (n,); batches use (..., n)
 
 NODE_CHUNK = 1024  # nodes per call of every chunked map over grid nodes
 
@@ -154,8 +152,9 @@ class HermitianMetricField:
     """Chart-local Hermitian metric h_{i jbar}(z) with derivative evaluators.
 
     jet_fn returns exact analytic derivatives when the catalog provides
-    closures; otherwise the derivative engine fills the jet by finite
-    differences from value_fn.
+    closures; value_fn alone serves the finite-difference route.  `engine`
+    is the route every jet of this metric takes: the analytic one unless
+    the metric is bound to another (`dataclasses.replace(metric, engine=...)`).
     """
 
     n: int
@@ -163,6 +162,7 @@ class HermitianMetricField:
     jet_fn: Optional[Callable[[np.ndarray], MetricJet]] = None
     domain: ChartDomain = field(default_factory=FullDomain)
     name: str = "metric"
+    engine: DerivativeEngine = field(default_factory=lambda: DEFAULT_ENGINE)
 
     @property
     def has_analytic(self) -> bool:
@@ -171,11 +171,11 @@ class HermitianMetricField:
     def value(self, z) -> np.ndarray:
         return self.value_fn(np.asarray(z, dtype=complex))
 
-    def jet(self, z, engine: "DerivativeEngine" = None) -> MetricJet:
-        """The jet by the engine's route; with engine.crosscheck and both
+    def jet(self, z) -> MetricJet:
+        """The jet by the metric's route; with engine.crosscheck and both
         routes present, the analytic and finite-difference jets are compared."""
         z = np.asarray(z, dtype=complex)
-        eng = engine or DEFAULT_ENGINE
+        eng = self.engine
         if eng.mode == "analytic" and self.jet_fn is None:
             raise ValueError(f"metric {self.name!r} has no analytic derivatives")
         check = eng.crosscheck and self.jet_fn is not None
@@ -398,14 +398,16 @@ def wirtinger(fld, point, order: int = 1, engine: Optional[DerivativeEngine] = N
     Returns a dict with 'value', 'holo' (d_i), 'anti' (d_ibar) and, for
     order 2, 'second' with all mixed Wirtinger second derivatives indexed
     over the 2n letters.  `fld` is either a plain evaluator z -> value or
-    an object with analytic jets (Jet2 factory / HermitianMetricField).
+    an object with analytic jets (Jet2 factory / HermitianMetricField).  A
+    given `engine` overrides a metric's own route on a copy of the metric.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     z = np.asarray(point, dtype=complex)
 
     if isinstance(fld, HermitianMetricField):
-        jet = fld.jet(z, engine or (DEFAULT_ENGINE if fld.has_analytic else FD_ENGINE))
+        eng = engine or (fld.engine if fld.has_analytic else FD_ENGINE)
+        jet = replace(fld, engine=eng).jet(z)
         val, d1, d2 = jet.H, jet.d1, jet.d2
     else:
         probe = fld(z)

@@ -168,10 +168,6 @@ class Jet2:
         v = self.val
         return self._chain(np.log(v), 1.0 / v, -1.0 / v**2)
 
-    def sqrt(self):
-        r = np.sqrt(self.val)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.val))
-
     def conj(self):
         """Jet of the conjugate field; swaps holomorphic slots."""
         n = self.n
@@ -223,16 +219,6 @@ class MixedJet:
             np.stack([j.val for j in jets]),
             np.stack([j.d1 for j in jets]),
             np.stack([j.mixed for j in jets]),
-        )
-
-    @classmethod
-    def concatenate(cls, jets):
-        """Stacked jets joined along their leading axis."""
-        return cls(
-            jets[0].n,
-            np.concatenate([j.val for j in jets]),
-            np.concatenate([j.d1 for j in jets]),
-            np.concatenate([j.mixed for j in jets]),
         )
 
     def __mul__(self, o):

@@ -25,12 +25,10 @@ permutations and stay plain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import CrossCheckFailed, SingularMetric
-from .geometry import DerivativeEngine, HermitianMetricField, MetricJet, hermitian_to_real
+from .geometry import HermitianMetricField, MetricJet, hermitian_to_real
 
 HERMITIAN_SYMMETRY_TOL = 1e-10
 
@@ -277,17 +275,17 @@ class CxBlocks:
 # ---------------------------------------------------------------------------
 
 
-def _jet(metric: HermitianMetricField, point, engine: Optional[DerivativeEngine]):
-    return metric.jet(np.asarray(point, dtype=complex), engine)
+def _jet(metric: HermitianMetricField, point):
+    return metric.jet(np.asarray(point, dtype=complex))
 
 
-def christoffel(metric, point, engine=None) -> TensorBlock:
+def christoffel(metric, point) -> TensorBlock:
     """Complexified Christoffel symbols Gamma^C_{AB} at a point.
 
     The slots forbidden by the Hermitian structure (Gamma^k_{ibar jbar} and
     its conjugate) vanish identically; they are zeroed structurally.
     """
-    cx = CxBlocks(_jet(metric, point, engine), need_second=False)
+    cx = CxBlocks(_jet(metric, point), need_second=False)
     G = cx.christoffel().copy()
     n = cx.n
     G[..., :n, n:, n:] = 0.0
@@ -295,22 +293,22 @@ def christoffel(metric, point, engine=None) -> TensorBlock:
     return TensorBlock("christoffel", "C;AB", G, np.asarray(point))
 
 
-def torsion(metric, point, engine=None):
+def torsion(metric, point):
     """Torsion T^k_{ij} and its squared norm |T|^2 >= 0."""
-    T, nsq = CxBlocks(_jet(metric, point, engine), need_second=False).torsion()
+    T, nsq = CxBlocks(_jet(metric, point), need_second=False).torsion()
     return TensorBlock("torsion", "k;ij", T, np.asarray(point)), nsq
 
 
-def curvature_complexified(metric, point, engine=None) -> TensorBlock:
+def curvature_complexified(metric, point) -> TensorBlock:
     """Lowered complexified curvature R_{ABCD} over all index letters."""
-    cx = CxBlocks(_jet(metric, point, engine))
+    cx = CxBlocks(_jet(metric, point))
     R = cx.curvature_lowered()
     return TensorBlock("curvature", "ABCD", R, np.asarray(point))
 
 
-def chern_ricci(metric, point, engine=None):
+def chern_ricci(metric, point):
     """Chern-Ricci form R_{i jbar} = -d_i d_jbar log det h and its trace."""
-    return chern_ricci_from_jet(_jet(metric, point, engine))
+    return chern_ricci_from_jet(_jet(metric, point))
 
 
 def chern_ricci_from_jet(jet: MetricJet):
@@ -324,9 +322,9 @@ def scalar_and_torsion_from_jet(jet: MetricJet):
     return s, cx.torsion()[1]
 
 
-def riemannian_scalar(metric, point, engine=None):
+def riemannian_scalar(metric, point):
     """Riemannian scalar curvature from the complexified curvature tensor."""
-    cx = CxBlocks(_jet(metric, point, engine))
+    cx = CxBlocks(_jet(metric, point))
     return _scalar_from_blocks(cx)
 
 
@@ -338,9 +336,9 @@ def _scalar_from_blocks(cx: CxBlocks):
     return np.real(s), float(np.max(np.abs(np.imag(s))))
 
 
-def riemannian_ricci(metric, point, X, Y, engine=None):
+def riemannian_ricci(metric, point, X, Y):
     """Ricci curvature Ric(X, Y) for real tangent vectors X, Y (length 2n)."""
-    cx = CxBlocks(_jet(metric, point, engine))
+    cx = CxBlocks(_jet(metric, point))
     n = cx.n
     R = cx.curvature_lowered()
     Xc = _complexify_vector(np.asarray(X, dtype=float), n)
@@ -360,9 +358,9 @@ def _complexify_vector(X: np.ndarray, n: int) -> np.ndarray:
     return Xc
 
 
-def dbar_star_omega(metric, point, engine=None) -> TensorBlock:
+def dbar_star_omega(metric, point) -> TensorBlock:
     """The (1, 0)-form dbar*(omega) = 2i conj(Gamma^k_{ibar k}) dz^i."""
-    cx = CxBlocks(_jet(metric, point, engine), need_second=False)
+    cx = CxBlocks(_jet(metric, point), need_second=False)
     theta = _dbar_star_omega_components(cx)
     return TensorBlock("one-form", "i", theta, np.asarray(point))
 
@@ -403,9 +401,9 @@ def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.n
     )
 
 
-def adjoint_term(metric, point, engine=None):
+def adjoint_term(metric, point):
     """The real scalar i d* dbar* omega entering the curvature identity."""
-    cx = CxBlocks(_jet(metric, point, engine))
+    cx = CxBlocks(_jet(metric, point))
     return _adjoint_term_from_blocks(cx)
 
 
@@ -416,7 +414,7 @@ def _adjoint_term_from_blocks(cx: CxBlocks):
     return np.real(val), float(np.max(np.abs(np.imag(val))))
 
 
-def scalar_identity_residual(metric, point, engine=None) -> ScalarReport:
+def scalar_identity_residual(metric, point) -> ScalarReport:
     """Evaluate both scalar curvatures and the relation between them.
 
     The report stores s, s_C, |T|^2, the adjoint term and the residual
@@ -424,7 +422,7 @@ def scalar_identity_residual(metric, point, engine=None) -> ScalarReport:
     identically zero on any Hermitian metric.
     """
     point = np.asarray(point, dtype=complex)
-    cx = CxBlocks(_jet(metric, point, engine))
+    cx = CxBlocks(_jet(metric, point))
     s, im_s = _scalar_from_blocks(cx)
     _, tsq = cx.torsion()
     _, s_c = cx.chern_ricci()
@@ -474,13 +472,13 @@ def real_metric_jets(jet: MetricJet):
     return G, dG, d2G
 
 
-def riemannian_scalar_real_oracle(metric, point, engine=None):
+def riemannian_scalar_real_oracle(metric, point):
     """Scalar curvature computed entirely in real coordinates.
 
     Independent verification path: works on the induced real metric with
     standard Levi-Civita formulas and never touches the complexified code.
     """
-    jet = _jet(metric, point, engine)
+    jet = _jet(metric, point)
     G, dG, d2G = real_metric_jets(jet)
     return _real_scalar(G, dG, d2G)
 

@@ -21,7 +21,6 @@ from typing import List, Optional
 import numpy as np
 
 from .geometry import (
-    DerivativeEngine,
     HermitianMetricField,
     QuadratureGrid,
     hermitian_to_real,
@@ -31,6 +30,10 @@ from .geometry import (
 from .tensors import real_metric_jets, riemannian_scalar, _real_from_wirtinger
 
 EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
+
+GTOL = 1e-8  # gradient norm at which the descent has converged
+INITIAL_STEP = 0.5
+ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking
 
 
 @dataclass
@@ -54,8 +57,7 @@ class DescentResult:
 # ---------------------------------------------------------------------------
 
 
-def conformal_scalar_riemannian(metric: HermitianMetricField, f, point,
-                                engine: Optional[DerivativeEngine] = None):
+def conformal_scalar_riemannian(metric: HermitianMetricField, f, point):
     """Scalar curvature of e^f g via the real-dimension-m conformal law.
 
     s(e^f g) = e^-f [ s - (m-1) Lap_g f - (m-1)(m-2)/4 |grad f|^2_g ],
@@ -64,7 +66,7 @@ def conformal_scalar_riemannian(metric: HermitianMetricField, f, point,
     z = np.asarray(point, dtype=complex)
     n = metric.n
     m = 2 * n
-    jet = metric.jet(z, engine)
+    jet = metric.jet(z)
     G, dG, _ = real_metric_jets(jet)
     Ginv = np.linalg.inv(G)
     fj = f(z)
@@ -74,7 +76,7 @@ def conformal_scalar_riemannian(metric: HermitianMetricField, f, point,
 
     lap = _laplace_beltrami(Ginv, dG, df, d2f)
     grad2 = np.einsum("...ab,...a,...b->...", Ginv, df, df)
-    s, _ = riemannian_scalar(metric, z, engine)
+    s, _ = riemannian_scalar(metric, z)
     fval = np.real(fj.val)
     return np.exp(-fval) * (s - (m - 1) * lap - (m - 1) * (m - 2) / 4.0 * grad2)
 
@@ -90,15 +92,12 @@ def _laplace_beltrami(Ginv, dG, df, d2f):
     )
 
 
-def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid,
-                    engine: Optional[DerivativeEngine] = None) -> float:
+def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid) -> float:
     """Total scalar curvature of e^f g over volume^(1 - 1/n)."""
     n = metric.n
     w = volume_weights(metric, grid)
     fval = np.real(f(grid.nodes).val)
-    stilde = map_nodes(
-        lambda pts: conformal_scalar_riemannian(metric, f, pts, engine), grid.nodes
-    )
+    stilde = map_nodes(lambda pts: conformal_scalar_riemannian(metric, f, pts), grid.nodes)
     E = float(np.sum(w * np.exp(n * fval) * stilde))
     V = float(np.sum(w * np.exp(n * fval)))
     return E / V ** (1.0 - 1.0 / n)
@@ -215,12 +214,7 @@ def minimize_quotient(
     metric: HermitianMetricField,
     grid: QuadratureGrid,
     max_iters: int = 200,
-    seed: int = 0,
     f0: Optional[np.ndarray] = None,
-    engine: Optional[DerivativeEngine] = None,
-    gtol: float = 1e-8,
-    initial_step: float = 0.5,
-    armijo: float = 1e-4,
 ) -> DescentResult:
     """Projected gradient descent over mean-zero nodal conformal factors.
 
@@ -233,7 +227,7 @@ def minimize_quotient(
     c = (m - 1) * (m - 2) / 4.0
     w = volume_weights(metric, grid)
     nodal = NodalDerivatives(grid)
-    s = map_nodes(lambda pts: riemannian_scalar(metric, pts, engine)[0], grid.nodes)
+    s = map_nodes(lambda pts: riemannian_scalar(metric, pts)[0], grid.nodes)
     Ginv = np.linalg.inv(hermitian_to_real(metric.value(grid.nodes)))
 
     if f0 is None:
@@ -267,13 +261,13 @@ def minimize_quotient(
         return q, gq
 
     trace: List[YamabeTrace] = []
-    step = initial_step
+    step = INITIAL_STEP
     q, g = grad_quotient(f)
     gnorm = float(np.linalg.norm(g))
     trace.append(YamabeTrace(0, q, 0.0, gnorm))
-    converged = gnorm <= gtol
+    converged = gnorm <= GTOL
     for it in range(1, max_iters + 1):
-        if gnorm <= gtol:
+        if gnorm <= GTOL:
             converged = True
             break
         accepted = False
@@ -281,7 +275,7 @@ def minimize_quotient(
             f_try = f - step * g
             f_try -= np.sum(w * f_try) / np.sum(w)
             q_try = quotient(f_try)
-            if q_try <= q - armijo * step * gnorm**2:
+            if q_try <= q - ARMIJO * step * gnorm**2:
                 accepted = True
                 break
             step *= 0.5
@@ -294,10 +288,10 @@ def minimize_quotient(
         trace.append(YamabeTrace(it, q, step, gnorm))
         step = min(step * 2.0, 1e3)
         if abs(q_prev - q) <= 1e-15 * (1.0 + abs(q)):
-            converged = gnorm <= 1e3 * gtol
+            converged = gnorm <= 1e3 * GTOL
             break
     else:
-        converged = gnorm <= gtol
+        converged = gnorm <= GTOL
     return DescentResult(q, trace, converged)
 
 

@@ -190,7 +190,7 @@ def test_criterion_10_descent_and_trichotomy(entries):
     for seed in (1, 2):
         rng = rng_from_seed(seed)
         f0 = np.real(flat.random_scalar(rng, 0.05)(flat.grid.nodes).val)
-        res = yamabe.minimize_quotient(flat.metric, flat.grid, max_iters=400, seed=seed, f0=f0)
+        res = yamabe.minimize_quotient(flat.metric, flat.grid, max_iters=400, f0=f0)
         qs = [t.quotient for t in res.trace]
         ok = ok and all(qs[i + 1] <= qs[i] + 1e-14 for i in range(len(qs) - 1))
         ok = ok and abs(res.estimate) <= 1e-6
@@ -198,7 +198,7 @@ def test_criterion_10_descent_and_trichotomy(entries):
     hopf = entries["hopf-standard"]
     rng = rng_from_seed(3)
     f0 = np.real(hopf.random_scalar(rng, 0.1)(hopf.grid.nodes).val)
-    resh = yamabe.minimize_quotient(hopf.metric, hopf.grid, max_iters=20, seed=3, f0=f0)
+    resh = yamabe.minimize_quotient(hopf.metric, hopf.grid, max_iters=20, f0=f0)
     qsh = [t.quotient for t in resh.trace]
     ok = ok and all(qsh[i + 1] <= qsh[i] + 1e-14 for i in range(len(qsh) - 1))
 

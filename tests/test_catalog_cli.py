@@ -137,8 +137,8 @@ def test_planted_nan_fails_check_identities(monkeypatch):
 
     original = tensors.scalar_identity_residual
 
-    def planted(metric, points, engine=None):
-        rep = original(metric, points, engine)
+    def planted(metric, points):
+        rep = original(metric, points)
         rep.identity_residual[0] = np.nan
         return rep
 
@@ -217,6 +217,17 @@ def test_cli_config_error(capsys):
     assert code == 2
 
 
+def test_cli_missing_monomial_is_a_config_error(capsys):
+    # c1^2 is needed for dimension 4; the run stops with exit 2 and still
+    # prints its report, with the cause as the verdict
+    assert main(["ahat", "--chern", "c2=24", "--dim", "4", "--format", "records"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert lines == [json.dumps({"verdict": "config error: Chern number for monomial (1, 1) "
+                                            "not supplied"})]
+
+
 def test_cli_check_identities_rejects_zero_points(capsys):
     code = main(["check-identities", "--manifold", "torus-flat", "--points", "0", "--grid", "4"])
     assert code == 2
@@ -248,12 +259,32 @@ def test_cli_gauduchon_pointwise_chart(capsys):
     assert "pointwise" in out
 
 
-def test_cli_finite_difference_mode(capsys):
-    code = main([
-        "check-identities", "--manifold", "hopf-standard",
-        "--points", "20", "--derivative-mode", "fd",
-    ])
-    assert code == 0
+@pytest.mark.parametrize("argv, want", [
+    (["check-identities", "--manifold", "hopf-standard", "--points", "20"], 0),
+    (["classify", "--manifold", "hopf-standard", "--grid", "4"], 0),
+    (["theorem-t", "--manifold", "hopf-conformal", "--t", "0.2", "--grid", "4"], 0),
+    (["adjoints", "--manifold", "hopf-standard", "--triples", "1"], 0),
+    (["yamabe", "--manifold", "torus-flat", "--grid", "6"], 0),
+    # the canonical-bundle gate is fixed at an analytic tolerance, so fd fails it
+    (["check-identities", "--manifold", "inoue-chart", "--points", "20"], 1),
+], ids=["check-identities", "classify", "theorem-t", "adjoints", "yamabe", "inoue-bundle"])
+def test_finite_difference_mode_reaches_every_stage(monkeypatch, argv, want):
+    # every metric jet of the run, conformal and bundle metrics included,
+    # takes the fd route
+    from curvlab.geometry import HermitianMetricField
+
+    original = HermitianMetricField.jet
+    routes = []
+
+    def recorded(metric, z):
+        routes.append((metric.name, metric.engine.mode))
+        return original(metric, z)
+
+    monkeypatch.setattr(HermitianMetricField, "jet", recorded)
+    code, _ = run(make_config(argv + ["--derivative-mode", "fd"]))
+    assert code == want
+    assert routes
+    assert [name for name, mode in routes if mode != "fd"] == []
 
 
 def test_exit_code_on_non_convergence(monkeypatch):

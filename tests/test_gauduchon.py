@@ -1,5 +1,7 @@
 """Conformal changes, the Gauduchon solver, totals, and verdicts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,10 @@ from curvlab.gauduchon import (
     gauduchon_residual,
     lift_radial_modes,
     solve_gauduchon,
-    solve_gauduchon_factor,
     theorem_t_check,
     total_chern_scalar,
 )
+from curvlab.geometry import DerivativeEngine
 from curvlab.jets import Jet2, MixedJet
 from tests.conftest import hopf_points
 
@@ -55,6 +57,18 @@ def test_zero_factor_identity(hopf, rng):
     assert np.max(np.abs(m.value(pts) - hopf.metric.value(pts))) < 1e-15
     j1, j2 = m.jet(pts), hopf.metric.jet(pts)
     assert np.max(np.abs(j1.d2 - j2.d2)) < 1e-15
+
+
+def test_conformal_metric_keeps_the_derivative_route(hopf, rng):
+    fd_metric = replace(hopf.metric, engine=DerivativeEngine(mode="fd"))
+    m_fd = conformal_metric(fd_metric, constant_field(0.3))
+    m_ana = conformal_metric(hopf.metric, constant_field(0.3))
+    assert m_fd.engine is fd_metric.engine
+    assert m_ana.engine.mode == "analytic"
+    pts = hopf.random_points(rng, 5)
+    j_fd, j_ana = m_fd.jet(pts), m_ana.jet(pts)
+    assert not np.array_equal(j_fd.d2, j_ana.d2)  # the stencil, not the composed closures
+    assert np.max(np.abs(j_fd.d2 - j_ana.d2)) < 1e-5
 
 
 def test_constant_factor_scales_determinant(kahler_torus, rng):
@@ -235,7 +249,7 @@ def test_closed_form_conformal_factor(conformal, conformal_solution):
 
 
 def test_solver_trivial_on_gauduchon_input(hopf):
-    factor = solve_gauduchon_factor(hopf.metric, hopf.grid)
+    factor = solve_gauduchon(hopf.metric, hopf.grid).factor
     assert np.max(np.abs(factor.values)) < 1e-6
     assert abs(factor.mean) < 1e-12
 
@@ -253,14 +267,14 @@ def test_solver_planted_factor_recovery(hopf):
 
 
 def test_solver_kahler_torus_trivial(kahler_torus):
-    factor = solve_gauduchon_factor(kahler_torus.metric, kahler_torus.grid)
+    factor = solve_gauduchon(kahler_torus.metric, kahler_torus.grid).factor
     assert np.max(np.abs(factor.values)) < 1e-8
 
 
 def test_solver_gauge_invariance(hopf):
     scaled = conformal_metric(hopf.metric, constant_field(0.9))
-    f1 = solve_gauduchon_factor(hopf.metric, hopf.grid)
-    f2 = solve_gauduchon_factor(scaled, hopf.grid)
+    f1 = solve_gauduchon(hopf.metric, hopf.grid).factor
+    f2 = solve_gauduchon(scaled, hopf.grid).factor
     assert np.max(np.abs(f1.values - f2.values)) < 1e-10
 
 

@@ -30,8 +30,8 @@ def test_planted_nan_records_are_valid_json(monkeypatch):
 
     original = tensors.scalar_identity_residual
 
-    def planted(metric, points, engine=None):
-        rep = original(metric, points, engine)
+    def planted(metric, points):
+        rep = original(metric, points)
         rep.identity_residual[0] = np.nan
         return rep
 

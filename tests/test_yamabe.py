@@ -55,7 +55,7 @@ def test_hopf_quotient_cross_pipeline(hopf):
 
 
 def test_descent_stays_at_critical_point(flat_torus):
-    res = yamabe.minimize_quotient(flat_torus.metric, flat_torus.grid, max_iters=30, seed=0)
+    res = yamabe.minimize_quotient(flat_torus.metric, flat_torus.grid, max_iters=30)
     assert res.estimate == pytest.approx(0.0, abs=1e-12)
     assert len(res.trace) == 1  # gradient vanishes immediately
 
@@ -63,7 +63,7 @@ def test_descent_stays_at_critical_point(flat_torus):
 def test_descent_reaches_flat_minimum(flat_torus, rng):
     f0 = np.real(flat_torus.random_scalar(rng, 0.05)(flat_torus.grid.nodes).val)
     res = yamabe.minimize_quotient(
-        flat_torus.metric, flat_torus.grid, max_iters=400, seed=0, f0=f0
+        flat_torus.metric, flat_torus.grid, max_iters=400, f0=f0
     )
     qs = [t.quotient for t in res.trace]
     assert all(qs[i + 1] <= qs[i] + 1e-14 for i in range(len(qs) - 1))
@@ -72,7 +72,7 @@ def test_descent_reaches_flat_minimum(flat_torus, rng):
 
 def test_descent_hopf_monotone(hopf, rng):
     f0 = np.real(hopf.random_scalar(rng, 0.1)(hopf.grid.nodes).val)
-    res = yamabe.minimize_quotient(hopf.metric, hopf.grid, max_iters=25, seed=0, f0=f0)
+    res = yamabe.minimize_quotient(hopf.metric, hopf.grid, max_iters=25, f0=f0)
     qs = [t.quotient for t in res.trace]
     assert all(qs[i + 1] <= qs[i] + 1e-14 for i in range(len(qs) - 1))
     assert res.trace[0].gradient_norm > 1e-6
@@ -81,8 +81,7 @@ def test_descent_hopf_monotone(hopf, rng):
 
 def test_step_sizes_positive(flat_torus, rng):
     f0 = np.real(flat_torus.random_scalar(rng, 0.05)(flat_torus.grid.nodes).val)
-    res = yamabe.minimize_quotient(flat_torus.metric, flat_torus.grid, max_iters=50,
-                                   seed=0, f0=f0)
+    res = yamabe.minimize_quotient(flat_torus.metric, flat_torus.grid, max_iters=50, f0=f0)
     assert all(t.step > 0 for t in res.trace[1:])
 
 
