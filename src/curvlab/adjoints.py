@@ -64,16 +64,14 @@ def laplacian_d(cx: CxBlocks, fjet):
     n = cx.n
     # d* d f = dbar* dbar f + d* d f; for real f the two terms are conjugate
     df_vals = fjet.d1[..., :n]
-    ddf_anti = fjet.d2[..., n:, :n]  # [..., j, i] = d_jbar d_i f
+    ddf_anti = np.swapaxes(fjet.mixed, -1, -2)  # [..., j, i] = d_jbar d_i f
     p = p_star_oneform(cx, df_vals, ddf_anti)
     return 2.0 * np.real(p)
 
 
 def trace_i_ddbar(cx: CxBlocks, fjet):
     """tr_omega(i d dbar f) = contraction of the mixed Hessian with Hinv."""
-    n = cx.n
-    M = fjet.d2[..., :n, n:]
-    return np.einsum("...ij,...ji->...", M, cx.Hinv)
+    return np.einsum("...ij,...ji->...", fjet.mixed, cx.Hinv)
 
 
 def grad_norm_sq(cx: CxBlocks, fjet):
@@ -214,7 +212,7 @@ def _pointwise_identities(metric, f, eta, pts, res, gauduchon_base=False):
 
     # (c8)  i <dbar* omega, d f> = dbar* dbar f + tr_omega i d dbar f
     lhs8 = 1j * inner_oneform(cx.Hinv, theta, df_holo)
-    ddf_anti = fj.d2[..., n:, :n]
+    ddf_anti = np.swapaxes(fj.mixed, -1, -2)  # [..., j, i] = d_jbar d_i f
     dbar_star_dbar_f = np.conj(p_star_oneform(cx, df_holo, ddf_anti))
     rhs8 = dbar_star_dbar_f + trace_i_ddbar(cx, fj)
     _accumulate(res, "c8", _rel(lhs8, rhs8))

@@ -503,23 +503,19 @@ class HopfBasis:
         """|z|^2 as a Jet2, and the monomials of `plan` as one stacked `jet_type`.
 
         jet_type is MixedJet (value, gradient, mixed block: what assembly
-        reads) or Jet2 (full Hessians, for the solved factor).
+        and the solved factor read) or Jet2 (full Hessians, for the solved
+        factor's pending Hessian).
         """
         groups, size, const = plan
-
-        def arrays(jet):
-            return jet.val, jet.d1, (jet.d2 if jet_type is Jet2 else jet.mixed)
-
         zs, zbs = coordinate_jets(z)
         r2 = zs[0] * zbs[0] + zs[1] * zbs[1]
-        lift = MixedJet.of if jet_type is MixedJet else (lambda jet: jet)
-        rinv = lift(r2 ** -0.5)
-        units = [lift(c) * rinv for c in zs + zbs]
-        parts = [np.empty((size,) + a.shape, dtype=complex) for a in arrays(units[0])]
+        rinv = _lift(jet_type, r2 ** -0.5)
+        units = [_lift(jet_type, c) * rinv for c in zs + zbs]
+        parts = [np.empty((size,) + a.shape, dtype=complex) for a in _components(units[0])]
         parts[0][const], parts[1][const], parts[2][const] = 1.0, 0.0, 0.0
         for js, parent, unit in groups:
             prod = jet_type(2, *(p[parent] for p in parts)) * units[unit]
-            for p, x in zip(parts, arrays(prod)):
+            for p, x in zip(parts, _components(prod)):
                 p[js] = x
         return r2, jet_type(2, *parts)
 
@@ -528,13 +524,36 @@ class HopfBasis:
         return BasisJets(monos, self.index, self.imag, self.powers)
 
     def field(self, coeffs, name: str) -> ScalarField:
-        """u = sum c_s phi_s with full jets, regrouped per radial mode.
+        """u = sum c_s phi_s, regrouped per radial mode, with a pending Hessian.
 
         Row s adds c_s Re(R_k m_j) or c_s Im(R_k m_j) = Re(-i c_s R_k m_j),
         so u = Re sum_k R_k sum_j W[k, j] m_j.  Only the modes and monomials
         with a nonzero coefficient are evaluated, through the recurrence of
-        `__call__` restricted to them and their parents, carrying Jet2s.
+        `__call__` restricted to them and their parents.  A call carries
+        MixedJets (value, gradient, mixed block), as assembly does; the full
+        Hessian stays pending, and its first read runs the same recurrence
+        with Jet2s on a private copy of the points (`_hessian`).
         """
+        combination = self._combination_of(coeffs)
+
+        def chunk(z):
+            u = self._combination(z, MixedJet, combination)
+            return u.val, u.d1, u.mixed
+
+        def evaluate(z):
+            batch = z.shape[:-1]
+            z = np.array(z.reshape(-1, 2))  # private: the pending Hessian reads it later
+            val, d1, mixed = map_nodes(chunk, z)
+            return Jet2(2, val.reshape(batch), d1.reshape(batch + (4,)),
+                        lambda: self._hessian(z, combination, mixed).reshape(batch + (4, 4)),
+                        mixed.reshape(batch + (2, 2)))
+
+        return ScalarField(evaluate, name)
+
+    def _combination_of(self, coeffs):
+        """The modes k with a nonzero weight, each with its weights W[k, j]
+        over the weighted monomials, the recurrence plan and the number of
+        weighted monomials of u = sum c_s phi_s."""
         coeffs = np.asarray(coeffs, dtype=float)
         nmono = self._nmono
         nmodes = len(self.powers) + 1
@@ -551,28 +570,44 @@ class HopfBasis:
         need[cols] = False
         # the monomials with a coefficient first, then the parents they need
         plan = self._plan(np.concatenate([cols, np.nonzero(need)[0]]))
-        used = slice(len(cols))
+        # one contiguous weight array per mode: a row of one (mode, monomial)
+        # array would change how BLAS sums w @ val, and so u's last bits
+        return [(k, W[k, cols]) for k in modes], plan, len(cols)
 
-        def chunk(z):
-            r2, monos = self._stack(z, Jet2, plan)
-            val, d1, d2 = monos.val[used], monos.d1[used], monos.d2[used]
-            total = None
-            for k in modes:
-                w = W[k, cols]
-                term = Jet2(2, w @ val, np.tensordot(w, d1, 1), np.tensordot(w, d2, 1))
-                if k:
-                    term = r2 ** self.powers[k - 1] * term
-                total = term if total is None else total + term
-            total = total.real()
-            return total.val, total.d1, total.d2
+    def _combination(self, z, jet_type, combination):
+        """Re sum_k R_k sum_j W[k, j] m_j at the points z (N, 2), as a jet_type."""
+        weights, plan, used = combination
+        r2, monos = self._stack(z, jet_type, plan)
+        val, d1, second = (a[:used] for a in _components(monos))
+        total = None
+        for k, w in weights:
+            term = jet_type(2, w @ val, np.tensordot(w, d1, 1), np.tensordot(w, second, 1))
+            if k:
+                term = _lift(jet_type, r2 ** self.powers[k - 1]) * term
+            total = term if total is None else total + term
+        return total.real()
 
-        def evaluate(z):
-            batch = z.shape[:-1]
-            val, d1, d2 = map_nodes(chunk, z.reshape(-1, 2))
-            return Jet2(2, val.reshape(batch), d1.reshape(batch + (4,)),
-                        d2.reshape(batch + (4, 4)))
+    def _hessian(self, z, combination, mixed):
+        """The full Hessians of the combination at the points z (N, 2).
 
-        return ScalarField(evaluate, name)
+        The mixed slots take the eager block `mixed` (N, 2, 2) and its
+        transpose, so a jet's mixed block reads the same before and after
+        its Hessian is forced.
+        """
+        d2 = map_nodes(lambda c: self._combination(c, Jet2, combination).d2, z)
+        d2[:, :2, 2:] = mixed
+        d2[:, 2:, :2] = np.swapaxes(mixed, -1, -2)
+        return d2
+
+
+def _components(jet):
+    """Value, gradient and second-order part: d2 of a Jet2, the mixed block of a MixedJet."""
+    return jet.val, jet.d1, (jet.d2 if isinstance(jet, Jet2) else jet.mixed)
+
+
+def _lift(jet_type, jet: Jet2):
+    """The Jet2 `jet` as a jet_type (a MixedJet keeps its mixed block)."""
+    return MixedJet.of(jet) if jet_type is MixedJet else jet
 
 
 def _monomial_parent(m, pos):

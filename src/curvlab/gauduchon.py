@@ -21,8 +21,15 @@ to every product by the Leibniz rule, with the derivatives of s shared
 by all of them, so no product jet is formed.  A basis without radial
 exponents (a plain field list) gives m and L m as they are.  The solved u
 is kept as basis coefficients, regrouped per radial mode on the Hopf
-grid (u = Re sum_k R_k sum_j W_kj m_j), and evaluated with full jets over
-the surviving modes and monomials only.
+grid (u = Re sum_k R_k sum_j W_kj m_j), and evaluated over the surviving
+modes and monomials only, with its value, gradient and mixed block; its
+full Hessian stays pending until something reads it.
+
+Every step to the Gauduchon total reads mixed second derivatives d_i d_jbar
+only: the operator coefficients (`_alpha_tower`), the Chern-Ricci form and
+the conformal composition e^f h (`compose_conformal_jet`), which forms the
+mixed block of its jet now and leaves the full second derivatives
+pending.  Only the Riemannian side (s and |T|^2) forces them.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import numpy as np
 from . import forms
 from .errors import (
     NonConvergence,
+    NonFiniteIntegrand,
     NoPositiveNullVector,
     NotGauduchon,
     QuadratureUnsupported,
@@ -85,19 +93,33 @@ class ConformalFactor:
 
 
 def compose_conformal_jet(base: MetricJet, uj) -> MetricJet:
-    """Jet of u * h from the jets of the positive factor u and of h."""
+    """Jet of u * h from the jets of the positive factor u and of h.
+
+    The mixed block d_k d_lbar (u h) is formed now; the full second
+    derivatives are pending, built from those of u and h on first read.
+    """
+    n = base.n
     H = uj.val[..., None, None] * base.H
     d1 = (
         uj.d1[..., :, None, None] * base.H[..., None, :, :]
         + uj.val[..., None, None, None] * base.d1
     )
-    d2 = (
-        uj.d2[..., :, :, None, None] * base.H[..., None, None, :, :]
-        + uj.d1[..., :, None, None, None] * base.d1[..., None, :, :, :]
-        + uj.d1[..., None, :, None, None] * base.d1[..., :, None, :, :]
-        + uj.val[..., None, None, None, None] * base.d2
+    mixed = (
+        uj.mixed[..., :, :, None, None] * base.H[..., None, None, :, :]
+        + uj.d1[..., :n, None, None, None] * base.d1[..., None, n:, :, :]
+        + uj.d1[..., None, n:, None, None] * base.d1[..., :n, None, :, :]
+        + uj.val[..., None, None, None, None] * base.mixed
     )
-    return MetricJet(H, d1, d2)
+
+    def d2():
+        return (
+            uj.d2[..., :, :, None, None] * base.H[..., None, None, :, :]
+            + uj.d1[..., :, None, None, None] * base.d1[..., None, :, :, :]
+            + uj.d1[..., None, :, None, None] * base.d1[..., :, None, :, :]
+            + uj.val[..., None, None, None, None] * base.d2
+        )
+
+    return MetricJet(H, d1, d2, mixed)
 
 
 def conformal_metric(metric: HermitianMetricField, factor) -> HermitianMetricField:
@@ -131,7 +153,7 @@ def _alpha_tower(jet: MetricJet):
     n = jet.n
     if n < 2:
         raise ValueError("the Gauduchon equation degenerates for n = 1")
-    H, d1H, d2H = jet.H, jet.d1, jet.d2
+    H, d1H = jet.H, jet.d1
     w = forms.omega_array(H)  # (1,1)
     dw = 1j * (d1H[..., :n, :, :] - np.einsum("...kij->...ikj", d1H[..., :n, :, :]))
     # dbar omega, stored (1,2): arr[i, l, j] = -i (d_lbar H[i,j] - d_jbar H[i,l])
@@ -140,7 +162,7 @@ def _alpha_tower(jet: MetricJet):
         - np.einsum("...jil->...ilj", d1H[..., n:, :, :])
     )
     # d dbar omega, stored (2,2): arr[k, i, l, j]
-    M = d2H[..., :n, n:, :, :]  # M[k, l, i, j] = d_k d_lbar H[i, j]
+    M = jet.mixed  # M[k, l, i, j] = d_k d_lbar H[i, j]
     ddbw = -1j * (
         np.einsum("...klij->...kilj", M)
         - np.einsum("...ilkj->...kilj", M)
@@ -324,7 +346,9 @@ def solve_gauduchon(
     """Gauduchon factor of the conformal class of `metric` on `grid`.
 
     The positive null vector of the discretized operator gives
-    u = e^((n-1) f); the factor f is mean-zero over the grid nodes.
+    u = e^((n-1) f); the factor f is mean-zero over the grid nodes.  A
+    non-finite Gram or operator matrix raises NonFiniteIntegrand at the
+    first bad node, before any eigen-solve or iteration.
     """
     if grid is None or grid.basis is None:
         raise QuadratureUnsupported("manifold provides no quadrature grid / basis")
@@ -344,10 +368,15 @@ def solve_gauduchon(
     vals, lvals = map_nodes(rows, grid.nodes, axis=-1)
 
     gram = (vals * w) @ vals.T
+    if not np.all(np.isfinite(gram)):
+        _raise_first_non_finite(w, vals, lvals)
+    op = (vals * w) @ lvals.T
+    if not np.all(np.isfinite(op)):
+        _raise_first_non_finite(w, vals, lvals)
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > prune_tol * np.max(evals)
     T = (evecs[:, keep] / np.sqrt(evals[keep])).T  # orthonormalizing transform
-    M = T @ ((vals * w) @ lvals.T) @ T.T
+    M = T @ op @ T.T
 
     scale = np.linalg.norm(M, ord=np.inf) or 1.0
     shift = 1e-12 * scale
@@ -396,6 +425,15 @@ def solve_gauduchon(
     f_field = u_field.log() * (1.0 / (n - 1)) - mean
     factor = ConformalFactor(grid, f_nodes - mean, f_field)
     return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field)
+
+
+def _raise_first_non_finite(w, vals, lvals):
+    """NonFiniteIntegrand at the first node whose weight, basis values or
+    L-values are not finite."""
+    columns = np.vstack([w, vals, lvals])  # (1 + 2m, N)
+    node = int(np.argmax(~np.all(np.isfinite(columns), axis=0)))
+    col = columns[:, node]
+    raise NonFiniteIntegrand(node, float(col[np.argmax(~np.isfinite(col))]))
 
 
 # ---------------------------------------------------------------------------

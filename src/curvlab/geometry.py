@@ -116,22 +116,49 @@ class UpperHalfFirstDomain(ChartDomain):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MetricJet:
     """Value and Wirtinger derivatives of h_{i jbar} at a batch of points.
 
-    H   : (..., n, n)            entries h_{i jbar}
-    d1  : (..., 2n, n, n)        d1[A] = d_A H
-    d2  : (..., 2n, 2n, n, n)    d2[A, B] = d_A d_B H, symmetric in (A, B)
+    H     : (..., n, n)            entries h_{i jbar}
+    d1    : (..., 2n, n, n)        d1[A] = d_A H
+    d2    : (..., 2n, 2n, n, n)    d2[A, B] = d_A d_B H, symmetric in (A, B)
+    mixed : (..., n, n, n, n)      mixed[k, l] = d_k d_lbar H = d2[k, n + l]
+
+    `d2` may be pending: a zero-argument callable, run on the first read
+    of `d2` and kept.  A pending jet carries `mixed` eagerly, so the
+    consumers that read only the mixed block (the Gauduchon operator, the
+    Chern-Ricci form) never force it.
     """
 
-    H: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    __slots__ = ("H", "d1", "_d2", "_mixed")
+
+    def __init__(self, H, d1, d2, mixed=None):
+        self.H = H
+        self.d1 = d1
+        self._d2 = d2
+        self._mixed = mixed
 
     @property
     def n(self) -> int:
         return self.H.shape[-1]
+
+    @property
+    def d2(self) -> np.ndarray:
+        if callable(self._d2):
+            self._d2 = self._d2()
+        return self._d2
+
+    @property
+    def pending(self) -> bool:
+        """True while the full second derivatives have not been computed."""
+        return callable(self._d2)
+
+    @property
+    def mixed(self) -> np.ndarray:
+        if self._mixed is not None:
+            return self._mixed
+        n = self.n
+        return self.d2[..., :n, n:, :, :]
 
 
 def metric_jet_from_entries(entries) -> MetricJet:

@@ -11,10 +11,14 @@ Slot convention: index A in [0, n) is the holomorphic derivative d/dz^A,
 index n + A is the antiholomorphic derivative d/dzbar^A.
 
 The Hessian of a Jet2 may be pending: given as a zero-argument callable,
-it is computed on the first read of `d2` and kept.  Arithmetic with a
-plain number and `conj` keep a pending Hessian pending; every other
-operation reads `d2` and so forces it.  A field evaluated on a whole grid
-for its values and gradients then never builds its second derivatives.
+it is computed on the first read of `d2` and kept.  A pending jet may
+carry its mixed block d_i d_jbar eagerly (`mixed`), which is all that the
+Gauduchon operator and the Chern-Ricci form read.  Arithmetic with a
+plain number, `conj` and the chain rule (`exp`, `log`, `**` with a
+non-integer or negative power, `reciprocal`) keep a pending Hessian
+pending and carry the mixed block forward; every other operation reads
+`d2` and so forces it.  A field evaluated on a whole grid for its values,
+gradients and mixed block then never builds its full second derivatives.
 """
 
 from __future__ import annotations
@@ -30,16 +34,18 @@ class Jet2:
     """Value, gradient and Hessian of a scalar field in Wirtinger slots.
 
     `d2` is an array, or a zero-argument callable returning it that runs
-    on the first read of `d2` (a pending Hessian).
+    on the first read of `d2` (a pending Hessian).  `mixed`, given with a
+    pending Hessian, is its block d2[..., :n, n:], read without forcing.
     """
 
-    __slots__ = ("n", "val", "d1", "_d2")
+    __slots__ = ("n", "val", "d1", "_d2", "_mixed")
 
-    def __init__(self, n: int, val, d1, d2):
+    def __init__(self, n: int, val, d1, d2, mixed=None):
         self.n = n
         self.val = np.asarray(val, dtype=complex)
         self.d1 = np.asarray(d1, dtype=complex)
         self._d2 = d2 if callable(d2) else np.asarray(d2, dtype=complex)
+        self._mixed = None if mixed is None else np.asarray(mixed, dtype=complex)
 
     @property
     def d2(self) -> np.ndarray:
@@ -55,6 +61,10 @@ class Jet2:
     def _map_d2(self, fn):
         """fn(d2), or a pending fn(d2) while d2 is pending."""
         return (lambda: fn(self.d2)) if self.pending else fn(self._d2)
+
+    def _map_mixed(self, fn):
+        """fn(mixed) where the mixed block is eager, else None (the slice of d2)."""
+        return None if self._mixed is None else fn(self._mixed)
 
     # -- constructors -------------------------------------------------
 
@@ -100,23 +110,38 @@ class Jet2:
         return not isinstance(other, Jet2) and np.ndim(other) == 0
 
     def _chain(self, f0, f1, f2):
-        """Jet of F(self) given F, F', F'' evaluated at self.val."""
+        """Jet of F(self) given F, F', F'' evaluated at self.val.
+
+        A pending Hessian stays pending; the mixed block follows eagerly
+        from mixed' = F' mixed + F'' d1[:n] d1[n:].
+        """
+        n = self.n
         d1 = f1[..., None] * self.d1
-        d2 = f1[..., None, None] * self.d2 + f2[..., None, None] * _outer(self.d1, self.d1)
-        return Jet2(self.n, f0, d1, d2)
+
+        def d2():
+            return f1[..., None, None] * self.d2 + f2[..., None, None] * _outer(self.d1, self.d1)
+
+        if not self.pending:
+            return Jet2(n, f0, d1, d2())
+        mixed = f1[..., None, None] * self.mixed + f2[..., None, None] * (
+            self.d1[..., :n, None] * self.d1[..., None, n:]
+        )
+        return Jet2(n, f0, d1, d2, mixed)
 
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other):
         if self._plain(other):
-            return Jet2(self.n, self.val + other, self.d1.copy(), self._map_d2(np.copy))
+            return Jet2(self.n, self.val + other, self.d1.copy(), self._map_d2(np.copy),
+                        self._map_mixed(np.copy))
         o = self._lift(other)
         return Jet2(self.n, self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.n, -self.val, -self.d1, self._map_d2(np.negative))
+        return Jet2(self.n, -self.val, -self.d1, self._map_d2(np.negative),
+                    self._map_mixed(np.negative))
 
     def __sub__(self, other):
         return self + (-other)
@@ -127,7 +152,8 @@ class Jet2:
     def __mul__(self, other):
         if self._plain(other):
             return Jet2(self.n, self.val * other, self.d1 * other,
-                        self._map_d2(lambda d2: d2 * other))
+                        self._map_d2(lambda d2: d2 * other),
+                        self._map_mixed(lambda m: m * other))
         o = self._lift(other)
         val = self.val * o.val
         d1 = self.d1 * o.val[..., None] + o.d1 * self.val[..., None]
@@ -169,12 +195,19 @@ class Jet2:
         return self._chain(np.log(v), 1.0 / v, -1.0 / v**2)
 
     def conj(self):
-        """Jet of the conjugate field; swaps holomorphic slots."""
+        """Jet of the conjugate field; swaps holomorphic slots.
+
+        The conjugate's mixed block d_i d_jbar conj(F) = conj(d_j d_ibar F)
+        is the conjugate transpose of the mixed block.  It equals the slice
+        of the conjugate's forced Hessian bit for bit where d2 is exactly
+        symmetric in the mixed slots.
+        """
         n = self.n
         idx = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
         d1 = np.conj(self.d1[..., idx])
         d2 = self._map_d2(lambda d2: np.conj(d2[..., idx, :][..., :, idx]))
-        return Jet2(n, np.conj(self.val), d1, d2)
+        mixed = self._map_mixed(lambda m: np.conj(np.swapaxes(m, -1, -2)))
+        return Jet2(n, np.conj(self.val), d1, d2, mixed)
 
     def real(self):
         return (self + self.conj()) * 0.5
@@ -184,7 +217,12 @@ class Jet2:
 
     @property
     def mixed(self):
-        """The mixed Hessian block: mixed[..., i, j] = d_i d_jbar."""
+        """The mixed Hessian block: mixed[..., i, j] = d_i d_jbar.
+
+        Read without forcing where it was given eagerly, else sliced from d2.
+        """
+        if self._mixed is not None:
+            return self._mixed
         return self.d2[..., : self.n, self.n :]
 
 
@@ -232,6 +270,21 @@ class MixedJet:
             + o.d1[..., :n, None] * self.d1[..., None, n:]
         )
         return MixedJet(n, val, d1, mixed)
+
+    def __add__(self, o):
+        return MixedJet(self.n, self.val + o.val, self.d1 + o.d1, self.mixed + o.mixed)
+
+    def real(self):
+        """The jet of Re F: (F + conj F) / 2, where d_i d_jbar conj(F) is the
+        conjugate transpose of the mixed block."""
+        n = self.n
+        idx = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+        return MixedJet(
+            n,
+            (self.val + np.conj(self.val)) * 0.5,
+            (self.d1 + np.conj(self.d1[..., idx])) * 0.5,
+            (self.mixed + np.conj(np.swapaxes(self.mixed, -1, -2))) * 0.5,
+        )
 
 
 def coordinate_jets(z):

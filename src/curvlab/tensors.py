@@ -88,7 +88,12 @@ class CxBlocks:
             raise SingularMetric("metric not invertible to tolerance")
         self.Hinv = np.linalg.inv(H)
         self.d1H = np.asarray(jet.d1, dtype=complex)
-        self.d2H = np.asarray(jet.d2, dtype=complex) if need_second else None
+        # the mixed block d_k d_lbar H, all that the Chern-Ricci form reads;
+        # the full second derivatives d2H are read from the jet (forcing a
+        # pending one) when christoffel_derivative first needs them
+        self._jet = jet if need_second else None
+        self.mixedH = np.asarray(jet.mixed, dtype=complex) if need_second else None
+        self.d2H = None
         batch = H.shape[:-2]
         self.hol, self.anti, self.letters = range(n), range(n, 2 * n), range(2 * n)
         # the block R_{i jbar k lbar}
@@ -112,7 +117,7 @@ class CxBlocks:
         self.dhC = dhC
 
         # the (2n)^4 second-derivative block, built on first use by
-        # christoffel_derivative; the Chern-Ricci form reads d2H alone
+        # christoffel_derivative from d2H
         self.d2hC = None
 
         # P[i, j] = h^{i jbar}, the mixed inverse pairing
@@ -141,12 +146,13 @@ class CxBlocks:
 
         `blocks` is four index ranges; all letters by default.
         """
-        if self.d2H is None:
+        if self._jet is None:
             raise ValueError("second derivatives were not requested")
         key = self._key(blocks)
         if key not in self._dgamma:
             if self.d2hC is None:
                 n = self.n
+                self.d2H = np.asarray(self._jet.d2, dtype=complex)
                 d2hC = np.zeros(self.H.shape[:-2] + (2 * n,) * 4, dtype=complex)
                 d2hC[..., :, :, :n, n:] = self.d2H
                 d2hC[..., :, :, n:, :n] = np.swapaxes(self.d2H, -1, -2)
@@ -252,10 +258,10 @@ class CxBlocks:
 
     def chern_ricci(self):
         """(R_{i jbar} = -d_i d_jbar log det h, its trace s_C)."""
-        if self.d2H is None:
+        if self.mixedH is None:
             raise ValueError("second derivatives were not requested")
         n = self.n
-        M2 = self.d2H[..., :n, n:, :, :]  # d_i d_jbar H
+        M2 = self.mixedH  # d_i d_jbar H
         t1 = np.einsum("...kl,...ijlk->...ij", self.Hinv, M2, optimize=True)
         t2 = np.einsum(
             "...ab,...ibc,...cd,...jda->...ij",

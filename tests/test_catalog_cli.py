@@ -184,6 +184,82 @@ def test_planted_nan_on_the_grid_fails_adjoints(monkeypatch, part):
     assert all(np.isfinite(r.value) for r in report.records if r.check.startswith("adjoint_c"))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # from the planted NaN
+@pytest.mark.parametrize("command", ["gauduchon", "classify", "theorem-t"])
+def test_planted_nan_in_the_galerkin_assembly_fails_fast(monkeypatch, capsys, command):
+    # a NaN in H[0, 0] at grid node 5 must stop the solve as a failed check
+    # naming the node, before the inverse-power iteration starts
+    from curvlab import cli as climod
+
+    build = climod.build_manifold
+
+    def planted_build(spec):
+        entry = build(spec)
+        metric = entry.metric
+        node = entry.grid.nodes[5]
+        value_fn, jet_fn = metric.value_fn, metric.jet_fn
+
+        def value(z):
+            H = value_fn(z)
+            H[..., 0, 0][np.all(z == node, axis=-1)] = np.nan
+            return H
+
+        def jet(z):
+            out = jet_fn(z)
+            out.H[..., 0, 0][np.all(z == node, axis=-1)] = np.nan
+            return out
+
+        metric.value_fn, metric.jet_fn = value, jet
+        return entry
+
+    solves = []
+    solve = np.linalg.solve
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(climod, "build_manifold", planted_build)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    argv = [command, "--manifold", "hopf-standard"]
+    if command == "theorem-t":
+        argv += ["--t", "0.2"]
+    assert main(argv + ["--format", "records"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+
+    def reject(name):
+        raise ValueError(f"bare {name} in the records")
+
+    parsed = [json.loads(line, parse_constant=reject) for line in lines]
+    assert parsed[-1] == {"verdict": "check failed: non-finite integrand at node 5: nan"}
+    assert all(not r["pass"] for r in parsed if "check" in r)
+    assert not solves
+
+
+@pytest.mark.parametrize("command", ["gauduchon", "theorem-t", "classify"])
+def test_solve_commands_never_build_the_factor_hessian(monkeypatch, command):
+    from curvlab.catalog import HopfBasis
+    from curvlab.jets import MixedJet
+
+    calls = {"hessian": 0, "mixed-first": 0}
+    hessian, combination = HopfBasis._hessian, HopfBasis._combination
+
+    def counted_hessian(self, *args):
+        calls["hessian"] += 1
+        return hessian(self, *args)
+
+    def counted_combination(self, z, jet_type, *args):
+        calls["mixed-first"] += jet_type is MixedJet
+        return combination(self, z, jet_type, *args)
+
+    monkeypatch.setattr(HopfBasis, "_hessian", counted_hessian)
+    monkeypatch.setattr(HopfBasis, "_combination", counted_combination)
+    code, report = run(make_config([command, "--manifold", "hopf-conformal", "--grid", "4"]))
+    assert report.records and code in (0, 1)
+    assert calls["mixed-first"] > 0  # the solved factor was evaluated
+    assert calls["hessian"] == 0
+
+
 def test_unknown_format_rejected():
     from curvlab.errors import IoFailure
 

@@ -7,6 +7,7 @@ import pytest
 
 from curvlab import tensors
 from curvlab.catalog import (
+    HopfBasis,
     ManifoldSpec,
     _hopf_basis_spec,
     build_manifold,
@@ -27,6 +28,7 @@ from curvlab.gauduchon import (
     Verdict,
     apply_gauduchon_operator,
     classify,
+    compose_conformal_jet,
     conformal_metric,
     gauduchon_operator_coefficients,
     gauduchon_residual,
@@ -233,6 +235,89 @@ def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solut
         assert np.array_equal(batched.d2.reshape(64, 4, 4), got.d2)
         assert _rel(sol.u_field(z[5]).d1, got.d1[5]) < 1e-15
     assert len(used) == 6
+
+
+@pytest.fixture()
+def factor_hessians(monkeypatch):
+    """Count the recomputations of a solved Hopf factor's full Hessian."""
+    calls = []
+    original = HopfBasis._hessian
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(HopfBasis, "_hessian", counted)
+    return calls
+
+
+def test_solved_factor_is_evaluated_mixed_first(conformal, conformal_solution, factor_hessians):
+    # value, gradient and mixed block by the MixedJet recurrence, against the
+    # same combination evaluated with full Jet2s, on the grid and on the axes
+    basis = conformal.grid.basis
+    combination = basis._combination_of(conformal_solution.coeffs)
+    for z in (conformal.grid.nodes, _axis_points(rng_from_seed(67), 48)):
+        got = conformal_solution.u_field(z)
+        want = basis._combination(z, Jet2, combination)
+        assert _rel(got.val, want.val) < 1e-14
+        assert _rel(got.d1, want.d1) < 1e-14
+        assert _rel(got.mixed, want.mixed) < 1e-14
+        assert got.pending
+    assert not factor_hessians
+    # the first read of d2 recomputes the Hessian once, from the points the
+    # field was called with, and keeps the eager mixed block in its slots
+    buf = _axis_points(rng_from_seed(68), 16)
+    got = conformal_solution.u_field(buf)
+    mixed = got.mixed
+    want = basis._combination(buf.copy(), Jet2, combination)
+    buf[:] = 1.0  # the caller reuses its buffer
+    assert _rel(got.d2, want.d2) < 1e-14 and factor_hessians == [1]
+    assert np.array_equal(got.d2[:, :2, 2:], mixed)
+    assert np.array_equal(got.d2[:, 2:, :2], np.swapaxes(mixed, -1, -2))
+
+
+@pytest.mark.parametrize("op", [lambda j: j.exp(), lambda j: j.log(), lambda j: j ** 0.5,
+                                lambda j: j ** (0.3 - 1.2j), lambda j: j.reciprocal(),
+                                lambda j: j * 0.25, lambda j: 1.5 - j, lambda j: -j,
+                                lambda j: j.conj()])
+def test_factor_jet_operations_keep_the_mixed_block_exact(conformal, conformal_solution, op):
+    z = conformal.random_points(rng_from_seed(69), 32)
+    got = op(conformal_solution.u_field(z))
+    mixed = got.mixed
+    assert got.pending
+    assert np.array_equal(mixed, got.d2[..., :2, 2:])
+
+
+def test_conformal_composition_forms_the_mixed_block_first(conformal, conformal_solution, hopf,
+                                                           factor_hessians):
+    z = conformal.random_points(rng_from_seed(70), 32)
+    f = conformal_solution.factor.field
+    for forced, base in enumerate((hopf.metric.jet(z), conformal.metric.jet(z))):  # eager, pending
+        uj = f(z).exp()
+        jet = compose_conformal_jet(base, uj)
+        mixed = jet.mixed
+        assert jet.pending and uj.pending
+        # the mixed-only consumers leave the full second derivatives pending
+        gauduchon_operator_coefficients(jet)
+        tensors.chern_ricci_from_jet(jet)
+        gauduchon_residual(conformal_metric(conformal.metric, conformal_solution.factor), z)
+        assert jet.pending and uj.pending and len(factor_hessians) == forced
+        assert np.array_equal(mixed, jet.d2[..., :2, 2:, :, :])
+        assert len(factor_hessians) == forced + 1
+    # a Riemannian consumer forces them
+    tensors.scalar_and_torsion_from_jet(compose_conformal_jet(hopf.metric.jet(z), f(z).exp()))
+    assert len(factor_hessians) == 3
+
+
+def test_conformal_values_leave_the_factor_hessian_pending(conformal, conformal_solution,
+                                                           factor_hessians):
+    # the finite-difference route reads values only, at every stencil node
+    z = conformal.grid.nodes[:512]
+    metric = conformal_metric(conformal.metric, conformal_solution.factor)
+    H = metric.value(z)
+    u = conformal_solution.factor.field(z)
+    assert np.all(np.isfinite(H)) and np.all(np.isfinite(u.val))
+    assert u.pending and not factor_hessians
 
 
 @pytest.mark.xfail(
