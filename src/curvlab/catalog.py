@@ -22,6 +22,7 @@ from .fields import (
     HopfTerms,
     OneFormField,
     ScalarField,
+    constant_field,
     hopf_radial_frequency,
     plus_conj,
     random_hopf_oneform,
@@ -352,8 +353,7 @@ def torus_grid(metric: HermitianMetricField, periods, resolution: int) -> Quadra
 
 def _torus_basis(n: int, periods, kmax: int = 1):
     """Real Fourier basis up to |k|_inf <= kmax (constant first)."""
-    basis = [ScalarField(lambda z: Jet2.constant(
-        np.asarray(z).shape[-1], 1.0, np.asarray(z).shape[:-1]), "1")]
+    basis = [constant_field(1.0)]
     seen = set()
     from itertools import product
 
@@ -366,8 +366,8 @@ def _torus_basis(n: int, periods, kmax: int = 1):
         seen.add(key)
         m, l = np.array(key[:n]), np.array(key[n:])
         mode = torus_mode(m, l, periods)
-        basis.append(ScalarField(lambda z, mode=mode: mode(z).real(), f"re{key}"))
-        basis.append(ScalarField(lambda z, mode=mode: mode(z).imag(), f"im{key}"))
+        basis.append(mode.real())
+        basis.append(mode.imag())
     return basis
 
 
@@ -453,6 +453,8 @@ class HopfBasis:
     product.  The products R_k m_j are never formed: the basis declares
     the exponents p_k (k >= 1) in its BasisJets, and the solver lifts
     L m_j to L(R_k m_j) by the Leibniz rule (`gauduchon.lift_radial_modes`).
+    A solved combination (`field`) runs the same recurrence on its own
+    monomials, as MixedJets for its jets and on values alone for its values.
 
     The candidate list is linearly dependent on purpose (monomials of
     |z_i|^2 / |z|^2 sum to one); the solver prunes it through the Gram
@@ -524,7 +526,8 @@ class HopfBasis:
         return BasisJets(monos, self.index, self.imag, self.powers)
 
     def field(self, coeffs, name: str) -> ScalarField:
-        """u = sum c_s phi_s, regrouped per radial mode, with a pending Hessian.
+        """u = sum c_s phi_s, regrouped per radial mode, with a pending Hessian
+        and a value-only path.
 
         Row s adds c_s Re(R_k m_j) or c_s Im(R_k m_j) = Re(-i c_s R_k m_j),
         so u = Re sum_k R_k sum_j W[k, j] m_j.  Only the modes and monomials
@@ -532,7 +535,9 @@ class HopfBasis:
         `__call__` restricted to them and their parents.  A call carries
         MixedJets (value, gradient, mixed block), as assembly does; the full
         Hessian stays pending, and its first read runs the same recurrence
-        with Jet2s on a private copy of the points (`_hessian`).
+        with Jet2s on a private copy of the points (`_hessian`).  The field's
+        `values` runs the recurrence on values alone (`_combination_values`)
+        and equals the value of a call bit for bit.
         """
         combination = self._combination_of(coeffs)
 
@@ -548,7 +553,11 @@ class HopfBasis:
                         lambda: self._hessian(z, combination, mixed).reshape(batch + (4, 4)),
                         mixed.reshape(batch + (2, 2)))
 
-        return ScalarField(evaluate, name)
+        def values(z):
+            val = map_nodes(lambda c: self._combination_values(c, combination), z.reshape(-1, 2))
+            return val.reshape(z.shape[:-1])
+
+        return ScalarField(evaluate, name, values)
 
     def _combination_of(self, coeffs):
         """The modes k with a nonzero weight, each with its weights W[k, j]
@@ -586,6 +595,28 @@ class HopfBasis:
                 term = _lift(jet_type, r2 ** self.powers[k - 1]) * term
             total = term if total is None else total + term
         return total.real()
+
+    def _combination_values(self, z, combination):
+        """The value of `_combination` at the points z (N, 2), by the same
+        operations on values alone: |z|^2, the unit factors, the monomials
+        from their parents, the weighted sums and the real part."""
+        weights, (groups, size, const), used = combination
+        zb = np.conj(z)
+        r2 = z[:, 0] * zb[:, 0] + z[:, 1] * zb[:, 1]
+        rinv = r2**-0.5
+        units = [c * rinv for c in (z[:, 0], z[:, 1], zb[:, 0], zb[:, 1])]
+        monos = np.empty((size, len(z)), dtype=complex)
+        monos[const] = 1.0
+        for js, parent, unit in groups:
+            monos[js] = monos[parent] * units[unit]
+        val = monos[:used]
+        total = None
+        for k, w in weights:
+            term = w @ val
+            if k:
+                term = r2 ** self.powers[k - 1] * term
+            total = term if total is None else total + term
+        return (total + np.conj(total)) * 0.5
 
     def _hessian(self, z, combination, mixed):
         """The full Hessians of the combination at the points z (N, 2).

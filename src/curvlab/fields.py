@@ -1,13 +1,15 @@
 """Smooth scalar and (1, 0)-form fields with analytic jets.
 
 A ScalarField wraps a callable z -> Jet2, so composition through the jet
-algebra keeps exact first and second Wirtinger derivatives.  One-forms
-hold one scalar component per holomorphic coordinate.
+algebra keeps exact first and second Wirtinger derivatives, and may carry
+a value-only path that reads its node values without building the jet.
+One-forms hold one scalar component per holomorphic coordinate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import operator
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -15,34 +17,54 @@ from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
 
 
 class ScalarField:
-    """Callable field z -> Jet2 with light arithmetic helpers."""
+    """Callable field z -> Jet2 with light arithmetic helpers.
 
-    def __init__(self, fn: Callable[[np.ndarray], Jet2], name: str = "field"):
+    `values` gives the node values alone.  A field may carry a value
+    function for it, which must return `fn(z).val` bit for bit without
+    building the jet; without one, `values` reads the jet's value.
+    Arithmetic, `exp`, `log`, `real` and `imag` compose the value paths of
+    their operands with the same operations that the jets run on their
+    values, so a derived field reads its values as cheaply as its parts.
+    """
+
+    def __init__(self, fn: Callable[[np.ndarray], Jet2], name: str = "field",
+                 values: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.fn = fn
         self.name = name
+        self.value_fn = values
 
     def __call__(self, z) -> Jet2:
         return self.fn(np.asarray(z, dtype=complex))
 
     def values(self, z) -> np.ndarray:
-        return self(z).val
+        z = np.asarray(z, dtype=complex)
+        return self(z).val if self.value_fn is None else self.value_fn(z)
+
+    def _map(self, jet_op, value_op, name):
+        """The field jet_op(self(z)), whose values are value_op(self.values(z))."""
+        return ScalarField(lambda z: jet_op(self(z)), name, lambda z: value_op(self.values(z)))
+
+    def _combine(self, other, jet_op, value_op, name):
+        """The field jet_op(self(z), other(z)), with values combined the same way."""
+        return ScalarField(lambda z: jet_op(self(z), other(z)), name,
+                           lambda z: value_op(self.values(z), other.values(z)))
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
-            return ScalarField(lambda z: self(z) + other(z), f"{self.name}+{other.name}")
-        return ScalarField(lambda z: self(z) + other, self.name)
+            return self._combine(other, operator.add, operator.add, f"{self.name}+{other.name}")
+        return self._map(lambda j: j + other, lambda v: v + other, self.name)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, ScalarField):
-            return ScalarField(lambda z: self(z) - other(z), f"{self.name}-{other.name}")
-        return ScalarField(lambda z: self(z) - other, self.name)
+            return self._combine(other, operator.sub, operator.sub, f"{self.name}-{other.name}")
+        return self._map(lambda j: j - other, lambda v: v - other, self.name)
 
     def __mul__(self, c):
         if isinstance(c, ScalarField):
-            return ScalarField(lambda z: self(z) * c(z), f"{self.name}*{c.name}")
-        return ScalarField(lambda z: self(z) * c, self.name)
+            return self._combine(c, operator.mul, operator.mul, f"{self.name}*{c.name}")
+        return self._map(lambda j: j * c, lambda v: v * c, self.name)
 
     __rmul__ = __mul__
 
@@ -50,18 +72,30 @@ class ScalarField:
         return self * (-1.0)
 
     def exp(self):
-        return ScalarField(lambda z: self(z).exp(), f"exp({self.name})")
+        return self._map(lambda j: j.exp(), np.exp, f"exp({self.name})")
 
     def log(self):
-        return ScalarField(lambda z: self(z).log(), f"log({self.name})")
+        return self._map(lambda j: j.log(), np.log, f"log({self.name})")
+
+    def real(self):
+        # Jet2.real is (F + conj F) * 0.5
+        return self._map(lambda j: j.real(), lambda v: (v + np.conj(v)) * 0.5,
+                         f"re({self.name})")
+
+    def imag(self):
+        # Jet2.imag is (F - conj F) * (-0.5j)
+        return self._map(lambda j: j.imag(), lambda v: (v - np.conj(v)) * (-0.5j),
+                         f"im({self.name})")
 
 
 def constant_field(c: float) -> ScalarField:
     def fn(z):
-        z = np.asarray(z, dtype=complex)
         return Jet2.constant(z.shape[-1], c, z.shape[:-1])
 
-    return ScalarField(fn, f"const({c})")
+    def values(z):
+        return np.full(z.shape[:-1], c, dtype=complex)
+
+    return ScalarField(fn, f"const({c})", values)
 
 
 class OneFormField:
@@ -142,7 +176,8 @@ class FieldBasis:
         return BasisJets(MixedJet.stack([phi(z) for phi in self.fields]), self.index, self.imag)
 
     def field(self, coeffs, name: str) -> ScalarField:
-        """sum c_s phi_s over the nonzero coefficients."""
+        """sum c_s phi_s over the nonzero coefficients; its values sum the
+        values of phi_s alone."""
         terms = [(float(c), phi) for c, phi in zip(coeffs, self.fields) if c != 0.0]
 
         def fn(z):
@@ -151,7 +186,13 @@ class FieldBasis:
                 out = out + phi(z) * c
             return out
 
-        return ScalarField(fn, name)
+        def values(z):
+            out = terms[0][1].values(z) * terms[0][0]
+            for c, phi in terms[1:]:
+                out = out + phi.values(z) * c
+            return out
+
+        return ScalarField(fn, name, values)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +214,9 @@ def torus_mode(m, l, periods, coeff=1.0) -> ScalarField:
     """Complex exponential exp(2 pi i (m.x/p + l.y/p)) as a jet field."""
     a, b = torus_mode_vectors(m, l, periods)
     name = f"mode{tuple(np.asarray(m, dtype=float))}{tuple(np.asarray(l, dtype=float))}"
-    return ScalarField(lambda z: exp_linear(z, a, b, coeff), name)
+    # the value of exp_linear, by the same operations
+    return ScalarField(lambda z: exp_linear(z, a, b, coeff), name,
+                       lambda z: coeff * np.exp(z @ a + np.conj(z) @ b))
 
 
 class TorusTerms:

@@ -19,11 +19,19 @@ basis stacks the monomials only and declares the exponents p_k;
 `lift_radial_modes` applies L to the monomials once and lifts the result
 to every product by the Leibniz rule, with the derivatives of s shared
 by all of them, so no product jet is formed.  A basis without radial
-exponents (a plain field list) gives m and L m as they are.  The solved u
-is kept as basis coefficients, regrouped per radial mode on the Hopf
-grid (u = Re sum_k R_k sum_j W_kj m_j), and evaluated over the surviving
-modes and monomials only, with its value, gradient and mixed block; its
-full Hessian stays pending until something reads it.
+exponents (a plain field list) gives m and L m as they are.
+
+The Gram and operator matrices are summed chunk by chunk
+(`galerkin_matrices`): a chunk's value and L-value rows are added to the
+two m x m matrices and dropped, and checked for non-finite entries on the
+way, so a solve never holds an m x N matrix.  The solved u is kept as
+basis coefficients, regrouped per radial mode on the Hopf grid
+(u = Re sum_k R_k sum_j W_kj m_j), and evaluated over the surviving modes
+and monomials only, with its value, gradient and mixed block; its full
+Hessian stays pending until something reads it.  Its node values, and
+every value read of the solved metric (the finite-difference stencil),
+go through a value-only path that runs the same recurrence on values
+alone.
 
 Every step to the Gauduchon total reads mixed second derivatives d_i d_jbar
 only: the operator coefficients (`_alpha_tower`), the Chern-Ricci form and
@@ -78,14 +86,13 @@ class ConformalFactor:
 
     @classmethod
     def from_field(cls, grid: QuadratureGrid, fld: ScalarField):
-        vals = np.real(fld(grid.nodes).val)
+        vals = np.real(fld.values(grid.nodes))
         mean = float(np.mean(vals))
         return cls(grid, vals - mean, fld - mean)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("conformal factor has non-finite values")
+        _check_finite(0, self.values)
 
     @property
     def mean(self) -> float:
@@ -130,7 +137,7 @@ def conformal_metric(metric: HermitianMetricField, factor) -> HermitianMetricFie
         raise ValueError("conformal factor lacks a smooth field evaluator")
 
     def value(z):
-        u = np.exp(np.real(fld(z).val))
+        u = np.exp(np.real(fld.values(z)))
         return u[..., None, None] * metric.value(z)
 
     jet_fn = None
@@ -335,6 +342,48 @@ class GauduchonSolution:
     u_field: ScalarField
 
 
+def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.ndarray):
+    """Gram and operator matrices of the grid's basis, (m, m) each.
+
+    gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t,
+    accumulated in one pass over node chunks: a chunk's value rows V and
+    L-value rows adds B B^T with B = V sqrt(w) to the Gram matrix (a
+    symmetric rank-k product) and (V w) L^T to the operator, and is then
+    dropped, so no (m, N) matrix is kept.  The first chunk with a
+    non-finite weight, value or L-value raises NonFiniteIntegrand at its
+    first bad node.
+    """
+    m = len(grid.basis)
+    gram = np.zeros((m, m))
+    op = np.zeros((m, m))
+
+    def accumulate(idx):
+        pts = grid.nodes[idx]
+        coeffs = gauduchon_operator_coefficients(metric.jet(pts))
+        batch = grid.basis_batch(pts)
+        val, lval = lift_radial_modes(coeffs, batch, pts)
+        vals, lvals = batch.rows(val), batch.rows(lval)
+        wc = w[idx]
+        _check_finite(int(idx[0]), wc, vals, lvals)
+        B = vals * np.sqrt(wc)
+        np.add(gram, B @ B.T, out=gram)
+        np.add(op, (vals * wc) @ lvals.T, out=op)
+
+    map_nodes(accumulate, np.arange(len(grid.nodes)))
+    return gram, op
+
+
+def _check_finite(first, *rows):
+    """NonFiniteIntegrand at the first node where one of `rows` (arrays with
+    the node axis last, node `first` at position 0) is not finite."""
+    if all(np.all(np.isfinite(r)) for r in rows):
+        return
+    columns = np.vstack(rows)  # (rows, nodes)
+    i = int(np.argmax(~np.all(np.isfinite(columns), axis=0)))
+    col = columns[:, i]
+    raise NonFiniteIntegrand(first + i, float(col[np.argmax(~np.isfinite(col))]))
+
+
 def solve_gauduchon(
     metric: HermitianMetricField,
     grid: QuadratureGrid,
@@ -346,9 +395,13 @@ def solve_gauduchon(
     """Gauduchon factor of the conformal class of `metric` on `grid`.
 
     The positive null vector of the discretized operator gives
-    u = e^((n-1) f); the factor f is mean-zero over the grid nodes.  A
-    non-finite Gram or operator matrix raises NonFiniteIntegrand at the
-    first bad node, before any eigen-solve or iteration.
+    u = e^((n-1) f); the factor f is mean-zero over the grid nodes.  The
+    Gram and operator matrices are streamed over node chunks
+    (`galerkin_matrices`), so the solve holds O(m^2) plus one chunk; a
+    non-finite weight, basis value or L-value raises NonFiniteIntegrand at
+    its node, before any eigen-solve or iteration.  The node values of u
+    (positivity, the sign of the null vector, f) come from the solved
+    field's value-only path; a non-finite one raises NonFiniteIntegrand.
     """
     if grid is None or grid.basis is None:
         raise QuadratureUnsupported("manifold provides no quadrature grid / basis")
@@ -357,22 +410,7 @@ def solve_gauduchon(
         raise ValueError("the Gauduchon factor is only determined for n >= 2")
 
     w = volume_weights(metric, grid)
-
-    def rows(pts):
-        coeffs = gauduchon_operator_coefficients(metric.jet(pts))
-        batch = grid.basis_batch(pts)
-        val, lval = lift_radial_modes(coeffs, batch, pts)
-        return batch.rows(val), batch.rows(lval)
-
-    # (m, N) each: one row per basis function, written chunk by chunk
-    vals, lvals = map_nodes(rows, grid.nodes, axis=-1)
-
-    gram = (vals * w) @ vals.T
-    if not np.all(np.isfinite(gram)):
-        _raise_first_non_finite(w, vals, lvals)
-    op = (vals * w) @ lvals.T
-    if not np.all(np.isfinite(op)):
-        _raise_first_non_finite(w, vals, lvals)
+    gram, op = galerkin_matrices(metric, grid, w)
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > prune_tol * np.max(evals)
     T = (evecs[:, keep] / np.sqrt(evals[keep])).T  # orthonormalizing transform
@@ -405,35 +443,26 @@ def solve_gauduchon(
         )
     res = float(np.linalg.norm(M @ x)) / scale
 
-    c_cand = T.T @ x
-    u_nodes = c_cand @ vals
-    dominant = int(np.argmax(np.abs(u_nodes)))
-    if u_nodes[dominant] < 0:
-        c_cand = -c_cand
-        u_nodes = -u_nodes
+    coeffs = np.asarray(T.T @ x, dtype=float)
+    coeffs = np.where(np.abs(coeffs) > 1e-14 * np.max(np.abs(coeffs)), coeffs, 0.0)
+    u_field = grid.basis.field(coeffs, "gauduchon-u")
+    u_nodes = np.real(u_field.values(grid.nodes))
+    _check_finite(0, u_nodes)
+    if u_nodes[np.argmax(np.abs(u_nodes))] < 0:
+        # negating the coefficients negates every value exactly
+        coeffs, u_nodes = -coeffs, -u_nodes
+        u_field = grid.basis.field(coeffs, "gauduchon-u")
     if np.min(u_nodes) <= positivity_tol * np.max(np.abs(u_nodes)):
         raise NoPositiveNullVector(
             f"null vector changes sign (min {np.min(u_nodes):.3e}, max {np.max(u_nodes):.3e}); "
             "discretization too coarse"
         )
 
-    coeffs = np.asarray(c_cand, dtype=float)
-    coeffs = np.where(np.abs(coeffs) > 1e-14 * np.max(np.abs(coeffs)), coeffs, 0.0)
-    u_field = grid.basis.field(coeffs, "gauduchon-u")
     f_nodes = np.log(u_nodes) / (n - 1)
     mean = float(np.mean(f_nodes))
     f_field = u_field.log() * (1.0 / (n - 1)) - mean
     factor = ConformalFactor(grid, f_nodes - mean, f_field)
     return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field)
-
-
-def _raise_first_non_finite(w, vals, lvals):
-    """NonFiniteIntegrand at the first node whose weight, basis values or
-    L-values are not finite."""
-    columns = np.vstack([w, vals, lvals])  # (1 + 2m, N)
-    node = int(np.argmax(~np.all(np.isfinite(columns), axis=0)))
-    col = columns[:, node]
-    raise NonFiniteIntegrand(node, float(col[np.argmax(~np.isfinite(col))]))
 
 
 # ---------------------------------------------------------------------------

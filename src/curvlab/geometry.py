@@ -36,13 +36,16 @@ def map_nodes(fn, nodes, axis: int = 0):
 
     fn returns an array or a tuple of arrays holding the chunk's nodes along
     `axis` (0 or -1).  Each chunk's result is written into one output per
-    array, allocated at the first chunk; no per-chunk list is joined.
+    array, allocated at the first chunk; no per-chunk list is joined.  A
+    pass that accumulates instead (fn returns None) returns None.
     """
     N = len(nodes)
     out = None
     for lo in range(0, max(N, 1), NODE_CHUNK):
         hi = min(lo + NODE_CHUNK, N)
         res = fn(nodes[lo:hi])
+        if res is None:
+            continue
         parts = res if isinstance(res, tuple) else (res,)
         if out is None:
             out = []
@@ -52,6 +55,8 @@ def map_nodes(fn, nodes, axis: int = 0):
                 out.append(np.empty(shape, dtype=p.dtype))
         for o, p in zip(out, parts):
             np.moveaxis(o, axis, 0)[lo:hi] = np.moveaxis(p, axis, 0)
+    if out is None:
+        return None
     return tuple(out) if isinstance(res, tuple) else out[0]
 
 

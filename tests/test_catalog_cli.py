@@ -1,6 +1,9 @@
 """Catalog construction, CLI exit contract, and report serialization."""
 
 import json
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +261,60 @@ def test_solve_commands_never_build_the_factor_hessian(monkeypatch, command):
     assert report.records and code in (0, 1)
     assert calls["mixed-first"] > 0  # the solved factor was evaluated
     assert calls["hessian"] == 0
+
+
+def test_finite_difference_solve_reads_the_factor_by_values(monkeypatch):
+    # the stencil on the solved metric reads the factor's values only, so the
+    # jet recurrence of the solved factor never runs
+    from curvlab.catalog import HopfBasis
+
+    calls = []
+    combination = HopfBasis._combination
+    monkeypatch.setattr(HopfBasis, "_combination",
+                        lambda self, *args: calls.append(1) or combination(self, *args))
+    code, report = run(make_config(["gauduchon", "--manifold", "hopf-standard", "--grid", "4",
+                                    "--derivative-mode", "fd"]))
+    assert code == 0 and report.records
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # from the planted NaN
+def test_planted_nan_in_the_solved_values_fails_as_a_check(monkeypatch, capsys):
+    from curvlab.catalog import HopfBasis
+
+    values = HopfBasis._combination_values
+
+    def planted(self, z, combination):
+        out = values(self, z, combination)
+        out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(HopfBasis, "_combination_values", planted)
+    argv = ["gauduchon", "--manifold", "hopf-standard", "--grid", "4", "--format", "records"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[-1]) == {"verdict": "check failed: non-finite integrand at node 7: nan"}
+
+
+_SECOND_RUN_FAULTS = """
+import resource
+from curvlab.cli import make_config, run
+cfg = make_config(["gauduchon", "--manifold", "hopf-standard", "--grid", "4"])
+run(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_a_run_reuses_the_memory_of_freed_chunks():
+    # a fresh process: no earlier test has raised glibc's thresholds there.
+    # Each node chunk frees about 17 MB; returned to the kernel, it would be
+    # faulted in again by the next chunk (thousands of pages per chunk).
+    out = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) < 2000
 
 
 def test_unknown_format_rejected():

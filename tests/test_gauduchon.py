@@ -1,5 +1,6 @@
 """Conformal changes, the Gauduchon solver, totals, and verdicts."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from curvlab.catalog import (
     hopf_conformal_direction,
     rng_from_seed,
 )
-from curvlab.errors import NoPositiveNullVector, NonConvergence, NotGauduchon
+from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand, NotGauduchon
 from curvlab.fields import (
     ScalarField,
     constant_field,
@@ -30,6 +31,7 @@ from curvlab.gauduchon import (
     classify,
     compose_conformal_jet,
     conformal_metric,
+    galerkin_matrices,
     gauduchon_operator_coefficients,
     gauduchon_residual,
     lift_radial_modes,
@@ -37,7 +39,7 @@ from curvlab.gauduchon import (
     theorem_t_check,
     total_chern_scalar,
 )
-from curvlab.geometry import DerivativeEngine
+from curvlab.geometry import NODE_CHUNK, DerivativeEngine, map_nodes, volume_weights
 from curvlab.jets import Jet2, MixedJet
 from tests.conftest import hopf_points
 
@@ -318,6 +320,99 @@ def test_conformal_values_leave_the_factor_hessian_pending(conformal, conformal_
     u = conformal_solution.factor.field(z)
     assert np.all(np.isfinite(H)) and np.all(np.isfinite(u.val))
     assert u.pending and not factor_hessians
+
+
+def _dense_matrices(metric, grid, w):
+    """Gram and operator matrices from the full (m, N) value and L-value rows."""
+
+    def rows(pts):
+        coeffs = gauduchon_operator_coefficients(metric.jet(pts))
+        batch = grid.basis_batch(pts)
+        val, lval = lift_radial_modes(coeffs, batch, pts)
+        return batch.rows(val), batch.rows(lval)
+
+    vals, lvals = map_nodes(rows, grid.nodes, axis=-1)
+    return (vals * w) @ vals.T, (vals * w) @ lvals.T
+
+
+@pytest.mark.parametrize("which", ["hopf-conformal", "torus-kahler-potential"])
+def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, which):
+    entry = conformal if which == "hopf-conformal" else kahler_torus
+    assert len(entry.grid.nodes) > NODE_CHUNK  # more than one chunk is summed
+    w = volume_weights(entry.metric, entry.grid)
+    streamed = galerkin_matrices(entry.metric, entry.grid, w)
+    for got, want in zip(streamed, _dense_matrices(entry.metric, entry.grid, w)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    gram = streamed[0]
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # from the planted NaN
+@pytest.mark.parametrize("part", ["weight", "operator"])
+def test_nan_past_the_first_chunk_is_reported_at_its_node(hopf, monkeypatch, part):
+    node = hopf.grid.nodes[5000]
+    metric = hopf.metric
+
+    def plant(H, z):
+        H = H.copy()
+        H[..., 0, 0][np.all(z == node, axis=-1)] = np.nan
+        return H
+
+    if part == "weight":
+        planted = replace(metric, value_fn=lambda z: plant(metric.value_fn(z), z))
+    else:
+        def jet(z):
+            out = metric.jet_fn(z)
+            out.H = plant(out.H, z)
+            return out
+
+        planted = replace(metric, jet_fn=jet)
+    eigen_solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigen_solves.append(1) or eigh(a))
+    with pytest.raises(NonFiniteIntegrand) as err:
+        solve_gauduchon(planted, hopf.grid)
+    assert err.value.node_index == 5000 and np.isnan(err.value.value)
+    assert not eigen_solves
+
+
+def test_value_path_equals_the_jet_value(conformal, conformal_solution, kahler_torus,
+                                         factor_hessians, monkeypatch):
+    # the solved fields' values, bit for bit, with no jet of the factor built
+    combinations = []
+    combination = HopfBasis._combination
+    monkeypatch.setattr(HopfBasis, "_combination",
+                        lambda self, *args: combinations.append(1) or combination(self, *args))
+    torus = solve_gauduchon(kahler_torus.metric, kahler_torus.grid)
+    cases = [(fld, z, fld.values(z))
+             for entry, sol in ((conformal, conformal_solution), (kahler_torus, torus))
+             for z in (entry.grid.nodes, _axis_points(rng_from_seed(71), 48))
+             for fld in (sol.u_field, sol.factor.field)]
+    assert not combinations
+    for fld, z, vals in cases:
+        assert np.array_equal(vals, fld(z).val)
+    assert np.array_equal(conformal_solution.u_nodes,
+                          np.real(conformal_solution.u_field.values(conformal.grid.nodes)))
+    assert not factor_hessians
+
+
+def test_solve_holds_no_value_matrix(conformal):
+    tracemalloc.start()
+    try:
+        solve_gauduchon(conformal.metric, conformal.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (222, 13824) float64 matrix alone is 24.5 MB
+    assert peak <= 40e6
+
+
+def test_non_finite_factor_values_fail_as_a_check(hopf):
+    values = np.zeros(len(hopf.grid.nodes))
+    values[9] = np.inf
+    with pytest.raises(NonFiniteIntegrand) as err:
+        ConformalFactor(hopf.grid, values)
+    assert err.value.node_index == 9
 
 
 @pytest.mark.xfail(
