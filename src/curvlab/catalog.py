@@ -19,10 +19,12 @@ import numpy as np
 from .errors import NotPositiveDefinite, UnknownId
 from .fields import (
     BasisJets,
+    ExponentTable,
     HopfTerms,
     OneFormField,
     ScalarField,
     constant_field,
+    coordinate_slots,
     hopf_radial_frequency,
     plus_conj,
     random_hopf_oneform,
@@ -40,7 +42,6 @@ from .geometry import (
     PuncturedDomain,
     QuadratureGrid,
     UpperHalfFirstDomain,
-    map_nodes,
     metric_jet_from_entries,
 )
 from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
@@ -445,16 +446,16 @@ class HopfBasis:
     Every basis function is the real or imaginary part of a complex
     product phi = R_k m_j (`_hopf_basis_spec` gives the order): a radial
     mode R_k = exp(i beta_k t) = s^p_k, with t = log |z|, s = |z|^2 and
-    p_k = i beta_k / 2, times a sphere monomial m_j = z^a zbar^b / |z|^(|a|+|b|).
-    One call evaluates the monomials at a node chunk as one stacked
-    MixedJet (value, gradient and mixed Hessian block): each is built from
-    its parent by one product with a unit factor z_i/|z| or zbar_i/|z|,
-    all monomials of one degree and one unit factor in one stacked
-    product.  The products R_k m_j are never formed: the basis declares
-    the exponents p_k (k >= 1) in its BasisJets, and the solver lifts
-    L m_j to L(R_k m_j) by the Leibniz rule (`gauduchon.lift_radial_modes`).
-    A solved combination (`field`) runs the same recurrence on its own
-    monomials, as MixedJets for its jets and on values alone for its values.
+    p_k = i beta_k / 2, times a sphere monomial m_j = w^e_j / |z|^|e_j|,
+    w = (z1, z2, zbar1, zbar2).  So phi = s^q_kj w^e_j with
+    q_kj = p_k - |e_j| / 2 (p_0 = 0): a polynomial times a radial power.
+    One call evaluates the F polynomials w^e_j at a node chunk (value,
+    gradient and mixed Hessian block) by gathers from one table of
+    monomials (`fields.ExponentTable`), and declares the exponents q_kj
+    in its BasisJets; the solver applies L to the polynomials once and
+    lifts L P_j to L(s^q P_j) by the Leibniz rule
+    (`gauduchon.lift_radial_modes`).  A solved combination (`field`) is one
+    `fields.HopfTerms` table over the same exponents.
 
     The candidate list is linearly dependent on purpose (monomials of
     |z_i|^2 / |z|^2 sum to one); the solver prunes it through the Gram
@@ -465,194 +466,39 @@ class HopfBasis:
         spec = _hopf_basis_spec(kmax_t, max_degree)
         monos = sorted({ab + cd for _, ab, cd, _ in spec}, key=lambda m: (sum(m), m))
         pos = {m: j for j, m in enumerate(monos)}
-        self._parents = [_monomial_parent(m, pos) for m in monos[1:]]
-        self._nmono = len(monos)
-        # one stacked product per degree and unit factor: a monomial's parent
-        # has one degree less
-        degree = np.array([sum(m) for m in monos])
-        parents = np.array([(0, 0)] + self._parents)  # row 0 pads the constant
-        self._groups = []
-        for d in range(1, degree.max() + 1):
-            for unit in range(4):
-                js = np.flatnonzero((degree == d) & (parents[:, 1] == unit))
-                if len(js):
-                    self._groups.append((js, parents[js, 0], unit))
-        self._every = self._plan(np.arange(self._nmono))
-        self.powers = 0.5j * np.array([hopf_radial_frequency(k) for k in range(1, kmax_t + 1)])
+        self.expo = np.array(monos)  # (F, 4): exponents of z1, z2, zbar1, zbar2
+        self._table = ExponentTable(np.arange(len(monos)), np.ones(len(monos)), self.expo)
+        radial = 0.5j * np.array([hopf_radial_frequency(k) for k in range(kmax_t + 1)])
+        # exponent q_kj of complex function k F + j
+        self.powers = (radial[:, None] - 0.5 * self.expo.sum(axis=1)).ravel()
         self.index = np.array([k * len(monos) + pos[ab + cd] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def _plan(self, rows):
-        """The recurrence restricted to the monomials `rows`, stored in that order.
-
-        `rows` must hold the parent of each of its monomials.  Gives the
-        groups (stored positions of the monomials and of their parents, unit
-        factor), the number of rows and the position of the constant.
-        """
-        at = np.full(self._nmono, -1)
-        at[rows] = np.arange(len(rows))
-        groups = []
-        for js, parent, unit in self._groups:
-            keep = at[js] >= 0
-            if np.any(keep):
-                groups.append((at[js[keep]], at[parent[keep]], unit))
-        return groups, len(rows), at[0]
-
-    def _stack(self, z, jet_type, plan):
-        """|z|^2 as a Jet2, and the monomials of `plan` as one stacked `jet_type`.
-
-        jet_type is MixedJet (value, gradient, mixed block: what assembly
-        and the solved factor read) or Jet2 (full Hessians, for the solved
-        factor's pending Hessian).
-        """
-        groups, size, const = plan
-        zs, zbs = coordinate_jets(z)
-        r2 = zs[0] * zbs[0] + zs[1] * zbs[1]
-        rinv = _lift(jet_type, r2 ** -0.5)
-        units = [_lift(jet_type, c) * rinv for c in zs + zbs]
-        parts = [np.empty((size,) + a.shape, dtype=complex) for a in _components(units[0])]
-        parts[0][const], parts[1][const], parts[2][const] = 1.0, 0.0, 0.0
-        for js, parent, unit in groups:
-            prod = jet_type(2, *(p[parent] for p in parts)) * units[unit]
-            for p, x in zip(parts, _components(prod)):
-                p[js] = x
-        return r2, jet_type(2, *parts)
-
     def __call__(self, z) -> BasisJets:
-        _, monos = self._stack(np.asarray(z, dtype=complex), MixedJet, self._every)
-        return BasisJets(monos, self.index, self.imag, self.powers)
+        z = np.asarray(z, dtype=complex)
+        val, d1 = self._table(coordinate_slots(z), "first")  # d1: gradient and mixed block
+        polys = MixedJet(2, val, np.moveaxis(d1[:, :4], 1, -1),
+                         np.moveaxis(d1[:, 4:], 1, -1).reshape(val.shape + (2, 2)))
+        return BasisJets(polys, self.index, self.imag, self.powers)
 
     def field(self, coeffs, name: str) -> ScalarField:
-        """u = sum c_s phi_s, regrouped per radial mode, with a pending Hessian
-        and a value-only path.
+        """u = sum c_s phi_s as one HopfTerms table: Re sum W_i s^q_i w^e_i.
 
-        Row s adds c_s Re(R_k m_j) or c_s Im(R_k m_j) = Re(-i c_s R_k m_j),
-        so u = Re sum_k R_k sum_j W[k, j] m_j.  Only the modes and monomials
-        with a nonzero coefficient are evaluated, through the recurrence of
-        `__call__` restricted to them and their parents.  A call carries
-        MixedJets (value, gradient, mixed block), as assembly does; the full
-        Hessian stays pending, and its first read runs the same recurrence
-        with Jet2s on a private copy of the points (`_hessian`).  The field's
-        `values` runs the recurrence on values alone (`_combination_values`)
-        and equals the value of a call bit for bit.
+        Row s adds c_s Re(phi) or c_s Im(phi) = Re(-i c_s phi) to the weight
+        W of its complex function; the functions with a nonzero weight are
+        the terms (W / 2) s^q w^e of a table T, and u = T + conj(T).  Its jets
+        carry value, gradient and mixed block with the Hessian pending, and
+        its values come from the table alone.
         """
-        combination = self._combination_of(coeffs)
-
-        def chunk(z):
-            u = self._combination(z, MixedJet, combination)
-            return u.val, u.d1, u.mixed
-
-        def evaluate(z):
-            batch = z.shape[:-1]
-            z = np.array(z.reshape(-1, 2))  # private: the pending Hessian reads it later
-            val, d1, mixed = map_nodes(chunk, z)
-            return Jet2(2, val.reshape(batch), d1.reshape(batch + (4,)),
-                        lambda: self._hessian(z, combination, mixed).reshape(batch + (4, 4)),
-                        mixed.reshape(batch + (2, 2)))
-
-        def values(z):
-            val = map_nodes(lambda c: self._combination_values(c, combination), z.reshape(-1, 2))
-            return val.reshape(z.shape[:-1])
-
-        return ScalarField(evaluate, name, values)
-
-    def _combination_of(self, coeffs):
-        """The modes k with a nonzero weight, each with its weights W[k, j]
-        over the weighted monomials, the recurrence plan and the number of
-        weighted monomials of u = sum c_s phi_s."""
         coeffs = np.asarray(coeffs, dtype=float)
-        nmono = self._nmono
-        nmodes = len(self.powers) + 1
-        W = np.zeros(nmodes * nmono, dtype=complex)
+        W = np.zeros(len(self.powers), dtype=complex)
         np.add.at(W, self.index, np.where(self.imag, -1j * coeffs, coeffs))
-        W = W.reshape(nmodes, nmono)
-        modes = [k for k in range(nmodes) if np.any(W[k] != 0)]
-        cols = np.nonzero(np.any(W != 0, axis=0))[0]
-        need = np.zeros(nmono, dtype=bool)
-        need[cols] = True
-        for j in range(nmono - 1, 0, -1):  # parents precede their children
-            if need[j]:
-                need[self._parents[j - 1][0]] = True
-        need[cols] = False
-        # the monomials with a coefficient first, then the parents they need
-        plan = self._plan(np.concatenate([cols, np.nonzero(need)[0]]))
-        # one contiguous weight array per mode: a row of one (mode, monomial)
-        # array would change how BLAS sums w @ val, and so u's last bits
-        return [(k, W[k, cols]) for k in modes], plan, len(cols)
-
-    def _combination(self, z, jet_type, combination):
-        """Re sum_k R_k sum_j W[k, j] m_j at the points z (N, 2), as a jet_type."""
-        weights, plan, used = combination
-        r2, monos = self._stack(z, jet_type, plan)
-        val, d1, second = (a[:used] for a in _components(monos))
-        total = None
-        for k, w in weights:
-            term = jet_type(2, w @ val, np.tensordot(w, d1, 1), np.tensordot(w, second, 1))
-            if k:
-                term = _lift(jet_type, r2 ** self.powers[k - 1]) * term
-            total = term if total is None else total + term
-        return total.real()
-
-    def _combination_values(self, z, combination):
-        """The value of `_combination` at the points z (N, 2), by the same
-        operations on values alone: |z|^2, the unit factors, the monomials
-        from their parents, the weighted sums and the real part."""
-        weights, (groups, size, const), used = combination
-        zb = np.conj(z)
-        r2 = z[:, 0] * zb[:, 0] + z[:, 1] * zb[:, 1]
-        rinv = r2**-0.5
-        units = [c * rinv for c in (z[:, 0], z[:, 1], zb[:, 0], zb[:, 1])]
-        monos = np.empty((size, len(z)), dtype=complex)
-        monos[const] = 1.0
-        for js, parent, unit in groups:
-            monos[js] = monos[parent] * units[unit]
-        val = monos[:used]
-        total = None
-        for k, w in weights:
-            term = w @ val
-            if k:
-                term = r2 ** self.powers[k - 1] * term
-            total = term if total is None else total + term
-        return (total + np.conj(total)) * 0.5
-
-    def _hessian(self, z, combination, mixed):
-        """The full Hessians of the combination at the points z (N, 2).
-
-        The mixed slots take the eager block `mixed` (N, 2, 2) and its
-        transpose, so a jet's mixed block reads the same before and after
-        its Hessian is forced.
-        """
-        d2 = map_nodes(lambda c: self._combination(c, Jet2, combination).d2, z)
-        d2[:, :2, 2:] = mixed
-        d2[:, 2:, :2] = np.swapaxes(mixed, -1, -2)
-        return d2
-
-
-def _components(jet):
-    """Value, gradient and second-order part: d2 of a Jet2, the mixed block of a MixedJet."""
-    return jet.val, jet.d1, (jet.d2 if isinstance(jet, Jet2) else jet.mixed)
-
-
-def _lift(jet_type, jet: Jet2):
-    """The Jet2 `jet` as a jet_type (a MixedJet keeps its mixed block)."""
-    return MixedJet.of(jet) if jet_type is MixedJet else jet
-
-
-def _monomial_parent(m, pos):
-    """(parent index, unit factor) of monomial (a, b, c, d) of degree >= 1.
-
-    The zbar exponents are lowered first, which keeps (a, b) >= (c, d), so
-    the parent is in the spec too.  Unit factors are ordered z1, z2, zbar1,
-    zbar2 (each over |z|), matching the exponent slots.
-    """
-    for slot in (2, 3, 0, 1):
-        if m[slot]:
-            parent = tuple(e - (i == slot) for i, e in enumerate(m))
-            return pos[parent], slot
-    raise ValueError("the constant monomial has no parent")
+        used = np.flatnonzero(W)
+        terms = HopfTerms(0.5 * W[used], self.expo[used % len(self.expo)], self.powers[used])
+        return plus_conj(terms, terms, name)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Commands: check-identities, adjoints, gauduchon, theorem-t, classify,
 yamabe, ahat, lebrun-table.  Exit codes: 0 all checks pass, 1 check
 failure (including a failed numerical check that stops a command: a
-cross-check, Gauduchon gate, non-finite integrand or singular metric),
-2 configuration error (including a characteristic number that `ahat`
-needs but was not given), 3 numerical non-convergence.  A config file of
+cross-check, Gauduchon gate, non-finite integrand, singular metric or any
+other ValueError raised while a command runs), 2 configuration error
+(flags and config file, checked before a command runs, a characteristic
+number that `ahat` needs but was not given, a manifold without the grid
+a command needs), 3 numerical non-convergence.  A config file of
 `key = value` lines mirrors the flags; command-line wins.
 """
 
@@ -32,6 +34,7 @@ from .charclasses import (
     pontryagin_from_chern,
 )
 from .errors import (
+    ConfigError,
     CrossCheckFailed,
     CurvlabError,
     MissingMonomial,
@@ -271,20 +274,27 @@ def cmd_yamabe(cfg: RunConfig, report: Report):
     return 0
 
 
+def _characteristic_data(cfg: RunConfig) -> CharacteristicData:
+    """The characteristic numbers that the ahat flags give; a flag that does
+    not parse, or that names the wrong kind of number, is a ConfigError."""
+    try:
+        if cfg.chern:
+            kind, numbers = parse_characteristic_numbers(cfg.chern)
+            if kind != "c":
+                raise ConfigError("--chern expects c-monomials")
+            return pontryagin_from_chern(CharacteristicData(cfg.dim, chern=numbers, spin=cfg.spin))
+        if cfg.pontryagin:
+            kind, numbers = parse_characteristic_numbers(cfg.pontryagin)
+            if kind != "p":
+                raise ConfigError("--pontryagin expects p-monomials")
+            return CharacteristicData(cfg.dim, pontryagin=numbers, spin=cfg.spin)
+    except ValueError as exc:  # the parser's and the dimension checks
+        raise ConfigError(str(exc)) from exc
+    raise ConfigError("ahat needs --chern or --pontryagin")
+
+
 def cmd_ahat(cfg: RunConfig, report: Report):
-    if cfg.chern:
-        kind, numbers = parse_characteristic_numbers(cfg.chern)
-        if kind != "c":
-            raise ValueError("--chern expects c-monomials")
-        data = CharacteristicData(cfg.dim, chern=numbers, spin=cfg.spin)
-        data = pontryagin_from_chern(data)
-    elif cfg.pontryagin:
-        kind, numbers = parse_characteristic_numbers(cfg.pontryagin)
-        if kind != "p":
-            raise ValueError("--pontryagin expects p-monomials")
-        data = CharacteristicData(cfg.dim, pontryagin=numbers, spin=cfg.spin)
-    else:
-        raise ValueError("ahat needs --chern or --pontryagin")
+    data = _characteristic_data(cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NonIntegerSpinWarning)
         genus = ahat_genus(data)
@@ -367,10 +377,12 @@ def run(cfg: RunConfig):
     except (NonConvergence, NoPositiveNullVector) as exc:
         report.verdicts.append(f"non-convergence: {exc}")
         code = 3
-    except (UnknownId, QuadratureUnsupported, MissingMonomial, ValueError) as exc:
+    except (UnknownId, QuadratureUnsupported, MissingMonomial, ConfigError) as exc:
         report.verdicts.append(f"config error: {exc}")
         code = 2
-    except (CrossCheckFailed, NotGauduchon, NonFiniteIntegrand, SingularMetric) as exc:
+    except (CrossCheckFailed, NotGauduchon, NonFiniteIntegrand, SingularMetric, ValueError) as exc:
+        # configuration is checked before a command runs, so a ValueError
+        # raised inside one is a failed numerical step
         report.verdicts.append(f"check failed: {exc}")
         code = 1
     report.timing = time.time() - t0
@@ -454,6 +466,8 @@ def make_config(argv) -> RunConfig:
     for key in ("points", "triples"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"--{key} must be at least 1, got {getattr(cfg, key)}")
+    if cfg.derivative_mode not in ("analytic", "fd"):
+        raise ValueError(f"--derivative-mode must be analytic or fd, got {cfg.derivative_mode!r}")
     return cfg
 
 

@@ -54,6 +54,10 @@ class NonConvergence(CurvlabError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
+class ConfigError(CurvlabError):
+    """A command's flags or configuration cannot be run as given."""
+
+
 class MissingMonomial(CurvlabError):
     """A required characteristic-number monomial was not supplied."""
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
+from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, mixed_first, squared_radius
 
 
 class ScalarField:
@@ -113,11 +113,20 @@ class OneFormField:
         return [c(z) for c in self.components]
 
     def values_and_dbar(self, z):
-        """Component values eta[..., i] and deta[..., j, i] = d_jbar eta_i."""
+        """Component values eta[..., i] and deta[..., j, i] = d_jbar eta_i.
+
+        Only the value and gradient of each component are kept, not its
+        jet, whose pending Hessian holds the jets it was built from.
+        """
         n = self.n
-        js = self.jets(z)
-        vals = np.stack([j.val for j in js], axis=-1)
-        danti = np.stack([j.d1[..., n:] for j in js], axis=-1)  # (..., j, i)
+
+        def value_and_dbar(comp):
+            jet = comp(z)
+            return jet.val, jet.d1[..., n:]
+
+        parts = [value_and_dbar(c) for c in self.components]
+        vals = np.stack([v for v, _ in parts], axis=-1)
+        danti = np.stack([d for _, d in parts], axis=-1)  # (..., j, i)
         return vals, danti
 
 
@@ -129,11 +138,12 @@ class OneFormField:
 class BasisJets:
     """A real function basis at one node chunk, as stacked complex jets.
 
-    `jet` holds F complex functions m_j along its leading axis.  A basis
-    may declare radial exponents p_1..p_K: complex function k F + j is
-    then R_k m_j with R_k = s^p_k, s = |z|^2 (and R_0 = 1), and only its
-    value and L-value are formed, from the jets of m_j (the radial lift
-    in `gauduchon`).  Real basis function s is the real part of complex
+    `jet` holds F complex functions P_j along its leading axis.  A basis
+    may declare radial exponents: `powers` then holds one exponent q_i per
+    complex function i = k F + j, which is s^q_i P_j with s = |z|^2, and
+    only its value and L-value are formed, from the jets of P_j (the radial
+    lift in `gauduchon`).  Without exponents the complex functions are the
+    P_j themselves.  Real basis function s is the real part of complex
     function index[s], or its imaginary part where imag[s].  Only
     scalar-valued results of a real operator (values, L phi) may be read
     off by `rows`, since L(Re phi) = Re(L phi) holds for such an
@@ -152,9 +162,9 @@ class BasisJets:
         return len(self.index)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        """Real rows (len(self), N) from per-function complex values x ((K + 1) F, N)."""
-        x = x[self.index]
-        return np.where(self.imag[:, None], x.imag, x.real)
+        """Real rows (len(self), N) from per-function complex values x (functions, N)."""
+        parts = np.ascontiguousarray(x).view(float).reshape(x.shape + (2,))  # (re, im)
+        return parts[self.index, :, self.imag.astype(int)]
 
 
 class FieldBasis:
@@ -173,7 +183,17 @@ class FieldBasis:
         return len(self.fields)
 
     def __call__(self, z) -> BasisJets:
-        return BasisJets(MixedJet.stack([phi(z) for phi in self.fields]), self.index, self.imag)
+        """The fields' values, gradients and mixed blocks, stacked; each jet is
+        copied in and dropped before the next is formed."""
+        parts = None
+        for s, phi in enumerate(self.fields):
+            jet = phi(z)
+            if parts is None:
+                parts = [np.empty((len(self),) + a.shape, dtype=complex)
+                         for a in (jet.val, jet.d1, jet.mixed)]
+            for p, a in zip(parts, (jet.val, jet.d1, jet.mixed)):
+                p[s] = a
+        return BasisJets(MixedJet(z.shape[-1], *parts), self.index, self.imag)
 
     def field(self, coeffs, name: str) -> ScalarField:
         """sum c_s phi_s over the nonzero coefficients; its values sum the
@@ -223,10 +243,11 @@ class TorusTerms:
     """The sum over terms t of c_t exp(a_t . z + b_t . zbar), in one pass.
 
     The phases of all terms come from two matrix products; the gradient
-    contracts the weighted exponentials with (a_t, b_t) over the term
-    axis.  The Hessian, their contraction with the outer square of
-    (a_t, b_t), is left pending: `hessian` recomputes the exponentials
-    from a private copy of the points when `d2` is first read.
+    and the mixed block contract the weighted exponentials with (a_t, b_t)
+    and with a_t b_t over the term axis.  The full Hessian, their
+    contraction with the outer square of (a_t, b_t), is left pending:
+    `hessian` recomputes the exponentials from a private copy of the points
+    when `d2` is first read, and its mixed slots take the eager block.
     """
 
     def __init__(self, coeff, a, b):
@@ -235,10 +256,14 @@ class TorusTerms:
         self.b = np.asarray(b, dtype=complex)
         self.ab = np.concatenate([self.a, self.b], axis=1)
         self.ab2 = np.einsum("ta,tb->tab", self.ab, self.ab).reshape(len(self.ab), -1)
+        self.ab_mixed = np.einsum("ta,tb->tab", self.a, self.b).reshape(len(self.ab), -1)
 
     def _terms(self, z):
         """The weighted exponentials, (..., term)."""
         return np.exp(z @ self.a.T + np.conj(z) @ self.b.T) * self.coeff
+
+    def values(self, z) -> np.ndarray:
+        return self._terms(np.asarray(z, dtype=complex)).sum(axis=-1)
 
     def hessian(self, z) -> np.ndarray:
         m = self.ab.shape[1]
@@ -247,9 +272,11 @@ class TorusTerms:
 
     def jet(self, z) -> Jet2:
         z = np.array(z, dtype=complex)  # private: the pending Hessian reads it later
+        n = self.a.shape[1]
         e = self._terms(z)
-        return Jet2(self.ab.shape[1] // 2, e.sum(axis=-1), e @ self.ab,
-                    lambda: self.hessian(z))
+        val = e.sum(axis=-1)
+        mixed = (e @ self.ab_mixed).reshape(e.shape[:-1] + (n, n))
+        return mixed_first(n, val, e @ self.ab, mixed, lambda: self.hessian(z))
 
 
 def _draw_torus_terms(rng, n, periods, amplitude, kmax, modes):
@@ -269,14 +296,21 @@ def _draw_torus_terms(rng, n, periods, amplitude, kmax, modes):
 
 
 def plus_conj(plain, conj, name: str) -> ScalarField:
-    """The field plain + conj(conj) of two term tables; 2 Re(plain) if they are one."""
+    """The field plain + conj(conj) of two term tables; 2 Re(plain) if they are one.
+
+    Its jets carry the mixed block eagerly and leave the Hessian pending;
+    its values are the tables' values alone.
+    """
 
     def fn(z):
         jet = plain.jet(z)
-        other = (jet if conj is plain else conj.jet(z)).conj()
-        return Jet2(jet.n, jet.val + other.val, jet.d1 + other.d1, lambda: jet.d2 + other.d2)
+        return jet + (jet if conj is plain else conj.jet(z)).conj()
 
-    return ScalarField(fn, name)
+    def values(z):
+        v = plain.values(z)
+        return v + np.conj(v if conj is plain else conj.values(z))
+
+    return ScalarField(fn, name, values)
 
 
 def random_torus_scalar(rng, n, periods, amplitude=0.1, kmax=2, modes=4) -> ScalarField:
@@ -347,107 +381,215 @@ def hopf_monomial(alpha, beta) -> ScalarField:
     return ScalarField(fn, f"mono{alpha}{beta}")
 
 
+def coordinate_slots(z):
+    """The 2n coordinate slots w = (z, zbar) of the points z (N, n), as (2n, N)."""
+    return np.concatenate([z, np.conj(z)], axis=1).T
+
+
+def _map_nodes(fn, z):
+    from .geometry import map_nodes  # geometry imports this module
+
+    return map_nodes(fn, z)
+
+
+class ExponentTable:
+    """Polynomial rows Q_r = sum over the terms t of row r of c_t w^e_t in
+    the 2n slots w = (z, zbar), evaluated from one table of monomials.
+
+    Derivatives of a monomial are monomials, d_A w^e = e_A w^(e - 1_A), so
+    the value, gradient, mixed block d_i d_jbar and full Hessian of every
+    row are sums of monomials with fixed weights.  A call computes the
+    monomials that a pass reads, each a product of slot powers, and
+    contracts them with those weights: by one gather per output where
+    every row has one term (a row's output is then one monomial scaled by
+    an integer weight), else by one matrix product.  Nothing divides by a
+    coordinate, so points with z_i = 0 are exact.
+
+    A call returns the rows' values (row, N) and the pass's derivatives
+    (row, output, N): none for "values"; for "first" the gradient (2n) and
+    the mixed block (n * n, i-major); for "second" the gradient and the
+    Hessian (2n * 2n, A-major).  The value monomials lead every pass's
+    table, in one order, and the values are contracted from them alone, so
+    the values are equal bit for bit across passes.
+    """
+
+    PASSES = {
+        "values": (),
+        "first": ("gradient", "mixed"),
+        "second": ("gradient", "hessian"),
+    }
+
+    def __init__(self, row, coeff, expo):
+        row = np.asarray(row, dtype=int)
+        coeff = np.asarray(coeff, dtype=complex)
+        expo = np.asarray(expo, dtype=int)
+        m = expo.shape[1]
+        n = m // 2
+        unit = np.eye(m, dtype=int)
+        # (row, output, exponent, weight) per block
+        entries = {"value": [], "gradient": [], "mixed": [], "hessian": []}
+        for r, c, e in zip(row, coeff, expo):
+            entries["value"].append((r, 0, tuple(e), c))
+            for a in np.flatnonzero(e):
+                ea = e - unit[a]
+                entries["gradient"].append((r, a, tuple(ea), c * e[a]))
+                for b in np.flatnonzero(ea):
+                    eab = tuple(ea - unit[b])
+                    weight = c * e[a] * ea[b]
+                    entries["hessian"].append((r, a * m + b, eab, weight))
+                    if a < n <= b:
+                        entries["mixed"].append((r, a * n + b - n, eab, weight))
+        sizes = {"gradient": m, "mixed": n * n, "hessian": m * m}
+        self.m = m
+        self.size = int(row.max(initial=-1)) + 1  # number of rows
+        value_monos = sorted({e for _, _, e, _ in entries["value"]})
+        self._passes = {}
+        for name, blocks in self.PASSES.items():
+            coo, outputs = [], 0
+            for b in blocks:
+                coo += [(r, outputs + o, e, weight) for r, o, e, weight in entries[b]]
+                outputs += sizes[b]
+            monos = value_monos + sorted({e for _, _, e, _ in coo} - set(value_monos))
+            self._passes[name] = (np.array(monos, dtype=int).reshape(-1, m),
+                                  self._contraction(entries["value"], 1, monos),
+                                  self._contraction(coo, outputs, monos))
+
+    def _contraction(self, coo, outputs: int, monos):
+        """How (row, output, monomial, weight) entries contract a table of
+        `monos` with a zero row appended: (index, scale) for gathers when
+        every (row, output) has at most one term, else a weight matrix."""
+        pos = {e: i for i, e in enumerate(monos)}
+        weights = np.zeros((self.size, outputs, len(monos) + 1), dtype=complex)
+        for r, o, e, weight in coo:
+            weights[r, o, pos[e]] += weight
+        terms = np.count_nonzero(weights, axis=2)
+        if terms.max(initial=0) > 1:
+            used = 1 + max((pos[e] for _, _, e, _ in coo), default=-1)
+            return weights[..., :used].reshape(-1, used)
+        index = np.where(terms, np.argmax(weights != 0, axis=2), len(monos))
+        scale = np.take_along_axis(weights, index[..., None], axis=2)
+        return index, (scale if np.any(scale.imag) else scale.real)
+
+    def __call__(self, w, which: str):
+        """The rows' values (row, N) and the derivatives of pass `which`
+        (row, output, N) at the slots w (2n, N)."""
+        monos, value, derivatives = self._passes[which]
+        powers = np.empty((monos.max(initial=0) + 1,) + w.shape, dtype=complex)
+        powers[0] = 1.0
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], w, out=powers[k])
+        table = np.empty((len(monos) + 1, w.shape[1]), dtype=complex)
+        table[-1] = 0.0
+        table[:-1] = powers[monos[:, 0], 0]
+        for slot in range(1, self.m):
+            table[:-1] *= powers[monos[:, slot], slot]
+        return self._contract(value, table)[:, 0], self._contract(derivatives, table)
+
+    def _contract(self, contraction, table):
+        if isinstance(contraction, tuple):
+            index, scale = contraction
+            out = table[index]
+            out *= scale
+            return out
+        rows = contraction @ table[: contraction.shape[1]]
+        return rows.reshape(self.size, -1, table.shape[1])
+
+
 class HopfTerms:
     """The sum over terms t of c_t w^e_t s^p_t, in one pass.
 
     w = (z, zbar) holds the 2n coordinate slots, e_t a term's exponent per
-    slot and s = |z|^2.  With S_t = s^p_t and monomial P_t = c_t w^e_t,
+    slot and s = |z|^2.  The terms of one power p share a row: the field is
+    sum_p S_p Q_p with S_p = s^p and Q_p = sum c_t w^e_t, the rows of an
+    ExponentTable.  With ds = (zbar, z) and dds the unit pairs
+    d_i d_ibar s = 1,
 
-        d (P S)   = S dP + (p / s) P S ds,
-        dd (P S)  = S ddP + (p / s) S (dP ds + ds dP)
-                    + (p (p - 1) / s^2) P S ds ds + (p / s) P S dds,
+        d (S Q)   = S dQ + (p / s) S Q ds,
+        dd (S Q)  = S ddQ + (p / s) S (dQ ds + ds dQ + Q dds)
+                    + (p (p - 1) / s^2) S Q ds ds,
 
-    and ds = (zbar, z), dds are shared by every term.  The derivatives of
-    a monomial are monomials again, so each jet component is one weighted
-    sum of products S_t * monomial over (term, monomial) pairs; the
-    weights are fixed here, and `jet` contracts them with one matrix
-    product.  Nothing divides by a coordinate, so points with z_i = 0
-    stay exact.
+    so every jet component is a sum over rows of S, p S or p (p - 1) S
+    times a row output, and nothing divides by a coordinate.  Each row's
+    polynomial is summed before its radial power multiplies it, which
+    keeps the rounding of the values as smooth as the polynomials.
 
-    `jet` contracts only the value and gradient weights (the first
-    3 + 2m outputs) and leaves the Hessian pending.  When `d2` is first
-    read, `hessian` forms the pair products again from a private copy of
-    the points and contracts all the weights, so a jet never keeps the
-    (node, pair) products alive.
+    `jet` forms the value, gradient and mixed block and leaves the full
+    Hessian pending; its first read runs `hessian` on a private copy of the
+    points, and the eager block fills its mixed slots.  `values` forms the
+    value alone, by the same operations as the jet's value.  Every read
+    goes through `map_nodes` chunks.
     """
 
     def __init__(self, coeff, expo, power):
         expo = np.asarray(expo, dtype=int)
-        power = np.asarray(power, dtype=complex)
-        m = expo.shape[1]
-        # output rows: value, p * value, p (p - 1) * value, dP (m), p * dP (m), ddP (m * m)
-        rows = {}
+        self.power, row = np.unique(np.asarray(power, dtype=complex), return_inverse=True)
+        self.table = ExponentTable(row.ravel(), coeff, expo)
+        self.m = m = expo.shape[1]
+        self._ds = np.r_[m // 2 : m, 0 : m // 2]  # d_A s = ds[A]: (zbar, z)
+        self._radial_weights = np.stack([self.power, self.power * (self.power - 1.0)])
 
-        def add(t, e, out, weight):
-            key = (t, tuple(e))
-            rows.setdefault(key, np.zeros(3 + 2 * m + m * m, dtype=complex))[out] += weight
-
-        for t, (c, e, p) in enumerate(zip(np.asarray(coeff, dtype=complex), expo, power)):
-            add(t, e, 0, c)
-            add(t, e, 1, c * p)
-            add(t, e, 2, c * p * (p - 1.0))
-            for i in np.flatnonzero(e):
-                ei = e.copy()
-                ei[i] -= 1
-                add(t, ei, 3 + i, c * e[i])
-                add(t, ei, 3 + m + i, c * e[i] * p)
-                for j in np.flatnonzero(ei):
-                    eij = ei.copy()
-                    eij[j] -= 1
-                    add(t, eij, 3 + 2 * m + i * m + j, c * e[i] * ei[j])
-
-        monos = sorted({e for _, e in rows})
-        self.m = m
-        self.power = power
-        self.term = np.array([t for t, _ in rows])
-        self.mono = np.array([monos.index(e) for _, e in rows])
-        self.mono_expo = np.array(monos, dtype=int)  # (monomial, slot)
-        self.weights = np.array(list(rows.values()))  # (pair, output)
-        self.weights_d1 = self.weights[:, : 3 + 2 * m].copy()  # value and gradient outputs
-
-    def _products(self, z):
-        """Slots w (node, 2n), s = |z|^2 and the pair products S_t * monomial (node, pair)."""
-        m = self.m
-        w = np.concatenate([z, np.conj(z)], axis=1)
+    def _radial(self, z):
+        """The slots w (2n, N), s = |z|^2 and the radial factors S = s^p (row, N)."""
         s = np.sum(z.real**2 + z.imag**2, axis=1)
-        powers = [np.ones_like(w.T)]
-        for _ in range(self.mono_expo.max(initial=0)):
-            powers.append(powers[-1] * w.T)
-        powers = np.stack(powers)  # (power, slot, node)
-        mono = powers[self.mono_expo[:, 0], 0]
-        for slot in range(1, m):
-            mono = mono * powers[self.mono_expo[:, slot], slot]
-        radial = np.exp(np.outer(self.power, np.log(s)))  # (term, node)
-        return w, s, (radial[self.term] * mono[self.mono]).T
+        return coordinate_slots(z), s, np.exp(np.outer(self.power, np.log(s)))
+
+    def _values(self, z):
+        w, _, S = self._radial(z)
+        return (S * self.table(w, "values")[0]).sum(axis=0)
+
+    def _lift(self, z, which):
+        """ds, the value V = sum S Q, V1 = sum p S Q / s, V2 = sum p (p - 1) S Q / s^2,
+        the derivative outputs of sum S Q and G1 = sum p S dQ / s."""
+        m = self.m
+        w, s, S = self._radial(z)
+        Q, dQ = self.table(w, which)
+        SQ = S * Q  # as `_values` forms it
+        V1, V2 = self._radial_weights @ SQ
+        SdQ = S[:, None] * dQ
+        G1 = self.power @ SdQ[:, :m].reshape(len(S), -1)
+        return (w[self._ds], SQ.sum(axis=0), V1 / s, V2 / s**2, SdQ.sum(axis=0),
+                G1.reshape(m, -1) / s)
+
+    def _first(self, z):
+        """Value, gradient (N, 2n) and mixed block (N, n, n) at the points z (N, n)."""
+        m, n = self.m, self.m // 2
+        ds, value, V1, V2, X, G1 = self._lift(z, "first")
+        zb, zz = ds[:n], ds[n:]
+        mixed = (X[m:].reshape(n, n, -1)
+                 + zb[:, None] * (G1[None, n:] + V2 * zz[None, :])
+                 + G1[:n, None] * zz[None, :])
+        for i in range(n):
+            mixed[i, i] += V1
+        return value, (X[:m] + V1 * ds).T, np.moveaxis(mixed, -1, 0)
+
+    def _second(self, z):
+        """The full Hessian at the points z (N, n) of one chunk."""
+        m, n = self.m, self.m // 2
+        ds, _, V1, V2, X, G1 = self._lift(z, "second")
+        d2 = (X[m:].reshape(m, m, -1)
+              + ds[:, None] * (G1[None, :] + V2 * ds[None, :])
+              + G1[:, None] * ds[None, :])
+        for i in range(n):
+            d2[i, n + i] += V1
+            d2[n + i, i] += V1
+        return np.moveaxis(d2, -1, 0)
+
+    def values(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        return _map_nodes(self._values, z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
 
     def hessian(self, z) -> np.ndarray:
-        """dd(PS) at points z (node, n)."""
-        m, n = self.m, self.m // 2
-        w, s, products = self._products(z)
-        out = products @ self.weights  # (node, output)
-        # dd(PS) = ddP + x ds + ds x + (p / s) dds, x = (p dP + p (p - 1) P ds / 2s) / s
-        ds = w[:, np.r_[n:m, 0:n]]
-        pv = out[:, 1] / s
-        x = (out[:, 3 + m : 3 + 2 * m] + (0.5 * out[:, 2] / s)[:, None] * ds) / s[:, None]
-        outer = x[:, :, None] * ds[:, None, :]
-        d2 = out[:, 3 + 2 * m :].reshape(-1, m, m) + outer + outer.transpose(0, 2, 1)
-        for i in range(n):
-            d2[:, i, n + i] += pv
-            d2[:, n + i, i] += pv
-        return d2
+        """The full Hessian (N, 2n, 2n) at the points z (N, n)."""
+        return _map_nodes(self._second, z)
 
     def jet(self, z) -> Jet2:
         batch, m, n = np.shape(z)[:-1], self.m, self.m // 2
         # private: the pending Hessian reads it later
         z = np.array(z, dtype=complex).reshape(-1, n)
-        w, s, products = self._products(z)
-        out = products @ self.weights_d1  # (node, output)
-        pv = out[:, 1] / s
-        d1 = out[:, 3 : 3 + m] + pv[:, None] * w[:, np.r_[n:m, 0:n]]
-        # a copy of the value column, so a jet kept for its pending Hessian
-        # does not keep `out` alive
-        return Jet2(n, out[:, 0].reshape(batch).copy(), d1.reshape(batch + (m,)),
-                    lambda: self.hessian(z).reshape(batch + (m, m)))
+        val, d1, mixed = _map_nodes(self._first, z)
+        return mixed_first(n, val.reshape(batch), d1.reshape(batch + (m,)),
+                           mixed.reshape(batch + (n, n)),
+                           lambda: self.hessian(z).reshape(batch + (m, m)))
 
 
 _HOPF_MONOS = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)),

@@ -14,24 +14,26 @@ densities), so L(Re phi) = Re(L phi) and L(Im phi) = Im(L phi): it is
 applied once per complex function and both real basis rows are read off.
 
 On the Hopf grid the complex functions are products phi = R_k m_j of a
-radial mode R_k = s^p_k (s = |z|^2) and a sphere monomial m_j.  The
-basis stacks the monomials only and declares the exponents p_k;
-`lift_radial_modes` applies L to the monomials once and lifts the result
-to every product by the Leibniz rule, with the derivatives of s shared
-by all of them, so no product jet is formed.  A basis without radial
-exponents (a plain field list) gives m and L m as they are.
+radial mode R_k = s^p_k (s = |z|^2) and a sphere monomial m_j, that is
+phi = s^q P_j with the polynomial P_j = w^e_j in w = (z, zbar) and
+q = p_k - |e_j| / 2.  The basis gathers the polynomials from one table
+of monomials per chunk and declares every exponent q;
+`lift_radial_modes` applies L to the polynomials once and lifts the
+result to every s^q P by the Leibniz rule, with the derivatives of s
+shared by all of them, so no product jet is formed.  A basis without
+radial exponents (a plain field list) gives m and L m as they are.
 
 The Gram and operator matrices are summed chunk by chunk
 (`galerkin_matrices`): a chunk's value and L-value rows are added to the
 two m x m matrices and dropped, and checked for non-finite entries on the
 way, so a solve never holds an m x N matrix.  The solved u is kept as
-basis coefficients, regrouped per radial mode on the Hopf grid
-(u = Re sum_k R_k sum_j W_kj m_j), and evaluated over the surviving modes
-and monomials only, with its value, gradient and mixed block; its full
-Hessian stays pending until something reads it.  Its node values, and
-every value read of the solved metric (the finite-difference stencil),
-go through a value-only path that runs the same recurrence on values
-alone.
+basis coefficients; on the Hopf grid it is one term table
+(u = Re sum W s^q w^e over the surviving functions, `fields.HopfTerms`)
+with rows keyed by the distinct powers q, evaluated from the same kind of
+monomial table as the basis rows, with its value, gradient and mixed
+block; its full Hessian stays pending until something reads it.  Its
+node values, and every value read of the solved metric (the
+finite-difference stencil), go through the table's value-only path.
 
 Every step to the Gauduchon total reads mixed second derivatives d_i d_jbar
 only: the operator coefficients (`_alpha_tower`), the Chern-Ricci form and
@@ -254,57 +256,63 @@ def apply_gauduchon_operator(coeffs, ujet):
     """
     a, b_holo, b_anti, c = coeffs
     n = a.shape[-1]
-    d1 = ujet.d1
-    out = (
-        np.einsum("...ij,...ij->...", a, ujet.mixed)
-        + np.einsum("...i,...i->...", b_holo, d1[..., :n])
-        + np.einsum("...i,...i->...", b_anti, d1[..., n:])
-        + c * ujet.val
-    )
+    d1, mixed = ujet.d1, ujet.mixed
+    # one multiply-add per slot: a family's slot slices stay whole arrays
+    out = c * ujet.val
+    for i in range(n):
+        out += b_holo[..., i] * d1[..., i]
+        out += b_anti[..., i] * d1[..., n + i]
+        for j in range(n):
+            out += a[..., i, j] * mixed[..., i, j]
     return out
 
 
 def lift_radial_modes(coeffs, batch, z):
-    """Values and L-values of every complex function of `batch`, ((K + 1) F, N) each.
+    """Values and L-values of every complex function of `batch`, (functions, N) each.
 
-    L is applied once, to the F stacked functions m = batch.jet.  For a
-    radial exponent p of the batch, the function g m with g = s^p and
-    s = |z|^2 follows by the Leibniz rule, with ds = (zbar, z) and
-    d_i d_jbar s = delta_ij:
+    L is applied once, to the F stacked functions P = batch.jet.  For the
+    radial exponent q of a function s^q P of the batch, with s = |z|^2,
+    ds = (zbar, z) and d_i d_jbar s = delta_ij, the Leibniz rule gives
 
-        L(g m) = g [L m + (p / s)(A_m + m B) + (p (p - 1) / s^2) m C],
+        L(s^q P) = s^q [L P + (q / s)(A_P + P B) + (q (q - 1) / s^2) P C],
 
-    A_m = sum a_il (zbar_i d_lbar m + z_l d_i m),  B = tr a + b.zbar + b~.z,
-    C = zbar^T a z.  B and C are shared by every function.  A batch
-    without radial exponents gives m and L m unchanged.
+    A_P = sum a_il (zbar_i d_lbar P + z_l d_i P),  B = tr a + b.zbar + b~.z,
+    C = zbar^T a z.  B and C are shared by every function, and q is a
+    column over the functions.  A batch without radial exponents gives P
+    and L P unchanged.
     """
-    m = batch.jet
-    lm = apply_gauduchon_operator(coeffs, m)
+    P = batch.jet
+    lp = apply_gauduchon_operator(coeffs, P)
     if not len(batch.powers):
-        return m.val, lm
+        return P.val, lp
     a, b_holo, b_anti, _ = coeffs
     n = a.shape[-1]
     zb = np.conj(z)
-    s = np.sum(z * zb, axis=-1)
-    u = np.einsum("...il,...i->...l", a, zb)  # weight of d_lbar m in A_m
-    v = np.einsum("...il,...l->...i", a, z)  # weight of d_i m in A_m
+    s = np.sum(z.real**2 + z.imag**2, axis=-1)
+    u = np.einsum("...il,...i->...l", a, zb)  # weight of d_lbar P in A_P
+    v = np.einsum("...il,...l->...i", a, z)  # weight of d_i P in A_P
     B = (
         np.einsum("...ii->...", a)
         + np.einsum("...i,...i->...", b_holo, zb)
         + np.einsum("...i,...i->...", b_anti, z)
     )
     C = np.einsum("...l,...l->...", u, z)
-    A = np.einsum("...i,...i->...", v, m.d1[..., :n]) + np.einsum(
-        "...l,...l->...", u, m.d1[..., n:]
-    )
-    first = (A + m.val * B) / s
-    second = m.val * (C / s**2)
-    vals, lvals = [m.val], [lm]
-    for p in batch.powers:
-        g = s**p
-        vals.append(g * m.val)
-        lvals.append(g * (lm + p * first + (p * (p - 1.0)) * second))
-    return np.concatenate(vals), np.concatenate(lvals)
+    A = v[..., 0] * P.d1[..., 0] + u[..., 0] * P.d1[..., n]
+    for i in range(1, n):
+        A += v[..., i] * P.d1[..., i] + u[..., i] * P.d1[..., n + i]
+    first = (A + P.val * B) / s
+    second = P.val * (C / s**2)
+    # the radial factors s^q, once per distinct exponent
+    q = batch.powers.reshape(-1, len(P.val))
+    distinct, at = np.unique(q, return_inverse=True)
+    g = np.exp(np.outer(distinct, np.log(s)))[at.reshape(q.shape)]
+    q = q[..., None]
+    lvals = (q * (q - 1.0)) * second
+    lvals += q * first
+    lvals += lp
+    lvals *= g
+    g *= P.val
+    return g.reshape(-1, len(z)), lvals.reshape(-1, len(z))
 
 
 def gauduchon_residual(metric: HermitianMetricField, where):

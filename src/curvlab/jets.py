@@ -14,11 +14,12 @@ The Hessian of a Jet2 may be pending: given as a zero-argument callable,
 it is computed on the first read of `d2` and kept.  A pending jet may
 carry its mixed block d_i d_jbar eagerly (`mixed`), which is all that the
 Gauduchon operator and the Chern-Ricci form read.  Arithmetic with a
-plain number, `conj` and the chain rule (`exp`, `log`, `**` with a
-non-integer or negative power, `reciprocal`) keep a pending Hessian
-pending and carry the mixed block forward; every other operation reads
-`d2` and so forces it.  A field evaluated on a whole grid for its values,
-gradients and mixed block then never builds its full second derivatives.
+plain number, `conj`, the chain rule (`exp`, `log`, `**` with a
+non-integer or negative power, `reciprocal`) and the sum of two pending
+jets that both carry the block keep a pending Hessian pending and carry
+the mixed block forward; every other operation reads `d2` and so forces
+it.  A field evaluated on a whole grid for its values, gradients and
+mixed block then never builds its full second derivatives.
 """
 
 from __future__ import annotations
@@ -135,6 +136,9 @@ class Jet2:
             return Jet2(self.n, self.val + other, self.d1.copy(), self._map_d2(np.copy),
                         self._map_mixed(np.copy))
         o = self._lift(other)
+        if self.pending and o.pending and self._mixed is not None and o._mixed is not None:
+            return Jet2(self.n, self.val + o.val, self.d1 + o.d1, lambda: self.d2 + o.d2,
+                        self._mixed + o._mixed)
         return Jet2(self.n, self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
 
     __radd__ = __add__
@@ -229,12 +233,10 @@ class Jet2:
 class MixedJet:
     """Value, gradient and mixed Hessian block d_i d_jbar of a scalar field.
 
-    The mixed block is closed under products, so a family of fields built
-    by multiplication can carry it alone.  It is all that a second-order
-    operator sum a[i, j] d_i d_jbar + first-order terms reads, at a quarter
-    of the second-order storage of a Jet2.  Like Jet2, every component
-    broadcasts over leading axes, which lets one object hold a whole
-    function family along its first axis.
+    It is all that a second-order operator sum a[i, j] d_i d_jbar +
+    first-order terms reads, at a quarter of the second-order storage of
+    a Jet2.  Like Jet2, every component broadcasts over leading axes, which
+    lets one object hold a whole function family along its first axis.
     """
 
     __slots__ = ("n", "val", "d1", "mixed")
@@ -244,47 +246,6 @@ class MixedJet:
         self.val = val
         self.d1 = d1
         self.mixed = mixed
-
-    @classmethod
-    def of(cls, jet: Jet2):
-        return cls(jet.n, jet.val, jet.d1, jet.mixed)
-
-    @classmethod
-    def stack(cls, jets):
-        """Single jets (Jet2 or MixedJet) stacked along a new leading axis."""
-        return cls(
-            jets[0].n,
-            np.stack([j.val for j in jets]),
-            np.stack([j.d1 for j in jets]),
-            np.stack([j.mixed for j in jets]),
-        )
-
-    def __mul__(self, o):
-        n = self.n
-        val = self.val * o.val
-        d1 = self.d1 * o.val[..., None] + o.d1 * self.val[..., None]
-        mixed = (
-            self.mixed * o.val[..., None, None]
-            + o.mixed * self.val[..., None, None]
-            + self.d1[..., :n, None] * o.d1[..., None, n:]
-            + o.d1[..., :n, None] * self.d1[..., None, n:]
-        )
-        return MixedJet(n, val, d1, mixed)
-
-    def __add__(self, o):
-        return MixedJet(self.n, self.val + o.val, self.d1 + o.d1, self.mixed + o.mixed)
-
-    def real(self):
-        """The jet of Re F: (F + conj F) / 2, where d_i d_jbar conj(F) is the
-        conjugate transpose of the mixed block."""
-        n = self.n
-        idx = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-        return MixedJet(
-            n,
-            (self.val + np.conj(self.val)) * 0.5,
-            (self.d1 + np.conj(self.d1[..., idx])) * 0.5,
-            (self.mixed + np.conj(np.swapaxes(self.mixed, -1, -2))) * 0.5,
-        )
 
 
 def coordinate_jets(z):
@@ -305,15 +266,36 @@ def squared_radius(z):
     return out
 
 
+def mixed_first(n: int, val, d1, mixed, hessian) -> Jet2:
+    """A Jet2 with the eager mixed block `mixed` and the Hessian `hessian()` pending.
+
+    The forced Hessian's mixed slots take `mixed` and its transpose, so the
+    block reads the same before and after forcing, and d2 is exactly
+    symmetric there (which `conj` relies on).
+    """
+
+    def d2():
+        out = hessian()
+        out[..., :n, n:] = mixed
+        out[..., n:, :n] = np.swapaxes(mixed, -1, -2)
+        return out
+
+    return Jet2(n, val, d1, d2, mixed)
+
+
 def exp_linear(z, a, b, coeff=1.0):
-    """Jet of coeff * exp(a . z + b . zbar); the workhorse for periodic modes."""
+    """Jet of coeff * exp(a . z + b . zbar); the workhorse for periodic modes.
+
+    Its mixed block is formed now and its Hessian is pending.
+    """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     ab = np.concatenate([a, b])
+    ab2 = np.einsum("a,b->ab", ab, ab)
     phase = z @ a + np.conj(z) @ b
     val = coeff * np.exp(phase)
     d1 = val[..., None] * ab
-    d2 = val[..., None, None] * np.einsum("a,b->ab", ab, ab)
-    return Jet2(n, val, d1, d2)
+    # the mixed block is the slice of the pending Hessian, by the same products
+    return Jet2(n, val, d1, lambda: val[..., None, None] * ab2, val[..., None, None] * ab2[:n, n:])

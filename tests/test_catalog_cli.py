@@ -241,37 +241,59 @@ def test_planted_nan_in_the_galerkin_assembly_fails_fast(monkeypatch, capsys, co
 
 @pytest.mark.parametrize("command", ["gauduchon", "theorem-t", "classify"])
 def test_solve_commands_never_build_the_factor_hessian(monkeypatch, command):
-    from curvlab.catalog import HopfBasis
-    from curvlab.jets import MixedJet
+    from curvlab import catalog
+    from curvlab.fields import HopfTerms
+
+    # the solved u is T + conj(T) for one table T; record it as it is built
+    solved = []
+    plus_conj = catalog.plus_conj
+
+    def recorded(plain, conj, name):
+        if name == "gauduchon-u":
+            solved.append(plain)
+        return plus_conj(plain, conj, name)
 
     calls = {"hessian": 0, "mixed-first": 0}
-    hessian, combination = HopfBasis._hessian, HopfBasis._combination
+    hessian, jet = HopfTerms.hessian, HopfTerms.jet
 
-    def counted_hessian(self, *args):
-        calls["hessian"] += 1
-        return hessian(self, *args)
+    def counted_hessian(self, z):
+        calls["hessian"] += any(self is t for t in solved)
+        return hessian(self, z)
 
-    def counted_combination(self, z, jet_type, *args):
-        calls["mixed-first"] += jet_type is MixedJet
-        return combination(self, z, jet_type, *args)
+    def counted_jet(self, z):
+        calls["mixed-first"] += any(self is t for t in solved)
+        return jet(self, z)
 
-    monkeypatch.setattr(HopfBasis, "_hessian", counted_hessian)
-    monkeypatch.setattr(HopfBasis, "_combination", counted_combination)
+    monkeypatch.setattr(catalog, "plus_conj", recorded)
+    monkeypatch.setattr(HopfTerms, "hessian", counted_hessian)
+    monkeypatch.setattr(HopfTerms, "jet", counted_jet)
     code, report = run(make_config([command, "--manifold", "hopf-conformal", "--grid", "4"]))
     assert report.records and code in (0, 1)
-    assert calls["mixed-first"] > 0  # the solved factor was evaluated
+    assert solved and calls["mixed-first"] > 0  # the solved factor was evaluated
     assert calls["hessian"] == 0
+
+
+def test_gauduchon_builds_no_hopf_hessian(monkeypatch):
+    # neither the solved factor's nor the conformal direction field's: every
+    # step of the solve reads mixed second derivatives only
+    from curvlab.fields import HopfTerms
+
+    calls = []
+    hessian = HopfTerms.hessian
+    monkeypatch.setattr(HopfTerms, "hessian", lambda self, z: calls.append(1) or hessian(self, z))
+    code, report = run(make_config(["gauduchon", "--manifold", "hopf-conformal", "--grid", "4"]))
+    assert report.records and code in (0, 1)
+    assert calls == []
 
 
 def test_finite_difference_solve_reads_the_factor_by_values(monkeypatch):
     # the stencil on the solved metric reads the factor's values only, so the
-    # jet recurrence of the solved factor never runs
-    from curvlab.catalog import HopfBasis
+    # jets of the solved factor are never formed
+    from curvlab.fields import HopfTerms
 
     calls = []
-    combination = HopfBasis._combination
-    monkeypatch.setattr(HopfBasis, "_combination",
-                        lambda self, *args: calls.append(1) or combination(self, *args))
+    jet = HopfTerms.jet
+    monkeypatch.setattr(HopfTerms, "jet", lambda self, z: calls.append(1) or jet(self, z))
     code, report = run(make_config(["gauduchon", "--manifold", "hopf-standard", "--grid", "4",
                                     "--derivative-mode", "fd"]))
     assert code == 0 and report.records
@@ -280,16 +302,16 @@ def test_finite_difference_solve_reads_the_factor_by_values(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # from the planted NaN
 def test_planted_nan_in_the_solved_values_fails_as_a_check(monkeypatch, capsys):
-    from curvlab.catalog import HopfBasis
+    from curvlab.fields import HopfTerms
 
-    values = HopfBasis._combination_values
+    values = HopfTerms.values
 
-    def planted(self, z, combination):
-        out = values(self, z, combination)
+    def planted(self, z):
+        out = values(self, z)
         out[7] = np.nan
         return out
 
-    monkeypatch.setattr(HopfBasis, "_combination_values", planted)
+    monkeypatch.setattr(HopfTerms, "values", planted)
     argv = ["gauduchon", "--manifold", "hopf-standard", "--grid", "4", "--format", "records"]
     assert main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -359,6 +381,38 @@ def test_cli_missing_monomial_is_a_config_error(capsys):
     lines = out.out.splitlines()
     assert lines == [json.dumps({"verdict": "config error: Chern number for monomial (1, 1) "
                                             "not supplied"})]
+
+
+@pytest.mark.parametrize("argv", [["--chern", "p1=-48"], ["--pontryagin", "c2=24"],
+                                  ["--chern", "c2=x"], ["--chern", "c1^2=0,c2=24", "--dim", "6"]])
+def test_cli_ahat_flag_faults_are_config_errors(capsys, argv):
+    code = main(["ahat", "--dim", "4"] + argv + ["--format", "records"])
+    assert code == 2
+    verdict = json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"]
+    assert verdict.startswith("config error: ")
+
+
+def test_value_error_inside_a_command_is_a_failed_check(monkeypatch, capsys):
+    # a ValueError raised by a numerical step is not a configuration fault:
+    # the run exits 1 with the records gathered so far
+    from curvlab import cli as climod
+
+    def planted(metric, grid):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(climod, "solve_gauduchon", planted)
+    argv = ["gauduchon", "--manifold", "hopf-standard", "--grid", "4", "--format", "records"]
+    assert main(argv) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines[-1] == {"verdict": "check failed: planted"}
+    assert [r["check"] for r in lines[:-1]] == ["gauduchon_residual_input"]
+
+
+def test_cli_bad_derivative_mode_in_a_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("derivative_mode = exact\n")
+    assert main(["check-identities", "--manifold", "torus-flat", "--config", str(cfgfile)]) == 2
+    assert "--derivative-mode" in capsys.readouterr().err
 
 
 def test_cli_check_identities_rejects_zero_points(capsys):

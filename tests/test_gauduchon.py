@@ -1,5 +1,6 @@
 """Conformal changes, the Gauduchon solver, totals, and verdicts."""
 
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,6 @@ import pytest
 
 from curvlab import tensors
 from curvlab.catalog import (
-    HopfBasis,
     ManifoldSpec,
     _hopf_basis_spec,
     build_manifold,
@@ -17,6 +17,7 @@ from curvlab.catalog import (
 )
 from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand, NotGauduchon
 from curvlab.fields import (
+    HopfTerms,
     ScalarField,
     constant_field,
     hopf_monomial,
@@ -40,7 +41,7 @@ from curvlab.gauduchon import (
     total_chern_scalar,
 )
 from curvlab.geometry import NODE_CHUNK, DerivativeEngine, map_nodes, volume_weights
-from curvlab.jets import Jet2, MixedJet
+from curvlab.jets import Jet2, coordinate_jets, squared_radius
 from tests.conftest import hopf_points
 
 
@@ -157,6 +158,15 @@ def _reference_row(z, k, ab, cd, part):
     return phi.real() if part == "re" else phi.imag()
 
 
+def _polynomial(z, ab, cd):
+    """The jet of z^ab zbar^cd, one coordinate product at a time."""
+    out = Jet2.constant(2, 1.0, z.shape[:-1])
+    for c, e in zip(sum(coordinate_jets(z), []), ab + cd):
+        for _ in range(e):
+            out = out * c
+    return out
+
+
 def _rel(got, want):
     return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
@@ -168,16 +178,16 @@ def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     spec = _hopf_basis_spec()
     assert len(batch) == len(spec) == 222
     # derivatives of Re/Im phi mix conjugate slots, so a row carries its
-    # value and L; the jets are compared on the sphere monomials m_j
+    # value and L; the jets are compared on the polynomials w^e_j
     val, lval = lift_radial_modes(coeffs, batch, z)
     vals, lvals = batch.rows(val), batch.rows(lval)
     nmono = len(batch.jet.val)
     for s, entry in enumerate(spec):
         j = batch.index[s] % nmono
-        m = hopf_monomial(*entry[1:3])(z)
-        assert _rel(batch.jet.val[j], m.val) < 1e-13
-        assert _rel(batch.jet.d1[j], m.d1) < 1e-13
-        assert _rel(batch.jet.mixed[j], m.mixed) < 1e-13
+        P = _polynomial(z, *entry[1:3])
+        assert _rel(batch.jet.val[j], P.val) < 1e-13
+        assert _rel(batch.jet.d1[j], P.d1) < 1e-13
+        assert _rel(batch.jet.mixed[j], P.mixed) < 1e-13
         ref = _reference_row(z, *entry)
         assert _rel(vals[s], np.real(ref.val)) < 1e-13
         assert _rel(lvals[s], np.real(apply_gauduchon_operator(coeffs, ref))) < 1e-13
@@ -191,6 +201,34 @@ def _axis_points(rng, count):
     return z
 
 
+def test_hopf_basis_rows_are_gathers_not_jet_products(conformal, monkeypatch):
+    # the basis reads its polynomials from one exponent table: no jet
+    # arithmetic runs while a chunk of rows is formed
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "_chain", "conj"):
+        original = getattr(Jet2, name)
+        monkeypatch.setattr(Jet2, name, lambda *a, _f=original: calls.append(1) or _f(*a))
+    batch = conformal.grid.basis_batch(conformal.grid.nodes[:NODE_CHUNK])
+    assert len(batch) == 222 and calls == []
+
+
+def test_torus_rows_leave_the_mode_hessians_pending():
+    # a 1024-node chunk of the default torus basis holds its stacked rows
+    # (11.9 MB) and the transients of one mode at a time
+    entry = build_manifold(ManifoldSpec("torus-kahler-potential"))
+    z = entry.grid.nodes[:NODE_CHUNK]
+    tracemalloc.start()
+    try:
+        batch = entry.grid.basis_batch(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 81 and peak <= 20e6
+    # the rows are the modes' mixed blocks, as their forced Hessians give them
+    for s in (1, 2, 40):
+        assert np.max(np.abs(batch.jet.mixed[s] - entry.grid.basis.fields[s](z).d2[:, :2, 2:])) < 1e-13
+
+
 @pytest.mark.parametrize("kind", ["gauduchon", "random"])
 def test_radial_lift_matches_the_formed_products(conformal, kind):
     rng = rng_from_seed(66)
@@ -202,23 +240,24 @@ def test_radial_lift_matches_the_formed_products(conformal, kind):
         coeffs = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
     batch = conformal.grid.basis_batch(z)
     val, lval = lift_radial_modes(coeffs, batch, z)
-    assert len(batch.powers) == 2
-    m = batch.jet
-    nmono = len(m.val)
-    for k, p in enumerate(batch.powers, start=1):
-        radial = hopf_radial_mode(k)(z)
-        assert p == 0.5j * hopf_radial_frequency(k)
-        phi = MixedJet.of(radial) * m
-        block = slice(k * nmono, (k + 1) * nmono)
-        assert _rel(val[block], phi.val) < 1e-13
-        assert _rel(lval[block], apply_gauduchon_operator(coeffs, phi)) < 1e-13
-    assert np.array_equal(val[:nmono], m.val)
-    assert np.array_equal(lval[:nmono], apply_gauduchon_operator(coeffs, m))
+    # every block, k = 0 included: function k F + j is R_k m_j
+    expo = conformal.grid.basis.expo
+    nmono = len(expo)
+    assert len(batch.powers) == len(val) == 3 * nmono
+    for k in range(3):
+        for j, e in enumerate(expo):
+            phi = hopf_monomial(e[:2], e[2:])(z)
+            if k:
+                phi = hopf_radial_mode(k)(z) * phi
+            i = k * nmono + j
+            assert batch.powers[i] == 0.5j * hopf_radial_frequency(k) - 0.5 * sum(e)
+            assert _rel(val[i], phi.val) < 1e-13
+            assert _rel(lval[i], apply_gauduchon_operator(coeffs, phi)) < 1e-13
 
 
 def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf):
     # on hopf-standard only 6 of the 38 monomials carry a coefficient, so the
-    # recurrence builds them and their parents alone
+    # solved table holds their terms alone
     standard = solve_gauduchon(hopf.metric, hopf.grid)
     for entry, sol in ((conformal, conformal_solution), (hopf, standard)):
         z = entry.random_points(rng_from_seed(65), 64)
@@ -239,39 +278,58 @@ def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solut
     assert len(used) == 6
 
 
+def _table_of(u_field):
+    """The HopfTerms table T of a solved u = T + conj(T)."""
+    return inspect.getclosurevars(u_field.fn).nonlocals["plain"]
+
+
+def _jet2_combination(basis, coeffs, z):
+    """u = Re sum W_i s^q_i w^e_i with full Jet2 products, one term at a time."""
+    W = np.zeros(len(basis.powers), dtype=complex)
+    np.add.at(W, basis.index, np.where(basis.imag, -1j * coeffs, coeffs))
+    r2 = squared_radius(z)
+    total = None
+    for i in np.flatnonzero(W):
+        e = basis.expo[i % len(basis.expo)]
+        term = _polynomial(z, tuple(e[:2]), tuple(e[2:])) * r2 ** basis.powers[i] * W[i]
+        total = term if total is None else total + term
+    return total.real()
+
+
 @pytest.fixture()
-def factor_hessians(monkeypatch):
-    """Count the recomputations of a solved Hopf factor's full Hessian."""
+def factor_hessians(monkeypatch, conformal_solution):
+    """Count the computations of the solved Hopf factor's full Hessian."""
     calls = []
-    original = HopfBasis._hessian
+    table = _table_of(conformal_solution.u_field)
+    original = HopfTerms.hessian
 
-    def counted(self, *args):
-        calls.append(1)
-        return original(self, *args)
+    def counted(self, z):
+        if self is table:
+            calls.append(1)
+        return original(self, z)
 
-    monkeypatch.setattr(HopfBasis, "_hessian", counted)
+    monkeypatch.setattr(HopfTerms, "hessian", counted)
     return calls
 
 
 def test_solved_factor_is_evaluated_mixed_first(conformal, conformal_solution, factor_hessians):
-    # value, gradient and mixed block by the MixedJet recurrence, against the
-    # same combination evaluated with full Jet2s, on the grid and on the axes
-    basis = conformal.grid.basis
-    combination = basis._combination_of(conformal_solution.coeffs)
+    # value, gradient and mixed block from the exponent table, against the
+    # same combination built with full Jet2 products, on the grid and the axes
+    basis, coeffs = conformal.grid.basis, conformal_solution.coeffs
     for z in (conformal.grid.nodes, _axis_points(rng_from_seed(67), 48)):
         got = conformal_solution.u_field(z)
-        want = basis._combination(z, Jet2, combination)
+        want = _jet2_combination(basis, coeffs, z)
         assert _rel(got.val, want.val) < 1e-14
         assert _rel(got.d1, want.d1) < 1e-14
         assert _rel(got.mixed, want.mixed) < 1e-14
         assert got.pending
     assert not factor_hessians
-    # the first read of d2 recomputes the Hessian once, from the points the
+    # the first read of d2 computes the Hessian once, from the points the
     # field was called with, and keeps the eager mixed block in its slots
     buf = _axis_points(rng_from_seed(68), 16)
     got = conformal_solution.u_field(buf)
     mixed = got.mixed
-    want = basis._combination(buf.copy(), Jet2, combination)
+    want = _jet2_combination(basis, coeffs, buf.copy())
     buf[:] = 1.0  # the caller reuses its buffer
     assert _rel(got.d2, want.d2) < 1e-14 and factor_hessians == [1]
     assert np.array_equal(got.d2[:, :2, 2:], mixed)
@@ -380,9 +438,8 @@ def test_value_path_equals_the_jet_value(conformal, conformal_solution, kahler_t
                                          factor_hessians, monkeypatch):
     # the solved fields' values, bit for bit, with no jet of the factor built
     combinations = []
-    combination = HopfBasis._combination
-    monkeypatch.setattr(HopfBasis, "_combination",
-                        lambda self, *args: combinations.append(1) or combination(self, *args))
+    jet = HopfTerms.jet
+    monkeypatch.setattr(HopfTerms, "jet", lambda self, z: combinations.append(1) or jet(self, z))
     torus = solve_gauduchon(kahler_torus.metric, kahler_torus.grid)
     cases = [(fld, z, fld.values(z))
              for entry, sol in ((conformal, conformal_solution), (kahler_torus, torus))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvlab.geometry import DerivativeEngine
-from curvlab.jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
+from curvlab.jets import Jet2, coordinate_jets, exp_linear, mixed_first, squared_radius
 
 
 def random_points(rng, count, n=2):
@@ -120,6 +120,7 @@ MIXED_FIRST_OPS = [
     lambda j: j ** (0.3 + 2.0j), lambda j: j.reciprocal(), lambda j: 1.0 / j,
     lambda j: j * 0.3, lambda j: j * (0.2 - 1.1j), lambda j: 2.5 * j, lambda j: j + 0.7,
     lambda j: 1.5 + j, lambda j: j - 0.4, lambda j: 0.4 - j, lambda j: -j, lambda j: j.conj(),
+    lambda j: j + j.conj(), lambda j: j.real(), lambda j: j.imag(), lambda j: j - (j * 0.5).exp(),
     lambda j: ((j * 0.5 + 1.0).log() * 2.0 - 0.1).exp(),
 ]
 
@@ -176,9 +177,30 @@ def test_products_force_a_pending_hessian(rng):
     assert np.array_equal(out.d2, (Jet2(2, j.val, j.d1, d2) * Jet2(2, j.val, j.d1, d2)).d2)
 
 
-def test_mixed_jet_sum_and_real_part_match_jet2(rng):
-    z = random_points(rng, 7)
-    a, b = composite(z), squared_radius(z) * (0.3 - 0.7j)
-    for got, want in ((MixedJet.of(a) + MixedJet.of(b), a + b), (MixedJet.of(a).real(), a.real())):
-        assert np.array_equal(got.val, want.val) and np.array_equal(got.d1, want.d1)
-        assert np.max(np.abs(got.mixed - want.mixed)) <= 1e-15 * np.max(np.abs(want.mixed))
+def test_sums_of_pending_jets_stay_pending(rng):
+    # exp_linear forms its mixed block now and leaves d2 pending; the sum of
+    # two such jets stays pending, and its block is the slice of the summed
+    # Hessians bit for bit
+    z = random_points(rng, 9)
+    a, b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    e1, e2 = exp_linear(z, a, b, 0.7), exp_linear(z, b, a, -1.3j)
+    assert e1.pending and np.array_equal(e1.mixed, e1.d2[..., :2, 2:])
+    total = exp_linear(z, a, b, 0.7) + exp_linear(z, b, a, -1.3j)
+    mixed = total.mixed
+    assert total.pending
+    assert np.array_equal(mixed, total.d2[..., :2, 2:])
+    assert np.array_equal(total.d2, e1.d2 + e2.d2)
+    # a sum with an eager jet forces the Hessian, as before
+    assert not (exp_linear(z, a, b) + squared_radius(z)).pending
+
+
+def test_mixed_first_jets_write_their_block_into_the_forced_hessian(rng):
+    full = composite(random_points(rng, 5))
+    mixed = full.mixed + 1e-3  # any block: the forced Hessian must carry it
+    calls = []
+    jet = mixed_first(2, full.val, full.d1, mixed,
+                      lambda: calls.append(1) or full.d2.copy())
+    assert jet.pending and jet.mixed is mixed and not calls
+    assert np.array_equal(jet.d2[..., :2, 2:], mixed)
+    assert np.array_equal(jet.d2[..., 2:, :2], np.swapaxes(mixed, -1, -2))
+    assert np.array_equal(jet.d2[..., :2, :2], full.d2[..., :2, :2]) and calls == [1]
