@@ -417,16 +417,21 @@ def hopf_grid(
 
 
 def _hopf_basis_spec(kmax_t: int = 2, max_degree: int = 4):
-    """(k, alpha, beta, part) tuples; part 're'/'im', constant first."""
+    """(k, alpha, beta, part) tuples; part 're'/'im', constant first.
+
+    The sphere monomials skip those divisible by z1 zbar1: on the sphere
+    z1 zbar1 m = m - z2 zbar2 m, so they add nothing to the span.  At k = 0
+    one of each conjugate pair is kept (conj(m) gives the same real and
+    imaginary parts up to sign); at k > 0 both are, since R_k conj(m) is
+    the conjugate of R_-k m, not of R_k m.
+    """
     monos = []
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
             for c in range(max_degree + 1 - a - b):
                 for d in range(max_degree + 1 - a - b - c):
-                    if a + b + c + d == 0:
+                    if a + b + c + d == 0 or (a and c):
                         continue
-                    if (a, b) < (c, d):
-                        continue  # conjugate representative only
                     monos.append(((a, b), (c, d)))
     spec = [(0, (0, 0), (0, 0), "re")]  # the constant function
     for k in range(kmax_t + 1):
@@ -434,6 +439,8 @@ def _hopf_basis_spec(kmax_t: int = 2, max_degree: int = 4):
             spec.append((k, (0, 0), (0, 0), "re"))
             spec.append((k, (0, 0), (0, 0), "im"))
         for (ab, cd) in monos:
+            if k == 0 and ab < cd:
+                continue  # conjugate representative only
             spec.append((k, ab, cd, "re"))
             if ab != cd or k > 0:
                 spec.append((k, ab, cd, "im"))
@@ -457,9 +464,10 @@ class HopfBasis:
     (`gauduchon.lift_radial_modes`).  A solved combination (`field`) is one
     `fields.HopfTerms` table over the same exponents.
 
-    The candidate list is linearly dependent on purpose (monomials of
-    |z_i|^2 / |z|^2 sum to one); the solver prunes it through the Gram
-    matrix before assembling the operator.
+    The functions are linearly independent: no kept monomial is divisible
+    by z1 zbar1, the normal form for |z1|^2 + |z2|^2 = |z|^2, so the Gram
+    matrix has full rank.  The solver still prunes through it before
+    assembling the operator.
     """
 
     def __init__(self, kmax_t: int = 2, max_degree: int = 4):

@@ -35,22 +35,27 @@ block; its full Hessian stays pending until something reads it.  Its
 node values, and every value read of the solved metric (the
 finite-difference stencil), go through the table's value-only path.
 
-Every step to the Gauduchon total reads mixed second derivatives d_i d_jbar
-only: the operator coefficients (`_alpha_tower`), the Chern-Ricci form and
-the conformal composition e^f h (`compose_conformal_jet`), which forms the
-mixed block of its jet now and leaves the full second derivatives
-pending.  Only the Riemannian side (s and |T|^2) forces them.
+The operator coefficients are closed-form contractions of P = H^-1 with
+the first derivatives and the mixed block of H
+(`gauduchon_operator_coefficients`); the residual reads the zeroth-order
+coefficient c alone.  Every step to the Gauduchon total reads mixed
+second derivatives d_i d_jbar only: the operator coefficients, the
+Chern-Ricci form and the conformal composition e^f h
+(`compose_conformal_jet`), which forms the mixed block of its jet now and
+leaves the full second derivatives pending.  Only the Riemannian side
+(s and |T|^2) forces them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import combinations, permutations
+from math import factorial
 from typing import Optional
 
 import numpy as np
 
-from . import forms
 from .errors import (
     NonConvergence,
     NonFiniteIntegrand,
@@ -157,52 +162,40 @@ def conformal_metric(metric: HermitianMetricField, factor) -> HermitianMetricFie
 # ---------------------------------------------------------------------------
 
 
-def _alpha_tower(jet: MetricJet):
-    """Coefficient arrays of omega^(n-1) and its d, dbar, d dbar."""
+def _torsion_parts(jet: MetricJet):
+    """P = H^-1 and the antisymmetrized first derivatives of H:
+
+    X[k, j, l] = d_jbar H[k, l] - d_lbar H[k, j],
+    Y[a, b, y] = d_a H[b, y] - d_b H[a, y].
+    """
     n = jet.n
     if n < 2:
         raise ValueError("the Gauduchon equation degenerates for n = 1")
-    H, d1H = jet.H, jet.d1
-    w = forms.omega_array(H)  # (1,1)
-    dw = 1j * (d1H[..., :n, :, :] - np.einsum("...kij->...ikj", d1H[..., :n, :, :]))
-    # dbar omega, stored (1,2): arr[i, l, j] = -i (d_lbar H[i,j] - d_jbar H[i,l])
-    dbw = -1j * (
-        np.einsum("...lij->...ilj", d1H[..., n:, :, :])
-        - np.einsum("...jil->...ilj", d1H[..., n:, :, :])
-    )
-    # d dbar omega, stored (2,2): arr[k, i, l, j]
-    M = jet.mixed  # M[k, l, i, j] = d_k d_lbar H[i, j]
-    ddbw = -1j * (
-        np.einsum("...klij->...kilj", M)
-        - np.einsum("...ilkj->...kilj", M)
-        - np.einsum("...kjil->...kilj", M)
-        + np.einsum("...ijkl->...kilj", M)
-    )
+    anti = np.moveaxis(jet.d1[..., n:, :, :], -3, -2)  # anti[k, j, l] = d_jbar H[k, l]
+    holo = jet.d1[..., :n, :, :]
+    return np.linalg.inv(jet.H), anti - np.swapaxes(anti, -1, -2), holo - np.swapaxes(holo, -3, -2)
 
-    if n == 2:
-        alpha, pa, qa = w, 1, 1
-        d_alpha, dbar_alpha, ddbar_alpha = dw, dbw, ddbw
-        d_p, db_p, dd_p = (2, 1), (1, 2), (2, 2)
-    else:
-        wk, pk, qk = forms.wedge_power(w, 1, 1, n - 2)
-        alpha = forms.wedge(w, 1, 1, wk, pk, qk)
-        pa = qa = n - 1
-        d_alpha = (n - 1) * forms.wedge(dw, 2, 1, wk, pk, qk)
-        dbar_alpha = (n - 1) * forms.wedge(dbw, 1, 2, wk, pk, qk)
-        first = forms.wedge(ddbw, 2, 2, wk, pk, qk)
-        if n == 3:
-            cross = forms.wedge(dbw, 1, 2, dw, 2, 1)
-        else:
-            wk3, p3, q3 = forms.wedge_power(w, 1, 1, n - 3)
-            cross = forms.wedge(forms.wedge(dbw, 1, 2, dw, 2, 1), 3, 3, wk3, p3, q3)
-        ddbar_alpha = (n - 1) * (first - (n - 2) * cross)
-        d_p, db_p, dd_p = (pa + 1, qa), (pa, qa + 1), (pa + 1, qa + 1)
-    return {
-        "alpha": (alpha, pa, qa),
-        "d": (d_alpha,) + d_p,
-        "dbar": (dbar_alpha,) + db_p,
-        "ddbar": (ddbar_alpha,) + dd_p,
-    }
+
+def _zeroth_order(jet: MetricJet, P, X, Y):
+    """c = density of i d dbar omega^(n-1), as (n - 1)! times
+
+    sum M[k,l,i,j] (P[l,k] P[j,i] - P[j,k] P[l,i]) - S3 / 4,   M = jet.mixed,
+
+    S3 = sum_(sigma in S_3) sgn(sigma) sum X[a,d,e] Y[b,c,f] P[d,I_s1] P[e,I_s2] P[f,I_s3]
+    with (I_s1, I_s2, I_s3) the sigma-permuted (a, b, c); S3 vanishes for n = 2.
+    """
+    n = jet.n
+    M = jet.mixed
+    c = np.einsum("...kl,...lk->...", np.einsum("...klij,...ji->...kl", M, P), P)
+    c -= np.einsum("...kj,...jk->...", np.einsum("...klij,...li->...kj", M, P), P)
+    if n > 2:
+        Xr = np.einsum("...ade,...dp,...eq->...apq", X, P, P, optimize=True)
+        Yr = np.einsum("...bcf,...fr->...bcr", Y, P)
+        for sigma in permutations("abc"):
+            sign = (-1) ** sum(x > y for x, y in combinations(sigma, 2))
+            s1, s2, s3 = sigma
+            c -= 0.25 * sign * np.einsum(f"...a{s1}{s2},...bc{s3}->...", Xr, Yr)
+    return factorial(n - 1) * c
 
 
 def gauduchon_operator_coefficients(jet: MetricJet):
@@ -212,40 +205,21 @@ def gauduchon_operator_coefficients(jet: MetricJet):
           + sum b_anti[j] d_jbar u + c u,
 
     where L u is the density of i d dbar (u omega^(n-1)) against the
-    volume form.
+    volume form.  With P = H^-1 and X, Y as in `_torsion_parts`:
+
+    a[i,j] = (n-1)! P[j,i],
+    b_holo[i] = (n-1)! sum X[k,j,l] P[j,i] P[l,k],
+    b_anti[i] = (n-1)! sum Y[a,b,y] P[i,a] P[y,b],
+
+    and c from `_zeroth_order`.
     """
     n = jet.n
-    tower = _alpha_tower(jet)
-    H = jet.H
-    alpha, pa, qa = tower["alpha"]
-    d_alpha, pd, qd = tower["d"]
-    db_alpha, pb, qb = tower["dbar"]
-    dd_alpha, _, _ = tower["ddbar"]
-
-    batch = H.shape[:-2]
-    vol = forms.volume_top(H)
-
-    def density(arr):
-        # forms.density with the volume form computed once for all nine ratios
-        return forms.top_component(arr, n) / vol
-
-    a = np.zeros(batch + (n, n), dtype=complex)
-    b_holo = np.zeros(batch + (n,), dtype=complex)
-    b_anti = np.zeros(batch + (n,), dtype=complex)
-    for i in range(n):
-        ei = np.zeros(n, dtype=complex)
-        ei[i] = 1.0
-        for j in range(n):
-            ej = np.zeros(n, dtype=complex)
-            ej[j] = 1.0
-            unit = 1j * np.einsum("i,j->ij", ei, ej)  # i dz^i ^ dzbar^j
-            a[..., i, j] = density(forms.wedge(unit, 1, 1, alpha, pa, qa))
-        # i dz^i ^ dbar(alpha)
-        b_holo[..., i] = density(forms.wedge(1j * ei, 1, 0, db_alpha, pb, qb))
-        # -i dzbar^i ^ d(alpha)
-        b_anti[..., i] = density(forms.wedge(-1j * ei, 0, 1, d_alpha, pd, qd))
-    c = 1j * density(dd_alpha)
-    return a, b_holo, b_anti, c
+    P, X, Y = _torsion_parts(jet)
+    scale = factorial(n - 1)
+    a = scale * np.swapaxes(P, -1, -2)
+    b_holo = scale * np.einsum("...j,...ji->...i", np.einsum("...kjl,...lk->...j", X, P), P)
+    b_anti = scale * np.einsum("...ia,...a->...i", P, np.einsum("...aby,...yb->...a", Y, P))
+    return a, b_holo, b_anti, _zeroth_order(jet, P, X, Y)
 
 
 def apply_gauduchon_operator(coeffs, ujet):
@@ -324,8 +298,7 @@ def gauduchon_residual(metric: HermitianMetricField, where):
 
     def density(pts):
         jet = metric.jet(pts)
-        dd_alpha, _, _ = _alpha_tower(jet)["ddbar"]
-        return np.real(1j * forms.density(dd_alpha, jet.H))
+        return np.real(_zeroth_order(jet, *_torsion_parts(jet)))
 
     if isinstance(where, QuadratureGrid):
         return float(np.max(np.abs(map_nodes(density, where.nodes))))
@@ -355,9 +328,9 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
 
     gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t,
     accumulated in one pass over node chunks: a chunk's value rows V and
-    L-value rows adds B B^T with B = V sqrt(w) to the Gram matrix (a
-    symmetric rank-k product) and (V w) L^T to the operator, and is then
-    dropped, so no (m, N) matrix is kept.  The first chunk with a
+    L-value rows L are scaled in place by sqrt(w), then add V V^T to the
+    Gram matrix (a symmetric rank-k product) and V L^T to the operator, and
+    are dropped, so no (m, N) matrix is kept.  The first chunk with a
     non-finite weight, value or L-value raises NonFiniteIntegrand at its
     first bad node.
     """
@@ -373,9 +346,11 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
         vals, lvals = batch.rows(val), batch.rows(lval)
         wc = w[idx]
         _check_finite(int(idx[0]), wc, vals, lvals)
-        B = vals * np.sqrt(wc)
-        np.add(gram, B @ B.T, out=gram)
-        np.add(op, (vals * wc) @ lvals.T, out=op)
+        root = np.sqrt(wc)
+        vals *= root
+        lvals *= root
+        np.add(gram, vals @ vals.T, out=gram)
+        np.add(op, vals @ lvals.T, out=op)
 
     map_nodes(accumulate, np.arange(len(grid.nodes)))
     return gram, op

@@ -407,13 +407,9 @@ def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.n
     )
 
 
-def adjoint_term(metric, point):
-    """The real scalar i d* dbar* omega entering the curvature identity."""
-    cx = CxBlocks(_jet(metric, point))
-    return _adjoint_term_from_blocks(cx)
-
-
 def _adjoint_term_from_blocks(cx: CxBlocks):
+    """The real scalar i d* dbar* omega entering the curvature identity, and
+    the largest imaginary part dropped."""
     theta = _dbar_star_omega_components(cx)
     dtheta = _dbar_star_omega_dbar(cx)
     val = 1j * p_star_oneform(cx, theta, dtheta)

@@ -1,6 +1,7 @@
 """Conformal changes, the Gauduchon solver, totals, and verdicts."""
 
 import inspect
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -133,6 +134,41 @@ def test_pointwise_residual_list_for_chart(inoue, rng):
     assert np.max(np.abs(vals)) < 1e-10  # the chart metric is Gauduchon
 
 
+def _small_torus(mid, n):
+    return build_manifold(ManifoldSpec(mid, dim=n, resolution=2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_on_a_conformally_flat_metric(n, rng):
+    # h = e^phi I: i d dbar (omega^(n-1)) = i d dbar (e^((n-1) phi)) ^ omega_0^(n-1),
+    # against e^(n phi) omega_0^n / n!, so c = e^(-n phi) (n-1)! sum_i d_i d_ibar e^((n-1) phi)
+    entry = _small_torus("torus-flat", n)
+    phi = entry.random_scalar(rng, 0.3)
+    z = entry.random_points(rng, 40)
+    a, _, _, c = gauduchon_operator_coefficients(conformal_metric(entry.metric, phi).jet(z))
+    pj = phi(z)
+    u = (pj * (n - 1.0)).exp()
+    lap = sum(u.mixed[:, i, i] for i in range(n))
+    want = np.exp(-n * np.real(pj.val)) * math.factorial(n - 1) * lap
+    assert _rel(c, want) < 1e-12
+    want_a = math.factorial(n - 1) * np.exp(-np.real(pj.val))[:, None, None] * np.eye(n)
+    assert _rel(a, want_a) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_is_conformally_covariant(n, rng):
+    # L_omega(e^((n-1) f)) = e^(n f) c(e^f omega): both are i d dbar (e^f omega)^(n-1)
+    entry = _small_torus("torus-hermitian-perturbed", n)
+    f = entry.random_scalar(rng, 0.3)
+    z = entry.random_points(rng, 40)
+    fj = f(z)
+    got = apply_gauduchon_operator(
+        gauduchon_operator_coefficients(entry.metric.jet(z)), (fj * (n - 1.0)).exp()
+    )
+    c = gauduchon_operator_coefficients(conformal_metric(entry.metric, f).jet(z))[3]
+    assert _rel(got, np.exp(n * np.real(fj.val)) * c) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -176,7 +212,7 @@ def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     coeffs = gauduchon_operator_coefficients(conformal.metric.jet(z))
     batch = conformal.grid.basis_batch(z)
     spec = _hopf_basis_spec()
-    assert len(batch) == len(spec) == 222
+    assert len(batch) == len(spec) == 275
     # derivatives of Re/Im phi mix conjugate slots, so a row carries its
     # value and L; the jets are compared on the polynomials w^e_j
     val, lval = lift_radial_modes(coeffs, batch, z)
@@ -209,7 +245,7 @@ def test_hopf_basis_rows_are_gathers_not_jet_products(conformal, monkeypatch):
         original = getattr(Jet2, name)
         monkeypatch.setattr(Jet2, name, lambda *a, _f=original: calls.append(1) or _f(*a))
     batch = conformal.grid.basis_batch(conformal.grid.nodes[:NODE_CHUNK])
-    assert len(batch) == 222 and calls == []
+    assert len(batch) == 275 and calls == []
 
 
 def test_torus_rows_leave_the_mode_hessians_pending():
@@ -256,8 +292,8 @@ def test_radial_lift_matches_the_formed_products(conformal, kind):
 
 
 def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf):
-    # on hopf-standard only 6 of the 38 monomials carry a coefficient, so the
-    # solved table holds their terms alone
+    # on hopf-standard u is constant, and the basis is independent, so only
+    # the constant carries a coefficient and the solved table holds it alone
     standard = solve_gauduchon(hopf.metric, hopf.grid)
     for entry, sol in ((conformal, conformal_solution), (hopf, standard)):
         z = entry.random_points(rng_from_seed(65), 64)
@@ -275,7 +311,7 @@ def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solut
         batched = sol.u_field(z.reshape(8, 8, 2))
         assert np.array_equal(batched.d2.reshape(64, 4, 4), got.d2)
         assert _rel(sol.u_field(z[5]).d1, got.d1[5]) < 1e-15
-    assert len(used) == 6
+    assert len(used) == 1
 
 
 def _table_of(u_field):
@@ -460,7 +496,7 @@ def test_solve_holds_no_value_matrix(conformal):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one (222, 13824) float64 matrix alone is 24.5 MB
+    # one (275, 13824) float64 matrix alone is 30.4 MB
     assert peak <= 40e6
 
 
@@ -472,12 +508,6 @@ def test_non_finite_factor_values_fail_as_a_check(hopf):
     assert err.value.node_index == 9
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="catalog._hopf_basis_spec keeps one conjugate representative (a,b) >= (c,d) "
-    "at every radial frequency k; that pruning is valid only at k = 0, so the basis "
-    "misses half of the cos(t) Re(z1 zbar2) mode of the exact factor",
-)
 def test_closed_form_conformal_factor(conformal, conformal_solution):
     # e^(-t g) h_standard is conformal to the Gauduchon h_standard: f = t g
     tg = 0.1 * np.real(hopf_conformal_direction()(conformal.grid.nodes).val)
@@ -575,12 +605,16 @@ def test_identity_flat(flat_torus):
 
 @pytest.mark.parametrize("t", [0.1, 0.2])
 def test_identity_conformal_family(t):
-    from curvlab.catalog import ManifoldSpec, build_manifold
-
     entry = build_manifold(ManifoldSpec("hopf-conformal", conformal_t=t))
     chk = theorem_t_check(entry.metric, entry.grid)
     assert chk.residual < 1e-3
     assert chk.gradient_term > 1e-6  # genuinely nonconstant factor
+    # e^(-t g) h_standard has the Gauduchon factor t g, and the total Chern
+    # scalar of the Gauduchon representative is that of h_standard
+    expected = 16.0 * np.pi**2 * np.log(2.0)
+    assert abs(chk.lhs / expected - 1.0) < {0.1: 1e-10, 0.2: 1e-7}[t]
+    tg = t * np.real(hopf_conformal_direction()(entry.grid.nodes).val)
+    assert np.max(np.abs(chk.factor.values - (tg - tg.mean()))) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
