@@ -12,6 +12,7 @@ torus-hermitian-perturbed, hopf-standard, hopf-conformal, inoue-chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from .fields import (
     HopfTerms,
     OneFormField,
     ScalarField,
-    constant_field,
+    TorusTerms,
     coordinate_slots,
     hopf_radial_frequency,
     plus_conj,
@@ -31,11 +32,9 @@ from .fields import (
     random_hopf_scalar,
     random_torus_oneform,
     random_torus_scalar,
-    torus_mode,
     torus_mode_vectors,
 )
 from .geometry import (
-    FullDomain,
     HermitianMetricField,
     MetricJet,
     PeriodicDomain,
@@ -44,7 +43,7 @@ from .geometry import (
     UpperHalfFirstDomain,
     metric_jet_from_entries,
 )
-from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
+from .jets import Jet2, MixedJet, coordinate_jets, squared_radius
 
 CATALOG_IDS = (
     "torus-flat",
@@ -122,24 +121,6 @@ def _periods(spec: ManifoldSpec, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _flat_torus_metric(n: int, periods) -> HermitianMetricField:
-    eye = np.eye(n, dtype=complex)
-
-    def value(z):
-        z = np.asarray(z, dtype=complex)
-        return np.broadcast_to(eye, z.shape[:-1] + (n, n)).copy()
-
-    def jet(z):
-        z = np.asarray(z, dtype=complex)
-        batch = z.shape[:-1]
-        H = np.broadcast_to(eye, batch + (n, n)).copy()
-        d1 = np.zeros(batch + (2 * n, n, n), dtype=complex)
-        d2 = np.zeros(batch + (2 * n, 2 * n, n, n), dtype=complex)
-        return MetricJet(H, d1, d2)
-
-    return HermitianMetricField(n, value, jet, PeriodicDomain(periods), "torus-flat")
-
-
 # fixed low-frequency mode sets so catalog metrics are parameter-deterministic
 _POTENTIAL_MODES = [
     ((1, 0), (0, 0), 1.0 + 0.3j),
@@ -154,90 +135,73 @@ _PERTURBATION_MODES = {
 }
 
 
-# A torus metric's entries are one formula evaluated in either of two
-# arithmetics: Jet2 entries for `jet`, plain complex arrays for `value`,
-# so that reading H does not build every derivative.  Both run the same
-# operations in the same order, so value(z) equals jet(z).H bit for bit.
-_JET_OPS = (Jet2.constant, exp_linear)
+def _mode_vectors(m, l, n: int, periods):
+    """torus_mode_vectors of the catalog mode (m, l), padded with zeros to n."""
+    return torus_mode_vectors(np.array(m + (0,) * (n - 2))[:n],
+                              np.array(l + (0,) * (n - 2))[:n], periods)
 
 
-def _value_constant(n, c, batch):
-    return np.full(batch, c, dtype=complex)
+def _torus_metric(n: int, periods, terms, name: str) -> HermitianMetricField:
+    """h = Id + sum_t (C_t e_t + C_t^H conj(e_t)) with e_t = exp(a_t.z + b_t.zbar),
+    for `terms` (C_t, a_t, b_t): one TorusTerms table whose first term is
+    Id at a = b = 0, and conj(e_t) = exp(conj(b_t).z + conj(a_t).zbar).
 
+    Its `values` give the metric's value and its `parts` the metric's jet,
+    with the mixed block formed and the full second derivatives pending.
+    The value is made Hermitian bit for bit, (H + H^H) / 2, in both: the
+    table sums a term and its conjugate in rounding, and a
+    finite-difference stencil over the values would turn that rounding
+    into a curvature asymmetry of order eps / step^2.
+    """
+    coeffs, avs, bvs = [np.eye(n)], [np.zeros(n)], [np.zeros(n)]
+    for C, a, b in terms:
+        coeffs += [C, np.conj(C).T]
+        avs += [a, np.conj(b)]
+        bvs += [b, np.conj(a)]
+    table = TorusTerms(coeffs, avs, bvs)
 
-def _value_mode(z, a, b, coeff):
-    return coeff * np.exp(z @ a + np.conj(z) @ b)
-
-
-_VALUE_OPS = (_value_constant, _value_mode)
-
-
-def _stack_values(ent):
-    n = len(ent)
-    return np.stack([np.stack([ent[i][j] for j in range(n)], axis=-1) for i in range(n)], axis=-2)
-
-
-def _entry_metric(n: int, entries, periods, name: str) -> HermitianMetricField:
-    """The metric whose entries `entries(z, ops)` builds with ops = (constant, mode)."""
-
-    def value(z):
-        return _stack_values(entries(np.asarray(z, dtype=complex), _VALUE_OPS))
+    def hermitian(H):
+        return (H + np.conj(np.swapaxes(H, -1, -2))) * 0.5
 
     def jet(z):
-        return metric_jet_from_entries(entries(np.asarray(z, dtype=complex), _JET_OPS))
+        H, d1, d2, mixed = table.parts(z)
+        return MetricJet(hermitian(H), d1, d2, mixed)
 
-    return HermitianMetricField(n, value, jet, PeriodicDomain(periods), name)
+    return HermitianMetricField(n, lambda z: hermitian(table.values(z)), jet,
+                                PeriodicDomain(periods), name)
 
 
 def _kahler_potential_metric(n: int, periods, amplitude: float) -> HermitianMetricField:
     """h = Id + d dbar(phi) for a fixed real periodic potential phi.
 
-    Mode coefficients are normalized by the derivative magnitude so that
-    `amplitude` bounds the metric perturbation itself, not the potential.
+    phi = sum over modes of 2 Re(s c e), and d_i d_jbar (s c e) = s c a_i b_j e:
+    each mode adds the term s c (a b^T) e and its conjugate transpose.  The
+    scales s normalize by the derivative magnitude so that `amplitude`
+    bounds the metric perturbation itself, not the potential.
     """
-    modes = [(np.array(m + (0,) * (n - 2))[:n], np.array(l + (0,) * (n - 2))[:n], c)
-             for (m, l, c) in _POTENTIAL_MODES]
-
-    def entries(z, ops):
-        constant, mode = ops
-        batch = z.shape[:-1]
-        ent = [[constant(n, 1.0 if i == j else 0.0, batch) for j in range(n)] for i in range(n)]
-        for m, l, c in modes:
-            a, b = torus_mode_vectors(m, l, periods)
-            scale = amplitude / (len(modes) * max(np.linalg.norm(a) * np.linalg.norm(b), 1.0))
-            E = mode(z, a, b, scale * c)
-            Ec = mode(z, np.conj(b), np.conj(a), scale * np.conj(c))
-            for i in range(n):
-                for j in range(n):
-                    ent[i][j] = ent[i][j] + E * (a[i] * b[j]) + Ec * (np.conj(b[i]) * np.conj(a[j]))
-        return ent
-
-    return _entry_metric(n, entries, periods, "torus-kahler-potential")
+    terms = []
+    for m, l, c in _POTENTIAL_MODES:
+        a, b = _mode_vectors(m, l, n, periods)
+        scale = amplitude / (len(_POTENTIAL_MODES) * max(np.linalg.norm(a) * np.linalg.norm(b), 1.0))
+        terms.append((scale * c * np.outer(a, b), a, b))
+    return _torus_metric(n, periods, terms, "torus-kahler-potential")
 
 
 def _perturbed_torus_metric(n: int, periods, amplitude: float) -> HermitianMetricField:
-    """Hermitian positive-definite, deliberately non-Kahler perturbation."""
+    """Hermitian positive-definite, deliberately non-Kahler perturbation.
 
-    def entries(z, ops):
-        constant, mode = ops
-        batch = z.shape[:-1]
-        ent = [[constant(n, 1.0 if i == j else 0.0, batch) for j in range(n)] for i in range(n)]
-        for (i, j), modes in _PERTURBATION_MODES.items():
-            if max(i, j) >= n:
-                continue
-            for m, l, c in modes:
-                a, b = torus_mode_vectors(np.array(m + (0,) * (n - 2))[:n],
-                                          np.array(l + (0,) * (n - 2))[:n], periods)
-                E = mode(z, a, b, amplitude * c)
-                if i == j:
-                    ent[i][j] = ent[i][j] + (E + E.conj()) * 0.5  # Re E
-                else:
-                    half = E * 0.5
-                    ent[i][j] = ent[i][j] + half
-                    ent[j][i] = ent[j][i] + half.conj()
-        return ent
-
-    return _entry_metric(n, entries, periods, "torus-hermitian-perturbed")
+    Entry (i, j) gains E / 2 and entry (j, i) its conjugate, so a diagonal
+    entry gains Re E, for each mode E = amplitude c e of that entry.
+    """
+    terms = []
+    for (i, j), modes in _PERTURBATION_MODES.items():
+        if max(i, j) >= n:
+            continue
+        for m, l, c in modes:
+            C = np.zeros((n, n), dtype=complex)
+            C[i, j] = 0.5 * amplitude * c
+            terms.append((C,) + _mode_vectors(m, l, n, periods))
+    return _torus_metric(n, periods, terms, "torus-hermitian-perturbed")
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +313,7 @@ def torus_grid(metric: HermitianMetricField, periods, resolution: int) -> Quadra
         "shape": (resolution,) * (2 * n),
         "spacings": spacings,
     }
-    return QuadratureGrid(metric.name, z, w, metric, axes=axes, basis=_torus_basis(n, periods))
-
-
-def _torus_basis(n: int, periods, kmax: int = 1):
-    """Real Fourier basis up to |k|_inf <= kmax (constant first)."""
-    basis = [constant_field(1.0)]
-    seen = set()
-    from itertools import product
-
-    for vec in product(range(-kmax, kmax + 1), repeat=2 * n):
-        if not any(vec):
-            continue
-        key = vec if (vec > tuple(-v for v in vec)) else tuple(-v for v in vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        m, l = np.array(key[:n]), np.array(key[n:])
-        mode = torus_mode(m, l, periods)
-        basis.append(mode.real())
-        basis.append(mode.imag())
-    return basis
+    return QuadratureGrid(metric.name, z, w, metric, axes=axes, basis=TorusBasis(n, periods))
 
 
 def hopf_grid(
@@ -447,7 +391,60 @@ def _hopf_basis_spec(kmax_t: int = 2, max_degree: int = 4):
     return spec
 
 
-class HopfBasis:
+class _ModeBasis:
+    """Real basis functions as the real or imaginary parts of complex modes:
+    real function s is Re phi_index[s], or Im phi_index[s] where imag[s]."""
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def _half_weights(self, coeffs, modes: int):
+        """The complex modes with a nonzero weight W, and W / 2 on them.
+
+        Row s adds c_s Re(phi) or c_s Im(phi) = Re(-i c_s phi) to the weight
+        of its mode, so sum c_s phi_s = Re sum W phi = T + conj(T) for the
+        table T of the terms (W / 2) phi.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        W = np.zeros(modes, dtype=complex)
+        np.add.at(W, self.index, np.where(self.imag, -1j * coeffs, coeffs))
+        used = np.flatnonzero(W)
+        return used, 0.5 * W[used]
+
+
+class TorusBasis(_ModeBasis):
+    """Real Fourier basis up to |k|_inf <= kmax, constant first.
+
+    The complex modes exp(2 pi i (m.x/p + l.y/p)) = exp(a.z + b.zbar) are
+    one `fields.TorusTerms` table with unit coefficients: the constant
+    (a = b = 0) first, then one mode of each pair +-(m, l).  The real
+    functions are the constant, then Re and Im of every other mode.  A call
+    gives the modes' value, gradient and mixed block at a node chunk as
+    stacked rows (`TorusTerms.rows`); a solved combination (`field`) is one
+    table over the same modes, u = T + conj(T), as on the Hopf basis.
+    """
+
+    def __init__(self, n: int, periods, kmax: int = 1):
+        # of each pair +-v, product order meets the one with a negative
+        # leading entry first; the mode is its negation
+        keys = [tuple(-v for v in vec) for vec in product(range(-kmax, kmax + 1), repeat=2 * n)
+                if vec < tuple(-v for v in vec)]
+        a, b = zip(*[torus_mode_vectors(k[:n], k[n:], periods) for k in keys])
+        self.terms = TorusTerms(np.ones(len(keys) + 1), (np.zeros(n),) + a, (np.zeros(n),) + b)
+        self.index = np.concatenate([[0], np.repeat(np.arange(1, len(keys) + 1), 2)])
+        self.imag = np.concatenate([[False], np.tile([False, True], len(keys))])
+
+    def __call__(self, z) -> BasisJets:
+        return BasisJets(self.terms.rows(z), self.index, self.imag)
+
+    def field(self, coeffs, name: str) -> ScalarField:
+        """u = sum c_s phi_s as one TorusTerms table T, u = T + conj(T)."""
+        used, half = self._half_weights(coeffs, len(self.terms.a))
+        terms = TorusTerms(half, self.terms.a[used], self.terms.b[used])
+        return plus_conj(terms, terms, name)
+
+
+class HopfBasis(_ModeBasis):
     """Radial Fourier modes times scaling-invariant sphere monomials.
 
     Every basis function is the real or imaginary part of a complex
@@ -482,9 +479,6 @@ class HopfBasis:
         self.index = np.array([k * len(monos) + pos[ab + cd] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
 
-    def __len__(self) -> int:
-        return len(self.index)
-
     def __call__(self, z) -> BasisJets:
         z = np.asarray(z, dtype=complex)
         val, d1 = self._table(coordinate_slots(z), "first")  # d1: gradient and mixed block
@@ -493,19 +487,13 @@ class HopfBasis:
         return BasisJets(polys, self.index, self.imag, self.powers)
 
     def field(self, coeffs, name: str) -> ScalarField:
-        """u = sum c_s phi_s as one HopfTerms table: Re sum W_i s^q_i w^e_i.
-
-        Row s adds c_s Re(phi) or c_s Im(phi) = Re(-i c_s phi) to the weight
-        W of its complex function; the functions with a nonzero weight are
-        the terms (W / 2) s^q w^e of a table T, and u = T + conj(T).  Its jets
+        """u = sum c_s phi_s as one HopfTerms table: Re sum W_i s^q_i w^e_i,
+        u = T + conj(T) for the terms (W / 2) s^q w^e of a table T.  Its jets
         carry value, gradient and mixed block with the Hessian pending, and
         its values come from the table alone.
         """
-        coeffs = np.asarray(coeffs, dtype=float)
-        W = np.zeros(len(self.powers), dtype=complex)
-        np.add.at(W, self.index, np.where(self.imag, -1j * coeffs, coeffs))
-        used = np.flatnonzero(W)
-        terms = HopfTerms(0.5 * W[used], self.expo[used % len(self.expo)], self.powers[used])
+        used, half = self._half_weights(coeffs, len(self.powers))
+        terms = HopfTerms(half, self.expo[used % len(self.expo)], self.powers[used])
         return plus_conj(terms, terms, name)
 
 
@@ -557,7 +545,7 @@ def build_manifold(spec: ManifoldSpec) -> CatalogEntry:
         periods = _periods(spec, n)
         res = spec.resolution or (32 if n == 1 else 12)
         if mid == "torus-flat":
-            metric = _flat_torus_metric(n, periods)
+            metric = _torus_metric(n, periods, [], "torus-flat")
             kahler, gbc = True, True
         elif mid == "torus-kahler-potential":
             metric = _kahler_potential_metric(n, periods, spec.potential_amplitude)

@@ -13,6 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import map_nodes
 from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, mixed_first, squared_radius
 
 
@@ -167,54 +168,6 @@ class BasisJets:
         return parts[self.index, :, self.imag.astype(int)]
 
 
-class FieldBasis:
-    """A plain list of real ScalarFields, stacked for Galerkin solves.
-
-    Calling it at a node chunk gives BasisJets; `field` turns coefficients
-    into the combination sum c_s phi_s with full jets.
-    """
-
-    def __init__(self, fields: Sequence[ScalarField]):
-        self.fields = list(fields)
-        self.index = np.arange(len(self.fields))
-        self.imag = np.zeros(len(self.fields), dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.fields)
-
-    def __call__(self, z) -> BasisJets:
-        """The fields' values, gradients and mixed blocks, stacked; each jet is
-        copied in and dropped before the next is formed."""
-        parts = None
-        for s, phi in enumerate(self.fields):
-            jet = phi(z)
-            if parts is None:
-                parts = [np.empty((len(self),) + a.shape, dtype=complex)
-                         for a in (jet.val, jet.d1, jet.mixed)]
-            for p, a in zip(parts, (jet.val, jet.d1, jet.mixed)):
-                p[s] = a
-        return BasisJets(MixedJet(z.shape[-1], *parts), self.index, self.imag)
-
-    def field(self, coeffs, name: str) -> ScalarField:
-        """sum c_s phi_s over the nonzero coefficients; its values sum the
-        values of phi_s alone."""
-        terms = [(float(c), phi) for c, phi in zip(coeffs, self.fields) if c != 0.0]
-
-        def fn(z):
-            out = terms[0][1](z) * terms[0][0]
-            for c, phi in terms[1:]:
-                out = out + phi(z) * c
-            return out
-
-        def values(z):
-            out = terms[0][1].values(z) * terms[0][0]
-            for c, phi in terms[1:]:
-                out = out + phi.values(z) * c
-            return out
-
-        return ScalarField(fn, name, values)
-
-
 # ---------------------------------------------------------------------------
 # periodic (torus) constructions
 # ---------------------------------------------------------------------------
@@ -234,49 +187,100 @@ def torus_mode(m, l, periods, coeff=1.0) -> ScalarField:
     """Complex exponential exp(2 pi i (m.x/p + l.y/p)) as a jet field."""
     a, b = torus_mode_vectors(m, l, periods)
     name = f"mode{tuple(np.asarray(m, dtype=float))}{tuple(np.asarray(l, dtype=float))}"
-    # the value of exp_linear, by the same operations
-    return ScalarField(lambda z: exp_linear(z, a, b, coeff), name,
-                       lambda z: coeff * np.exp(z @ a + np.conj(z) @ b))
+    return ScalarField(lambda z: exp_linear(z, a, b, coeff), name)
 
 
 class TorusTerms:
-    """The sum over terms t of c_t exp(a_t . z + b_t . zbar), in one pass.
+    """The sum over terms t of C_t exp(a_t . z + b_t . zbar), in one pass.
 
-    The phases of all terms come from two matrix products; the gradient
-    and the mixed block contract the weighted exponentials with (a_t, b_t)
-    and with a_t b_t over the term axis.  The full Hessian, their
-    contraction with the outer square of (a_t, b_t), is left pending:
-    `hessian` recomputes the exponentials from a private copy of the points
-    when `d2` is first read, and its mixed slots take the eager block.
+    The coefficients C_t may carry any trailing shape: a number for a
+    scalar field, an n x n matrix for a metric.  Every output carries that
+    shape last.  The exponentials e_t of all terms come from two matrix
+    products over the points, and every output is one more matrix product
+    of them with a fixed weight table: the value e @ C, the gradient
+    e @ (ab (x) C) with ab_t = (a_t, b_t), the mixed block d_i d_jbar
+    e @ (a (x) b (x) C).  The value is formed alone, so `values` and the
+    jet's value are equal bit for bit.
+
+    `parts` gives (value, gradient, pending Hessian, mixed block), the
+    argument order of both `Jet2` (after n) and `geometry.MetricJet`.  The
+    pending Hessian, on its first read, runs `hessian` on a private copy
+    of the points; its mixed slots take the eager block.  `rows` gives
+    every term of a scalar table on its own, stacked along a leading term
+    axis.
     """
 
     def __init__(self, coeff, a, b):
-        self.coeff = np.asarray(coeff, dtype=complex)
+        coeff = np.asarray(coeff, dtype=complex)
         self.a = np.asarray(a, dtype=complex)
         self.b = np.asarray(b, dtype=complex)
+        self.n = n = self.a.shape[1]
+        self.shape = coeff.shape[1:]
+        T, m = len(coeff), 2 * n
+        C = coeff.reshape(T, -1)
+        self.size = C.shape[1]  # entries per coefficient
         self.ab = np.concatenate([self.a, self.b], axis=1)
-        self.ab2 = np.einsum("ta,tb->tab", self.ab, self.ab).reshape(len(self.ab), -1)
-        self.ab_mixed = np.einsum("ta,tb->tab", self.a, self.b).reshape(len(self.ab), -1)
+        self.ab_mixed = self.a[:, :, None] * self.b[:, None, :]
+        # the Hessian's pure blocks d_i d_j and d_ibar d_jbar, each pair once,
+        # and where every slot pair (A, B) reads [pure pairs | mixed block]
+        A, B = np.triu_indices(m)
+        pure = (A < n) == (B < n)
+        A, B = A[pure], B[pure]
+        slots = np.empty((m, m), dtype=int)
+        slots[A, B] = slots[B, A] = np.arange(len(A))
+        slots[:n, n:] = len(A) + np.arange(n * n).reshape(n, n)
+        slots[n:, :n] = slots[:n, n:].T
+        self._slots = slots.ravel()
+        self._weights = {
+            "value": C,
+            "gradient": (self.ab[:, :, None] * C[:, None, :]).reshape(T, -1),
+            "mixed": (self.ab_mixed.reshape(T, -1, 1) * C[:, None, :]).reshape(T, -1),
+            "pure": ((self.ab[:, A] * self.ab[:, B])[:, :, None] * C[:, None, :]).reshape(T, -1),
+        }
 
-    def _terms(self, z):
-        """The weighted exponentials, (..., term)."""
-        return np.exp(z @ self.a.T + np.conj(z) @ self.b.T) * self.coeff
+    def _exp(self, z):
+        """The exponentials e_t at the points z, (..., term)."""
+        return np.exp(z @ self.a.T + np.conj(z) @ self.b.T)
+
+    def _contract(self, e, which, slots=()):
+        """e @ weights[which], shaped (..., *slots, *self.shape)."""
+        return (e @ self._weights[which]).reshape(e.shape[:-1] + slots + self.shape)
 
     def values(self, z) -> np.ndarray:
-        return self._terms(np.asarray(z, dtype=complex)).sum(axis=-1)
+        return self._contract(self._exp(np.asarray(z, dtype=complex)), "value")
 
-    def hessian(self, z) -> np.ndarray:
-        m = self.ab.shape[1]
-        e = self._terms(z)
-        return (e @ self.ab2).reshape(e.shape[:-1] + (m, m))
+    def hessian(self, z, mixed) -> np.ndarray:
+        """The full Hessian (..., 2n, 2n, *shape) at the points z: each pure
+        pair of slots formed once and read for both orders, the mixed slots
+        read from `mixed` (the block that `parts` gave) and its transpose,
+        so it is exactly symmetric in its two slots."""
+        m = 2 * self.n
+        e = self._exp(z)
+        batch = e.shape[:-1]
+        pairs = np.concatenate([(e @ self._weights["pure"]).reshape(batch + (-1, self.size)),
+                                mixed.reshape(batch + (-1, self.size))], axis=-2)
+        return np.take(pairs, self._slots, axis=-2).reshape(batch + (m, m) + self.shape)
+
+    def parts(self, z):
+        """(value, gradient, pending Hessian, mixed block) at the points z."""
+        z = np.array(z, dtype=complex)  # private: the pending Hessian reads it later
+        n = self.n
+        e = self._exp(z)
+        mixed = self._contract(e, "mixed", (n, n))
+        return (self._contract(e, "value"), self._contract(e, "gradient", (2 * n,)),
+                lambda: self.hessian(z, mixed), mixed)
 
     def jet(self, z) -> Jet2:
-        z = np.array(z, dtype=complex)  # private: the pending Hessian reads it later
-        n = self.a.shape[1]
-        e = self._terms(z)
-        val = e.sum(axis=-1)
-        mixed = (e @ self.ab_mixed).reshape(e.shape[:-1] + (n, n))
-        return mixed_first(n, val, e @ self.ab, mixed, lambda: self.hessian(z))
+        """The Jet2 of a scalar table."""
+        return Jet2(self.n, *self.parts(z))
+
+    def rows(self, z) -> MixedJet:
+        """Every term C_t e_t of a scalar table on its own at the points z
+        (N, n): value (term, N), gradient (term, N, 2n), mixed block
+        (term, N, n, n)."""
+        e = np.ascontiguousarray(self._exp(np.asarray(z, dtype=complex)).T) * self._weights["value"]
+        return MixedJet(self.n, e, e[..., None] * self.ab[:, None, :],
+                        e[..., None, None] * self.ab_mixed[:, None, :, :])
 
 
 def _draw_torus_terms(rng, n, periods, amplitude, kmax, modes):
@@ -384,12 +388,6 @@ def hopf_monomial(alpha, beta) -> ScalarField:
 def coordinate_slots(z):
     """The 2n coordinate slots w = (z, zbar) of the points z (N, n), as (2n, N)."""
     return np.concatenate([z, np.conj(z)], axis=1).T
-
-
-def _map_nodes(fn, z):
-    from .geometry import map_nodes  # geometry imports this module
-
-    return map_nodes(fn, z)
 
 
 class ExponentTable:
@@ -576,17 +574,17 @@ class HopfTerms:
 
     def values(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        return _map_nodes(self._values, z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
+        return map_nodes(self._values, z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
 
     def hessian(self, z) -> np.ndarray:
         """The full Hessian (N, 2n, 2n) at the points z (N, n)."""
-        return _map_nodes(self._second, z)
+        return map_nodes(self._second, z)
 
     def jet(self, z) -> Jet2:
         batch, m, n = np.shape(z)[:-1], self.m, self.m // 2
         # private: the pending Hessian reads it later
         z = np.array(z, dtype=complex).reshape(-1, n)
-        val, d1, mixed = _map_nodes(self._first, z)
+        val, d1, mixed = map_nodes(self._first, z)
         return mixed_first(n, val.reshape(batch), d1.reshape(batch + (m,)),
                            mixed.reshape(batch + (n, n)),
                            lambda: self.hessian(z).reshape(batch + (m, m)))

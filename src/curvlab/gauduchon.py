@@ -21,7 +21,7 @@ of monomials per chunk and declares every exponent q;
 `lift_radial_modes` applies L to the polynomials once and lifts the
 result to every s^q P by the Leibniz rule, with the derivatives of s
 shared by all of them, so no product jet is formed.  A basis without
-radial exponents (a plain field list) gives m and L m as they are.
+radial exponents (the torus Fourier modes) gives m and L m as they are.
 
 The Gram and operator matrices are summed chunk by chunk
 (`galerkin_matrices`): a chunk's value and L-value rows are added to the
@@ -372,8 +372,6 @@ def solve_gauduchon(
     grid: QuadratureGrid,
     tol: float = 1e-10,
     max_iter: int = 60,
-    prune_tol: float = 1e-9,
-    positivity_tol: float = 1e-8,
 ) -> GauduchonSolution:
     """Gauduchon factor of the conformal class of `metric` on `grid`.
 
@@ -395,7 +393,7 @@ def solve_gauduchon(
     w = volume_weights(metric, grid)
     gram, op = galerkin_matrices(metric, grid, w)
     evals, evecs = np.linalg.eigh(gram)
-    keep = evals > prune_tol * np.max(evals)
+    keep = evals > PRUNE_TOL * np.max(evals)
     T = (evecs[:, keep] / np.sqrt(evals[keep])).T  # orthonormalizing transform
     M = T @ op @ T.T
 
@@ -435,7 +433,7 @@ def solve_gauduchon(
         # negating the coefficients negates every value exactly
         coeffs, u_nodes = -coeffs, -u_nodes
         u_field = grid.basis.field(coeffs, "gauduchon-u")
-    if np.min(u_nodes) <= positivity_tol * np.max(np.abs(u_nodes)):
+    if np.min(u_nodes) <= POSITIVITY_TOL * np.max(np.abs(u_nodes)):
         raise NoPositiveNullVector(
             f"null vector changes sign (min {np.min(u_nodes):.3e}, max {np.max(u_nodes):.3e}); "
             "discretization too coarse"
@@ -529,6 +527,8 @@ def theorem_t_check(metric: HermitianMetricField, grid: QuadratureGrid) -> Total
 
 EPS_SIGN_SCALE = 1e-6  # sign band per unit volume
 FACTOR_TOL = 1e-6  # max |f| of a Gauduchon factor that counts as trivial
+PRUNE_TOL = 1e-9  # Gram eigenvalues below this fraction of the largest are pruned
+POSITIVITY_TOL = 1e-8  # min u below this fraction of max |u| is a sign change
 TORSION_TOL = 1e-8  # max |T|^2 of a torsion-free (Kahler) metric
 CERTIFY_TOL = 1e-3  # relative identity gap above which a total is not certified
 

@@ -25,7 +25,6 @@ from .errors import (
     NotPositive,
     StencilOutOfDomain,
 )
-from .fields import FieldBasis
 from .jets import Jet2
 
 NODE_CHUNK = 1024  # nodes per call of every chunked map over grid nodes
@@ -498,14 +497,12 @@ class QuadratureGrid:
     lebesgue_w: np.ndarray  # (N,)
     metric: HermitianMetricField
     axes: Optional[dict] = None  # structured-grid info for diff ops
-    # smooth function basis for the Gauduchon solver: a FieldBasis (a plain
-    # list of ScalarFields is wrapped in one) or a catalog.HopfBasis
+    # smooth function basis for the Gauduchon solver (catalog.TorusBasis or
+    # catalog.HopfBasis)
     basis: Optional[object] = None
     # evaluates the whole basis at a node chunk (BasisJets); the basis itself
     # unless given
     basis_batch: Optional[Callable] = None
-
-    _volume_w: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=complex)
@@ -514,20 +511,12 @@ class QuadratureGrid:
             raise ValueError("nodes and weights must align")
         if np.any(self.lebesgue_w <= 0):
             raise ValueError("quadrature weights must be positive")
-        if isinstance(self.basis, (list, tuple)):
-            self.basis = FieldBasis(self.basis)
         if self.basis_batch is None:
             self.basis_batch = self.basis
 
     @property
     def n(self) -> int:
         return self.nodes.shape[-1]
-
-    @property
-    def volume_w(self) -> np.ndarray:
-        if self._volume_w is None:
-            self._volume_w = volume_weights(self.metric, self)
-        return self._volume_w
 
 
 def integrate(grid: QuadratureGrid, integrand) -> float:
@@ -542,4 +531,4 @@ def integrate(grid: QuadratureGrid, integrand) -> float:
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise NonFiniteIntegrand(idx, vals[idx])
-    return float(np.sum(grid.volume_w * vals))
+    return float(np.sum(volume_weights(grid.metric, grid) * vals))

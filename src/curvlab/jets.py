@@ -31,6 +31,14 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
+def _square(rows, cols):
+    """The block (rows, cols) of (d1 d1 + (d1 d1)^T) / 2 for the slot slices
+    rows and cols of one gradient d1.  Complex products are not bit for bit
+    commutative, so d1 d1 alone is symmetric only to rounding; this is
+    exactly symmetric, and a block is the slice of the whole square."""
+    return (_outer(rows, cols) + np.swapaxes(_outer(cols, rows), -1, -2)) * 0.5
+
+
 class Jet2:
     """Value, gradient and Hessian of a scalar field in Wirtinger slots.
 
@@ -114,19 +122,19 @@ class Jet2:
         """Jet of F(self) given F, F', F'' evaluated at self.val.
 
         A pending Hessian stays pending; the mixed block follows eagerly
-        from mixed' = F' mixed + F'' d1[:n] d1[n:].
+        from mixed' = F' mixed + F'' d1[:n] d1[n:], by the same operations
+        as the mixed slots of the forced Hessian.
         """
         n = self.n
         d1 = f1[..., None] * self.d1
 
         def d2():
-            return f1[..., None, None] * self.d2 + f2[..., None, None] * _outer(self.d1, self.d1)
+            return f1[..., None, None] * self.d2 + f2[..., None, None] * _square(self.d1, self.d1)
 
         if not self.pending:
             return Jet2(n, f0, d1, d2())
-        mixed = f1[..., None, None] * self.mixed + f2[..., None, None] * (
-            self.d1[..., :n, None] * self.d1[..., None, n:]
-        )
+        mixed = f1[..., None, None] * self.mixed + f2[..., None, None] * _square(
+            self.d1[..., :n], self.d1[..., n:])
         return Jet2(n, f0, d1, d2, mixed)
 
     # -- algebra -------------------------------------------------------
@@ -161,11 +169,11 @@ class Jet2:
         o = self._lift(other)
         val = self.val * o.val
         d1 = self.d1 * o.val[..., None] + o.d1 * self.val[..., None]
+        cross = _outer(self.d1, o.d1)
         d2 = (
             self.d2 * o.val[..., None, None]
             + o.d2 * self.val[..., None, None]
-            + _outer(self.d1, o.d1)
-            + _outer(o.d1, self.d1)
+            + (cross + np.swapaxes(cross, -1, -2))
         )
         return Jet2(self.n, val, d1, d2)
 
@@ -204,7 +212,8 @@ class Jet2:
         The conjugate's mixed block d_i d_jbar conj(F) = conj(d_j d_ibar F)
         is the conjugate transpose of the mixed block.  It equals the slice
         of the conjugate's forced Hessian bit for bit where d2 is exactly
-        symmetric in the mixed slots.
+        symmetric in the mixed slots, as the Hessians that this module's
+        arithmetic builds are.
         """
         n = self.n
         idx = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
@@ -293,7 +302,7 @@ def exp_linear(z, a, b, coeff=1.0):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     ab = np.concatenate([a, b])
-    ab2 = np.einsum("a,b->ab", ab, ab)
+    ab2 = _square(ab, ab)  # exactly symmetric
     phase = z @ a + np.conj(z) @ b
     val = coeff * np.exp(phase)
     d1 = val[..., None] * ab

@@ -8,9 +8,19 @@ import sys
 import numpy as np
 import pytest
 
-from curvlab.catalog import CATALOG_IDS, ManifoldSpec, build_manifold, rng_from_seed
+from curvlab.catalog import (
+    _PERTURBATION_MODES,
+    _POTENTIAL_MODES,
+    CATALOG_IDS,
+    ManifoldSpec,
+    build_manifold,
+    rng_from_seed,
+)
 from curvlab.cli import main, make_config, run
 from curvlab.errors import NotPositiveDefinite, UnknownId
+from curvlab.fields import torus_mode_vectors
+from curvlab.geometry import metric_jet_from_entries
+from curvlab.jets import Jet2, exp_linear
 from curvlab.report import CheckRecord, Report, emit_report, parse_records
 
 
@@ -38,6 +48,50 @@ def test_torus_metric_value_is_the_jet_value(mid, dim):
     entry = build_manifold(ManifoldSpec(mid, dim=dim, resolution=4))
     pts = np.concatenate([entry.grid.nodes, entry.random_points(rng_from_seed(3), 50)])
     assert np.array_equal(entry.metric.value(pts), entry.metric.jet(pts).H)
+
+
+def _reference_torus_jet(mid, n, z, amplitude=0.1):
+    """The catalog torus metric as n x n entries of Jet2 arithmetic on
+    `exp_linear` modes, one entry and one mode at a time."""
+    periods = (1.0,) * n
+    ent = [[Jet2.constant(n, float(i == j), z.shape[:-1]) for j in range(n)] for i in range(n)]
+
+    def vectors(m, l):
+        return torus_mode_vectors(np.array(m + (0,) * (n - 2))[:n],
+                                  np.array(l + (0,) * (n - 2))[:n], periods)
+
+    if mid == "torus-kahler-potential":
+        for m, l, c in _POTENTIAL_MODES:
+            a, b = vectors(m, l)
+            scale = amplitude / (len(_POTENTIAL_MODES)
+                                 * max(np.linalg.norm(a) * np.linalg.norm(b), 1.0))
+            E = exp_linear(z, a, b, scale * c)
+            Ec = exp_linear(z, np.conj(b), np.conj(a), scale * np.conj(c))
+            for i in range(n):
+                for j in range(n):
+                    ent[i][j] = ent[i][j] + E * (a[i] * b[j]) + Ec * np.conj(b[i] * a[j])
+    elif mid == "torus-hermitian-perturbed":
+        for (i, j), modes in _PERTURBATION_MODES.items():
+            for m, l, c in modes if max(i, j) < n else ():
+                half = exp_linear(z, *vectors(m, l), amplitude * c) * 0.5
+                ent[i][j] = ent[i][j] + half
+                ent[j][i] = ent[j][i] + half.conj()
+    return metric_jet_from_entries(ent)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mid", ["torus-flat", "torus-kahler-potential",
+                                 "torus-hermitian-perturbed"])
+def test_torus_metric_jet_matches_the_entrywise_reference(mid, n):
+    entry = build_manifold(ManifoldSpec(mid, dim=n, resolution=2))
+    z = entry.random_points(rng_from_seed(4), 40)
+    got, want = entry.metric.jet(z), _reference_torus_jet(mid, n, z)
+    assert got.pending  # the mixed block is formed, the full Hessian is not
+    assert np.array_equal(entry.metric.value(z), got.H)
+    for part in ("H", "d1", "mixed", "d2"):
+        assert np.max(np.abs(getattr(got, part) - getattr(want, part))) < 1e-13, part
+    assert np.array_equal(got.d2[..., :n, n:, :, :], got.mixed)
+    assert np.array_equal(got.d2, np.swapaxes(got.d2, -4, -3))
 
 
 def test_unknown_id():

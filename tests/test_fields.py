@@ -20,6 +20,7 @@ from curvlab.fields import (
 )
 from curvlab.geometry import volume_weights
 from curvlab.jets import Jet2, coordinate_jets, squared_radius
+from curvlab.tensors import CxBlocks
 
 # ---------------------------------------------------------------------------
 # reference: each term its own jet, summed with Jet2 arithmetic
@@ -239,6 +240,13 @@ def test_value_and_gradient_reads_compute_no_hessian(family, flat_torus, hopf, n
     assert jet.pending and np.all(np.isfinite(jet.d1))
     with pytest.raises(AssertionError, match="Hessian"):
         jet.d2
+
+
+def test_torus_metric_blocks_without_second_derivatives_compute_no_hessian(
+        perturbed_torus, no_hessians):
+    # CxBlocks without second derivatives reads H and d1 alone
+    cx = CxBlocks(perturbed_torus.metric.jet(perturbed_torus.grid.nodes), need_second=False)
+    assert np.all(np.isfinite(cx.Hinv)) and np.all(np.isfinite(cx.dhC))
 
 
 def test_hopf_conformal_values_compute_no_hessian(no_hessians):

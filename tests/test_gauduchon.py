@@ -1,6 +1,7 @@
 """Conformal changes, the Gauduchon solver, totals, and verdicts."""
 
 import inspect
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from curvlab import tensors
 from curvlab.catalog import (
+    HopfBasis,
     ManifoldSpec,
     _hopf_basis_spec,
     build_manifold,
@@ -24,6 +26,7 @@ from curvlab.fields import (
     hopf_monomial,
     hopf_radial_frequency,
     hopf_radial_mode,
+    torus_mode,
 )
 from curvlab.gauduchon import (
     ConformalFactor,
@@ -42,7 +45,7 @@ from curvlab.gauduchon import (
     total_chern_scalar,
 )
 from curvlab.geometry import NODE_CHUNK, DerivativeEngine, map_nodes, volume_weights
-from curvlab.jets import Jet2, coordinate_jets, squared_radius
+from curvlab.jets import Jet2, coordinate_jets, exp_linear, squared_radius
 from tests.conftest import hopf_points
 
 
@@ -249,8 +252,8 @@ def test_hopf_basis_rows_are_gathers_not_jet_products(conformal, monkeypatch):
 
 
 def test_torus_rows_leave_the_mode_hessians_pending():
-    # a 1024-node chunk of the default torus basis holds its stacked rows
-    # (11.9 MB) and the transients of one mode at a time
+    # a 1024-node chunk of the default torus basis holds the stacked rows of
+    # its 41 complex modes and no Hessian
     entry = build_manifold(ManifoldSpec("torus-kahler-potential"))
     z = entry.grid.nodes[:NODE_CHUNK]
     tracemalloc.start()
@@ -259,10 +262,40 @@ def test_torus_rows_leave_the_mode_hessians_pending():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(batch) == 81 and peak <= 20e6
+    assert len(batch) == 81 and len(batch.jet.val) == 41 and peak <= 20e6
     # the rows are the modes' mixed blocks, as their forced Hessians give them
+    terms = entry.grid.basis.terms
     for s in (1, 2, 40):
-        assert np.max(np.abs(batch.jet.mixed[s] - entry.grid.basis.fields[s](z).d2[:, :2, 2:])) < 1e-13
+        i = batch.index[s]
+        want = exp_linear(z, terms.a[i], terms.b[i]).d2[:, :2, 2:]
+        assert np.max(np.abs(batch.jet.mixed[i] - want)) < 1e-13
+
+
+def _reference_torus_basis(n, periods, kmax=1):
+    """The real Fourier basis as separate fields: the constant, then Re and
+    Im of one mode of each pair +-(m, l), in order of first appearance."""
+    basis, seen = [constant_field(1.0)], set()
+    for vec in itertools.product(range(-kmax, kmax + 1), repeat=2 * n):
+        key = max(vec, tuple(-v for v in vec))
+        if any(vec) and key not in seen:
+            seen.add(key)
+            mode = torus_mode(key[:n], key[n:], periods)
+            basis += [mode.real(), mode.imag()]
+    return basis
+
+
+def test_torus_basis_rows_match_per_mode_fields(perturbed_torus):
+    z = perturbed_torus.random_points(rng_from_seed(65), 64)
+    coeffs = gauduchon_operator_coefficients(perturbed_torus.metric.jet(z))
+    batch = perturbed_torus.grid.basis_batch(z)
+    val, lval = lift_radial_modes(coeffs, batch, z)
+    vals, lvals = batch.rows(val), batch.rows(lval)
+    reference = _reference_torus_basis(2, (1.0, 1.0))
+    assert len(batch) == len(reference) == 81
+    for s, phi in enumerate(reference):
+        ref = phi(z)
+        assert _rel(vals[s], np.real(ref.val)) < 1e-13
+        assert _rel(lvals[s], np.real(apply_gauduchon_operator(coeffs, ref))) < 1e-13
 
 
 @pytest.mark.parametrize("kind", ["gauduchon", "random"])
@@ -546,10 +579,13 @@ def test_solver_gauge_invariance(hopf):
 
 
 def test_solver_rejects_sign_changing_space(hopf):
-    import dataclasses
-
-    sign_changer = ScalarField(lambda z: hopf_radial_mode(1)(z).real())
-    bad_grid = dataclasses.replace(hopf.grid, basis=[sign_changer], basis_batch=None)
+    # a one-function basis: Re R_1, complex function k F + j with k = 1 and
+    # the constant monomial j = 0
+    basis = HopfBasis()
+    keep = (basis.index == len(basis.expo)) & ~basis.imag
+    assert np.count_nonzero(keep) == 1
+    basis.index, basis.imag = basis.index[keep], basis.imag[keep]
+    bad_grid = replace(hopf.grid, basis=basis, basis_batch=None)
     with pytest.raises(NoPositiveNullVector):
         solve_gauduchon(hopf.metric, bad_grid)
 

@@ -22,6 +22,7 @@ from curvlab.geometry import (
     map_nodes,
     real_to_hermitian,
     standard_complex_structure,
+    volume_weights,
     wirtinger,
 )
 from curvlab.jets import coordinate_jets, squared_radius
@@ -212,6 +213,18 @@ def test_hopf_annulus_volume(hopf):
     assert abs(vol - expected) / expected < 1e-4
 
 
+def test_a_grid_bound_to_another_metric_integrates_its_volume(hopf):
+    # a grid copied with a new metric weighs by that metric, also after the
+    # original grid has integrated once: det(3 h) = 9 det(h) for n = 2
+    from curvlab.fields import constant_field
+    from curvlab.gauduchon import conformal_metric
+
+    ones = np.ones(len(hopf.grid.nodes))
+    vol = integrate(hopf.grid, ones)
+    scaled = replace(hopf.grid, metric=conformal_metric(hopf.metric, constant_field(np.log(3.0))))
+    assert integrate(scaled, ones) == pytest.approx(9.0 * vol, rel=1e-12)
+
+
 def test_divergence_theorem_on_torus(flat_torus, rng):
     from curvlab.fields import random_torus_scalar
 
@@ -255,5 +268,5 @@ def test_map_nodes_matches_the_unchunked_evaluation(count, rng):
 def test_grid_weights_positive(flat_torus, hopf):
     for entry in (flat_torus, hopf):
         assert np.all(entry.grid.lebesgue_w > 0)
-        assert np.all(entry.grid.volume_w > 0)
+        assert np.all(volume_weights(entry.metric, entry.grid) > 0)
 

@@ -126,16 +126,20 @@ MIXED_FIRST_OPS = [
 
 
 def pending_with_mixed(rng, n=2, count=6):
-    """A pending jet of `composite` whose mixed block is given eagerly.
-
-    Its Hessian is made exactly symmetric: `conj` transposes the mixed
-    block, which matches the slice of the forced Hessian bit for bit only
-    where d2 is.  (Products and the chain rule keep d2 symmetric to
-    rounding, not bit for bit, so conj is applied to this jet directly.)
-    """
+    """A pending jet of `composite` whose mixed block is given eagerly."""
     j = composite(random_points(rng, count, n))
-    d2 = (j.d2 + np.swapaxes(j.d2, -1, -2)) * 0.5
-    return Jet2(n, j.val, j.d1, lambda: d2, d2[..., :n, n:]), d2
+    return Jet2(n, j.val, j.d1, lambda: j.d2, j.d2[..., :n, n:]), j.d2
+
+
+def test_products_and_the_chain_rule_give_exactly_symmetric_hessians(rng):
+    # `conj` transposes the mixed block, which is the slice of the forced
+    # Hessian bit for bit only where d2 is exactly symmetric
+    z = random_points(rng, 6)
+    d2 = composite(z).d2
+    assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
+    for j in ((composite(z) * 0.5 + 1.0).log(), composite(z) * composite(z),
+              exp_linear(z, [0.3 + 1j, -0.2j], [0.1, 0.7 - 0.4j])):
+        assert np.array_equal(j.d2, np.swapaxes(j.d2, -1, -2))
 
 
 @pytest.mark.parametrize("op", MIXED_FIRST_OPS)
