@@ -142,32 +142,53 @@ def _mode_vectors(m, l, n: int, periods):
 
 
 def _torus_metric(n: int, periods, terms, name: str) -> HermitianMetricField:
-    """h = Id + sum_t (C_t e_t + C_t^H conj(e_t)) with e_t = exp(a_t.z + b_t.zbar),
+    """h = S + S^H with S = Id / 2 + sum_t C_t e_t and e_t = exp(a_t.z + b_t.zbar),
     for `terms` (C_t, a_t, b_t): one TorusTerms table whose first term is
-    Id at a = b = 0, and conj(e_t) = exp(conj(b_t).z + conj(a_t).zbar).
+    Id / 2 at a = b = 0.
 
     Its `values` give the metric's value and its `parts` the metric's jet,
     with the mixed block formed and the full second derivatives pending.
-    The value is made Hermitian bit for bit, (H + H^H) / 2, in both: the
-    table sums a term and its conjugate in rounding, and a
-    finite-difference stencil over the values would turn that rounding
-    into a curvature asymmetry of order eps / step^2.
+    Every part of S^H is the part of S conjugated, with the holomorphic
+    and antiholomorphic slots swapped and the matrix axes transposed, so
+    the table forms one exponential per term.  V + V^H is Hermitian bit
+    for bit, as a finite-difference stencil over the values needs: a
+    rounding asymmetry would turn into a curvature asymmetry of order
+    eps / step^2.
     """
-    coeffs, avs, bvs = [np.eye(n)], [np.zeros(n)], [np.zeros(n)]
+    coeffs, avs, bvs = [0.5 * np.eye(n)], [np.zeros(n)], [np.zeros(n)]
     for C, a, b in terms:
-        coeffs += [C, np.conj(C).T]
-        avs += [a, np.conj(b)]
-        bvs += [b, np.conj(a)]
+        coeffs.append(C)
+        avs.append(a)
+        bvs.append(b)
     table = TorusTerms(coeffs, avs, bvs)
+    # where each entry of a part of S^H sits in the same part of S, flat over
+    # its trailing axes: a slot reads its conjugate slot (the mixed block
+    # d_k d_lbar reads d_l d_kbar) and the matrix axes are transposed
+    swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    idx = np.arange(4 * n**4)
+    orders = {
+        "value": idx[: n * n].reshape(n, n),
+        "d1": idx[: 2 * n**3].reshape(2 * n, n, n)[swap],
+        "d2": idx.reshape(2 * n, 2 * n, n, n)[swap][:, swap],
+        "mixed": np.swapaxes(idx[: n**4].reshape(n, n, n, n), 0, 1),
+    }
+    orders = {part: np.swapaxes(o, -1, -2).ravel() for part, o in orders.items()}
 
-    def hermitian(H):
-        return (H + np.conj(np.swapaxes(H, -1, -2))) * 0.5
+    def plus_adjoint(X, part):
+        """X + X^H for a part X of S: each entry pair is a + conj(b) and
+        b + conj(a), conjugates bit for bit."""
+        flat = X.reshape(-1, len(orders[part]))
+        out = np.take(flat, orders[part], axis=1)
+        np.conj(out, out=out)
+        out += flat
+        return out.reshape(X.shape)
 
     def jet(z):
-        H, d1, d2, mixed = table.parts(z)
-        return MetricJet(hermitian(H), d1, d2, mixed)
+        S, d1, d2, mixed = table.parts(z)
+        return MetricJet(plus_adjoint(S, "value"), plus_adjoint(d1, "d1"),
+                         lambda: plus_adjoint(d2(), "d2"), plus_adjoint(mixed, "mixed"))
 
-    return HermitianMetricField(n, lambda z: hermitian(table.values(z)), jet,
+    return HermitianMetricField(n, lambda z: plus_adjoint(table.values(z), "value"), jet,
                                 PeriodicDomain(periods), name)
 
 
@@ -295,9 +316,8 @@ def inoue_bundle_metric() -> HermitianMetricField:
 # ---------------------------------------------------------------------------
 
 
-def torus_grid(metric: HermitianMetricField, periods, resolution: int) -> QuadratureGrid:
-    """Uniform periodic lattice, `resolution` points per real dimension."""
-    n = metric.n
+def torus_grid(n: int, periods, resolution: int) -> QuadratureGrid:
+    """Uniform periodic lattice on C^n, `resolution` points per real dimension."""
     axes_1d = []
     spacings = []
     for i in range(2 * n):
@@ -313,11 +333,10 @@ def torus_grid(metric: HermitianMetricField, periods, resolution: int) -> Quadra
         "shape": (resolution,) * (2 * n),
         "spacings": spacings,
     }
-    return QuadratureGrid(metric.name, z, w, metric, axes=axes, basis=TorusBasis(n, periods))
+    return QuadratureGrid(z, w, axes=axes, basis=TorusBasis(n, periods))
 
 
 def hopf_grid(
-    metric: HermitianMetricField,
     nt: int = 8,
     nalpha: int = 12,
     nbeta: int = 12,
@@ -354,10 +373,7 @@ def hopf_grid(
         "beta": bvals,
         "gamma": gvals,
     }
-    return QuadratureGrid(
-        metric.name, z, leb, metric, axes=axes,
-        basis=HopfBasis(),
-    )
+    return QuadratureGrid(z, leb, axes=axes, basis=HopfBasis())
 
 
 def _hopf_basis_spec(kmax_t: int = 2, max_degree: int = 4):
@@ -453,13 +469,15 @@ class HopfBasis(_ModeBasis):
     p_k = i beta_k / 2, times a sphere monomial m_j = w^e_j / |z|^|e_j|,
     w = (z1, z2, zbar1, zbar2).  So phi = s^q_kj w^e_j with
     q_kj = p_k - |e_j| / 2 (p_0 = 0): a polynomial times a radial power.
-    One call evaluates the F polynomials w^e_j at a node chunk (value,
-    gradient and mixed Hessian block) by gathers from one table of
-    monomials (`fields.ExponentTable`), and declares the exponents q_kj
-    in its BasisJets; the solver applies L to the polynomials once and
-    lifts L P_j to L(s^q P_j) by the Leibniz rule
+    The complex functions that the real functions read are listed once
+    each, as (exponent q, polynomial j) pairs in `powers` and `poly`
+    (`index` points into that list).  One call evaluates the F polynomials
+    w^e_j at a node chunk (value, gradient and mixed Hessian block) by
+    gathers from one table of monomials (`fields.ExponentTable`), and
+    declares the pairs in its BasisJets; the solver applies L to the
+    polynomials once and lifts L P_j to L(s^q P_j) by the Leibniz rule
     (`gauduchon.lift_radial_modes`).  A solved combination (`field`) is one
-    `fields.HopfTerms` table over the same exponents.
+    `fields.HopfTerms` table over the same pairs.
 
     The functions are linearly independent: no kept monomial is divisible
     by z1 zbar1, the normal form for |z1|^2 + |z2|^2 = |z|^2, so the Gram
@@ -473,10 +491,12 @@ class HopfBasis(_ModeBasis):
         pos = {m: j for j, m in enumerate(monos)}
         self.expo = np.array(monos)  # (F, 4): exponents of z1, z2, zbar1, zbar2
         self._table = ExponentTable(np.arange(len(monos)), np.ones(len(monos)), self.expo)
-        radial = 0.5j * np.array([hopf_radial_frequency(k) for k in range(kmax_t + 1)])
-        # exponent q_kj of complex function k F + j
-        self.powers = (radial[:, None] - 0.5 * self.expo.sum(axis=1)).ravel()
-        self.index = np.array([k * len(monos) + pos[ab + cd] for k, ab, cd, _ in spec])
+        funcs = sorted({(k, pos[ab + cd]) for k, ab, cd, _ in spec})  # (k, j) pairs
+        at = {kj: i for i, kj in enumerate(funcs)}
+        k, self.poly = np.array(funcs).T
+        radial = 0.5j * np.array([hopf_radial_frequency(r) for r in range(kmax_t + 1)])
+        self.powers = radial[k] - 0.5 * self.expo[self.poly].sum(axis=1)  # q_kj
+        self.index = np.array([at[k, pos[ab + cd]] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
 
     def __call__(self, z) -> BasisJets:
@@ -484,7 +504,7 @@ class HopfBasis(_ModeBasis):
         val, d1 = self._table(coordinate_slots(z), "first")  # d1: gradient and mixed block
         polys = MixedJet(2, val, np.moveaxis(d1[:, :4], 1, -1),
                          np.moveaxis(d1[:, 4:], 1, -1).reshape(val.shape + (2, 2)))
-        return BasisJets(polys, self.index, self.imag, self.powers)
+        return BasisJets(polys, self.index, self.imag, self.powers, self.poly)
 
     def field(self, coeffs, name: str) -> ScalarField:
         """u = sum c_s phi_s as one HopfTerms table: Re sum W_i s^q_i w^e_i,
@@ -493,7 +513,7 @@ class HopfBasis(_ModeBasis):
         its values come from the table alone.
         """
         used, half = self._half_weights(coeffs, len(self.powers))
-        terms = HopfTerms(half, self.expo[used % len(self.expo)], self.powers[used])
+        terms = HopfTerms(half, self.expo[self.poly[used]], self.powers[used])
         return plus_conj(terms, terms, name)
 
 
@@ -553,7 +573,7 @@ def build_manifold(spec: ManifoldSpec) -> CatalogEntry:
         else:
             metric = _perturbed_torus_metric(n, periods, spec.perturbation_amplitude)
             kahler, gbc = False, False
-        grid = torus_grid(metric, periods, res)
+        grid = torus_grid(n, periods, res)
         _screen(metric, grid.nodes)
         return CatalogEntry(spec, metric, grid, _torus_sampler(n, periods), kahler, gbc)
 
@@ -566,9 +586,9 @@ def build_manifold(spec: ManifoldSpec) -> CatalogEntry:
             gbc = False
         r = spec.resolution
         if r is None:
-            grid = hopf_grid(metric)
+            grid = hopf_grid()
         else:
-            grid = hopf_grid(metric, nt=max(4, r), nalpha=max(12, r),
+            grid = hopf_grid(nt=max(4, r), nalpha=max(12, r),
                              nbeta=max(12, r), ngamma=max(12, r))
         _screen(metric, grid.nodes)
         return CatalogEntry(spec, metric, grid, _hopf_sampler(), False, gbc)

@@ -131,7 +131,7 @@ def _entry(cfg: RunConfig):
         seed=cfg.seed,
     )
     entry = build_manifold(spec)
-    cfg.bind(entry.metric)  # entry.grid.metric is the same object
+    cfg.bind(entry.metric)
     return entry
 
 
@@ -200,9 +200,8 @@ def cmd_gauduchon(cfg: RunConfig, report: Report):
         report.add("gauduchon_residual_pointwise_max", cfg.manifold, vmax, vmax, 1e-8, vmax <= 1e-8)
         report.verdicts.append("pointwise chart: no global solve attempted")
         return 0
-    res_in = gauduchon_residual(entry.metric, entry.grid)
-    report.add("gauduchon_residual_input", cfg.manifold, res_in, None, None, True)
     sol = solve_gauduchon(entry.metric, entry.grid)
+    report.add("gauduchon_residual_input", cfg.manifold, sol.input_residual, None, None, True)
     stol = cfg.solver_tol()
     res_out = gauduchon_residual(conformal_metric(entry.metric, sol.factor), entry.grid)
     report.add("gauduchon_residual_solved", cfg.manifold, res_out, res_out, stol, res_out <= stol)

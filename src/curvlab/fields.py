@@ -140,24 +140,25 @@ class BasisJets:
     """A real function basis at one node chunk, as stacked complex jets.
 
     `jet` holds F complex functions P_j along its leading axis.  A basis
-    may declare radial exponents: `powers` then holds one exponent q_i per
-    complex function i = k F + j, which is s^q_i P_j with s = |z|^2, and
-    only its value and L-value are formed, from the jets of P_j (the radial
-    lift in `gauduchon`).  Without exponents the complex functions are the
-    P_j themselves.  Real basis function s is the real part of complex
+    may declare radial exponents: complex function i is then s^q_i P_j
+    with s = |z|^2, q_i = powers[i] and j = poly[i], and only its value
+    and L-value are formed, from the jets of P_j (the radial lift in
+    `gauduchon`).  Without exponents the complex functions are the P_j
+    themselves.  Real basis function s is the real part of complex
     function index[s], or its imaginary part where imag[s].  Only
     scalar-valued results of a real operator (values, L phi) may be read
     off by `rows`, since L(Re phi) = Re(L phi) holds for such an
     operator, while derivatives of Re phi mix conjugate slots.
     """
 
-    __slots__ = ("jet", "index", "imag", "powers")
+    __slots__ = ("jet", "index", "imag", "powers", "poly")
 
-    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=()):
+    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=(), poly=()):
         self.jet = jet
         self.index = index
         self.imag = imag
         self.powers = np.asarray(powers, dtype=complex)
+        self.poly = np.asarray(poly, dtype=int)
 
     def __len__(self) -> int:
         return len(self.index)

@@ -6,10 +6,10 @@ that operator over a basis of smooth functions on the manifold (Galerkin,
 with quadrature inner products), finds the near-null vector by shifted
 inverse-power iteration, and enforces positivity of u.
 
-The basis is evaluated one node chunk at a time as stacked jets
-(`QuadratureGrid.basis_batch`): complex functions m along a leading
-axis, carrying the value, gradient and mixed Hessian block that the
-operator reads.  The operator L is real (it maps real u to real
+The basis is evaluated one node chunk at a time as stacked jets (the
+grid's `basis_batch` method calls its basis): complex functions m along
+a leading axis, carrying the value, gradient and mixed Hessian block
+that the operator reads.  The operator L is real (it maps real u to real
 densities), so L(Re phi) = Re(L phi) and L(Im phi) = Im(L phi): it is
 applied once per complex function and both real basis rows are read off.
 
@@ -17,23 +17,26 @@ On the Hopf grid the complex functions are products phi = R_k m_j of a
 radial mode R_k = s^p_k (s = |z|^2) and a sphere monomial m_j, that is
 phi = s^q P_j with the polynomial P_j = w^e_j in w = (z, zbar) and
 q = p_k - |e_j| / 2.  The basis gathers the polynomials from one table
-of monomials per chunk and declares every exponent q;
-`lift_radial_modes` applies L to the polynomials once and lifts the
-result to every s^q P by the Leibniz rule, with the derivatives of s
-shared by all of them, so no product jet is formed.  A basis without
-radial exponents (the torus Fourier modes) gives m and L m as they are.
+of monomials per chunk and declares one (q, j) pair per complex function
+that a real function reads; `lift_radial_modes` applies L to the
+polynomials once and lifts the result to every s^q P_j by the Leibniz
+rule, with the derivatives of s shared by all of them, so no product jet
+is formed.  A basis without radial exponents (the torus Fourier modes)
+gives m and L m as they are.
 
 The Gram and operator matrices are summed chunk by chunk
 (`galerkin_matrices`): a chunk's value and L-value rows are added to the
 two m x m matrices and dropped, and checked for non-finite entries on the
-way, so a solve never holds an m x N matrix.  The solved u is kept as
-basis coefficients; on the Hopf grid it is one term table
-(u = Re sum W s^q w^e over the surviving functions, `fields.HopfTerms`)
-with rows keyed by the distinct powers q, evaluated from the same kind of
-monomial table as the basis rows, with its value, gradient and mixed
-block; its full Hessian stays pending until something reads it.  Its
-node values, and every value read of the solved metric (the
-finite-difference stencil), go through the table's value-only path.
+way, so a solve never holds an m x N matrix.  The same pass keeps the
+max of the input metric's residual |Re c|, so a solve walks the metric
+jets of the grid once.  The solved u is kept as basis coefficients; on
+the Hopf grid it is one term table (u = Re sum W s^q w^e over the
+surviving functions, `fields.HopfTerms`) with rows keyed by the distinct
+powers q, evaluated from the same kind of monomial table as the basis
+rows, with its value, gradient and mixed block; its full Hessian stays
+pending until something reads it.  Its node values, and every value read
+of the solved metric (the finite-difference stencil), go through the
+table's value-only path.
 
 The operator coefficients are closed-form contractions of P = H^-1 with
 the first derivatives and the mixed block of H
@@ -83,11 +86,10 @@ from .tensors import chern_ricci, chern_ricci_from_jet, scalar_and_torsion_from_
 class ConformalFactor:
     """Mean-zero scalar factor f with omega_f = e^f omega.
 
-    Carries both the node values on its grid and, when produced by the
+    Carries both the node values on a grid and, when produced by the
     solver or built from a field, a smooth evaluator with analytic jets.
     """
 
-    grid: Optional[QuadratureGrid]
     values: np.ndarray
     field: Optional[ScalarField] = None
 
@@ -95,7 +97,7 @@ class ConformalFactor:
     def from_field(cls, grid: QuadratureGrid, fld: ScalarField):
         vals = np.real(fld.values(grid.nodes))
         mean = float(np.mean(vals))
-        return cls(grid, vals - mean, fld - mean)
+        return cls(vals - mean, fld - mean)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -245,15 +247,15 @@ def lift_radial_modes(coeffs, batch, z):
     """Values and L-values of every complex function of `batch`, (functions, N) each.
 
     L is applied once, to the F stacked functions P = batch.jet.  For the
-    radial exponent q of a function s^q P of the batch, with s = |z|^2,
+    pair (q, j) of a function s^q P_j of the batch, with s = |z|^2,
     ds = (zbar, z) and d_i d_jbar s = delta_ij, the Leibniz rule gives
 
         L(s^q P) = s^q [L P + (q / s)(A_P + P B) + (q (q - 1) / s^2) P C],
 
     A_P = sum a_il (zbar_i d_lbar P + z_l d_i P),  B = tr a + b.zbar + b~.z,
-    C = zbar^T a z.  B and C are shared by every function, and q is a
-    column over the functions.  A batch without radial exponents gives P
-    and L P unchanged.
+    C = zbar^T a z.  B and C are shared by every function, the terms of P_j
+    are gathered by j, and q is a column over the functions.  A batch
+    without radial exponents gives P and L P unchanged.
     """
     P = batch.jet
     lp = apply_gauduchon_operator(coeffs, P)
@@ -277,16 +279,16 @@ def lift_radial_modes(coeffs, batch, z):
     first = (A + P.val * B) / s
     second = P.val * (C / s**2)
     # the radial factors s^q, once per distinct exponent
-    q = batch.powers.reshape(-1, len(P.val))
-    distinct, at = np.unique(q, return_inverse=True)
-    g = np.exp(np.outer(distinct, np.log(s)))[at.reshape(q.shape)]
-    q = q[..., None]
-    lvals = (q * (q - 1.0)) * second
-    lvals += q * first
-    lvals += lp
+    distinct, at = np.unique(batch.powers, return_inverse=True)
+    g = np.exp(np.outer(distinct, np.log(s)))[at]
+    j = batch.poly
+    q = batch.powers[:, None]
+    lvals = (q * (q - 1.0)) * second[j]
+    lvals += q * first[j]
+    lvals += lp[j]
     lvals *= g
-    g *= P.val
-    return g.reshape(-1, len(z)), lvals.reshape(-1, len(z))
+    g *= P.val[j]
+    return g, lvals
 
 
 def gauduchon_residual(metric: HermitianMetricField, where):
@@ -313,7 +315,8 @@ def gauduchon_residual(metric: HermitianMetricField, where):
 @dataclass
 class GauduchonSolution:
     """The solved factor, with u = e^((n-1) f) as node values, as basis
-    coefficients (zero below the 1e-14 relative cut) and as a field."""
+    coefficients (zero below the 1e-14 relative cut) and as a field, and
+    the residual of the input metric (`gauduchon_residual` on the grid)."""
 
     factor: ConformalFactor
     u_nodes: np.ndarray
@@ -321,10 +324,12 @@ class GauduchonSolution:
     iterations: int
     coeffs: np.ndarray
     u_field: ScalarField
+    input_residual: float
 
 
 def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.ndarray):
-    """Gram and operator matrices of the grid's basis, (m, m) each.
+    """Gram and operator matrices of the grid's basis, (m, m) each, and the
+    residual of `metric`, max |Re c| over the nodes (`gauduchon_residual`).
 
     gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t,
     accumulated in one pass over node chunks: a chunk's value rows V and
@@ -337,10 +342,13 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     m = len(grid.basis)
     gram = np.zeros((m, m))
     op = np.zeros((m, m))
+    residual = 0.0
 
     def accumulate(idx):
+        nonlocal residual
         pts = grid.nodes[idx]
         coeffs = gauduchon_operator_coefficients(metric.jet(pts))
+        residual = np.maximum(residual, np.max(np.abs(np.real(coeffs[3]))))  # keeps a NaN
         batch = grid.basis_batch(pts)
         val, lval = lift_radial_modes(coeffs, batch, pts)
         vals, lvals = batch.rows(val), batch.rows(lval)
@@ -353,7 +361,7 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
         np.add(op, vals @ lvals.T, out=op)
 
     map_nodes(accumulate, np.arange(len(grid.nodes)))
-    return gram, op
+    return gram, op, float(residual)
 
 
 def _check_finite(first, *rows):
@@ -391,7 +399,7 @@ def solve_gauduchon(
         raise ValueError("the Gauduchon factor is only determined for n >= 2")
 
     w = volume_weights(metric, grid)
-    gram, op = galerkin_matrices(metric, grid, w)
+    gram, op, input_residual = galerkin_matrices(metric, grid, w)
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > PRUNE_TOL * np.max(evals)
     T = (evecs[:, keep] / np.sqrt(evals[keep])).T  # orthonormalizing transform
@@ -442,8 +450,8 @@ def solve_gauduchon(
     f_nodes = np.log(u_nodes) / (n - 1)
     mean = float(np.mean(f_nodes))
     f_field = u_field.log() * (1.0 / (n - 1)) - mean
-    factor = ConformalFactor(grid, f_nodes - mean, f_field)
-    return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field)
+    factor = ConformalFactor(f_nodes - mean, f_field)
+    return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field, input_residual)
 
 
 # ---------------------------------------------------------------------------

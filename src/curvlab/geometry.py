@@ -30,13 +30,13 @@ from .jets import Jet2
 NODE_CHUNK = 1024  # nodes per call of every chunked map over grid nodes
 
 
-def map_nodes(fn, nodes, axis: int = 0):
-    """fn over chunks of at most NODE_CHUNK rows of `nodes`, joined along `axis`.
+def map_nodes(fn, nodes):
+    """fn over chunks of at most NODE_CHUNK rows of `nodes`, joined along axis 0.
 
-    fn returns an array or a tuple of arrays holding the chunk's nodes along
-    `axis` (0 or -1).  Each chunk's result is written into one output per
-    array, allocated at the first chunk; no per-chunk list is joined.  A
-    pass that accumulates instead (fn returns None) returns None.
+    fn returns an array or a tuple of arrays, each with the chunk's nodes
+    along its first axis.  Each chunk's result is written into one output
+    per array, allocated at the first chunk; no per-chunk list is joined.
+    A pass that accumulates instead (fn returns None) returns None.
     """
     N = len(nodes)
     out = None
@@ -47,13 +47,9 @@ def map_nodes(fn, nodes, axis: int = 0):
             continue
         parts = res if isinstance(res, tuple) else (res,)
         if out is None:
-            out = []
-            for p in parts:
-                shape = list(p.shape)
-                shape[axis] = N
-                out.append(np.empty(shape, dtype=p.dtype))
+            out = [np.empty((N,) + p.shape[1:], dtype=p.dtype) for p in parts]
         for o, p in zip(out, parts):
-            np.moveaxis(o, axis, 0)[lo:hi] = np.moveaxis(p, axis, 0)
+            o[lo:hi] = p
     if out is None:
         return None
     return tuple(out) if isinstance(res, tuple) else out[0]
@@ -487,22 +483,17 @@ class QuadratureGrid:
     """Quadrature nodes with weights for the declared volume convention.
 
     lebesgue_w are weights for the real-coordinate Lebesgue measure of the
-    fundamental domain; volume weights multiply in det(h) 2^n of the bound
-    metric.  Structured-grid metadata (`axes`) supports nodal derivative
-    operators where a manifold provides them.
+    fundamental domain; the volume weights of a metric multiply in its
+    det(h) 2^n (`volume_weights`).  Structured-grid metadata (`axes`)
+    supports nodal derivative operators where a manifold provides them.
     """
 
-    manifold: str
     nodes: np.ndarray  # (N, n) complex
     lebesgue_w: np.ndarray  # (N,)
-    metric: HermitianMetricField
     axes: Optional[dict] = None  # structured-grid info for diff ops
     # smooth function basis for the Gauduchon solver (catalog.TorusBasis or
     # catalog.HopfBasis)
     basis: Optional[object] = None
-    # evaluates the whole basis at a node chunk (BasisJets); the basis itself
-    # unless given
-    basis_batch: Optional[Callable] = None
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=complex)
@@ -511,16 +502,15 @@ class QuadratureGrid:
             raise ValueError("nodes and weights must align")
         if np.any(self.lebesgue_w <= 0):
             raise ValueError("quadrature weights must be positive")
-        if self.basis_batch is None:
-            self.basis_batch = self.basis
 
-    @property
-    def n(self) -> int:
-        return self.nodes.shape[-1]
+    def basis_batch(self, z):
+        """The whole basis at a node chunk (BasisJets).  A method, so a copy
+        `replace(grid, basis=...)` evaluates the copy's basis."""
+        return self.basis(z)
 
 
-def integrate(grid: QuadratureGrid, integrand) -> float:
-    """Integral of a pointwise scalar against the grid's volume weights."""
+def integrate(metric: HermitianMetricField, grid: QuadratureGrid, integrand) -> float:
+    """Integral of a pointwise scalar against the volume weights of `metric` on `grid`."""
     if callable(integrand):
         vals = np.asarray(integrand(grid.nodes), dtype=float)
     else:
@@ -531,4 +521,4 @@ def integrate(grid: QuadratureGrid, integrand) -> float:
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise NonFiniteIntegrand(idx, vals[idx])
-    return float(np.sum(volume_weights(grid.metric, grid) * vals))
+    return float(np.sum(volume_weights(metric, grid) * vals))

@@ -129,7 +129,7 @@ def test_one_dimensional_torus():
 
     entry = build_manifold(ManifoldSpec("torus-flat", dim=1))
     assert len(entry.grid.nodes) == 32 * 32  # default 32 per real dimension
-    assert integrate(entry.grid, np.ones(len(entry.grid.nodes))) == pytest.approx(2.0)
+    assert integrate(entry.metric, entry.grid, np.ones(len(entry.grid.nodes))) == pytest.approx(2.0)
     pts = entry.random_points(rng_from_seed(2), 20)
     rep = tensors.scalar_identity_residual(entry.metric, pts)
     assert np.max(np.abs(rep.identity_residual)) < 1e-12
@@ -451,10 +451,10 @@ def test_value_error_inside_a_command_is_a_failed_check(monkeypatch, capsys):
     # the run exits 1 with the records gathered so far
     from curvlab import cli as climod
 
-    def planted(metric, grid):
+    def planted(metric, factor):
         raise ValueError("planted")
 
-    monkeypatch.setattr(climod, "solve_gauduchon", planted)
+    monkeypatch.setattr(climod, "conformal_metric", planted)  # the step after the solve
     argv = ["gauduchon", "--manifold", "hopf-standard", "--grid", "4", "--format", "records"]
     assert main(argv) == 1
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

@@ -44,7 +44,13 @@ from curvlab.gauduchon import (
     theorem_t_check,
     total_chern_scalar,
 )
-from curvlab.geometry import NODE_CHUNK, DerivativeEngine, map_nodes, volume_weights
+from curvlab.geometry import (
+    NODE_CHUNK,
+    DerivativeEngine,
+    QuadratureGrid,
+    map_nodes,
+    volume_weights,
+)
 from curvlab.jets import Jet2, coordinate_jets, exp_linear, squared_radius
 from tests.conftest import hopf_points
 
@@ -220,9 +226,8 @@ def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     # value and L; the jets are compared on the polynomials w^e_j
     val, lval = lift_radial_modes(coeffs, batch, z)
     vals, lvals = batch.rows(val), batch.rows(lval)
-    nmono = len(batch.jet.val)
     for s, entry in enumerate(spec):
-        j = batch.index[s] % nmono
+        j = batch.poly[batch.index[s]]
         P = _polynomial(z, *entry[1:3])
         assert _rel(batch.jet.val[j], P.val) < 1e-13
         assert _rel(batch.jet.d1[j], P.d1) < 1e-13
@@ -309,19 +314,26 @@ def test_radial_lift_matches_the_formed_products(conformal, kind):
         coeffs = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
     batch = conformal.grid.basis_batch(z)
     val, lval = lift_radial_modes(coeffs, batch, z)
-    # every block, k = 0 included: function k F + j is R_k m_j
+    # every declared function, k = 0 included: function i of the (q, j)
+    # list is R_k m_j for the basis rows that read it, and each is read
     expo = conformal.grid.basis.expo
-    nmono = len(expo)
-    assert len(batch.powers) == len(val) == 3 * nmono
-    for k in range(3):
-        for j, e in enumerate(expo):
-            phi = hopf_monomial(e[:2], e[2:])(z)
-            if k:
-                phi = hopf_radial_mode(k)(z) * phi
-            i = k * nmono + j
-            assert batch.powers[i] == 0.5j * hopf_radial_frequency(k) - 0.5 * sum(e)
-            assert _rel(val[i], phi.val) < 1e-13
-            assert _rel(lval[i], apply_gauduchon_operator(coeffs, phi)) < 1e-13
+    assert len(batch.powers) == len(batch.poly) == len(val) == 139
+    assert np.array_equal(np.unique(batch.index), np.arange(139))
+    seen = set()
+    for s, (k, ab, cd, _) in enumerate(_hopf_basis_spec()):
+        i = batch.index[s]
+        e = expo[batch.poly[i]]
+        assert tuple(e) == ab + cd
+        assert batch.powers[i] == 0.5j * hopf_radial_frequency(k) - 0.5 * sum(e)
+        if i in seen:
+            continue
+        seen.add(i)
+        phi = hopf_monomial(e[:2], e[2:])(z)
+        if k:
+            phi = hopf_radial_mode(k)(z) * phi
+        assert _rel(val[i], phi.val) < 1e-13
+        assert _rel(lval[i], apply_gauduchon_operator(coeffs, phi)) < 1e-13
+    assert len(seen) == 139
 
 
 def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf):
@@ -359,7 +371,7 @@ def _jet2_combination(basis, coeffs, z):
     r2 = squared_radius(z)
     total = None
     for i in np.flatnonzero(W):
-        e = basis.expo[i % len(basis.expo)]
+        e = basis.expo[basis.poly[i]]
         term = _polynomial(z, tuple(e[:2]), tuple(e[2:])) * r2 ** basis.powers[i] * W[i]
         total = term if total is None else total + term
     return total.real()
@@ -456,9 +468,9 @@ def _dense_matrices(metric, grid, w):
         coeffs = gauduchon_operator_coefficients(metric.jet(pts))
         batch = grid.basis_batch(pts)
         val, lval = lift_radial_modes(coeffs, batch, pts)
-        return batch.rows(val), batch.rows(lval)
+        return batch.rows(val).T, batch.rows(lval).T  # node axis first, as map_nodes joins
 
-    vals, lvals = map_nodes(rows, grid.nodes, axis=-1)
+    vals, lvals = (x.T for x in map_nodes(rows, grid.nodes))
     return (vals * w) @ vals.T, (vals * w) @ lvals.T
 
 
@@ -467,11 +479,36 @@ def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, whi
     entry = conformal if which == "hopf-conformal" else kahler_torus
     assert len(entry.grid.nodes) > NODE_CHUNK  # more than one chunk is summed
     w = volume_weights(entry.metric, entry.grid)
-    streamed = galerkin_matrices(entry.metric, entry.grid, w)
+    *streamed, _ = galerkin_matrices(entry.metric, entry.grid, w)
     for got, want in zip(streamed, _dense_matrices(entry.metric, entry.grid, w)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     gram = streamed[0]
     assert np.array_equal(gram, gram.T)
+
+
+def test_a_grid_copied_with_another_basis_assembles_that_basis(conformal):
+    # the copy evaluates its own basis, as a grid built with it does
+    finer = replace(conformal.grid, basis=HopfBasis(3, 4))
+    fresh = QuadratureGrid(conformal.grid.nodes, conformal.grid.lebesgue_w, conformal.grid.axes,
+                           HopfBasis(3, 4))
+    w = volume_weights(conformal.metric, conformal.grid)
+    got, want = (galerkin_matrices(conformal.metric, g, w) for g in (finer, fresh))
+    assert got[0].shape == got[1].shape == (385, 385)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    sol = solve_gauduchon(conformal.metric, finer)
+    assert np.min(sol.u_nodes) > 0 and len(sol.coeffs) == 385
+
+
+@pytest.mark.parametrize("which", ["hopf-conformal", "torus-hermitian-perturbed"])
+def test_input_residual_is_read_from_the_assembly(conformal, conformal_solution,
+                                                  perturbed_torus, which):
+    if which == "hopf-conformal":
+        entry, sol = conformal, conformal_solution
+    else:
+        entry, sol = perturbed_torus, solve_gauduchon(perturbed_torus.metric, perturbed_torus.grid)
+    assert sol.input_residual == gauduchon_residual(entry.metric, entry.grid)
+    assert sol.input_residual > 0.0
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # from the planted NaN
@@ -537,7 +574,7 @@ def test_non_finite_factor_values_fail_as_a_check(hopf):
     values = np.zeros(len(hopf.grid.nodes))
     values[9] = np.inf
     with pytest.raises(NonFiniteIntegrand) as err:
-        ConformalFactor(hopf.grid, values)
+        ConformalFactor(values)
     assert err.value.node_index == 9
 
 
@@ -579,13 +616,14 @@ def test_solver_gauge_invariance(hopf):
 
 
 def test_solver_rejects_sign_changing_space(hopf):
-    # a one-function basis: Re R_1, complex function k F + j with k = 1 and
-    # the constant monomial j = 0
+    # a one-function basis: Re R_1, the complex function with k = 1 and the
+    # constant monomial j = 0
     basis = HopfBasis()
-    keep = (basis.index == len(basis.expo)) & ~basis.imag
+    r1 = (basis.poly == 0) & (basis.powers == 0.5j * hopf_radial_frequency(1))
+    keep = r1[basis.index] & ~basis.imag
     assert np.count_nonzero(keep) == 1
     basis.index, basis.imag = basis.index[keep], basis.imag[keep]
-    bad_grid = replace(hopf.grid, basis=basis, basis_batch=None)
+    bad_grid = replace(hopf.grid, basis=basis)
     with pytest.raises(NoPositiveNullVector):
         solve_gauduchon(hopf.metric, bad_grid)
 

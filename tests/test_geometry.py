@@ -202,27 +202,28 @@ def test_crosscheck_in_analytic_mode(perturbed_torus, rng):
 
 
 def test_flat_torus_volume(flat_torus):
-    vol = integrate(flat_torus.grid, np.ones(len(flat_torus.grid.nodes)))
+    vol = integrate(flat_torus.metric, flat_torus.grid, np.ones(len(flat_torus.grid.nodes)))
     # det h = 1, so the volume is 2^n times the unit Euclidean cell
     assert vol == pytest.approx(4.0, abs=1e-12)
 
 
 def test_hopf_annulus_volume(hopf):
-    vol = integrate(hopf.grid, np.ones(len(hopf.grid.nodes)))
+    vol = integrate(hopf.metric, hopf.grid, np.ones(len(hopf.grid.nodes)))
     expected = 8.0 * np.pi**2 * np.log(2.0)
     assert abs(vol - expected) / expected < 1e-4
 
 
 def test_a_grid_bound_to_another_metric_integrates_its_volume(hopf):
-    # a grid copied with a new metric weighs by that metric, also after the
-    # original grid has integrated once: det(3 h) = 9 det(h) for n = 2
+    # the grid holds no metric: each integral weighs by the metric it is
+    # given, also after the grid has integrated once: det(3 h) = 9 det(h)
+    # for n = 2
     from curvlab.fields import constant_field
     from curvlab.gauduchon import conformal_metric
 
     ones = np.ones(len(hopf.grid.nodes))
-    vol = integrate(hopf.grid, ones)
-    scaled = replace(hopf.grid, metric=conformal_metric(hopf.metric, constant_field(np.log(3.0))))
-    assert integrate(scaled, ones) == pytest.approx(9.0 * vol, rel=1e-12)
+    vol = integrate(hopf.metric, hopf.grid, ones)
+    scaled = conformal_metric(hopf.metric, constant_field(np.log(3.0)))
+    assert integrate(scaled, hopf.grid, ones) == pytest.approx(9.0 * vol, rel=1e-12)
 
 
 def test_divergence_theorem_on_torus(flat_torus, rng):
@@ -232,7 +233,7 @@ def test_divergence_theorem_on_torus(flat_torus, rng):
     jets = f(flat_torus.grid.nodes)
     n = 2
     lap = 4.0 * np.real(np.einsum("...ii->...", jets.d2[..., :n, n:]))
-    total = integrate(flat_torus.grid, lap)
+    total = integrate(flat_torus.metric, flat_torus.grid, lap)
     assert abs(total) < 1e-10
 
 
@@ -240,7 +241,7 @@ def test_non_finite_integrand(flat_torus):
     vals = np.ones(len(flat_torus.grid.nodes))
     vals[17] = np.nan
     with pytest.raises(NonFiniteIntegrand) as err:
-        integrate(flat_torus.grid, vals)
+        integrate(flat_torus.metric, flat_torus.grid, vals)
     assert err.value.node_index == 17
 
 
@@ -259,10 +260,6 @@ def test_map_nodes_matches_the_unchunked_evaluation(count, rng):
     assert max(sizes[:-1]) <= NODE_CHUNK and sum(sizes[:-1]) == count
     assert np.array_equal(r2, want_r2) and np.array_equal(outer, want_outer)
     assert outer.dtype == complex and r2.dtype == float
-    # node axis last, single output
-    rows = map_nodes(lambda pts: np.stack([pts[:, 0], 2.0 * pts[:, 1]]), z, axis=-1)
-    assert rows.shape == (2, count) and rows.flags.c_contiguous
-    assert np.array_equal(rows, np.stack([z[:, 0], 2.0 * z[:, 1]]))
 
 
 def test_grid_weights_positive(flat_torus, hopf):
