@@ -43,10 +43,11 @@ the first derivatives and the mixed block of H
 (`gauduchon_operator_coefficients`); the residual reads the zeroth-order
 coefficient c alone.  Every step to the Gauduchon total reads mixed
 second derivatives d_i d_jbar only: the operator coefficients, the
-Chern-Ricci form and the conformal composition e^f h
+Chern-Ricci form, the conformal composition e^f h
 (`compose_conformal_jet`), which forms the mixed block of its jet now and
-leaves the full second derivatives pending.  Only the Riemannian side
-(s and |T|^2) forces them.
+leaves the full second derivatives pending, and the Riemannian side
+(s from the curvature block R_{i jbar k lbar}, and |T|^2).  Nothing on
+the way to the total forms a full Hessian.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .geometry import (
     map_nodes,
     volume_weights,
 )
-from .tensors import chern_ricci, chern_ricci_from_jet, scalar_and_torsion_from_jet
+from .tensors import CxBlocks, chern_ricci, chern_ricci_from_jet, scalar_and_torsion
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +501,10 @@ def _total_identity(metric, grid, f: ConformalFactor):
         fj = f.field(pts)
         base_jet = metric.jet(pts)
         _, s_c_f = chern_ricci_from_jet(compose_conformal_jet(base_jet, fj.exp()))
-        s, tsq = scalar_and_torsion_from_jet(base_jet)
-        Hinv = np.linalg.inv(base_jet.H)
+        cx = CxBlocks(base_jet)
+        s, tsq = scalar_and_torsion(cx)
         df2 = np.real(
-            np.einsum("...i,...ji,...j->...", fj.d1[..., :n], Hinv, fj.d1[..., n:])
+            np.einsum("...i,...ji,...j->...", fj.d1[..., :n], cx.Hinv, fj.d1[..., n:])
         )
         return np.real(fj.val), s_c_f, 0.5 * s + 0.25 * tsq, df2
 

@@ -1,30 +1,37 @@
 """Pointwise tensor calculus for Hermitian metrics.
 
-Everything here works on the complexified 2n-letter index alphabet
-(0..n-1 holomorphic, n..2n-1 antiholomorphic) built from a MetricJet.
+Everything here is built from a MetricJet by `CxBlocks`, on two paths
+that hold the same numbers up to rounding:
+
+- the Hermitian path reads H, H^-1, the first derivatives d1 and the
+  mixed block d_k d_lbar H, never the full second derivatives.  It forms
+  the n-index Christoffel blocks, their derivatives and the curvature
+  block R_{i jbar k lbar}, which is all that the Riemannian scalar
+  (`riemannian_scalar`, `scalar_and_torsion_from_jet`,
+  `scalar_identity_residual`), its Hermitian-symmetry check, the adjoint
+  term i d* dbar* omega, the torsion and the Chern-Ricci form read;
+- the all-letters API works on the complexified 2n-letter alphabet
+  (0..n-1 holomorphic, n..2n-1 antiholomorphic).  `christoffel`,
+  `curvature_complexified` and `riemannian_ricci` take it; its
+  curvature forces the jet's full second derivatives.
+
+The Hermitian path keeps its arrays with the batch axes last and
+contracts them by plain einsum, whose inner loop then runs over the
+nodes.  Batch-first, the same contractions are several times slower on a
+1024-node chunk: a plain einsum loops over the short index axes
+innermost, and an `optimize=True` plan runs one tiny matrix product per
+node.
+
 The real-coordinate Levi-Civita pipeline at the bottom of the module is a
 deliberately independent implementation used as the verification oracle
 for the complexified route; the two must never share intermediate code.
-
-The curvature is computed on the letter blocks its consumer reads
-(hol = holomorphic letters, anti = antiholomorphic, all = both):
-
-- the Riemannian scalar (`riemannian_scalar`, `scalar_and_torsion_from_jet`,
-  `scalar_identity_residual`) and the Hermitian-symmetry check read
-  R_{i jbar k lbar} only, which needs d_B Gamma^C_{AD} on the blocks
-  (anti, hol, hol, hol) and (hol, hol, anti, hol);
-- d_jbar of dbar*(omega), the adjoint term, reads (hol, hol, anti, hol),
-  so the scalar identity builds that block once for both;
-- `curvature_complexified` and `riemannian_ricci` take all letters.
-
-Contractions with several operands pass `optimize=True`, so numpy plans
-them as batched matrix products; one-operand einsums are index
-permutations and stay plain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import CrossCheckFailed, SingularMetric
@@ -65,17 +72,53 @@ class ScalarReport:
 # ---------------------------------------------------------------------------
 
 
-class CxBlocks:
-    """Complexified metric data over the 2n-letter alphabet.
+def _nodes_last(a: np.ndarray, core: int) -> np.ndarray:
+    """A contiguous copy of `a` with its batch axes behind its `core` trailing axes."""
+    batch = a.ndim - core
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(batch)), tuple(range(core, a.ndim))))
 
-    A letter block is an index range: `hol` (0..n-1), `anti` (n..2n-1) or
-    `letters` (all 2n).  The Christoffel derivative and the lowered
-    curvature are built on the blocks a consumer asks for, four ranges at
-    a time, and cached per block.  Only the free indices are restricted:
-    each contraction runs over all letters in the same order, except that
-    the lowering skips the letters where h vanishes, and adding an exact
-    zero changes no sum.  So a block holds the same numbers as the
-    matching slice of the all-letters tensor.
+
+def _nodes_first(a: np.ndarray, core: int) -> np.ndarray:
+    """The batch-first view of a node-last array with `core` leading axes."""
+    return np.moveaxis(a, tuple(range(core)), tuple(range(a.ndim - core, a.ndim)))
+
+
+def _check_hermitian_symmetry(a: np.ndarray) -> None:
+    """Raise CrossCheckFailed unless a[..., i, j, k, l] = R_{i jbar k lbar}
+    equals conj(R_{j ibar l kbar}) to tolerance, scaled by 1 + max |R|."""
+    res, scale = _symmetry_residual(a), _symmetry_scale(a)
+    if not res <= HERMITIAN_SYMMETRY_TOL * scale:  # a NaN fails too
+        raise CrossCheckFailed(
+            f"curvature Hermitian symmetry violated: {res:.3e} (scale {scale:.1e})"
+        )
+
+
+def _symmetry_residual(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a - np.conj(np.einsum("...jilk->...ijkl", a)))))
+
+
+def _symmetry_scale(a: np.ndarray) -> float:
+    return 1.0 + float(np.max(np.abs(a)))
+
+
+class CxBlocks:
+    """Complexified metric data at a batch of points.
+
+    The Hermitian path reads H, its first derivatives and the mixed block
+    d_k d_lbar H in n-index arrays held with the batch axes last, so each
+    einsum's inner loop runs over the nodes.  With g[e, m] = h^{e mbar} it
+    forms the Christoffel blocks Gamma^e_{ik}, Gamma^e_{i kbar} and
+    Gamma^ebar_{jbar k}, the derivatives d_jbar Gamma^e_{ik} and
+    d_i Gamma^e_{k jbar}, and from them the curvature block
+    R_{i jbar k lbar}; the scalar curvature, the Hermitian-symmetry check
+    and the adjoint term read nothing else.
+
+    The all-letters API (`christoffel`, `christoffel_derivative`,
+    `curvature_lowered`) works on the 2n-letter alphabet (0..n-1
+    holomorphic, n..2n-1 antiholomorphic).  Its arrays `hC`, `hCinv`,
+    `dhC` and `d2hC` stay None until its first call builds them, and
+    `d2hC` reads the jet's full second derivatives `d2H`, forcing a
+    pending one.
     """
 
     def __init__(self, jet: MetricJet, need_second: bool = True):
@@ -87,193 +130,193 @@ class CxBlocks:
         if np.min(np.abs(w)) <= 1e-12 * max(float(np.max(np.abs(w))), 1.0):
             raise SingularMetric("metric not invertible to tolerance")
         self.Hinv = np.linalg.inv(H)
+        # P[i, j] = h^{i jbar}, the mixed inverse pairing
+        self.P = np.conj(self.Hinv)
         self.d1H = np.asarray(jet.d1, dtype=complex)
-        # the mixed block d_k d_lbar H, all that the Chern-Ricci form reads;
-        # the full second derivatives d2H are read from the jet (forcing a
-        # pending one) when christoffel_derivative first needs them
+        # the mixed block d_k d_lbar H, all that the Hermitian path and the
+        # Chern-Ricci form read; the full second derivatives d2H are read
+        # from the jet only by the all-letters christoffel_derivative
         self._jet = jet if need_second else None
         self.mixedH = np.asarray(jet.mixed, dtype=complex) if need_second else None
         self.d2H = None
-        batch = H.shape[:-2]
-        self.hol, self.anti, self.letters = range(n), range(n, 2 * n), range(2 * n)
-        # the block R_{i jbar k lbar}
-        self.hermitian_letters = (self.hol, self.anti, self.hol, self.anti)
-        self._dgamma = {}
-        self._rlow = {}
+        self.hC = self.hCinv = self.dhC = self.d2hC = None
+        self._gamma = self._dgamma = self._rlow = None
 
-        hC = np.zeros(batch + (2 * n, 2 * n), dtype=complex)
-        hC[..., :n, n:] = H
-        hC[..., n:, :n] = np.swapaxes(H, -1, -2)
-        self.hC = hC
+    # -- the Hermitian path, batch axes last ---------------------------------
 
-        hCinv = np.zeros_like(hC)
-        hCinv[..., :n, n:] = np.conj(self.Hinv)
-        hCinv[..., n:, :n] = np.swapaxes(np.conj(self.Hinv), -1, -2)
-        self.hCinv = hCinv
+    @cached_property
+    def _H_last(self):
+        return _nodes_last(self.H, 2)
 
-        dhC = np.zeros(batch + (2 * n, 2 * n, 2 * n), dtype=complex)
-        dhC[..., :, :n, n:] = self.d1H
-        dhC[..., :, n:, :n] = np.swapaxes(self.d1H, -1, -2)
-        self.dhC = dhC
+    @cached_property
+    def _Hinv_last(self):
+        return _nodes_last(self.Hinv, 2)
 
-        # the (2n)^4 second-derivative block, built on first use by
-        # christoffel_derivative from d2H
-        self.d2hC = None
+    @cached_property
+    def _P_last(self):
+        return _nodes_last(self.P, 2)
 
-        # P[i, j] = h^{i jbar}, the mixed inverse pairing
-        self.P = hCinv[..., :n, n:]
+    @cached_property
+    def _d1_last(self):
+        return _nodes_last(self.d1H, 3)
 
-    def _key(self, blocks):
-        return (self.letters,) * 4 if blocks is None else tuple(blocks)
-
-    # -- connection ----------------------------------------------------
-
-    def christoffel(self) -> np.ndarray:
-        """Gamma[..., C, A, B] = Gamma^C_{AB}, symmetric in (A, B)."""
-        if not hasattr(self, "_gamma"):
-            # term[A, B, E] = d_B h_{AE} + d_A h_{BE} - d_E h_{AB}
-            term = (
-                np.einsum("...bae->...abe", self.dhC)
-                + self.dhC
-                - np.einsum("...eab->...abe", self.dhC)
-            )
-            self._gamma = 0.5 * np.einsum("...ce,...abe->...cab", self.hCinv, term, optimize=True)
-            self._term = term
-        return self._gamma
-
-    def christoffel_derivative(self, blocks=None) -> np.ndarray:
-        """dG[..., B, C, A, D] = d_B Gamma^C_{AD} on the letter blocks (B, C, A, D).
-
-        `blocks` is four index ranges; all letters by default.
-        """
-        if self._jet is None:
+    @cached_property
+    def _mixed_last(self):
+        """M[k, l, i, j] = d_k d_lbar h_{i jbar}, batch axes last."""
+        if self.mixedH is None:
             raise ValueError("second derivatives were not requested")
-        key = self._key(blocks)
-        if key not in self._dgamma:
-            if self.d2hC is None:
-                n = self.n
-                self.d2H = np.asarray(self._jet.d2, dtype=complex)
-                d2hC = np.zeros(self.H.shape[:-2] + (2 * n,) * 4, dtype=complex)
-                d2hC[..., :, :, :n, n:] = self.d2H
-                d2hC[..., :, :, n:, :n] = np.swapaxes(self.d2H, -1, -2)
-                self.d2hC = d2hC
-            B, C, A, D = (slice(r.start, r.stop) for r in key)
-            self.christoffel()
-            d2 = self.d2hC[..., B, :, :, :]
-            dterm = (
-                np.einsum("...bdae->...bade", d2[..., D, A, :])
-                + d2[..., A, D, :]
-                - np.einsum("...bead->...bade", d2[..., :, A, D])
-            )
-            hCinv = self.hCinv[..., C, :]
-            dhCinv = -np.einsum(
-                "...cf,...bfg,...ge->...bce",
-                hCinv,
-                self.dhC[..., B, :, :],
-                self.hCinv,
-                optimize=True,
-            )
-            self._dgamma[key] = 0.5 * (
-                np.einsum(
-                    "...bce,...ade->...bcad", dhCinv, self._term[..., A, D, :], optimize=True
-                )
-                + np.einsum("...ce,...bade->...bcad", hCinv, dterm, optimize=True)
-            )
-        return self._dgamma[key]
+        return _nodes_last(self.mixedH, 4)
 
-    # -- curvature -------------------------------------------------------
+    @cached_property
+    def _gamma_last(self):
+        """Gamma^e_{ik}, Gamma^e_{i kbar} and Gamma^ebar_{ibar k}, each as [e, i, k]."""
+        g, d1 = self._P_last, self._d1_last
+        n = self.n
+        dh, db = d1[:n], d1[n:]  # dh[k, i, m] = d_k h_{i mbar}, db[k, i, m] = d_kbar h_{i mbar}
+        hol = 0.5 * np.einsum("em...,kim...->eik...", g, dh + np.swapaxes(dh, 0, 1))
+        mixed = 0.5 * np.einsum("em...,kim...->eik...", g, db - np.swapaxes(db, 0, 2))
+        anti = 0.5 * np.einsum("me...,kmi...->eik...", g, dh - np.swapaxes(dh, 0, 1))
+        return hol, mixed, anti
 
-    def curvature_lowered(self, blocks=None, check_symmetry: bool = True) -> np.ndarray:
-        """Rlow[..., A, B, C, D] = R(d_A, d_B, d_C, d_D) on the letter blocks (A, B, C, D).
+    @cached_property
+    def _dgamma_last(self):
+        """d_jbar Gamma^e_{ik} and d_i Gamma^e_{k jbar}, each as [e, i, j, k]."""
+        g, d1, M = self._P_last, self._d1_last, self._mixed_last
+        n = self.n
+        dh, db = d1[:n], d1[n:]
+        dg = -np.einsum("ef...,Agf...,gm...->Aem...", g, d1, g)  # d_A g[e, m]
+        d_anti_hol = 0.5 * (
+            np.einsum("jem...,kim...->eijk...", dg[n:], dh + np.swapaxes(dh, 0, 1))
+            + np.einsum("em...,kjim...->eijk...", g, M + np.swapaxes(M, 0, 2))
+        )
+        d_hol_mixed = 0.5 * (
+            np.einsum("iem...,jkm...->eijk...", dg[:n], db - np.swapaxes(db, 0, 2))
+            + np.einsum("em...,ijkm...->eijk...", g, M - np.swapaxes(M, 1, 3))
+        )
+        return d_anti_hol, d_hol_mixed
 
-        `blocks` is four index ranges; all letters by default.  Lowering
-        with h pairs d only with letters e of the opposite type, so the
-        raised tensor is needed on those e alone.
-        """
-        key = self._key(blocks)
-        if key not in self._rlow:
-            A, B, C, D = key
-            E = {self.hol: self.anti, self.anti: self.hol}.get(D, self.letters)
-            a, b, c, d, e = (slice(r.start, r.stop) for r in (A, B, C, D, E))
-            G = self.christoffel()
-            rup = -(
-                np.einsum("...bdac->...dabc", self.christoffel_derivative((B, E, A, C)))
-                - np.einsum("...adbc->...dabc", self.christoffel_derivative((A, E, B, C)))
-                + np.einsum(
-                    "...fac,...dfb->...dabc", G[..., :, a, c], G[..., e, :, b], optimize=True
-                )
-                - np.einsum(
-                    "...fbc,...daf->...dabc", G[..., :, b, c], G[..., e, a, :], optimize=True
-                )
-            )
-            self._rlow[key] = np.einsum(
-                "...eabc,...ed->...abcd", rup, self.hC[..., e, d], optimize=True
-            )
-        if check_symmetry:
-            res = self.hermitian_symmetry_residual()
-            scale = self.hermitian_symmetry_scale()
-            if not res <= HERMITIAN_SYMMETRY_TOL * scale:  # a NaN fails too
-                raise CrossCheckFailed(
-                    f"curvature Hermitian symmetry violated: {res:.3e} (scale {scale:.1e})"
-                )
-        return self._rlow[key]
+    @cached_property
+    def _curvature_last(self):
+        """R_{i jbar k lbar} as [i, j, k, l]."""
+        H = self._H_last
+        hol, mixed, anti = self._gamma_last
+        d_anti_hol, d_hol_mixed = self._dgamma_last
+        # R^e_{i jbar k} = -(d_jbar Gamma^e_{ik} - d_i Gamma^e_{k jbar}
+        #   + Gamma^f_{ik} Gamma^e_{f jbar} - Gamma^f_{k jbar} Gamma^e_{if}
+        #   - Gamma^fbar_{jbar k} Gamma^e_{i fbar})
+        rup = (
+            d_anti_hol
+            - d_hol_mixed
+            + np.einsum("fik...,efj...->eijk...", hol, mixed)
+            - np.einsum("fkj...,eif...->eijk...", mixed, hol)
+            - np.einsum("fjk...,eif...->eijk...", anti, mixed)
+        )
+        return -np.einsum("eijk...,el...->ijkl...", rup, H)
 
     def curvature_hermitian(self) -> np.ndarray:
-        """The block R_{i jbar k lbar}, unchecked; a view of the all-letters
-        tensor once that is built."""
-        full = self._rlow.get(self._key(None))
-        if full is not None:
-            n = self.n
-            return full[..., :n, n:, :n, n:]
-        return self.curvature_lowered(self.hermitian_letters, check_symmetry=False)
+        """R[..., i, j, k, l] = R_{i jbar k lbar}, unchecked."""
+        return _nodes_first(self._curvature_last, 4)
 
     def hermitian_symmetry_residual(self) -> float:
         """max |R_{i jbar k lbar} - conj(R_{j ibar l kbar})|."""
-        a = self.curvature_hermitian()  # a[i,j,k,l] = R_{i jbar k lbar}
-        b = np.conj(np.einsum("...jilk->...ijkl", a))
-        return float(np.max(np.abs(a - b)))
+        return _symmetry_residual(self.curvature_hermitian())
 
     def hermitian_symmetry_scale(self) -> float:
         """1 + max |R_{i jbar k lbar}|, the scale of the symmetry tolerance."""
-        return 1.0 + float(np.max(np.abs(self.curvature_hermitian())))
+        return _symmetry_scale(self.curvature_hermitian())
+
+    # -- the all-letters API ---------------------------------------------
+
+    def christoffel(self) -> np.ndarray:
+        """Gamma[..., C, A, B] = Gamma^C_{AB}, symmetric in (A, B)."""
+        if self._gamma is None:
+            n = self.n
+            batch = self.H.shape[:-2]
+            hC = np.zeros(batch + (2 * n, 2 * n), dtype=complex)
+            hC[..., :n, n:] = self.H
+            hC[..., n:, :n] = np.swapaxes(self.H, -1, -2)
+            hCinv = np.zeros_like(hC)
+            hCinv[..., :n, n:] = self.P
+            hCinv[..., n:, :n] = np.swapaxes(self.P, -1, -2)
+            dhC = np.zeros(batch + (2 * n, 2 * n, 2 * n), dtype=complex)
+            dhC[..., :, :n, n:] = self.d1H
+            dhC[..., :, n:, :n] = np.swapaxes(self.d1H, -1, -2)
+            self.hC, self.hCinv, self.dhC = hC, hCinv, dhC
+            # term[A, B, E] = d_B h_{AE} + d_A h_{BE} - d_E h_{AB}
+            self._term = (
+                np.einsum("...bae->...abe", dhC) + dhC - np.einsum("...eab->...abe", dhC)
+            )
+            self._gamma = 0.5 * np.einsum("...ce,...abe->...cab", hCinv, self._term, optimize=True)
+        return self._gamma
+
+    def christoffel_derivative(self) -> np.ndarray:
+        """dG[..., B, C, A, D] = d_B Gamma^C_{AD}."""
+        if self._jet is None:
+            raise ValueError("second derivatives were not requested")
+        if self._dgamma is None:
+            self.christoffel()
+            n = self.n
+            self.d2H = np.asarray(self._jet.d2, dtype=complex)
+            d2hC = np.zeros(self.H.shape[:-2] + (2 * n,) * 4, dtype=complex)
+            d2hC[..., :, :, :n, n:] = self.d2H
+            d2hC[..., :, :, n:, :n] = np.swapaxes(self.d2H, -1, -2)
+            self.d2hC = d2hC
+            dterm = (
+                np.einsum("...bdae->...bade", d2hC)
+                + d2hC
+                - np.einsum("...bead->...bade", d2hC)
+            )
+            dhCinv = -np.einsum(
+                "...cf,...bfg,...ge->...bce", self.hCinv, self.dhC, self.hCinv, optimize=True
+            )
+            self._dgamma = 0.5 * (
+                np.einsum("...bce,...ade->...bcad", dhCinv, self._term, optimize=True)
+                + np.einsum("...ce,...bade->...bcad", self.hCinv, dterm, optimize=True)
+            )
+        return self._dgamma
+
+    def curvature_lowered(self) -> np.ndarray:
+        """Rlow[..., A, B, C, D] = R(d_A, d_B, d_C, d_D), its block
+        R_{i jbar k lbar} checked for Hermitian symmetry."""
+        if self._rlow is None:
+            G = self.christoffel()
+            dG = self.christoffel_derivative()
+            rup = -(
+                np.einsum("...bdac->...dabc", dG)
+                - np.einsum("...adbc->...dabc", dG)
+                + np.einsum("...fac,...dfb->...dabc", G, G, optimize=True)
+                - np.einsum("...fbc,...daf->...dabc", G, G, optimize=True)
+            )
+            self._rlow = np.einsum("...eabc,...ed->...abcd", rup, self.hC, optimize=True)
+        n = self.n
+        _check_hermitian_symmetry(self._rlow[..., :n, n:, :n, n:])
+        return self._rlow
 
     # -- first- and second-order scalars -----------------------------------
 
     def torsion(self):
         """(T[..., k, i, j] = T^k_{ij}, |T|^2)."""
-        n = self.n
-        Dh = self.d1H[..., :n, :, :]  # d_i H[j, l]
-        diff = Dh - np.einsum("...ijl->...jil", Dh)
-        T = np.einsum("...kl,...ijl->...kij", self.P, diff, optimize=True)
-        nsq = np.einsum(
-            "...ip,...jq,...kl,...kij,...lpq->...",
-            self.P,
-            self.P,
-            self.H,
-            T,
-            np.conj(T),
-            optimize=True,
-        )
-        return T, np.real(nsq)
+        H, P = self._H_last, self._P_last
+        Dh = self._d1_last[: self.n]  # Dh[i, j, l] = d_i h_{j lbar}
+        T = np.einsum("kl...,ijl...->kij...", P, Dh - np.swapaxes(Dh, 0, 1))
+        # |T|^2 = h_{k lbar} h^{i pbar} h^{j qbar} T^k_{ij} conj(T^l_{pq})
+        low = np.einsum("kl...,kij...->lij...", H, T)
+        up = np.einsum("ip...,lpj...->lij...", P, np.einsum("jq...,lpq...->lpj...", P, np.conj(T)))
+        nsq = np.einsum("lij...,lij...->...", low, up)
+        return _nodes_first(T, 3), np.real(nsq)
 
     def chern_ricci(self):
         """(R_{i jbar} = -d_i d_jbar log det h, its trace s_C)."""
-        if self.mixedH is None:
-            raise ValueError("second derivatives were not requested")
+        M, Hinv, d1 = self._mixed_last, self._Hinv_last, self._d1_last
         n = self.n
-        M2 = self.mixedH  # d_i d_jbar H
-        t1 = np.einsum("...kl,...ijlk->...ij", self.Hinv, M2, optimize=True)
-        t2 = np.einsum(
-            "...ab,...ibc,...cd,...jda->...ij",
-            self.Hinv,
-            self.d1H[..., :n, :, :],
-            self.Hinv,
-            self.d1H[..., n:, :, :],
-            optimize=True,
-        )
+        t1 = np.einsum("kl...,ijlk...->ij...", Hinv, M)
+        # t2[i, j] = tr(Hinv d_i H Hinv d_jbar H)
+        left = np.einsum("ab...,ibc...->iac...", Hinv, d1[:n])
+        right = np.einsum("cd...,jda...->jca...", Hinv, d1[n:])
+        t2 = np.einsum("iac...,jca...->ij...", left, right)
         ricci = -(t1 - t2)
-        s_c = np.einsum("...ij,...ji->...", ricci, self.Hinv, optimize=True)
-        return ricci, np.real(s_c)
+        s_c = np.einsum("ij...,ji...->...", ricci, Hinv)
+        return _nodes_first(ricci, 2), np.real(s_c)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +366,11 @@ def chern_ricci_from_jet(jet: MetricJet):
 
 def scalar_and_torsion_from_jet(jet: MetricJet):
     """(s, |T|^2) from a metric jet; the lean path for integral checks."""
-    cx = CxBlocks(jet)
+    return scalar_and_torsion(CxBlocks(jet))
+
+
+def scalar_and_torsion(cx: CxBlocks):
+    """(s, |T|^2) from the blocks of a metric jet."""
     s, _ = _scalar_from_blocks(cx)
     return s, cx.torsion()[1]
 
@@ -335,9 +382,11 @@ def riemannian_scalar(metric, point):
 
 
 def _scalar_from_blocks(cx: CxBlocks):
-    A1 = cx.curvature_lowered(cx.hermitian_letters)  # A1[i,j,k,l] = R_{i jbar k lbar}
-    sR = np.einsum("...ij,...kl,...ilkj->...", cx.P, cx.P, A1, optimize=True)
-    sH = np.einsum("...ij,...kl,...ijkl->...", cx.P, cx.P, A1, optimize=True)
+    _check_hermitian_symmetry(cx.curvature_hermitian())
+    R = cx._curvature_last  # R[i, j, k, l] = R_{i jbar k lbar}, batch axes last
+    P = cx._P_last
+    sR = np.einsum("ij...,kl...,ilkj...->...", P, P, R)
+    sH = np.einsum("ij...,kl...,ijkl...->...", P, P, R)
     s = 2.0 * (2.0 * sR - sH)
     return np.real(s), float(np.max(np.abs(np.imag(s))))
 
@@ -372,17 +421,14 @@ def dbar_star_omega(metric, point) -> TensorBlock:
 
 
 def _dbar_star_omega_components(cx: CxBlocks) -> np.ndarray:
-    n = cx.n
-    G = cx.christoffel()
-    gsum = np.einsum("...kik->...i", G[..., :n, n:, :n])
-    return 2j * np.conj(gsum)
+    gsum = np.einsum("kki...->i...", cx._gamma_last[1])  # Gamma^k_{ibar k}
+    return 2j * np.conj(_nodes_first(gsum, 1))
 
 
 def _dbar_star_omega_dbar(cx: CxBlocks) -> np.ndarray:
     """dtheta[..., j, i] = d_jbar of component i of dbar*(omega)."""
-    dG = cx.christoffel_derivative((cx.hol, cx.hol, cx.anti, cx.hol))
-    dgsum = np.einsum("...jkik->...ji", dG)
-    return 2j * np.conj(dgsum)
+    dgsum = np.einsum("kjik...->ji...", cx._dgamma_last[1])  # d_j Gamma^k_{ibar k}
+    return 2j * np.conj(_nodes_first(dgsum, 2))
 
 
 def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.ndarray:

@@ -246,7 +246,7 @@ def test_torus_metric_blocks_without_second_derivatives_compute_no_hessian(
         perturbed_torus, no_hessians):
     # CxBlocks without second derivatives reads H and d1 alone
     cx = CxBlocks(perturbed_torus.metric.jet(perturbed_torus.grid.nodes), need_second=False)
-    assert np.all(np.isfinite(cx.Hinv)) and np.all(np.isfinite(cx.dhC))
+    assert np.all(np.isfinite(cx.Hinv)) and np.all(np.isfinite(cx.d1H))
 
 
 def test_hopf_conformal_values_compute_no_hessian(no_hessians):

@@ -1,5 +1,7 @@
 """Pointwise tensor calculus: closed forms, oracles, and the scalar identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,17 +137,22 @@ def test_curvature_hermitian_symmetry(hopf, rng):
     assert cx.hermitian_symmetry_residual() < 1e-10
 
 
-@pytest.mark.parametrize("mid", CATALOG_IDS)
-def test_curvature_blocks_are_slices_of_the_all_letters_tensor(mid, rng):
-    entry = build_manifold(ManifoldSpec(mid, resolution=4))
+@pytest.mark.parametrize(
+    "spec",
+    [ManifoldSpec(mid, resolution=4) for mid in CATALOG_IDS]
+    + [ManifoldSpec("torus-hermitian-perturbed", dim=3, resolution=4)],
+    ids=lambda spec: spec.id if spec.dim == 2 else f"{spec.id}-dim{spec.dim}",
+)
+def test_curvature_blocks_are_slices_of_the_all_letters_tensor(spec, rng):
+    entry = build_manifold(spec)
     jet = entry.metric.jet(entry.random_points(rng, 40))
     n = entry.metric.n
     full = tensors.CxBlocks(jet)
     R, dG = full.curvature_lowered(), full.christoffel_derivative()
     cx = tensors.CxBlocks(jet)
-    block = cx.curvature_lowered(cx.hermitian_letters)
-    assert np.max(np.abs(block - R[..., :n, n:, :n, n:])) <= 1e-13
-    dblock = cx.christoffel_derivative((cx.hol, cx.hol, cx.anti, cx.hol))
+    assert np.max(np.abs(cx.curvature_hermitian() - R[..., :n, n:, :n, n:])) <= 1e-13
+    # the adjoint term reads d_j Gamma^k_{ibar l} = d_j Gamma^k_{l ibar}
+    dblock = np.einsum("kjil...->...jkil", cx._dgamma_last[1])
     assert np.max(np.abs(dblock - dG[..., :n, :n, n:, :n])) <= 1e-13
     # the symmetry tolerance scales with the block it checks: never looser
     # than when it scaled with the whole tensor
@@ -154,10 +161,39 @@ def test_curvature_blocks_are_slices_of_the_all_letters_tensor(mid, rng):
 
 def test_symmetry_check_fails_on_a_nan(perturbed_torus, rng):
     jet = perturbed_torus.metric.jet(perturbed_torus.random_points(rng, 5))
-    n = 2
-    jet.d2[0, 0, n, 0, 0] = jet.d2[0, n, 0, 0, 0] = np.nan  # d_1 d_1bar h_{1 1bar}, one point
+    jet.mixed[0, 0, 0, 0, 0] = np.nan  # d_1 d_1bar h_{1 1bar}, one point
     with pytest.raises(CrossCheckFailed):
         tensors.scalar_and_torsion_from_jet(jet)
+
+
+@pytest.mark.parametrize("mid", ["hopf-conformal", "torus-hermitian-perturbed"])
+def test_riemannian_scalar_leaves_the_hessian_pending(mid, rng):
+    entry = build_manifold(ManifoldSpec(mid, conformal_t=0.2, resolution=4))
+    pts = entry.random_points(rng, 30)
+    jets = []
+
+    def recorded(z):
+        jets.append(entry.metric.jet_fn(z))
+        return jets[-1]
+
+    metric = replace(entry.metric, jet_fn=recorded)
+    tensors.scalar_and_torsion_from_jet(metric.jet(pts))
+    tensors.riemannian_scalar(metric, pts)
+    tensors.scalar_identity_residual(metric, pts)
+    assert len(jets) == 3 and all(jet.pending for jet in jets)
+
+
+def test_letter_arrays_are_built_on_first_use(hopf, rng):
+    cx = tensors.CxBlocks(hopf.metric.jet(annulus_points(rng, 10)), need_second=False)
+    assert cx.hC is None and cx.hCinv is None and cx.dhC is None
+    cx.torsion()
+    tensors._dbar_star_omega_components(cx)
+    assert cx.hC is None and cx.hCinv is None and cx.dhC is None
+    G = cx.christoffel()
+    n = cx.n
+    assert np.array_equal(cx.hC[..., :n, n:], cx.H) and np.array_equal(cx.hCinv[..., :n, n:], cx.P)
+    assert np.array_equal(cx.dhC[..., :, :n, n:], cx.d1H)
+    assert np.all(np.isfinite(G)) and cx.d2hC is None
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +228,7 @@ def test_second_derivative_block_is_built_on_first_use(perturbed_torus, rng):
     ricci_jet, s_c_jet = tensors.chern_ricci_from_jet(jet)
     assert np.array_equal(ricci, ricci_jet) and np.array_equal(s_c, s_c_jet)
 
-    cx.christoffel_derivative((cx.hol, cx.hol, cx.anti, cx.hol))
+    cx.christoffel_derivative()
     n = cx.n
     assert cx.d2hC.shape == (20,) + (2 * n,) * 4
     assert np.array_equal(cx.d2hC[..., :n, n:], cx.d2H)
