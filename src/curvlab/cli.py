@@ -171,7 +171,7 @@ def cmd_check_identities(cfg: RunConfig, report: Report):
 
 def _inoue_bundle_check(cfg: RunConfig, report: Report):
     """Closed-form check of the canonical-bundle curvature on the w-chart."""
-    rng = rng_from_seed(cfg.seed + 1)
+    rng = rng_from_seed((cfg.seed + 1) % 2**64)
     w = rng.uniform(-1.0, 1.0, size=cfg.points) + 1j * rng.uniform(0.5, 2.5, size=cfg.points)
     ric, _ = tensors.chern_ricci(cfg.bind(inoue_bundle_metric()), w[:, None])
     coeff = -np.real(ric[..., 0, 0])  # curvature coefficient of the dual metric
@@ -442,6 +442,8 @@ def make_config(argv) -> RunConfig:
     if ns.config:
         for key, val in load_config_file(ns.config).items():
             if key.startswith("tol_"):
+                if key[4:] not in DEFAULT_TOLERANCES:
+                    raise ValueError(f"unknown tolerance {key!r}")
                 cfg.tolerances[key[4:]] = float(val)
                 continue
             if key == "t":
@@ -465,6 +467,14 @@ def make_config(argv) -> RunConfig:
     for key in ("points", "triples"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"--{key} must be at least 1, got {getattr(cfg, key)}")
+    if not 0 <= cfg.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {cfg.seed}")
+    if cfg.grid is not None and cfg.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
+    if cfg.iters < 0:
+        raise ValueError(f"--iters must be at least 0, got {cfg.iters}")
+    if not np.isfinite(cfg.conformal_t):
+        raise ValueError(f"--t must be finite, got {cfg.conformal_t}")
     if cfg.derivative_mode not in ("analytic", "fd"):
         raise ValueError(f"--derivative-mode must be analytic or fd, got {cfg.derivative_mode!r}")
     return cfg

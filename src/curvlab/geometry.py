@@ -500,6 +500,8 @@ class QuadratureGrid:
         self.lebesgue_w = np.asarray(self.lebesgue_w, dtype=float)
         if self.nodes.ndim != 2 or len(self.lebesgue_w) != len(self.nodes):
             raise ValueError("nodes and weights must align")
+        if len(self.nodes) == 0:
+            raise ValueError("a quadrature grid needs at least one node")
         if np.any(self.lebesgue_w <= 0):
             raise ValueError("quadrature weights must be positive")
 

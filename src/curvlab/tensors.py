@@ -1,19 +1,24 @@
 """Pointwise tensor calculus for Hermitian metrics.
 
-Everything here is built from a MetricJet by `CxBlocks`, on two paths
-that hold the same numbers up to rounding:
+Two implementations of the curvature, which must never share
+intermediate code:
 
-- the Hermitian path reads H, H^-1, the first derivatives d1 and the
-  mixed block d_k d_lbar H, never the full second derivatives.  It forms
-  the n-index Christoffel blocks, their derivatives and the curvature
-  block R_{i jbar k lbar}, which is all that the Riemannian scalar
-  (`riemannian_scalar`, `scalar_and_torsion_from_jet`,
-  `scalar_identity_residual`), its Hermitian-symmetry check, the adjoint
-  term i d* dbar* omega, the torsion and the Chern-Ricci form read;
-- the all-letters API works on the complexified 2n-letter alphabet
-  (0..n-1 holomorphic, n..2n-1 antiholomorphic).  `christoffel`,
-  `curvature_complexified` and `riemannian_ricci` take it; its
-  curvature forces the jet's full second derivatives.
+- `CxBlocks`, the Hermitian path, reads H, H^-1, the first derivatives
+  d1 and the mixed block d_k d_lbar H, never the full second
+  derivatives.  It forms the n-index Christoffel blocks, their
+  derivatives and the curvature block R_{i jbar k lbar}, which is all
+  that the Riemannian scalar (`riemannian_scalar`,
+  `scalar_and_torsion_from_jet`, `scalar_identity_residual`), its
+  Hermitian-symmetry check, the adjoint term i d* dbar* omega, the
+  torsion and the Chern-Ricci form read.  `christoffel` assembles the
+  complexified symbols Gamma^C_{AB} over the 2n letters (0..n-1
+  holomorphic, n..2n-1 antiholomorphic) from its blocks.
+- the real-coordinate Levi-Civita pipeline at the bottom of the module
+  works on the induced real metric and its full second derivatives.  It
+  is the verification oracle for the Hermitian path, and the only route
+  to the full Riemann tensor and Ricci: `curvature_complexified` moves
+  its lowered tensor onto the Wirtinger frame, and `riemannian_ricci`
+  contracts its Ricci with real tangent vectors.
 
 The Hermitian path keeps its arrays with the batch axes last and
 contracts them by plain einsum, whose inner loop then runs over the
@@ -21,10 +26,6 @@ nodes.  Batch-first, the same contractions are several times slower on a
 1024-node chunk: a plain einsum loops over the short index axes
 innermost, and an `optimize=True` plan runs one tiny matrix product per
 node.
-
-The real-coordinate Levi-Civita pipeline at the bottom of the module is a
-deliberately independent implementation used as the verification oracle
-for the complexified route; the two must never share intermediate code.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CrossCheckFailed, SingularMetric
-from .geometry import HermitianMetricField, MetricJet, hermitian_to_real
+from .geometry import HermitianMetricField, MetricJet, _wirtinger_matrix, hermitian_to_real
 
 HERMITIAN_SYMMETRY_TOL = 1e-10
 
@@ -102,45 +103,34 @@ def _symmetry_scale(a: np.ndarray) -> float:
 
 
 class CxBlocks:
-    """Complexified metric data at a batch of points.
+    """Complexified metric data at a batch of points: the Hermitian path.
 
-    The Hermitian path reads H, its first derivatives and the mixed block
-    d_k d_lbar H in n-index arrays held with the batch axes last, so each
-    einsum's inner loop runs over the nodes.  With g[e, m] = h^{e mbar} it
-    forms the Christoffel blocks Gamma^e_{ik}, Gamma^e_{i kbar} and
+    Reads H, its first derivatives and the mixed block d_k d_lbar H (if
+    `need_second`) in n-index arrays held with the batch axes last, so
+    each einsum's inner loop runs over the nodes; the jet's full second
+    derivatives are never read.  With g[e, m] = h^{e mbar} it forms the
+    Christoffel blocks Gamma^e_{ik}, Gamma^e_{i kbar} and
     Gamma^ebar_{jbar k}, the derivatives d_jbar Gamma^e_{ik} and
     d_i Gamma^e_{k jbar}, and from them the curvature block
     R_{i jbar k lbar}; the scalar curvature, the Hermitian-symmetry check
     and the adjoint term read nothing else.
-
-    The all-letters API (`christoffel`, `christoffel_derivative`,
-    `curvature_lowered`) works on the 2n-letter alphabet (0..n-1
-    holomorphic, n..2n-1 antiholomorphic).  Its arrays `hC`, `hCinv`,
-    `dhC` and `d2hC` stay None until its first call builds them, and
-    `d2hC` reads the jet's full second derivatives `d2H`, forcing a
-    pending one.
     """
+
+    # Always None: the CxBlocks byte counter of perfbench/tracing.py still
+    # reads these names of the removed (2n)-letter arrays after __init__.
+    d2H = hC = hCinv = dhC = d2hC = None
 
     def __init__(self, jet: MetricJet, need_second: bool = True):
         H = np.asarray(jet.H, dtype=complex)
-        n = H.shape[-1]
-        self.n = n
+        self.n = H.shape[-1]
         self.H = H
         w = np.linalg.eigvalsh(H)
         if np.min(np.abs(w)) <= 1e-12 * max(float(np.max(np.abs(w))), 1.0):
             raise SingularMetric("metric not invertible to tolerance")
         self.Hinv = np.linalg.inv(H)
-        # P[i, j] = h^{i jbar}, the mixed inverse pairing
-        self.P = np.conj(self.Hinv)
         self.d1H = np.asarray(jet.d1, dtype=complex)
-        # the mixed block d_k d_lbar H, all that the Hermitian path and the
-        # Chern-Ricci form read; the full second derivatives d2H are read
-        # from the jet only by the all-letters christoffel_derivative
-        self._jet = jet if need_second else None
+        # the mixed block d_k d_lbar H, all the second derivatives read here
         self.mixedH = np.asarray(jet.mixed, dtype=complex) if need_second else None
-        self.d2H = None
-        self.hC = self.hCinv = self.dhC = self.d2hC = None
-        self._gamma = self._dgamma = self._rlow = None
 
     # -- the Hermitian path, batch axes last ---------------------------------
 
@@ -154,7 +144,8 @@ class CxBlocks:
 
     @cached_property
     def _P_last(self):
-        return _nodes_last(self.P, 2)
+        """P[i, j] = h^{i jbar}, the mixed inverse pairing, batch axes last."""
+        return np.conj(self._Hinv_last)
 
     @cached_property
     def _d1_last(self):
@@ -225,73 +216,6 @@ class CxBlocks:
         """1 + max |R_{i jbar k lbar}|, the scale of the symmetry tolerance."""
         return _symmetry_scale(self.curvature_hermitian())
 
-    # -- the all-letters API ---------------------------------------------
-
-    def christoffel(self) -> np.ndarray:
-        """Gamma[..., C, A, B] = Gamma^C_{AB}, symmetric in (A, B)."""
-        if self._gamma is None:
-            n = self.n
-            batch = self.H.shape[:-2]
-            hC = np.zeros(batch + (2 * n, 2 * n), dtype=complex)
-            hC[..., :n, n:] = self.H
-            hC[..., n:, :n] = np.swapaxes(self.H, -1, -2)
-            hCinv = np.zeros_like(hC)
-            hCinv[..., :n, n:] = self.P
-            hCinv[..., n:, :n] = np.swapaxes(self.P, -1, -2)
-            dhC = np.zeros(batch + (2 * n, 2 * n, 2 * n), dtype=complex)
-            dhC[..., :, :n, n:] = self.d1H
-            dhC[..., :, n:, :n] = np.swapaxes(self.d1H, -1, -2)
-            self.hC, self.hCinv, self.dhC = hC, hCinv, dhC
-            # term[A, B, E] = d_B h_{AE} + d_A h_{BE} - d_E h_{AB}
-            self._term = (
-                np.einsum("...bae->...abe", dhC) + dhC - np.einsum("...eab->...abe", dhC)
-            )
-            self._gamma = 0.5 * np.einsum("...ce,...abe->...cab", hCinv, self._term, optimize=True)
-        return self._gamma
-
-    def christoffel_derivative(self) -> np.ndarray:
-        """dG[..., B, C, A, D] = d_B Gamma^C_{AD}."""
-        if self._jet is None:
-            raise ValueError("second derivatives were not requested")
-        if self._dgamma is None:
-            self.christoffel()
-            n = self.n
-            self.d2H = np.asarray(self._jet.d2, dtype=complex)
-            d2hC = np.zeros(self.H.shape[:-2] + (2 * n,) * 4, dtype=complex)
-            d2hC[..., :, :, :n, n:] = self.d2H
-            d2hC[..., :, :, n:, :n] = np.swapaxes(self.d2H, -1, -2)
-            self.d2hC = d2hC
-            dterm = (
-                np.einsum("...bdae->...bade", d2hC)
-                + d2hC
-                - np.einsum("...bead->...bade", d2hC)
-            )
-            dhCinv = -np.einsum(
-                "...cf,...bfg,...ge->...bce", self.hCinv, self.dhC, self.hCinv, optimize=True
-            )
-            self._dgamma = 0.5 * (
-                np.einsum("...bce,...ade->...bcad", dhCinv, self._term, optimize=True)
-                + np.einsum("...ce,...bade->...bcad", self.hCinv, dterm, optimize=True)
-            )
-        return self._dgamma
-
-    def curvature_lowered(self) -> np.ndarray:
-        """Rlow[..., A, B, C, D] = R(d_A, d_B, d_C, d_D), its block
-        R_{i jbar k lbar} checked for Hermitian symmetry."""
-        if self._rlow is None:
-            G = self.christoffel()
-            dG = self.christoffel_derivative()
-            rup = -(
-                np.einsum("...bdac->...dabc", dG)
-                - np.einsum("...adbc->...dabc", dG)
-                + np.einsum("...fac,...dfb->...dabc", G, G, optimize=True)
-                - np.einsum("...fbc,...daf->...dabc", G, G, optimize=True)
-            )
-            self._rlow = np.einsum("...eabc,...ed->...abcd", rup, self.hC, optimize=True)
-        n = self.n
-        _check_hermitian_symmetry(self._rlow[..., :n, n:, :n, n:])
-        return self._rlow
-
     # -- first- and second-order scalars -----------------------------------
 
     def torsion(self):
@@ -329,16 +253,22 @@ def _jet(metric: HermitianMetricField, point):
 
 
 def christoffel(metric, point) -> TensorBlock:
-    """Complexified Christoffel symbols Gamma^C_{AB} at a point.
+    """Complexified Christoffel symbols Gamma[..., C, A, B] = Gamma^C_{AB}
+    at a point, symmetric in (A, B), assembled from the Hermitian blocks.
 
     The slots forbidden by the Hermitian structure (Gamma^k_{ibar jbar} and
-    its conjugate) vanish identically; they are zeroed structurally.
+    its conjugate) vanish identically; they hold exact zeros.
     """
     cx = CxBlocks(_jet(metric, point), need_second=False)
-    G = cx.christoffel().copy()
     n = cx.n
-    G[..., :n, n:, n:] = 0.0
-    G[..., n:, :n, :n] = 0.0
+    hol, mixed, anti = (_nodes_first(g, 3) for g in cx._gamma_last)
+    G = np.zeros(cx.H.shape[:-2] + (2 * n,) * 3, dtype=complex)
+    G[..., :n, :n, :n] = hol
+    G[..., :n, :n, n:] = mixed  # Gamma^e_{i kbar}
+    G[..., :n, n:, :n] = np.swapaxes(mixed, -1, -2)
+    G[..., n:, n:, :n] = anti  # Gamma^ebar_{ibar k}
+    G[..., n:, :n, n:] = np.swapaxes(anti, -1, -2)
+    G[..., n:, n:, n:] = np.conj(hol)
     return TensorBlock("christoffel", "C;AB", G, np.asarray(point))
 
 
@@ -349,9 +279,19 @@ def torsion(metric, point):
 
 
 def curvature_complexified(metric, point) -> TensorBlock:
-    """Lowered complexified curvature R_{ABCD} over all index letters."""
-    cx = CxBlocks(_jet(metric, point))
-    R = cx.curvature_lowered()
+    """Lowered complexified curvature R_{ABCD} = <R(d_A, d_B) d_C, d_D> over
+    all 2n letters.
+
+    The real oracle's lowered Riemann tensor moved onto the Wirtinger
+    frame; its block R_{i jbar k lbar} is checked for Hermitian symmetry.
+    """
+    jet = _jet(metric, point)
+    n = jet.n
+    rlow, _, _, _ = real_riemann_lowered(jet)
+    W = _wirtinger_matrix(n)
+    # rlow[d, c, a, b] = <R(e_a, e_b) e_c, e_d> in the real frame e
+    R = np.einsum("Aa,Bb,Cc,Dd,...dcab->...ABCD", W, W, W, W, rlow, optimize=True)
+    _check_hermitian_symmetry(R[..., :n, n:, :n, n:])
     return TensorBlock("curvature", "ABCD", R, np.asarray(point))
 
 
@@ -392,25 +332,13 @@ def _scalar_from_blocks(cx: CxBlocks):
 
 
 def riemannian_ricci(metric, point, X, Y):
-    """Ricci curvature Ric(X, Y) for real tangent vectors X, Y (length 2n)."""
-    cx = CxBlocks(_jet(metric, point))
-    n = cx.n
-    R = cx.curvature_lowered()
-    Xc = _complexify_vector(np.asarray(X, dtype=float), n)
-    Yc = _complexify_vector(np.asarray(Y, dtype=float), n)
-    S = R[..., :n, :, :, n:]  # S[i, A, B, l]
-    val = np.einsum("...il,...iABl,A,B->...", cx.P, S, Xc, Yc, optimize=True) + np.einsum(
-        "...il,...iABl,A,B->...", cx.P, S, Yc, Xc, optimize=True
+    """Ricci curvature (Ric(X, Y) + Ric(Y, X)) / 2 of the real oracle, for
+    real tangent vectors X, Y (length 2n, real coordinates x then y)."""
+    _, ricci, _, _ = real_riemann_lowered(_jet(metric, point))
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    return 0.5 * (
+        np.einsum("...ab,a,b->...", ricci, X, Y) + np.einsum("...ab,a,b->...", ricci, Y, X)
     )
-    return np.real(val)
-
-
-def _complexify_vector(X: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of a real tangent vector on the complexified frame."""
-    Xc = np.zeros(2 * n, dtype=complex)
-    Xc[:n] = X[:n] + 1j * X[n:]
-    Xc[n:] = X[:n] - 1j * X[n:]
-    return Xc
 
 
 def dbar_star_omega(metric, point) -> TensorBlock:
@@ -571,7 +499,7 @@ def _real_scalar(G, dG, d2G):
     return np.real(np.einsum("...bd,...bd->...", Ginv, ricci, optimize=True))
 
 
-def real_curvature_lowered(jet: MetricJet):
+def real_riemann_lowered(jet: MetricJet):
     """Fully lowered real Riemann tensor, Ricci and metric, oracle-side."""
     G, dG, d2G = real_metric_jets(jet)
     riem, Ginv = _real_riemann(G, dG, d2G)

@@ -481,6 +481,37 @@ def test_cli_adjoints_rejects_zero_triples(capsys):
     assert "--triples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["gauduchon", "--seed", "-1"], "--seed"),
+    (["gauduchon", "--seed", str(2**64)], "--seed"),
+    (["gauduchon", "--manifold", "torus-flat", "--grid", "0"], "--grid"),
+    (["gauduchon", "--manifold", "torus-flat", "--grid", "-2"], "--grid"),
+    (["yamabe", "--manifold", "torus-flat", "--grid", "4", "--iters", "-1"], "--iters"),
+    (["theorem-t", "--manifold", "hopf-conformal", "--t", "inf"], "--t"),
+], ids=["seed-negative", "seed-too-large", "grid-zero", "grid-negative", "iters-negative",
+        "t-infinite"])
+def test_cli_rejects_out_of_range_numeric_flags(capsys, argv, flag):
+    # checked before the command runs: no report, exit 2
+    assert main(argv + ["--format", "records"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"config error: {flag} ")
+
+
+def test_cli_checks_numeric_keys_of_a_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("manifold = torus-flat\ngrid = 0\n")
+    assert main(["gauduchon", "--config", str(cfgfile)]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_cli_unknown_tolerance_in_a_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("tol_solver_hop = 1\n")  # tol_solver_hopf, misspelt
+    assert main(["gauduchon", "--manifold", "torus-flat", "--grid", "4",
+                 "--config", str(cfgfile)]) == 2
+    assert "tol_solver_hop" in capsys.readouterr().err
+
+
 def test_cli_quadrature_unsupported(capsys):
     code = main(["theorem-t", "--manifold", "inoue-chart"])
     assert code == 2

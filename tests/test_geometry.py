@@ -16,6 +16,7 @@ from curvlab.geometry import (
     NODE_CHUNK,
     DerivativeEngine,
     HermitianMetricField,
+    QuadratureGrid,
     UpperHalfFirstDomain,
     hermitian_to_real,
     integrate,
@@ -266,4 +267,9 @@ def test_grid_weights_positive(flat_torus, hopf):
     for entry in (flat_torus, hopf):
         assert np.all(entry.grid.lebesgue_w > 0)
         assert np.all(volume_weights(entry.metric, entry.grid) > 0)
+
+
+def test_grid_needs_a_node():
+    with pytest.raises(ValueError, match="at least one node"):
+        QuadratureGrid(np.zeros((0, 2), dtype=complex), np.zeros(0))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvlab import tensors, yamabe
+from curvlab.catalog import ManifoldSpec, build_manifold, rng_from_seed
 from curvlab.fields import constant_field
 from curvlab.gauduchon import conformal_metric
 from curvlab.geometry import volume_weights
@@ -106,3 +107,18 @@ def test_lebrun_trichotomy():
     assert not yamabe.lebrun_consistency("zero", 2)
     with pytest.raises(ValueError):
         yamabe.lebrun_consistency("positive", 3)
+
+
+@pytest.mark.parametrize("mid, grid", [
+    ("torus-flat", 8), ("torus-hermitian-perturbed", 12), ("hopf-standard", None),
+    ("hopf-conformal", None),
+])
+def test_descent_quotient_matches_the_conformal_law(mid, grid):
+    # the descent's nodal energy against the pointwise conformal law on the
+    # same grid: two independent routes to the quotient of e^f g
+    entry = build_manifold(ManifoldSpec(mid, resolution=grid, conformal_t=0.1))
+    f = entry.random_scalar(rng_from_seed(5), 0.05)
+    f0 = np.real(f.values(entry.grid.nodes))
+    res = yamabe.minimize_quotient(entry.metric, entry.grid, max_iters=0, f0=f0)
+    want = yamabe.yamabe_quotient(entry.metric, f, entry.grid)
+    assert abs(res.trace[0].quotient - want) <= 1e-8 * abs(want)
