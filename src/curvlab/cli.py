@@ -444,7 +444,10 @@ def make_config(argv) -> RunConfig:
             if key.startswith("tol_"):
                 if key[4:] not in DEFAULT_TOLERANCES:
                     raise ValueError(f"unknown tolerance {key!r}")
-                cfg.tolerances[key[4:]] = float(val)
+                tol = float(val)
+                if not (np.isfinite(tol) and tol > 0):
+                    raise ValueError(f"{key} must be finite and positive, got {val}")
+                cfg.tolerances[key[4:]] = tol
                 continue
             if key == "t":
                 key = "conformal_t"

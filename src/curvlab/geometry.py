@@ -296,14 +296,23 @@ def real_to_hermitian(g_real: np.ndarray, J: Optional[np.ndarray] = None, tol: f
     return h
 
 
-def hermitian_to_real(h: np.ndarray) -> np.ndarray:
-    """Inverse frame change: g = [[2 Re h, 2 Im h], [-2 Im h, 2 Re h]]."""
+def hermitian_to_real(h: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Inverse frame change: g = [[2 Re h, 2 Im h], [-2 Im h, 2 Re h]], with
+    the matrix on axes (axis, axis + 1), by default the last two."""
     h = np.asarray(h, dtype=complex)
+    row = axis % h.ndim
+    n = h.shape[row]
+    shape = list(h.shape)
+    shape[row : row + 2] = (2 * n, 2 * n)
+    g = np.empty(shape)
+    lead = (slice(None),) * row
     A = 2.0 * np.real(h)
     B = 2.0 * np.imag(h)
-    top = np.concatenate([A, B], axis=-1)
-    bot = np.concatenate([-B, A], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+    g[lead + (slice(None, n), slice(None, n))] = A
+    g[lead + (slice(None, n), slice(n, None))] = B
+    g[lead + (slice(n, None), slice(None, n))] = -B
+    g[lead + (slice(n, None), slice(n, None))] = A
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,20 @@ intermediate code:
 - the real-coordinate Levi-Civita pipeline at the bottom of the module
   works on the induced real metric and its full second derivatives.  It
   is the verification oracle for the Hermitian path, and the only route
-  to the full Riemann tensor and Ricci: `curvature_complexified` moves
-  its lowered tensor onto the Wirtinger frame, and `riemannian_ricci`
-  contracts its Ricci with real tangent vectors.
+  to Ricci and the full Riemann tensor.  The scalar oracle
+  `riemannian_scalar_real_oracle` and `riemannian_ricci` read one Ricci
+  function, contracted straight from the real jets without the
+  derivatives of the Christoffel symbols; the (2n)^4 tensor R^a_{bcd} is
+  built only for `curvature_complexified`, which moves its lowered form
+  onto the Wirtinger frame.
 
-The Hermitian path keeps its arrays with the batch axes last and
-contracts them by plain einsum, whose inner loop then runs over the
+Both paths keep their arrays with the batch axes last (`_nodes_last`)
+and contract them by plain einsum, whose inner loop then runs over the
 nodes.  Batch-first, the same contractions are several times slower on a
 1024-node chunk: a plain einsum loops over the short index axes
 innermost, and an `optimize=True` plan runs one tiny matrix product per
-node.
+node.  The two paths share that layout helper and no curvature
+intermediate.
 """
 
 from __future__ import annotations
@@ -287,7 +291,7 @@ def curvature_complexified(metric, point) -> TensorBlock:
     """
     jet = _jet(metric, point)
     n = jet.n
-    rlow, _, _, _ = real_riemann_lowered(jet)
+    rlow = real_riemann_lowered(jet)
     W = _wirtinger_matrix(n)
     # rlow[d, c, a, b] = <R(e_a, e_b) e_c, e_d> in the real frame e
     R = np.einsum("Aa,Bb,Cc,Dd,...dcab->...ABCD", W, W, W, W, rlow, optimize=True)
@@ -334,10 +338,10 @@ def _scalar_from_blocks(cx: CxBlocks):
 def riemannian_ricci(metric, point, X, Y):
     """Ricci curvature (Ric(X, Y) + Ric(Y, X)) / 2 of the real oracle, for
     real tangent vectors X, Y (length 2n, real coordinates x then y)."""
-    _, ricci, _, _ = real_riemann_lowered(_jet(metric, point))
+    ricci, _ = _real_ricci_last(_jet(metric, point))
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     return 0.5 * (
-        np.einsum("...ab,a,b->...", ricci, X, Y) + np.einsum("...ab,a,b->...", ricci, Y, X)
+        np.einsum("ab...,a,b->...", ricci, X, Y) + np.einsum("ab...,a,b->...", ricci, Y, X)
     )
 
 
@@ -366,18 +370,20 @@ def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.n
     Realizes d*(eta) = -(1/V) d_jbar(V h^{j ibar-pairing} eta_i) with
     V = det h; the integration-by-parts tests are its acceptance gate.
     """
-    n = cx.n
-    Hinv, d1H = cx.Hinv, cx.d1H
-    dHinv_anti = -np.einsum(
-        "...ab,...jbc,...cd->...jad", Hinv, d1H[..., n:, :, :], Hinv, optimize=True
-    )
-    dlogdet_anti = np.einsum("...ab,...jba->...j", Hinv, d1H[..., n:, :, :], optimize=True)
+    # node-last copies for this call only, not the cached ones of CxBlocks:
+    # the grid-wide blocks of the adjoint suite would keep those alive
+    Hinv = _nodes_last(cx.Hinv, 2)
+    db = _nodes_last(cx.d1H[..., cx.n :, :, :], 3)  # db[j] = d_jbar H
+    eta, deta = _nodes_last(eta, 1), _nodes_last(deta_anti, 2)
     # d*eta = -sum_{i,j} [ (d_jbar eta_i) Hinv[j,i] + eta_i d_jbar Hinv[j,i]
-    #                      + eta_i Hinv[j,i] d_jbar log det H ]
+    #                      + eta_i Hinv[j,i] d_jbar log det H ],
+    # with d_jbar Hinv = -Hinv (d_jbar H) Hinv and d_jbar log det H = tr(Hinv d_jbar H)
+    left = np.einsum("jb...,jbc...->c...", Hinv, db)  # sum_j (Hinv d_jbar H)[j, c]
+    dlogdet = np.einsum("ab...,jba...->j...", Hinv, db)
     return -(
-        np.einsum("...ji,...ji->...", deta_anti, Hinv, optimize=True)
-        + np.einsum("...i,...jji->...", eta, dHinv_anti, optimize=True)
-        + np.einsum("...i,...ji,...j->...", eta, Hinv, dlogdet_anti, optimize=True)
+        np.einsum("ji...,ji...->...", deta, Hinv)
+        - np.einsum("i...,c...,ci...->...", eta, left, Hinv)
+        + np.einsum("i...,ji...,j...->...", eta, Hinv, dlogdet)
     )
 
 
@@ -436,16 +442,38 @@ def _real_from_wirtinger(n: int) -> np.ndarray:
     return _REAL_FROM_WIRTINGER_CACHE[n]
 
 
+def _real_partials(a: np.ndarray, n: int) -> np.ndarray:
+    """The real partials d_x then d_y on axis 0 of a node-last array holding
+    Wirtinger slots there: d_x = d + dbar, d_y = i (d - dbar)."""
+    return np.concatenate([a[:n] + a[n:], 1j * (a[:n] - a[n:])])
+
+
+def _real_first_last(jet: MetricJet):
+    """G[a, b] and dG[c, a, b] = d_c G[a, b] in real coordinates, node axes last."""
+    n = jet.n
+    G = hermitian_to_real(_nodes_last(jet.H, 2), axis=0)
+    dG = hermitian_to_real(_real_partials(_nodes_last(jet.d1, 3), n), axis=1)
+    return G, dG
+
+
+def _real_second_last(jet: MetricJet):
+    """d2G[c, d, a, b] = d_c d_d G[a, b] in real coordinates, node axes last."""
+    n = jet.n
+    # the real partials on the first Wirtinger slot, then on the second
+    half = np.swapaxes(_real_partials(_nodes_last(jet.d2, 4), n), 0, 1)
+    return hermitian_to_real(np.swapaxes(_real_partials(half, n), 0, 1), axis=2)
+
+
+def real_metric_first_jets(jet: MetricJet):
+    """Real metric g and its first real-coordinate derivatives; a pending
+    second derivative of the jet stays pending."""
+    G, dG = _real_first_last(jet)
+    return _nodes_first(G, 2), _nodes_first(dG, 3)
+
+
 def real_metric_jets(jet: MetricJet):
     """Real metric g and its first/second real-coordinate derivatives."""
-    n = jet.n
-    V = _real_from_wirtinger(n)
-    dH = np.einsum("aA,...Aij->...aij", V, jet.d1, optimize=True)
-    d2H = np.einsum("aA,bB,...ABij->...abij", V, V, jet.d2, optimize=True)
-    G = hermitian_to_real(jet.H)
-    dG = hermitian_to_real(dH)
-    d2G = hermitian_to_real(d2H)
-    return G, dG, d2G
+    return (*real_metric_first_jets(jet), _nodes_first(_real_second_last(jet), 4))
 
 
 def riemannian_scalar_real_oracle(metric, point):
@@ -454,55 +482,67 @@ def riemannian_scalar_real_oracle(metric, point):
     Independent verification path: works on the induced real metric with
     standard Levi-Civita formulas and never touches the complexified code.
     """
-    jet = _jet(metric, point)
-    G, dG, d2G = real_metric_jets(jet)
-    return _real_scalar(G, dG, d2G)
+    ricci, Ginv = _real_ricci_last(_jet(metric, point))
+    return np.einsum("bd...,bd...->...", Ginv, ricci)
 
 
-def _brace(dG):
-    # brace[b, c, d] = d_b G[c, d] + d_c G[b, d] - d_d G[b, c]
-    return (
-        dG
-        + np.einsum("...cbd->...bcd", dG)
-        - np.einsum("...dbc->...bcd", dG)
+def _real_connection_last(jet: MetricJet):
+    """(G, G^-1, d2G, X, Gamma_{cdb}, Gamma^a_{db}) of the real Levi-Civita
+    connection, node axes last, with X[k] = G^-1 d_k G (so that
+    d_k G^-1 = -X[k] G^-1) and each symbol as [., d, b]."""
+    G, dG = _real_first_last(jet)
+    Ginv = _nodes_last(np.linalg.inv(_nodes_first(G, 2)), 2)
+    X = np.einsum("ae...,kef...->kaf...", Ginv, dG)
+    # Gamma_{c d b} = (d_d G_{bc} + d_b G_{dc} - d_c G_{db}) / 2
+    low = 0.5 * (np.einsum("dbc...->cdb...", dG) + np.einsum("bdc...->cdb...", dG) - dG)
+    gam = np.einsum("ac...,cdb...->adb...", Ginv, low)
+    return G, Ginv, _real_second_last(jet), X, low, gam
+
+
+def _real_ricci_last(jet: MetricJet):
+    """(R_{bd} as [b, d], G^-1), node axes last, contracted straight from the
+    real jets: no derivative of the Christoffel symbols is formed.
+
+    R_{bd} = d_a Gamma^a_{db} - d_d Gamma^a_{ab} + Gamma^a_{ae} Gamma^e_{db}
+             - Gamma^a_{de} Gamma^e_{ab}, with
+    d_a Gamma^a_{db} = (d_a G^{ac}) Gamma_{cdb}
+                       + G^{ac} (d_a d_d G_{bc} + d_a d_b G_{dc} - d_a d_c G_{db}) / 2,
+    d_d Gamma^a_{ab} = (d_d G^{ac} d_b G_{ac} + G^{ac} d_d d_b G_{ac}) / 2.
+    """
+    _, Ginv, d2G, X, low, gam = _real_connection_last(jet)
+    div = -np.einsum("aaf...,fc...->c...", X, Ginv)  # d_a G^{ac}
+    A = np.einsum("ac...,adbc...->db...", Ginv, d2G)
+    div_gamma = (
+        np.einsum("c...,cdb...->db...", div, low)
+        + 0.5 * (A + np.swapaxes(A, 0, 1) - np.einsum("ac...,acdb...->db...", Ginv, d2G))
     )
-
-
-def _real_riemann(G, dG, d2G):
-    """Real Riemann tensor R^a_{bcd} and helpers from metric jets."""
-    Ginv = np.linalg.inv(G)
-    Gam = 0.5 * np.einsum("...ad,...bcd->...abc", Ginv, _brace(dG), optimize=True)
-    dGinv = -np.einsum("...ae,...ceg,...gd->...cad", Ginv, dG, Ginv, optimize=True)
-    dbrace = (
-        d2G
-        + np.einsum("...ecbd->...ebcd", d2G)
-        - np.einsum("...edbc->...ebcd", d2G)
+    d_trace = 0.5 * (
+        np.einsum("ac...,dbac...->db...", Ginv, d2G) - np.einsum("daf...,bfa...->db...", X, X)
     )
-    dGam = 0.5 * (
-        np.einsum("...ead,...bcd->...eabc", dGinv, _brace(dG), optimize=True)
-        + np.einsum("...ad,...ebcd->...eabc", Ginv, dbrace, optimize=True)
-    )
-    # R^a_{bcd} = d_c Gam^a_{db} - d_d Gam^a_{cb}
-    #             + Gam^a_{ce} Gam^e_{db} - Gam^a_{de} Gam^e_{cb}
-    riem = (
-        np.einsum("...cadb->...abcd", dGam)
-        - np.einsum("...dacb->...abcd", dGam)
-        + np.einsum("...ace,...edb->...abcd", Gam, Gam, optimize=True)
-        - np.einsum("...ade,...ecb->...abcd", Gam, Gam, optimize=True)
-    )
-    return riem, Ginv
-
-
-def _real_scalar(G, dG, d2G):
-    riem, Ginv = _real_riemann(G, dG, d2G)
-    ricci = np.einsum("...abad->...bd", riem)
-    return np.real(np.einsum("...bd,...bd->...", Ginv, ricci, optimize=True))
+    trace = 0.5 * np.einsum("eaa...->e...", X)  # Gamma^a_{ae}
+    quad = np.einsum("e...,edb...->db...", trace, gam) - np.einsum("ade...,eab...->db...", gam, gam)
+    # every term above is indexed [d, b]
+    return np.swapaxes(div_gamma - d_trace + quad, 0, 1), Ginv
 
 
 def real_riemann_lowered(jet: MetricJet):
-    """Fully lowered real Riemann tensor, Ricci and metric, oracle-side."""
-    G, dG, d2G = real_metric_jets(jet)
-    riem, Ginv = _real_riemann(G, dG, d2G)
-    rlow = np.einsum("...ae,...ebcd->...abcd", G, riem, optimize=True)
-    ricci = np.einsum("...abad->...bd", riem)
-    return rlow, ricci, G, Ginv
+    """Fully lowered real Riemann tensor rlow[..., a, b, c, d] = G_{ae} R^e_{bcd},
+    batch axes first: the one oracle route that forms d Gamma and R^a_{bcd}."""
+    G, Ginv, d2G, X, low, gam = _real_connection_last(jet)
+    dGinv = -np.einsum("kaf...,fc...->kac...", X, Ginv)
+    # d_e Gamma_{c d b} = (d_e d_d G_{bc} + d_e d_b G_{dc} - d_e d_c G_{db}) / 2
+    dlow = 0.5 * (
+        np.einsum("edbc...->ecdb...", d2G) + np.einsum("ebdc...->ecdb...", d2G) - d2G
+    )
+    dgam = np.einsum("eac...,cdb...->eadb...", dGinv, low) + np.einsum(
+        "ac...,ecdb...->eadb...", Ginv, dlow
+    )
+    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
+    #             - Gamma^a_{de} Gamma^e_{cb}
+    rup = (
+        np.einsum("cadb...->abcd...", dgam)
+        - np.einsum("dacb...->abcd...", dgam)
+        + np.einsum("ace...,edb...->abcd...", gam, gam)
+        - np.einsum("ade...,ecb...->abcd...", gam, gam)
+    )
+    return _nodes_first(np.einsum("ae...,ebcd...->abcd...", G, rup), 4)

@@ -27,7 +27,7 @@ from .geometry import (
     map_nodes,
     volume_weights,
 )
-from .tensors import real_metric_jets, riemannian_scalar, _real_from_wirtinger
+from .tensors import real_metric_first_jets, riemannian_scalar, _real_from_wirtinger
 
 EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
 
@@ -67,7 +67,7 @@ def conformal_scalar_riemannian(metric: HermitianMetricField, f, point):
     n = metric.n
     m = 2 * n
     jet = metric.jet(z)
-    G, dG, _ = real_metric_jets(jet)
+    G, dG = real_metric_first_jets(jet)
     Ginv = np.linalg.inv(G)
     fj = f(z)
     V = _real_from_wirtinger(n)

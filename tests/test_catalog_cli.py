@@ -512,6 +512,18 @@ def test_cli_unknown_tolerance_in_a_config_file(tmp_path, capsys):
     assert "tol_solver_hop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_cli_rejects_out_of_range_tolerance_in_a_config_file(tmp_path, capsys, value):
+    # a tolerance that no value can meet, or every value meets, is a config fault
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"tol_identity_analytic = {value}\n")
+    code = main(["check-identities", "--manifold", "torus-flat", "--grid", "4",
+                 "--format", "records", "--config", str(cfgfile)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == "" and out.err.startswith("config error: tol_identity_analytic ")
+
+
 def test_cli_quadrature_unsupported(capsys):
     code = main(["theorem-t", "--manifold", "inoue-chart"])
     assert code == 2

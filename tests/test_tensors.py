@@ -259,6 +259,45 @@ def test_ricci_symmetry(perturbed_torus, rng):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def ricci_matrix(metric, pts):
+    """Ric[..., a, b] = Ric(e_a, e_b) on the real coordinate basis."""
+    basis = np.eye(2 * metric.n)
+    return np.stack(
+        [np.stack([tensors.riemannian_ricci(metric, pts, X, Y) for Y in basis], -1) for X in basis],
+        -2,
+    )
+
+
+def test_hopf_ricci_closed_form(hopf, rng):
+    # S^1 x S^3 with g = 2 (dt^2 + g_S3): Ric = 2 (delta_ab - x_a x_b / |z|^2) / |z|^2
+    pts = annulus_points(rng, 30)
+    x = np.concatenate([pts.real, pts.imag], axis=-1)
+    r2 = np.sum(np.abs(pts) ** 2, axis=-1)[:, None, None]
+    want = 2.0 * np.eye(4) / r2 - 2.0 * x[:, :, None] * x[:, None, :] / r2**2
+    got = ricci_matrix(hopf.metric, pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ManifoldSpec(mid, resolution=4) for mid in CATALOG_IDS]
+    + [ManifoldSpec("torus-hermitian-perturbed", dim=3, resolution=4)],
+    ids=lambda spec: f"{spec.id}-dim{spec.dim}",
+)
+def test_direct_ricci_is_the_trace_of_the_full_tensor(spec, rng):
+    # the oracle contracts straight to Ricci; R^a_{bad} of its full tensor is
+    # the same quantity reached through d Gamma and the Riemann tensor
+    entry = build_manifold(spec)
+    pts = entry.random_points(rng, 40)
+    jet = entry.metric.jet(pts)
+    Ginv = np.linalg.inv(tensors.real_metric_jets(jet)[0])
+    rlow = tensors.real_riemann_lowered(jet)  # [..., a, b, c, d] = G_ae R^e_bcd
+    trace = np.einsum("...ae,...ebad->...bd", Ginv, rlow)
+    ric = ricci_matrix(entry.metric, pts)
+    gap = np.max(np.abs(ric - 0.5 * (trace + np.swapaxes(trace, -1, -2))))
+    assert gap <= 1e-13 * (1.0 + np.max(np.abs(ric)))
+
+
 # ---------------------------------------------------------------------------
 # adjoint-type operators and the scalar identity
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Conformal quotient, descent contract, and the sign verdicts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ def test_conformal_law_vs_real_oracle(fixture, request, rng):
     via_law = yamabe.conformal_scalar_riemannian(entry.metric, f, pts)
     via_oracle = tensors.riemannian_scalar_real_oracle(conformal_metric(entry.metric, f), pts)
     assert np.max(np.abs(via_law - via_oracle)) < 1e-5
+
+
+def test_conformal_law_leaves_metric_hessian_pending(perturbed_torus, rng):
+    # the law reads the metric to first order and the factor to second
+    jets = []
+
+    def recording(z):
+        jets.append(perturbed_torus.metric.jet_fn(z))
+        return jets[-1]
+
+    metric = replace(perturbed_torus.metric, jet_fn=recording)
+    f = perturbed_torus.random_scalar(rng, 0.15)
+    yamabe.conformal_scalar_riemannian(metric, f, perturbed_torus.random_points(rng, 10))
+    assert jets and all(jet.pending for jet in jets)
 
 
 def test_flat_quotient_zero(flat_torus):
