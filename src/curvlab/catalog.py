@@ -474,9 +474,11 @@ class HopfBasis(_ModeBasis):
     (`index` points into that list).  One call evaluates the F polynomials
     w^e_j at a node chunk (value, gradient and mixed Hessian block) by
     gathers from one table of monomials (`fields.ExponentTable`), and
-    declares the pairs in its BasisJets; the solver applies L to the
-    polynomials once and lifts L P_j to L(s^q P_j) by the Leibniz rule
-    (`gauduchon.lift_radial_modes`).  A solved combination (`field`) is one
+    declares the pairs in its BasisJets.  The solver applies L to the
+    polynomials once, splits L(s^q P_j) = s^q (X0 + q X1 + q^2 X2) by the
+    Leibniz rule (`gauduchon.lift_radial_modes`), and applies s^q and q
+    once per t-plane of the grid, where s is one number
+    (`gauduchon.galerkin_matrices`).  A solved combination (`field`) is one
     `fields.HopfTerms` table over the same pairs.
 
     The functions are linearly independent: no kept monomial is divisible

@@ -139,34 +139,30 @@ class OneFormField:
 class BasisJets:
     """A real function basis at one node chunk, as stacked complex jets.
 
-    `jet` holds F complex functions P_j along its leading axis.  A basis
-    may declare radial exponents: complex function i is then s^q_i P_j
-    with s = |z|^2, q_i = powers[i] and j = poly[i], and only its value
-    and L-value are formed, from the jets of P_j (the radial lift in
-    `gauduchon`).  Without exponents the complex functions are the P_j
-    themselves.  Real basis function s is the real part of complex
-    function index[s], or its imaginary part where imag[s].  Only
+    `jet` holds F complex polynomials P_j along its leading axis.  Complex
+    function i is s^q_i P_j with s = |z|^2, q_i = powers[i] and j = poly[i];
+    a basis that declares no radial exponents has q = 0 and j = i, so its
+    complex functions are the P_j themselves.  Only the jets of the P_j are
+    formed: the Galerkin assembly applies s^q per t-plane of the grid (the
+    radial lift in `gauduchon`).  Real basis function s is the real part of
+    complex function index[s], or its imaginary part where imag[s].  Only
     scalar-valued results of a real operator (values, L phi) may be read
-    off by `rows`, since L(Re phi) = Re(L phi) holds for such an
-    operator, while derivatives of Re phi mix conjugate slots.
+    off that way, since L(Re phi) = Re(L phi) holds for such an operator,
+    while derivatives of Re phi mix conjugate slots.
     """
 
     __slots__ = ("jet", "index", "imag", "powers", "poly")
 
-    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=(), poly=()):
+    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=None, poly=None):
         self.jet = jet
         self.index = index
         self.imag = imag
-        self.powers = np.asarray(powers, dtype=complex)
-        self.poly = np.asarray(poly, dtype=int)
+        F = len(jet.val)
+        self.powers = np.asarray(np.zeros(F) if powers is None else powers, dtype=complex)
+        self.poly = np.asarray(np.arange(F) if poly is None else poly, dtype=int)
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        """Real rows (len(self), N) from per-function complex values x (functions, N)."""
-        parts = np.ascontiguousarray(x).view(float).reshape(x.shape + (2,))  # (re, im)
-        return parts[self.index, :, self.imag.astype(int)]
 
 
 # ---------------------------------------------------------------------------

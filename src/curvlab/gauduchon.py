@@ -19,22 +19,28 @@ phi = s^q P_j with the polynomial P_j = w^e_j in w = (z, zbar) and
 q = p_k - |e_j| / 2.  The basis gathers the polynomials from one table
 of monomials per chunk and declares one (q, j) pair per complex function
 that a real function reads; `lift_radial_modes` applies L to the
-polynomials once and lifts the result to every s^q P_j by the Leibniz
-rule, with the derivatives of s shared by all of them, so no product jet
-is formed.  A basis without radial exponents (the torus Fourier modes)
-gives m and L m as they are.
+polynomials once and splits L(s^q P) = s^q (X0 + q X1 + q^2 X2) by the
+Leibniz rule, with the derivatives of s shared by all of them, so no
+function s^q P_j is formed.  A basis without radial exponents (the torus
+Fourier modes) has q = 0 and reads P and X0 = L P alone.
 
 The Gram and operator matrices are summed chunk by chunk
-(`galerkin_matrices`): a chunk's value and L-value rows are added to the
-two m x m matrices and dropped, and checked for non-finite entries on the
-way, so a solve never holds an m x N matrix.  The same pass keeps the
-max of the input metric's residual |Re c|, so a solve walks the metric
-jets of the grid once.  The solved u is kept as basis coefficients; on
-the Hopf grid it is one term table (u = Re sum W s^q w^e over the
-surviving functions, `fields.HopfTerms`) with rows keyed by the distinct
-powers q, evaluated from the same kind of monomial table as the basis
-rows, with its value, gradient and mixed block; its full Hessian stays
-pending until something reads it.  Its node values, and every value read
+(`galerkin_matrices`) and per t-plane of the grid, where s is one number
+s_p: a chunk contracts its F polynomial rows P and X0, X1, X2 (real and
+imaginary parts) against the weighted rows of P into one small block per
+plane, F^2 N work in all, and is dropped; each chunk is checked for
+non-finite entries on the way.  Once every node is summed, the factors
+s_p^q and q^k are applied to each plane's block by gathers (m^2 work per
+plane), so a solve never holds an m x N matrix and never forms the m x N
+products.  The same pass keeps the max of the input metric's residual
+|Re c|, so a solve walks the metric jets of the grid once.
+
+The solved u is kept as basis coefficients; on the Hopf grid it is one
+term table (u = Re sum W s^q w^e over the surviving functions,
+`fields.HopfTerms`) with rows keyed by the distinct powers q, evaluated
+from the same kind of monomial table as the basis rows, with its value,
+gradient and mixed block; its full Hessian stays pending until something
+reads it.  Its node values, and every value read
 of the solved metric (the finite-difference stencil), go through the
 table's value-only path.
 
@@ -245,23 +251,26 @@ def apply_gauduchon_operator(coeffs, ujet):
 
 
 def lift_radial_modes(coeffs, batch, z):
-    """Values and L-values of every complex function of `batch`, (functions, N) each.
+    """The polynomial values P and the radial terms X0, X1, X2, (F, N) each.
 
-    L is applied once, to the F stacked functions P = batch.jet.  For the
-    pair (q, j) of a function s^q P_j of the batch, with s = |z|^2,
-    ds = (zbar, z) and d_i d_jbar s = delta_ij, the Leibniz rule gives
+    L is applied once, to the F stacked functions P = batch.jet.  For a
+    function s^q P_j of the batch, with s = |z|^2, ds = (zbar, z) and
+    d_i d_jbar s = delta_ij, the Leibniz rule gives
 
-        L(s^q P) = s^q [L P + (q / s)(A_P + P B) + (q (q - 1) / s^2) P C],
+        L(s^q P) = s^q (X0 + q X1 + q^2 X2),
+        X0 = L P,  X1 = (A_P + P B) / s - P C / s^2,  X2 = P C / s^2,
 
     A_P = sum a_il (zbar_i d_lbar P + z_l d_i P),  B = tr a + b.zbar + b~.z,
-    C = zbar^T a z.  B and C are shared by every function, the terms of P_j
-    are gathered by j, and q is a column over the functions.  A batch
-    without radial exponents gives P and L P unchanged.
+    C = zbar^T a z.  B and C are shared by every polynomial, so no function
+    s^q P_j is formed here: the assembly applies s^q and q per t-plane.  A
+    batch without radial exponents (every q = 0) reads X0 alone; its X1 and
+    X2 are zero.
     """
     P = batch.jet
-    lp = apply_gauduchon_operator(coeffs, P)
-    if not len(batch.powers):
-        return P.val, lp
+    x0 = apply_gauduchon_operator(coeffs, P)
+    if not np.any(batch.powers):
+        zero = np.zeros_like(x0)
+        return P.val, x0, zero, zero
     a, b_holo, b_anti, _ = coeffs
     n = a.shape[-1]
     zb = np.conj(z)
@@ -277,19 +286,9 @@ def lift_radial_modes(coeffs, batch, z):
     A = v[..., 0] * P.d1[..., 0] + u[..., 0] * P.d1[..., n]
     for i in range(1, n):
         A += v[..., i] * P.d1[..., i] + u[..., i] * P.d1[..., n + i]
-    first = (A + P.val * B) / s
-    second = P.val * (C / s**2)
-    # the radial factors s^q, once per distinct exponent
-    distinct, at = np.unique(batch.powers, return_inverse=True)
-    g = np.exp(np.outer(distinct, np.log(s)))[at]
-    j = batch.poly
-    q = batch.powers[:, None]
-    lvals = (q * (q - 1.0)) * second[j]
-    lvals += q * first[j]
-    lvals += lp[j]
-    lvals *= g
-    g *= P.val[j]
-    return g, lvals
+    x2 = P.val * (C / s**2)
+    x1 = (A + P.val * B) / s - x2
+    return P.val, x0, x1, x2
 
 
 def gauduchon_residual(metric: HermitianMetricField, where):
@@ -332,48 +331,115 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     """Gram and operator matrices of the grid's basis, (m, m) each, and the
     residual of `metric`, max |Re c| over the nodes (`gauduchon_residual`).
 
-    gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t,
-    accumulated in one pass over node chunks: a chunk's value rows V and
-    L-value rows L are scaled in place by sqrt(w), then add V V^T to the
-    Gram matrix (a symmetric rank-k product) and V L^T to the operator, and
-    are dropped, so no (m, N) matrix is kept.  The first chunk with a
-    non-finite weight, value or L-value raises NonFiniteIntegrand at its
-    first bad node.
+    gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t.
+    Real function s is Re(d_s s^q P_j), d_s = 1 for a real part and -i for
+    an imaginary part, and L of it is Re(d_s s^q (X0 + q X1 + q^2 X2))
+    (`lift_radial_modes`).  On a t-plane of the grid s is one number s_p, so
+    s_p^q leaves the node sum: a chunk contracts only its F polynomial rows,
+    in the real split Y = [Re P, Im P, Re X0, Im X0, ..., Im X2], into the
+    (2F, 8F) block sum_nodes w Y[:2F] Y^T of each plane it meets, with its
+    nodes grouped by plane.  When every chunk is summed, each plane's block
+    is read by gathers with the weights d_s s_p^q q^k and added to the two
+    m x m matrices, and the Gram matrix is symmetrized exactly.  A basis
+    without radial exponents (q = 0) reads X0 alone, and a grid without
+    t-planes is one plane, which only such a basis may use.
+
+    The first chunk with a non-finite weight or row raises
+    NonFiniteIntegrand at its first bad node, and a node on no t-plane
+    raises ValueError.
     """
     m = len(grid.basis)
-    gram = np.zeros((m, m))
-    op = np.zeros((m, m))
+    t = (grid.axes or {}).get("t")
+    planes = np.ones(1) if t is None else np.exp(2.0 * np.asarray(t, dtype=float))
+    blocks = layout = None
     residual = 0.0
 
     def accumulate(idx):
-        nonlocal residual
+        nonlocal residual, blocks, layout
+        plane = _plane_of(grid.nodes[idx], planes if t is not None else None, int(idx[0]))
+        order = np.argsort(plane, kind="stable")  # one product per plane the chunk meets
+        idx, plane = idx[order], plane[order]
         pts = grid.nodes[idx]
         coeffs = gauduchon_operator_coefficients(metric.jet(pts))
         residual = np.maximum(residual, np.max(np.abs(np.real(coeffs[3]))))  # keeps a NaN
         batch = grid.basis_batch(pts)
-        val, lval = lift_radial_modes(coeffs, batch, pts)
-        vals, lvals = batch.rows(val), batch.rows(lval)
+        layout = batch.index, batch.imag, batch.powers, batch.poly  # not the chunk's jets
+        radial = np.any(batch.powers)
+        if radial and t is None:
+            raise ValueError("a basis with radial exponents needs a grid with t-planes")
+        P, *X = lift_radial_modes(coeffs, batch, pts)
+        rows = [P] + X[: 3 if radial else 1]  # X1 and X2 vanish at q = 0
         wc = w[idx]
-        _check_finite(int(idx[0]), wc, vals, lvals)
-        root = np.sqrt(wc)
-        vals *= root
-        lvals *= root
-        np.add(gram, vals @ vals.T, out=gram)
-        np.add(op, vals @ lvals.T, out=op)
+        _check_finite(idx, wc, *rows)
+        F, N = P.shape
+        Y = np.empty((len(rows), 2, F, N))
+        for y, x in zip(Y, rows):
+            y[0], y[1] = x.real, x.imag
+        Y = Y.reshape(-1, N)
+        Y *= np.sqrt(wc)
+        if blocks is None:
+            blocks = np.zeros((len(planes), 2 * F, len(Y)))
+        cuts = np.flatnonzero(np.diff(plane)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, N]):
+            V, Yp = Y[: 2 * F, lo:hi], Y[:, lo:hi]
+            block = blocks[plane[lo]]
+            block[:, : 2 * F] += V @ V.T  # a symmetric rank-k product
+            block[:, 2 * F :] += V @ Yp[2 * F :].T
 
     map_nodes(accumulate, np.arange(len(grid.nodes)))
-    return gram, op, float(residual)
+    F = blocks.shape[1] // 2
+    terms = blocks.shape[2] // (2 * F) - 1  # X0 alone, or X0, X1 and X2
+    i, imag, powers, poly = layout  # i: the complex function of each real function
+    q, j = powers[i], poly[i]
+    rot = np.where(imag, -1j, 1.0)  # Im x = Re(-i x)
+    re_at = j + 2 * F * np.arange(terms + 1)[:, None]  # Re rows of P, X0, ...; Im is F on
+    both = np.zeros((m, 2 * m))  # [gram | op]
+    for s_p, block in zip(planes, blocks):
+        d = rot * np.exp(q * np.log(s_p))  # d_s s_p^q
+        e = d * q ** np.arange(terms)[:, None]  # d_s s_p^q q^k, (terms, m)
+        # columns: Re(d P_j) = Re d Re P_j - Im d Im P_j, and its L-value
+        cols = block[:, re_at[0]] * d.real - block[:, re_at[0] + F] * d.imag
+        lcols = sum(block[:, re_at[k + 1]] * e[k].real - block[:, re_at[k + 1] + F] * e[k].imag
+                    for k in range(terms))
+        cols = np.concatenate([cols, lcols], axis=1)  # (2F, 2m)
+        # rows: the same weights d on the Re and Im rows of each P_j
+        both += d.real[:, None] * cols[j]
+        both -= d.imag[:, None] * cols[j + F]
+    gram = both[:, :m]
+    return 0.5 * (gram + gram.T), both[:, m:].copy(), float(residual)
 
 
-def _check_finite(first, *rows):
+def _plane_of(z, planes, first):
+    """Index of the t-plane of each node of the chunk z, from its |z|^2 and
+    the |z|^2 of each plane (`planes`).
+
+    Without t-planes (None) every node is on the one plane; a node more
+    than PLANE_TOL (relative in |z|^2) from every plane of the grid raises
+    ValueError, naming its index (node `first` at position 0).
+    """
+    if planes is None:
+        return np.zeros(len(z), dtype=int)
+    s = np.sum(z.real**2 + z.imag**2, axis=-1)
+    plane = np.argmin(np.abs(s[:, None] - planes), axis=1)
+    off = ~(np.abs(s - planes[plane]) <= PLANE_TOL * planes[plane])
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ValueError(f"node {first + k} (|z|^2 = {s[k]!r}) lies on no t-plane of the grid")
+    return plane
+
+
+def _check_finite(nodes, *rows):
     """NonFiniteIntegrand at the first node where one of `rows` (arrays with
-    the node axis last, node `first` at position 0) is not finite."""
+    the node axis last) is not finite.  `nodes` is the node index of each
+    column, or of the first column when they are consecutive."""
     if all(np.all(np.isfinite(r)) for r in rows):
         return
-    columns = np.vstack(rows)  # (rows, nodes)
-    i = int(np.argmax(~np.all(np.isfinite(columns), axis=0)))
+    columns = np.vstack([part for r in rows for part in (np.real(r), np.imag(r))])  # (rows, nodes)
+    at = nodes if np.ndim(nodes) else nodes + np.arange(columns.shape[1])
+    bad = np.flatnonzero(~np.all(np.isfinite(columns), axis=0))
+    i = bad[np.argmin(at[bad])]
     col = columns[:, i]
-    raise NonFiniteIntegrand(first + i, float(col[np.argmax(~np.isfinite(col))]))
+    raise NonFiniteIntegrand(int(at[i]), float(col[np.argmax(~np.isfinite(col))]))
 
 
 def solve_gauduchon(
@@ -537,6 +603,7 @@ def theorem_t_check(metric: HermitianMetricField, grid: QuadratureGrid) -> Total
 EPS_SIGN_SCALE = 1e-6  # sign band per unit volume
 FACTOR_TOL = 1e-6  # max |f| of a Gauduchon factor that counts as trivial
 PRUNE_TOL = 1e-9  # Gram eigenvalues below this fraction of the largest are pruned
+PLANE_TOL = 1e-12  # relative |z|^2 distance of a node from its t-plane
 POSITIVITY_TOL = 1e-8  # min u below this fraction of max |u| is a sign change
 TORSION_TOL = 1e-8  # max |T|^2 of a torsion-free (Kahler) metric
 CERTIFY_TOL = 1e-3  # relative identity gap above which a total is not certified
@@ -550,11 +617,18 @@ class KodairaStatement(str, Enum):
 
 @dataclass
 class Verdict:
-    """Classification record driven by the Gauduchon total curvature sign."""
+    """Classification record driven by the Gauduchon total curvature sign.
+
+    `total_chern_scalar` is the Chern-side total as computed.  `sign` is
+    "positive", "zero" or "negative" for a certified total, and
+    "uncertified" when the two sides of the total-curvature identity
+    disagree beyond CERTIFY_TOL: the total is then reported but carries no
+    sign, and the statement is Indeterminate.
+    """
 
     manifold: str
     total_chern_scalar: float
-    sign: str  # positive | zero | negative
+    sign: str  # positive | zero | negative | uncertified
     kodaira_statement: KodairaStatement
     notes: str = ""
 
@@ -579,7 +653,8 @@ def classify(
     total-curvature identity); a sign must clear both the band
     EPS_SIGN_SCALE * volume and twice the measured identity gap.  An
     uncertified total (relative gap above CERTIFY_TOL) stays
-    Indeterminate: the discretization cannot support a sign claim there.
+    Indeterminate with the sign "uncertified" and the computed total: the
+    discretization cannot support a sign claim there.
     """
     sol = solve_gauduchon(metric, grid)
     f = sol.factor
@@ -588,8 +663,8 @@ def classify(
     if gap > CERTIFY_TOL * (1.0 + abs(total)):
         return Verdict(
             manifold or metric.name,
-            0.0,
-            "zero",
+            total,
+            "uncertified",
             KodairaStatement.INDETERMINATE,
             f"total not certified: identity gap {gap:.3e} vs total {total:.3e}; "
             "refine the basis or grid",

@@ -27,7 +27,13 @@ from .geometry import (
     map_nodes,
     volume_weights,
 )
-from .tensors import real_metric_first_jets, riemannian_scalar, _real_from_wirtinger
+from .tensors import (
+    CxBlocks,
+    _real_from_wirtinger,
+    _scalar_from_blocks,
+    real_metric_first_jets,
+    riemannian_scalar,
+)
 
 EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
 
@@ -76,7 +82,7 @@ def conformal_scalar_riemannian(metric: HermitianMetricField, f, point):
 
     lap = _laplace_beltrami(Ginv, dG, df, d2f)
     grad2 = np.einsum("...ab,...a,...b->...", Ginv, df, df)
-    s, _ = riemannian_scalar(metric, z)
+    s, _ = _scalar_from_blocks(CxBlocks(jet))
     fval = np.real(fj.val)
     return np.exp(-fval) * (s - (m - 1) * lap - (m - 1) * (m - 2) / 4.0 * grad2)
 

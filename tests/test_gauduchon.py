@@ -32,6 +32,7 @@ from curvlab.gauduchon import (
     ConformalFactor,
     KodairaStatement,
     Verdict,
+    _total_identity,
     apply_gauduchon_operator,
     classify,
     compose_conformal_jet,
@@ -48,7 +49,6 @@ from curvlab.geometry import (
     NODE_CHUNK,
     DerivativeEngine,
     QuadratureGrid,
-    map_nodes,
     volume_weights,
 )
 from curvlab.jets import Jet2, coordinate_jets, exp_linear, squared_radius
@@ -216,6 +216,22 @@ def _rel(got, want):
     return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
 
+def _lifted(coeffs, batch, z):
+    """Values and L-values of every complex function s^q P_j of the batch,
+    (functions, N) each, formed from the lift's terms: s^q P_j and
+    s^q (X0 + q X1 + q^2 X2)_j, with s = |z|^2 of each node."""
+    P, x0, x1, x2 = lift_radial_modes(coeffs, batch, z)
+    j, q = batch.poly, batch.powers[:, None]
+    sq = np.sum(np.abs(z) ** 2, axis=-1) ** q
+    return sq * P[j], sq * (x0[j] + q * x1[j] + q**2 * x2[j])
+
+
+def _real_rows(batch, x):
+    """Real function s of the batch: Re, or Im where imag[s], of row index[s] of x."""
+    x = x[batch.index]
+    return np.where(batch.imag[:, None], x.imag, x.real)
+
+
 def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     z = conformal.random_points(rng_from_seed(64), 64)
     coeffs = gauduchon_operator_coefficients(conformal.metric.jet(z))
@@ -224,8 +240,8 @@ def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     assert len(batch) == len(spec) == 275
     # derivatives of Re/Im phi mix conjugate slots, so a row carries its
     # value and L; the jets are compared on the polynomials w^e_j
-    val, lval = lift_radial_modes(coeffs, batch, z)
-    vals, lvals = batch.rows(val), batch.rows(lval)
+    val, lval = _lifted(coeffs, batch, z)
+    vals, lvals = _real_rows(batch, val), _real_rows(batch, lval)
     for s, entry in enumerate(spec):
         j = batch.poly[batch.index[s]]
         P = _polynomial(z, *entry[1:3])
@@ -293,8 +309,8 @@ def test_torus_basis_rows_match_per_mode_fields(perturbed_torus):
     z = perturbed_torus.random_points(rng_from_seed(65), 64)
     coeffs = gauduchon_operator_coefficients(perturbed_torus.metric.jet(z))
     batch = perturbed_torus.grid.basis_batch(z)
-    val, lval = lift_radial_modes(coeffs, batch, z)
-    vals, lvals = batch.rows(val), batch.rows(lval)
+    val, lval = _lifted(coeffs, batch, z)
+    vals, lvals = _real_rows(batch, val), _real_rows(batch, lval)
     reference = _reference_torus_basis(2, (1.0, 1.0))
     assert len(batch) == len(reference) == 81
     for s, phi in enumerate(reference):
@@ -313,7 +329,7 @@ def test_radial_lift_matches_the_formed_products(conformal, kind):
         shapes = [(48, 2, 2), (48, 2), (48, 2), (48,)]
         coeffs = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
     batch = conformal.grid.basis_batch(z)
-    val, lval = lift_radial_modes(coeffs, batch, z)
+    val, lval = _lifted(coeffs, batch, z)
     # every declared function, k = 0 included: function i of the (q, j)
     # list is R_k m_j for the basis rows that read it, and each is read
     expo = conformal.grid.basis.expo
@@ -462,28 +478,52 @@ def test_conformal_values_leave_the_factor_hessian_pending(conformal, conformal_
 
 
 def _dense_matrices(metric, grid, w):
-    """Gram and operator matrices from the full (m, N) value and L-value rows."""
-
-    def rows(pts):
+    """Gram and operator matrices as node sums of the formed value and
+    L-value rows of every real function, (m, N) per chunk."""
+    m = len(grid.basis)
+    gram, op = np.zeros((m, m)), np.zeros((m, m))
+    for lo in range(0, len(grid.nodes), NODE_CHUNK):
+        pts, wc = grid.nodes[lo : lo + NODE_CHUNK], w[lo : lo + NODE_CHUNK]
         coeffs = gauduchon_operator_coefficients(metric.jet(pts))
         batch = grid.basis_batch(pts)
-        val, lval = lift_radial_modes(coeffs, batch, pts)
-        return batch.rows(val).T, batch.rows(lval).T  # node axis first, as map_nodes joins
+        val, lval = _lifted(coeffs, batch, pts)
+        vals = _real_rows(batch, val)
+        gram += (vals * wc) @ vals.T
+        op += (vals * wc) @ _real_rows(batch, lval).T
+    return gram, op
 
-    vals, lvals = (x.T for x in map_nodes(rows, grid.nodes))
-    return (vals * w) @ vals.T, (vals * w) @ lvals.T
 
-
-@pytest.mark.parametrize("which", ["hopf-conformal", "torus-kahler-potential"])
+@pytest.mark.parametrize(
+    "which", ["hopf-conformal", "torus-kahler-potential", "hopf-basis-3-4", "hopf-permuted"]
+)
 def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, which):
-    entry = conformal if which == "hopf-conformal" else kahler_torus
-    assert len(entry.grid.nodes) > NODE_CHUNK  # more than one chunk is summed
-    w = volume_weights(entry.metric, entry.grid)
-    *streamed, _ = galerkin_matrices(entry.metric, entry.grid, w)
-    for got, want in zip(streamed, _dense_matrices(entry.metric, entry.grid, w)):
+    entry = kahler_torus if which == "torus-kahler-potential" else conformal
+    grid = entry.grid
+    if which == "hopf-basis-3-4":
+        grid = replace(grid, basis=HopfBasis(3, 4))
+    elif which == "hopf-permuted":
+        # every chunk meets every t-plane, in no order
+        perm = rng_from_seed(72).permutation(len(grid.nodes))
+        grid = QuadratureGrid(grid.nodes[perm], grid.lebesgue_w[perm], grid.axes, grid.basis)
+    assert len(grid.nodes) > NODE_CHUNK  # more than one chunk is summed
+    w = volume_weights(entry.metric, grid)
+    *streamed, _ = galerkin_matrices(entry.metric, grid, w)
+    for got, want in zip(streamed, _dense_matrices(entry.metric, grid, w)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     gram = streamed[0]
     assert np.array_equal(gram, gram.T)
+
+
+def test_a_node_off_its_t_plane_is_refused(conformal):
+    nodes = conformal.grid.nodes.copy()
+    nodes[3000] *= 1.0 + 1e-9
+    moved = replace(conformal.grid, nodes=nodes)
+    w = volume_weights(conformal.metric, moved)
+    with pytest.raises(ValueError, match="node 3000 "):
+        galerkin_matrices(conformal.metric, moved, w)
+    # without t-planes the radial factors s^q have no plane to come from
+    with pytest.raises(ValueError, match="t-planes"):
+        galerkin_matrices(conformal.metric, replace(conformal.grid, axes=None), w)
 
 
 def test_a_grid_copied_with_another_basis_assembles_that_basis(conformal):
@@ -732,6 +772,11 @@ def test_classify_refuses_uncertified_factor(perturbed_torus, rng):
     v = classify(perturbed_torus.metric, perturbed_torus.grid, False, float(np.max(tors)))
     assert v.kodaira_statement == KodairaStatement.INDETERMINATE
     assert "not certified" in v.notes
+    # the computed Chern-side total is reported, with no sign claimed
+    assert v.sign == "uncertified"
+    sol = solve_gauduchon(perturbed_torus.metric, perturbed_torus.grid)
+    lhs, *_ = _total_identity(perturbed_torus.metric, perturbed_torus.grid, sol.factor)
+    assert v.total_chern_scalar != 0.0 and v.total_chern_scalar == lhs
 
 
 def test_verdict_invariant_enforced():

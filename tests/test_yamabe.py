@@ -51,6 +51,24 @@ def test_conformal_law_leaves_metric_hessian_pending(perturbed_torus, rng):
     assert jets and all(jet.pending for jet in jets)
 
 
+def test_conformal_law_evaluates_the_metric_jet_once(perturbed_torus, rng):
+    # the base scalar curvature is read from the jet the law already holds
+    calls = []
+
+    def counted(z):
+        calls.append(1)
+        return perturbed_torus.metric.jet_fn(z)
+
+    metric = replace(perturbed_torus.metric, jet_fn=counted)
+    pts = perturbed_torus.random_points(rng, 10)
+    for f in (perturbed_torus.random_scalar(rng, 0.15), constant_field(0.0)):
+        calls.clear()
+        got = yamabe.conformal_scalar_riemannian(metric, f, pts)
+        assert len(calls) == 1
+    # with f = 0 the law is the base scalar curvature itself, bit for bit
+    assert np.array_equal(got, tensors.riemannian_scalar(perturbed_torus.metric, pts)[0])
+
+
 def test_flat_quotient_zero(flat_torus):
     assert abs(yamabe.yamabe_quotient(flat_torus.metric, constant_field(0.0), flat_torus.grid)) < 1e-12
     assert abs(yamabe.yamabe_quotient(flat_torus.metric, constant_field(1.3), flat_torus.grid)) < 1e-12
