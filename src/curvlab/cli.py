@@ -257,7 +257,7 @@ def cmd_yamabe(cfg: RunConfig, report: Report):
     if entry.grid is None:
         raise QuadratureUnsupported(f"{cfg.manifold} has no quadrature grid")
     rng = rng_from_seed(cfg.seed)
-    f0 = np.real(entry.random_scalar(rng, 0.05)(entry.grid.nodes).val)
+    f0 = np.real(entry.random_scalar(rng, 0.05).values(entry.grid.nodes))
     result = yamabe.minimize_quotient(entry.metric, entry.grid, max_iters=cfg.iters, f0=f0)
     qs = [t.quotient for t in result.trace]
     monotone = all(qs[i + 1] <= qs[i] + 1e-14 for i in range(len(qs) - 1))

@@ -4,7 +4,8 @@ Points are plain complex arrays of shape (..., n) holding the chart
 coordinates z^1..z^n; all evaluators broadcast over leading batch axes.
 The module owns the frame conversion between real J-invariant metrics and
 Hermitian matrix fields, Wirtinger differentiation (analytic jets or a
-fourth-order central stencil), and quadrature over fundamental domains.
+fourth-order central stencil), quadrature over fundamental domains, and
+nodal derivatives on their product grids.
 
 Volume convention, fixed globally: the volume form equals
 det(h) * 2^n times the Lebesgue measure of the real chart coordinates.
@@ -493,13 +494,20 @@ class QuadratureGrid:
 
     lebesgue_w are weights for the real-coordinate Lebesgue measure of the
     fundamental domain; the volume weights of a metric multiply in its
-    det(h) 2^n (`volume_weights`).  Structured-grid metadata (`axes`)
-    supports nodal derivative operators where a manifold provides them.
+    det(h) 2^n (`volume_weights`).
+
+    `axes` lays out a product grid, nodes in C order over its chart axes:
+    `kind` ("torus" or "hopf") and `shape` (nodes per axis), then on the
+    torus `spacings`, the periodic step along each of x^1..x^n, y^1..y^n,
+    and on Hopf the node arrays `t` (period log 2), `alpha` (Gauss-Legendre
+    on (0, pi/2)), `beta` and `gamma` (period 2 pi), with
+    z1 = e^t cos(alpha) e^{i beta} and z2 = e^t sin(alpha) e^{i gamma}.
+    `NodalDerivatives` reads them all; the Galerkin assembly reads `t`.
     """
 
     nodes: np.ndarray  # (N, n) complex
     lebesgue_w: np.ndarray  # (N,)
-    axes: Optional[dict] = None  # structured-grid info for diff ops
+    axes: Optional[dict] = None  # product-grid layout, keys as above
     # smooth function basis for the Gauduchon solver (catalog.TorusBasis or
     # catalog.HopfBasis)
     basis: Optional[object] = None
@@ -533,3 +541,91 @@ def integrate(metric: HermitianMetricField, grid: QuadratureGrid, integrand) -> 
         idx = int(np.argmax(bad))
         raise NonFiniteIntegrand(idx, vals[idx])
     return float(np.sum(volume_weights(metric, grid) * vals))
+
+
+# ---------------------------------------------------------------------------
+# nodal derivatives on structured grids
+# ---------------------------------------------------------------------------
+
+
+def _fourier_diff_matrix(N: int, period: float) -> np.ndarray:
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    F = np.fft.fft(np.eye(N), axis=0)
+    D = np.fft.ifft((2j * np.pi / period) * k[:, None] * F, axis=0)
+    return np.real(D)
+
+
+def _barycentric_diff_matrix(x: np.ndarray) -> np.ndarray:
+    """Polynomial differentiation matrix on arbitrary nodes, from the
+    barycentric weights 1 / c_j, c_j = prod_{k != j} (x_j - x_k)."""
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    c = np.prod(diff, axis=1)
+    D = (c[:, None] / c[None, :]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -np.sum(D, axis=1))
+    return D
+
+
+def _along(M: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
+    """M applied along one axis of the node array v, flattened back to nodes."""
+    return np.moveaxis(np.tensordot(M, np.moveaxis(v, axis, 0), axes=(1, 0)), 0, axis).reshape(-1)
+
+
+def _hopf_jacobian(z: np.ndarray) -> np.ndarray:
+    """J[p, a, mu] = dx_a / dxi_mu at Hopf nodes, chart (t, alpha, beta, gamma),
+    real coordinates (x1, x2, y1, y2), read off the nodes themselves:
+    dz/dt = z, dz/dalpha = (-|z2| z1/|z1|, |z1| z2/|z2|), dz/dbeta = (i z1, 0)
+    and dz/dgamma = (0, i z2)."""
+    z1, z2 = z[:, 0], z[:, 1]
+    r1, r2 = np.abs(z1), np.abs(z2)
+    zero = np.zeros_like(z1)
+    dz = np.stack([
+        np.stack([z1, -r2 * z1 / r1, 1j * z1, zero], axis=-1),
+        np.stack([z2, r1 * z2 / r2, zero, 1j * z2], axis=-1),
+    ], axis=-2)
+    return np.concatenate([np.real(dz), np.imag(dz)], axis=-2)
+
+
+class NodalDerivatives:
+    """Chart partials of node values on a structured grid (`grid.axes`),
+    by one dense matrix per chart axis: Fourier on periodic axes,
+    barycentric on the Gauss-Legendre alpha axis of the Hopf grid.
+
+    `jacobian[p, a, mu] = dx_a / dxi_mu` relates them to the real
+    coordinates (x^1..x^n, y^1..y^n); it is the identity on the torus.
+    On a periodic axis of even size the Fourier matrix annihilates the
+    Nyquist mode (-1)^j: that mode has zero nodal gradient, and no
+    quadratic form in these partials sees it.
+    """
+
+    def __init__(self, grid: QuadratureGrid):
+        axes = grid.axes
+        if axes is None:
+            raise ValueError("grid carries no structured-axes metadata")
+        self.shape = tuple(axes["shape"])
+        dim = len(self.shape)
+        if axes["kind"] == "torus":
+            self.D = [_fourier_diff_matrix(N, N * h) for N, h in zip(self.shape, axes["spacings"])]
+            self.jacobian = np.broadcast_to(np.eye(dim), (len(grid.nodes), dim, dim))
+        elif axes["kind"] == "hopf":
+            nt, _, nb, ng = self.shape
+            self.D = [
+                _fourier_diff_matrix(nt, np.log(2.0)),
+                _barycentric_diff_matrix(np.asarray(axes["alpha"])),
+                _fourier_diff_matrix(nb, 2.0 * np.pi),
+                _fourier_diff_matrix(ng, 2.0 * np.pi),
+            ]
+            self.jacobian = _hopf_jacobian(grid.nodes)
+        else:
+            raise ValueError(f"no nodal derivatives for grid kind {axes['kind']!r}")
+        self.DT = [np.ascontiguousarray(D.T) for D in self.D]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """(N, 2n) partials of node values along the chart axes."""
+        v = values.reshape(self.shape)
+        return np.stack([_along(D, v, a) for a, D in enumerate(self.D)], axis=-1)
+
+    def adjoint(self, fields: np.ndarray) -> np.ndarray:
+        """(N,) node values sum_mu D_mu^T fields[:, mu] of (N, 2n) chart fields."""
+        return sum(_along(DT, fields[:, a].reshape(self.shape), a) for a, DT in enumerate(self.DT))

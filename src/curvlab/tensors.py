@@ -426,22 +426,6 @@ def scalar_identity_residual(metric, point) -> ScalarReport:
 # ---------------------------------------------------------------------------
 
 
-_REAL_FROM_WIRTINGER_CACHE = {}
-
-
-def _real_from_wirtinger(n: int) -> np.ndarray:
-    """V[a, A]: real partial a as a combination of Wirtinger slots A."""
-    if n not in _REAL_FROM_WIRTINGER_CACHE:
-        V = np.zeros((2 * n, 2 * n), dtype=complex)
-        for i in range(n):
-            V[i, i] = 1.0
-            V[i, n + i] = 1.0
-            V[n + i, i] = 1j
-            V[n + i, n + i] = -1j
-        _REAL_FROM_WIRTINGER_CACHE[n] = V
-    return _REAL_FROM_WIRTINGER_CACHE[n]
-
-
 def _real_partials(a: np.ndarray, n: int) -> np.ndarray:
     """The real partials d_x then d_y on axis 0 of a node-last array holding
     Wirtinger slots there: d_x = d + dbar, d_y = i (d - dbar)."""

@@ -10,7 +10,10 @@ total curvature of e^f g needs first derivatives of f only:
 
 with m = 2n and all metric quantities taken in the base metric.  The
 descent is projected gradient on nodal values of f with Armijo
-backtracking; accepted steps never increase the quotient.
+backtracking; accepted steps never increase the quotient.  It works in
+the grid's chart coordinates: |grad f|^2 contracts the chart partials of
+`geometry.NodalDerivatives` with the chart inverse metric (J^T G J)^-1,
+J the chart Jacobian and G the real metric at the nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from .geometry import (
     HermitianMetricField,
+    NodalDerivatives,
     QuadratureGrid,
     hermitian_to_real,
     map_nodes,
@@ -29,7 +33,9 @@ from .geometry import (
 )
 from .tensors import (
     CxBlocks,
-    _real_from_wirtinger,
+    _nodes_first,
+    _nodes_last,
+    _real_partials,
     _scalar_from_blocks,
     real_metric_first_jets,
     riemannian_scalar,
@@ -76,9 +82,10 @@ def conformal_scalar_riemannian(metric: HermitianMetricField, f, point):
     G, dG = real_metric_first_jets(jet)
     Ginv = np.linalg.inv(G)
     fj = f(z)
-    V = _real_from_wirtinger(n)
-    df = np.real(np.einsum("aA,...A->...a", V, fj.d1))
-    d2f = np.real(np.einsum("aA,bB,...AB->...ab", V, V, fj.d2))
+    # the real partials of f on its Wirtinger slots, one slot at a time
+    df = _nodes_first(np.real(_real_partials(_nodes_last(fj.d1, 1), n)), 1)
+    half = np.swapaxes(_real_partials(_nodes_last(fj.d2, 2), n), 0, 1)
+    d2f = _nodes_first(np.real(np.swapaxes(_real_partials(half, n), 0, 1)), 2)
 
     lap = _laplace_beltrami(Ginv, dG, df, d2f)
     grad2 = np.einsum("...ab,...a,...b->...", Ginv, df, df)
@@ -110,108 +117,6 @@ def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid) -> fl
 
 
 # ---------------------------------------------------------------------------
-# nodal differentiation on structured grids
-# ---------------------------------------------------------------------------
-
-
-def _fourier_diff_matrix(N: int, period: float) -> np.ndarray:
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    F = np.fft.fft(np.eye(N), axis=0)
-    D = np.fft.ifft((2j * np.pi / period) * k[:, None] * F, axis=0)
-    return np.real(D)
-
-
-def _barycentric_diff_matrix(x: np.ndarray) -> np.ndarray:
-    """Polynomial differentiation matrix on arbitrary nodes."""
-    N = len(x)
-    c = np.ones(N)
-    for j in range(N):
-        c[j] = np.prod(x[j] - np.delete(x, j))
-    D = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                D[i, j] = (c[i] / c[j]) / (x[i] - x[j])
-    D[np.diag_indices(N)] = -np.sum(D, axis=1)
-    return D
-
-
-class NodalDerivatives:
-    """Real-coordinate partials of nodal fields on a structured grid."""
-
-    def __init__(self, grid: QuadratureGrid):
-        axes = grid.axes
-        if axes is None:
-            raise ValueError("grid carries no structured-axes metadata")
-        self.kind = axes["kind"]
-        self.shape = tuple(axes["shape"])
-        self.nvars = len(self.shape)
-        if self.kind == "torus":
-            self.D = [
-                _fourier_diff_matrix(self.shape[a], self.shape[a] * axes["spacings"][a])
-                for a in range(self.nvars)
-            ]
-            self.jinv = None
-        elif self.kind == "hopf":
-            self.D = [
-                _fourier_diff_matrix(self.shape[0], np.log(2.0)),
-                _barycentric_diff_matrix(np.asarray(axes["alpha"])),
-                _fourier_diff_matrix(self.shape[2], 2.0 * np.pi),
-                _fourier_diff_matrix(self.shape[3], 2.0 * np.pi),
-            ]
-            self.jinv = _hopf_inverse_jacobian(axes)  # (N, mu, a)
-        else:
-            raise ValueError(f"no nodal derivatives for grid kind {self.kind!r}")
-
-    def chart_partials(self, values: np.ndarray) -> np.ndarray:
-        """(N, nvars) array of partials along the grid axes."""
-        v = values.reshape(self.shape)
-        outs = []
-        for a in range(self.nvars):
-            outs.append(np.moveaxis(
-                np.tensordot(self.D[a], np.moveaxis(v, a, 0), axes=(1, 0)), 0, a
-            ).reshape(-1))
-        return np.stack(outs, axis=-1)
-
-    def chart_partials_adjoint(self, fields: np.ndarray) -> np.ndarray:
-        """Adjoint of chart_partials: sum_mu D_mu^T fields[:, mu]."""
-        out = np.zeros(int(np.prod(self.shape)))
-        for a in range(self.nvars):
-            v = fields[:, a].reshape(self.shape)
-            out += np.moveaxis(
-                np.tensordot(self.D[a].T, np.moveaxis(v, a, 0), axes=(1, 0)), 0, a
-            ).reshape(-1)
-        return out
-
-    def real_partials(self, values: np.ndarray) -> np.ndarray:
-        """(N, 2n) partials with respect to the real chart coordinates."""
-        dchart = self.chart_partials(values)
-        if self.jinv is None:
-            return dchart
-        return np.einsum("pma,pm->pa", self.jinv, dchart)
-
-    def real_partials_adjoint(self, fields: np.ndarray) -> np.ndarray:
-        if self.jinv is None:
-            return self.chart_partials_adjoint(fields)
-        return self.chart_partials_adjoint(np.einsum("pma,pa->pm", self.jinv, fields))
-
-
-def _hopf_inverse_jacobian(axes) -> np.ndarray:
-    t, a, b, g = (np.asarray(axes[k]) for k in ("t", "alpha", "beta", "gamma"))
-    T, A, B, G = np.meshgrid(t, a, b, g, indexing="ij")
-    r = np.exp(T.ravel())
-    A, B, G = A.ravel(), B.ravel(), G.ravel()
-    z1 = r * np.cos(A) * np.exp(1j * B)
-    z2 = r * np.sin(A) * np.exp(1j * G)
-    # columns: d(x1, x2, y1, y2)/d(t, alpha, beta, gamma)
-    dz1 = np.stack([z1, -r * np.sin(A) * np.exp(1j * B), 1j * z1, np.zeros_like(z1)], axis=-1)
-    dz2 = np.stack([z2, r * np.cos(A) * np.exp(1j * G), np.zeros_like(z2), 1j * z2], axis=-1)
-    J = np.stack([np.real(dz1), np.real(dz2), np.imag(dz1), np.imag(dz2)], axis=-2)
-    # J[p, a, mu] = dx_a / dxi_mu; invert to get dxi_mu / dx_a
-    return np.linalg.inv(J)  # (N, mu, a)
-
-
-# ---------------------------------------------------------------------------
 # descent
 # ---------------------------------------------------------------------------
 
@@ -224,9 +129,12 @@ def minimize_quotient(
 ) -> DescentResult:
     """Projected gradient descent over mean-zero nodal conformal factors.
 
-    Returns the terminal quotient (an upper bound for the class invariant)
-    together with the monotone trace.  Non-convergence is reported through
-    the flag, with the best-so-far estimate.
+    Returns the discrete quotient at the last accepted step, the lowest of
+    the monotone trace, together with that trace; non-convergence is
+    reported through the flag.  The value is not an upper bound for the
+    class invariant when a periodic grid axis has even size: the Nyquist
+    mode of that axis has zero nodal gradient, so the discrete energy does
+    not charge it, and a long descent can end below the invariant.
     """
     n = metric.n
     m = 2 * n
@@ -234,7 +142,8 @@ def minimize_quotient(
     w = volume_weights(metric, grid)
     nodal = NodalDerivatives(grid)
     s = map_nodes(lambda pts: riemannian_scalar(metric, pts)[0], grid.nodes)
-    Ginv = np.linalg.inv(hermitian_to_real(metric.value(grid.nodes)))
+    J = nodal.jacobian
+    K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(metric.value(grid.nodes)) @ J)
 
     if f0 is None:
         f = np.zeros(len(grid.nodes))
@@ -243,8 +152,8 @@ def minimize_quotient(
     f -= np.sum(w * f) / np.sum(w)
 
     def energy_volume(fv):
-        df = nodal.real_partials(fv)
-        grad2 = np.einsum("pab,pa,pb->p", Ginv, df, df)
+        df = nodal(fv)
+        grad2 = np.einsum("pab,pa,pb->p", K, df, df)
         E = float(np.sum(w * np.exp((n - 1) * fv) * (s + c * grad2)))
         V = float(np.sum(w * np.exp(n * fv)))
         return E, V, df, grad2
@@ -257,9 +166,9 @@ def minimize_quotient(
         E, V, df, grad2 = energy_volume(fv)
         dE = (n - 1) * w * np.exp((n - 1) * fv) * (s + c * grad2)
         flux = 2.0 * c * (w * np.exp((n - 1) * fv))[:, None] * np.einsum(
-            "pab,pb->pa", Ginv, df
+            "pab,pb->pa", K, df
         )
-        dE = dE + nodal.real_partials_adjoint(flux)
+        dE = dE + nodal.adjoint(flux)
         dV = n * w * np.exp(n * fv)
         q = E / V ** (1.0 - 1.0 / n)
         gq = (dE - (1.0 - 1.0 / n) * (E / V) * dV) / V ** (1.0 - 1.0 / n)

@@ -5,6 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curvlab.catalog import (
+    ManifoldSpec,
+    build_manifold,
+    hopf_conformal_direction,
+    hopf_grid,
+    rng_from_seed,
+)
 from curvlab.errors import (
     CrossCheckFailed,
     NonFiniteIntegrand,
@@ -16,7 +23,9 @@ from curvlab.geometry import (
     NODE_CHUNK,
     DerivativeEngine,
     HermitianMetricField,
+    NodalDerivatives,
     QuadratureGrid,
+    _barycentric_diff_matrix,
     UpperHalfFirstDomain,
     hermitian_to_real,
     integrate,
@@ -273,3 +282,80 @@ def test_grid_needs_a_node():
     with pytest.raises(ValueError, match="at least one node"):
         QuadratureGrid(np.zeros((0, 2), dtype=complex), np.zeros(0))
 
+
+
+# ---------------------------------------------------------------------------
+# nodal derivatives
+# ---------------------------------------------------------------------------
+
+
+def _analytic_real_gradient(f, z):
+    """(N, 2n) real partials d_x, d_y of a real field from its Wirtinger jet."""
+    d1 = f(z).d1
+    n = z.shape[-1]
+    return np.real(np.concatenate([d1[:, :n] + d1[:, n:], 1j * (d1[:, :n] - d1[:, n:])], axis=-1))
+
+
+@pytest.mark.parametrize("resolution", [8, 12])
+def test_torus_partials_equal_the_analytic_gradient(resolution):
+    # the torus chart axes are the real coordinates, and the random field
+    # is band-limited below the grid's Nyquist frequency
+    entry = build_manifold(ManifoldSpec("torus-hermitian-perturbed", resolution=resolution))
+    f = entry.random_scalar(rng_from_seed(3), 0.3)
+    nodal = NodalDerivatives(entry.grid)
+    want = _analytic_real_gradient(f, entry.grid.nodes)
+    got = nodal(np.real(f.values(entry.grid.nodes)))
+    assert np.array_equal(nodal.jacobian, np.broadcast_to(np.eye(4), nodal.jacobian.shape))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nalpha, tol", [(8, 1e-4), (10, 1e-6), (12, 1e-8)])
+def test_hopf_partials_converge_spectrally_in_alpha(nalpha, tol):
+    # exact on the periodic axes; on the Gauss-Legendre alpha axis the
+    # error falls by about two digits per two nodes
+    grid = hopf_grid(nalpha=nalpha)
+    g = hopf_conformal_direction()
+    nodal = NodalDerivatives(grid)
+    chart = nodal(np.real(g.values(grid.nodes)))
+    # chart partials are J^T times the real gradient
+    got = np.linalg.solve(np.swapaxes(nodal.jacobian, 1, 2), chart[..., None])[..., 0]
+    want = _analytic_real_gradient(g, grid.nodes)
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mid", ["torus-flat", "hopf-standard"])
+def test_nodal_adjoint_is_the_transpose(mid, rng):
+    grid = build_manifold(ManifoldSpec(mid, resolution=6 if mid.startswith("torus") else None)).grid
+    nodal = NodalDerivatives(grid)
+    v = rng.normal(size=len(grid.nodes))
+    F = rng.normal(size=(len(grid.nodes), 4))
+    lhs = np.sum(nodal(v) * F)
+    assert abs(lhs - np.sum(v * nodal.adjoint(F))) <= 1e-12 * abs(lhs)
+
+
+def _barycentric_loop(x):
+    """The elementwise reference for the vectorised matrix."""
+    N = len(x)
+    c = [np.prod(x[j] - np.delete(x, j)) for j in range(N)]
+    D = np.zeros((N, N))
+    for i in range(N):
+        for j in range(N):
+            if i != j:
+                D[i, j] = (c[i] / c[j]) / (x[i] - x[j])
+    D[np.diag_indices(N)] = -np.sum(D, axis=1)
+    return D
+
+
+@pytest.mark.parametrize("N", [4, 8, 12])
+def test_barycentric_matrix_is_exact_on_polynomials(N):
+    x = (np.polynomial.legendre.leggauss(N)[0] + 1.0) * (np.pi / 4.0)
+    D = _barycentric_diff_matrix(x)
+    assert np.max(np.abs(D - _barycentric_loop(x))) <= 1e-14 * np.max(np.abs(D))
+    for k in range(N):
+        want = k * x ** (k - 1) if k else np.zeros(N)
+        assert np.max(np.abs(D @ x**k - want)) <= 1e-10
+
+
+def test_nodal_derivatives_need_grid_axes(flat_torus):
+    with pytest.raises(ValueError, match="structured-axes"):
+        NodalDerivatives(replace(flat_torus.grid, axes=None))
