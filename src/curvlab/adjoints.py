@@ -19,7 +19,6 @@ from .gauduchon import conformal_metric
 from .geometry import QuadratureGrid, volume_weights
 from .tensors import (
     CxBlocks,
-    _adjoint_term_from_blocks,
     _dbar_star_omega_components,
     _dbar_star_omega_dbar,
     p_star_oneform,
@@ -172,7 +171,7 @@ def _pointwise_identities(metric, f, eta, pts, res, gauduchon_base=False):
     # (c2)  <dbar dbar* omega, omega> = |dbar* omega|^2 - i d* dbar* omega
     C = -np.einsum("...li->...il", dtheta)  # coefficients of dbar(theta)
     lhs2 = inner_11(cx.Hinv, C, 1j * cx.H)
-    adj, _ = _adjoint_term_from_blocks(cx)
+    adj = np.real(cx.adjoint_term())
     rhs2 = inner_oneform(cx.Hinv, theta, theta) - adj
     _accumulate(res, "c2", _rel(lhs2, rhs2))
 
@@ -196,7 +195,7 @@ def _pointwise_identities(metric, f, eta, pts, res, gauduchon_base=False):
     # (c6)  i d*_f dbar*_f omega_f
     #       = e^-f (i d* dbar* omega - (n-1)(Delta_d f + tr i d dbar f)
     #               + (n-1)^2 |d f|^2)
-    adj_f, _ = _adjoint_term_from_blocks(cxf)
+    adj_f = np.real(cxf.adjoint_term())
     lap = laplacian_d(cx, fj)
     trf = np.real(trace_i_ddbar(cx, fj))
     g2 = np.real(grad_norm_sq(cx, fj))

@@ -480,6 +480,8 @@ def make_config(argv) -> RunConfig:
         raise ValueError(f"--t must be finite, got {cfg.conformal_t}")
     if cfg.derivative_mode not in ("analytic", "fd"):
         raise ValueError(f"--derivative-mode must be analytic or fd, got {cfg.derivative_mode!r}")
+    if cfg.fmt not in ("text", "records"):
+        raise ValueError(f"--format must be text or records, got {cfg.fmt!r}")
     return cfg
 
 

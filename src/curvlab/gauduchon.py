@@ -44,23 +44,22 @@ reads it.  Its node values, and every value read
 of the solved metric (the finite-difference stencil), go through the
 table's value-only path.
 
-The operator coefficients are closed-form contractions of P = H^-1 with
-the first derivatives and the mixed block of H
-(`gauduchon_operator_coefficients`); the residual reads the zeroth-order
-coefficient c alone.  Every step to the Gauduchon total reads mixed
-second derivatives d_i d_jbar only: the operator coefficients, the
-Chern-Ricci form, the conformal composition e^f h
-(`compose_conformal_jet`), which forms the mixed block of its jet now and
-leaves the full second derivatives pending, and the Riemannian side
-(s from the curvature block R_{i jbar k lbar}, and |T|^2).  Nothing on
-the way to the total forms a full Hessian.
+The operator coefficients come from one `CxBlocks` of the metric jet, the
+Hermitian path that the scalar identity reads: P = H^-1, the torsion
+one-form theta = dbar*(omega) and the adjoint term i d* dbar* omega
+(`gauduchon_operator_coefficients`).  omega is Gauduchon exactly when
+theta is co-closed, so the zeroth-order coefficient c, which the residual
+reads alone, is (n-1)! times the adjoint term.  The Gauduchon total reads
+one `CxBlocks` of the base jet per chunk for both of its sides: the Chern
+side of e^f omega is e^((n-1) f) (s_C - n tr i d dbar f) against the base
+volume.  Every step reads mixed second derivatives d_i d_jbar only, so
+nothing on the way to the total forms a full Hessian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations, permutations
 from math import factorial
 from typing import Optional
 
@@ -81,7 +80,7 @@ from .geometry import (
     map_nodes,
     volume_weights,
 )
-from .tensors import CxBlocks, chern_ricci, chern_ricci_from_jet, scalar_and_torsion
+from .tensors import CxBlocks, _dbar_star_omega_components, chern_ricci, scalar_and_torsion
 
 
 # ---------------------------------------------------------------------------
@@ -171,42 +170,6 @@ def conformal_metric(metric: HermitianMetricField, factor) -> HermitianMetricFie
 # ---------------------------------------------------------------------------
 
 
-def _torsion_parts(jet: MetricJet):
-    """P = H^-1 and the antisymmetrized first derivatives of H:
-
-    X[k, j, l] = d_jbar H[k, l] - d_lbar H[k, j],
-    Y[a, b, y] = d_a H[b, y] - d_b H[a, y].
-    """
-    n = jet.n
-    if n < 2:
-        raise ValueError("the Gauduchon equation degenerates for n = 1")
-    anti = np.moveaxis(jet.d1[..., n:, :, :], -3, -2)  # anti[k, j, l] = d_jbar H[k, l]
-    holo = jet.d1[..., :n, :, :]
-    return np.linalg.inv(jet.H), anti - np.swapaxes(anti, -1, -2), holo - np.swapaxes(holo, -3, -2)
-
-
-def _zeroth_order(jet: MetricJet, P, X, Y):
-    """c = density of i d dbar omega^(n-1), as (n - 1)! times
-
-    sum M[k,l,i,j] (P[l,k] P[j,i] - P[j,k] P[l,i]) - S3 / 4,   M = jet.mixed,
-
-    S3 = sum_(sigma in S_3) sgn(sigma) sum X[a,d,e] Y[b,c,f] P[d,I_s1] P[e,I_s2] P[f,I_s3]
-    with (I_s1, I_s2, I_s3) the sigma-permuted (a, b, c); S3 vanishes for n = 2.
-    """
-    n = jet.n
-    M = jet.mixed
-    c = np.einsum("...kl,...lk->...", np.einsum("...klij,...ji->...kl", M, P), P)
-    c -= np.einsum("...kj,...jk->...", np.einsum("...klij,...li->...kj", M, P), P)
-    if n > 2:
-        Xr = np.einsum("...ade,...dp,...eq->...apq", X, P, P, optimize=True)
-        Yr = np.einsum("...bcf,...fr->...bcr", Y, P)
-        for sigma in permutations("abc"):
-            sign = (-1) ** sum(x > y for x, y in combinations(sigma, 2))
-            s1, s2, s3 = sigma
-            c -= 0.25 * sign * np.einsum(f"...a{s1}{s2},...bc{s3}->...", Xr, Yr)
-    return factorial(n - 1) * c
-
-
 def gauduchon_operator_coefficients(jet: MetricJet):
     """Pointwise coefficients (a, b_holo, b_anti, c) of the scalar operator
 
@@ -214,21 +177,23 @@ def gauduchon_operator_coefficients(jet: MetricJet):
           + sum b_anti[j] d_jbar u + c u,
 
     where L u is the density of i d dbar (u omega^(n-1)) against the
-    volume form.  With P = H^-1 and X, Y as in `_torsion_parts`:
+    volume form.  All four come from one `CxBlocks` of the jet: with
+    P = H^-1 and theta = dbar*(omega),
 
-    a[i,j] = (n-1)! P[j,i],
-    b_holo[i] = (n-1)! sum X[k,j,l] P[j,i] P[l,k],
-    b_anti[i] = (n-1)! sum Y[a,b,y] P[i,a] P[y,b],
+    a = (n-1)! P^T,   b_anti = -i (n-1)! P theta,   b_holo = conj(b_anti),
+    c = (n-1)! i d* dbar* omega,
 
-    and c from `_zeroth_order`.
+    the adjoint term of the scalar identity (`tensors.CxBlocks.adjoint_term`):
+    omega is Gauduchon exactly when its torsion one-form theta is co-closed.
     """
     n = jet.n
-    P, X, Y = _torsion_parts(jet)
+    if n < 2:
+        raise ValueError("the Gauduchon equation degenerates for n = 1")
+    cx = CxBlocks(jet)
     scale = factorial(n - 1)
-    a = scale * np.swapaxes(P, -1, -2)
-    b_holo = scale * np.einsum("...j,...ji->...i", np.einsum("...kjl,...lk->...j", X, P), P)
-    b_anti = scale * np.einsum("...ia,...a->...i", P, np.einsum("...aby,...yb->...a", Y, P))
-    return a, b_holo, b_anti, _zeroth_order(jet, P, X, Y)
+    theta = _dbar_star_omega_components(cx)
+    b_anti = (-1j * scale) * np.einsum("...ia,...a->...i", cx.Hinv, theta)
+    return scale * np.swapaxes(cx.Hinv, -1, -2), np.conj(b_anti), b_anti, scale * cx.adjoint_term()
 
 
 def apply_gauduchon_operator(coeffs, ujet):
@@ -292,15 +257,15 @@ def lift_radial_modes(coeffs, batch, z):
 
 
 def gauduchon_residual(metric: HermitianMetricField, where):
-    """Normalized density of i d dbar omega^(n-1).
+    """Normalized density of i d dbar omega^(n-1): the real part of the
+    zeroth-order coefficient c = (n-1)! i d* dbar* omega.
 
     On a quadrature grid the max over nodes is returned; for a plain point
     array (pointwise-only charts) the per-point values come back instead.
     """
 
     def density(pts):
-        jet = metric.jet(pts)
-        return np.real(_zeroth_order(jet, *_torsion_parts(jet)))
+        return np.real(gauduchon_operator_coefficients(metric.jet(pts))[3])
 
     if isinstance(where, QuadratureGrid):
         return float(np.max(np.abs(map_nodes(density, where.nodes))))
@@ -559,27 +524,29 @@ def _total_identity(metric, grid, f: ConformalFactor):
     lhs = integral of s_C(omega_f) against the volume of omega_f;
     rhs = integral of e^((n-1) f) (s/2 + |T|^2/4) against the base volume
           plus (n-1)^2 ||df||^2 taken with respect to omega_f.
-    Also returns the volume of omega_f.
+    Also returns the volume of omega_f.  Since log det (e^f h) =
+    n f + log det h, the lhs integrand is e^((n-1) f) (s_C - n tr_h i d dbar f)
+    against the base volume, so one `CxBlocks` of the base jet per chunk
+    serves both sides.
     """
     n = metric.n
 
     def integrands(pts):
         fj = f.field(pts)
-        base_jet = metric.jet(pts)
-        _, s_c_f = chern_ricci_from_jet(compose_conformal_jet(base_jet, fj.exp()))
-        cx = CxBlocks(base_jet)
+        cx = CxBlocks(metric.jet(pts))
         s, tsq = scalar_and_torsion(cx)
+        _, s_c = cx.chern_ricci()
+        lap = np.real(np.einsum("...ij,...ji->...", fj.mixed, cx.Hinv))
         df2 = np.real(
             np.einsum("...i,...ji,...j->...", fj.d1[..., :n], cx.Hinv, fj.d1[..., n:])
         )
-        return np.real(fj.val), s_c_f, 0.5 * s + 0.25 * tsq, df2
+        return np.real(fj.val), s_c - n * lap, 0.5 * s + 0.25 * tsq, df2
 
-    fval, s_c_f, bulk, df2 = map_nodes(integrands, grid.nodes)
+    fval, chern, bulk, df2 = map_nodes(integrands, grid.nodes)
     w = volume_weights(metric, grid)
-    w_f = w * np.exp(n * fval)  # volume weights of omega_f
     w_u = w * np.exp((n - 1) * fval)  # base weights times u = e^((n-1) f)
-    lhs = float(np.sum(w_f * s_c_f))
-    vol_f = float(np.sum(w_f))
+    lhs = float(np.sum(w_u * chern))
+    vol_f = float(np.sum(w * np.exp(n * fval)))  # the volume of omega_f
     grad_term = float(np.sum(w_u * df2)) * (n - 1) ** 2
     rhs = float(np.sum(w_u * bulk)) + grad_term
     return lhs, rhs, grad_term, vol_f

@@ -10,9 +10,12 @@ intermediate code:
   that the Riemannian scalar (`riemannian_scalar`,
   `scalar_and_torsion_from_jet`, `scalar_identity_residual`), its
   Hermitian-symmetry check, the adjoint term i d* dbar* omega, the
-  torsion and the Chern-Ricci form read.  `christoffel` assembles the
-  complexified symbols Gamma^C_{AB} over the 2n letters (0..n-1
-  holomorphic, n..2n-1 antiholomorphic) from its blocks.
+  torsion and the Chern-Ricci form read.  The same blocks serve the
+  Gauduchon operator of `gauduchon`: H^-1, the torsion one-form
+  theta = dbar* omega and the adjoint term are its coefficients.
+  `christoffel` assembles the complexified symbols Gamma^C_{AB} over the
+  2n letters (0..n-1 holomorphic, n..2n-1 antiholomorphic) from its
+  blocks.
 - the real-coordinate Levi-Civita pipeline at the bottom of the module
   works on the induced real metric and its full second derivatives.  It
   is the verification oracle for the Hermitian path, and the only route
@@ -116,8 +119,11 @@ class CxBlocks:
     Christoffel blocks Gamma^e_{ik}, Gamma^e_{i kbar} and
     Gamma^ebar_{jbar k}, the derivatives d_jbar Gamma^e_{ik} and
     d_i Gamma^e_{k jbar}, and from them the curvature block
-    R_{i jbar k lbar}; the scalar curvature, the Hermitian-symmetry check
-    and the adjoint term read nothing else.
+    R_{i jbar k lbar}; the scalar curvature and the Hermitian-symmetry
+    check read nothing else.  Each array is formed on first read and
+    kept: theta = dbar*(omega) is one contraction of d1, and its
+    dbar-derivative the trace of the d_i Gamma^e_{k jbar} block, so the
+    adjoint term and the Gauduchon coefficients build no other block.
     """
 
     # Always None: the CxBlocks byte counter of perfbench/tracing.py still
@@ -128,8 +134,10 @@ class CxBlocks:
         H = np.asarray(jet.H, dtype=complex)
         self.n = H.shape[-1]
         self.H = H
-        w = np.linalg.eigvalsh(H)
-        if np.min(np.abs(w)) <= 1e-12 * max(float(np.max(np.abs(w))), 1.0):
+        # LAPACK can read a NaN as singular; leave it to the checks that name its node
+        finite = np.all(np.isfinite(H), axis=(-2, -1))
+        w = np.linalg.eigvalsh(H if np.all(finite) else H[finite])
+        if w.size and np.min(np.abs(w)) <= 1e-12 * max(float(np.max(np.abs(w))), 1.0):
             raise SingularMetric("metric not invertible to tolerance")
         self.Hinv = np.linalg.inv(H)
         self.d1H = np.asarray(jet.d1, dtype=complex)
@@ -173,35 +181,56 @@ class CxBlocks:
         anti = 0.5 * np.einsum("me...,kmi...->eik...", g, dh - np.swapaxes(dh, 0, 1))
         return hol, mixed, anti
 
+    def _dP(self, d1):
+        """d_A g[e, m] = -(g (d_A H)^T g)[e, m] for the slots A of d1, as [A, e, m]."""
+        g = self._P_last
+        return -np.einsum("Aef...,fm...->Aem...", np.einsum("eg...,Afg...->Aef...", g, d1), g)
+
     @cached_property
-    def _dgamma_last(self):
-        """d_jbar Gamma^e_{ik} and d_i Gamma^e_{k jbar}, each as [e, i, j, k]."""
-        g, d1, M = self._P_last, self._d1_last, self._mixed_last
+    def _d_anti_hol(self):
+        """d_jbar Gamma^e_{ik} as [e, i, j, k]."""
+        g, M = self._P_last, self._mixed_last
         n = self.n
-        dh, db = d1[:n], d1[n:]
-        dg = -np.einsum("ef...,Agf...,gm...->Aem...", g, d1, g)  # d_A g[e, m]
-        d_anti_hol = 0.5 * (
-            np.einsum("jem...,kim...->eijk...", dg[n:], dh + np.swapaxes(dh, 0, 1))
+        dh, dg = self._d1_last[:n], self._dP(self._d1_last[n:])
+        return 0.5 * (
+            np.einsum("jem...,kim...->eijk...", dg, dh + np.swapaxes(dh, 0, 1))
             + np.einsum("em...,kjim...->eijk...", g, M + np.swapaxes(M, 0, 2))
         )
-        d_hol_mixed = 0.5 * (
-            np.einsum("iem...,jkm...->eijk...", dg[:n], db - np.swapaxes(db, 0, 2))
+
+    @cached_property
+    def _d_hol_mixed(self):
+        """d_i Gamma^e_{k jbar} as [e, i, j, k]; dtheta is its trace."""
+        g, M = self._P_last, self._mixed_last
+        n = self.n
+        db, dg = self._d1_last[n:], self._dP(self._d1_last[:n])
+        return 0.5 * (
+            np.einsum("iem...,jkm...->eijk...", dg, db - np.swapaxes(db, 0, 2))
             + np.einsum("em...,ijkm...->eijk...", g, M - np.swapaxes(M, 1, 3))
         )
-        return d_anti_hol, d_hol_mixed
+
+    @cached_property
+    def _theta_last(self):
+        """theta[i] = 2i conj(Gamma^k_{ibar k}), the components of dbar*(omega)."""
+        g, db = self._P_last, self._d1_last[self.n :]
+        gsum = np.einsum("km...,ikm...->i...", g, db) - np.einsum("km...,mki...->i...", g, db)
+        return 1j * np.conj(gsum)
+
+    @cached_property
+    def _dtheta_last(self):
+        """dtheta[j, i] = d_jbar theta_i."""
+        return 2j * np.conj(np.einsum("kjik...->ji...", self._d_hol_mixed))
 
     @cached_property
     def _curvature_last(self):
         """R_{i jbar k lbar} as [i, j, k, l]."""
         H = self._H_last
         hol, mixed, anti = self._gamma_last
-        d_anti_hol, d_hol_mixed = self._dgamma_last
         # R^e_{i jbar k} = -(d_jbar Gamma^e_{ik} - d_i Gamma^e_{k jbar}
         #   + Gamma^f_{ik} Gamma^e_{f jbar} - Gamma^f_{k jbar} Gamma^e_{if}
         #   - Gamma^fbar_{jbar k} Gamma^e_{i fbar})
         rup = (
-            d_anti_hol
-            - d_hol_mixed
+            self._d_anti_hol
+            - self._d_hol_mixed
             + np.einsum("fik...,efj...->eijk...", hol, mixed)
             - np.einsum("fkj...,eif...->eijk...", mixed, hol)
             - np.einsum("fjk...,eif...->eijk...", anti, mixed)
@@ -232,6 +261,11 @@ class CxBlocks:
         up = np.einsum("ip...,lpj...->lij...", P, np.einsum("jq...,lpq...->lpj...", P, np.conj(T)))
         nsq = np.einsum("lij...,lij...->...", low, up)
         return _nodes_first(T, 3), np.real(nsq)
+
+    def adjoint_term(self) -> np.ndarray:
+        """i d* dbar* omega, complex: the d* of theta = dbar*(omega)."""
+        db = self._d1_last[self.n :]
+        return 1j * _p_star_last(self._Hinv_last, db, self._theta_last, self._dtheta_last)
 
     def chern_ricci(self):
         """(R_{i jbar} = -d_i d_jbar log det h, its trace s_C)."""
@@ -301,11 +335,7 @@ def curvature_complexified(metric, point) -> TensorBlock:
 
 def chern_ricci(metric, point):
     """Chern-Ricci form R_{i jbar} = -d_i d_jbar log det h and its trace."""
-    return chern_ricci_from_jet(_jet(metric, point))
-
-
-def chern_ricci_from_jet(jet: MetricJet):
-    return CxBlocks(jet).chern_ricci()
+    return CxBlocks(_jet(metric, point)).chern_ricci()
 
 
 def scalar_and_torsion_from_jet(jet: MetricJet):
@@ -353,14 +383,12 @@ def dbar_star_omega(metric, point) -> TensorBlock:
 
 
 def _dbar_star_omega_components(cx: CxBlocks) -> np.ndarray:
-    gsum = np.einsum("kki...->i...", cx._gamma_last[1])  # Gamma^k_{ibar k}
-    return 2j * np.conj(_nodes_first(gsum, 1))
+    return _nodes_first(cx._theta_last, 1)
 
 
 def _dbar_star_omega_dbar(cx: CxBlocks) -> np.ndarray:
     """dtheta[..., j, i] = d_jbar of component i of dbar*(omega)."""
-    dgsum = np.einsum("kjik...->ji...", cx._dgamma_last[1])  # d_j Gamma^k_{ibar k}
-    return 2j * np.conj(_nodes_first(dgsum, 2))
+    return _nodes_first(cx._dtheta_last, 2)
 
 
 def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.ndarray:
@@ -373,8 +401,12 @@ def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.n
     # node-last copies for this call only, not the cached ones of CxBlocks:
     # the grid-wide blocks of the adjoint suite would keep those alive
     Hinv = _nodes_last(cx.Hinv, 2)
-    db = _nodes_last(cx.d1H[..., cx.n :, :, :], 3)  # db[j] = d_jbar H
-    eta, deta = _nodes_last(eta, 1), _nodes_last(deta_anti, 2)
+    db = _nodes_last(cx.d1H[..., cx.n :, :, :], 3)
+    return _p_star_last(Hinv, db, _nodes_last(eta, 1), _nodes_last(deta_anti, 2))
+
+
+def _p_star_last(Hinv, db, eta, deta):
+    """d*(eta) from node-last Hinv, db[j] = d_jbar H, eta and deta[j, i] = d_jbar eta_i."""
     # d*eta = -sum_{i,j} [ (d_jbar eta_i) Hinv[j,i] + eta_i d_jbar Hinv[j,i]
     #                      + eta_i Hinv[j,i] d_jbar log det H ],
     # with d_jbar Hinv = -Hinv (d_jbar H) Hinv and d_jbar log det H = tr(Hinv d_jbar H)
@@ -385,15 +417,6 @@ def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.n
         - np.einsum("i...,c...,ci...->...", eta, left, Hinv)
         + np.einsum("i...,ji...,j...->...", eta, Hinv, dlogdet)
     )
-
-
-def _adjoint_term_from_blocks(cx: CxBlocks):
-    """The real scalar i d* dbar* omega entering the curvature identity, and
-    the largest imaginary part dropped."""
-    theta = _dbar_star_omega_components(cx)
-    dtheta = _dbar_star_omega_dbar(cx)
-    val = 1j * p_star_oneform(cx, theta, dtheta)
-    return np.real(val), float(np.max(np.abs(np.imag(val))))
 
 
 def scalar_identity_residual(metric, point) -> ScalarReport:
@@ -408,16 +431,16 @@ def scalar_identity_residual(metric, point) -> ScalarReport:
     s, im_s = _scalar_from_blocks(cx)
     _, tsq = cx.torsion()
     _, s_c = cx.chern_ricci()
-    adj, im_a = _adjoint_term_from_blocks(cx)
-    residual = s - (2.0 * s_c - 2.0 * adj - 0.5 * tsq)
+    adj = cx.adjoint_term()
+    residual = s - (2.0 * s_c - 2.0 * adj.real - 0.5 * tsq)
     return ScalarReport(
         point=point,
         s=s,
         s_c=s_c,
         torsion_norm_sq=tsq,
-        adjoint_term=adj,
+        adjoint_term=adj.real,
         identity_residual=residual,
-        imag_defect=float(np.maximum(im_s, im_a)),
+        imag_defect=float(np.maximum(im_s, np.max(np.abs(adj.imag)))),
     )
 
 

@@ -469,6 +469,15 @@ def test_cli_bad_derivative_mode_in_a_config_file(tmp_path, capsys):
     assert "--derivative-mode" in capsys.readouterr().err
 
 
+def test_cli_bad_format_in_a_config_file(tmp_path, capsys):
+    # refused before the command runs, not by the report writer after it
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("format = json\n")
+    assert main(["ahat", "--chern", "c1^2=0,c2=24", "--dim", "4", "--config", str(cfgfile)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("config error: --format ")
+
+
 def test_cli_check_identities_rejects_zero_points(capsys):
     code = main(["check-identities", "--manifold", "torus-flat", "--points", "0", "--grid", "4"])
     assert code == 2

@@ -178,6 +178,22 @@ def test_operator_is_conformally_covariant(n, rng):
     assert _rel(got, np.exp(n * np.real(fj.val)) * c) < 1e-12
 
 
+@pytest.mark.parametrize("mid, params", [
+    ("torus-hermitian-perturbed", {}),
+    ("torus-hermitian-perturbed", {"dim": 3, "resolution": 2}),
+    ("hopf-conformal", {"conformal_t": 0.2}),
+    ("inoue-chart", {}),
+], ids=["torus-n2", "torus-n3", "hopf-conformal", "inoue-chart"])
+def test_residual_is_the_adjoint_term(mid, params, rng):
+    # omega is Gauduchon iff its torsion one-form is co-closed: c is
+    # (n-1)! i d* dbar* omega, read from the same arrays, bit for bit
+    entry = build_manifold(ManifoldSpec(mid, **params))
+    pts = entry.random_points(rng, 50)
+    adj = tensors.scalar_identity_residual(entry.metric, pts).adjoint_term
+    got = gauduchon_residual(entry.metric, pts)
+    assert np.array_equal(got, math.factorial(entry.metric.n - 1) * adj)
+
+
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -456,7 +472,7 @@ def test_conformal_composition_forms_the_mixed_block_first(conformal, conformal_
         assert jet.pending and uj.pending
         # the mixed-only consumers leave the full second derivatives pending
         gauduchon_operator_coefficients(jet)
-        tensors.chern_ricci_from_jet(jet)
+        tensors.CxBlocks(jet).chern_ricci()
         gauduchon_residual(conformal_metric(conformal.metric, conformal_solution.factor), z)
         assert jet.pending and uj.pending and len(factor_hessians) == forced
         assert np.array_equal(mixed, jet.d2[..., :2, 2:, :, :])
@@ -729,6 +745,27 @@ def test_identity_conformal_family(t):
     assert abs(chk.lhs / expected - 1.0) < {0.1: 1e-10, 0.2: 1e-7}[t]
     tg = t * np.real(hopf_conformal_direction()(entry.grid.nodes).val)
     assert np.max(np.abs(chk.factor.values - (tg - tg.mean()))) <= 1e-4
+
+
+@pytest.mark.parametrize("mid", ["hopf-conformal", "torus-hermitian-perturbed",
+                                 "torus-kahler-potential"])
+def test_total_identity_lhs_is_the_composed_chern_total(mid, monkeypatch):
+    # the Chern side reads the base blocks only, once per chunk; the
+    # reference composes e^f h and integrates its s_C against its volume
+    entry = build_manifold(ManifoldSpec(mid, conformal_t=0.2))
+    grid = entry.grid
+    f = ConformalFactor.from_field(grid, entry.random_scalar(rng_from_seed(71), 0.3))
+    built = []
+    init = tensors.CxBlocks.__init__
+    monkeypatch.setattr(tensors.CxBlocks, "__init__",
+                        lambda cx, *args: built.append(1) or init(cx, *args))
+    lhs, *_ = _total_identity(entry.metric, grid, f)
+    assert len(built) == -(-len(grid.nodes) // NODE_CHUNK)
+    composed = conformal_metric(entry.metric, f)
+    s_c = np.concatenate([tensors.chern_ricci(composed, grid.nodes[lo : lo + NODE_CHUNK])[1]
+                          for lo in range(0, len(grid.nodes), NODE_CHUNK)])
+    want = float(np.sum(volume_weights(composed, grid) * s_c))
+    assert abs(lhs - want) <= max(1e-12 * abs(want), 1e-14)
 
 
 # ---------------------------------------------------------------------------
