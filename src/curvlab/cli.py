@@ -3,7 +3,7 @@
 Commands: check-identities, adjoints, gauduchon, theorem-t, classify,
 yamabe, ahat, lebrun-table.  Exit codes: 0 all checks pass, 1 check
 failure (including a failed numerical check that stops a command: a
-cross-check, Gauduchon gate, non-finite integrand, singular metric or any
+cross-check, non-finite integrand, singular metric or any
 other ValueError raised while a command runs), 2 configuration error
 (flags and config file, checked before a command runs, a characteristic
 number that `ahat` needs but was not given, a manifold without the grid
@@ -42,16 +42,15 @@ from .errors import (
     NonFiniteIntegrand,
     NoPositiveNullVector,
     NonIntegerSpinWarning,
-    NotGauduchon,
     QuadratureUnsupported,
     SingularMetric,
     UnknownId,
 )
 from .gauduchon import (
     classify,
-    conformal_metric,
     gauduchon_residual,
     solve_gauduchon,
+    solved_residual,
     theorem_t_check,
 )
 from .geometry import DerivativeEngine, HermitianMetricField, map_nodes
@@ -203,7 +202,7 @@ def cmd_gauduchon(cfg: RunConfig, report: Report):
     sol = solve_gauduchon(entry.metric, entry.grid)
     report.add("gauduchon_residual_input", cfg.manifold, sol.input_residual, None, None, True)
     stol = cfg.solver_tol()
-    res_out = gauduchon_residual(conformal_metric(entry.metric, sol.factor), entry.grid)
+    res_out = solved_residual(sol, entry.grid)
     report.add("gauduchon_residual_solved", cfg.manifold, res_out, res_out, stol, res_out <= stol)
     fmax = float(np.max(np.abs(sol.factor.values)))
     if entry.gauduchon_by_construction:
@@ -379,7 +378,7 @@ def run(cfg: RunConfig):
     except (UnknownId, QuadratureUnsupported, MissingMonomial, ConfigError) as exc:
         report.verdicts.append(f"config error: {exc}")
         code = 2
-    except (CrossCheckFailed, NotGauduchon, NonFiniteIntegrand, SingularMetric, ValueError) as exc:
+    except (CrossCheckFailed, NonFiniteIntegrand, SingularMetric, ValueError) as exc:
         # configuration is checked before a command runs, so a ValueError
         # raised inside one is a failed numerical step
         report.verdicts.append(f"check failed: {exc}")

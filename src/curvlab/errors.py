@@ -42,10 +42,6 @@ class QuadratureUnsupported(CurvlabError):
     """Manifold supports pointwise evaluation only, no global quadrature."""
 
 
-class NotGauduchon(CurvlabError):
-    """Metric failed the Gauduchon residual gate."""
-
-
 class NoPositiveNullVector(CurvlabError):
     """Discrete Gauduchon null vector changes sign beyond tolerance."""
 

@@ -32,28 +32,37 @@ plane, F^2 N work in all, and is dropped; each chunk is checked for
 non-finite entries on the way.  Once every node is summed, the factors
 s_p^q and q^k are applied to each plane's block by gathers (m^2 work per
 plane), so a solve never holds an m x N matrix and never forms the m x N
-products.  The same pass keeps the max of the input metric's residual
-|Re c|, so a solve walks the metric jets of the grid once.
+products.
+
+The assembly is the one walk of a command over the metric jets of the
+grid.  Its pass keeps, per node in node order, what the rest of the
+command reads of the metric (`NodeFields`): the volume weights, the
+operator coefficients and, for `theorem-t` and `classify` only, s_C and
+s/2 + |T|^2/4 from the same `CxBlocks`: about 2 MB on the 13 824 nodes
+of the default Hopf grid.  The input residual is the max |Re c| of the
+kept c.  The solved residual reads them through the exact conformal law
+c(e^f omega) = e^(-n f) L_omega(e^((n-1) f)) = e^(-f) L_omega(u) / u
+(`solved_residual`), so no jet of the solved metric is composed, and the
+Gauduchon total reads them with the jet of f alone (`_total_identity`).
 
 The solved u is kept as basis coefficients; on the Hopf grid it is one
 term table (u = Re sum W s^q w^e over the surviving functions,
 `fields.HopfTerms`) with rows keyed by the distinct powers q, evaluated
 from the same kind of monomial table as the basis rows, with its value,
 gradient and mixed block; its full Hessian stays pending until something
-reads it.  Its node values, and every value read
-of the solved metric (the finite-difference stencil), go through the
-table's value-only path.
+reads it.  Its node values go through the table's value-only path, and
+the solved residual reads its jet once per chunk.
 
 The operator coefficients come from one `CxBlocks` of the metric jet, the
 Hermitian path that the scalar identity reads: P = H^-1, the torsion
 one-form theta = dbar*(omega) and the adjoint term i d* dbar* omega
 (`gauduchon_operator_coefficients`).  omega is Gauduchon exactly when
 theta is co-closed, so the zeroth-order coefficient c, which the residual
-reads alone, is (n-1)! times the adjoint term.  The Gauduchon total reads
-one `CxBlocks` of the base jet per chunk for both of its sides: the Chern
-side of e^f omega is e^((n-1) f) (s_C - n tr i d dbar f) against the base
-volume.  Every step reads mixed second derivatives d_i d_jbar only, so
-nothing on the way to the total forms a full Hessian.
+reads alone, is (n-1)! times the adjoint term.  The Chern side of the
+total for e^f omega is e^((n-1) f) (s_C - n tr i d dbar f) against the
+base volume, with H^-1 read off the kept a.  Every step reads mixed
+second derivatives d_i d_jbar only, so nothing on the way to the total
+forms a full Hessian.
 """
 
 from __future__ import annotations
@@ -69,7 +78,6 @@ from .errors import (
     NonConvergence,
     NonFiniteIntegrand,
     NoPositiveNullVector,
-    NotGauduchon,
     QuadratureUnsupported,
 )
 from .fields import ScalarField
@@ -80,7 +88,7 @@ from .geometry import (
     map_nodes,
     volume_weights,
 )
-from .tensors import CxBlocks, _dbar_star_omega_components, chern_ricci, scalar_and_torsion
+from .tensors import CxBlocks, _dbar_star_omega_components, scalar_and_torsion
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +178,15 @@ def conformal_metric(metric: HermitianMetricField, factor) -> HermitianMetricFie
 # ---------------------------------------------------------------------------
 
 
-def gauduchon_operator_coefficients(jet: MetricJet):
+def gauduchon_operator_coefficients(jet):
     """Pointwise coefficients (a, b_holo, b_anti, c) of the scalar operator
 
     L u = sum a[i,j] d_i d_jbar u + sum b_holo[i] d_i u
           + sum b_anti[j] d_jbar u + c u,
 
     where L u is the density of i d dbar (u omega^(n-1)) against the
-    volume form.  All four come from one `CxBlocks` of the jet: with
-    P = H^-1 and theta = dbar*(omega),
+    volume form.  All four come from one `CxBlocks` of the jet (`jet` is a
+    MetricJet or its `CxBlocks`): with P = H^-1 and theta = dbar*(omega),
 
     a = (n-1)! P^T,   b_anti = -i (n-1)! P theta,   b_holo = conj(b_anti),
     c = (n-1)! i d* dbar* omega,
@@ -186,10 +194,10 @@ def gauduchon_operator_coefficients(jet: MetricJet):
     the adjoint term of the scalar identity (`tensors.CxBlocks.adjoint_term`):
     omega is Gauduchon exactly when its torsion one-form theta is co-closed.
     """
-    n = jet.n
+    cx = jet if isinstance(jet, CxBlocks) else CxBlocks(jet)
+    n = cx.n
     if n < 2:
         raise ValueError("the Gauduchon equation degenerates for n = 1")
-    cx = CxBlocks(jet)
     scale = factorial(n - 1)
     theta = _dbar_star_omega_components(cx)
     b_anti = (-1j * scale) * np.einsum("...ia,...a->...i", cx.Hinv, theta)
@@ -278,10 +286,23 @@ def gauduchon_residual(metric: HermitianMetricField, where):
 
 
 @dataclass
+class NodeFields:
+    """What the assembly keeps of the metric, per grid node in node order:
+    the volume weights, the operator coefficients (a, b_holo, b_anti, c)
+    and, when asked for, the Chern scalar s_C and the Riemannian bulk
+    s/2 + |T|^2/4 that the total-curvature identity reads."""
+
+    weights: np.ndarray
+    coeffs: tuple
+    chern: Optional[np.ndarray] = None
+    bulk: Optional[np.ndarray] = None
+
+
+@dataclass
 class GauduchonSolution:
     """The solved factor, with u = e^((n-1) f) as node values, as basis
     coefficients (zero below the 1e-14 relative cut) and as a field, and
-    the residual of the input metric (`gauduchon_residual` on the grid)."""
+    the node fields of the metric that the assembly kept."""
 
     factor: ConformalFactor
     u_nodes: np.ndarray
@@ -289,12 +310,21 @@ class GauduchonSolution:
     iterations: int
     coeffs: np.ndarray
     u_field: ScalarField
-    input_residual: float
+    fields: NodeFields
+
+    @property
+    def input_residual(self) -> float:
+        """The residual of the input metric, max |Re c| over the nodes
+        (`gauduchon_residual` on the grid)."""
+        return float(np.max(np.abs(np.real(self.fields.coeffs[3]))))
 
 
-def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.ndarray):
+def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.ndarray,
+                      curvature: bool = False):
     """Gram and operator matrices of the grid's basis, (m, m) each, and the
-    residual of `metric`, max |Re c| over the nodes (`gauduchon_residual`).
+    `NodeFields` of `metric` with the weights `w`: the operator coefficients
+    of every node, and its s_C and s/2 + |T|^2/4 if `curvature`, all read
+    from the one `CxBlocks` per chunk that the assembly builds.
 
     gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t.
     Real function s is Re(d_s s^q P_j), d_s = 1 for a real part and -i for
@@ -313,20 +343,23 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     NonFiniteIntegrand at its first bad node, and a node on no t-plane
     raises ValueError.
     """
-    m = len(grid.basis)
+    m, N = len(grid.basis), len(grid.nodes)
     t = (grid.axes or {}).get("t")
     planes = np.ones(1) if t is None else np.exp(2.0 * np.asarray(t, dtype=float))
     blocks = layout = None
-    residual = 0.0
+    n = metric.n
+    kept = tuple(np.empty((N,) + (n,) * k, dtype=complex) for k in (2, 1, 1, 0))  # a, b, b~, c
+    chern = np.empty(N) if curvature else None
+    bulk = np.empty(N) if curvature else None
 
     def accumulate(idx):
-        nonlocal residual, blocks, layout
+        nonlocal blocks, layout
         plane = _plane_of(grid.nodes[idx], planes if t is not None else None, int(idx[0]))
         order = np.argsort(plane, kind="stable")  # one product per plane the chunk meets
         idx, plane = idx[order], plane[order]
         pts = grid.nodes[idx]
-        coeffs = gauduchon_operator_coefficients(metric.jet(pts))
-        residual = np.maximum(residual, np.max(np.abs(np.real(coeffs[3]))))  # keeps a NaN
+        cx = CxBlocks(metric.jet(pts))
+        coeffs = gauduchon_operator_coefficients(cx)
         batch = grid.basis_batch(pts)
         layout = batch.index, batch.imag, batch.powers, batch.poly  # not the chunk's jets
         radial = np.any(batch.powers)
@@ -336,22 +369,28 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
         rows = [P] + X[: 3 if radial else 1]  # X1 and X2 vanish at q = 0
         wc = w[idx]
         _check_finite(idx, wc, *rows)
-        F, N = P.shape
-        Y = np.empty((len(rows), 2, F, N))
+        for k, c in zip(kept, coeffs):
+            k[idx] = c
+        if curvature:  # after the check: the symmetry check of s would name no node
+            s, tsq = scalar_and_torsion(cx)
+            chern[idx] = cx.chern_ricci()[1]
+            bulk[idx] = 0.5 * s + 0.25 * tsq
+        F, nodes = P.shape
+        Y = np.empty((len(rows), 2, F, nodes))
         for y, x in zip(Y, rows):
             y[0], y[1] = x.real, x.imag
-        Y = Y.reshape(-1, N)
+        Y = Y.reshape(-1, nodes)
         Y *= np.sqrt(wc)
         if blocks is None:
             blocks = np.zeros((len(planes), 2 * F, len(Y)))
         cuts = np.flatnonzero(np.diff(plane)) + 1
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, N]):
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, nodes]):
             V, Yp = Y[: 2 * F, lo:hi], Y[:, lo:hi]
             block = blocks[plane[lo]]
             block[:, : 2 * F] += V @ V.T  # a symmetric rank-k product
             block[:, 2 * F :] += V @ Yp[2 * F :].T
 
-    map_nodes(accumulate, np.arange(len(grid.nodes)))
+    map_nodes(accumulate, np.arange(N))
     F = blocks.shape[1] // 2
     terms = blocks.shape[2] // (2 * F) - 1  # X0 alone, or X0, X1 and X2
     i, imag, powers, poly = layout  # i: the complex function of each real function
@@ -371,7 +410,7 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
         both += d.real[:, None] * cols[j]
         both -= d.imag[:, None] * cols[j + F]
     gram = both[:, :m]
-    return 0.5 * (gram + gram.T), both[:, m:].copy(), float(residual)
+    return 0.5 * (gram + gram.T), both[:, m:].copy(), NodeFields(w, kept, chern, bulk)
 
 
 def _plane_of(z, planes, first):
@@ -412,13 +451,15 @@ def solve_gauduchon(
     grid: QuadratureGrid,
     tol: float = 1e-10,
     max_iter: int = 60,
+    curvature: bool = False,
 ) -> GauduchonSolution:
     """Gauduchon factor of the conformal class of `metric` on `grid`.
 
     The positive null vector of the discretized operator gives
     u = e^((n-1) f); the factor f is mean-zero over the grid nodes.  The
     Gram and operator matrices are streamed over node chunks
-    (`galerkin_matrices`), so the solve holds O(m^2) plus one chunk; a
+    (`galerkin_matrices`), so the solve holds O(m^2) plus one chunk and
+    the kept node fields (s_C and s/2 + |T|^2/4 too if `curvature`); a
     non-finite weight, basis value or L-value raises NonFiniteIntegrand at
     its node, before any eigen-solve or iteration.  The node values of u
     (positivity, the sign of the null vector, f) come from the solved
@@ -431,7 +472,7 @@ def solve_gauduchon(
         raise ValueError("the Gauduchon factor is only determined for n >= 2")
 
     w = volume_weights(metric, grid)
-    gram, op, input_residual = galerkin_matrices(metric, grid, w)
+    gram, op, fields = galerkin_matrices(metric, grid, w, curvature)
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > PRUNE_TOL * np.max(evals)
     T = (evecs[:, keep] / np.sqrt(evals[keep])).T  # orthonormalizing transform
@@ -483,30 +524,30 @@ def solve_gauduchon(
     mean = float(np.mean(f_nodes))
     f_field = u_field.log() * (1.0 / (n - 1)) - mean
     factor = ConformalFactor(f_nodes - mean, f_field)
-    return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field, input_residual)
+    return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field, fields)
+
+
+def solved_residual(sol: GauduchonSolution, grid: QuadratureGrid) -> float:
+    """max |c| over the nodes for the solved metric e^f omega: the value of
+    `gauduchon_residual(conformal_metric(metric, sol.factor), grid)`, read
+    from the kept coefficients and one jet of u per chunk.
+
+    By the conformal law c(e^f omega) = e^(-n f) L_omega(e^((n-1) f)), and
+    e^((n-1) f) is u times the constant e^((n-1) f) / u (f is log u / (n-1)
+    less its mean), so c(e^f omega) = e^(-f) L_omega(u) / u at each node.
+    """
+    coeffs = sol.fields.coeffs
+
+    def density(idx):
+        lu = apply_gauduchon_operator(tuple(c[idx] for c in coeffs), sol.u_field(grid.nodes[idx]))
+        return np.real(lu) * (np.exp(-sol.factor.values[idx]) / sol.u_nodes[idx])
+
+    return float(np.max(np.abs(map_nodes(density, np.arange(len(grid.nodes))))))
 
 
 # ---------------------------------------------------------------------------
 # totals and the conformal total-curvature identity
 # ---------------------------------------------------------------------------
-
-
-def total_chern_scalar(
-    metric: HermitianMetricField,
-    grid: QuadratureGrid,
-    residual_tol: float = 1e-4,
-) -> float:
-    """Integral of the Chern scalar curvature over the grid.
-
-    Guarded by the Gauduchon residual: the total is the verdict-driving
-    quantity only on a Gauduchon representative.
-    """
-    res = gauduchon_residual(metric, grid)
-    if res > residual_tol:
-        raise NotGauduchon(f"residual {res:.3e} exceeds {residual_tol:g}")
-    w = volume_weights(metric, grid)
-    s_c = map_nodes(lambda pts: chern_ricci(metric, pts)[1], grid.nodes)
-    return float(np.sum(w * s_c))
 
 
 @dataclass
@@ -518,7 +559,7 @@ class TotalCurvatureCheck:
     factor: ConformalFactor
 
 
-def _total_identity(metric, grid, f: ConformalFactor):
+def _total_identity(grid: QuadratureGrid, f: ConformalFactor, fields: NodeFields):
     """Both routes to the Gauduchon total: Chern side and Riemannian side.
 
     lhs = integral of s_C(omega_f) against the volume of omega_f;
@@ -526,29 +567,29 @@ def _total_identity(metric, grid, f: ConformalFactor):
           plus (n-1)^2 ||df||^2 taken with respect to omega_f.
     Also returns the volume of omega_f.  Since log det (e^f h) =
     n f + log det h, the lhs integrand is e^((n-1) f) (s_C - n tr_h i d dbar f)
-    against the base volume, so one `CxBlocks` of the base jet per chunk
-    serves both sides.
+    against the base volume.  The base metric enters through the kept
+    `fields` of the assembly alone (s_C, s/2 + |T|^2/4, the weights, and
+    H^-1 = a^T / (n-1)!), so only the jet of f is evaluated here.
     """
-    n = metric.n
+    a = fields.coeffs[0]
+    n = a.shape[-1]
 
-    def integrands(pts):
-        fj = f.field(pts)
-        cx = CxBlocks(metric.jet(pts))
-        s, tsq = scalar_and_torsion(cx)
-        _, s_c = cx.chern_ricci()
-        lap = np.real(np.einsum("...ij,...ji->...", fj.mixed, cx.Hinv))
+    def integrands(idx):
+        fj = f.field(grid.nodes[idx])
+        Hinv = np.swapaxes(a[idx], -1, -2) / factorial(n - 1)
+        lap = np.real(np.einsum("...ij,...ji->...", fj.mixed, Hinv))
         df2 = np.real(
-            np.einsum("...i,...ji,...j->...", fj.d1[..., :n], cx.Hinv, fj.d1[..., n:])
+            np.einsum("...i,...ji,...j->...", fj.d1[..., :n], Hinv, fj.d1[..., n:])
         )
-        return np.real(fj.val), s_c - n * lap, 0.5 * s + 0.25 * tsq, df2
+        return np.real(fj.val), lap, df2
 
-    fval, chern, bulk, df2 = map_nodes(integrands, grid.nodes)
-    w = volume_weights(metric, grid)
+    fval, lap, df2 = map_nodes(integrands, np.arange(len(grid.nodes)))
+    w = fields.weights
     w_u = w * np.exp((n - 1) * fval)  # base weights times u = e^((n-1) f)
-    lhs = float(np.sum(w_u * chern))
+    lhs = float(np.sum(w_u * (fields.chern - n * lap)))
     vol_f = float(np.sum(w * np.exp(n * fval)))  # the volume of omega_f
     grad_term = float(np.sum(w_u * df2)) * (n - 1) ** 2
-    rhs = float(np.sum(w_u * bulk)) + grad_term
+    rhs = float(np.sum(w_u * fields.bulk)) + grad_term
     return lhs, rhs, grad_term, vol_f
 
 
@@ -556,8 +597,8 @@ def theorem_t_check(metric: HermitianMetricField, grid: QuadratureGrid) -> Total
     """Total Chern scalar curvature of the Gauduchon representative vs the
     conformally weighted Riemannian scalar / torsion integral.
     """
-    sol = solve_gauduchon(metric, grid)
-    lhs, rhs, grad_term, _ = _total_identity(metric, grid, sol.factor)
+    sol = solve_gauduchon(metric, grid, curvature=True)
+    lhs, rhs, grad_term, _ = _total_identity(grid, sol.factor, sol.fields)
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     return TotalCurvatureCheck(lhs, rhs, residual, grad_term, sol.factor)
 
@@ -621,12 +662,14 @@ def classify(
     EPS_SIGN_SCALE * volume and twice the measured identity gap.  An
     uncertified total (relative gap above CERTIFY_TOL) stays
     Indeterminate with the sign "uncertified" and the computed total: the
-    discretization cannot support a sign claim there.
+    discretization cannot support a sign claim there.  The notes end with
+    the solved residual (`solved_residual`), which no gate reads.
     """
-    sol = solve_gauduchon(metric, grid)
+    sol = solve_gauduchon(metric, grid, curvature=True)
     f = sol.factor
-    total, rhs, _, vol = _total_identity(metric, grid, f)
+    total, rhs, _, vol = _total_identity(grid, f, sol.fields)
     gap = abs(total - rhs)
+    residual = solved_residual(sol, grid)
     if gap > CERTIFY_TOL * (1.0 + abs(total)):
         return Verdict(
             manifold or metric.name,
@@ -634,7 +677,7 @@ def classify(
             "uncertified",
             KodairaStatement.INDETERMINATE,
             f"total not certified: identity gap {gap:.3e} vs total {total:.3e}; "
-            "refine the basis or grid",
+            f"refine the basis or grid; solved_residual={residual:.3e}",
         )
     eps = max(EPS_SIGN_SCALE * vol, 2.0 * gap)
     if total > eps:
@@ -647,7 +690,8 @@ def classify(
     f_variation = float(np.max(np.abs(f.values)))
     notes = (
         f"total={total:.6e}, vol={vol:.6e}, identity_gap={gap:.3e}, "
-        f"f_variation={f_variation:.3e}, torsion_max={torsion_max:.3e}"
+        f"f_variation={f_variation:.3e}, torsion_max={torsion_max:.3e}, "
+        f"solved_residual={residual:.3e}"
     )
     if sign == "positive":
         statement = KodairaStatement.NOT_PSEF

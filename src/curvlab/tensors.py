@@ -140,6 +140,8 @@ class CxBlocks:
         if w.size and np.min(np.abs(w)) <= 1e-12 * max(float(np.max(np.abs(w))), 1.0):
             raise SingularMetric("metric not invertible to tolerance")
         self.Hinv = np.linalg.inv(H)
+        # inv reads an infinite entry as a finite inverse: a non-finite H has none
+        self.Hinv[~finite] = np.nan
         self.d1H = np.asarray(jet.d1, dtype=complex)
         # the mixed block d_k d_lbar H, all the second derivatives read here
         self.mixedH = np.asarray(jet.mixed, dtype=complex) if need_second else None

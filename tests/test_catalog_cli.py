@@ -327,6 +327,36 @@ def test_solve_commands_never_build_the_factor_hessian(monkeypatch, command):
     assert calls["hessian"] == 0
 
 
+@pytest.mark.parametrize("command", ["gauduchon", "theorem-t", "classify"])
+def test_solve_commands_walk_the_metric_jet_once(monkeypatch, command):
+    # the assembly keeps what the solved residual and the total identity
+    # read, so each grid node's metric jet is evaluated once
+    from curvlab.geometry import HermitianMetricField
+
+    points = []
+    jet = HermitianMetricField.jet
+    monkeypatch.setattr(HermitianMetricField, "jet",
+                        lambda metric, z: points.append(len(z)) or jet(metric, z))
+    nodes = len(build_manifold(ManifoldSpec("hopf-conformal")).grid.nodes)
+    points.clear()
+    code, report = run(make_config([command, "--manifold", "hopf-conformal", "--t", "0.2"]))
+    assert report.records and code in (0, 1)
+    # classify screens the torsion on 100 random points besides
+    assert sum(points) == nodes + (100 if command == "classify" else 0)
+
+
+def test_classify_notes_carry_the_solved_residual(capsys):
+    # informational, read through the same function as the gauduchon record
+    argv = ["--manifold", "hopf-conformal", "--t", "0.2", "--format", "records"]
+    main(["gauduchon"] + argv)
+    solved = [json.loads(line) for line in capsys.readouterr().out.splitlines()][1]
+    assert solved["check"] == "gauduchon_residual_solved"
+    assert main(["classify"] + argv) == 0
+    verdict = json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"]
+    assert verdict.endswith(f"solved_residual={solved['value']:.3e})")
+    assert verdict.index("vol=") < verdict.index("solved_residual=")
+
+
 def test_gauduchon_builds_no_hopf_hessian(monkeypatch):
     # neither the solved factor's nor the conformal direction field's: every
     # step of the solve reads mixed second derivatives only
@@ -341,17 +371,27 @@ def test_gauduchon_builds_no_hopf_hessian(monkeypatch):
 
 
 def test_finite_difference_solve_reads_the_factor_by_values(monkeypatch):
-    # the stencil on the solved metric reads the factor's values only, so the
-    # jets of the solved factor are never formed
+    # no stencil runs on the solved metric: the node values of u come from
+    # its value path, and the solved residual reads the analytic jet of u
+    # once per chunk, against the kept coefficients of the stencil-built
+    # base jets, so the factor's value noise is never divided by h^2
     from curvlab.fields import HopfTerms
+    from curvlab.geometry import NODE_CHUNK
 
-    calls = []
-    jet = HopfTerms.jet
-    monkeypatch.setattr(HopfTerms, "jet", lambda self, z: calls.append(1) or jet(self, z))
-    code, report = run(make_config(["gauduchon", "--manifold", "hopf-standard", "--grid", "4",
-                                    "--derivative-mode", "fd"]))
+    calls, sizes = [], []
+    jet, values = HopfTerms.jet, HopfTerms.values
+    monkeypatch.setattr(HopfTerms, "jet", lambda self, z: calls.append(len(z)) or jet(self, z))
+    monkeypatch.setattr(HopfTerms, "values",
+                        lambda self, z: sizes.append(len(z)) or values(self, z))
+    cfg = make_config(["gauduchon", "--manifold", "hopf-standard", "--grid", "4",
+                       "--derivative-mode", "fd"])
+    nodes = len(build_manifold(ManifoldSpec("hopf-standard", resolution=4)).grid.nodes)
+    code, report = run(cfg)
     assert code == 0 and report.records
-    assert calls == []
+    # the solved u is T + conj(T): one table read per jet or value call of u
+    chunks = [min(NODE_CHUNK, nodes - lo) for lo in range(0, nodes, NODE_CHUNK)]
+    assert calls == chunks
+    assert sum(sizes) == nodes
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # from the planted NaN
@@ -451,10 +491,10 @@ def test_value_error_inside_a_command_is_a_failed_check(monkeypatch, capsys):
     # the run exits 1 with the records gathered so far
     from curvlab import cli as climod
 
-    def planted(metric, factor):
+    def planted(sol, grid):
         raise ValueError("planted")
 
-    monkeypatch.setattr(climod, "conformal_metric", planted)  # the step after the solve
+    monkeypatch.setattr(climod, "solved_residual", planted)  # the step after the solve
     argv = ["gauduchon", "--manifold", "hopf-standard", "--grid", "4", "--format", "records"]
     assert main(argv) == 1
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -595,11 +635,11 @@ def test_exit_code_on_non_convergence(monkeypatch):
 
 def test_exit_code_on_a_failed_numerical_check(monkeypatch, capsys):
     from curvlab import cli as climod
-    from curvlab.errors import NotGauduchon
+    from curvlab.errors import CrossCheckFailed
 
     def gate(cfg, report):
         report.add("gauduchon_residual_input", cfg.manifold, 0.5, None, None, True)
-        raise NotGauduchon("forced for the exit-code contract")
+        raise CrossCheckFailed("forced for the exit-code contract")
 
     monkeypatch.setitem(climod.COMMANDS, "gauduchon", gate)
     code, report = run(make_config(["gauduchon", "--manifold", "hopf-standard"]))
@@ -613,7 +653,7 @@ def test_exit_code_on_a_failed_numerical_check(monkeypatch, capsys):
     assert out.err == ""
 
 
-@pytest.mark.parametrize("error, code", [("NotGauduchon", 1), ("NonConvergence", 3)])
+@pytest.mark.parametrize("error, code", [("CrossCheckFailed", 1), ("NonConvergence", 3)])
 def test_text_footer_fails_when_a_command_stops(monkeypatch, capsys, error, code):
     from curvlab import cli as climod
     from curvlab import errors

@@ -18,7 +18,7 @@ from curvlab.catalog import (
     hopf_conformal_direction,
     rng_from_seed,
 )
-from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand, NotGauduchon
+from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand
 from curvlab.fields import (
     HopfTerms,
     ScalarField,
@@ -42,8 +42,8 @@ from curvlab.gauduchon import (
     gauduchon_residual,
     lift_radial_modes,
     solve_gauduchon,
+    solved_residual,
     theorem_t_check,
-    total_chern_scalar,
 )
 from curvlab.geometry import (
     NODE_CHUNK,
@@ -141,6 +141,23 @@ def test_pointwise_residual_list_for_chart(inoue, rng):
     vals = gauduchon_residual(inoue.metric, pts)
     assert vals.shape == (17,)
     assert np.max(np.abs(vals)) < 1e-10  # the chart metric is Gauduchon
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # from the planted inf
+def test_an_infinite_metric_entry_has_no_finite_residual(inoue, rng):
+    # inv reads H with an infinite diagonal entry as a finite inverse, so
+    # such a point read as Gauduchon, with residual 0
+    metric = inoue.metric
+
+    def jet(z):
+        out = metric.jet_fn(z)
+        out.H[:4, 1, 1] = np.inf
+        return out
+
+    pts = inoue.random_points(rng, 12)
+    vals = gauduchon_residual(replace(metric, jet_fn=jet), pts)
+    assert not np.any(np.isfinite(vals[:4])) and np.all(np.isfinite(vals[4:]))
+    assert np.all(np.isnan(tensors.CxBlocks(jet(pts)).Hinv[:4]))
 
 
 def _small_torus(mid, n):
@@ -548,7 +565,7 @@ def test_a_grid_copied_with_another_basis_assembles_that_basis(conformal):
     fresh = QuadratureGrid(conformal.grid.nodes, conformal.grid.lebesgue_w, conformal.grid.axes,
                            HopfBasis(3, 4))
     w = volume_weights(conformal.metric, conformal.grid)
-    got, want = (galerkin_matrices(conformal.metric, g, w) for g in (finer, fresh))
+    got, want = (galerkin_matrices(conformal.metric, g, w)[:2] for g in (finer, fresh))
     assert got[0].shape == got[1].shape == (385, 385)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -659,6 +676,28 @@ def test_solver_planted_factor_recovery(hopf):
     assert res < 1e-6
 
 
+@pytest.mark.parametrize("which", ["hopf-conformal-0.1", "hopf-conformal-0.2",
+                                   "torus-hermitian-perturbed", "hopf-standard",
+                                   "torus-kahler-potential"])
+def test_solved_residual_is_the_composed_metric_residual(conformal, conformal_solution, hopf,
+                                                         perturbed_torus, kahler_torus, which):
+    # the kept coefficients and the conformal law give the residual of
+    # e^f omega that gauduchon_residual reads off the composed metric's jets
+    entry, sol = {"hopf-conformal-0.1": (conformal, conformal_solution),
+                  "torus-hermitian-perturbed": (perturbed_torus, None),
+                  "hopf-standard": (hopf, None), "torus-kahler-potential": (kahler_torus, None),
+                  }.get(which, (None, None))
+    if entry is None:
+        entry = build_manifold(ManifoldSpec("hopf-conformal", conformal_t=0.2))
+    sol = sol or solve_gauduchon(entry.metric, entry.grid)
+    got = solved_residual(sol, entry.grid)
+    want = gauduchon_residual(conformal_metric(entry.metric, sol.factor), entry.grid)
+    if which in ("hopf-standard", "torus-kahler-potential"):  # u is constant: rounding
+        assert abs(got - want) <= 1e-14
+    else:
+        assert want > 1e-6 and abs(got - want) <= 1e-12 * want
+
+
 def test_solver_kahler_torus_trivial(kahler_torus):
     factor = solve_gauduchon(kahler_torus.metric, kahler_torus.grid).factor
     assert np.max(np.abs(factor.values)) < 1e-8
@@ -700,26 +739,33 @@ def test_factor_from_field_mean_zero(hopf, rng):
 # ---------------------------------------------------------------------------
 
 
+def _kept_total(entry):
+    """The Chern total of the Gauduchon representative from the kept fields."""
+    sol = solve_gauduchon(entry.metric, entry.grid, curvature=True)
+    return _total_identity(entry.grid, sol.factor, sol.fields)[0]
+
+
 def test_total_chern_flat(flat_torus):
-    assert abs(total_chern_scalar(flat_torus.metric, flat_torus.grid)) < 1e-12
+    assert abs(_kept_total(flat_torus)) < 1e-12
 
 
 def test_total_chern_hopf(hopf):
     expected = 2.0 * 8.0 * np.pi**2 * np.log(2.0)
-    total = total_chern_scalar(hopf.metric, hopf.grid)
+    total = _kept_total(hopf)
     assert abs(total - expected) / expected < 1e-3
 
 
 def test_total_chern_kahler_torus_vanishes(kahler_torus):
     # the trace form is a divergence: zero total under spectral quadrature
-    total = total_chern_scalar(kahler_torus.metric, kahler_torus.grid)
-    assert abs(total) < 1e-6
+    assert abs(_kept_total(kahler_torus)) < 1e-6
 
 
-def test_total_chern_gate(hopf):
-    planted = conformal_metric(hopf.metric, planted_direction() * (-0.3))
-    with pytest.raises(NotGauduchon):
-        total_chern_scalar(planted, hopf.grid, residual_tol=1e-4)
+def test_a_plain_solve_keeps_no_curvature_fields(conformal, conformal_solution):
+    # only the total identity asks for s_C and s/2 + |T|^2/4
+    fields = conformal_solution.fields
+    assert fields.chern is None and fields.bulk is None
+    assert len(fields.weights) == len(conformal.grid.nodes)
+    assert all(len(c) == len(conformal.grid.nodes) for c in fields.coeffs)
 
 
 def test_identity_on_gauduchon_input(hopf):
@@ -750,17 +796,23 @@ def test_identity_conformal_family(t):
 @pytest.mark.parametrize("mid", ["hopf-conformal", "torus-hermitian-perturbed",
                                  "torus-kahler-potential"])
 def test_total_identity_lhs_is_the_composed_chern_total(mid, monkeypatch):
-    # the Chern side reads the base blocks only, once per chunk; the
-    # reference composes e^f h and integrates its s_C against its volume
+    # the Chern side reads the fields that the assembly kept from its one
+    # CxBlocks per chunk, and no metric jet of its own; the reference
+    # composes e^f h and integrates its s_C against its volume
     entry = build_manifold(ManifoldSpec(mid, conformal_t=0.2))
     grid = entry.grid
     f = ConformalFactor.from_field(grid, entry.random_scalar(rng_from_seed(71), 0.3))
     built = []
-    init = tensors.CxBlocks.__init__
+    init, jet = tensors.CxBlocks.__init__, type(entry.metric).jet
     monkeypatch.setattr(tensors.CxBlocks, "__init__",
                         lambda cx, *args: built.append(1) or init(cx, *args))
-    lhs, *_ = _total_identity(entry.metric, grid, f)
+    *_, fields = galerkin_matrices(entry.metric, grid, volume_weights(entry.metric, grid),
+                                   curvature=True)
     assert len(built) == -(-len(grid.nodes) // NODE_CHUNK)
+    monkeypatch.setattr(type(entry.metric), "jet", lambda m, z: built.append(1) or jet(m, z))
+    built.clear()
+    lhs, *_ = _total_identity(grid, f, fields)
+    assert not built
     composed = conformal_metric(entry.metric, f)
     s_c = np.concatenate([tensors.chern_ricci(composed, grid.nodes[lo : lo + NODE_CHUNK])[1]
                           for lo in range(0, len(grid.nodes), NODE_CHUNK)])
@@ -811,8 +863,8 @@ def test_classify_refuses_uncertified_factor(perturbed_torus, rng):
     assert "not certified" in v.notes
     # the computed Chern-side total is reported, with no sign claimed
     assert v.sign == "uncertified"
-    sol = solve_gauduchon(perturbed_torus.metric, perturbed_torus.grid)
-    lhs, *_ = _total_identity(perturbed_torus.metric, perturbed_torus.grid, sol.factor)
+    sol = solve_gauduchon(perturbed_torus.metric, perturbed_torus.grid, curvature=True)
+    lhs, *_ = _total_identity(perturbed_torus.grid, sol.factor, sol.fields)
     assert v.total_chern_scalar != 0.0 and v.total_chern_scalar == lhs
 
 
