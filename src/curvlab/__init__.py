@@ -17,11 +17,9 @@ from .geometry import (
     hermitian_to_real,
     integrate,
     real_to_hermitian,
-    wirtinger,
 )
 from .tensors import (
     ScalarReport,
-    TensorBlock,
     chern_ricci,
     christoffel,
     curvature_complexified,
@@ -47,9 +45,7 @@ __all__ = [
     "hermitian_to_real",
     "integrate",
     "real_to_hermitian",
-    "wirtinger",
     "ScalarReport",
-    "TensorBlock",
     "chern_ricci",
     "christoffel",
     "curvature_complexified",

@@ -61,10 +61,8 @@ class ManifoldSpec:
 
     id: str
     dim: int = 2
-    potential_amplitude: float = 0.1
     perturbation_amplitude: float = 0.1
     conformal_t: float = 0.1
-    periods: Optional[tuple] = None
     resolution: Optional[int] = None
     seed: int = 0
 
@@ -91,7 +89,7 @@ class CatalogEntry:
     def random_scalar(self, rng, amplitude: float = 0.1) -> ScalarField:
         if self.spec.id.startswith("torus"):
             n = self.metric.n
-            return random_torus_scalar(rng, n, _periods(self.spec, n), amplitude)
+            return random_torus_scalar(rng, n, (1.0,) * n, amplitude)
         if self.spec.id.startswith("hopf"):
             return random_hopf_scalar(rng, amplitude)
         raise UnknownId(f"no random fields for {self.spec.id}")
@@ -99,7 +97,7 @@ class CatalogEntry:
     def random_oneform(self, rng, amplitude: float = 0.1) -> OneFormField:
         if self.spec.id.startswith("torus"):
             n = self.metric.n
-            return random_torus_oneform(rng, n, _periods(self.spec, n), amplitude)
+            return random_torus_oneform(rng, n, (1.0,) * n, amplitude)
         if self.spec.id.startswith("hopf"):
             return random_hopf_oneform(rng, amplitude)
         raise UnknownId(f"no random fields for {self.spec.id}")
@@ -110,16 +108,12 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _periods(spec: ManifoldSpec, n: int):
-    if spec.periods is not None:
-        return tuple(float(p) for p in spec.periods)
-    return (1.0,) * n
-
-
 # ---------------------------------------------------------------------------
 # torus metrics
 # ---------------------------------------------------------------------------
 
+
+_POTENTIAL_AMPLITUDE = 0.1  # bound of the torus-kahler-potential perturbation
 
 # fixed low-frequency mode sets so catalog metrics are parameter-deterministic
 _POTENTIAL_MODES = [
@@ -192,18 +186,20 @@ def _torus_metric(n: int, periods, terms, name: str) -> HermitianMetricField:
                                 PeriodicDomain(periods), name)
 
 
-def _kahler_potential_metric(n: int, periods, amplitude: float) -> HermitianMetricField:
+def _kahler_potential_metric(n: int, periods) -> HermitianMetricField:
     """h = Id + d dbar(phi) for a fixed real periodic potential phi.
 
     phi = sum over modes of 2 Re(s c e), and d_i d_jbar (s c e) = s c a_i b_j e:
     each mode adds the term s c (a b^T) e and its conjugate transpose.  The
-    scales s normalize by the derivative magnitude so that `amplitude`
-    bounds the metric perturbation itself, not the potential.
+    scales s normalize by the derivative magnitude so that
+    _POTENTIAL_AMPLITUDE bounds the metric perturbation itself, not the
+    potential.
     """
     terms = []
     for m, l, c in _POTENTIAL_MODES:
         a, b = _mode_vectors(m, l, n, periods)
-        scale = amplitude / (len(_POTENTIAL_MODES) * max(np.linalg.norm(a) * np.linalg.norm(b), 1.0))
+        norm = max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
+        scale = _POTENTIAL_AMPLITUDE / (len(_POTENTIAL_MODES) * norm)
         terms.append((scale * c * np.outer(a, b), a, b))
     return _torus_metric(n, periods, terms, "torus-kahler-potential")
 
@@ -564,13 +560,13 @@ def build_manifold(spec: ManifoldSpec) -> CatalogEntry:
     mid = spec.id
     if mid.startswith("torus"):
         n = spec.dim
-        periods = _periods(spec, n)
+        periods = (1.0,) * n
         res = spec.resolution or (32 if n == 1 else 12)
         if mid == "torus-flat":
             metric = _torus_metric(n, periods, [], "torus-flat")
             kahler, gbc = True, True
         elif mid == "torus-kahler-potential":
-            metric = _kahler_potential_metric(n, periods, spec.potential_amplitude)
+            metric = _kahler_potential_metric(n, periods)
             kahler, gbc = True, True
         else:
             metric = _perturbed_torus_metric(n, periods, spec.perturbation_amplitude)

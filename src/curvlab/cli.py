@@ -3,7 +3,7 @@
 Commands: check-identities, adjoints, gauduchon, theorem-t, classify,
 yamabe, ahat, lebrun-table.  Exit codes: 0 all checks pass, 1 check
 failure (including a failed numerical check that stops a command: a
-cross-check, non-finite integrand, singular metric or any
+curvature symmetry check, non-finite integrand, singular metric or any
 other ValueError raised while a command runs), 2 configuration error
 (flags and config file, checked before a command runs, a characteristic
 number that `ahat` needs but was not given, a manifold without the grid

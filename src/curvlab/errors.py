@@ -26,7 +26,7 @@ class StencilOutOfDomain(CurvlabError):
 
 
 class CrossCheckFailed(CurvlabError):
-    """Analytic and finite-difference derivatives disagree beyond tolerance."""
+    """A numerical consistency check failed beyond its tolerance."""
 
 
 class NonFiniteIntegrand(CurvlabError):

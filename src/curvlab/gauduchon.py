@@ -449,8 +449,6 @@ def _check_finite(nodes, *rows):
 def solve_gauduchon(
     metric: HermitianMetricField,
     grid: QuadratureGrid,
-    tol: float = 1e-10,
-    max_iter: int = 60,
     curvature: bool = False,
 ) -> GauduchonSolution:
     """Gauduchon factor of the conformal class of `metric` on `grid`.
@@ -485,7 +483,7 @@ def solve_gauduchon(
     A = M + shift * np.eye(M.shape[0])
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         try:
             y = np.linalg.solve(A, x)
         except np.linalg.LinAlgError:
@@ -496,12 +494,12 @@ def solve_gauduchon(
             x_new = -x_new
         drift = float(np.linalg.norm(x_new - x))
         x = x_new
-        if drift <= max(tol, 1e-13):
+        if drift <= DRIFT_TOL:
             converged = True
             break
     if not converged:
         raise NonConvergence(
-            f"inverse-power iteration did not stabilize in {max_iter} iterations"
+            f"inverse-power iteration did not stabilize in {MAX_ITER} iterations"
         )
     res = float(np.linalg.norm(M @ x)) / scale
 
@@ -611,6 +609,8 @@ def theorem_t_check(metric: HermitianMetricField, grid: QuadratureGrid) -> Total
 EPS_SIGN_SCALE = 1e-6  # sign band per unit volume
 FACTOR_TOL = 1e-6  # max |f| of a Gauduchon factor that counts as trivial
 PRUNE_TOL = 1e-9  # Gram eigenvalues below this fraction of the largest are pruned
+DRIFT_TOL = 1e-10  # inverse-power step |x_new - x| at which the null vector has settled
+MAX_ITER = 60  # inverse-power steps before NonConvergence
 PLANE_TOL = 1e-12  # relative |z|^2 distance of a node from its t-plane
 POSITIVITY_TOL = 1e-8  # min u below this fraction of max |u| is a sign change
 TORSION_TOL = 1e-8  # max |T|^2 of a torsion-free (Kahler) metric

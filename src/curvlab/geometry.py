@@ -14,13 +14,12 @@ Every integral and global norm in the package uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    CrossCheckFailed,
     NonFiniteIntegrand,
     NotJInvariant,
     NotPositive,
@@ -179,10 +178,11 @@ def metric_jet_from_entries(entries) -> MetricJet:
 class HermitianMetricField:
     """Chart-local Hermitian metric h_{i jbar}(z) with derivative evaluators.
 
-    jet_fn returns exact analytic derivatives when the catalog provides
-    closures; value_fn alone serves the finite-difference route.  `engine`
-    is the route every jet of this metric takes: the analytic one unless
-    the metric is bound to another (`dataclasses.replace(metric, engine=...)`).
+    `engine` is the one route every jet of this metric takes: the exact
+    closures `jet_fn` by default, or the stencil of `value_fn` for a metric
+    bound to an 'fd' engine (`dataclasses.replace(metric, engine=...)`).
+    The two routes are never mixed or compared at run time; the tests
+    compare them on every catalog metric.
     """
 
     n: int
@@ -192,34 +192,18 @@ class HermitianMetricField:
     name: str = "metric"
     engine: DerivativeEngine = field(default_factory=lambda: DEFAULT_ENGINE)
 
-    @property
-    def has_analytic(self) -> bool:
-        return self.jet_fn is not None
-
     def value(self, z) -> np.ndarray:
         return self.value_fn(np.asarray(z, dtype=complex))
 
     def jet(self, z) -> MetricJet:
-        """The jet by the metric's route; with engine.crosscheck and both
-        routes present, the analytic and finite-difference jets are compared."""
+        """The jet by the metric's route: the stencil of value_fn under an
+        'fd' engine, the analytic closures otherwise."""
         z = np.asarray(z, dtype=complex)
-        eng = self.engine
-        if eng.mode == "analytic" and self.jet_fn is None:
+        if self.engine.mode == "fd":
+            return self.engine.matrix_jet(self.value_fn, z, self.domain)
+        if self.jet_fn is None:
             raise ValueError(f"metric {self.name!r} has no analytic derivatives")
-        check = eng.crosscheck and self.jet_fn is not None
-        ana = self.jet_fn(z) if eng.mode == "analytic" or check else None
-        fd = eng.matrix_jet(self.value_fn, z, self.domain) if eng.mode == "fd" or check else None
-        if check:
-            err = np.max([
-                _maxabs(ana.H - fd.H),
-                _maxabs(ana.d1 - fd.d1),
-                _maxabs(ana.d2 - fd.d2) * eng.step,  # second-derivative roundoff scales as eps/h^2
-            ])  # np.max keeps a NaN, where the builtin max may drop it
-            if not err <= eng.crosscheck_tol:
-                raise CrossCheckFailed(
-                    f"analytic vs finite-difference jet mismatch {err:.3e} on {self.name!r}"
-                )
-        return ana if eng.mode == "analytic" else fd
+        return self.jet_fn(z)
 
     def check_positive(self, z, tol: float = 1e-12):
         """Hermitian symmetry and positive-definiteness screen at points z."""
@@ -339,17 +323,16 @@ def _wirtinger_matrix(n: int) -> np.ndarray:
 
 @dataclass
 class DerivativeEngine:
-    """Derivative evaluation policy.
+    """The derivative route of a metric (`HermitianMetricField.engine`).
 
-    mode 'analytic' uses supplied closures; 'fd' uses fourth-order central
-    differences in the underlying real coordinates with the given step.
-    When crosscheck is set and both routes exist, they are compared.
+    mode 'analytic' uses the metric's closures; 'fd' uses fourth-order
+    central differences in the underlying real coordinates with the given
+    step.  The stencil methods (`scalar_jet`, `matrix_jet`) also serve on
+    their own as the reference for analytic jets.
     """
 
     mode: str = "analytic"
     step: float = 1e-4
-    crosscheck: bool = False
-    crosscheck_tol: float = 1e-4
 
     def __post_init__(self):
         if self.mode not in ("analytic", "fd"):
@@ -426,55 +409,6 @@ class DerivativeEngine:
 
 
 DEFAULT_ENGINE = DerivativeEngine()
-FD_ENGINE = DerivativeEngine(mode="fd")
-
-
-def wirtinger(fld, point, order: int = 1, engine: Optional[DerivativeEngine] = None):
-    """Wirtinger derivatives of a scalar or matrix field at a chart point.
-
-    Returns a dict with 'value', 'holo' (d_i), 'anti' (d_ibar) and, for
-    order 2, 'second' with all mixed Wirtinger second derivatives indexed
-    over the 2n letters.  `fld` is either a plain evaluator z -> value or
-    an object with analytic jets (Jet2 factory / HermitianMetricField).  A
-    given `engine` overrides a metric's own route on a copy of the metric.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    z = np.asarray(point, dtype=complex)
-
-    if isinstance(fld, HermitianMetricField):
-        eng = engine or (fld.engine if fld.has_analytic else FD_ENGINE)
-        jet = replace(fld, engine=eng).jet(z)
-        val, d1, d2 = jet.H, jet.d1, jet.d2
-    else:
-        probe = fld(z)
-        if isinstance(probe, Jet2):
-            eng = engine or DEFAULT_ENGINE
-            val, d1, d2 = probe.val, probe.d1, probe.d2
-            if eng.mode == "fd" or eng.crosscheck:
-                fd = eng.scalar_jet(lambda p: fld(p).val, z)
-                if eng.crosscheck:
-                    # np.max keeps a NaN, where the builtin max may drop it
-                    err = np.max([_maxabs(fd.d1 - d1), _maxabs(fd.d2 - d2) * eng.step])
-                    if not err <= eng.crosscheck_tol:
-                        raise CrossCheckFailed(f"jet cross-check failed: {err:.3e}")
-                if eng.mode == "fd":
-                    d1, d2 = fd.d1, fd.d2
-        else:
-            eng = engine or FD_ENGINE
-            if np.shape(probe) == z.shape[:-1]:
-                jet = eng.scalar_jet(fld, z)
-                val, d1, d2 = jet.val, jet.d1, jet.d2
-            else:
-                jet = eng.matrix_jet(fld, z)
-                val, d1, d2 = jet.H, jet.d1, jet.d2
-
-    # the derivative slot follows the batch axes, for scalar and matrix fields
-    holo, anti = np.split(d1, 2, axis=z.ndim - 1)
-    out = {"value": val, "holo": holo, "anti": anti}
-    if order == 2:
-        out["second"] = d2
-    return out
 
 
 # ---------------------------------------------------------------------------

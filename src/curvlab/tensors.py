@@ -49,16 +49,6 @@ HERMITIAN_SYMMETRY_TOL = 1e-10
 
 
 @dataclass
-class TensorBlock:
-    """Indexed complex components of a tensor at a (batch of) point(s)."""
-
-    kind: str
-    indices: str
-    components: np.ndarray
-    point: np.ndarray
-
-
-@dataclass
 class ScalarReport:
     """Per-point scalar curvature bookkeeping for the identity check.
 
@@ -292,7 +282,7 @@ def _jet(metric: HermitianMetricField, point):
     return metric.jet(np.asarray(point, dtype=complex))
 
 
-def christoffel(metric, point) -> TensorBlock:
+def christoffel(metric, point) -> np.ndarray:
     """Complexified Christoffel symbols Gamma[..., C, A, B] = Gamma^C_{AB}
     at a point, symmetric in (A, B), assembled from the Hermitian blocks.
 
@@ -309,16 +299,15 @@ def christoffel(metric, point) -> TensorBlock:
     G[..., n:, n:, :n] = anti  # Gamma^ebar_{ibar k}
     G[..., n:, :n, n:] = np.swapaxes(anti, -1, -2)
     G[..., n:, n:, n:] = np.conj(hol)
-    return TensorBlock("christoffel", "C;AB", G, np.asarray(point))
+    return G
 
 
 def torsion(metric, point):
     """Torsion T^k_{ij} and its squared norm |T|^2 >= 0."""
-    T, nsq = CxBlocks(_jet(metric, point), need_second=False).torsion()
-    return TensorBlock("torsion", "k;ij", T, np.asarray(point)), nsq
+    return CxBlocks(_jet(metric, point), need_second=False).torsion()
 
 
-def curvature_complexified(metric, point) -> TensorBlock:
+def curvature_complexified(metric, point) -> np.ndarray:
     """Lowered complexified curvature R_{ABCD} = <R(d_A, d_B) d_C, d_D> over
     all 2n letters.
 
@@ -332,7 +321,7 @@ def curvature_complexified(metric, point) -> TensorBlock:
     # rlow[d, c, a, b] = <R(e_a, e_b) e_c, e_d> in the real frame e
     R = np.einsum("Aa,Bb,Cc,Dd,...dcab->...ABCD", W, W, W, W, rlow, optimize=True)
     _check_hermitian_symmetry(R[..., :n, n:, :n, n:])
-    return TensorBlock("curvature", "ABCD", R, np.asarray(point))
+    return R
 
 
 def chern_ricci(metric, point):
@@ -377,11 +366,9 @@ def riemannian_ricci(metric, point, X, Y):
     )
 
 
-def dbar_star_omega(metric, point) -> TensorBlock:
+def dbar_star_omega(metric, point) -> np.ndarray:
     """The (1, 0)-form dbar*(omega) = 2i conj(Gamma^k_{ibar k}) dz^i."""
-    cx = CxBlocks(_jet(metric, point), need_second=False)
-    theta = _dbar_star_omega_components(cx)
-    return TensorBlock("one-form", "i", theta, np.asarray(point))
+    return _dbar_star_omega_components(CxBlocks(_jet(metric, point), need_second=False))
 
 
 def _dbar_star_omega_components(cx: CxBlocks) -> np.ndarray:

@@ -135,17 +135,21 @@ def test_one_dimensional_torus():
     assert np.max(np.abs(rep.identity_residual)) < 1e-12
 
 
-def test_wirtinger_on_metric_field():
-    from curvlab.geometry import wirtinger
+def test_every_public_name_resolves():
+    import curvlab
 
+    assert [name for name in curvlab.__all__ if not hasattr(curvlab, name)] == []
+
+
+def test_wirtinger_on_metric_field():
     entry = build_manifold(ManifoldSpec("hopf-standard"))
     pts = entry.random_points(rng_from_seed(3), 4)
-    out = wirtinger(entry.metric, pts, order=2)
+    jet = entry.metric.jet(pts)
     # d_ibar h_{k lbar} = -delta_kl z_i / |z|^4 for the standard Hopf metric
     r2 = np.sum(np.abs(pts) ** 2, axis=-1)
     expected = -pts[:, 0] / r2**2
-    assert np.allclose(out["anti"][:, 0, 0, 0], expected)
-    assert out["second"].shape == (4, 4, 4, 2, 2)
+    assert np.allclose(jet.d1[:, 2, 0, 0], expected)  # slot n + 0 = d_0bar
+    assert jet.d2.shape == (4, 4, 4, 2, 2)
 
 
 # ---------------------------------------------------------------------------

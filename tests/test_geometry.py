@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from curvlab.catalog import (
+    CATALOG_IDS,
     ManifoldSpec,
     build_manifold,
     hopf_conformal_direction,
     hopf_grid,
+    inoue_bundle_metric,
     rng_from_seed,
 )
 from curvlab.errors import (
-    CrossCheckFailed,
     NonFiniteIntegrand,
     NotJInvariant,
     NotPositive,
@@ -22,7 +23,6 @@ from curvlab.errors import (
 from curvlab.geometry import (
     NODE_CHUNK,
     DerivativeEngine,
-    HermitianMetricField,
     NodalDerivatives,
     QuadratureGrid,
     _barycentric_diff_matrix,
@@ -33,7 +33,6 @@ from curvlab.geometry import (
     real_to_hermitian,
     standard_complex_structure,
     volume_weights,
-    wirtinger,
 )
 from curvlab.jets import coordinate_jets, squared_radius
 
@@ -87,15 +86,14 @@ def test_bad_complex_structure_rejected():
 
 
 # ---------------------------------------------------------------------------
-# wirtinger derivatives
+# Wirtinger derivatives
 # ---------------------------------------------------------------------------
 
 
 def test_ddbar_of_squared_radius(rng):
     z = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-    out = wirtinger(lambda p: squared_radius(p), z, order=2)
     n = 2
-    mixed = out["second"][..., :n, n:]
+    mixed = squared_radius(z).d2[..., :n, n:]
     assert np.allclose(mixed, np.eye(n), atol=1e-12)
 
 
@@ -107,11 +105,10 @@ def test_log_im_squared_coefficient():
         return (imw * imw).log()
 
     z = np.array([[1j]])
-    out = wirtinger(field, z, order=2, engine=DerivativeEngine(mode="analytic"))
-    assert abs(out["second"][0, 0, 1] - (-0.5)) < 1e-12
+    assert abs(field(z).d2[0, 0, 1] - (-0.5)) < 1e-12
     # finite differences agree
-    outfd = wirtinger(field, z, order=2, engine=DerivativeEngine(mode="fd", step=1e-3))
-    assert abs(outfd["second"][0, 0, 1] - (-0.5)) < 1e-8
+    fd = DerivativeEngine(mode="fd", step=1e-3).scalar_jet(lambda p: field(p).val, z)
+    assert abs(fd.d2[0, 0, 1] - (-0.5)) < 1e-8
 
 
 def test_fd_matches_analytic_on_polynomial(rng):
@@ -120,11 +117,12 @@ def test_fd_matches_analytic_on_polynomial(rng):
         return zs[0] ** 3 * zbs[1] + zs[1] * zbs[0] ** 2 * 0.5 + zs[0] * zbs[0]
 
     z = rng.normal(size=(6, 2)) * 0.5 + 1j * rng.normal(size=(6, 2)) * 0.5
-    ana = wirtinger(field, z, order=2, engine=DerivativeEngine(mode="analytic"))
-    fd = wirtinger(field, z, order=2, engine=DerivativeEngine(mode="fd", step=1e-3))
-    assert np.max(np.abs(ana["holo"] - fd["holo"])) < 1e-8
-    assert np.max(np.abs(ana["anti"] - fd["anti"])) < 1e-8
-    assert np.max(np.abs(ana["second"] - fd["second"])) < 1e-8
+    ana = field(z)
+    fd = DerivativeEngine(mode="fd", step=1e-3).scalar_jet(lambda p: field(p).val, z)
+    n = 2
+    assert np.max(np.abs(ana.d1[:, :n] - fd.d1[:, :n])) < 1e-8  # holomorphic
+    assert np.max(np.abs(ana.d1[:, n:] - fd.d1[:, n:])) < 1e-8  # antiholomorphic
+    assert np.max(np.abs(ana.d2 - fd.d2)) < 1e-8
 
 
 def test_fd_convergence_order(rng):
@@ -150,60 +148,26 @@ def test_stencil_out_of_domain():
         eng.real_jet(lambda p: np.imag(p[..., 0]) ** 2, z, domain=dom)
 
 
-def test_crosscheck_failed_on_corrupted_jets(rng):
-    def liar(z):
-        j = squared_radius(z)
-        j.d1 = j.d1 + 1.0  # corrupt the analytic gradient
-        return j
-
-    z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    eng = DerivativeEngine(mode="fd", step=1e-3, crosscheck=True, crosscheck_tol=1e-6)
-    with pytest.raises(CrossCheckFailed):
-        wirtinger(liar, z, order=1, engine=eng)
+def _metric_and_points(which, rng, count):
+    if which == "inoue-bundle":
+        w = rng.uniform(-1.0, 1.0, size=count) + 1j * rng.uniform(0.5, 2.5, size=count)
+        return inoue_bundle_metric(), w[:, None]
+    entry = build_manifold(ManifoldSpec(which, resolution=4))
+    return entry.metric, entry.random_points(rng, count)
 
 
-def test_crosscheck_fails_on_a_nan_in_the_analytic_jet(perturbed_torus, rng):
-    metric = perturbed_torus.metric
+@pytest.mark.parametrize("which", CATALOG_IDS + ("inoue-bundle",))
+def test_analytic_and_stencil_metric_jets_agree(which, rng):
+    metric, pts = _metric_and_points(which, rng, 20)
+    ana = metric.jet(pts)
+    fd = replace(metric, engine=DerivativeEngine(mode="fd")).jet(pts)
 
-    def nan_jet(z):
-        jet = metric.jet_fn(z)
-        jet.d1[0, 0, 0, 0] = np.nan  # one gradient entry at one point
-        return jet
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a)))
 
-    eng = DerivativeEngine(mode="fd", step=1e-3, crosscheck=True)
-    bad = HermitianMetricField(metric.n, metric.value_fn, nan_jet, metric.domain, "nan-jet", eng)
-    with pytest.raises(CrossCheckFailed):
-        bad.jet(perturbed_torus.random_points(rng, 4))
-
-
-def test_scalar_crosscheck_fails_on_a_nan_in_the_analytic_jet(rng):
-    def nan_jet(z):
-        jet = squared_radius(z)
-        jet.d1[0, 0] = np.nan  # one gradient entry at one point
-        return jet
-
-    z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    with pytest.raises(CrossCheckFailed):
-        wirtinger(nan_jet, z, order=1, engine=DerivativeEngine(crosscheck=True))
-
-
-def test_crosscheck_in_analytic_mode(perturbed_torus, rng):
-    metric = perturbed_torus.metric
-    pts = perturbed_torus.random_points(rng, 4)
-    eng = DerivativeEngine(mode="analytic", step=1e-3, crosscheck=True)
-    jet = replace(metric, engine=eng).jet(pts)  # the analytic jet, checked against fd
-    assert np.array_equal(jet.d2, metric.jet_fn(pts).d2)
-
-    def shifted_jet(z):
-        jet = metric.jet_fn(z)
-        jet.d1 = jet.d1 + 1e-2
-        return jet
-
-    bad = HermitianMetricField(metric.n, metric.value_fn, shifted_jet, metric.domain, "shifted")
-    with pytest.raises(CrossCheckFailed):
-        replace(bad, engine=eng).jet(pts)
-    with pytest.raises(CrossCheckFailed):
-        wirtinger(bad, pts, engine=eng)
+    assert rel(ana.H, fd.H) <= 1e-14
+    assert rel(ana.d1, fd.d1) <= 1e-10
+    assert rel(ana.d2, fd.d2) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

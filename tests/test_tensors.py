@@ -24,21 +24,21 @@ def annulus_points(rng, count):
 
 def test_flat_christoffel_zero(flat_torus, rng):
     pts = flat_torus.random_points(rng, 10)
-    block = tensors.christoffel(flat_torus.metric, pts)
-    assert np.max(np.abs(block.components)) < 1e-14
+    G = tensors.christoffel(flat_torus.metric, pts)
+    assert np.max(np.abs(G)) < 1e-14
 
 
 def test_kahler_mixed_symbol_vanishes(kahler_torus, rng):
     pts = kahler_torus.random_points(rng, 20)
-    block = tensors.christoffel(kahler_torus.metric, pts)
+    G = tensors.christoffel(kahler_torus.metric, pts)
     n = 2
-    mixed = block.components[..., :n, n:, :n]  # Gamma^k_{ibar j}
+    mixed = G[..., :n, n:, :n]  # Gamma^k_{ibar j}
     assert np.max(np.abs(mixed)) < 1e-8
 
 
 def test_hopf_christoffel_closed_form(hopf, rng):
     pts = annulus_points(rng, 25)
-    block = tensors.christoffel(hopf.metric, pts)
+    G = tensors.christoffel(hopf.metric, pts)
     n = 2
     r2 = np.sum(np.abs(pts) ** 2, axis=-1)
     for k in range(n):
@@ -47,21 +47,21 @@ def test_hopf_christoffel_closed_form(hopf, rng):
                 expected = -0.5 * (
                     (k == i) * np.conj(pts[:, j]) + (k == j) * np.conj(pts[:, i])
                 ) / r2
-                got = block.components[:, k, i, j]
+                got = G[:, k, i, j]
                 assert np.max(np.abs(got - expected)) < 1e-12
                 # the mixed block of this non-Kahler metric, Gamma^k_{i jbar},
                 # and its conjugate Gamma^kbar_{ibar j}
                 mixed = ((i == j) * pts[:, k] - (i == k) * pts[:, j]) / (2.0 * r2)
-                assert np.max(np.abs(block.components[:, k, i, n + j] - mixed)) < 1e-12
-                assert np.max(np.abs(block.components[:, n + k, n + i, j] - np.conj(mixed))) < 1e-12
+                assert np.max(np.abs(G[:, k, i, n + j] - mixed)) < 1e-12
+                assert np.max(np.abs(G[:, n + k, n + i, j] - np.conj(mixed))) < 1e-12
 
 
 def test_forbidden_slots_zero(perturbed_torus, rng):
     pts = perturbed_torus.random_points(rng, 10)
-    block = tensors.christoffel(perturbed_torus.metric, pts)
+    G = tensors.christoffel(perturbed_torus.metric, pts)
     n = 2
-    assert np.max(np.abs(block.components[..., :n, n:, n:])) == 0.0
-    assert np.max(np.abs(block.components[..., n:, :n, :n])) == 0.0
+    assert np.max(np.abs(G[..., :n, n:, n:])) == 0.0
+    assert np.max(np.abs(G[..., n:, :n, :n])) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +77,20 @@ def test_kahler_torsion_vanishes(kahler_torus, rng):
 
 def test_hopf_torsion_norm(hopf, rng):
     pts = annulus_points(rng, 30)
-    block, nsq = tensors.torsion(hopf.metric, pts)
+    _, nsq = tensors.torsion(hopf.metric, pts)
     assert np.max(np.abs(nsq - 2.0)) < 1e-12
     # closed form at z = (1, 0)
     z0 = np.array([[1.0 + 0j, 0.0 + 0j]])
-    block0, nsq0 = tensors.torsion(hopf.metric, z0)
-    assert abs(block0.components[0, 1, 0, 1] + 1.0) < 1e-13
+    T0, nsq0 = tensors.torsion(hopf.metric, z0)
+    assert abs(T0[0, 1, 0, 1] + 1.0) < 1e-13
     assert abs(nsq0[0] - 2.0) < 1e-13
 
 
 def test_torsion_antisymmetry(perturbed_torus, rng):
     pts = perturbed_torus.random_points(rng, 15)
-    block, nsq = tensors.torsion(perturbed_torus.metric, pts)
-    swap = np.einsum("...kij->...kji", block.components)
-    assert np.max(np.abs(block.components + swap)) < 1e-12
+    T, nsq = tensors.torsion(perturbed_torus.metric, pts)
+    swap = np.einsum("...kij->...kji", T)
+    assert np.max(np.abs(T + swap)) < 1e-12
     assert np.max(nsq) > 1e-3  # the perturbed catalog metric is genuinely non-Kahler
 
 
@@ -98,9 +98,9 @@ def test_torsion_conformal_covariance(perturbed_torus, rng):
     pts = perturbed_torus.random_points(rng, 15)
     c = 1.7
     scaled = conformal_metric(perturbed_torus.metric, constant_field(np.log(c)))
-    b1, n1 = tensors.torsion(perturbed_torus.metric, pts)
-    b2, n2 = tensors.torsion(scaled, pts)
-    assert np.max(np.abs(b1.components - b2.components)) < 1e-10
+    T1, n1 = tensors.torsion(perturbed_torus.metric, pts)
+    T2, n2 = tensors.torsion(scaled, pts)
+    assert np.max(np.abs(T1 - T2)) < 1e-10
     assert np.max(np.abs(n2 - n1 / c)) < 1e-10
 
 
@@ -111,8 +111,8 @@ def test_torsion_conformal_covariance(perturbed_torus, rng):
 
 def test_flat_curvature_zero(flat_torus, rng):
     pts = flat_torus.random_points(rng, 5)
-    block = tensors.curvature_complexified(flat_torus.metric, pts)
-    assert np.max(np.abs(block.components)) < 1e-13
+    R = tensors.curvature_complexified(flat_torus.metric, pts)
+    assert np.max(np.abs(R)) < 1e-13
 
 
 def test_curvature_hermitian_symmetry(hopf, rng):
@@ -133,7 +133,7 @@ def test_curvature_blocks_are_slices_of_the_all_letters_tensor(spec, rng):
     entry = build_manifold(spec)
     pts = entry.random_points(rng, 40)
     n = entry.metric.n
-    R = tensors.curvature_complexified(entry.metric, pts).components
+    R = tensors.curvature_complexified(entry.metric, pts)
     cx = tensors.CxBlocks(entry.metric.jet(pts))
     gap = np.max(np.abs(cx.curvature_hermitian() - R[..., :n, n:, :n, n:]))
     assert gap <= 1e-13 * (1.0 + np.max(np.abs(R)))
@@ -314,15 +314,15 @@ def test_direct_ricci_is_the_trace_of_the_full_tensor(spec, rng):
 
 def test_dbar_star_omega_closed_form(hopf, flat_torus, kahler_torus, rng):
     pts = annulus_points(rng, 20)
-    block = tensors.dbar_star_omega(hopf.metric, pts)
+    theta = tensors.dbar_star_omega(hopf.metric, pts)
     r2 = np.sum(np.abs(pts) ** 2, axis=-1)
     expected = -1j * np.conj(pts) / r2[:, None]  # -(n-1) i zbar_i / |z|^2
-    assert np.max(np.abs(block.components - expected)) < 1e-12
+    assert np.max(np.abs(theta - expected)) < 1e-12
 
     for entry in (flat_torus, kahler_torus):
         p2 = entry.random_points(rng, 10)
-        b2 = tensors.dbar_star_omega(entry.metric, p2)
-        assert np.max(np.abs(b2.components)) < 1e-8
+        theta2 = tensors.dbar_star_omega(entry.metric, p2)
+        assert np.max(np.abs(theta2)) < 1e-8
 
 
 def test_scalar_identity_flat_exact(flat_torus, rng):
@@ -366,7 +366,7 @@ def test_routes_agree_to_round_off(spec, rng):
     assert np.all(np.abs(rep.s - oracle) <= 1e-12 * scale)
     assert np.all(np.abs(rep.identity_residual) <= 1e-12 * scale)
     n = entry.metric.n
-    R = tensors.curvature_complexified(entry.metric, pts).components
+    R = tensors.curvature_complexified(entry.metric, pts)
     block = tensors.CxBlocks(entry.metric.jet(pts)).curvature_hermitian()
     gap = np.max(np.abs(block - R[..., :n, n:, :n, n:]))
     assert gap <= 1e-13 * (1.0 + np.max(np.abs(R)))
