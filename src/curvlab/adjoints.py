@@ -21,7 +21,10 @@ from .tensors import (
     CxBlocks,
     _dbar_star_omega_components,
     _dbar_star_omega_dbar,
+    grad_norm_sq,
+    laplacian_d,
     p_star_oneform,
+    trace_i_ddbar,
 )
 
 
@@ -56,27 +59,6 @@ def dbar_star_scalar_omega(cx: CxBlocks, u, du_holo):
         + u[..., None] * np.einsum("...kl,...l->...k", Hinv, dlogdet_holo)
     )
     return np.einsum("...ik,...k->...i", cx.H, psi)
-
-
-def laplacian_d(cx: CxBlocks, fjet):
-    """Hodge Laplacian d* d f of a real function from its Jet2."""
-    n = cx.n
-    # d* d f = dbar* dbar f + d* d f; for real f the two terms are conjugate
-    df_vals = fjet.d1[..., :n]
-    ddf_anti = np.swapaxes(fjet.mixed, -1, -2)  # [..., j, i] = d_jbar d_i f
-    p = p_star_oneform(cx, df_vals, ddf_anti)
-    return 2.0 * np.real(p)
-
-
-def trace_i_ddbar(cx: CxBlocks, fjet):
-    """tr_omega(i d dbar f) = contraction of the mixed Hessian with Hinv."""
-    return np.einsum("...ij,...ji->...", fjet.mixed, cx.Hinv)
-
-
-def grad_norm_sq(cx: CxBlocks, fjet):
-    """|d f|^2 for real f: <df, df> on (1, 0)-forms."""
-    n = cx.n
-    return inner_oneform(cx.Hinv, fjet.d1[..., :n], fjet.d1[..., :n])
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +179,8 @@ def _pointwise_identities(metric, f, eta, pts, res, gauduchon_base=False):
     #               + (n-1)^2 |d f|^2)
     adj_f = np.real(cxf.adjoint_term())
     lap = laplacian_d(cx, fj)
-    trf = np.real(trace_i_ddbar(cx, fj))
-    g2 = np.real(grad_norm_sq(cx, fj))
+    trf = np.real(trace_i_ddbar(cx.Hinv, fj))
+    g2 = np.real(grad_norm_sq(cx.Hinv, fj))
     rhs6 = np.exp(-fval) * (adj - (n - 1) * (lap + trf) + (n - 1) ** 2 * g2)
     _accumulate(res, "c6", _rel(adj_f, rhs6))
 
@@ -213,7 +195,7 @@ def _pointwise_identities(metric, f, eta, pts, res, gauduchon_base=False):
     lhs8 = 1j * inner_oneform(cx.Hinv, theta, df_holo)
     ddf_anti = np.swapaxes(fj.mixed, -1, -2)  # [..., j, i] = d_jbar d_i f
     dbar_star_dbar_f = np.conj(p_star_oneform(cx, df_holo, ddf_anti))
-    rhs8 = dbar_star_dbar_f + trace_i_ddbar(cx, fj)
+    rhs8 = dbar_star_dbar_f + trace_i_ddbar(cx.Hinv, fj)
     _accumulate(res, "c8", _rel(lhs8, rhs8))
 
     # (c3)  Gauduchon specialization of (c2): the adjoint term drops out

@@ -477,10 +477,15 @@ class HopfBasis(_ModeBasis):
     (`gauduchon.galerkin_matrices`).  A solved combination (`field`) is one
     `fields.HopfTerms` table over the same pairs.
 
-    The functions are linearly independent: no kept monomial is divisible
-    by z1 zbar1, the normal form for |z1|^2 + |z2|^2 = |z|^2, so the Gram
-    matrix has full rank.  The solver still prunes through it before
-    assembling the operator.
+    The functions are linearly independent on the annulus: no kept
+    monomial is divisible by z1 zbar1, the normal form for
+    |z1|^2 + |z2|^2 = |z|^2.  Their samples on a grid need not be.  A
+    monomial of degree d carries the frequencies -d..d in beta and in
+    gamma, so on a periodic axis of at most 2d points two of them alias
+    and the Gram matrix loses rank: HopfBasis(0, 6) on hopf_grid(4, 12,
+    12, 12) has 2 of its 140 eigenvalues below the prune tolerance, and
+    none on 13 points per beta/gamma axis.  That is why the solver prunes
+    through the Gram matrix before assembling the operator.
     """
 
     def __init__(self, kmax_t: int = 2, max_degree: int = 4):

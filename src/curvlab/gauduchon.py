@@ -88,7 +88,13 @@ from .geometry import (
     map_nodes,
     volume_weights,
 )
-from .tensors import CxBlocks, _dbar_star_omega_components, scalar_and_torsion
+from .tensors import (
+    CxBlocks,
+    _dbar_star_omega_components,
+    grad_norm_sq,
+    scalar_and_torsion,
+    trace_i_ddbar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +106,12 @@ from .tensors import CxBlocks, _dbar_star_omega_components, scalar_and_torsion
 class ConformalFactor:
     """Mean-zero scalar factor f with omega_f = e^f omega.
 
-    Carries both the node values on a grid and, when produced by the
-    solver or built from a field, a smooth evaluator with analytic jets.
+    Carries the node values on a grid and, when produced by the solver, a
+    smooth evaluator with analytic jets.
     """
 
     values: np.ndarray
     field: Optional[ScalarField] = None
-
-    @classmethod
-    def from_field(cls, grid: QuadratureGrid, fld: ScalarField):
-        vals = np.real(fld.values(grid.nodes))
-        mean = float(np.mean(vals))
-        return cls(vals - mean, fld - mean)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -575,11 +575,7 @@ def _total_identity(grid: QuadratureGrid, f: ConformalFactor, fields: NodeFields
     def integrands(idx):
         fj = f.field(grid.nodes[idx])
         Hinv = np.swapaxes(a[idx], -1, -2) / factorial(n - 1)
-        lap = np.real(np.einsum("...ij,...ji->...", fj.mixed, Hinv))
-        df2 = np.real(
-            np.einsum("...i,...ji,...j->...", fj.d1[..., :n], Hinv, fj.d1[..., n:])
-        )
-        return np.real(fj.val), lap, df2
+        return np.real(fj.val), np.real(trace_i_ddbar(Hinv, fj)), np.real(grad_norm_sq(Hinv, fj))
 
     fval, lap, df2 = map_nodes(integrands, np.arange(len(grid.nodes)))
     w = fields.weights

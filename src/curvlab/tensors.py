@@ -15,7 +15,11 @@ intermediate code:
   theta = dbar* omega and the adjoint term are its coefficients.
   `christoffel` assembles the complexified symbols Gamma^C_{AB} over the
   2n letters (0..n-1 holomorphic, n..2n-1 antiholomorphic) from its
-  blocks.
+  blocks.  Next to it sits one definition of each scalar of a real
+  factor f that the conformal formulas read: tr_h i d dbar f
+  (`trace_i_ddbar`), |d f|^2_h (`grad_norm_sq`) and d* d f
+  (`laplacian_d`), for the adjoint suite, the Gauduchon total and the
+  conformal law of `yamabe`.
 - the real-coordinate Levi-Civita pipeline at the bottom of the module
   works on the induced real metric and its full second derivatives.  It
   is the verification oracle for the Hermitian path, and the only route
@@ -84,19 +88,12 @@ def _nodes_first(a: np.ndarray, core: int) -> np.ndarray:
 def _check_hermitian_symmetry(a: np.ndarray) -> None:
     """Raise CrossCheckFailed unless a[..., i, j, k, l] = R_{i jbar k lbar}
     equals conj(R_{j ibar l kbar}) to tolerance, scaled by 1 + max |R|."""
-    res, scale = _symmetry_residual(a), _symmetry_scale(a)
+    res = float(np.max(np.abs(a - np.conj(np.einsum("...jilk->...ijkl", a)))))
+    scale = 1.0 + float(np.max(np.abs(a)))
     if not res <= HERMITIAN_SYMMETRY_TOL * scale:  # a NaN fails too
         raise CrossCheckFailed(
             f"curvature Hermitian symmetry violated: {res:.3e} (scale {scale:.1e})"
         )
-
-
-def _symmetry_residual(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - np.conj(np.einsum("...jilk->...ijkl", a)))))
-
-
-def _symmetry_scale(a: np.ndarray) -> float:
-    return 1.0 + float(np.max(np.abs(a)))
 
 
 class CxBlocks:
@@ -232,14 +229,6 @@ class CxBlocks:
     def curvature_hermitian(self) -> np.ndarray:
         """R[..., i, j, k, l] = R_{i jbar k lbar}, unchecked."""
         return _nodes_first(self._curvature_last, 4)
-
-    def hermitian_symmetry_residual(self) -> float:
-        """max |R_{i jbar k lbar} - conj(R_{j ibar l kbar})|."""
-        return _symmetry_residual(self.curvature_hermitian())
-
-    def hermitian_symmetry_scale(self) -> float:
-        """1 + max |R_{i jbar k lbar}|, the scale of the symmetry tolerance."""
-        return _symmetry_scale(self.curvature_hermitian())
 
     # -- first- and second-order scalars -----------------------------------
 
@@ -408,6 +397,33 @@ def _p_star_last(Hinv, db, eta, deta):
     )
 
 
+# ---------------------------------------------------------------------------
+# scalars of a real factor f, from its Jet2
+# ---------------------------------------------------------------------------
+
+
+def trace_i_ddbar(Hinv: np.ndarray, fjet):
+    """tr_h(i d dbar f) = sum d_i d_jbar f h^{j ibar}, complex: the mixed
+    Hessian contracted with Hinv."""
+    return np.einsum("...ij,...ji->...", fjet.mixed, Hinv)
+
+
+def grad_norm_sq(Hinv: np.ndarray, fjet):
+    """|d f|^2_h = sum d_i f h^{j ibar} d_jbar f for real f, complex; the
+    Riemannian |grad f|^2 of the induced real metric is twice its real part."""
+    n = Hinv.shape[-1]
+    return np.einsum("...i,...ji,...j->...", fjet.d1[..., :n], Hinv, fjet.d1[..., n:])
+
+
+def laplacian_d(cx: CxBlocks, fjet):
+    """Hodge Laplacian d* d f of a real function: -Lap_g f, with Lap_g the
+    Laplace-Beltrami operator of the induced real metric."""
+    n = cx.n
+    # d* d f = dbar* dbar f + d* d f; for real f the two terms are conjugate
+    ddf_anti = np.swapaxes(fjet.mixed, -1, -2)  # [..., j, i] = d_jbar d_i f
+    return 2.0 * np.real(p_star_oneform(cx, fjet.d1[..., :n], ddf_anti))
+
+
 def scalar_identity_residual(metric, point) -> ScalarReport:
     """Evaluate both scalar curvatures and the relation between them.
 
@@ -458,18 +474,6 @@ def _real_second_last(jet: MetricJet):
     # the real partials on the first Wirtinger slot, then on the second
     half = np.swapaxes(_real_partials(_nodes_last(jet.d2, 4), n), 0, 1)
     return hermitian_to_real(np.swapaxes(_real_partials(half, n), 0, 1), axis=2)
-
-
-def real_metric_first_jets(jet: MetricJet):
-    """Real metric g and its first real-coordinate derivatives; a pending
-    second derivative of the jet stays pending."""
-    G, dG = _real_first_last(jet)
-    return _nodes_first(G, 2), _nodes_first(dG, 3)
-
-
-def real_metric_jets(jet: MetricJet):
-    """Real metric g and its first/second real-coordinate derivatives."""
-    return (*real_metric_first_jets(jet), _nodes_first(_real_second_last(jet), 4))
 
 
 def riemannian_scalar_real_oracle(metric, point):

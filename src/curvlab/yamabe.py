@@ -14,6 +14,14 @@ backtracking; accepted steps never increase the quotient.  It works in
 the grid's chart coordinates: |grad f|^2 contracts the chart partials of
 `geometry.NodalDerivatives` with the chart inverse metric (J^T G J)^-1,
 J the chart Jacobian and G the real metric at the nodes.
+
+The pointwise law for s(e^f g) (`conformal_scalar_riemannian`) reads
+the Hermitian blocks of the base metric, to second order through
+`CxBlocks` for s, and the value, gradient and mixed Hessian block of f:
+Lap_g f = -d* d f and |grad f|^2_g = 2 |d f|^2_h are the contractions
+`tensors.laplacian_d` and `tensors.grad_norm_sq` that the adjoint suite
+and the Gauduchon total read too.  No real-frame jet of the metric is
+formed, and a pending full Hessian of the metric or of f stays pending.
 """
 
 from __future__ import annotations
@@ -33,11 +41,9 @@ from .geometry import (
 )
 from .tensors import (
     CxBlocks,
-    _nodes_first,
-    _nodes_last,
-    _real_partials,
     _scalar_from_blocks,
-    real_metric_first_jets,
+    grad_norm_sq,
+    laplacian_d,
     riemannian_scalar,
 )
 
@@ -73,36 +79,17 @@ def conformal_scalar_riemannian(metric: HermitianMetricField, f, point):
     """Scalar curvature of e^f g via the real-dimension-m conformal law.
 
     s(e^f g) = e^-f [ s - (m-1) Lap_g f - (m-1)(m-2)/4 |grad f|^2_g ],
-    m = 2n, with the Laplace-Beltrami operator of the base metric.
+    m = 2n, read on the Hermitian blocks of the base metric with
+    Lap_g f = -d* d f and |grad f|^2_g = 2 |d f|^2_h.
     """
     z = np.asarray(point, dtype=complex)
-    n = metric.n
-    m = 2 * n
-    jet = metric.jet(z)
-    G, dG = real_metric_first_jets(jet)
-    Ginv = np.linalg.inv(G)
+    m = 2 * metric.n
+    cx = CxBlocks(metric.jet(z))
     fj = f(z)
-    # the real partials of f on its Wirtinger slots, one slot at a time
-    df = _nodes_first(np.real(_real_partials(_nodes_last(fj.d1, 1), n)), 1)
-    half = np.swapaxes(_real_partials(_nodes_last(fj.d2, 2), n), 0, 1)
-    d2f = _nodes_first(np.real(np.swapaxes(_real_partials(half, n), 0, 1)), 2)
-
-    lap = _laplace_beltrami(Ginv, dG, df, d2f)
-    grad2 = np.einsum("...ab,...a,...b->...", Ginv, df, df)
-    s, _ = _scalar_from_blocks(CxBlocks(jet))
-    fval = np.real(fj.val)
-    return np.exp(-fval) * (s - (m - 1) * lap - (m - 1) * (m - 2) / 4.0 * grad2)
-
-
-def _laplace_beltrami(Ginv, dG, df, d2f):
-    """(1/sqrt G) d_a (sqrt G G^{ab} d_b f) from metric first derivatives."""
-    dGinv = -np.einsum("...ae,...ceg,...gb->...cab", Ginv, dG, Ginv)
-    dlogdet = np.einsum("...ab,...cba->...c", Ginv, dG)  # d_c log det G
-    return (
-        np.einsum("...ab,...ab->...", Ginv, d2f)
-        + np.einsum("...aab,...b->...", dGinv, df)
-        + 0.5 * np.einsum("...a,...ab,...b->...", dlogdet, Ginv, df)
-    )
+    s, _ = _scalar_from_blocks(cx)
+    grad2 = 2.0 * np.real(grad_norm_sq(cx.Hinv, fj))
+    bracket = s + (m - 1) * laplacian_d(cx, fj) - (m - 1) * (m - 2) / 4.0 * grad2
+    return np.exp(-np.real(fj.val)) * bracket
 
 
 def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid) -> float:

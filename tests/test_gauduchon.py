@@ -16,6 +16,7 @@ from curvlab.catalog import (
     _hopf_basis_spec,
     build_manifold,
     hopf_conformal_direction,
+    hopf_grid,
     rng_from_seed,
 )
 from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand
@@ -723,16 +724,36 @@ def test_solver_rejects_sign_changing_space(hopf):
         solve_gauduchon(hopf.metric, bad_grid)
 
 
+def test_hopf_gram_loses_rank_on_an_aliasing_grid(hopf):
+    # degree-6 monomials carry beta/gamma frequencies -6..6: on 12 periodic
+    # points two of them alias, and the prune drops the null directions
+    grid = replace(hopf_grid(4, 12, 12, 12), basis=HopfBasis(0, 6))
+    gram, _, _ = galerkin_matrices(hopf.metric, grid, volume_weights(hopf.metric, grid))
+    evals = np.linalg.eigvalsh(gram)
+    assert len(evals) == 140
+    assert np.count_nonzero(evals <= gauduchon.PRUNE_TOL * np.max(evals)) == 2
+
+
 def test_solver_iteration_budget(hopf, monkeypatch):
     monkeypatch.setattr(gauduchon, "MAX_ITER", 0)
     with pytest.raises(NonConvergence):
         solve_gauduchon(hopf.metric, hopf.grid)
 
 
+def _factor_from_field(grid, fld):
+    """The mean-zero factor of a smooth field: node values and field shifted by
+    the node mean."""
+    vals = np.real(fld.values(grid.nodes))
+    mean = float(np.mean(vals))
+    return ConformalFactor(vals - mean, fld - mean)
+
+
 def test_factor_from_field_mean_zero(hopf, rng):
     f = hopf.random_scalar(rng, 0.2)
-    factor = ConformalFactor.from_field(hopf.grid, f)
-    assert abs(np.mean(factor.values)) < 1e-12
+    factor = _factor_from_field(hopf.grid, f)
+    assert abs(factor.mean) < 1e-12
+    # the shifted field still reads the kept node values
+    assert np.max(np.abs(np.real(factor.field.values(hopf.grid.nodes)) - factor.values)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +823,7 @@ def test_total_identity_lhs_is_the_composed_chern_total(mid, monkeypatch):
     # composes e^f h and integrates its s_C against its volume
     entry = build_manifold(ManifoldSpec(mid, conformal_t=0.2))
     grid = entry.grid
-    f = ConformalFactor.from_field(grid, entry.random_scalar(rng_from_seed(71), 0.3))
+    f = _factor_from_field(grid, entry.random_scalar(rng_from_seed(71), 0.3))
     built = []
     init, jet = tensors.CxBlocks.__init__, type(entry.metric).jet
     monkeypatch.setattr(tensors.CxBlocks, "__init__",

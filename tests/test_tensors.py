@@ -10,6 +10,7 @@ from curvlab.catalog import CATALOG_IDS, ManifoldSpec, build_manifold
 from curvlab.errors import CrossCheckFailed
 from curvlab.fields import constant_field
 from curvlab.gauduchon import conformal_metric
+from curvlab.geometry import hermitian_to_real
 from tests.conftest import hopf_points
 
 
@@ -117,8 +118,9 @@ def test_flat_curvature_zero(flat_torus, rng):
 
 def test_curvature_hermitian_symmetry(hopf, rng):
     pts = annulus_points(rng, 10)
-    cx = tensors.CxBlocks(hopf.metric.jet(pts))
-    assert cx.hermitian_symmetry_residual() < 1e-10
+    R = tensors.CxBlocks(hopf.metric.jet(pts)).curvature_hermitian()
+    # R_{i jbar k lbar} = conj(R_{j ibar l kbar})
+    assert np.max(np.abs(R - np.conj(np.einsum("...jilk->...ijkl", R)))) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -134,12 +136,12 @@ def test_curvature_blocks_are_slices_of_the_all_letters_tensor(spec, rng):
     pts = entry.random_points(rng, 40)
     n = entry.metric.n
     R = tensors.curvature_complexified(entry.metric, pts)
-    cx = tensors.CxBlocks(entry.metric.jet(pts))
-    gap = np.max(np.abs(cx.curvature_hermitian() - R[..., :n, n:, :n, n:]))
+    block = tensors.CxBlocks(entry.metric.jet(pts)).curvature_hermitian()
+    gap = np.max(np.abs(block - R[..., :n, n:, :n, n:]))
     assert gap <= 1e-13 * (1.0 + np.max(np.abs(R)))
-    # the symmetry tolerance scales with the block it checks: never looser
-    # than when it scaled with the whole tensor
-    assert cx.hermitian_symmetry_scale() <= 1.0 + np.max(np.abs(R))
+    # the symmetry tolerance scales with the block it checks, 1 + max |block|:
+    # never looser than when it scaled with the whole tensor
+    assert 1.0 + np.max(np.abs(block)) <= 1.0 + np.max(np.abs(R))
 
 
 def test_symmetry_check_fails_on_a_nan(perturbed_torus, rng):
@@ -299,7 +301,7 @@ def test_direct_ricci_is_the_trace_of_the_full_tensor(spec, rng):
     entry = build_manifold(spec)
     pts = entry.random_points(rng, 40)
     jet = entry.metric.jet(pts)
-    Ginv = np.linalg.inv(tensors.real_metric_jets(jet)[0])
+    Ginv = np.linalg.inv(hermitian_to_real(jet.H))
     rlow = tensors.real_riemann_lowered(jet)  # [..., a, b, c, d] = G_ae R^e_bcd
     trace = np.einsum("...ae,...ebad->...bd", Ginv, rlow)
     ric = ricci_matrix(entry.metric, pts)

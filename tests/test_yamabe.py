@@ -7,7 +7,7 @@ import pytest
 
 from curvlab import tensors, yamabe
 from curvlab.catalog import ManifoldSpec, build_manifold, rng_from_seed
-from curvlab.fields import constant_field
+from curvlab.fields import ScalarField, constant_field
 from curvlab.gauduchon import conformal_metric
 from curvlab.geometry import volume_weights
 
@@ -27,7 +27,14 @@ def test_constant_factor_scales_scalar(hopf, rng):
     assert np.max(np.abs(s1 - np.exp(-c) * s0)) < 1e-10
 
 
-@pytest.mark.parametrize("fixture", ["flat_torus", "perturbed_torus", "hopf"])
+@pytest.fixture(scope="module")
+def hopf_conformal():
+    return build_manifold(ManifoldSpec("hopf-conformal", conformal_t=0.2))
+
+
+@pytest.mark.parametrize(
+    "fixture", ["flat_torus", "kahler_torus", "perturbed_torus", "hopf", "hopf_conformal"]
+)
 def test_conformal_law_vs_real_oracle(fixture, request, rng):
     entry = request.getfixturevalue(fixture)
     f = entry.random_scalar(rng, 0.15)
@@ -38,17 +45,20 @@ def test_conformal_law_vs_real_oracle(fixture, request, rng):
 
 
 def test_conformal_law_leaves_metric_hessian_pending(perturbed_torus, rng):
-    # the law reads the metric to first order and the factor to second
-    jets = []
+    # the law reads the mixed blocks of the metric and of the factor, never
+    # a full Hessian of either
+    jets, fjets = [], []
 
     def recording(z):
         jets.append(perturbed_torus.metric.jet_fn(z))
         return jets[-1]
 
     metric = replace(perturbed_torus.metric, jet_fn=recording)
-    f = perturbed_torus.random_scalar(rng, 0.15)
+    base = perturbed_torus.random_scalar(rng, 0.15)
+    f = ScalarField(lambda z: fjets.append(base(z)) or fjets[-1], "recorded", base.values)
     yamabe.conformal_scalar_riemannian(metric, f, perturbed_torus.random_points(rng, 10))
     assert jets and all(jet.pending for jet in jets)
+    assert fjets and all(jet.pending for jet in fjets)
 
 
 def test_conformal_law_evaluates_the_metric_jet_once(perturbed_torus, rng):
