@@ -35,9 +35,9 @@ from .fields import (
     torus_mode_vectors,
 )
 from .geometry import (
+    FullDomain,
     HermitianMetricField,
     MetricJet,
-    PeriodicDomain,
     PuncturedDomain,
     QuadratureGrid,
     UpperHalfFirstDomain,
@@ -135,7 +135,7 @@ def _mode_vectors(m, l, n: int, periods):
                               np.array(l + (0,) * (n - 2))[:n], periods)
 
 
-def _torus_metric(n: int, periods, terms, name: str) -> HermitianMetricField:
+def _torus_metric(n: int, terms, name: str) -> HermitianMetricField:
     """h = S + S^H with S = Id / 2 + sum_t C_t e_t and e_t = exp(a_t.z + b_t.zbar),
     for `terms` (C_t, a_t, b_t): one TorusTerms table whose first term is
     Id / 2 at a = b = 0.
@@ -183,7 +183,7 @@ def _torus_metric(n: int, periods, terms, name: str) -> HermitianMetricField:
                          lambda: plus_adjoint(d2(), "d2"), plus_adjoint(mixed, "mixed"))
 
     return HermitianMetricField(n, lambda z: plus_adjoint(table.values(z), "value"), jet,
-                                PeriodicDomain(periods), name)
+                                FullDomain(), name)
 
 
 def _kahler_potential_metric(n: int, periods) -> HermitianMetricField:
@@ -201,7 +201,7 @@ def _kahler_potential_metric(n: int, periods) -> HermitianMetricField:
         norm = max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
         scale = _POTENTIAL_AMPLITUDE / (len(_POTENTIAL_MODES) * norm)
         terms.append((scale * c * np.outer(a, b), a, b))
-    return _torus_metric(n, periods, terms, "torus-kahler-potential")
+    return _torus_metric(n, terms, "torus-kahler-potential")
 
 
 def _perturbed_torus_metric(n: int, periods, amplitude: float) -> HermitianMetricField:
@@ -218,7 +218,7 @@ def _perturbed_torus_metric(n: int, periods, amplitude: float) -> HermitianMetri
             C = np.zeros((n, n), dtype=complex)
             C[i, j] = 0.5 * amplitude * c
             terms.append((C,) + _mode_vectors(m, l, n, periods))
-    return _torus_metric(n, periods, terms, "torus-hermitian-perturbed")
+    return _torus_metric(n, terms, "torus-hermitian-perturbed")
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +568,7 @@ def build_manifold(spec: ManifoldSpec) -> CatalogEntry:
         periods = (1.0,) * n
         res = spec.resolution or (32 if n == 1 else 12)
         if mid == "torus-flat":
-            metric = _torus_metric(n, periods, [], "torus-flat")
+            metric = _torus_metric(n, [], "torus-flat")
             kahler, gbc = True, True
         elif mid == "torus-kahler-potential":
             metric = _kahler_potential_metric(n, periods)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import map_nodes
-from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, mixed_first, squared_radius
+from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
 
 
 class ScalarField:
@@ -582,9 +582,8 @@ class HopfTerms:
         # private: the pending Hessian reads it later
         z = np.array(z, dtype=complex).reshape(-1, n)
         val, d1, mixed = map_nodes(self._first, z)
-        return mixed_first(n, val.reshape(batch), d1.reshape(batch + (m,)),
-                           mixed.reshape(batch + (n, n)),
-                           lambda: self.hessian(z).reshape(batch + (m, m)))
+        return Jet2(n, val.reshape(batch), d1.reshape(batch + (m,)),
+                    lambda: self.hessian(z).reshape(batch + (m, m)), mixed.reshape(batch + (n, n)))
 
 
 _HOPF_MONOS = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)),

@@ -51,7 +51,8 @@ term table (u = Re sum W s^q w^e over the surviving functions,
 from the same kind of monomial table as the basis rows, with its value,
 gradient and mixed block; its full Hessian stays pending until something
 reads it.  Its node values go through the table's value-only path, and
-the solved residual reads its jet once per chunk.
+the solved residual reads its jet once per chunk; `classify` derives the
+jet of f from that same jet of u, so it too evaluates u once per chunk.
 
 The operator coefficients come from one `CxBlocks` of the metric jet, the
 Hermitian path that the scalar identity reads: P = H^-1, the torsion
@@ -534,13 +535,15 @@ def solved_residual(sol: GauduchonSolution, grid: QuadratureGrid) -> float:
     e^((n-1) f) is u times the constant e^((n-1) f) / u (f is log u / (n-1)
     less its mean), so c(e^f omega) = e^(-f) L_omega(u) / u at each node.
     """
-    coeffs = sol.fields.coeffs
+    density = map_nodes(lambda idx: _solved_density(sol, idx, sol.u_field(grid.nodes[idx])),
+                        np.arange(len(grid.nodes)))
+    return float(np.max(np.abs(density)))
 
-    def density(idx):
-        lu = apply_gauduchon_operator(tuple(c[idx] for c in coeffs), sol.u_field(grid.nodes[idx]))
-        return np.real(lu) * (np.exp(-sol.factor.values[idx]) / sol.u_nodes[idx])
 
-    return float(np.max(np.abs(map_nodes(density, np.arange(len(grid.nodes))))))
+def _solved_density(sol: GauduchonSolution, idx, uj) -> np.ndarray:
+    """c(e^f omega) at the nodes idx from the jet uj of u there."""
+    lu = apply_gauduchon_operator(tuple(c[idx] for c in sol.fields.coeffs), uj)
+    return np.real(lu) * (np.exp(-sol.factor.values[idx]) / sol.u_nodes[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +572,24 @@ def _total_identity(grid: QuadratureGrid, f: ConformalFactor, fields: NodeFields
     `fields` of the assembly alone (s_C, s/2 + |T|^2/4, the weights, and
     H^-1 = a^T / (n-1)!), so only the jet of f is evaluated here.
     """
-    a = fields.coeffs[0]
-    n = a.shape[-1]
+    fval, lap, df2 = map_nodes(
+        lambda idx: _identity_integrands(fields, idx, f.field(grid.nodes[idx])),
+        np.arange(len(grid.nodes)))
+    return _identity_totals(fields, fval, lap, df2)
 
-    def integrands(idx):
-        fj = f.field(grid.nodes[idx])
-        Hinv = np.swapaxes(a[idx], -1, -2) / factorial(n - 1)
-        return np.real(fj.val), np.real(trace_i_ddbar(Hinv, fj)), np.real(grad_norm_sq(Hinv, fj))
 
-    fval, lap, df2 = map_nodes(integrands, np.arange(len(grid.nodes)))
+def _identity_integrands(fields: NodeFields, idx, fj):
+    """f, tr_h i d dbar f and |d f|^2_h (real parts) at the nodes idx from
+    the jet fj of f there."""
+    a = fields.coeffs[0][idx]
+    Hinv = np.swapaxes(a, -1, -2) / factorial(a.shape[-1] - 1)
+    return np.real(fj.val), np.real(trace_i_ddbar(Hinv, fj)), np.real(grad_norm_sq(Hinv, fj))
+
+
+def _identity_totals(fields: NodeFields, fval, lap, df2):
+    """(lhs, rhs, gradient term, volume of omega_f) of `_total_identity`
+    from its node integrands."""
+    n = fields.coeffs[0].shape[-1]
     w = fields.weights
     w_u = w * np.exp((n - 1) * fval)  # base weights times u = e^((n-1) f)
     lhs = float(np.sum(w_u * (fields.chern - n * lap)))
@@ -663,9 +675,20 @@ def classify(
     """
     sol = solve_gauduchon(metric, grid, curvature=True)
     f = sol.factor
-    total, rhs, _, vol = _total_identity(grid, f, sol.fields)
+    n = metric.n
+    mean = float(np.mean(np.log(sol.u_nodes) / (n - 1)))
+
+    def chunk(idx):
+        # one jet of u per chunk serves both reads: f's jet follows from it by
+        # the operations of `f.field`, log u * (1 / (n-1)) - mean
+        uj = sol.u_field(grid.nodes[idx])
+        fj = uj.log() * (1.0 / (n - 1)) - mean
+        return (_solved_density(sol, idx, uj),) + _identity_integrands(sol.fields, idx, fj)
+
+    density, *integrands = map_nodes(chunk, np.arange(len(grid.nodes)))
+    total, rhs, _, vol = _identity_totals(sol.fields, *integrands)
     gap = abs(total - rhs)
-    residual = solved_residual(sol, grid)
+    residual = float(np.max(np.abs(density)))
     if gap > CERTIFY_TOL * (1.0 + abs(total)):
         return Verdict(
             manifold or metric.name,

@@ -15,7 +15,7 @@ Every integral and global norm in the package uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,16 +75,7 @@ class ChartDomain:
 
 
 class FullDomain(ChartDomain):
-    def contains(self, z, margin: float = 0.0):
-        z = np.asarray(z)
-        return np.all(np.isfinite(z), axis=-1)
-
-
-class PeriodicDomain(ChartDomain):
-    """Torus chart: every finite point is admissible."""
-
-    def __init__(self, periods: Sequence[float]):
-        self.periods = tuple(float(p) for p in periods)
+    """Every finite point is admissible (the whole plane and the torus charts)."""
 
     def contains(self, z, margin: float = 0.0):
         z = np.asarray(z)
@@ -124,19 +115,22 @@ class MetricJet:
     d2    : (..., 2n, 2n, n, n)    d2[A, B] = d_A d_B H, symmetric in (A, B)
     mixed : (..., n, n, n, n)      mixed[k, l] = d_k d_lbar H = d2[k, n + l]
 
-    `d2` may be pending: a zero-argument callable, run on the first read
-    of `d2` and kept.  A pending jet carries `mixed` eagerly, so the
-    consumers that read only the mixed block (the Gauduchon operator, the
-    Chern-Ricci form) never force it.
+    As for `jets.Jet2`, `H`, `d1` and `mixed` are formed at construction
+    and `d2` may be pending: a zero-argument callable, run on the first
+    read of `d2` and kept.  `mixed` is given with a pending `d2` and
+    sliced once from an eager one, so the consumers that read only the
+    mixed block (the Gauduchon operator, the Chern-Ricci form) never
+    force it.
     """
 
-    __slots__ = ("H", "d1", "_d2", "_mixed")
+    __slots__ = ("H", "d1", "_d2", "mixed")
 
     def __init__(self, H, d1, d2, mixed=None):
         self.H = H
         self.d1 = d1
         self._d2 = d2
-        self._mixed = mixed
+        n = H.shape[-1]
+        self.mixed = d2[..., :n, n:, :, :] if mixed is None else mixed
 
     @property
     def n(self) -> int:
@@ -153,25 +147,20 @@ class MetricJet:
         """True while the full second derivatives have not been computed."""
         return callable(self._d2)
 
-    @property
-    def mixed(self) -> np.ndarray:
-        if self._mixed is not None:
-            return self._mixed
-        n = self.n
-        return self.d2[..., :n, n:, :, :]
+
+def _stack_entries(entries, part):
+    """The part of an n x n nested list of Jet2 entries, matrix axes last."""
+    n = len(entries)
+    return np.stack([np.stack([getattr(entries[i][j], part) for j in range(n)], axis=-1)
+                     for i in range(n)], axis=-2)
 
 
 def metric_jet_from_entries(entries) -> MetricJet:
-    """Stack an n x n nested list of Jet2 entries into a MetricJet."""
-    n = len(entries)
-    H = np.stack([np.stack([entries[i][j].val for j in range(n)], axis=-1) for i in range(n)], axis=-2)
-    d1 = np.stack(
-        [np.stack([entries[i][j].d1 for j in range(n)], axis=-1) for i in range(n)], axis=-2
-    )  # (..., 2n, i, j): the derivative slot rides third-from-last
-    d2 = np.stack(
-        [np.stack([entries[i][j].d2 for j in range(n)], axis=-1) for i in range(n)], axis=-2
-    )
-    return MetricJet(H, d1, d2)
+    """Stack an n x n nested list of Jet2 entries into a MetricJet whose
+    mixed block is the entries' blocks and whose d2 stays pending.  The
+    derivative slots ride ahead of the matrix axes."""
+    return MetricJet(_stack_entries(entries, "val"), _stack_entries(entries, "d1"),
+                     lambda: _stack_entries(entries, "d2"), _stack_entries(entries, "mixed"))
 
 
 @dataclass

@@ -10,16 +10,13 @@ axes, which lets a single expression evaluate a field on a whole grid.
 Slot convention: index A in [0, n) is the holomorphic derivative d/dz^A,
 index n + A is the antiholomorphic derivative d/dzbar^A.
 
-The Hessian of a Jet2 may be pending: given as a zero-argument callable,
-it is computed on the first read of `d2` and kept.  A pending jet may
-carry its mixed block d_i d_jbar eagerly (`mixed`), which is all that the
-Gauduchon operator and the Chern-Ricci form read.  Arithmetic with a
-plain number, `conj`, the chain rule (`exp`, `log`, `**` with a
-non-integer or negative power, `reciprocal`) and the sum of two pending
-jets that both carry the block keep a pending Hessian pending and carry
-the mixed block forward; every other operation reads `d2` and so forces
-it.  A field evaluated on a whole grid for its values, gradients and
-mixed block then never builds its full second derivatives.
+Every jet follows one rule: its value, gradient and mixed block
+d_i d_jbar (`mixed`) are formed at construction, and the full Hessian of
+every derived jet is pending (a zero-argument callable, computed on the
+first read of `d2` and kept).  The Gauduchon operator, the Chern-Ricci
+form and the conformal law read the mixed block alone, so a field
+evaluated on a whole grid for them never builds its full second
+derivatives; only the real-coordinate oracle forces `d2`.
 """
 
 from __future__ import annotations
@@ -42,38 +39,36 @@ def _square(rows, cols):
 class Jet2:
     """Value, gradient and Hessian of a scalar field in Wirtinger slots.
 
-    `d2` is an array, or a zero-argument callable returning it that runs
-    on the first read of `d2` (a pending Hessian).  `mixed`, given with a
-    pending Hessian, is its block d2[..., :n, n:], read without forcing.
+    `d2` is an array, or a zero-argument callable returning a new array
+    that runs on the first read of `d2` (a pending Hessian).  `mixed` is
+    the block d2[..., :n, n:]: given with a pending Hessian, sliced once
+    from an eager one.  A forced Hessian takes the block and its
+    transpose in its mixed slots, so `mixed` reads the same before and
+    after forcing and d2 is exactly symmetric there (which `conj` needs).
     """
 
-    __slots__ = ("n", "val", "d1", "_d2", "_mixed")
+    __slots__ = ("n", "val", "d1", "_d2", "mixed")
 
     def __init__(self, n: int, val, d1, d2, mixed=None):
         self.n = n
         self.val = np.asarray(val, dtype=complex)
         self.d1 = np.asarray(d1, dtype=complex)
         self._d2 = d2 if callable(d2) else np.asarray(d2, dtype=complex)
-        self._mixed = None if mixed is None else np.asarray(mixed, dtype=complex)
+        self.mixed = self._d2[..., :n, n:] if mixed is None else np.asarray(mixed, dtype=complex)
 
     @property
     def d2(self) -> np.ndarray:
         if callable(self._d2):
-            self._d2 = np.asarray(self._d2(), dtype=complex)
+            n, d2 = self.n, np.asarray(self._d2(), dtype=complex)
+            d2[..., :n, n:] = self.mixed
+            d2[..., n:, :n] = np.swapaxes(self.mixed, -1, -2)
+            self._d2 = d2
         return self._d2
 
     @property
     def pending(self) -> bool:
         """True while the Hessian has not been computed."""
         return callable(self._d2)
-
-    def _map_d2(self, fn):
-        """fn(d2), or a pending fn(d2) while d2 is pending."""
-        return (lambda: fn(self.d2)) if self.pending else fn(self._d2)
-
-    def _map_mixed(self, fn):
-        """fn(mixed) where the mixed block is eager, else None (the slice of d2)."""
-        return None if self._mixed is None else fn(self._mixed)
 
     # -- constructors -------------------------------------------------
 
@@ -121,39 +116,29 @@ class Jet2:
     def _chain(self, f0, f1, f2):
         """Jet of F(self) given F, F', F'' evaluated at self.val.
 
-        A pending Hessian stays pending; the mixed block follows eagerly
-        from mixed' = F' mixed + F'' d1[:n] d1[n:], by the same operations
-        as the mixed slots of the forced Hessian.
+        The mixed block is mixed' = F' mixed + F'' d1[:n] d1[n:], by the
+        same operations as the mixed slots of the Hessian.
         """
         n = self.n
-        d1 = f1[..., None] * self.d1
-
-        def d2():
-            return f1[..., None, None] * self.d2 + f2[..., None, None] * _square(self.d1, self.d1)
-
-        if not self.pending:
-            return Jet2(n, f0, d1, d2())
         mixed = f1[..., None, None] * self.mixed + f2[..., None, None] * _square(
             self.d1[..., :n], self.d1[..., n:])
-        return Jet2(n, f0, d1, d2, mixed)
+        return Jet2(n, f0, f1[..., None] * self.d1, lambda: f1[..., None, None] * self.d2
+                    + f2[..., None, None] * _square(self.d1, self.d1), mixed)
 
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other):
         if self._plain(other):
-            return Jet2(self.n, self.val + other, self.d1.copy(), self._map_d2(np.copy),
-                        self._map_mixed(np.copy))
+            return Jet2(self.n, self.val + other, self.d1.copy(), lambda: self.d2.copy(),
+                        self.mixed.copy())
         o = self._lift(other)
-        if self.pending and o.pending and self._mixed is not None and o._mixed is not None:
-            return Jet2(self.n, self.val + o.val, self.d1 + o.d1, lambda: self.d2 + o.d2,
-                        self._mixed + o._mixed)
-        return Jet2(self.n, self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
+        return Jet2(self.n, self.val + o.val, self.d1 + o.d1, lambda: self.d2 + o.d2,
+                    self.mixed + o.mixed)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.n, -self.val, -self.d1, self._map_d2(np.negative),
-                    self._map_mixed(np.negative))
+        return Jet2(self.n, -self.val, -self.d1, lambda: -self.d2, -self.mixed)
 
     def __sub__(self, other):
         return self + (-other)
@@ -164,18 +149,21 @@ class Jet2:
     def __mul__(self, other):
         if self._plain(other):
             return Jet2(self.n, self.val * other, self.d1 * other,
-                        self._map_d2(lambda d2: d2 * other),
-                        self._map_mixed(lambda m: m * other))
-        o = self._lift(other)
+                        lambda: self.d2 * other, self.mixed * other)
+        o, n = self._lift(other), self.n
         val = self.val * o.val
         d1 = self.d1 * o.val[..., None] + o.d1 * self.val[..., None]
-        cross = _outer(self.d1, o.d1)
-        d2 = (
-            self.d2 * o.val[..., None, None]
-            + o.d2 * self.val[..., None, None]
-            + (cross + np.swapaxes(cross, -1, -2))
-        )
-        return Jet2(self.n, val, d1, d2)
+
+        def d2():
+            cross = _outer(self.d1, o.d1)
+            return (self.d2 * o.val[..., None, None] + o.d2 * self.val[..., None, None]
+                    + (cross + np.swapaxes(cross, -1, -2)))
+
+        # the mixed slots of d2: cross[i, n + j] + cross[n + j, i]
+        mixed = (self.mixed * o.val[..., None, None] + o.mixed * self.val[..., None, None]
+                 + (_outer(self.d1[..., :n], o.d1[..., n:])
+                    + np.swapaxes(_outer(self.d1[..., n:], o.d1[..., :n]), -1, -2)))
+        return Jet2(n, val, d1, d2, mixed)
 
     __rmul__ = __mul__
 
@@ -210,33 +198,19 @@ class Jet2:
         """Jet of the conjugate field; swaps holomorphic slots.
 
         The conjugate's mixed block d_i d_jbar conj(F) = conj(d_j d_ibar F)
-        is the conjugate transpose of the mixed block.  It equals the slice
-        of the conjugate's forced Hessian bit for bit where d2 is exactly
-        symmetric in the mixed slots, as the Hessians that this module's
-        arithmetic builds are.
+        is the conjugate transpose of the mixed block.
         """
         n = self.n
         idx = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
         d1 = np.conj(self.d1[..., idx])
-        d2 = self._map_d2(lambda d2: np.conj(d2[..., idx, :][..., :, idx]))
-        mixed = self._map_mixed(lambda m: np.conj(np.swapaxes(m, -1, -2)))
-        return Jet2(n, np.conj(self.val), d1, d2, mixed)
+        return Jet2(n, np.conj(self.val), d1, lambda: np.conj(self.d2[..., idx, :][..., :, idx]),
+                    np.conj(np.swapaxes(self.mixed, -1, -2)))
 
     def real(self):
         return (self + self.conj()) * 0.5
 
     def imag(self):
         return (self - self.conj()) * (-0.5j)
-
-    @property
-    def mixed(self):
-        """The mixed Hessian block: mixed[..., i, j] = d_i d_jbar.
-
-        Read without forcing where it was given eagerly, else sliced from d2.
-        """
-        if self._mixed is not None:
-            return self._mixed
-        return self.d2[..., : self.n, self.n :]
 
 
 class MixedJet:
@@ -273,23 +247,6 @@ def squared_radius(z):
     for k in range(1, len(zs)):
         out = out + zs[k] * zbs[k]
     return out
-
-
-def mixed_first(n: int, val, d1, mixed, hessian) -> Jet2:
-    """A Jet2 with the eager mixed block `mixed` and the Hessian `hessian()` pending.
-
-    The forced Hessian's mixed slots take `mixed` and its transpose, so the
-    block reads the same before and after forcing, and d2 is exactly
-    symmetric there (which `conj` relies on).
-    """
-
-    def d2():
-        out = hessian()
-        out[..., :n, n:] = mixed
-        out[..., n:, :n] = np.swapaxes(mixed, -1, -2)
-        return out
-
-    return Jet2(n, val, d1, d2, mixed)
 
 
 def exp_linear(z, a, b, coeff=1.0):

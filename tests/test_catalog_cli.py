@@ -311,7 +311,7 @@ def test_solve_commands_never_build_the_factor_hessian(monkeypatch, command):
             solved.append(plain)
         return plus_conj(plain, conj, name)
 
-    calls = {"hessian": 0, "mixed-first": 0}
+    calls = {"hessian": 0, "jet": 0}
     hessian, jet = HopfTerms.hessian, HopfTerms.jet
 
     def counted_hessian(self, z):
@@ -319,7 +319,7 @@ def test_solve_commands_never_build_the_factor_hessian(monkeypatch, command):
         return hessian(self, z)
 
     def counted_jet(self, z):
-        calls["mixed-first"] += any(self is t for t in solved)
+        calls["jet"] += any(self is t for t in solved)
         return jet(self, z)
 
     monkeypatch.setattr(catalog, "plus_conj", recorded)
@@ -327,7 +327,7 @@ def test_solve_commands_never_build_the_factor_hessian(monkeypatch, command):
     monkeypatch.setattr(HopfTerms, "jet", counted_jet)
     code, report = run(make_config([command, "--manifold", "hopf-conformal", "--grid", "4"]))
     assert report.records and code in (0, 1)
-    assert solved and calls["mixed-first"] > 0  # the solved factor was evaluated
+    assert solved and calls["jet"] > 0  # the solved factor was evaluated
     assert calls["hessian"] == 0
 
 
@@ -347,6 +347,22 @@ def test_solve_commands_walk_the_metric_jet_once(monkeypatch, command):
     assert report.records and code in (0, 1)
     # classify screens the torsion on 100 random points besides
     assert sum(points) == nodes + (100 if command == "classify" else 0)
+
+
+def test_classify_evaluates_the_solved_factor_once_per_chunk(monkeypatch):
+    # the solved residual and the total identity read one jet of u per chunk:
+    # f's jet follows from it, so each 1024-node chunk calls the table once
+    from curvlab.fields import HopfTerms
+    from curvlab.geometry import NODE_CHUNK
+
+    calls = []
+    jet = HopfTerms.jet
+    monkeypatch.setattr(HopfTerms, "jet", lambda self, z: calls.append(len(z)) or jet(self, z))
+    nodes = len(build_manifold(ManifoldSpec("hopf-standard")).grid.nodes)
+    code, report = run(make_config(["classify", "--manifold", "hopf-standard"]))
+    assert code == 0 and report.records
+    assert calls == [min(NODE_CHUNK, nodes - lo) for lo in range(0, nodes, NODE_CHUNK)]
+    assert len(calls) == 14
 
 
 def test_classify_notes_carry_the_solved_residual(capsys):

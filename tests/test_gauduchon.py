@@ -483,7 +483,7 @@ def test_conformal_composition_forms_the_mixed_block_first(conformal, conformal_
                                                            factor_hessians):
     z = conformal.random_points(rng_from_seed(70), 32)
     f = conformal_solution.factor.field
-    for forced, base in enumerate((hopf.metric.jet(z), conformal.metric.jet(z))):  # eager, pending
+    for forced, base in enumerate((hopf.metric.jet(z), conformal.metric.jet(z))):  # products, composed
         uj = f(z).exp()
         jet = compose_conformal_jet(base, uj)
         mixed = jet.mixed
@@ -509,6 +509,26 @@ def test_conformal_values_leave_the_factor_hessian_pending(conformal, conformal_
     u = conformal_solution.factor.field(z)
     assert np.all(np.isfinite(H)) and np.all(np.isfinite(u.val))
     assert u.pending and not factor_hessians
+
+
+@pytest.mark.parametrize("mid", ["hopf-standard", "inoue-chart"])
+def test_product_built_metric_jets_stay_pending(mid, rng):
+    # these metrics stack Jet2 products into their jets; the solve and the
+    # residual read the mixed block alone, so no full Hessian is formed
+    entry = build_manifold(ManifoldSpec(mid, resolution=4))
+    jets = []
+
+    def recorded(z):
+        jets.append(entry.metric.jet_fn(z))
+        return jets[-1]
+
+    metric = replace(entry.metric, jet_fn=recorded)
+    if entry.grid is None:  # a pointwise chart
+        gauduchon_residual(metric, entry.random_points(rng, 256))
+    else:
+        solve_gauduchon(metric, entry.grid)
+        gauduchon_residual(metric, entry.grid)
+    assert jets and all(jet.pending for jet in jets)
 
 
 def _dense_matrices(metric, grid, w):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvlab.geometry import DerivativeEngine
-from curvlab.jets import Jet2, coordinate_jets, exp_linear, mixed_first, squared_radius
+from curvlab.jets import Jet2, _outer, coordinate_jets, exp_linear, squared_radius
 
 
 def random_points(rng, count, n=2):
@@ -103,7 +103,7 @@ def test_pending_hessian_is_computed_once_on_read():
         calls.append(1)
         return np.eye(4)
 
-    j = Jet2(2, 1.0, np.zeros(4), hessian)
+    j = Jet2(2, 1.0, np.zeros(4), hessian, np.zeros((2, 2)))
     k = (j * 2.0 + 1.0).conj()
     assert j.pending and k.pending and not calls
     assert np.array_equal(k.d2, 2.0 * np.eye(4)) and np.array_equal(j.d2, np.eye(4))
@@ -111,24 +111,116 @@ def test_pending_hessian_is_computed_once_on_read():
 
 
 # ---------------------------------------------------------------------------
-# the eager mixed block of a pending jet
+# the one rule: the mixed block now, the full Hessian on first read
 # ---------------------------------------------------------------------------
 
-# operations that keep a pending Hessian pending and carry the mixed block
-MIXED_FIRST_OPS = [
+
+class Eager:
+    """The jet algebra with every Hessian formed at once, written out
+    independently of Jet2: the reference that its forced Hessians equal."""
+
+    def __init__(self, n, val, d1, d2):
+        self.n, self.val, self.d1, self.d2 = n, val, d1, d2
+
+    def _jet(self, c):
+        if isinstance(c, Eager):
+            return c
+        return Eager(self.n, np.full(self.val.shape, c, dtype=complex),
+                     np.zeros_like(self.d1), np.zeros_like(self.d2))
+
+    def __add__(self, o):
+        o = self._jet(o)
+        return Eager(self.n, self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Eager(self.n, -self.val, -self.d1, -self.d2)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __mul__(self, o):
+        if not isinstance(o, Eager):
+            return Eager(self.n, self.val * o, self.d1 * o, self.d2 * o)
+        cross = _outer(self.d1, o.d1)
+        return Eager(self.n, self.val * o.val,
+                     self.d1 * o.val[..., None] + o.d1 * self.val[..., None],
+                     self.d2 * o.val[..., None, None] + o.d2 * self.val[..., None, None]
+                     + (cross + np.swapaxes(cross, -1, -2)))
+
+    __rmul__ = __mul__
+
+    def _chain(self, f0, f1, f2):
+        sq = _outer(self.d1, self.d1)
+        return Eager(self.n, f0, f1[..., None] * self.d1, f1[..., None, None] * self.d2
+                     + f2[..., None, None] * ((sq + np.swapaxes(sq, -1, -2)) * 0.5))
+
+    def reciprocal(self):
+        v = self.val
+        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
+
+    def __truediv__(self, o):
+        return self * self._jet(o).reciprocal()
+
+    def __rtruediv__(self, o):
+        return self.reciprocal() * o
+
+    def __pow__(self, p):
+        if isinstance(p, int) and p >= 0:
+            out = self._jet(1.0)
+            for _ in range(p):
+                out = out * self
+            return out
+        v = self.val
+        return self._chain(v**p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
+
+    def exp(self):
+        e = np.exp(self.val)
+        return self._chain(e, e, e)
+
+    def log(self):
+        v = self.val
+        return self._chain(np.log(v), 1.0 / v, -1.0 / v**2)
+
+    def conj(self):
+        n = self.n
+        idx = np.r_[n : 2 * n, 0:n]
+        return Eager(n, np.conj(self.val), np.conj(self.d1[..., idx]),
+                     np.conj(self.d2[..., idx, :][..., :, idx]))
+
+    def real(self):
+        return (self + self.conj()) * 0.5
+
+    def imag(self):
+        return (self - self.conj()) * (-0.5j)
+
+
+# every Jet2 operation: with a number, with a jet, the chain rule and
+# conjugation, alone and composed (j ** 0 is not derived: it is the
+# constant jet 1)
+JET_OPS = [
     lambda j: j.exp(), lambda j: j.log(), lambda j: j ** 0.5, lambda j: j ** -1.5,
     lambda j: j ** (0.3 + 2.0j), lambda j: j.reciprocal(), lambda j: 1.0 / j,
     lambda j: j * 0.3, lambda j: j * (0.2 - 1.1j), lambda j: 2.5 * j, lambda j: j + 0.7,
     lambda j: 1.5 + j, lambda j: j - 0.4, lambda j: 0.4 - j, lambda j: -j, lambda j: j.conj(),
     lambda j: j + j.conj(), lambda j: j.real(), lambda j: j.imag(), lambda j: j - (j * 0.5).exp(),
     lambda j: ((j * 0.5 + 1.0).log() * 2.0 - 0.1).exp(),
+    lambda j: j * j, lambda j: j * j.conj(), lambda j: (j * 0.5).exp() * j.log(),
+    lambda j: j / (j.conj() + 2.0), lambda j: j.exp() / j, lambda j: j ** 1,
+    lambda j: j ** 3, lambda j: (j + j.conj()) * (j - 0.5), lambda j: (j * j.imag()).real(),
 ]
 
 
 def pending_with_mixed(rng, n=2, count=6):
-    """A pending jet of `composite` whose mixed block is given eagerly."""
+    """A pending jet of `composite` whose mixed block is given, and that
+    jet as the eager reference."""
     j = composite(random_points(rng, count, n))
-    return Jet2(n, j.val, j.d1, lambda: j.d2, j.d2[..., :n, n:]), j.d2
+    d2 = j.d2
+    return Jet2(n, j.val, j.d1, d2.copy, d2[..., :n, n:].copy()), Eager(n, j.val, j.d1, d2)
 
 
 def test_products_and_the_chain_rule_give_exactly_symmetric_hessians(rng):
@@ -142,43 +234,24 @@ def test_products_and_the_chain_rule_give_exactly_symmetric_hessians(rng):
         assert np.array_equal(j.d2, np.swapaxes(j.d2, -1, -2))
 
 
-@pytest.mark.parametrize("op", MIXED_FIRST_OPS)
+@pytest.mark.parametrize("op", JET_OPS)
 def test_eager_mixed_block_is_the_slice_of_the_forced_hessian(rng, op):
+    # every derived jet forms its mixed block now and leaves d2 pending, from
+    # a pending operand and from an eager one alike
     n = 2
-    j, d2 = pending_with_mixed(rng, n)
+    j, ref = pending_with_mixed(rng, n)
     got = op(j)
-    mixed = got.mixed
-    assert got.pending and j.pending  # reading the block forced nothing
-    assert np.array_equal(mixed, got.d2[..., :n, n:])
-    # and the forced Hessian is the one the eager operand gives
-    want = op(Jet2(n, j.val, j.d1, d2))
-    assert not want.pending
+    mixed, before = got.mixed, got.mixed.copy()
+    assert got.pending and j.pending  # forming the block forced nothing
+    assert op(Jet2(n, ref.val, ref.d1, ref.d2)).pending
+    # forcing d2 leaves the block as it was, and the block is its mixed slice
+    d2 = got.d2
+    assert got.mixed is mixed and np.array_equal(mixed, before)
+    assert np.array_equal(mixed, d2[..., :n, n:])
+    # and the forced Hessian is the one that every Hessian formed at once gives
+    want = op(ref)
     for part in ("val", "d1", "d2"):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
-
-
-def test_chain_on_a_pending_jet_without_a_mixed_block(rng):
-    # the block is then sliced from the operand's Hessian, which is forced
-    # once; the result stays pending
-    z = random_points(rng, 5)
-    full = composite(z)
-    calls = []
-
-    def hessian():
-        calls.append(1)
-        return full.d2
-
-    got = Jet2(2, full.val, full.d1, hessian).exp()
-    assert got.pending and calls == [1]
-    assert np.array_equal(got.mixed, got.d2[..., :2, 2:])
-    assert np.array_equal(got.d2, full.exp().d2) and calls == [1]
-
-
-def test_products_force_a_pending_hessian(rng):
-    j, d2 = pending_with_mixed(rng)
-    out = j * j
-    assert not out.pending and not j.pending
-    assert np.array_equal(out.d2, (Jet2(2, j.val, j.d1, d2) * Jet2(2, j.val, j.d1, d2)).d2)
 
 
 def test_sums_of_pending_jets_stay_pending(rng):
@@ -194,17 +267,17 @@ def test_sums_of_pending_jets_stay_pending(rng):
     assert total.pending
     assert np.array_equal(mixed, total.d2[..., :2, 2:])
     assert np.array_equal(total.d2, e1.d2 + e2.d2)
-    # a sum with an eager jet forces the Hessian, as before
-    assert not (exp_linear(z, a, b) + squared_radius(z)).pending
+    # so does a sum with a jet built from an eager Hessian
+    assert (exp_linear(z, a, b) + squared_radius(z)).pending
 
 
-def test_mixed_first_jets_write_their_block_into_the_forced_hessian(rng):
+def test_forced_hessians_take_the_mixed_block(rng):
     full = composite(random_points(rng, 5))
     mixed = full.mixed + 1e-3  # any block: the forced Hessian must carry it
     calls = []
-    jet = mixed_first(2, full.val, full.d1, mixed,
-                      lambda: calls.append(1) or full.d2.copy())
-    assert jet.pending and jet.mixed is mixed and not calls
+    jet = Jet2(2, full.val, full.d1, lambda: calls.append(1) or full.d2.copy(), mixed)
+    assert jet.pending and not calls
     assert np.array_equal(jet.d2[..., :2, 2:], mixed)
     assert np.array_equal(jet.d2[..., 2:, :2], np.swapaxes(mixed, -1, -2))
     assert np.array_equal(jet.d2[..., :2, :2], full.d2[..., :2, :2]) and calls == [1]
+
