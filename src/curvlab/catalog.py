@@ -467,15 +467,24 @@ class HopfBasis(_ModeBasis):
     q_kj = p_k - |e_j| / 2 (p_0 = 0): a polynomial times a radial power.
     The complex functions that the real functions read are listed once
     each, as (exponent q, polynomial j) pairs in `powers` and `poly`
-    (`index` points into that list).  One call evaluates the F polynomials
-    w^e_j at a node chunk (value, gradient and mixed Hessian block) by
-    gathers from one table of monomials (`fields.ExponentTable`), and
-    declares the pairs in its BasisJets.  The solver applies L to the
-    polynomials once, splits L(s^q P_j) = s^q (X0 + q X1 + q^2 X2) by the
-    Leibniz rule (`gauduchon.lift_radial_modes`), and applies s^q and q
-    once per t-plane of the grid, where s is one number
+    (`index` points into that list).  The polynomials come in conjugate
+    pairs w^e, conj(w^e) = w^(c, d, a, b) for e = (a, b, c, d), and the F
+    rows of `expo` hold one representative of each, the one with
+    (a, b) >= (c, d): 29 for the default 55 polynomials, 72 for 140 at
+    HopfBasis(4, 6) and 145 for 285 at HopfBasis(5, 8).  Where `conj[i]`,
+    function i reads the partner conj(P_j) of its representative P_j; k = 0
+    keeps representatives only, so only k > 0 sets the flag.  The flag is
+    valid only for a real operator, whose lift of conj(P) is the conjugate
+    of that of P.  One call evaluates the F representatives w^e_j at a
+    node chunk (value, gradient and mixed Hessian block) by gathers from
+    one table of monomials (`fields.ExponentTable`), and declares the pairs
+    and flags in its BasisJets.  The solver applies L to the polynomials
+    once, splits L(s^q P_j) = s^q (X0 + q X1 + q^2 X2) by the Leibniz rule
+    (`gauduchon.lift_radial_modes`), and applies s^q and q, conjugated for
+    a flagged function, once per t-plane of the grid, where s is one number
     (`gauduchon.galerkin_matrices`).  A solved combination (`field`) is one
-    `fields.HopfTerms` table over the same pairs.
+    `fields.HopfTerms` table over the same pairs, with each function's own
+    exponents.
 
     The functions are linearly independent on the annulus: no kept
     monomial is divisible by z1 zbar1, the normal form for
@@ -490,16 +499,21 @@ class HopfBasis(_ModeBasis):
 
     def __init__(self, kmax_t: int = 2, max_degree: int = 4):
         spec = _hopf_basis_spec(kmax_t, max_degree)
-        monos = sorted({ab + cd for _, ab, cd, _ in spec}, key=lambda m: (sum(m), m))
+        # the declared (k, e) pairs in order of k, then degree, then e
+        funcs = sorted({(k, ab + cd) for k, ab, cd, _ in spec},
+                       key=lambda f: (f[0], sum(f[1]), f[1]))
+        at = {f: i for i, f in enumerate(funcs)}
+        k, expo = zip(*funcs)
+        self.conj = np.array([e[:2] < e[2:] for e in expo])  # conj(w^e) swaps z and zbar
+        reps = [e[2:] + e[:2] if flip else e for e, flip in zip(expo, self.conj)]
+        monos = sorted(set(reps), key=lambda m: (sum(m), m))
         pos = {m: j for j, m in enumerate(monos)}
         self.expo = np.array(monos)  # (F, 4): exponents of z1, z2, zbar1, zbar2
         self._table = ExponentTable(np.arange(len(monos)), np.ones(len(monos)), self.expo)
-        funcs = sorted({(k, pos[ab + cd]) for k, ab, cd, _ in spec})  # (k, j) pairs
-        at = {kj: i for i, kj in enumerate(funcs)}
-        k, self.poly = np.array(funcs).T
+        self.poly = np.array([pos[e] for e in reps])
         radial = 0.5j * np.array([hopf_radial_frequency(r) for r in range(kmax_t + 1)])
-        self.powers = radial[k] - 0.5 * self.expo[self.poly].sum(axis=1)  # q_kj
-        self.index = np.array([at[k, pos[ab + cd]] for k, ab, cd, _ in spec])
+        self.powers = radial[np.array(k)] - 0.5 * self.expo[self.poly].sum(axis=1)  # q_kj
+        self.index = np.array([at[k, ab + cd] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
 
     def __call__(self, z) -> BasisJets:
@@ -507,7 +521,7 @@ class HopfBasis(_ModeBasis):
         val, d1 = self._table(coordinate_slots(z), "first")  # d1: gradient and mixed block
         polys = MixedJet(2, val, np.moveaxis(d1[:, :4], 1, -1),
                          np.moveaxis(d1[:, 4:], 1, -1).reshape(val.shape + (2, 2)))
-        return BasisJets(polys, self.index, self.imag, self.powers, self.poly)
+        return BasisJets(polys, self.index, self.imag, self.powers, self.poly, self.conj)
 
     def field(self, coeffs, name: str) -> ScalarField:
         """u = sum c_s phi_s as one HopfTerms table: Re sum W_i s^q_i w^e_i,
@@ -516,7 +530,10 @@ class HopfBasis(_ModeBasis):
         its values come from the table alone.
         """
         used, half = self._half_weights(coeffs, len(self.powers))
-        terms = HopfTerms(half, self.expo[self.poly[used]], self.powers[used])
+        expo = self.expo[self.poly[used]]
+        flip = self.conj[used]
+        expo[flip] = expo[flip][:, [2, 3, 0, 1]]  # the partner's own exponents
+        terms = HopfTerms(half, expo, self.powers[used])
         return plus_conj(terms, terms, name)
 
 

@@ -144,22 +144,29 @@ class BasisJets:
     a basis that declares no radial exponents has q = 0 and j = i, so its
     complex functions are the P_j themselves.  Only the jets of the P_j are
     formed: the Galerkin assembly applies s^q per t-plane of the grid (the
-    radial lift in `gauduchon`).  Real basis function s is the real part of
-    complex function index[s], or its imaginary part where imag[s].  Only
-    scalar-valued results of a real operator (values, L phi) may be read
-    off that way, since L(Re phi) = Re(L phi) holds for such an operator,
-    while derivatives of Re phi mix conjugate slots.
+    radial lift in `gauduchon`).  Where conj[i], complex function i is
+    s^q_i conj(P_j) instead: a conjugate pair of polynomials is evaluated
+    once, as its representative P_j.  For a real operator L the radial
+    lift terms of conj P are the conjugates of those of P, so the flag is
+    valid only for such an operator; a basis that declares no flags has
+    none set.  Real basis function s is the real part of complex function
+    index[s], or its imaginary part where imag[s].  Only scalar-valued
+    results of a real operator (values, L phi) may be read off that way,
+    since L(Re phi) = Re(L phi) holds for such an operator, while
+    derivatives of Re phi mix conjugate slots.
     """
 
-    __slots__ = ("jet", "index", "imag", "powers", "poly")
+    __slots__ = ("jet", "index", "imag", "powers", "poly", "conj")
 
-    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=None, poly=None):
+    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=None, poly=None,
+                 conj=None):
         self.jet = jet
         self.index = index
         self.imag = imag
         F = len(jet.val)
         self.powers = np.asarray(np.zeros(F) if powers is None else powers, dtype=complex)
         self.poly = np.asarray(np.arange(F) if poly is None else poly, dtype=int)
+        self.conj = np.zeros(len(self.poly), dtype=bool) if conj is None else np.asarray(conj, bool)
 
     def __len__(self) -> int:
         return len(self.index)

@@ -17,12 +17,16 @@ On the Hopf grid the complex functions are products phi = R_k m_j of a
 radial mode R_k = s^p_k (s = |z|^2) and a sphere monomial m_j, that is
 phi = s^q P_j with the polynomial P_j = w^e_j in w = (z, zbar) and
 q = p_k - |e_j| / 2.  The basis gathers the polynomials from one table
-of monomials per chunk and declares one (q, j) pair per complex function
-that a real function reads; `lift_radial_modes` applies L to the
-polynomials once and splits L(s^q P) = s^q (X0 + q X1 + q^2 X2) by the
-Leibniz rule, with the derivatives of s shared by all of them, so no
-function s^q P_j is formed.  A basis without radial exponents (the torus
-Fourier modes) has q = 0 and reads P and X0 = L P alone.
+of monomials per chunk, one representative w^e, (a, b) >= (c, d) for
+e = (a, b, c, d), of each conjugate pair w^e, conj(w^e): 29 polynomials
+stand for the 55 that the default basis reads.  It declares one (q, j)
+pair per complex function that a real function reads, flagged where the
+function's polynomial is conj(P_j).  `lift_radial_modes` applies L to
+the polynomials once and splits L(s^q P) = s^q (X0 + q X1 + q^2 X2) by
+the Leibniz rule, with the derivatives of s shared by all of them, so no
+function s^q P_j is formed.  L is real, so the terms X_k of conj(P) are
+the conjugates of those of P.  A basis without radial exponents (the
+torus Fourier modes) has q = 0, no flag, and reads P and X0 = L P alone.
 
 The Gram and operator matrices are summed chunk by chunk
 (`galerkin_matrices`) and per t-plane of the grid, where s is one number
@@ -31,8 +35,9 @@ imaginary parts) against the weighted rows of P into one small block per
 plane, F^2 N work in all, and is dropped; each chunk is checked for
 non-finite entries on the way.  Once every node is summed, the factors
 s_p^q and q^k are applied to each plane's block by gathers (m^2 work per
-plane), so a solve never holds an m x N matrix and never forms the m x N
-products.
+plane), conjugated for a flagged function since Re(D conj X) =
+Re(conj(D) X), so a solve never holds an m x N matrix and never forms
+the m x N products.
 
 The assembly is the one walk of a command over the metric jets of the
 grid.  Its pass keeps, per node in node order, what the rest of the
@@ -338,7 +343,11 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     is read by gathers with the weights d_s s_p^q q^k and added to the two
     m x m matrices, and the Gram matrix is symmetrized exactly.  A basis
     without radial exponents (q = 0) reads X0 alone, and a grid without
-    t-planes is one plane, which only such a basis may use.
+    t-planes is one plane, which only such a basis may use.  A function
+    flagged as the partner conj(P_j) reads the rows of P_j with the
+    conjugate weights, as Re(D conj X) = Re(conj(D) X); this holds for the
+    real operator L, whose lift of conj(P_j) is the conjugate of that of
+    P_j up to rounding.
 
     The first chunk with a non-finite weight or row raises
     NonFiniteIntegrand at its first bad node, and a node on no t-plane
@@ -362,7 +371,7 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
         cx = CxBlocks(metric.jet(pts))
         coeffs = gauduchon_operator_coefficients(cx)
         batch = grid.basis_batch(pts)
-        layout = batch.index, batch.imag, batch.powers, batch.poly  # not the chunk's jets
+        layout = batch.index, batch.imag, batch.powers, batch.poly, batch.conj  # not the jets
         radial = np.any(batch.powers)
         if radial and t is None:
             raise ValueError("a basis with radial exponents needs a grid with t-planes")
@@ -394,14 +403,16 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     map_nodes(accumulate, np.arange(N))
     F = blocks.shape[1] // 2
     terms = blocks.shape[2] // (2 * F) - 1  # X0 alone, or X0, X1 and X2
-    i, imag, powers, poly = layout  # i: the complex function of each real function
-    q, j = powers[i], poly[i]
+    i, imag, powers, poly, conj = layout  # i: the complex function of each real function
+    q, j, flip = powers[i], poly[i], conj[i]
     rot = np.where(imag, -1j, 1.0)  # Im x = Re(-i x)
     re_at = j + 2 * F * np.arange(terms + 1)[:, None]  # Re rows of P, X0, ...; Im is F on
     both = np.zeros((m, 2 * m))  # [gram | op]
     for s_p, block in zip(planes, blocks):
         d = rot * np.exp(q * np.log(s_p))  # d_s s_p^q
         e = d * q ** np.arange(terms)[:, None]  # d_s s_p^q q^k, (terms, m)
+        # a partner conj(P_j) reads the rows of P_j: Re(D conj X) = Re(conj(D) X)
+        d, e = (np.where(flip, np.conj(x), x) for x in (d, e))
         # columns: Re(d P_j) = Re d Re P_j - Im d Im P_j, and its L-value
         cols = block[:, re_at[0]] * d.real - block[:, re_at[0] + F] * d.imag
         lcols = sum(block[:, re_at[k + 1]] * e[k].real - block[:, re_at[k + 1] + F] * e[k].imag

@@ -21,6 +21,7 @@ from curvlab.catalog import (
 )
 from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand
 from curvlab.fields import (
+    BasisJets,
     HopfTerms,
     ScalarField,
     constant_field,
@@ -52,7 +53,7 @@ from curvlab.geometry import (
     QuadratureGrid,
     volume_weights,
 )
-from curvlab.jets import Jet2, coordinate_jets, exp_linear, squared_radius
+from curvlab.jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
 from tests.conftest import hopf_points
 
 
@@ -253,11 +254,21 @@ def _rel(got, want):
 def _lifted(coeffs, batch, z):
     """Values and L-values of every complex function s^q P_j of the batch,
     (functions, N) each, formed from the lift's terms: s^q P_j and
-    s^q (X0 + q X1 + q^2 X2)_j, with s = |z|^2 of each node."""
-    P, x0, x1, x2 = lift_radial_modes(coeffs, batch, z)
-    j, q = batch.poly, batch.powers[:, None]
+    s^q (X0 + q X1 + q^2 X2)_j, with s = |z|^2 of each node.  A function
+    flagged as the partner conj(P_j) reads the conjugates of the rows of
+    P_j, which holds for a real operator only."""
+    j, q, flip = batch.poly, batch.powers[:, None], batch.conj[:, None]
+    P, x0, x1, x2 = (np.where(flip, np.conj(x[j]), x[j])
+                     for x in lift_radial_modes(coeffs, batch, z))
     sq = np.sum(np.abs(z) ** 2, axis=-1) ** q
-    return sq * P[j], sq * (x0[j] + q * x1[j] + q**2 * x2[j])
+    return sq * P, sq * (x0 + q * x1 + q**2 * x2)
+
+
+def _exponents(basis, i):
+    """The exponents of complex function i's own polynomial: its
+    representative's, with z and zbar swapped for a partner."""
+    e = basis.expo[basis.poly[i]]
+    return tuple(e[[2, 3, 0, 1]] if basis.conj[i] else e)
 
 
 def _real_rows(batch, x):
@@ -277,8 +288,11 @@ def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     val, lval = _lifted(coeffs, batch, z)
     vals, lvals = _real_rows(batch, val), _real_rows(batch, lval)
     for s, entry in enumerate(spec):
-        j = batch.poly[batch.index[s]]
-        P = _polynomial(z, *entry[1:3])
+        i = batch.index[s]
+        j = batch.poly[i]
+        P = _polynomial(z, *entry[1:3])  # the function's own monomial, formed directly
+        if batch.conj[i]:  # a partner is evaluated as its representative conj(P)
+            P = P.conj()
         assert _rel(batch.jet.val[j], P.val) < 1e-13
         assert _rel(batch.jet.d1[j], P.d1) < 1e-13
         assert _rel(batch.jet.mixed[j], P.mixed) < 1e-13
@@ -353,29 +367,42 @@ def test_torus_basis_rows_match_per_mode_fields(perturbed_torus):
         assert _rel(lvals[s], np.real(apply_gauduchon_operator(coeffs, ref))) < 1e-13
 
 
-@pytest.mark.parametrize("kind", ["gauduchon", "random"])
+def _random_coefficients(rng, count, real):
+    """Random operator coefficients (a, b_holo, b_anti, c) at `count` nodes;
+    if `real`, those of a real operator: Hermitian a, b_holo = conj(b_anti)
+    and real c."""
+    shapes = [(count, 2, 2), (count, 2), (count, 2), (count,)]
+    a, b_holo, b_anti, c = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
+    if real:
+        a, b_holo, c = a + np.conj(np.swapaxes(a, -1, -2)), np.conj(b_anti), c.real
+    return a, b_holo, b_anti, c
+
+
+@pytest.mark.parametrize("kind", ["gauduchon", "random", "random-real"])
 def test_radial_lift_matches_the_formed_products(conformal, kind):
     rng = rng_from_seed(66)
     z = _axis_points(rng, 48)
     if kind == "gauduchon":
         coeffs = gauduchon_operator_coefficients(conformal.metric.jet(z))
     else:
-        shapes = [(48, 2, 2), (48, 2), (48, 2), (48,)]
-        coeffs = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
+        coeffs = _random_coefficients(rng, 48, real=kind == "random-real")
     batch = conformal.grid.basis_batch(z)
     val, lval = _lifted(coeffs, batch, z)
     # every declared function, k = 0 included: function i of the (q, j)
-    # list is R_k m_j for the basis rows that read it, and each is read
-    expo = conformal.grid.basis.expo
+    # list is R_k m_j for the basis rows that read it, and each is read.  The
+    # lift is generic, so every directly evaluated polynomial is checked for
+    # any operator; a partner conj(P_j) reads the conjugate rows of P_j, which
+    # is checked for the real operators only
+    basis = conformal.grid.basis
     assert len(batch.powers) == len(batch.poly) == len(val) == 139
     assert np.array_equal(np.unique(batch.index), np.arange(139))
     seen = set()
     for s, (k, ab, cd, _) in enumerate(_hopf_basis_spec()):
         i = batch.index[s]
-        e = expo[batch.poly[i]]
-        assert tuple(e) == ab + cd
+        e = _exponents(basis, i)
+        assert e == ab + cd
         assert batch.powers[i] == 0.5j * hopf_radial_frequency(k) - 0.5 * sum(e)
-        if i in seen:
+        if i in seen or (batch.conj[i] and kind == "random"):
             continue
         seen.add(i)
         phi = hopf_monomial(e[:2], e[2:])(z)
@@ -383,7 +410,40 @@ def test_radial_lift_matches_the_formed_products(conformal, kind):
             phi = hopf_radial_mode(k)(z) * phi
         assert _rel(val[i], phi.val) < 1e-13
         assert _rel(lval[i], apply_gauduchon_operator(coeffs, phi)) < 1e-13
-    assert len(seen) == 139
+    assert len(seen) == 139 - (np.count_nonzero(batch.conj) if kind == "random" else 0)
+
+
+@pytest.mark.parametrize("level, count, self_conjugate", [((2, 4), 29, 3), ((4, 6), 72, 4),
+                                                          ((5, 8), 145, 5)])
+def test_hopf_basis_evaluates_each_conjugate_pair_once(conformal, hopf, level, count,
+                                                       self_conjugate):
+    # the table holds one representative e = (a, b, c, d), (a, b) >= (c, d),
+    # of each conjugate pair of polynomials w^e; a partner reads it, flagged
+    basis = HopfBasis(*level)
+    reps = [tuple(e) for e in basis.expo]
+    assert len(reps) == len(set(reps)) == count
+    assert all(e[:2] >= e[2:] for e in reps)
+    assert sum(e[:2] == e[2:] for e in reps) == self_conjugate
+    assert not any(reps[j][:2] == reps[j][2:] for j in basis.poly[basis.conj])
+    # the declared functions read all 55 / 140 / 285 polynomials, as before
+    own = {_exponents(basis, i) for i in range(len(basis.poly))}
+    assert len(own) == 2 * count - self_conjugate
+    assert {e[2:] + e[:2] for e in own} == own
+    # the fold's identity: for a real operator the lift of a partner, formed
+    # directly, is the conjugate of its representative's
+    z = _axis_points(rng_from_seed(73), 48)
+    pairs = [(j, reps[j][2:] + reps[j][:2]) for j in range(count) if reps[j][:2] != reps[j][2:]]
+    formed = [_polynomial(z, e[:2], e[2:]) for _, e in pairs]
+    partners = BasisJets(MixedJet(2, *(np.stack([getattr(p, part) for p in formed])
+                                       for part in ("val", "d1", "mixed"))),
+                         None, None, powers=np.ones(len(pairs)))  # radial: X1 and X2 formed
+    rows = [j for j, _ in pairs]
+    t2 = build_manifold(ManifoldSpec("hopf-conformal", conformal_t=0.2))
+    for metric in (hopf.metric, conformal.metric, t2.metric):
+        coeffs = gauduchon_operator_coefficients(metric.jet(z))
+        for got, want in zip(lift_radial_modes(coeffs, partners, z),
+                             lift_radial_modes(coeffs, basis(z), z)):
+            assert _rel(got, np.conj(want[rows])) <= 1e-14
 
 
 def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf):
@@ -421,8 +481,8 @@ def _jet2_combination(basis, coeffs, z):
     r2 = squared_radius(z)
     total = None
     for i in np.flatnonzero(W):
-        e = basis.expo[basis.poly[i]]
-        term = _polynomial(z, tuple(e[:2]), tuple(e[2:])) * r2 ** basis.powers[i] * W[i]
+        e = _exponents(basis, i)
+        term = _polynomial(z, e[:2], e[2:]) * r2 ** basis.powers[i] * W[i]
         total = term if total is None else total + term
     return total.real()
 
@@ -548,13 +608,17 @@ def _dense_matrices(metric, grid, w):
 
 
 @pytest.mark.parametrize(
-    "which", ["hopf-conformal", "torus-kahler-potential", "hopf-basis-3-4", "hopf-permuted"]
+    "which", ["hopf-conformal", "torus-kahler-potential", "hopf-basis-3-4", "hopf-basis-4-6",
+              "hopf-permuted"]
 )
 def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, which):
     entry = kahler_torus if which == "torus-kahler-potential" else conformal
     grid = entry.grid
     if which == "hopf-basis-3-4":
         grid = replace(grid, basis=HopfBasis(3, 4))
+    elif which == "hopf-basis-4-6":
+        # degree-6 pairs and partners at k > 0 together
+        grid = replace(hopf_grid(4, 12, 12, 12), basis=HopfBasis(4, 6))
     elif which == "hopf-permuted":
         # every chunk meets every t-plane, in no order
         perm = rng_from_seed(72).permutation(len(grid.nodes))
