@@ -405,7 +405,16 @@ def _hopf_basis_spec(kmax_t: int = 2, max_degree: int = 4):
 
 class _ModeBasis:
     """Real basis functions as the real or imaginary parts of complex modes:
-    real function s is Re phi_index[s], or Im phi_index[s] where imag[s]."""
+    real function s is Re phi_index[s], or Im phi_index[s] where imag[s].
+
+    Complex function i is s^powers[i] times the monomial P_j, j = poly[i],
+    or its conjugate where conj[i].  The Galerkin assembly reads the
+    monomials through their integer exponents alone (`expo`, one row per
+    P_j): a product of monomials adds exponents, the conjugate's exponent
+    is `conj_expo` of the monomial's, and a first derivative is a monomial
+    again, d_A P_j = d1_weight[j, A] times the monomial of exponent
+    expo[j] + d1_shift[A].
+    """
 
     def __len__(self) -> int:
         return len(self.index)
@@ -434,6 +443,11 @@ class TorusBasis(_ModeBasis):
     gives the modes' value, gradient and mixed block at a node chunk as
     stacked rows (`TorusTerms.rows`); a solved combination (`field`) is one
     table over the same modes, u = T + conj(T), as on the Hopf basis.
+
+    The modes are the monomials of the assembly: the exponent of a mode is
+    its frequency (m, l), which a product adds and the conjugate negates,
+    and d_A of a mode is (a, b)_A times the mode itself.  No mode carries a
+    radial power or a conjugation flag.
     """
 
     def __init__(self, n: int, periods, kmax: int = 1):
@@ -445,6 +459,16 @@ class TorusBasis(_ModeBasis):
         self.terms = TorusTerms(np.ones(len(keys) + 1), (np.zeros(n),) + a, (np.zeros(n),) + b)
         self.index = np.concatenate([[0], np.repeat(np.arange(1, len(keys) + 1), 2)])
         self.imag = np.concatenate([[False], np.tile([False, True], len(keys))])
+        self.expo = np.array([(0,) * (2 * n)] + keys)  # the frequencies (m, l)
+        self.d1_weight = self.terms.ab
+        self.d1_shift = np.zeros((2 * n, 2 * n), dtype=int)
+        self.powers = np.zeros(len(self.expo), dtype=complex)
+        self.poly = np.arange(len(self.expo))
+        self.conj = np.zeros(len(self.expo), dtype=bool)
+
+    @staticmethod
+    def conj_expo(expo):
+        return -np.asarray(expo)
 
     def __call__(self, z) -> BasisJets:
         return BasisJets(self.terms.rows(z), self.index, self.imag)
@@ -474,17 +498,24 @@ class HopfBasis(_ModeBasis):
     HopfBasis(4, 6) and 145 for 285 at HopfBasis(5, 8).  Where `conj[i]`,
     function i reads the partner conj(P_j) of its representative P_j; k = 0
     keeps representatives only, so only k > 0 sets the flag.  The flag is
-    valid only for a real operator, whose lift of conj(P) is the conjugate
-    of that of P.  One call evaluates the F representatives w^e_j at a
-    node chunk (value, gradient and mixed Hessian block) by gathers from
-    one table of monomials (`fields.ExponentTable`), and declares the pairs
-    and flags in its BasisJets.  The solver applies L to the polynomials
-    once, splits L(s^q P_j) = s^q (X0 + q X1 + q^2 X2) by the Leibniz rule
-    (`gauduchon.lift_radial_modes`), and applies s^q and q, conjugated for
-    a flagged function, once per t-plane of the grid, where s is one number
-    (`gauduchon.galerkin_matrices`).  A solved combination (`field`) is one
-    `fields.HopfTerms` table over the same pairs, with each function's own
-    exponents.
+    valid only for a real operator, which maps conj(P) to the conjugate of
+    its value on P.  A product of polynomials adds exponents, the
+    conjugate swaps the z and zbar halves (`conj_expo`), and
+    d_A w^e = e_A w^(e - 1_A).
+
+    The Galerkin assembly reads the representatives through those
+    exponents alone (`gauduchon.galerkin_matrices`): on the node
+    (t, alpha, beta, gamma) of the grid, w^T is
+    e^(|T| t) cos^A(alpha) sin^B(alpha) e^(i (K_b beta + K_g gamma)) with
+    A = T1 + T3, B = T2 + T4, K_b = T1 - T3 and K_g = T2 - T4, so every
+    node sum is an FFT moment of a node field over every axis of the grid,
+    and no function is evaluated at a node.  A call evaluates the F
+    representatives w^e_j at a node chunk (value, gradient and mixed
+    Hessian block) by gathers from one table of monomials
+    (`fields.ExponentTable`), and declares the pairs and flags in its
+    BasisJets: the independent reference that the tests form s^q P_j
+    from.  A solved combination (`field`) is one `fields.HopfTerms` table
+    over the same pairs, with each function's own exponents.
 
     The functions are linearly independent on the annulus: no kept
     monomial is divisible by z1 zbar1, the normal form for
@@ -515,6 +546,12 @@ class HopfBasis(_ModeBasis):
         self.powers = radial[np.array(k)] - 0.5 * self.expo[self.poly].sum(axis=1)  # q_kj
         self.index = np.array([at[k, ab + cd] for k, ab, cd, _ in spec])
         self.imag = np.array([part == "im" for *_, part in spec])
+        self.d1_weight = self.expo
+        self.d1_shift = -np.eye(4, dtype=int)
+
+    @staticmethod
+    def conj_expo(expo):
+        return np.asarray(expo)[..., [2, 3, 0, 1]]
 
     def __call__(self, z) -> BasisJets:
         z = np.asarray(z, dtype=complex)
@@ -532,7 +569,7 @@ class HopfBasis(_ModeBasis):
         used, half = self._half_weights(coeffs, len(self.powers))
         expo = self.expo[self.poly[used]]
         flip = self.conj[used]
-        expo[flip] = expo[flip][:, [2, 3, 0, 1]]  # the partner's own exponents
+        expo[flip] = self.conj_expo(expo[flip])  # the partner's own exponents
         terms = HopfTerms(half, expo, self.powers[used])
         return plus_conj(terms, terms, name)
 

@@ -143,17 +143,20 @@ class BasisJets:
     function i is s^q_i P_j with s = |z|^2, q_i = powers[i] and j = poly[i];
     a basis that declares no radial exponents has q = 0 and j = i, so its
     complex functions are the P_j themselves.  Only the jets of the P_j are
-    formed: the Galerkin assembly applies s^q per t-plane of the grid (the
-    radial lift in `gauduchon`).  Where conj[i], complex function i is
-    s^q_i conj(P_j) instead: a conjugate pair of polynomials is evaluated
-    once, as its representative P_j.  For a real operator L the radial
-    lift terms of conj P are the conjugates of those of P, so the flag is
-    valid only for such an operator; a basis that declares no flags has
-    none set.  Real basis function s is the real part of complex function
-    index[s], or its imaginary part where imag[s].  Only scalar-valued
-    results of a real operator (values, L phi) may be read off that way,
-    since L(Re phi) = Re(L phi) holds for such an operator, while
-    derivatives of Re phi mix conjugate slots.
+    formed.  Where conj[i], complex function i is s^q_i conj(P_j) instead:
+    a conjugate pair of polynomials is evaluated once, as its
+    representative P_j.  A real operator L maps conj(P) to the conjugate
+    of its value on P, so the flag is valid only for such an operator; a
+    basis that declares no flags has none set.  Real basis function s is
+    the real part of complex function index[s], or its imaginary part
+    where imag[s].  Only scalar-valued results of a real operator (values,
+    L phi) may be read off that way, since L(Re phi) = Re(L phi) holds for
+    such an operator, while derivatives of Re phi mix conjugate slots.
+
+    The Galerkin assembly reads no BasisJets: it reads the basis's
+    exponents and sums FFT moments of the node fields
+    (`gauduchon.galerkin_matrices`).  A chunk of basis jets is the
+    independent reference that the tests form s^q P_j and L of it from.
     """
 
     __slots__ = ("jet", "index", "imag", "powers", "poly", "conj")
@@ -209,9 +212,9 @@ class TorusTerms:
     `parts` gives (value, gradient, pending Hessian, mixed block), the
     argument order of both `Jet2` (after n) and `geometry.MetricJet`.  The
     pending Hessian, on its first read, runs `hessian` on a private copy
-    of the points; its mixed slots take the eager block.  `rows` gives
-    every term of a scalar table on its own, stacked along a leading term
-    axis.
+    of the points; the jet writes its eager block into the mixed slots.
+    `rows` gives every term of a scalar table on its own, stacked along a
+    leading term axis.
     """
 
     def __init__(self, coeff, a, b):
@@ -225,21 +228,17 @@ class TorusTerms:
         self.size = C.shape[1]  # entries per coefficient
         self.ab = np.concatenate([self.a, self.b], axis=1)
         self.ab_mixed = self.a[:, :, None] * self.b[:, None, :]
-        # the Hessian's pure blocks d_i d_j and d_ibar d_jbar, each pair once,
-        # and where every slot pair (A, B) reads [pure pairs | mixed block]
+        # the Hessian's slot pairs A <= B, each once, and the pair each
+        # slot (A, B) reads
         A, B = np.triu_indices(m)
-        pure = (A < n) == (B < n)
-        A, B = A[pure], B[pure]
-        slots = np.empty((m, m), dtype=int)
-        slots[A, B] = slots[B, A] = np.arange(len(A))
-        slots[:n, n:] = len(A) + np.arange(n * n).reshape(n, n)
-        slots[n:, :n] = slots[:n, n:].T
-        self._slots = slots.ravel()
+        pair = np.empty((m, m), dtype=int)
+        pair[A, B] = pair[B, A] = np.arange(len(A))
+        self._pairs = pair.ravel()
         self._weights = {
             "value": C,
             "gradient": (self.ab[:, :, None] * C[:, None, :]).reshape(T, -1),
             "mixed": (self.ab_mixed.reshape(T, -1, 1) * C[:, None, :]).reshape(T, -1),
-            "pure": ((self.ab[:, A] * self.ab[:, B])[:, :, None] * C[:, None, :]).reshape(T, -1),
+            "hessian": ((self.ab[:, A] * self.ab[:, B])[:, :, None] * C[:, None, :]).reshape(T, -1),
         }
 
     def _exp(self, z):
@@ -253,17 +252,15 @@ class TorusTerms:
     def values(self, z) -> np.ndarray:
         return self._contract(self._exp(np.asarray(z, dtype=complex)), "value")
 
-    def hessian(self, z, mixed) -> np.ndarray:
-        """The full Hessian (..., 2n, 2n, *shape) at the points z: each pure
-        pair of slots formed once and read for both orders, the mixed slots
-        read from `mixed` (the block that `parts` gave) and its transpose,
-        so it is exactly symmetric in its two slots."""
+    def hessian(self, z) -> np.ndarray:
+        """The full Hessian (..., 2n, 2n, *shape) at the points z: each pair
+        of slots formed once and read for both orders, so it is exactly
+        symmetric in its two slots."""
         m = 2 * self.n
         e = self._exp(z)
         batch = e.shape[:-1]
-        pairs = np.concatenate([(e @ self._weights["pure"]).reshape(batch + (-1, self.size)),
-                                mixed.reshape(batch + (-1, self.size))], axis=-2)
-        return np.take(pairs, self._slots, axis=-2).reshape(batch + (m, m) + self.shape)
+        pairs = (e @ self._weights["hessian"]).reshape(batch + (-1, self.size))
+        return np.take(pairs, self._pairs, axis=-2).reshape(batch + (m, m) + self.shape)
 
     def parts(self, z):
         """(value, gradient, pending Hessian, mixed block) at the points z."""
@@ -272,7 +269,7 @@ class TorusTerms:
         e = self._exp(z)
         mixed = self._contract(e, "mixed", (n, n))
         return (self._contract(e, "value"), self._contract(e, "gradient", (2 * n,)),
-                lambda: self.hessian(z, mixed), mixed)
+                lambda: self.hessian(z), mixed)
 
     def jet(self, z) -> Jet2:
         """The Jet2 of a scalar table."""

@@ -6,38 +6,41 @@ that operator over a basis of smooth functions on the manifold (Galerkin,
 with quadrature inner products), finds the near-null vector by shifted
 inverse-power iteration, and enforces positivity of u.
 
-The basis is evaluated one node chunk at a time as stacked jets (the
-grid's `basis_batch` method calls its basis): complex functions m along
-a leading axis, carrying the value, gradient and mixed Hessian block
-that the operator reads.  The operator L is real (it maps real u to real
-densities), so L(Re phi) = Re(L phi) and L(Im phi) = Im(L phi): it is
-applied once per complex function and both real basis rows are read off.
+The operator L is real (it maps real u to real densities), so
+L(Re phi) = Re(L phi) and L(Im phi) = Im(L phi): it is applied once per
+complex function phi of the basis and both real basis functions are read
+off.
 
 On the Hopf grid the complex functions are products phi = R_k m_j of a
 radial mode R_k = s^p_k (s = |z|^2) and a sphere monomial m_j, that is
 phi = s^q P_j with the polynomial P_j = w^e_j in w = (z, zbar) and
-q = p_k - |e_j| / 2.  The basis gathers the polynomials from one table
-of monomials per chunk, one representative w^e, (a, b) >= (c, d) for
-e = (a, b, c, d), of each conjugate pair w^e, conj(w^e): 29 polynomials
-stand for the 55 that the default basis reads.  It declares one (q, j)
-pair per complex function that a real function reads, flagged where the
-function's polynomial is conj(P_j).  `lift_radial_modes` applies L to
-the polynomials once and splits L(s^q P) = s^q (X0 + q X1 + q^2 X2) by
-the Leibniz rule, with the derivatives of s shared by all of them, so no
-function s^q P_j is formed.  L is real, so the terms X_k of conj(P) are
-the conjugates of those of P.  A basis without radial exponents (the
-torus Fourier modes) has q = 0, no flag, and reads P and X0 = L P alone.
+q = p_k - |e_j| / 2.  The basis lists one representative w^e,
+(a, b) >= (c, d) for e = (a, b, c, d), of each conjugate pair w^e,
+conj(w^e): 29 polynomials stand for the 55 that the default basis reads.
+It declares one (q, j) pair per complex function that a real function
+reads, flagged where the function's polynomial is conj(P_j).  The
+Leibniz rule splits L(s^q P) = s^q (X0 + q X1 + q^2 X2), and every row
+X_k of a monomial P is a sum of terms kappa C_f w^T s^-sigma over the
+node fields C_f in {1, c, b_holo_i, b_anti_i, a_ij} of the operator
+(`OperatorTerms`).  L is real, so the rows of conj(P) are the conjugates
+of those of P.  A basis without radial exponents (the torus Fourier
+modes, whose exponents are their frequencies) has q = 0, no flag, and
+reads P and X0 = L P alone.
 
-The Gram and operator matrices are summed chunk by chunk
-(`galerkin_matrices`) and per t-plane of the grid, where s is one number
-s_p: a chunk contracts its F polynomial rows P and X0, X1, X2 (real and
-imaginary parts) against the weighted rows of P into one small block per
-plane, F^2 N work in all, and is dropped; each chunk is checked for
-non-finite entries on the way.  Once every node is summed, the factors
-s_p^q and q^k are applied to each plane's block by gathers (m^2 work per
-plane), conjugated for a flagged function since Re(D conj X) =
-Re(conj(D) X), so a solve never holds an m x N matrix and never forms
-the m x N products.
+So every entry of the Gram and operator matrices is a quadrature sum of
+weighted node fields W_f = w C_f times monomials, and the assembly is a
+transform (`galerkin_matrices`): the chunked walk keeps only the W_f,
+checked for non-finite values on the way and placed on the cells of the
+product grid, and per t-plane of the grid, where s is one number s_p,
+each node sum is read as a moment of their FFT over the periodic axes
+(Orszag's sum factorisation; a frequency is taken modulo its axis, as
+the quadrature aliases it).  No basis function is evaluated at a node.
+The moments form a small block per plane, and the factors s_p^q and q^k
+are applied to it by gathers (m^2 work per plane), conjugated for a
+flagged function since Re(D conj X) = Re(conj(D) X), so a solve never
+holds an m x N matrix.  The grid's `basis_batch` still evaluates the
+basis as stacked jets at a node chunk; the tests read it as the
+independent reference of the assembly.
 
 The assembly is the one walk of a command over the metric jets of the
 grid.  Its pass keeps, per node in node order, what the rest of the
@@ -229,45 +232,82 @@ def apply_gauduchon_operator(coeffs, ujet):
     return out
 
 
-def lift_radial_modes(coeffs, batch, z):
-    """The polynomial values P and the radial terms X0, X1, X2, (F, N) each.
+def coefficient_fields(coeffs) -> np.ndarray:
+    """The node fields C_f that the operator's terms read, stacked along a
+    leading axis (2 + 2n + n^2, ...): 1, c, b_holo_i, b_anti_i and a_ij
+    (i-major), the field order of `OperatorTerms`."""
+    a, b_holo, b_anti, c = coeffs
+    return np.stack([np.ones_like(c), c, *np.moveaxis(b_holo, -1, 0), *np.moveaxis(b_anti, -1, 0),
+                     *np.moveaxis(a.reshape(a.shape[:-2] + (-1,)), -1, 0)])
 
-    L is applied once, to the F stacked functions P = batch.jet.  For a
-    function s^q P_j of the batch, with s = |z|^2, ds = (zbar, z) and
-    d_i d_jbar s = delta_ij, the Leibniz rule gives
+
+class OperatorTerms:
+    """The terms of L(s^q P) for the monomials P of a basis, as one table.
+
+    With s = |z|^2, ds = (zbar, z) and d_i d_jbar s = delta_ij, the Leibniz
+    rule gives
 
         L(s^q P) = s^q (X0 + q X1 + q^2 X2),
         X0 = L P,  X1 = (A_P + P B) / s - P C / s^2,  X2 = P C / s^2,
 
     A_P = sum a_il (zbar_i d_lbar P + z_l d_i P),  B = tr a + b.zbar + b~.z,
-    C = zbar^T a z.  B and C are shared by every polynomial, so no function
-    s^q P_j is formed here: the assembly applies s^q and q per t-plane.  A
-    batch without radial exponents (every q = 0) reads X0 alone; its X1 and
-    X2 are zero.
+    C = zbar^T a z.  For a monomial P of exponent e whose derivatives are
+    monomials, d_A P = g_A w^(e + h_A) (a basis's `d1_weight` g and
+    `d1_shift` h), every row is a sum of terms
+
+        kappa C_f w^(e + shift) s^-sigma
+
+    over the node fields C_f of `coefficient_fields`.  Row 0 is P itself (1
+    term), row 1 is X0 (c, b_holo, b_anti and a: 1 + 2n + n^2 terms), row 2
+    is X1 (A_P, P B and -P C / s: 2n^2 + 3n + n^2) and row 3 is X2 (n^2).
+    A term's shift sums the h_A of its derivatives and the unit exponents
+    of the slots zbar_i and z_l that multiply it, which exist only where
+    the exponents are those of the slots w = (z, zbar), so rows 2 and 3 are
+    tabulated for a basis with radial powers only; without them q = 0 and
+    L P = X0.  kappa is the term's sign times the g of its derivatives
+    (`kappa`); the mixed derivative d_i d_jbar P reads g_i g_(n+j), as d_i
+    and d_jbar act on distinct slots.  A term with kappa = 0 is absent,
+    and its exponent may be negative.
+
+    `row`, `field`, `sigma` and `coef` hold one entry per term, `shift`
+    its exponent shift, `slots` its two derivative slots (2n where there
+    is none) and `starts` the first term of each row.
     """
-    P = batch.jet
-    x0 = apply_gauduchon_operator(coeffs, P)
-    if not np.any(batch.powers):
-        zero = np.zeros_like(x0)
-        return P.val, x0, zero, zero
-    a, b_holo, b_anti, _ = coeffs
-    n = a.shape[-1]
-    zb = np.conj(z)
-    s = np.sum(z.real**2 + z.imag**2, axis=-1)
-    u = np.einsum("...il,...i->...l", a, zb)  # weight of d_lbar P in A_P
-    v = np.einsum("...il,...l->...i", a, z)  # weight of d_i P in A_P
-    B = (
-        np.einsum("...ii->...", a)
-        + np.einsum("...i,...i->...", b_holo, zb)
-        + np.einsum("...i,...i->...", b_anti, z)
-    )
-    C = np.einsum("...l,...l->...", u, z)
-    A = v[..., 0] * P.d1[..., 0] + u[..., 0] * P.d1[..., n]
-    for i in range(1, n):
-        A += v[..., i] * P.d1[..., i] + u[..., i] * P.d1[..., n + i]
-    x2 = P.val * (C / s**2)
-    x1 = (A + P.val * B) / s - x2
-    return P.val, x0, x1, x2
+
+    def __init__(self, n: int, d1_shift, radial: bool):
+        d1_shift = np.asarray(d1_shift, dtype=int)
+        unit = np.eye(d1_shift.shape[1], dtype=int)
+        c, b_holo, b_anti = 1, 2 + np.arange(n), 2 + n + np.arange(n)
+        a = 2 + 2 * n + np.arange(n * n).reshape(n, n)
+        pairs = [(i, l) for i in range(n) for l in range(n)]
+        # (row, field, derivative slots, multiplying slots, coef, sigma)
+        terms = [(0, 0, (), (), 1, 0), (1, c, (), (), 1, 0)]
+        terms += [(1, b_holo[i], (i,), (), 1, 0) for i in range(n)]
+        terms += [(1, b_anti[i], (n + i,), (), 1, 0) for i in range(n)]
+        terms += [(1, a[i, j], (i, n + j), (), 1, 0) for i, j in pairs]
+        if radial:
+            terms += [(2, a[i, l], (n + l,), (n + i,), 1, 1) for i, l in pairs]
+            terms += [(2, a[i, l], (i,), (l,), 1, 1) for i, l in pairs]
+            terms += [(2, a[i, i], (), (), 1, 1) for i in range(n)]
+            terms += [(2, b_holo[i], (), (n + i,), 1, 1) for i in range(n)]
+            terms += [(2, b_anti[i], (), (i,), 1, 1) for i in range(n)]
+            terms += [(2, a[i, l], (), (n + i, l), -1, 2) for i, l in pairs]
+            terms += [(3, a[i, l], (), (n + i, l), 1, 2) for i, l in pairs]
+        row, field, deriv, mult, coef, sigma = zip(*terms)
+        self.row = np.array(row)
+        self.field = np.array(field)
+        self.coef = np.array(coef)
+        self.sigma = np.array(sigma)
+        self.shift = np.array([d1_shift[list(d)].sum(axis=0) + unit[list(m)].sum(axis=0)
+                               for d, m in zip(deriv, mult)])
+        self.slots = np.array([d + (2 * n,) * (2 - len(d)) for d in deriv])
+        self.starts = np.flatnonzero(np.diff(self.row, prepend=-1))
+
+    def kappa(self, d1_weight) -> np.ndarray:
+        """The weights kappa (monomials, terms) of monomials whose first
+        derivatives carry the weights d1_weight (monomials, 2n)."""
+        g = np.concatenate([d1_weight, np.ones((len(d1_weight), 1))], axis=1)
+        return self.coef * g[:, self.slots[:, 0]] * g[:, self.slots[:, 1]]
 
 
 def gauduchon_residual(metric: HermitianMetricField, where):
@@ -334,82 +374,66 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
 
     gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t.
     Real function s is Re(d_s s^q P_j), d_s = 1 for a real part and -i for
-    an imaginary part, and L of it is Re(d_s s^q (X0 + q X1 + q^2 X2))
-    (`lift_radial_modes`).  On a t-plane of the grid s is one number s_p, so
-    s_p^q leaves the node sum: a chunk contracts only its F polynomial rows,
-    in the real split Y = [Re P, Im P, Re X0, Im X0, ..., Im X2], into the
-    (2F, 8F) block sum_nodes w Y[:2F] Y^T of each plane it meets, with its
-    nodes grouped by plane.  When every chunk is summed, each plane's block
-    is read by gathers with the weights d_s s_p^q q^k and added to the two
-    m x m matrices, and the Gram matrix is symmetrized exactly.  A basis
-    without radial exponents (q = 0) reads X0 alone, and a grid without
-    t-planes is one plane, which only such a basis may use.  A function
-    flagged as the partner conj(P_j) reads the rows of P_j with the
-    conjugate weights, as Re(D conj X) = Re(conj(D) X); this holds for the
-    real operator L, whose lift of conj(P_j) is the conjugate of that of
-    P_j up to rounding.
+    an imaginary part, and L of it is Re(d_s s^q (X0 + q X1 + q^2 X2)), each
+    row X_k a sum of terms kappa C_f w^T s^-sigma (`OperatorTerms`).  On a
+    t-plane of the grid s is one number s_p, so s_p^q leaves the node sum,
+    and the node sum of a product P_j Y of a polynomial and a row of
+    another is a sum of moments sum_nodes W_f w^T s^-sigma of the weighted
+    node fields W_f = w C_f (`coefficient_fields`).  The chunked walk keeps
+    only those fields, placed on the cells of the product grid
+    (`_Lattice`); no basis function is evaluated at a node.  Per plane,
+    the moments are read from the fields' FFT over the periodic axes, and
+    the block sum_nodes w Y[:2F] Y^T of the real split
+    Y = [Re P, Im P, Re X0, Im X0, ..., Im X2] is formed from
+    S1 = sum w P_j Y and S2 = sum w P_j conj(Y) (`_MomentPlan`).  Each
+    plane's block is then read by gathers with the weights d_s s_p^q q^k
+    and added to the two m x m matrices, and the Gram matrix is
+    symmetrized exactly.  A basis without radial exponents (q = 0) reads
+    X0 alone.  A function flagged as the partner conj(P_j) reads the rows
+    of P_j with the conjugate weights, as Re(D conj X) = Re(conj(D) X);
+    this holds for the real operator L.
 
-    The first chunk with a non-finite weight or row raises
-    NonFiniteIntegrand at its first bad node, and a node on no t-plane
-    raises ValueError.
+    The first chunk with a non-finite weight or coefficient raises
+    NonFiniteIntegrand at its first bad node.  A node off the cells of the
+    grid, or on the cell of another node, raises ValueError naming it, and
+    so does a grid without axes.
     """
-    m, N = len(grid.basis), len(grid.nodes)
-    t = (grid.axes or {}).get("t")
-    planes = np.ones(1) if t is None else np.exp(2.0 * np.asarray(t, dtype=float))
-    blocks = layout = None
-    n = metric.n
+    basis = grid.basis
+    lattice = _Lattice(grid)
+    m, N, n = len(basis), len(grid.nodes), metric.n
     kept = tuple(np.empty((N,) + (n,) * k, dtype=complex) for k in (2, 1, 1, 0))  # a, b, b~, c
     chern = np.empty(N) if curvature else None
     bulk = np.empty(N) if curvature else None
+    cells = np.empty(N, dtype=int)
+    weighted = np.zeros((2 + 2 * n + n * n, lattice.size), dtype=complex)  # W_f on the cells
 
     def accumulate(idx):
-        nonlocal blocks, layout
-        plane = _plane_of(grid.nodes[idx], planes if t is not None else None, int(idx[0]))
-        order = np.argsort(plane, kind="stable")  # one product per plane the chunk meets
-        idx, plane = idx[order], plane[order]
         pts = grid.nodes[idx]
+        cells[idx] = lattice.cells(pts, int(idx[0]))
         cx = CxBlocks(metric.jet(pts))
         coeffs = gauduchon_operator_coefficients(cx)
-        batch = grid.basis_batch(pts)
-        layout = batch.index, batch.imag, batch.powers, batch.poly, batch.conj  # not the jets
-        radial = np.any(batch.powers)
-        if radial and t is None:
-            raise ValueError("a basis with radial exponents needs a grid with t-planes")
-        P, *X = lift_radial_modes(coeffs, batch, pts)
-        rows = [P] + X[: 3 if radial else 1]  # X1 and X2 vanish at q = 0
-        wc = w[idx]
-        _check_finite(idx, wc, *rows)
+        fields = coefficient_fields(coeffs) * w[idx]
+        _check_finite(idx, fields)
         for k, c in zip(kept, coeffs):
             k[idx] = c
         if curvature:  # after the check: the symmetry check of s would name no node
             s, tsq = scalar_and_torsion(cx)
             chern[idx] = cx.chern_ricci()[1]
             bulk[idx] = 0.5 * s + 0.25 * tsq
-        F, nodes = P.shape
-        Y = np.empty((len(rows), 2, F, nodes))
-        for y, x in zip(Y, rows):
-            y[0], y[1] = x.real, x.imag
-        Y = Y.reshape(-1, nodes)
-        Y *= np.sqrt(wc)
-        if blocks is None:
-            blocks = np.zeros((len(planes), 2 * F, len(Y)))
-        cuts = np.flatnonzero(np.diff(plane)) + 1
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, nodes]):
-            V, Yp = Y[: 2 * F, lo:hi], Y[:, lo:hi]
-            block = blocks[plane[lo]]
-            block[:, : 2 * F] += V @ V.T  # a symmetric rank-k product
-            block[:, 2 * F :] += V @ Yp[2 * F :].T
+        weighted[:, cells[idx]] = fields
 
     map_nodes(accumulate, np.arange(N))
-    F = blocks.shape[1] // 2
-    terms = blocks.shape[2] // (2 * F) - 1  # X0 alone, or X0, X1 and X2
-    i, imag, powers, poly, conj = layout  # i: the complex function of each real function
-    q, j, flip = powers[i], poly[i], conj[i]
-    rot = np.where(imag, -1j, 1.0)  # Im x = Re(-i x)
+    lattice.check_distinct(cells)
+    plan = _MomentPlan(lattice, basis, OperatorTerms(n, basis.d1_shift, np.any(basis.powers)))
+    F, terms = len(basis.expo), len(plan.starts) - 1  # X0 alone, or X0, X1 and X2
+    i = basis.index  # the complex function of each real function
+    q, j, flip = basis.powers[i], basis.poly[i], basis.conj[i]
+    rot = np.where(basis.imag, -1j, 1.0)  # Im x = Re(-i x)
     re_at = j + 2 * F * np.arange(terms + 1)[:, None]  # Re rows of P, X0, ...; Im is F on
     both = np.zeros((m, 2 * m))  # [gram | op]
-    for s_p, block in zip(planes, blocks):
-        d = rot * np.exp(q * np.log(s_p))  # d_s s_p^q
+    for p, t_p in enumerate(lattice.t):
+        block = plan.block(lattice.fourier(weighted, p), t_p)
+        d = rot * np.exp(q * (2.0 * t_p))  # d_s s_p^q
         e = d * q ** np.arange(terms)[:, None]  # d_s s_p^q q^k, (terms, m)
         # a partner conj(P_j) reads the rows of P_j: Re(D conj X) = Re(conj(D) X)
         d, e = (np.where(flip, np.conj(x), x) for x in (d, e))
@@ -425,23 +449,172 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     return 0.5 * (gram + gram.T), both[:, m:].copy(), NodeFields(w, kept, chern, bulk)
 
 
-def _plane_of(z, planes, first):
-    """Index of the t-plane of each node of the chunk z, from its |z|^2 and
-    the |z|^2 of each plane (`planes`).
+class _Lattice:
+    """The cells of a product grid (`grid.axes`) and the node sums of
+    monomials over them.
 
-    Without t-planes (None) every node is on the one plane; a node more
-    than PLANE_TOL (relative in |z|^2) from every plane of the grid raises
-    ValueError, naming its index (node `first` at position 0).
+    A cell is (plane, profile node, periodic nodes), flat in C order.  On
+    the Hopf grid it is (p, j, k_beta, k_gamma): the t-plane, the
+    Gauss-Legendre alpha node and the two angles.  There the monomial w^T,
+    w = (z1, z2, zbar1, zbar2), is e^(|T| t) cos^A(alpha) sin^B(alpha)
+    e^(i (K_b beta + K_g gamma)) with A = T1 + T3, B = T2 + T4,
+    K_b = T1 - T3 and K_g = T2 - T4.  On the torus there is one plane
+    (t = 0), no profile axis and 2n periodic axes, and the mode of
+    frequency T is e^(2 pi i T.k / N) at the node k.  `coords` maps an
+    exponent to its (degree, profile exponents, frequencies), linearly.
+
+    So the node sum of a field W times a monomial over one plane is a sum
+    over the profile nodes of the profile times the DFT of W over the
+    periodic axes at the monomial's frequencies: the same sum, regrouped.
+    A frequency is read modulo its axis size, which is exactly the
+    quadrature's own aliasing.
     """
-    if planes is None:
-        return np.zeros(len(z), dtype=int)
-    s = np.sum(z.real**2 + z.imag**2, axis=-1)
-    plane = np.argmin(np.abs(s[:, None] - planes), axis=1)
-    off = ~(np.abs(s - planes[plane]) <= PLANE_TOL * planes[plane])
-    if np.any(off):
-        k = int(np.argmax(off))
-        raise ValueError(f"node {first + k} (|z|^2 = {s[k]!r}) lies on no t-plane of the grid")
-    return plane
+
+    def __init__(self, grid: QuadratureGrid):
+        axes = grid.axes
+        if axes is None:
+            raise ValueError("a grid without axes has no cells: no t-planes and no periodic "
+                             "axes for the assembly to sum over")
+        self.kind = axes["kind"]
+        if self.kind == "hopf":
+            self.t = np.asarray(axes["t"], dtype=float)
+            self.alpha = np.asarray(axes["alpha"], dtype=float)
+            self.angles = [np.asarray(axes[k], dtype=float) for k in ("beta", "gamma")]
+            self.periodic = tuple(len(a) for a in self.angles)
+            self.shape = (len(self.t), len(self.alpha)) + self.periodic
+            # rows: the slots z1, z2, zbar1, zbar2; columns: |T|, A, B, K_b, K_g
+            self.coords = np.array([[1, 1, 0, 1, 0], [1, 0, 1, 0, 1],
+                                    [1, 1, 0, -1, 0], [1, 0, 1, 0, -1]])
+            self.profiles = 2
+            # the lattice node of a cell is r_p (cos a_j e^(i b_k), sin a_j e^(i g_l))
+            self._nodes = (np.exp(self.t), (np.cos(self.alpha), np.sin(self.alpha)),
+                           [np.exp(1j * a) for a in self.angles])
+        elif self.kind == "torus":
+            self.t = np.zeros(1)
+            self.spacings = np.asarray(axes["spacings"], dtype=float)
+            self.periodic = tuple(axes["shape"])
+            self.shape = (1, 1) + self.periodic
+            dim = len(self.periodic)
+            self.coords = np.concatenate([np.zeros((dim, 1), dtype=int), np.eye(dim, dtype=int)],
+                                         axis=1)
+            self.profiles = 0
+        else:
+            raise ValueError(f"no cells for grid kind {self.kind!r}")
+        self.size = int(np.prod(self.shape))
+
+    def cells(self, z, first: int) -> np.ndarray:
+        """The flat cell of each node of the chunk z.  A node farther than
+        CELL_TOL from the lattice node of its cell (relative to |z| on Hopf,
+        to the period on the torus) raises ValueError, naming its index
+        (node `first` at position 0)."""
+        if self.kind == "hopf":
+            s = np.sum(z.real**2 + z.imag**2, axis=-1)
+            p = np.argmin(np.abs(0.5 * np.log(s)[:, None] - self.t), axis=1)
+            alpha = np.arctan2(np.abs(z[:, 1]), np.abs(z[:, 0]))
+            j = np.argmin(np.abs(alpha[:, None] - self.alpha), axis=1)
+            k = [np.rint(np.angle(z[:, c]) * (len(a) / (2.0 * np.pi))).astype(int) % len(a)
+                 for c, a in enumerate(self.angles)]
+            r, (cos, sin), (e1, e2) = self._nodes
+            node = np.stack([cos[j] * e1[k[0]], sin[j] * e2[k[1]]], axis=1) * r[p][:, None]
+            off = np.max(np.abs(z - node), axis=1) / np.sqrt(s)
+            index = (p, j, *k)
+        else:
+            x = np.concatenate([z.real, z.imag], axis=1) / self.spacings  # in steps
+            k = np.rint(x)
+            off = np.max(np.abs(x - k) / self.periodic, axis=1)
+            zero = np.zeros(len(z), dtype=int)
+            index = (zero, zero, *(k.astype(int) % self.periodic).T)
+        if not np.all(off <= CELL_TOL):
+            i = int(np.argmax(~(off <= CELL_TOL)))
+            raise ValueError(f"node {first + i} (z = {z[i]!r}) lies on no cell of the grid")
+        return np.ravel_multi_index(index, self.shape)
+
+    @staticmethod
+    def check_distinct(cells):
+        """ValueError naming the first node whose cell an earlier node holds."""
+        order = np.argsort(cells, kind="stable")
+        twice = np.flatnonzero(cells[order][1:] == cells[order][:-1])
+        if len(twice):
+            later, earlier = order[twice + 1], order[twice]
+            i = np.argmin(later)
+            raise ValueError(f"node {later[i]} lies on the cell of node {earlier[i]}")
+
+    def fourier(self, weighted, p: int) -> np.ndarray:
+        """The sums over the periodic nodes of W e^(-i K.theta), for every
+        field W of plane p and every frequency bin K: (fields, profile
+        nodes, bins)."""
+        fields = weighted.reshape((len(weighted),) + self.shape)[:, p]
+        out = np.fft.fftn(fields, axes=tuple(range(2, fields.ndim)))
+        return out.reshape(len(weighted), self.shape[1], -1)
+
+    def profile(self, coords) -> np.ndarray:
+        """The profiles of monomials at the profile nodes, (monomials,
+        nodes), from their profile exponents (monomials, `profiles`)."""
+        if self.kind == "torus":
+            return np.ones((len(coords), 1))
+        top = np.arange(coords.max(initial=0) + 1)[:, None]
+        cos, sin = np.cos(self.alpha) ** top, np.sin(self.alpha) ** top
+        return cos[coords[:, 0]] * sin[coords[:, 1]]
+
+
+class _MomentPlan:
+    """Which moments the blocks of a basis read, and how.
+
+    Entry (c, j, k, t) is term t of `OperatorTerms` on the monomial P_k,
+    times P_j (c = 0) or conj(P_j) (c = 1): kappa[k, t] times the moment
+    M_f(T, sigma) = sum_plane W_f w^T s^-sigma of the term's field f at the
+    exponent T = e_j + e_k + shift_t, e_j read through `conj_expo` for
+    c = 1.  Only the distinct moments of the entries with kappa != 0 are
+    computed, each once per plane.  With s = e^(2t) and the degree,
+    profile and frequencies K of T (`_Lattice`),
+
+        M_f(T, sigma) = e^((|T| - 2 sigma) t_p) sum_alpha profile(T) DFT(W_f)(alpha, -K),
+
+    the DFT taken with e^(-i K.theta).  An entry's terms summed per row
+    give S1 = sum w P_j Y (c = 0) and conj(S2) = sum w conj(P_j) Y (c = 1):
+    the conjugate products read the same fields at the conjugate exponent,
+    so no conjugate field is formed.
+    """
+
+    def __init__(self, lattice: _Lattice, basis, terms: OperatorTerms):
+        expo = np.asarray(basis.expo)
+        F, T = len(expo), len(terms.row)
+        self.kappa = terms.kappa(basis.d1_weight)  # (F, T)
+        self.starts = terms.starts
+        # every entry's coordinates, (2, F, F, T) each: they are linear in
+        # the exponent, so those of e_j (or conj_expo(e_j)), e_k and shift_t add
+        lead = np.stack([expo, basis.conj_expo(expo)]) @ lattice.coords
+        own, shift = expo @ lattice.coords, terms.shift @ lattice.coords
+        degree, *coords = (lead[:, :, None, None, a] + own[:, None, a] + shift[:, a]
+                           for a in range(lattice.coords.shape[1]))
+        freqs = [(-K) % size for K, size in zip(coords[lattice.profiles :], lattice.periodic)]
+        parts = [np.broadcast_to(terms.field, degree.shape), degree - 2 * terms.sigma,
+                 np.ravel_multi_index(freqs, lattice.periodic), *coords[: lattice.profiles]]
+        low = [x.min() for x in parts]
+        dims = [int(x.max() - lo) + 1 for x, lo in zip(parts, low)]
+        key = np.ravel_multi_index([x - lo for x, lo in zip(parts, low)], dims)
+        live = self.kappa != 0  # broadcast over (c, j)
+        moments, inverse = np.unique(key[:, :, live], return_inverse=True)
+        self.field, self.nu, self.bin, *profile = (x + lo for x, lo in
+                                                   zip(np.unravel_index(moments, dims), low))
+        self.profile = lattice.profile(np.array(profile, dtype=int).reshape(-1, len(moments)).T)
+        self.index = np.full((2, F, F, T), len(moments))  # the zero moment where kappa = 0
+        self.index[:, :, live] = inverse.reshape(2, F, -1)
+
+    def block(self, dft, t_p: float) -> np.ndarray:
+        """The real-split block of one plane from the DFT of its weighted
+        fields (`_Lattice.fourier`): rows [Re P_j, Im P_j], and per row Y of
+        the table the columns [Re Y, Im Y] of every P_k, (2F, 2F rows)."""
+        moments = np.einsum("uj,uj->u", dft[self.field, :, self.bin], self.profile)
+        moments = np.append(moments * np.exp(self.nu * t_p), 0.0)
+        S = np.add.reduceat(moments[self.index] * self.kappa, self.starts, axis=-1)
+        S1, S2 = S[0], np.conj(S[1])  # (j, k, row)
+        plus, minus = np.moveaxis(S1 + S2, -1, 1), np.moveaxis(S1 - S2, -1, 1)  # (j, row, k)
+        # Re a Re b = Re(ab + a conj b) / 2, Re a Im b = Im(ab - a conj b) / 2,
+        # Im a Re b = Im(ab + a conj b) / 2, Im a Im b = Re(a conj b - ab) / 2
+        block = np.stack([np.stack([plus.real, minus.imag], axis=2),
+                          np.stack([plus.imag, -minus.real], axis=2)])  # (2, j, row, 2, k)
+        return 0.5 * block.reshape(2 * len(S1), -1)
 
 
 def _check_finite(nodes, *rows):
@@ -468,10 +641,11 @@ def solve_gauduchon(
     The positive null vector of the discretized operator gives
     u = e^((n-1) f); the factor f is mean-zero over the grid nodes.  The
     Gram and operator matrices are streamed over node chunks
-    (`galerkin_matrices`), so the solve holds O(m^2) plus one chunk and
-    the kept node fields (s_C and s/2 + |T|^2/4 too if `curvature`); a
-    non-finite weight, basis value or L-value raises NonFiniteIntegrand at
-    its node, before any eigen-solve or iteration.  The node values of u
+    (`galerkin_matrices`), so the solve holds O(m^2) plus one chunk, the
+    weighted fields on the grid's cells and the kept node fields (s_C and
+    s/2 + |T|^2/4 too if `curvature`); a non-finite weight or operator
+    coefficient raises NonFiniteIntegrand at its node, before any
+    eigen-solve or iteration.  The node values of u
     (positivity, the sign of the null vector, f) come from the solved
     field's value-only path; a non-finite one raises NonFiniteIntegrand.
     """
@@ -630,7 +804,7 @@ FACTOR_TOL = 1e-6  # max |f| of a Gauduchon factor that counts as trivial
 PRUNE_TOL = 1e-9  # Gram eigenvalues below this fraction of the largest are pruned
 DRIFT_TOL = 1e-10  # inverse-power step |x_new - x| at which the null vector has settled
 MAX_ITER = 60  # inverse-power steps before NonConvergence
-PLANE_TOL = 1e-12  # relative |z|^2 distance of a node from its t-plane
+CELL_TOL = 1e-12  # distance of a node from its cell's lattice node, relative to |z| or a period
 POSITIVITY_TOL = 1e-8  # min u below this fraction of max |u| is a sign change
 TORSION_TOL = 1e-8  # max |T|^2 of a torsion-free (Kahler) metric
 CERTIFY_TOL = 1e-3  # relative identity gap above which a total is not certified

@@ -120,7 +120,8 @@ class MetricJet:
     read of `d2` and kept.  `mixed` is given with a pending `d2` and
     sliced once from an eager one, so the consumers that read only the
     mixed block (the Gauduchon operator, the Chern-Ricci form) never
-    force it.
+    force it.  A forced `d2` takes the block in its mixed slots [k, n + l]
+    and [n + l, k], so `mixed` reads the same before and after forcing.
     """
 
     __slots__ = ("H", "d1", "_d2", "mixed")
@@ -139,7 +140,10 @@ class MetricJet:
     @property
     def d2(self) -> np.ndarray:
         if callable(self._d2):
-            self._d2 = self._d2()
+            n, d2 = self.n, self._d2()
+            d2[..., :n, n:, :, :] = self.mixed
+            d2[..., n:, :n, :, :] = np.swapaxes(self.mixed, -4, -3)
+            self._d2 = d2
         return self._d2
 
     @property
@@ -425,7 +429,8 @@ class QuadratureGrid:
     and on Hopf the node arrays `t` (period log 2), `alpha` (Gauss-Legendre
     on (0, pi/2)), `beta` and `gamma` (period 2 pi), with
     z1 = e^t cos(alpha) e^{i beta} and z2 = e^t sin(alpha) e^{i gamma}.
-    `NodalDerivatives` reads them all; the Galerkin assembly reads `t`.
+    `NodalDerivatives` reads them all, and so does the Galerkin assembly,
+    which maps every node to its cell of the product grid.
     """
 
     nodes: np.ndarray  # (N, n) complex
@@ -447,7 +452,8 @@ class QuadratureGrid:
 
     def basis_batch(self, z):
         """The whole basis at a node chunk (BasisJets).  A method, so a copy
-        `replace(grid, basis=...)` evaluates the copy's basis."""
+        `replace(grid, basis=...)` evaluates the copy's basis.  The solver
+        does not call it: its assembly reads the basis's exponents."""
         return self.basis(z)
 
 

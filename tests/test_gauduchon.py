@@ -21,7 +21,6 @@ from curvlab.catalog import (
 )
 from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand
 from curvlab.fields import (
-    BasisJets,
     HopfTerms,
     ScalarField,
     constant_field,
@@ -33,16 +32,17 @@ from curvlab.fields import (
 from curvlab.gauduchon import (
     ConformalFactor,
     KodairaStatement,
+    OperatorTerms,
     Verdict,
     _total_identity,
     apply_gauduchon_operator,
     classify,
+    coefficient_fields,
     compose_conformal_jet,
     conformal_metric,
     galerkin_matrices,
     gauduchon_operator_coefficients,
     gauduchon_residual,
-    lift_radial_modes,
     solve_gauduchon,
     solved_residual,
     theorem_t_check,
@@ -53,7 +53,7 @@ from curvlab.geometry import (
     QuadratureGrid,
     volume_weights,
 )
-from curvlab.jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
+from curvlab.jets import Jet2, coordinate_jets, exp_linear, squared_radius
 from tests.conftest import hopf_points
 
 
@@ -251,15 +251,54 @@ def _rel(got, want):
     return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
 
+def _unforced():
+    raise AssertionError("the reference reads no full Hessian")
+
+
 def _lifted(coeffs, batch, z):
     """Values and L-values of every complex function s^q P_j of the batch,
-    (functions, N) each, formed from the lift's terms: s^q P_j and
-    s^q (X0 + q X1 + q^2 X2)_j, with s = |z|^2 of each node.  A function
-    flagged as the partner conj(P_j) reads the conjugates of the rows of
-    P_j, which holds for a real operator only."""
-    j, q, flip = batch.poly, batch.powers[:, None], batch.conj[:, None]
-    P, x0, x1, x2 = (np.where(flip, np.conj(x[j]), x[j])
-                     for x in lift_radial_modes(coeffs, batch, z))
+    (functions, N) each: its jet formed by jet arithmetic, |z|^2 raised to
+    q times the batch's polynomial P_j (its conjugate where flagged), and L
+    applied to that jet."""
+    P = batch.jet
+    rows = Jet2(P.n, P.val[batch.poly], P.d1[batch.poly], _unforced, P.mixed[batch.poly])
+    partner = rows.conj()
+
+    def pick(part):
+        a, b = getattr(partner, part), getattr(rows, part)
+        return np.where(batch.conj.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+
+    phi = Jet2(P.n, pick("val"), pick("d1"), _unforced, pick("mixed"))
+    if np.any(batch.powers):
+        phi = squared_radius(z) ** batch.powers[:, None] * phi
+    return phi.val, apply_gauduchon_operator(coeffs, phi)
+
+
+def _term_rows(coeffs, expo, z, terms, kappa):
+    """The rows P, X0, X1, X2 of the monomials w^e, e in `expo`, at the
+    points z, (rows, monomials, N), summed from the term table:
+    kappa C_f w^(e + shift) s^-sigma per term with kappa != 0."""
+    w = np.concatenate([z, np.conj(z)], axis=1).T
+    s = np.sum(np.abs(z) ** 2, axis=-1)
+    fields = coefficient_fields(coeffs)
+    out = np.zeros((len(terms.starts), len(expo), len(z)), dtype=complex)
+    for k, e in enumerate(expo):
+        for t in np.flatnonzero(kappa[k]):
+            mono = np.prod(w ** (e + terms.shift[t])[:, None], axis=0)
+            out[terms.row[t], k] += kappa[k, t] * fields[terms.field[t]] * mono / s ** terms.sigma[t]
+    return out
+
+
+def _tabulated(coeffs, basis, z):
+    """Values and L-values of every complex function s^q P_j of a Hopf
+    basis, (functions, N) each, from the term table: s^q P_j and
+    s^q (X0 + q X1 + q^2 X2)_j.  A function flagged as the partner
+    conj(P_j) reads the conjugates of the rows of P_j, which holds for a
+    real operator only."""
+    terms = OperatorTerms(2, basis.d1_shift, radial=True)
+    rows = _term_rows(coeffs, basis.expo, z, terms, terms.kappa(basis.d1_weight))
+    j, q, flip = basis.poly, basis.powers[:, None], basis.conj[:, None]
+    P, x0, x1, x2 = (np.where(flip, np.conj(x[j]), x[j]) for x in rows)
     sq = np.sum(np.abs(z) ** 2, axis=-1) ** q
     return sq * P, sq * (x0 + q * x1 + q**2 * x2)
 
@@ -380,29 +419,32 @@ def _random_coefficients(rng, count, real):
 
 @pytest.mark.parametrize("kind", ["gauduchon", "random", "random-real"])
 def test_radial_lift_matches_the_formed_products(conformal, kind):
+    # the term table of L(s^q P) = s^q (X0 + q X1 + q^2 X2), summed at random
+    # points and on the axes z1 = 0 and z2 = 0, against L of the formed function
     rng = rng_from_seed(66)
     z = _axis_points(rng, 48)
     if kind == "gauduchon":
         coeffs = gauduchon_operator_coefficients(conformal.metric.jet(z))
     else:
         coeffs = _random_coefficients(rng, 48, real=kind == "random-real")
-    batch = conformal.grid.basis_batch(z)
-    val, lval = _lifted(coeffs, batch, z)
+    basis = conformal.grid.basis
+    val, lval = _tabulated(coeffs, basis, z)
+    terms = OperatorTerms(2, basis.d1_shift, radial=True)
+    assert [np.count_nonzero(terms.row == r) for r in range(4)] == [1, 9, 18, 4]
     # every declared function, k = 0 included: function i of the (q, j)
     # list is R_k m_j for the basis rows that read it, and each is read.  The
-    # lift is generic, so every directly evaluated polynomial is checked for
-    # any operator; a partner conj(P_j) reads the conjugate rows of P_j, which
-    # is checked for the real operators only
-    basis = conformal.grid.basis
-    assert len(batch.powers) == len(batch.poly) == len(val) == 139
-    assert np.array_equal(np.unique(batch.index), np.arange(139))
+    # table is generic, so every representative is checked for any operator;
+    # a partner conj(P_j) reads the conjugate rows of P_j, which is checked
+    # for the real operators only
+    assert len(basis.powers) == len(basis.poly) == len(val) == 139
+    assert np.array_equal(np.unique(basis.index), np.arange(139))
     seen = set()
     for s, (k, ab, cd, _) in enumerate(_hopf_basis_spec()):
-        i = batch.index[s]
+        i = basis.index[s]
         e = _exponents(basis, i)
         assert e == ab + cd
-        assert batch.powers[i] == 0.5j * hopf_radial_frequency(k) - 0.5 * sum(e)
-        if i in seen or (batch.conj[i] and kind == "random"):
+        assert basis.powers[i] == 0.5j * hopf_radial_frequency(k) - 0.5 * sum(e)
+        if i in seen or (basis.conj[i] and kind == "random"):
             continue
         seen.add(i)
         phi = hopf_monomial(e[:2], e[2:])(z)
@@ -410,7 +452,7 @@ def test_radial_lift_matches_the_formed_products(conformal, kind):
             phi = hopf_radial_mode(k)(z) * phi
         assert _rel(val[i], phi.val) < 1e-13
         assert _rel(lval[i], apply_gauduchon_operator(coeffs, phi)) < 1e-13
-    assert len(seen) == 139 - (np.count_nonzero(batch.conj) if kind == "random" else 0)
+    assert len(seen) == 139 - (np.count_nonzero(basis.conj) if kind == "random" else 0)
 
 
 @pytest.mark.parametrize("level, count, self_conjugate", [((2, 4), 29, 3), ((4, 6), 72, 4),
@@ -429,21 +471,18 @@ def test_hopf_basis_evaluates_each_conjugate_pair_once(conformal, hopf, level, c
     own = {_exponents(basis, i) for i in range(len(basis.poly))}
     assert len(own) == 2 * count - self_conjugate
     assert {e[2:] + e[:2] for e in own} == own
-    # the fold's identity: for a real operator the lift of a partner, formed
-    # directly, is the conjugate of its representative's
+    # the fold's identity: for a real operator the tabulated rows of a
+    # partner, at its own exponents, are the conjugates of its representative's
     z = _axis_points(rng_from_seed(73), 48)
-    pairs = [(j, reps[j][2:] + reps[j][:2]) for j in range(count) if reps[j][:2] != reps[j][2:]]
-    formed = [_polynomial(z, e[:2], e[2:]) for _, e in pairs]
-    partners = BasisJets(MixedJet(2, *(np.stack([getattr(p, part) for p in formed])
-                                       for part in ("val", "d1", "mixed"))),
-                         None, None, powers=np.ones(len(pairs)))  # radial: X1 and X2 formed
-    rows = [j for j, _ in pairs]
+    rows = [j for j in range(count) if reps[j][:2] != reps[j][2:]]
+    partners = basis.conj_expo(basis.expo[rows])
+    terms = OperatorTerms(2, basis.d1_shift, radial=True)
     t2 = build_manifold(ManifoldSpec("hopf-conformal", conformal_t=0.2))
     for metric in (hopf.metric, conformal.metric, t2.metric):
         coeffs = gauduchon_operator_coefficients(metric.jet(z))
-        for got, want in zip(lift_radial_modes(coeffs, partners, z),
-                             lift_radial_modes(coeffs, basis(z), z)):
-            assert _rel(got, np.conj(want[rows])) <= 1e-14
+        got = _term_rows(coeffs, partners, z, terms, terms.kappa(partners))
+        want = _term_rows(coeffs, basis.expo, z, terms, terms.kappa(basis.d1_weight))
+        assert _rel(got, np.conj(want[:, rows])) <= 1e-14
 
 
 def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf):
@@ -591,13 +630,13 @@ def test_product_built_metric_jets_stay_pending(mid, rng):
     assert jets and all(jet.pending for jet in jets)
 
 
-def _dense_matrices(metric, grid, w):
+def _dense_matrices(metric, grid, w, chunk=256):
     """Gram and operator matrices as node sums of the formed value and
-    L-value rows of every real function, (m, N) per chunk."""
+    L-value rows of every real function, (m, N) per chunk of nodes."""
     m = len(grid.basis)
     gram, op = np.zeros((m, m)), np.zeros((m, m))
-    for lo in range(0, len(grid.nodes), NODE_CHUNK):
-        pts, wc = grid.nodes[lo : lo + NODE_CHUNK], w[lo : lo + NODE_CHUNK]
+    for lo in range(0, len(grid.nodes), chunk):
+        pts, wc = grid.nodes[lo : lo + chunk], w[lo : lo + chunk]
         coeffs = gauduchon_operator_coefficients(metric.jet(pts))
         batch = grid.basis_batch(pts)
         val, lval = _lifted(coeffs, batch, pts)
@@ -608,17 +647,22 @@ def _dense_matrices(metric, grid, w):
 
 
 @pytest.mark.parametrize(
-    "which", ["hopf-conformal", "torus-kahler-potential", "hopf-basis-3-4", "hopf-basis-4-6",
-              "hopf-permuted"]
+    "which", ["hopf-conformal", "torus-kahler-potential", "torus-hermitian-perturbed",
+              "hopf-basis-3-4", "hopf-basis-4-6", "hopf-odd-angles", "hopf-permuted"]
 )
-def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, which):
-    entry = kahler_torus if which == "torus-kahler-potential" else conformal
+def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, perturbed_torus,
+                                                    which):
+    entry = {"torus-kahler-potential": kahler_torus,
+             "torus-hermitian-perturbed": perturbed_torus}.get(which, conformal)
     grid = entry.grid
     if which == "hopf-basis-3-4":
         grid = replace(grid, basis=HopfBasis(3, 4))
     elif which == "hopf-basis-4-6":
         # degree-6 pairs and partners at k > 0 together
         grid = replace(hopf_grid(4, 12, 12, 12), basis=HopfBasis(4, 6))
+    elif which == "hopf-odd-angles":
+        # odd beta and gamma axes: no Nyquist bin, and the moments alias
+        grid = hopf_grid(4, 12, 13, 13)
     elif which == "hopf-permuted":
         # every chunk meets every t-plane, in no order
         perm = rng_from_seed(72).permutation(len(grid.nodes))
@@ -642,6 +686,37 @@ def test_a_node_off_its_t_plane_is_refused(conformal):
     # without t-planes the radial factors s^q have no plane to come from
     with pytest.raises(ValueError, match="t-planes"):
         galerkin_matrices(conformal.metric, replace(conformal.grid, axes=None), w)
+
+
+def test_a_node_off_its_beta_line_is_refused(conformal):
+    # on its t-plane and its alpha node, but 1e-9 rad from its beta node: the
+    # moments read the node's cell, so its cell must be its own
+    nodes = conformal.grid.nodes.copy()
+    nodes[3000, 0] *= np.exp(1e-9j)
+    moved = replace(conformal.grid, nodes=nodes)
+    with pytest.raises(ValueError, match="node 3000 "):
+        galerkin_matrices(conformal.metric, moved, volume_weights(conformal.metric, moved))
+
+
+@pytest.mark.parametrize("which", ["hopf", "torus"])
+def test_a_duplicated_node_is_refused(conformal, kahler_torus, which):
+    # node 4000 repeats node 17 in place of its own: two nodes in one cell
+    entry = conformal if which == "hopf" else kahler_torus
+    nodes = entry.grid.nodes.copy()
+    nodes[4000] = nodes[17]
+    twice = replace(entry.grid, nodes=nodes)
+    with pytest.raises(ValueError, match="node 4000 .*node 17$"):
+        galerkin_matrices(entry.metric, twice, volume_weights(entry.metric, twice))
+
+
+def test_a_solve_evaluates_no_basis_rows(conformal, monkeypatch):
+    # the assembly reads FFT moments of the node fields, not basis rows
+    calls = []
+    batch = QuadratureGrid.basis_batch
+    monkeypatch.setattr(QuadratureGrid, "basis_batch",
+                        lambda grid, z: calls.append(1) or batch(grid, z))
+    sol = solve_gauduchon(conformal.metric, conformal.grid)
+    assert np.min(sol.u_nodes) > 0 and calls == []
 
 
 def test_a_grid_copied_with_another_basis_assembles_that_basis(conformal):

@@ -23,6 +23,7 @@ from curvlab.errors import (
 from curvlab.geometry import (
     NODE_CHUNK,
     DerivativeEngine,
+    MetricJet,
     NodalDerivatives,
     QuadratureGrid,
     _barycentric_diff_matrix,
@@ -173,6 +174,30 @@ def test_analytic_and_stencil_metric_jets_agree(which, rng):
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mid", ["torus-flat", "torus-kahler-potential",
+                                 "torus-hermitian-perturbed", "hopf-conformal"])
+def test_forced_metric_hessians_take_the_mixed_block(mid, rng):
+    # a pending metric jet writes its eager block into both mixed slot orders
+    # of its forced Hessian, as Jet2 does; the torus table forms each pair of
+    # slots once, so those Hessians are exactly symmetric in their two slots
+    entry = build_manifold(ManifoldSpec(mid))
+    jet = entry.metric.jet(entry.random_points(rng, 7))
+    mixed = jet.mixed
+    assert jet.pending
+    d2 = jet.d2
+    assert jet.mixed is mixed
+    assert np.array_equal(d2[..., :2, 2:, :, :], mixed)
+    assert np.array_equal(d2[..., 2:, :2, :, :], np.swapaxes(mixed, -4, -3))
+    if mid.startswith("torus"):
+        assert np.array_equal(d2, np.swapaxes(d2, -4, -3))
+    # any block given with a pending Hessian is the one it carries
+    block = mixed + 1e-3
+    forced = MetricJet(jet.H, jet.d1, lambda: d2.copy(), block).d2
+    assert np.array_equal(forced[..., :2, 2:, :, :], block)
+    assert np.array_equal(forced[..., 2:, :2, :, :], np.swapaxes(block, -4, -3))
+    assert np.array_equal(forced[..., :2, :2, :, :], d2[..., :2, :2, :, :])
 
 
 def test_flat_torus_volume(flat_torus):
