@@ -41,6 +41,7 @@ from .geometry import (
     PuncturedDomain,
     QuadratureGrid,
     UpperHalfFirstDomain,
+    lattice_nodes,
     metric_jet_from_entries,
 )
 from .jets import Jet2, MixedJet, coordinate_jets, squared_radius
@@ -314,21 +315,14 @@ def inoue_bundle_metric() -> HermitianMetricField:
 
 def torus_grid(n: int, periods, resolution: int) -> QuadratureGrid:
     """Uniform periodic lattice on C^n, `resolution` points per real dimension."""
-    axes_1d = []
-    spacings = []
-    for i in range(2 * n):
-        p = periods[i % n]
-        axes_1d.append(np.arange(resolution) * (p / resolution))
-        spacings.append(p / resolution)
-    mesh = np.meshgrid(*axes_1d, indexing="ij")
-    x = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, 2n), order (x, y)
-    z = x[:, :n] + 1j * x[:, n:]
-    w = np.full(len(z), float(np.prod(spacings)))
+    spacings = [periods[i % n] / resolution for i in range(2 * n)]
     axes = {
         "kind": "torus",
         "shape": (resolution,) * (2 * n),
         "spacings": spacings,
     }
+    z = lattice_nodes(axes)
+    w = np.full(len(z), float(np.prod(spacings)))
     return QuadratureGrid(z, w, axes=axes, basis=TorusBasis(n, periods))
 
 
@@ -354,13 +348,6 @@ def hopf_grid(
     gvals = np.arange(ngamma) * (2.0 * np.pi / ngamma)
     wg = 2.0 * np.pi / ngamma
 
-    T, A, B, G = np.meshgrid(tvals, avals, bvals, gvals, indexing="ij")
-    r = np.exp(T)
-    z1 = r * np.cos(A) * np.exp(1j * B)
-    z2 = r * np.sin(A) * np.exp(1j * G)
-    z = np.stack([z1.ravel(), z2.ravel()], axis=-1)
-    WA = np.broadcast_to(wavals[None, :, None, None], T.shape)
-    leb = (r**4 * np.cos(A) * np.sin(A) * wt * WA * wb * wg).ravel()
     axes = {
         "kind": "hopf",
         "shape": (nt, nalpha, nbeta, ngamma),
@@ -369,6 +356,10 @@ def hopf_grid(
         "beta": bvals,
         "gamma": gvals,
     }
+    z = lattice_nodes(axes)
+    r, A = np.exp(tvals)[:, None, None, None], avals[:, None, None]
+    leb = r**4 * np.cos(A) * np.sin(A) * wt * wavals[:, None, None] * wb * wg
+    leb = np.broadcast_to(leb, axes["shape"]).ravel()
     return QuadratureGrid(z, leb, axes=axes, basis=HopfBasis())
 
 

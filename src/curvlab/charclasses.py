@@ -439,7 +439,10 @@ def parse_characteristic_numbers(text: str):
             mono.extend([int(mobj.group(2))] * int(mobj.group(3) or 1))
         if pos != len(name.strip()) or not mono:
             raise ValueError(f"cannot parse monomial {name!r}")
-        numbers[_norm(mono)] = Fraction(val.strip())
+        try:
+            numbers[_norm(mono)] = Fraction(val.strip())
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {item!r}") from exc
     if kind is None:
         raise ValueError("no characteristic numbers found")
     return kind, numbers

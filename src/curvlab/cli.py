@@ -274,7 +274,10 @@ def cmd_yamabe(cfg: RunConfig, report: Report):
 
 def _characteristic_data(cfg: RunConfig) -> CharacteristicData:
     """The characteristic numbers that the ahat flags give; a flag that does
-    not parse, or that names the wrong kind of number, is a ConfigError."""
+    not parse, that names the wrong kind of number, or that comes with the
+    other flag, is a ConfigError."""
+    if cfg.chern and cfg.pontryagin:
+        raise ConfigError("ahat takes --chern or --pontryagin, not both")
     try:
         if cfg.chern:
             kind, numbers = parse_characteristic_numbers(cfg.chern)
@@ -473,6 +476,8 @@ def make_config(argv) -> RunConfig:
         raise ValueError(f"--seed must be in [0, 2^64), got {cfg.seed}")
     if cfg.grid is not None and cfg.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
+    if cfg.dim < 1:
+        raise ValueError(f"--dim must be at least 1, got {cfg.dim}")
     if cfg.iters < 0:
         raise ValueError(f"--iters must be at least 0, got {cfg.iters}")
     if not np.isfinite(cfg.conformal_t):

@@ -30,8 +30,9 @@ reads P and X0 = L P alone.
 So every entry of the Gram and operator matrices is a quadrature sum of
 weighted node fields W_f = w C_f times monomials, and the assembly is a
 transform (`galerkin_matrices`): the chunked walk keeps only the W_f,
-checked for non-finite values on the way and placed on the cells of the
-product grid, and per t-plane of the grid, where s is one number s_p,
+checked for non-finite values on the way, in node order, which is the C
+order of the product grid (`QuadratureGrid` checks it at construction),
+and per t-plane of the grid, where s is one number s_p,
 each node sum is read as a moment of their FFT over the periodic axes
 (Orszag's sum factorisation; a frequency is taken modulo its axis, as
 the quadrature aliases it).  No basis function is evaluated at a node.
@@ -380,8 +381,9 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     and the node sum of a product P_j Y of a polynomial and a row of
     another is a sum of moments sum_nodes W_f w^T s^-sigma of the weighted
     node fields W_f = w C_f (`coefficient_fields`).  The chunked walk keeps
-    only those fields, placed on the cells of the product grid
-    (`_Lattice`); no basis function is evaluated at a node.  Per plane,
+    only those fields, in node order: the grid's nodes sit on its product
+    lattice in C order (`QuadratureGrid`), so node i is cell i of
+    `_Lattice`.  No basis function is evaluated at a node.  Per plane,
     the moments are read from the fields' FFT over the periodic axes, and
     the block sum_nodes w Y[:2F] Y^T of the real split
     Y = [Re P, Im P, Re X0, Im X0, ..., Im X2] is formed from
@@ -394,9 +396,8 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     this holds for the real operator L.
 
     The first chunk with a non-finite weight or coefficient raises
-    NonFiniteIntegrand at its first bad node.  A node off the cells of the
-    grid, or on the cell of another node, raises ValueError naming it, and
-    so does a grid without axes.
+    NonFiniteIntegrand at its first bad node.  A grid without axes raises
+    ValueError.
     """
     basis = grid.basis
     lattice = _Lattice(grid)
@@ -404,12 +405,10 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     kept = tuple(np.empty((N,) + (n,) * k, dtype=complex) for k in (2, 1, 1, 0))  # a, b, b~, c
     chern = np.empty(N) if curvature else None
     bulk = np.empty(N) if curvature else None
-    cells = np.empty(N, dtype=int)
-    weighted = np.zeros((2 + 2 * n + n * n, lattice.size), dtype=complex)  # W_f on the cells
+    weighted = np.empty((2 + 2 * n + n * n, N), dtype=complex)  # W_f at the nodes
 
     def accumulate(idx):
         pts = grid.nodes[idx]
-        cells[idx] = lattice.cells(pts, int(idx[0]))
         cx = CxBlocks(metric.jet(pts))
         coeffs = gauduchon_operator_coefficients(cx)
         fields = coefficient_fields(coeffs) * w[idx]
@@ -420,10 +419,9 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
             s, tsq = scalar_and_torsion(cx)
             chern[idx] = cx.chern_ricci()[1]
             bulk[idx] = 0.5 * s + 0.25 * tsq
-        weighted[:, cells[idx]] = fields
+        weighted[:, idx] = fields
 
     map_nodes(accumulate, np.arange(N))
-    lattice.check_distinct(cells)
     plan = _MomentPlan(lattice, basis, OperatorTerms(n, basis.d1_shift, np.any(basis.powers)))
     F, terms = len(basis.expo), len(plan.starts) - 1  # X0 alone, or X0, X1 and X2
     i = basis.index  # the complex function of each real function
@@ -453,7 +451,8 @@ class _Lattice:
     """The cells of a product grid (`grid.axes`) and the node sums of
     monomials over them.
 
-    A cell is (plane, profile node, periodic nodes), flat in C order.  On
+    A cell is (plane, profile node, periodic nodes), flat in C order, and
+    cell i holds node i of the grid (`QuadratureGrid` checks the layout).  On
     the Hopf grid it is (p, j, k_beta, k_gamma): the t-plane, the
     Gauss-Legendre alpha node and the two angles.  There the monomial w^T,
     w = (z1, z2, zbar1, zbar2), is e^(|T| t) cos^A(alpha) sin^B(alpha)
@@ -479,65 +478,20 @@ class _Lattice:
         if self.kind == "hopf":
             self.t = np.asarray(axes["t"], dtype=float)
             self.alpha = np.asarray(axes["alpha"], dtype=float)
-            self.angles = [np.asarray(axes[k], dtype=float) for k in ("beta", "gamma")]
-            self.periodic = tuple(len(a) for a in self.angles)
+            self.periodic = (len(axes["beta"]), len(axes["gamma"]))
             self.shape = (len(self.t), len(self.alpha)) + self.periodic
             # rows: the slots z1, z2, zbar1, zbar2; columns: |T|, A, B, K_b, K_g
             self.coords = np.array([[1, 1, 0, 1, 0], [1, 0, 1, 0, 1],
                                     [1, 1, 0, -1, 0], [1, 0, 1, 0, -1]])
             self.profiles = 2
-            # the lattice node of a cell is r_p (cos a_j e^(i b_k), sin a_j e^(i g_l))
-            self._nodes = (np.exp(self.t), (np.cos(self.alpha), np.sin(self.alpha)),
-                           [np.exp(1j * a) for a in self.angles])
-        elif self.kind == "torus":
+        else:  # torus: the grid's construction refused any other kind
             self.t = np.zeros(1)
-            self.spacings = np.asarray(axes["spacings"], dtype=float)
             self.periodic = tuple(axes["shape"])
             self.shape = (1, 1) + self.periodic
             dim = len(self.periodic)
             self.coords = np.concatenate([np.zeros((dim, 1), dtype=int), np.eye(dim, dtype=int)],
                                          axis=1)
             self.profiles = 0
-        else:
-            raise ValueError(f"no cells for grid kind {self.kind!r}")
-        self.size = int(np.prod(self.shape))
-
-    def cells(self, z, first: int) -> np.ndarray:
-        """The flat cell of each node of the chunk z.  A node farther than
-        CELL_TOL from the lattice node of its cell (relative to |z| on Hopf,
-        to the period on the torus) raises ValueError, naming its index
-        (node `first` at position 0)."""
-        if self.kind == "hopf":
-            s = np.sum(z.real**2 + z.imag**2, axis=-1)
-            p = np.argmin(np.abs(0.5 * np.log(s)[:, None] - self.t), axis=1)
-            alpha = np.arctan2(np.abs(z[:, 1]), np.abs(z[:, 0]))
-            j = np.argmin(np.abs(alpha[:, None] - self.alpha), axis=1)
-            k = [np.rint(np.angle(z[:, c]) * (len(a) / (2.0 * np.pi))).astype(int) % len(a)
-                 for c, a in enumerate(self.angles)]
-            r, (cos, sin), (e1, e2) = self._nodes
-            node = np.stack([cos[j] * e1[k[0]], sin[j] * e2[k[1]]], axis=1) * r[p][:, None]
-            off = np.max(np.abs(z - node), axis=1) / np.sqrt(s)
-            index = (p, j, *k)
-        else:
-            x = np.concatenate([z.real, z.imag], axis=1) / self.spacings  # in steps
-            k = np.rint(x)
-            off = np.max(np.abs(x - k) / self.periodic, axis=1)
-            zero = np.zeros(len(z), dtype=int)
-            index = (zero, zero, *(k.astype(int) % self.periodic).T)
-        if not np.all(off <= CELL_TOL):
-            i = int(np.argmax(~(off <= CELL_TOL)))
-            raise ValueError(f"node {first + i} (z = {z[i]!r}) lies on no cell of the grid")
-        return np.ravel_multi_index(index, self.shape)
-
-    @staticmethod
-    def check_distinct(cells):
-        """ValueError naming the first node whose cell an earlier node holds."""
-        order = np.argsort(cells, kind="stable")
-        twice = np.flatnonzero(cells[order][1:] == cells[order][:-1])
-        if len(twice):
-            later, earlier = order[twice + 1], order[twice]
-            i = np.argmin(later)
-            raise ValueError(f"node {later[i]} lies on the cell of node {earlier[i]}")
 
     def fourier(self, weighted, p: int) -> np.ndarray:
         """The sums over the periodic nodes of W e^(-i K.theta), for every
@@ -642,7 +596,7 @@ def solve_gauduchon(
     u = e^((n-1) f); the factor f is mean-zero over the grid nodes.  The
     Gram and operator matrices are streamed over node chunks
     (`galerkin_matrices`), so the solve holds O(m^2) plus one chunk, the
-    weighted fields on the grid's cells and the kept node fields (s_C and
+    weighted node fields and the kept node fields (s_C and
     s/2 + |T|^2/4 too if `curvature`); a non-finite weight or operator
     coefficient raises NonFiniteIntegrand at its node, before any
     eigen-solve or iteration.  The node values of u
@@ -804,7 +758,6 @@ FACTOR_TOL = 1e-6  # max |f| of a Gauduchon factor that counts as trivial
 PRUNE_TOL = 1e-9  # Gram eigenvalues below this fraction of the largest are pruned
 DRIFT_TOL = 1e-10  # inverse-power step |x_new - x| at which the null vector has settled
 MAX_ITER = 60  # inverse-power steps before NonConvergence
-CELL_TOL = 1e-12  # distance of a node from its cell's lattice node, relative to |z| or a period
 POSITIVITY_TOL = 1e-8  # min u below this fraction of max |u| is a sign change
 TORSION_TOL = 1e-8  # max |T|^2 of a torsion-free (Kahler) metric
 CERTIFY_TOL = 1e-3  # relative identity gap above which a total is not certified

@@ -415,6 +415,25 @@ def volume_weights(metric: HermitianMetricField, grid: QuadratureGrid) -> np.nda
     return grid.lebesgue_w * (np.real(np.linalg.det(H)) * 2.0**metric.n)
 
 
+CELL_TOL = 1e-12  # distance of a node from its lattice node, relative to |z| or a period
+
+
+def lattice_nodes(axes: dict) -> np.ndarray:
+    """The (N, n) nodes of the product grid `axes` in C order over its
+    chart axes: x = k * spacing on the torus, z1 = e^t cos(alpha) e^{i beta}
+    and z2 = e^t sin(alpha) e^{i gamma} on Hopf."""
+    if axes["kind"] == "torus":
+        steps = [np.arange(N) * h for N, h in zip(axes["shape"], axes["spacings"])]
+        x = np.stack([m.ravel() for m in np.meshgrid(*steps, indexing="ij")], axis=-1)
+        n = x.shape[1] // 2
+        return x[:, :n] + 1j * x[:, n:]
+    T, A, B, G = np.meshgrid(axes["t"], axes["alpha"], axes["beta"], axes["gamma"], indexing="ij")
+    r = np.exp(T)
+    z1 = r * np.cos(A) * np.exp(1j * B)
+    z2 = r * np.sin(A) * np.exp(1j * G)
+    return np.stack([z1.ravel(), z2.ravel()], axis=-1)
+
+
 @dataclass
 class QuadratureGrid:
     """Quadrature nodes with weights for the declared volume convention.
@@ -423,14 +442,18 @@ class QuadratureGrid:
     fundamental domain; the volume weights of a metric multiply in its
     det(h) 2^n (`volume_weights`).
 
-    `axes` lays out a product grid, nodes in C order over its chart axes:
-    `kind` ("torus" or "hopf") and `shape` (nodes per axis), then on the
-    torus `spacings`, the periodic step along each of x^1..x^n, y^1..y^n,
-    and on Hopf the node arrays `t` (period log 2), `alpha` (Gauss-Legendre
-    on (0, pi/2)), `beta` and `gamma` (period 2 pi), with
-    z1 = e^t cos(alpha) e^{i beta} and z2 = e^t sin(alpha) e^{i gamma}.
-    `NodalDerivatives` reads them all, and so does the Galerkin assembly,
-    which maps every node to its cell of the product grid.
+    `axes` lays out a product grid over its chart axes: `kind` ("torus" or
+    "hopf") and `shape` (nodes per axis), then on the torus `spacings`,
+    the periodic step along each of x^1..x^n, y^1..y^n, and on Hopf the
+    node arrays `t` (period log 2), `alpha` (Gauss-Legendre on (0, pi/2)),
+    `beta` and `gamma` (period 2 pi).  Node i of such a grid is the
+    lattice node at flat index i in C order (`lattice_nodes`), so a
+    node's cell is its index: `NodalDerivatives` reshapes node values to
+    `shape`, and the Galerkin assembly sums the node fields per t-plane.
+    Construction checks it once: the node count is prod(shape), and each
+    node lies within CELL_TOL of its lattice node (relative to |z| on
+    Hopf, to the period on the torus); the first node that does not, and
+    an unknown kind, raise ValueError.
     """
 
     nodes: np.ndarray  # (N, n) complex
@@ -449,6 +472,27 @@ class QuadratureGrid:
             raise ValueError("a quadrature grid needs at least one node")
         if np.any(self.lebesgue_w <= 0):
             raise ValueError("quadrature weights must be positive")
+        if self.axes is not None:
+            self._check_layout()
+
+    def _check_layout(self):
+        """ValueError unless node i sits at lattice node i of `axes`."""
+        kind, shape = self.axes["kind"], tuple(self.axes["shape"])
+        if kind not in ("torus", "hopf"):
+            raise ValueError(f"unknown grid kind {kind!r}")
+        if len(self.nodes) != np.prod(shape):
+            raise ValueError(f"{len(self.nodes)} nodes on a {shape} grid")
+        z, lattice = self.nodes, lattice_nodes(self.axes)
+        if kind == "hopf":
+            off = np.max(np.abs(z - lattice), axis=1) / np.linalg.norm(z, axis=1)
+        else:
+            diff = z - lattice
+            periods = np.multiply(shape, self.axes["spacings"])
+            off = np.max(np.abs(np.concatenate([diff.real, diff.imag], axis=1)) / periods, axis=1)
+        bad = ~(off <= CELL_TOL)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"node {i} (z = {z[i]}) lies off lattice node {i} of the grid")
 
     def basis_batch(self, z):
         """The whole basis at a node chunk (BasisJets).  A method, so a copy
@@ -517,9 +561,10 @@ def _hopf_jacobian(z: np.ndarray) -> np.ndarray:
 
 
 class NodalDerivatives:
-    """Chart partials of node values on a structured grid (`grid.axes`),
-    by one dense matrix per chart axis: Fourier on periodic axes,
-    barycentric on the Gauss-Legendre alpha axis of the Hopf grid.
+    """Chart partials of node values on a structured grid (`grid.axes`,
+    nodes in its C order), by one dense matrix per chart axis: Fourier on
+    periodic axes, barycentric on the Gauss-Legendre alpha axis of the
+    Hopf grid.
 
     `jacobian[p, a, mu] = dx_a / dxi_mu` relates them to the real
     coordinates (x^1..x^n, y^1..y^n); it is the identity on the torus.
@@ -537,7 +582,7 @@ class NodalDerivatives:
         if axes["kind"] == "torus":
             self.D = [_fourier_diff_matrix(N, N * h) for N, h in zip(self.shape, axes["spacings"])]
             self.jacobian = np.broadcast_to(np.eye(dim), (len(grid.nodes), dim, dim))
-        elif axes["kind"] == "hopf":
+        else:  # hopf: the grid's construction refused any other kind
             nt, _, nb, ng = self.shape
             self.D = [
                 _fourier_diff_matrix(nt, np.log(2.0)),
@@ -546,8 +591,6 @@ class NodalDerivatives:
                 _fourier_diff_matrix(ng, 2.0 * np.pi),
             ]
             self.jacobian = _hopf_jacobian(grid.nodes)
-        else:
-            raise ValueError(f"no nodal derivatives for grid kind {axes['kind']!r}")
         self.DT = [np.ascontiguousarray(D.T) for D in self.D]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:

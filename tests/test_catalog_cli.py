@@ -498,7 +498,9 @@ def test_cli_missing_monomial_is_a_config_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--chern", "p1=-48"], ["--pontryagin", "c2=24"],
-                                  ["--chern", "c2=x"], ["--chern", "c1^2=0,c2=24", "--dim", "6"]])
+                                  ["--chern", "c2=x"], ["--chern", "c1^2=0,c2=24", "--dim", "6"],
+                                  ["--pontryagin", "p1=1/0"],
+                                  ["--chern", "c1^2=0,c2=24", "--pontryagin", "p1=-48"]])
 def test_cli_ahat_flag_faults_are_config_errors(capsys, argv):
     code = main(["ahat", "--dim", "4"] + argv + ["--format", "records"])
     assert code == 2
@@ -557,8 +559,10 @@ def test_cli_adjoints_rejects_zero_triples(capsys):
     (["gauduchon", "--manifold", "torus-flat", "--grid", "-2"], "--grid"),
     (["yamabe", "--manifold", "torus-flat", "--grid", "4", "--iters", "-1"], "--iters"),
     (["theorem-t", "--manifold", "hopf-conformal", "--t", "inf"], "--t"),
+    (["ahat", "--pontryagin", "p1=-48", "--dim", "0"], "--dim"),
+    (["ahat", "--pontryagin", "p1=-48", "--dim", "-4"], "--dim"),
 ], ids=["seed-negative", "seed-too-large", "grid-zero", "grid-negative", "iters-negative",
-        "t-infinite"])
+        "t-infinite", "dim-zero", "dim-negative"])
 def test_cli_rejects_out_of_range_numeric_flags(capsys, argv, flag):
     # checked before the command runs: no report, exit 2
     assert main(argv + ["--format", "records"]) == 2

@@ -136,6 +136,8 @@ def test_parser():
         cc.parse_characteristic_numbers("bogus=3")
     with pytest.raises(ValueError):
         cc.parse_characteristic_numbers("")
+    with pytest.raises(ValueError, match="zero denominator in 'p1=1/0'"):
+        cc.parse_characteristic_numbers("p1=1/0")
 
 
 def test_partitions():

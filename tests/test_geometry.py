@@ -30,6 +30,7 @@ from curvlab.geometry import (
     UpperHalfFirstDomain,
     hermitian_to_real,
     integrate,
+    lattice_nodes,
     map_nodes,
     real_to_hermitian,
     standard_complex_structure,
@@ -270,6 +271,20 @@ def test_grid_weights_positive(flat_torus, hopf):
 def test_grid_needs_a_node():
     with pytest.raises(ValueError, match="at least one node"):
         QuadratureGrid(np.zeros((0, 2), dtype=complex), np.zeros(0))
+
+
+def test_grid_layout_is_checked_at_construction(flat_torus, hopf):
+    grid = flat_torus.grid
+    with pytest.raises(ValueError, match="unknown grid kind 'sphere'"):
+        replace(grid, axes={**grid.axes, "kind": "sphere"})
+    with pytest.raises(ValueError, match=r"4096 nodes on a \(8, 8, 8, 9\) grid"):
+        replace(grid, axes={**grid.axes, "shape": (8, 8, 8, 9)})
+    # one step along x^1 puts node 5 on the lattice node of node 517
+    nodes = grid.nodes.copy()
+    nodes[5, 0] += 0.125
+    with pytest.raises(ValueError, match="node 5 "):
+        replace(grid, nodes=nodes)
+    assert np.array_equal(lattice_nodes(hopf.grid.axes), hopf.grid.nodes)
 
 
 
