@@ -511,12 +511,11 @@ class HopfBasis(_ModeBasis):
     The functions are linearly independent on the annulus: no kept
     monomial is divisible by z1 zbar1, the normal form for
     |z1|^2 + |z2|^2 = |z|^2.  Their samples on a grid need not be.  A
-    monomial of degree d carries the frequencies -d..d in beta and in
-    gamma, so on a periodic axis of at most 2d points two of them alias
-    and the Gram matrix loses rank: HopfBasis(0, 6) on hopf_grid(4, 12,
-    12, 12) has 2 of its 140 eigenvalues below the prune tolerance, and
-    none on 13 points per beta/gamma axis.  That is why the solver prunes
-    through the Gram matrix before assembling the operator.
+    monomial of degree d carries the frequencies -d..d in beta and gamma
+    (R_k the frequency k in t), so two of them alias on at most 2d points
+    per axis (2 kmax_t t-planes) and the Gram matrix loses rank, 2 of 140
+    eigenvalues of HopfBasis(0, 6) on hopf_grid(4, 12, 12, 12) below 1e-9
+    of the largest: the solver refuses such grids.
     """
 
     def __init__(self, kmax_t: int = 2, max_degree: int = 4):
@@ -636,7 +635,7 @@ def build_manifold(spec: ManifoldSpec) -> CatalogEntry:
         if r is None:
             grid = hopf_grid()
         else:
-            grid = hopf_grid(nt=max(4, r), nalpha=max(12, r),
+            grid = hopf_grid(nt=max(5, r), nalpha=max(12, r),
                              nbeta=max(12, r), ngamma=max(12, r))
         _screen(metric, grid.nodes)
         return CatalogEntry(spec, metric, grid, _hopf_sampler(), False, gbc)

@@ -6,9 +6,10 @@ failure (including a failed numerical check that stops a command: a
 curvature symmetry check, non-finite integrand, singular metric or any
 other ValueError raised while a command runs), 2 configuration error
 (flags and config file, checked before a command runs, a characteristic
-number that `ahat` needs but was not given, a manifold without the grid
-a command needs), 3 numerical non-convergence.  A config file of
-`key = value` lines mirrors the flags; command-line wins.
+number that `ahat` needs but was not given or that overflows a float, a
+manifold without the grid a command needs or a grid too coarse for its
+basis), 3 numerical non-convergence.  A config file of `key = value`
+lines mirrors the flags; command-line wins.
 """
 
 from __future__ import annotations
@@ -288,6 +289,8 @@ def _characteristic_data(cfg: RunConfig) -> CharacteristicData:
             kind, numbers = parse_characteristic_numbers(cfg.pontryagin)
             if kind != "p":
                 raise ConfigError("--pontryagin expects p-monomials")
+            if cfg.dim % 4:
+                raise ConfigError("Pontryagin numbers need dim divisible by 4")
             return CharacteristicData(cfg.dim, pontryagin=numbers, spin=cfg.spin)
     except ValueError as exc:  # the parser's and the dimension checks
         raise ConfigError(str(exc)) from exc
@@ -300,7 +303,10 @@ def cmd_ahat(cfg: RunConfig, report: Report):
         warnings.simplefilter("always", NonIntegerSpinWarning)
         genus = ahat_genus(data)
         noninteger = any(issubclass(w.category, NonIntegerSpinWarning) for w in caught)
-    report.add("ahat_genus", "characteristic-data", float(genus), None, None, True)
+    try:
+        report.add("ahat_genus", "characteristic-data", float(genus), None, None, True)
+    except OverflowError as exc:
+        raise ConfigError("the A-hat genus of these numbers exceeds the float range") from exc
     report.verdicts.append(f"A-hat = {genus}")
     if cfg.spin:
         report.add("spin_integrality", "characteristic-data", float(genus.denominator == 1),
@@ -417,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--iters", type=int, help="descent iteration budget")
     ap.add_argument("--t", dest="conformal_t", type=float, help="conformal family parameter")
     ap.add_argument("--derivative-mode", choices=["analytic", "fd"])
-    ap.add_argument("--sequential", action="store_true",
-                    help="accepted for compatibility; does nothing, every run is sequential")
     ap.add_argument("--format", dest="fmt", choices=["text", "records"])
     ap.add_argument("--out", help="write the report to this path")
     ap.add_argument("--chern", help="Chern numbers, e.g. 'c1^2=0,c2=24'")
@@ -455,8 +459,6 @@ def make_config(argv) -> RunConfig:
                 key = "conformal_t"
             if key == "format":
                 key = "fmt"
-            if key == "sequential":
-                continue  # accepted for compatibility, like --sequential
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, _CONFIG_TYPES.get(key, str)(val))

@@ -90,7 +90,7 @@ from .errors import (
     NoPositiveNullVector,
     QuadratureUnsupported,
 )
-from .fields import ScalarField
+from .fields import ScalarField, hopf_radial_frequency
 from .geometry import (
     HermitianMetricField,
     MetricJet,
@@ -353,7 +353,6 @@ class GauduchonSolution:
 
     factor: ConformalFactor
     u_nodes: np.ndarray
-    eigen_residual: float
     iterations: int
     coeffs: np.ndarray
     u_field: ScalarField
@@ -585,6 +584,23 @@ def _check_finite(nodes, *rows):
     raise NonFiniteIntegrand(int(at[i]), float(col[np.argmax(~np.isfinite(col))]))
 
 
+def _check_resolves(grid: QuadratureGrid):
+    """QuadratureUnsupported where an axis of `grid` has at most 2K nodes, K
+    the largest frequency of the grid's basis on it: two of its frequencies
+    then alias, and the Gram matrix can lose rank.  K of a periodic axis is
+    read off the exponents (`_Lattice.coords`), and K of the Hopf t-axis
+    (period log 2) is the largest radial index k, from Im q = beta_k / 2."""
+    basis, lattice = grid.basis, _Lattice(grid)
+    names = (("beta", "gamma") if lattice.kind == "hopf"
+             else [c + str(i) for c in "xy" for i in range(1, len(lattice.periodic) // 2 + 1)])
+    K = np.abs(np.asarray(basis.expo) @ lattice.coords).max(axis=0)[1 + lattice.profiles:]
+    k_max = round(np.abs(np.imag(basis.powers)).max() / (0.5 * hopf_radial_frequency(1)))
+    for name, nodes, k in [("t", len(lattice.t), k_max), *zip(names, lattice.periodic, K)]:
+        if nodes <= 2 * k:
+            raise QuadratureUnsupported(f"the {name} axis has {nodes} nodes, and the basis "
+                                        f"needs at least {2 * k + 1} (frequencies up to {k})")
+
+
 def solve_gauduchon(
     metric: HermitianMetricField,
     grid: QuadratureGrid,
@@ -598,8 +614,9 @@ def solve_gauduchon(
     (`galerkin_matrices`), so the solve holds O(m^2) plus one chunk, the
     weighted node fields and the kept node fields (s_C and
     s/2 + |T|^2/4 too if `curvature`); a non-finite weight or operator
-    coefficient raises NonFiniteIntegrand at its node, before any
-    eigen-solve or iteration.  The node values of u
+    coefficient raises NonFiniteIntegrand at its node, before any linear
+    algebra; a grid too coarse for the basis raises QuadratureUnsupported
+    before assembly (`_check_resolves`).  The node values of u
     (positivity, the sign of the null vector, f) come from the solved
     field's value-only path; a non-finite one raises NonFiniteIntegrand.
     """
@@ -609,42 +626,24 @@ def solve_gauduchon(
     if n < 2:
         raise ValueError("the Gauduchon factor is only determined for n >= 2")
 
+    _check_resolves(grid)
     w = volume_weights(metric, grid)
     gram, op, fields = galerkin_matrices(metric, grid, w, curvature)
-    evals, evecs = np.linalg.eigh(gram)
-    keep = evals > PRUNE_TOL * np.max(evals)
-    T = (evecs[:, keep] / np.sqrt(evals[keep])).T  # orthonormalizing transform
-    M = T @ op @ T.T
-
-    scale = np.linalg.norm(M, ord=np.inf) or 1.0
-    shift = 1e-12 * scale
-    x = T @ gram[:, 0]  # start at the projection of the constant function
-    x /= np.linalg.norm(x)
-    A = M + shift * np.eye(M.shape[0])
-    converged = False
-    it = 0
+    # inverse iteration on the pencil (op, gram) (Golub and Van Loan, 4th ed., 8.7): in
+    # coordinates orthonormal for gram, the shifted iteration on the operator itself
+    A = op + (1e-12 * np.linalg.norm(op, np.inf) / np.linalg.norm(gram, np.inf)) * gram
+    x = (np.arange(len(gram)) == 0) / np.sqrt(gram[0, 0])  # basis function 0 is the constant
     for it in range(1, MAX_ITER + 1):
-        try:
-            y = np.linalg.solve(A, x)
-        except np.linalg.LinAlgError:
-            A = M + (10.0 * shift) * np.eye(M.shape[0])
-            y = np.linalg.solve(A, x)
-        x_new = y / np.linalg.norm(y)
-        if x_new @ x < 0:
-            x_new = -x_new
-        drift = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if drift <= DRIFT_TOL:
-            converged = True
+        gx = gram @ x
+        y = np.linalg.solve(A, gx)
+        y *= np.copysign(1.0 / np.sqrt(y @ gram @ y), y @ gx)  # unit gram norm, no sign flip
+        step, x = y - x, y
+        if np.sqrt(step @ gram @ step) <= DRIFT_TOL:
             break
-    if not converged:
-        raise NonConvergence(
-            f"inverse-power iteration did not stabilize in {MAX_ITER} iterations"
-        )
-    res = float(np.linalg.norm(M @ x)) / scale
+    else:
+        raise NonConvergence(f"inverse-power iteration did not stabilize in {MAX_ITER} iterations")
 
-    coeffs = np.asarray(T.T @ x, dtype=float)
-    coeffs = np.where(np.abs(coeffs) > 1e-14 * np.max(np.abs(coeffs)), coeffs, 0.0)
+    coeffs = np.where(np.abs(x) > 1e-14 * np.max(np.abs(x)), x, 0.0)
     u_field = grid.basis.field(coeffs, "gauduchon-u")
     u_nodes = np.real(u_field.values(grid.nodes))
     _check_finite(0, u_nodes)
@@ -662,7 +661,7 @@ def solve_gauduchon(
     mean = float(np.mean(f_nodes))
     f_field = u_field.log() * (1.0 / (n - 1)) - mean
     factor = ConformalFactor(f_nodes - mean, f_field)
-    return GauduchonSolution(factor, u_nodes, res, it, coeffs, u_field, fields)
+    return GauduchonSolution(factor, u_nodes, it, coeffs, u_field, fields)
 
 
 def solved_residual(sol: GauduchonSolution, grid: QuadratureGrid) -> float:
@@ -755,8 +754,7 @@ def theorem_t_check(metric: HermitianMetricField, grid: QuadratureGrid) -> Total
 
 EPS_SIGN_SCALE = 1e-6  # sign band per unit volume
 FACTOR_TOL = 1e-6  # max |f| of a Gauduchon factor that counts as trivial
-PRUNE_TOL = 1e-9  # Gram eigenvalues below this fraction of the largest are pruned
-DRIFT_TOL = 1e-10  # inverse-power step |x_new - x| at which the null vector has settled
+DRIFT_TOL = 1e-10  # gram norm of the inverse-power step at which the null vector has settled
 MAX_ITER = 60  # inverse-power steps before NonConvergence
 POSITIVITY_TOL = 1e-8  # min u below this fraction of max |u| is a sign change
 TORSION_TOL = 1e-8  # max |T|^2 of a torsion-free (Kahler) metric

@@ -215,7 +215,7 @@ def test_criterion_10_descent_and_trichotomy(entries):
 
 def test_criterion_11_determinism(tmp_path):
     args = ["check-identities", "--manifold", "torus-hermitian-perturbed", "--grid", "6",
-            "--points", "64", "--seed", "7", "--sequential", "--format", "records"]
+            "--points", "64", "--seed", "7", "--format", "records"]
     outs = []
     for name in ("a", "b"):
         path = tmp_path / f"{name}.txt"

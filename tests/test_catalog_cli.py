@@ -500,7 +500,9 @@ def test_cli_missing_monomial_is_a_config_error(capsys):
 @pytest.mark.parametrize("argv", [["--chern", "p1=-48"], ["--pontryagin", "c2=24"],
                                   ["--chern", "c2=x"], ["--chern", "c1^2=0,c2=24", "--dim", "6"],
                                   ["--pontryagin", "p1=1/0"],
-                                  ["--chern", "c1^2=0,c2=24", "--pontryagin", "p1=-48"]])
+                                  ["--chern", "c1^2=0,c2=24", "--pontryagin", "p1=-48"],
+                                  ["--pontryagin", "p1=-48", "--dim", "3"],
+                                  ["--pontryagin", "p1=1e400"]])
 def test_cli_ahat_flag_faults_are_config_errors(capsys, argv):
     code = main(["ahat", "--dim", "4"] + argv + ["--format", "records"])
     assert code == 2
@@ -700,12 +702,13 @@ def test_text_footer_fails_when_a_command_stops(monkeypatch, capsys, error, code
     )
 
 
-def test_sequential_is_a_no_op(tmp_path):
+def test_sequential_is_refused(tmp_path):
     cfgfile = tmp_path / "seq.cfg"
     cfgfile.write_text("sequential = true\n")
-    plain = make_config(["lebrun-table"])
-    for argv in (["lebrun-table", "--sequential"], ["lebrun-table", "--config", str(cfgfile)]):
-        assert make_config(argv) == plain
+    with pytest.raises(SystemExit) as exc:  # argparse exits on an unknown flag
+        main(["lebrun-table", "--sequential"])
+    assert exc.value.code == 2
+    assert main(["lebrun-table", "--config", str(cfgfile)]) == 2
 
 
 def test_cli_check_identities_records(tmp_path, capsys):
@@ -732,7 +735,7 @@ def test_cli_yamabe_reports_convergence(iters, converged):
 
 def test_cli_determinism_byte_identical(tmp_path):
     args = ["adjoints", "--manifold", "torus-flat", "--grid", "6", "--triples", "3",
-            "--seed", "42", "--sequential", "--format", "records"]
+            "--seed", "42", "--format", "records"]
     out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0

@@ -18,8 +18,14 @@ from curvlab.catalog import (
     hopf_conformal_direction,
     hopf_grid,
     rng_from_seed,
+    torus_grid,
 )
-from curvlab.errors import NoPositiveNullVector, NonConvergence, NonFiniteIntegrand
+from curvlab.errors import (
+    NoPositiveNullVector,
+    NonConvergence,
+    NonFiniteIntegrand,
+    QuadratureUnsupported,
+)
 from curvlab.fields import (
     HopfTerms,
     ScalarField,
@@ -768,13 +774,13 @@ def test_nan_past_the_first_chunk_is_reported_at_its_node(hopf, monkeypatch, par
             return out
 
         planted = replace(metric, jet_fn=jet)
-    eigen_solves = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigen_solves.append(1) or eigh(a))
+    linear_solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: linear_solves.append(1) or solve(a, b))
     with pytest.raises(NonFiniteIntegrand) as err:
         solve_gauduchon(planted, hopf.grid)
     assert err.value.node_index == 5000 and np.isnan(err.value.value)
-    assert not eigen_solves
+    assert not linear_solves
 
 
 def test_value_path_equals_the_jet_value(conformal, conformal_solution, kahler_torus,
@@ -887,14 +893,47 @@ def test_solver_rejects_sign_changing_space(hopf):
         solve_gauduchon(hopf.metric, bad_grid)
 
 
-def test_hopf_gram_loses_rank_on_an_aliasing_grid(hopf):
-    # degree-6 monomials carry beta/gamma frequencies -6..6: on 12 periodic
-    # points two of them alias, and the prune drops the null directions
-    grid = replace(hopf_grid(4, 12, 12, 12), basis=HopfBasis(0, 6))
-    gram, _, _ = galerkin_matrices(hopf.metric, grid, volume_weights(hopf.metric, grid))
-    evals = np.linalg.eigvalsh(gram)
-    assert len(evals) == 140
-    assert np.count_nonzero(evals <= gauduchon.PRUNE_TOL * np.max(evals)) == 2
+@pytest.mark.parametrize("axis, grid", [
+    ("beta", lambda: replace(hopf_grid(4, 12, 12, 12), basis=HopfBasis(0, 6))),
+    ("t", lambda: hopf_grid(4, 12, 13, 13)),
+    ("x1", lambda: torus_grid(2, (1.0, 1.0), 2)),
+], ids=["beta", "t", "torus"])
+def test_solve_refuses_an_aliasing_grid(hopf, flat_torus, axis, grid):
+    # degree-6 monomials carry beta/gamma frequencies -6..6, the default
+    # radial modes t-frequencies -2..2 and the torus modes -1..1 per axis:
+    # on at most twice as many nodes two of them alias
+    grid = grid()
+    metric = (flat_torus if axis == "x1" else hopf).metric
+    with pytest.raises(QuadratureUnsupported, match=f"the {axis} axis has"):
+        solve_gauduchon(metric, grid)
+    # the assembly is a plain transform on any grid, and shows the lost rank
+    gram, _, _ = galerkin_matrices(metric, grid, volume_weights(metric, grid))
+    if axis == "beta":
+        evals = np.linalg.eigvalsh(gram)
+        assert len(evals) == 140
+        assert np.count_nonzero(evals <= 1e-9 * np.max(evals)) == 2
+
+
+def _pencil_reference(gram, op):
+    """The eigenvector of gram^-1 op of the smallest |eigenvalue|, real and
+    of unit gram norm."""
+    evals, evecs = np.linalg.eig(np.linalg.solve(gram, op))
+    v = evecs[:, np.argmin(np.abs(evals))]
+    v = np.real(v / v[np.argmax(np.abs(v))])
+    return v / np.sqrt(v @ gram @ v)
+
+
+@pytest.mark.parametrize("spec", [ManifoldSpec("hopf-conformal", conformal_t=0.2),
+                                  ManifoldSpec("torus-hermitian-perturbed")],
+                         ids=["hopf-conformal", "torus-hermitian-perturbed"])
+def test_null_vector_is_the_pencil_eigenvector(spec):
+    entry = build_manifold(spec)
+    gram, op, _ = galerkin_matrices(entry.metric, entry.grid,
+                                    volume_weights(entry.metric, entry.grid))
+    v = _pencil_reference(gram, op)
+    c = solve_gauduchon(entry.metric, entry.grid).coeffs
+    d = c - np.sign(v @ gram @ c) * v
+    assert np.sqrt(d @ gram @ d) <= 1e-12
 
 
 def test_solver_iteration_budget(hopf, monkeypatch):
