@@ -541,8 +541,16 @@ def _barycentric_diff_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _along(M: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
-    """M applied along one axis of the node array v, flattened back to nodes."""
-    return np.moveaxis(np.tensordot(M, np.moveaxis(v, axis, 0), axes=(1, 0)), 0, axis).reshape(-1)
+    """M applied along one axis of the node array v, flattened back to nodes.
+
+    v is read as (pre, N_a, post) in place, so the product needs no copy of
+    the input; on the last axis (post = 1) it is one matrix product from the
+    right, since a stack of matrix-vector products is several times slower.
+    """
+    pre = int(np.prod(v.shape[:axis], dtype=int))
+    if axis == v.ndim - 1:
+        return (v.reshape(pre, -1) @ M.T).reshape(-1)
+    return np.matmul(M, v.reshape(pre, v.shape[axis], -1)).reshape(-1)
 
 
 def _hopf_jacobian(z: np.ndarray) -> np.ndarray:
@@ -594,9 +602,10 @@ class NodalDerivatives:
         self.DT = [np.ascontiguousarray(D.T) for D in self.D]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """(N, 2n) partials of node values along the chart axes."""
+        """(N, 2n) partials of node values along the chart axes, stored
+        axis-major: `.T` is a contiguous (2n, N) array, one row per axis."""
         v = values.reshape(self.shape)
-        return np.stack([_along(D, v, a) for a, D in enumerate(self.D)], axis=-1)
+        return np.stack([_along(D, v, a) for a, D in enumerate(self.D)]).T
 
     def adjoint(self, fields: np.ndarray) -> np.ndarray:
         """(N,) node values sum_mu D_mu^T fields[:, mu] of (N, 2n) chart fields."""

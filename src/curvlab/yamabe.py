@@ -13,7 +13,10 @@ descent is projected gradient on nodal values of f with Armijo
 backtracking; accepted steps never increase the quotient.  It works in
 the grid's chart coordinates: |grad f|^2 contracts the chart partials of
 `geometry.NodalDerivatives` with the chart inverse metric (J^T G J)^-1,
-J the chart Jacobian and G the real metric at the nodes.
+J the chart Jacobian and G the real metric at the nodes.  One iteration
+evaluates one `NodalDerivatives` call (the partials of the search
+direction) and one `.adjoint` (the gradient's flux term); the Armijo
+trials and the accepted point read their partials by linearity.
 
 The pointwise law for s(e^f g) (`conformal_scalar_riemannian`) reads
 the Hermitian blocks of the base metric, to second order through
@@ -96,7 +99,7 @@ def yamabe_quotient(metric: HermitianMetricField, f, grid: QuadratureGrid) -> fl
     """Total scalar curvature of e^f g over volume^(1 - 1/n)."""
     n = metric.n
     w = volume_weights(metric, grid)
-    fval = np.real(f(grid.nodes).val)
+    fval = np.real(f.values(grid.nodes))
     stilde = map_nodes(lambda pts: conformal_scalar_riemannian(metric, f, pts), grid.nodes)
     E = float(np.sum(w * np.exp(n * fval) * stilde))
     V = float(np.sum(w * np.exp(n * fval)))
@@ -122,49 +125,59 @@ def minimize_quotient(
     class invariant when a periodic grid axis has even size: the Nyquist
     mode of that axis has zero nodal gradient, so the discrete energy does
     not charge it, and a long descent can end below the invariant.
+
+    One iteration differentiates once and integrates by parts once: it forms
+    the partials dg of the search direction g and K dg, each Armijo trial
+    f - step g reads its partials df - step dg and K df - step K dg by
+    linearity (the projection's constant shift is annihilated by the
+    partials to rounding), and the accepted trial hands them, with its
+    exponentials, to the gradient, whose one `NodalDerivatives.adjoint`
+    takes the flux term.  The partials are held axis-major, (2n, N), so
+    |grad f|^2 = df . K df sums whole rows.
     """
     n = metric.n
     m = 2 * n
     c = (m - 1) * (m - 2) / 4.0
     w = volume_weights(metric, grid)
+    wsum = np.sum(w)
     nodal = NodalDerivatives(grid)
     s = map_nodes(lambda pts: riemannian_scalar(metric, pts)[0], grid.nodes)
     J = nodal.jacobian
     K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(metric.value(grid.nodes)) @ J)
+    K = np.ascontiguousarray(np.moveaxis(K, 0, -1))  # K[a, b, p]
+
+    def partials(fv):
+        """Chart partials df[a, p] of node values and K df."""
+        df = nodal(fv).T
+        return df, np.einsum("abp,bp->ap", K, df)
+
+    def energy(fv, df, Kdf):
+        """Quotient at fv, with the terms its gradient reads."""
+        ew1 = w * np.exp((n - 1) * fv)
+        ewn = w * np.exp(n * fv)
+        density = s + c * np.sum(df * Kdf, axis=0)
+        E = float(np.sum(ew1 * density))
+        V = float(np.sum(ewn))
+        return E / V ** (1.0 - 1.0 / n), (E, V, ew1, ewn, density)
+
+    def gradient(Kdf, E, V, ew1, ewn, density):
+        dE = (n - 1) * ew1 * density + nodal.adjoint((2.0 * c) * (ew1 * Kdf).T)
+        dV = n * ewn
+        gq = (dE - (1.0 - 1.0 / n) * (E / V) * dV) / V ** (1.0 - 1.0 / n)
+        gq -= np.sum(w * gq) / wsum  # project onto mean-zero directions
+        return gq
 
     if f0 is None:
         f = np.zeros(len(grid.nodes))
     else:
         f = np.array(f0, dtype=float)
-    f -= np.sum(w * f) / np.sum(w)
-
-    def energy_volume(fv):
-        df = nodal(fv)
-        grad2 = np.einsum("pab,pa,pb->p", K, df, df)
-        E = float(np.sum(w * np.exp((n - 1) * fv) * (s + c * grad2)))
-        V = float(np.sum(w * np.exp(n * fv)))
-        return E, V, df, grad2
-
-    def quotient(fv):
-        E, V, _, _ = energy_volume(fv)
-        return E / V ** (1.0 - 1.0 / n)
-
-    def grad_quotient(fv):
-        E, V, df, grad2 = energy_volume(fv)
-        dE = (n - 1) * w * np.exp((n - 1) * fv) * (s + c * grad2)
-        flux = 2.0 * c * (w * np.exp((n - 1) * fv))[:, None] * np.einsum(
-            "pab,pb->pa", K, df
-        )
-        dE = dE + nodal.adjoint(flux)
-        dV = n * w * np.exp(n * fv)
-        q = E / V ** (1.0 - 1.0 / n)
-        gq = (dE - (1.0 - 1.0 / n) * (E / V) * dV) / V ** (1.0 - 1.0 / n)
-        gq -= np.sum(w * gq) / np.sum(w)  # project onto mean-zero directions
-        return q, gq
+    f -= np.sum(w * f) / wsum
+    df, Kdf = partials(f)
 
     trace: List[YamabeTrace] = []
     step = INITIAL_STEP
-    q, g = grad_quotient(f)
+    q, terms = energy(f, df, Kdf)
+    g = gradient(Kdf, *terms)
     gnorm = float(np.linalg.norm(g))
     trace.append(YamabeTrace(0, q, 0.0, gnorm))
     converged = gnorm <= GTOL
@@ -172,20 +185,23 @@ def minimize_quotient(
         if gnorm <= GTOL:
             converged = True
             break
+        dg, Kdg = partials(g)
         accepted = False
         while step > 1e-14:
             f_try = f - step * g
-            f_try -= np.sum(w * f_try) / np.sum(w)
-            q_try = quotient(f_try)
+            f_try -= np.sum(w * f_try) / wsum
+            df_try = df - step * dg
+            Kdf_try = Kdf - step * Kdg
+            q_try, terms = energy(f_try, df_try, Kdf_try)
             if q_try <= q - ARMIJO * step * gnorm**2:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        f = f_try
-        q_prev = q
-        q, g = grad_quotient(f)
+        f, df, Kdf = f_try, df_try, Kdf_try
+        q_prev, q = q, q_try
+        g = gradient(Kdf, *terms)
         gnorm = float(np.linalg.norm(g))
         trace.append(YamabeTrace(it, q, step, gnorm))
         step = min(step * 2.0, 1e3)

@@ -337,6 +337,23 @@ def test_nodal_adjoint_is_the_transpose(mid, rng):
     assert abs(lhs - np.sum(v * nodal.adjoint(F))) <= 1e-12 * abs(lhs)
 
 
+@pytest.mark.parametrize("mid, resolution", [("torus-hermitian-perturbed", 8), ("hopf-standard", None)])
+def test_nodal_partials_are_linear_and_annihilate_constants(mid, resolution):
+    # the descent reads a trial's partials as df - step dg and drops the
+    # constant of its mean projection; on Hopf the barycentric alpha matrix
+    # must kill constants as the Fourier ones do
+    grid = build_manifold(ManifoldSpec(mid, resolution=resolution)).grid
+    nodal = NodalDerivatives(grid)
+    scale = max(np.max(np.abs(D)) for D in nodal.D)
+    assert np.max(np.abs(nodal(np.ones(len(grid.nodes))))) <= 1e-13 * scale
+    rng = rng_from_seed(3)
+    a, b = rng.normal(size=(2, len(grid.nodes)))
+    t = 0.37
+    want = nodal(a) - t * nodal(b)
+    got = nodal(a - t * b - 0.9)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _barycentric_loop(x):
     """The elementwise reference for the vectorised matrix."""
     N = len(x)

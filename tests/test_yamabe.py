@@ -9,7 +9,12 @@ from curvlab import tensors, yamabe
 from curvlab.catalog import ManifoldSpec, build_manifold, rng_from_seed
 from curvlab.fields import ScalarField, constant_field
 from curvlab.gauduchon import conformal_metric
-from curvlab.geometry import volume_weights
+from curvlab.geometry import (
+    NodalDerivatives,
+    hermitian_to_real,
+    map_nodes,
+    volume_weights,
+)
 
 
 def test_zero_factor_recovers_scalar(hopf, rng):
@@ -166,3 +171,98 @@ def test_descent_quotient_matches_the_conformal_law(mid, grid):
     res = yamabe.minimize_quotient(entry.metric, entry.grid, max_iters=0, f0=f0)
     want = yamabe.yamabe_quotient(entry.metric, f, entry.grid)
     assert abs(res.trace[0].quotient - want) <= 1e-8 * abs(want)
+
+
+def _reference_descent(metric, grid, max_iters, f0):
+    """The descent with every Armijo trial and every gradient differentiating
+    its own nodal values: the route the library's linear reuse must follow."""
+    n = metric.n
+    c = (2 * n - 1) * (2 * n - 2) / 4.0
+    w = volume_weights(metric, grid)
+    nodal = NodalDerivatives(grid)
+    s = map_nodes(lambda pts: tensors.riemannian_scalar(metric, pts)[0], grid.nodes)
+    J = nodal.jacobian
+    K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(metric.value(grid.nodes)) @ J)
+    f = np.array(f0, dtype=float)
+    f -= np.sum(w * f) / np.sum(w)
+
+    def energy_volume(fv):
+        df = nodal(fv)
+        grad2 = np.einsum("pab,pa,pb->p", K, df, df)
+        E = float(np.sum(w * np.exp((n - 1) * fv) * (s + c * grad2)))
+        V = float(np.sum(w * np.exp(n * fv)))
+        return E, V, df, grad2
+
+    def quotient(fv):
+        E, V, _, _ = energy_volume(fv)
+        return E / V ** (1.0 - 1.0 / n)
+
+    def grad_quotient(fv):
+        E, V, df, grad2 = energy_volume(fv)
+        dE = (n - 1) * w * np.exp((n - 1) * fv) * (s + c * grad2)
+        flux = 2.0 * c * (w * np.exp((n - 1) * fv))[:, None] * np.einsum("pab,pb->pa", K, df)
+        dE = dE + nodal.adjoint(flux)
+        dV = n * w * np.exp(n * fv)
+        gq = (dE - (1.0 - 1.0 / n) * (E / V) * dV) / V ** (1.0 - 1.0 / n)
+        gq -= np.sum(w * gq) / np.sum(w)
+        return E / V ** (1.0 - 1.0 / n), gq
+
+    trace = []
+    step = yamabe.INITIAL_STEP
+    q, g = grad_quotient(f)
+    gnorm = float(np.linalg.norm(g))
+    trace.append(yamabe.YamabeTrace(0, q, 0.0, gnorm))
+    converged = gnorm <= yamabe.GTOL
+    for it in range(1, max_iters + 1):
+        if gnorm <= yamabe.GTOL:
+            converged = True
+            break
+        accepted = False
+        while step > 1e-14:
+            f_try = f - step * g
+            f_try -= np.sum(w * f_try) / np.sum(w)
+            q_try = quotient(f_try)
+            if q_try <= q - yamabe.ARMIJO * step * gnorm**2:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        f = f_try
+        q_prev = q
+        q, g = grad_quotient(f)
+        gnorm = float(np.linalg.norm(g))
+        trace.append(yamabe.YamabeTrace(it, q, step, gnorm))
+        step = min(step * 2.0, 1e3)
+        if abs(q_prev - q) <= 1e-15 * (1.0 + abs(q)):
+            converged = gnorm <= 1e3 * yamabe.GTOL
+            break
+    else:
+        converged = gnorm <= yamabe.GTOL
+    return yamabe.DescentResult(q, trace, converged)
+
+
+def _close(a, b, rel):
+    return abs(a - b) <= max(rel * abs(b), 1e-15)
+
+
+@pytest.mark.parametrize("mid, grid, seed, iters", [
+    ("torus-flat", 8, 1, 200), ("torus-flat", 8, 4, 200), ("torus-flat", 8, 7, 200),
+    ("torus-flat", 8, 11, 200), ("torus-hermitian-perturbed", 8, 11, 200),
+    ("torus-hermitian-perturbed", 12, 11, 200), ("hopf-standard", None, 11, 25),
+    ("hopf-conformal", None, 11, 25),
+])
+def test_descent_reuses_partials_without_moving_the_trace(mid, grid, seed, iters):
+    # the trials and the next gradient read their partials by linearity from
+    # one differentiation per step; the steps taken must be the reference's,
+    # and the quotients may differ only by rounding carried along the trace
+    entry = build_manifold(ManifoldSpec(mid, resolution=grid, seed=seed))
+    f0 = np.real(entry.random_scalar(rng_from_seed(seed), 0.05).values(entry.grid.nodes))
+    got = yamabe.minimize_quotient(entry.metric, entry.grid, max_iters=iters, f0=f0)
+    want = _reference_descent(entry.metric, entry.grid, iters, f0)
+    assert len(got.trace) == len(want.trace) > 1
+    assert [t.step for t in got.trace] == [t.step for t in want.trace]
+    assert got.converged == want.converged
+    for a, b in zip(got.trace, want.trace):
+        assert _close(a.quotient, b.quotient, 1e-9), (a.iteration, a.quotient, b.quotient)
+    assert _close(got.estimate, want.estimate, 1e-12)
