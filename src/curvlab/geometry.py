@@ -568,6 +568,25 @@ def _hopf_jacobian(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(dz), np.imag(dz)], axis=-2)
 
 
+def _axis_modes(D: np.ndarray, periodic: bool):
+    """Orthonormal eigenvectors V and eigenvalues lam of D^T D, and the
+    0/1 mask `keep` that drops the Nyquist mode (-1)^j of a periodic axis
+    of even size.  That mode shares the eigenvalue 0 with the constants;
+    a rank-one shift to -1 before `eigh` splits it off as the first
+    column, exact up to rounding, and its eigenvalue is put back to 0."""
+    N = len(D)
+    DtD = D.T @ D
+    keep = np.ones(N)
+    split = periodic and N % 2 == 0
+    if split:
+        nyquist = (-1.0) ** np.arange(N) / np.sqrt(N)
+        DtD -= np.outer(nyquist, nyquist)
+    lam, V = np.linalg.eigh(DtD)
+    if split:
+        lam[0], keep[0] = 0.0, 0.0
+    return V, lam, keep
+
+
 class NodalDerivatives:
     """Chart partials of node values on a structured grid (`grid.axes`,
     nodes in its C order), by one dense matrix per chart axis: Fourier on
@@ -578,7 +597,7 @@ class NodalDerivatives:
     coordinates (x^1..x^n, y^1..y^n); it is the identity on the torus.
     On a periodic axis of even size the Fourier matrix annihilates the
     Nyquist mode (-1)^j: that mode has zero nodal gradient, and no
-    quadratic form in these partials sees it.
+    quadratic form in these partials sees it.  `sobolev` projects it out.
     """
 
     def __init__(self, grid: QuadratureGrid):
@@ -590,6 +609,7 @@ class NodalDerivatives:
         if axes["kind"] == "torus":
             self.D = [_fourier_diff_matrix(N, N * h) for N, h in zip(self.shape, axes["spacings"])]
             self.jacobian = np.broadcast_to(np.eye(dim), (len(grid.nodes), dim, dim))
+            periodic = (True,) * dim
         else:  # hopf: the grid's construction refused any other kind
             nt, _, nb, ng = self.shape
             self.D = [
@@ -599,7 +619,19 @@ class NodalDerivatives:
                 _fourier_diff_matrix(ng, 2.0 * np.pi),
             ]
             self.jacobian = _hopf_jacobian(grid.nodes)
+            periodic = (True, False, True, True)
         self.DT = [np.ascontiguousarray(D.T) for D in self.D]
+        # the eigenbasis of the Kronecker sum sum_mu D_mu^T D_mu: per-axis
+        # eigenvectors, and per mode the summed eigenvalue and the Nyquist mask
+        self.V, self.VT = [], []
+        self.mode_lam, self.mode_keep = np.zeros(self.shape), np.ones(self.shape)
+        for a, (D, p) in enumerate(zip(self.D, periodic)):
+            V, lam, keep = _axis_modes(D, p)
+            self.V.append(np.ascontiguousarray(V))
+            self.VT.append(np.ascontiguousarray(V.T))
+            bcast = (-1,) + (1,) * (dim - 1 - a)
+            self.mode_lam = self.mode_lam + lam.reshape(bcast)
+            self.mode_keep = self.mode_keep * keep.reshape(bcast)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """(N, 2n) partials of node values along the chart axes, stored
@@ -610,3 +642,21 @@ class NodalDerivatives:
     def adjoint(self, fields: np.ndarray) -> np.ndarray:
         """(N,) node values sum_mu D_mu^T fields[:, mu] of (N, 2n) chart fields."""
         return sum(_along(DT, fields[:, a].reshape(self.shape), a) for a, DT in enumerate(self.DT))
+
+    def sobolev(self, values: np.ndarray, kappa: float) -> np.ndarray:
+        """(N,) node values Pi (I + kappa sum_mu D_mu^T D_mu)^-1 values.
+
+        Pi removes the Nyquist mode (-1)^j along every periodic axis of
+        even size; with kappa = 0 the map is Pi itself.  The operator is a
+        Kronecker sum, so it is diagonal in the product of the per-axis
+        eigenvectors of D_mu^T D_mu: one `_along` pass per axis into that
+        basis, one weight per mode (zero on a Nyquist mode, which folds Pi
+        in), one pass per axis back.
+        """
+        c = values.reshape(self.shape)
+        for a, VT in enumerate(self.VT):
+            c = _along(VT, c, a).reshape(self.shape)
+        c = c * (self.mode_keep / (1.0 + kappa * self.mode_lam))
+        for a, V in enumerate(self.V):
+            c = _along(V, c, a).reshape(self.shape)
+        return c.reshape(-1)

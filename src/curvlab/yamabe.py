@@ -9,14 +9,18 @@ total curvature of e^f g needs first derivatives of f only:
     E(f) = integral of e^((n-1) f) (s + (m-1)(m-2)/4 |grad f|^2) dV,
 
 with m = 2n and all metric quantities taken in the base metric.  The
-descent is projected gradient on nodal values of f with Armijo
-backtracking; accepted steps never increase the quotient.  It works in
-the grid's chart coordinates: |grad f|^2 contracts the chart partials of
-`geometry.NodalDerivatives` with the chart inverse metric (J^T G J)^-1,
-J the chart Jacobian and G the real metric at the nodes.  One iteration
-evaluates one `NodalDerivatives` call (the partials of the search
-direction) and one `.adjoint` (the gradient's flux term); the Armijo
-trials and the accepted point read their partials by linearity.
+descent is a Sobolev-preconditioned gradient descent on nodal values of
+f with Armijo backtracking; accepted steps never increase the quotient.
+It works in the grid's chart coordinates: |grad f|^2 contracts the chart
+partials of `geometry.NodalDerivatives` with the chart inverse metric
+(J^T G J)^-1, J the chart Jacobian and G the real metric at the nodes.
+Every iterate and gradient lies in the Nyquist-free subspace of
+`NodalDerivatives.sobolev`, on which the discrete quotient is coercive.
+One iteration evaluates one `NodalDerivatives` call (the partials of the
+search direction), one `.adjoint` (the gradient's flux term) and
+`.sobolev` once to project the gradient and, on the torus, once more to
+precondition it; the Armijo trials and the accepted point read their
+partials by linearity.
 
 The pointwise law for s(e^f g) (`conformal_scalar_riemannian`) reads
 the Hermitian blocks of the base metric, to second order through
@@ -55,6 +59,12 @@ EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
 GTOL = 1e-8  # gradient norm at which the descent has converged
 INITIAL_STEP = 0.5
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking
+# H^1 weight of the descent's inner product, in chart units, per grid kind.
+# On Hopf the constant-coefficient Kronecker sum misses the 1/sin^2(alpha)
+# weight of the gamma partials near alpha = 0: there a preconditioned step
+# above about 80 is unstable in a stiff mode, and the doubling steps reach
+# 1e3.  Hopf descends on the projected gradient itself (kappa = 0).
+SOBOLEV_KAPPA = {"torus": 1.0, "hopf": 0.0}
 
 
 @dataclass
@@ -117,19 +127,28 @@ def minimize_quotient(
     max_iters: int = 200,
     f0: Optional[np.ndarray] = None,
 ) -> DescentResult:
-    """Projected gradient descent over mean-zero nodal conformal factors.
+    """Preconditioned gradient descent over mean-zero, Nyquist-free nodal
+    conformal factors.
 
     Returns the discrete quotient at the last accepted step, the lowest of
     the monotone trace, together with that trace; non-convergence is
-    reported through the flag.  The value is not an upper bound for the
-    class invariant when a periodic grid axis has even size: the Nyquist
-    mode of that axis has zero nodal gradient, so the discrete energy does
-    not charge it, and a long descent can end below the invariant.
+    reported through the flag.  f0, every step and the gradient lie in the
+    subspace Pi of `NodalDerivatives.sobolev`, which drops the Nyquist mode
+    (-1)^j of every periodic axis of even size: the nodal partials do not
+    see that mode, and along it the quotient would be unbounded below.  The
+    gradient g is the projected gradient, and `gradient_norm` in the trace
+    is its norm, which GTOL bounds.  The search direction is the Sobolev
+    gradient d = Pi (I + kappa sum_mu D_mu^T D_mu)^-1 g, kappa the
+    SOBOLEV_KAPPA of the grid's kind, and a trial step is accepted when it
+    lowers the quotient by ARMIJO step (g . d).
+    After each accepted step the next trial step doubles, up to 1e3; a step
+    that changes the quotient only by rounding ends the descent, converged
+    if the gradient norm is within 1e3 GTOL.
 
     One iteration differentiates once and integrates by parts once: it forms
-    the partials dg of the search direction g and K dg, each Armijo trial
-    f - step g reads its partials df - step dg and K df - step K dg by
-    linearity (the projection's constant shift is annihilated by the
+    the partials dd of the search direction d and K dd, each Armijo trial
+    f - step d reads its partials df - step dd and K df - step K dd by
+    linearity (the mean projection's constant shift is annihilated by the
     partials to rounding), and the accepted trial hands them, with its
     exponentials, to the gradient, whose one `NodalDerivatives.adjoint`
     takes the flux term.  The partials are held axis-major, (2n, N), so
@@ -141,6 +160,7 @@ def minimize_quotient(
     w = volume_weights(metric, grid)
     wsum = np.sum(w)
     nodal = NodalDerivatives(grid)
+    kappa = SOBOLEV_KAPPA[grid.axes["kind"]]
     s = map_nodes(lambda pts: riemannian_scalar(metric, pts)[0], grid.nodes)
     J = nodal.jacobian
     K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(metric.value(grid.nodes)) @ J)
@@ -165,12 +185,12 @@ def minimize_quotient(
         dV = n * ewn
         gq = (dE - (1.0 - 1.0 / n) * (E / V) * dV) / V ** (1.0 - 1.0 / n)
         gq -= np.sum(w * gq) / wsum  # project onto mean-zero directions
-        return gq
+        return nodal.sobolev(gq, 0.0)
 
     if f0 is None:
         f = np.zeros(len(grid.nodes))
     else:
-        f = np.array(f0, dtype=float)
+        f = nodal.sobolev(np.asarray(f0, dtype=float), 0.0)
     f -= np.sum(w * f) / wsum
     df, Kdf = partials(f)
 
@@ -185,15 +205,17 @@ def minimize_quotient(
         if gnorm <= GTOL:
             converged = True
             break
-        dg, Kdg = partials(g)
+        d = nodal.sobolev(g, kappa) if kappa else g  # g is projected already
+        slope = float(g @ d)
+        dd, Kdd = partials(d)
         accepted = False
         while step > 1e-14:
-            f_try = f - step * g
+            f_try = f - step * d
             f_try -= np.sum(w * f_try) / wsum
-            df_try = df - step * dg
-            Kdf_try = Kdf - step * Kdg
+            df_try = df - step * dd
+            Kdf_try = Kdf - step * Kdd
             q_try, terms = energy(f_try, df_try, Kdf_try)
-            if q_try <= q - ARMIJO * step * gnorm**2:
+            if q_try <= q - ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5

@@ -39,3 +39,19 @@ def hopf_points(rng, count):
     v = rng.normal(size=(count, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return np.exp(t)[:, None] * (v[:, :2] + 1j * v[:, 2:])
+
+
+def nyquist_free(values, axes):
+    """Node values on the product grid `axes` with the alternating mode
+    (-1)^j removed along every periodic axis of even size (all torus axes;
+    t, beta and gamma on Hopf), one axis at a time by its inner product
+    with (-1)^j: the reference for `NodalDerivatives.sobolev` at kappa 0."""
+    shape = tuple(axes["shape"])
+    periodic = range(len(shape)) if axes["kind"] == "torus" else (0, 2, 3)
+    v = np.array(values, dtype=float).reshape(shape)
+    for a in periodic:
+        if shape[a] % 2:
+            continue
+        sign = ((-1.0) ** np.arange(shape[a])).reshape((-1,) + (1,) * (len(shape) - 1 - a))
+        v -= sign * np.sum(sign * v, axis=a, keepdims=True) / shape[a]
+    return v.ravel()

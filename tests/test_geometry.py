@@ -37,6 +37,7 @@ from curvlab.geometry import (
     volume_weights,
 )
 from curvlab.jets import coordinate_jets, squared_radius
+from tests.conftest import nyquist_free
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +353,51 @@ def test_nodal_partials_are_linear_and_annihilate_constants(mid, resolution):
     want = nodal(a) - t * nodal(b)
     got = nodal(a - t * b - 0.9)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("mid, resolution", [
+    ("torus-hermitian-perturbed", 8), ("torus-flat", 7), ("hopf-standard", None),
+])
+def test_sobolev_inverts_the_kronecker_sum(mid, resolution, kappa):
+    # d = Pi (I + kappa sum D^T D)^-1 g read back through the partials and
+    # their adjoint, against the projection taken axis by axis
+    grid = build_manifold(ManifoldSpec(mid, resolution=resolution)).grid
+    nodal = NodalDerivatives(grid)
+    g = rng_from_seed(5).normal(size=len(grid.nodes))
+    d = nodal.sobolev(g, kappa)
+    want = nyquist_free(g, grid.axes)
+    got = d + kappa * nodal.adjoint(nodal(d))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mid, resolution", [
+    ("torus-hermitian-perturbed", 8), ("torus-flat", 7), ("hopf-standard", None),
+])
+def test_sobolev_projection_drops_exactly_the_nyquist_modes(mid, resolution):
+    # kappa = 0 is the projection Pi: idempotent, keeps constants, and
+    # removes (-1)^j along each periodic axis of even size, whatever the
+    # other axes carry; on an odd torus grid and on the Gauss-Legendre
+    # alpha axis the alternating mode is kept
+    grid = build_manifold(ManifoldSpec(mid, resolution=resolution)).grid
+    nodal = NodalDerivatives(grid)
+    shape = nodal.shape
+    rng = rng_from_seed(6)
+    v = rng.normal(size=len(grid.nodes))
+    once = nodal.sobolev(v, 0.0)
+    assert np.max(np.abs(nodal.sobolev(once, 0.0) - once)) <= 1e-13 * np.max(np.abs(once))
+    ones = np.ones(len(grid.nodes))
+    assert np.max(np.abs(nodal.sobolev(ones, 0.0) - ones)) <= 1e-13
+    periodic = range(len(shape)) if grid.axes["kind"] == "torus" else (0, 2, 3)
+    for a in range(len(shape)):
+        other = rng.normal(size=shape).mean(axis=a, keepdims=True)
+        mode = ((-1.0) ** np.indices(shape)[a] * other).ravel()
+        got = nodal.sobolev(mode, 0.0)
+        if a in periodic and shape[a] % 2 == 0:
+            assert np.max(np.abs(got)) <= 1e-13 * np.max(np.abs(mode)), a
+        else:
+            assert np.max(np.abs(got - nyquist_free(mode, grid.axes))) <= 1e-13 * np.max(np.abs(mode))
+            assert np.max(np.abs(got)) >= 0.1 * np.max(np.abs(mode)), a
 
 
 def _barycentric_loop(x):

@@ -15,6 +15,7 @@ from curvlab.geometry import (
     map_nodes,
     volume_weights,
 )
+from tests.conftest import nyquist_free
 
 
 def test_zero_factor_recovers_scalar(hopf, rng):
@@ -173,9 +174,65 @@ def test_descent_quotient_matches_the_conformal_law(mid, grid):
     assert abs(res.trace[0].quotient - want) <= 1e-8 * abs(want)
 
 
+# Yamabe constant of the standard Hopf class, 6 (2 pi^2 log 2)^(1/2)
+HOPF_YAMABE = 22.193656061986
+
+
+@pytest.mark.parametrize("kind, arg", [
+    ("alternating", 0.5), ("alternating", 1), ("alternating", 3), ("alternating", 6),
+    ("random", 0), ("random", 1), ("random", 2),
+])
+def test_quotient_is_coercive_on_the_default_hopf_grid(hopf, kind, arg):
+    # the Nyquist mode of the even beta axis has zero nodal gradient: without
+    # the projection f = 6 (-1)^{j_beta} read 15.6934, near Y / sqrt(2)
+    if kind == "alternating":
+        f0 = arg * (-1.0) ** np.indices(hopf.grid.axes["shape"])[2].ravel()
+    else:
+        f0 = np.real(hopf.random_scalar(rng_from_seed(arg), 0.05).values(hopf.grid.nodes))
+    res = yamabe.minimize_quotient(hopf.metric, hopf.grid, max_iters=0, f0=f0)
+    assert res.estimate >= HOPF_YAMABE * (1.0 - 1e-6)
+
+
+def test_flat_torus_descents_converge_on_every_seed(flat_torus):
+    for seed in range(25):
+        f0 = np.real(flat_torus.random_scalar(rng_from_seed(seed), 0.05).values(flat_torus.grid.nodes))
+        res = yamabe.minimize_quotient(flat_torus.metric, flat_torus.grid, f0=f0)
+        assert res.converged and res.trace[-1].gradient_norm <= yamabe.GTOL, seed
+
+
+@pytest.mark.parametrize("grid", [8, 12])
+def test_perturbed_torus_descent_converges(grid):
+    entry = build_manifold(ManifoldSpec("torus-hermitian-perturbed", resolution=grid, seed=11))
+    f0 = np.real(entry.random_scalar(rng_from_seed(11), 0.05).values(entry.grid.nodes))
+    res = yamabe.minimize_quotient(entry.metric, entry.grid, f0=f0)
+    assert res.converged
+
+
+def _sobolev_direction(nodal, g, kappa):
+    """The search direction by conjugate gradients on the matvec
+    d + kappa sum_mu D_mu^T D_mu d, read through the partials and their
+    adjoint, for a Nyquist-free g: the route the spectral solve must agree with."""
+    d = np.zeros_like(g)
+    r = g.copy()
+    p = r.copy()
+    rr = r @ r
+    for _ in range(10 * len(g)):
+        if rr <= (1e-15 * np.linalg.norm(g)) ** 2:
+            break
+        Ap = p + kappa * nodal.adjoint(nodal(p))
+        alpha = rr / (p @ Ap)
+        d += alpha * p
+        r -= alpha * Ap
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+    return d
+
+
 def _reference_descent(metric, grid, max_iters, f0):
     """The descent with every Armijo trial and every gradient differentiating
-    its own nodal values: the route the library's linear reuse must follow."""
+    its own nodal values, the Nyquist projection taken axis by axis and the
+    Sobolev direction by conjugate gradients: the route the library's
+    spectral direction and linear reuse must follow."""
     n = metric.n
     c = (2 * n - 1) * (2 * n - 2) / 4.0
     w = volume_weights(metric, grid)
@@ -183,7 +240,7 @@ def _reference_descent(metric, grid, max_iters, f0):
     s = map_nodes(lambda pts: tensors.riemannian_scalar(metric, pts)[0], grid.nodes)
     J = nodal.jacobian
     K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(metric.value(grid.nodes)) @ J)
-    f = np.array(f0, dtype=float)
+    f = nyquist_free(f0, grid.axes)
     f -= np.sum(w * f) / np.sum(w)
 
     def energy_volume(fv):
@@ -205,7 +262,7 @@ def _reference_descent(metric, grid, max_iters, f0):
         dV = n * w * np.exp(n * fv)
         gq = (dE - (1.0 - 1.0 / n) * (E / V) * dV) / V ** (1.0 - 1.0 / n)
         gq -= np.sum(w * gq) / np.sum(w)
-        return E / V ** (1.0 - 1.0 / n), gq
+        return E / V ** (1.0 - 1.0 / n), nyquist_free(gq, grid.axes)
 
     trace = []
     step = yamabe.INITIAL_STEP
@@ -217,12 +274,13 @@ def _reference_descent(metric, grid, max_iters, f0):
         if gnorm <= yamabe.GTOL:
             converged = True
             break
+        d = _sobolev_direction(nodal, g, yamabe.SOBOLEV_KAPPA[grid.axes["kind"]])
         accepted = False
         while step > 1e-14:
-            f_try = f - step * g
+            f_try = f - step * d
             f_try -= np.sum(w * f_try) / np.sum(w)
             q_try = quotient(f_try)
-            if q_try <= q - yamabe.ARMIJO * step * gnorm**2:
+            if q_try <= q - yamabe.ARMIJO * step * (g @ d):
                 accepted = True
                 break
             step *= 0.5
