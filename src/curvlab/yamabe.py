@@ -59,6 +59,7 @@ EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
 GTOL = 1e-8  # gradient norm at which the descent has converged
 INITIAL_STEP = 0.5
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking
+STALL = 1e-15  # relative predicted decrease at which a step only rounds
 # H^1 weight of the descent's inner product, in chart units, per grid kind.
 # On Hopf the constant-coefficient Kronecker sum misses the 1/sin^2(alpha)
 # weight of the gamma partials near alpha = 0: there a preconditioned step
@@ -141,9 +142,13 @@ def minimize_quotient(
     gradient d = Pi (I + kappa sum_mu D_mu^T D_mu)^-1 g, kappa the
     SOBOLEV_KAPPA of the grid's kind, and a trial step is accepted when it
     lowers the quotient by ARMIJO step (g . d).
-    After each accepted step the next trial step doubles, up to 1e3; a step
-    that changes the quotient only by rounding ends the descent, converged
-    if the gradient norm is within 1e3 GTOL.
+    After each accepted step the next trial step doubles, up to 1e3.  An
+    accepted step whose predicted decrease step (g . d) is within STALL
+    (1 + |q|) ends the descent, converged if the gradient norm is within
+    1e3 GTOL: the quotient then moves by little more than the rounding of
+    its node sum, so the measured decrease q_prev - q would end the descent
+    at a step rounding picks, and further Armijo tests would be decided by
+    rounding too.
 
     One iteration differentiates once and integrates by parts once: it forms
     the partials dd of the search direction d and K dd, each Armijo trial
@@ -221,15 +226,14 @@ def minimize_quotient(
             step *= 0.5
         if not accepted:
             break
-        f, df, Kdf = f_try, df_try, Kdf_try
-        q_prev, q = q, q_try
+        f, df, Kdf, q = f_try, df_try, Kdf_try, q_try
         g = gradient(Kdf, *terms)
         gnorm = float(np.linalg.norm(g))
         trace.append(YamabeTrace(it, q, step, gnorm))
-        step = min(step * 2.0, 1e3)
-        if abs(q_prev - q) <= 1e-15 * (1.0 + abs(q)):
+        if step * slope <= STALL * (1.0 + abs(q)):
             converged = gnorm <= 1e3 * GTOL
             break
+        step = min(step * 2.0, 1e3)
     else:
         converged = gnorm <= GTOL
     return DescentResult(q, trace, converged)

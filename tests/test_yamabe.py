@@ -287,14 +287,14 @@ def _reference_descent(metric, grid, max_iters, f0):
         if not accepted:
             break
         f = f_try
-        q_prev = q
+        slope = g @ d
         q, g = grad_quotient(f)
         gnorm = float(np.linalg.norm(g))
         trace.append(yamabe.YamabeTrace(it, q, step, gnorm))
-        step = min(step * 2.0, 1e3)
-        if abs(q_prev - q) <= 1e-15 * (1.0 + abs(q)):
+        if step * slope <= yamabe.STALL * (1.0 + abs(q)):
             converged = gnorm <= 1e3 * yamabe.GTOL
             break
+        step = min(step * 2.0, 1e3)
     else:
         converged = gnorm <= yamabe.GTOL
     return yamabe.DescentResult(q, trace, converged)
