@@ -82,7 +82,6 @@ class CatalogEntry:
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     kahler: bool
     gauduchon_by_construction: bool
-    notes: str = ""
 
     def random_points(self, rng, count: int) -> np.ndarray:
         return self.sampler(rng, count)
@@ -644,15 +643,7 @@ def build_manifold(spec: ManifoldSpec) -> CatalogEntry:
         metric = _inoue_chart_metric()
         sampler = _inoue_sampler()
         _screen(metric, sampler(rng_from_seed(spec.seed), 256))
-        return CatalogEntry(
-            spec,
-            metric,
-            None,
-            sampler,
-            False,
-            True,
-            notes="pointwise chart only; no global quadrature",
-        )
+        return CatalogEntry(spec, metric, None, sampler, False, True)
 
     raise UnknownId(f"unknown manifold id {mid!r}")
 

@@ -60,7 +60,6 @@ class ScalarReport:
     stored exactly as computed.
     """
 
-    point: np.ndarray
     s: np.ndarray
     s_c: np.ndarray
     torsion_norm_sq: np.ndarray
@@ -439,7 +438,6 @@ def scalar_identity_residual(metric, point) -> ScalarReport:
     adj = cx.adjoint_term()
     residual = s - (2.0 * s_c - 2.0 * adj.real - 0.5 * tsq)
     return ScalarReport(
-        point=point,
         s=s,
         s_c=s_c,
         torsion_norm_sq=tsq,

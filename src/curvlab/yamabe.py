@@ -10,7 +10,9 @@ total curvature of e^f g needs first derivatives of f only:
 
 with m = 2n and all metric quantities taken in the base metric.  The
 descent is a Sobolev-preconditioned gradient descent on nodal values of
-f with Armijo backtracking; accepted steps never increase the quotient.
+f with Armijo backtracking from the grid's natural step N / sum(w);
+accepted steps never increase the quotient, and it has converged when the
+gradient norm is within GTOL.
 It works in the grid's chart coordinates: |grad f|^2 contracts the chart
 partials of `geometry.NodalDerivatives` with the chart inverse metric
 (J^T G J)^-1, J the chart Jacobian and G the real metric at the nodes.
@@ -57,14 +59,14 @@ from .tensors import (
 EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
 
 GTOL = 1e-8  # gradient norm at which the descent has converged
-INITIAL_STEP = 0.5
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking
 STALL = 1e-15  # relative predicted decrease at which a step only rounds
 # H^1 weight of the descent's inner product, in chart units, per grid kind.
 # On Hopf the constant-coefficient Kronecker sum misses the 1/sin^2(alpha)
 # weight of the gamma partials near alpha = 0: there a preconditioned step
-# above about 80 is unstable in a stiff mode, and the doubling steps reach
-# 1e3.  Hopf descends on the projected gradient itself (kappa = 0).
+# above about 80 is unstable in a stiff mode, and the steps reach the
+# natural scale N / sum(w), about 250 on the default grid.  Hopf descends on
+# the projected gradient itself (kappa = 0).
 SOBOLEV_KAPPA = {"torus": 1.0, "hopf": 0.0}
 
 
@@ -142,13 +144,16 @@ def minimize_quotient(
     gradient d = Pi (I + kappa sum_mu D_mu^T D_mu)^-1 g, kappa the
     SOBOLEV_KAPPA of the grid's kind, and a trial step is accepted when it
     lowers the quotient by ARMIJO step (g . d).
-    After each accepted step the next trial step doubles, up to 1e3.  An
+    The gradient carries the quadrature weights w, so the step's scale is
+    the natural step N / sum(w), one over the mean node weight: it is the
+    first trial step, and after each accepted step the next trial step
+    doubles up to it.  The descent has converged when the gradient norm is
+    within GTOL, whichever exit ends it.  Besides that and the budget, an
     accepted step whose predicted decrease step (g . d) is within STALL
-    (1 + |q|) ends the descent, converged if the gradient norm is within
-    1e3 GTOL: the quotient then moves by little more than the rounding of
-    its node sum, so the measured decrease q_prev - q would end the descent
-    at a step rounding picks, and further Armijo tests would be decided by
-    rounding too.
+    (1 + |q|) stops it: the quotient then moves by little more than the
+    rounding of its node sum, so the measured decrease q_prev - q would
+    stop at a step rounding picks, and further Armijo tests would be
+    decided by rounding too.
 
     One iteration differentiates once and integrates by parts once: it forms
     the partials dd of the search direction d and K dd, each Armijo trial
@@ -199,21 +204,18 @@ def minimize_quotient(
     f -= np.sum(w * f) / wsum
     df, Kdf = partials(f)
 
-    trace: List[YamabeTrace] = []
-    step = INITIAL_STEP
+    natural = len(w) / wsum
+    step = natural
     q, terms = energy(f, df, Kdf)
     g = gradient(Kdf, *terms)
     gnorm = float(np.linalg.norm(g))
-    trace.append(YamabeTrace(0, q, 0.0, gnorm))
-    converged = gnorm <= GTOL
+    trace = [YamabeTrace(0, q, 0.0, gnorm)]
     for it in range(1, max_iters + 1):
         if gnorm <= GTOL:
-            converged = True
             break
         d = nodal.sobolev(g, kappa) if kappa else g  # g is projected already
         slope = float(g @ d)
         dd, Kdd = partials(d)
-        accepted = False
         while step > 1e-14:
             f_try = f - step * d
             f_try -= np.sum(w * f_try) / wsum
@@ -221,22 +223,18 @@ def minimize_quotient(
             Kdf_try = Kdf - step * Kdd
             q_try, terms = energy(f_try, df_try, Kdf_try)
             if q_try <= q - ARMIJO * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            break
+        else:
+            break  # no step above the floor lowers the quotient
         f, df, Kdf, q = f_try, df_try, Kdf_try, q_try
         g = gradient(Kdf, *terms)
         gnorm = float(np.linalg.norm(g))
         trace.append(YamabeTrace(it, q, step, gnorm))
         if step * slope <= STALL * (1.0 + abs(q)):
-            converged = gnorm <= 1e3 * GTOL
             break
-        step = min(step * 2.0, 1e3)
-    else:
-        converged = gnorm <= GTOL
-    return DescentResult(q, trace, converged)
+        step = min(step * 2.0, natural)
+    return DescentResult(q, trace, gnorm <= GTOL)
 
 
 # ---------------------------------------------------------------------------

@@ -193,19 +193,49 @@ def test_quotient_is_coercive_on_the_default_hopf_grid(hopf, kind, arg):
     assert res.estimate >= HOPF_YAMABE * (1.0 - 1e-6)
 
 
+# every torus descent takes the natural step N / sum(w) from its first
+# iteration and ends on GTOL in 13-15 steps
+TORUS_STEPS = 16
+
+
+def _seeded_descent(mid, grid, seed, max_iters=200):
+    entry = build_manifold(ManifoldSpec(mid, resolution=grid, seed=seed))
+    f0 = np.real(entry.random_scalar(rng_from_seed(seed), 0.05).values(entry.grid.nodes))
+    return yamabe.minimize_quotient(entry.metric, entry.grid, max_iters=max_iters, f0=f0)
+
+
 def test_flat_torus_descents_converge_on_every_seed(flat_torus):
     for seed in range(25):
         f0 = np.real(flat_torus.random_scalar(rng_from_seed(seed), 0.05).values(flat_torus.grid.nodes))
         res = yamabe.minimize_quotient(flat_torus.metric, flat_torus.grid, f0=f0)
         assert res.converged and res.trace[-1].gradient_norm <= yamabe.GTOL, seed
+        assert len(res.trace) - 1 <= TORUS_STEPS, seed
 
 
 @pytest.mark.parametrize("grid", [8, 12])
 def test_perturbed_torus_descent_converges(grid):
-    entry = build_manifold(ManifoldSpec("torus-hermitian-perturbed", resolution=grid, seed=11))
-    f0 = np.real(entry.random_scalar(rng_from_seed(11), 0.05).values(entry.grid.nodes))
-    res = yamabe.minimize_quotient(entry.metric, entry.grid, f0=f0)
+    res = _seeded_descent("torus-hermitian-perturbed", grid, 11)
     assert res.converged
+    assert len(res.trace) - 1 <= TORUS_STEPS
+
+
+def test_flat_torus_descent_converges_on_the_default_grid():
+    res = _seeded_descent("torus-flat", None, 110)
+    assert res.converged and res.trace[-1].gradient_norm <= yamabe.GTOL
+    assert len(res.trace) - 1 <= TORUS_STEPS
+
+
+@pytest.mark.parametrize("exit_, gtol, max_iters", [
+    ("budget", 1e-8, 5), ("gtol", 1e-8, 200), ("stall", 1e-11, 200),
+])
+def test_converged_reads_gtol_at_every_exit(monkeypatch, exit_, gtol, max_iters):
+    # the stall case asks for a gradient below its rounding floor (5e-10 to
+    # 4e-9 here): the descent stops on the predicted decrease, unconverged
+    monkeypatch.setattr(yamabe, "GTOL", gtol)
+    res = _seeded_descent("torus-flat", 8, 1, max_iters)
+    assert res.converged == (res.trace[-1].gradient_norm <= yamabe.GTOL)
+    assert (len(res.trace) - 1 == max_iters) == (exit_ == "budget")
+    assert res.converged == (exit_ == "gtol")
 
 
 def _sobolev_direction(nodal, g, kappa):
@@ -264,15 +294,13 @@ def _reference_descent(metric, grid, max_iters, f0):
         gq -= np.sum(w * gq) / np.sum(w)
         return E / V ** (1.0 - 1.0 / n), nyquist_free(gq, grid.axes)
 
-    trace = []
-    step = yamabe.INITIAL_STEP
+    natural = len(w) / np.sum(w)
+    step = natural
     q, g = grad_quotient(f)
     gnorm = float(np.linalg.norm(g))
-    trace.append(yamabe.YamabeTrace(0, q, 0.0, gnorm))
-    converged = gnorm <= yamabe.GTOL
+    trace = [yamabe.YamabeTrace(0, q, 0.0, gnorm)]
     for it in range(1, max_iters + 1):
         if gnorm <= yamabe.GTOL:
-            converged = True
             break
         d = _sobolev_direction(nodal, g, yamabe.SOBOLEV_KAPPA[grid.axes["kind"]])
         accepted = False
@@ -292,12 +320,9 @@ def _reference_descent(metric, grid, max_iters, f0):
         gnorm = float(np.linalg.norm(g))
         trace.append(yamabe.YamabeTrace(it, q, step, gnorm))
         if step * slope <= yamabe.STALL * (1.0 + abs(q)):
-            converged = gnorm <= 1e3 * yamabe.GTOL
             break
-        step = min(step * 2.0, 1e3)
-    else:
-        converged = gnorm <= yamabe.GTOL
-    return yamabe.DescentResult(q, trace, converged)
+        step = min(step * 2.0, natural)
+    return yamabe.DescentResult(q, trace, gnorm <= yamabe.GTOL)
 
 
 def _close(a, b, rel):
