@@ -5,6 +5,26 @@ divergence expressions; their defining integration-by-parts property is
 checked weakly under quadrature, and eight pointwise identities relating
 them across conformal changes are checked with closed forms on randomized
 smooth fields.  Residuals are normalized by 1 + |dominant term|.
+
+Every grid-wide contraction here and in `tensors` runs with the node
+axes last (`tensors._nodes_last`) by plain einsum, so its inner loop
+runs over the nodes rather than over the short index axes.  Batch-first,
+the same contractions are several times slower: one
+`dbar_star_scalar_omega` on the 13 824-node Hopf grid takes 15 ms
+batch-first and 3 ms node-last.  Arguments and results keep their batch
+axes first.  The one exception is the single traces of a real factor
+(`tensors.trace_i_ddbar`, `tensors.grad_norm_sq`): node-last copies of
+their batch-first inputs cost as much as the layout saves.  With the
+contractions node-last, the random fields' evaluation on the grid is
+the larger part of a triple of the suite (see the README).
+
+The four grid-wide formulas of the weak identities (`inner_oneform`,
+`inner_11`, `dbar_star_scalar_omega` and `tensors.p_star_oneform`) make
+their node-last copies per call and drop them on return.  They never
+read the node-last blocks that `CxBlocks` caches:
+`verify_adjoint_identities` keeps one `CxBlocks` over the whole grid for
+all its triples, so cached whole-grid copies would live as long as the
+suite and raise its peak memory.
 """
 
 from __future__ import annotations
@@ -21,6 +41,8 @@ from .tensors import (
     CxBlocks,
     _dbar_star_omega_components,
     _dbar_star_omega_dbar,
+    _nodes_first,
+    _nodes_last,
     grad_norm_sq,
     laplacian_d,
     p_star_oneform,
@@ -35,12 +57,15 @@ from .tensors import (
 
 def inner_oneform(Hinv, a, b):
     """<a, b> for (1, 0)-forms: sum a_i conj(b_j) Hinv[j, i]."""
-    return np.einsum("...i,...j,...ji->...", a, np.conj(b), Hinv)
+    a, b = _nodes_last(a, 1), _nodes_last(b, 1)
+    return np.einsum("i...,j...,ji...->...", a, np.conj(b), _nodes_last(Hinv, 2))
 
 
 def inner_11(Hinv, B, C):
     """<B, C> for (1, 1)-coefficient matrices (plain dz^i ^ dzbar^j)."""
-    return np.einsum("...ij,...kl,...ki,...jl->...", B, np.conj(C), Hinv, Hinv)
+    Hinv = _nodes_last(Hinv, 2)
+    B, C = _nodes_last(B, 2), _nodes_last(C, 2)
+    return np.einsum("ij...,kl...,ki...,jl...->...", B, np.conj(C), Hinv, Hinv)
 
 
 def dbar_star_scalar_omega(cx: CxBlocks, u, du_holo):
@@ -49,16 +74,15 @@ def dbar_star_scalar_omega(cx: CxBlocks, u, du_holo):
     u is the scalar multiplier, du_holo[..., l] = d_l u.  Realizes
     theta = H psi with psi_k = (i / det h) d_l (u Hinv[k, l] det h).
     """
-    Hinv, d1H = cx.Hinv, cx.d1H
     n = cx.n
-    dHinv_holo = -np.einsum("...ab,...lbc,...cd->...lad", Hinv, d1H[..., :n, :, :], Hinv)
-    dlogdet_holo = np.einsum("...ab,...lba->...l", Hinv, d1H[..., :n, :, :])
-    psi = 1j * (
-        np.einsum("...l,...kl->...k", du_holo, Hinv)
-        + u[..., None] * np.einsum("...lkl->...k", dHinv_holo)
-        + u[..., None] * np.einsum("...kl,...l->...k", Hinv, dlogdet_holo)
-    )
-    return np.einsum("...ik,...k->...i", cx.H, psi)
+    H, Hinv = _nodes_last(cx.H, 2), _nodes_last(cx.Hinv, 2)
+    # L[l] = Hinv d_l H: d_l Hinv = -L[l] Hinv and d_l log det h = tr L[l]
+    L = np.einsum("ab...,lbc...->lac...", Hinv, _nodes_last(cx.d1H[..., :n, :, :], 3))
+    div = np.einsum("lkc...,cl...->k...", L, Hinv)  # -sum_l d_l Hinv[k, l]
+    dlogdet = np.einsum("laa...->l...", L)
+    du = _nodes_last(du_holo, 1)
+    psi = 1j * (np.einsum("kl...,l...->k...", Hinv, du + u * dlogdet) - u * div)
+    return _nodes_first(np.einsum("ik...,k...->i...", H, psi), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +175,8 @@ def _pointwise_identities(metric, f, eta, pts, res, gauduchon_base=False):
     _accumulate(res, "c1", _rel(lhs, rhs))
 
     # (c2)  <dbar dbar* omega, omega> = |dbar* omega|^2 - i d* dbar* omega
-    C = -np.einsum("...li->...il", dtheta)  # coefficients of dbar(theta)
-    lhs2 = inner_11(cx.Hinv, C, 1j * cx.H)
+    # dbar(theta) has coefficients C = -dtheta^T; <C, i H> = <dtheta^T, -i H>
+    lhs2 = inner_11(cx.Hinv, np.swapaxes(dtheta, -1, -2), -1j * cx.H)
     adj = np.real(cx.adjoint_term())
     rhs2 = inner_oneform(cx.Hinv, theta, theta) - adj
     _accumulate(res, "c2", _rel(lhs2, rhs2))
@@ -222,6 +246,6 @@ def _weak_identities(grid: QuadratureGrid, w, f, eta, phi, res, cx: CxBlocks):
     # <dbar*(f omega), eta> = <f omega, dbar eta>
     theta_f = dbar_star_scalar_omega(cx, fval.astype(complex), fj.d1[..., :n])
     lhs2 = np.sum(w * inner_oneform(cx.Hinv, theta_f, ev))
-    C = -np.einsum("...li->...il", deta)  # dbar(eta) coefficients
-    rhs2 = np.sum(w * fval * inner_11(cx.Hinv, 1j * H, C))
+    # dbar(eta) has coefficients C = -deta^T; <i H, C> = <-i H, deta^T>
+    rhs2 = np.sum(w * fval * inner_11(cx.Hinv, -1j * H, np.swapaxes(deta, -1, -2)))
     _accumulate(res, "weak_dbar_star", abs(lhs2 - rhs2) / (1.0 + max(abs(lhs2), abs(rhs2))))

@@ -375,8 +375,7 @@ def p_star_oneform(cx: CxBlocks, eta: np.ndarray, deta_anti: np.ndarray) -> np.n
     Realizes d*(eta) = -(1/V) d_jbar(V h^{j ibar-pairing} eta_i) with
     V = det h; the integration-by-parts tests are its acceptance gate.
     """
-    # node-last copies for this call only, not the cached ones of CxBlocks:
-    # the grid-wide blocks of the adjoint suite would keep those alive
+    # node-last copies for this call only (see the `adjoints` module docstring)
     Hinv = _nodes_last(cx.Hinv, 2)
     db = _nodes_last(cx.d1H[..., cx.n :, :, :], 3)
     return _p_star_last(Hinv, db, _nodes_last(eta, 1), _nodes_last(deta_anti, 2))

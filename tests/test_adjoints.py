@@ -6,6 +6,7 @@ import pytest
 from curvlab import tensors
 from curvlab.adjoints import (
     dbar_star_scalar_omega,
+    inner_11,
     inner_oneform,
     verify_adjoint_identities,
 )
@@ -99,3 +100,59 @@ def test_key11_vs_divergence_realization(hopf, perturbed_torus, rng):
         via_div = dbar_star_scalar_omega(cx, one.val, one.d1[..., : entry.metric.n])
         via_gamma = _dbar_star_omega_components(cx)
         assert np.max(np.abs(via_div - via_gamma)) < 1e-11
+
+
+# Batch-first references for the node-last formulas of `adjoints`: the
+# library contracts with the node axes last, these with them first.
+
+
+def _inner_oneform_batch_first(Hinv, a, b):
+    return np.einsum("...i,...j,...ji->...", a, np.conj(b), Hinv)
+
+
+def _inner_11_batch_first(Hinv, B, C):
+    return np.einsum("...ij,...kl,...ki,...jl->...", B, np.conj(C), Hinv, Hinv)
+
+
+def _dbar_star_scalar_omega_batch_first(cx, u, du_holo):
+    Hinv, d1H = cx.Hinv, cx.d1H
+    n = cx.n
+    dHinv_holo = -np.einsum("...ab,...lbc,...cd->...lad", Hinv, d1H[..., :n, :, :], Hinv)
+    dlogdet_holo = np.einsum("...ab,...lba->...l", Hinv, d1H[..., :n, :, :])
+    psi = 1j * (
+        np.einsum("...l,...kl->...k", du_holo, Hinv)
+        + u[..., None] * np.einsum("...lkl->...k", dHinv_holo)
+        + u[..., None] * np.einsum("...kl,...l->...k", Hinv, dlogdet_holo)
+    )
+    return np.einsum("...ik,...k->...i", cx.H, psi)
+
+
+def _assert_rel_close(got, want, tol=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("where", ["hopf-grid", "torus-grid", "torus-points-5x8"])
+def test_node_last_formulas_match_batch_first(where, hopf, perturbed_torus, rng):
+    # the perturbed torus has a non-symmetric H, so a transposed index shows
+    entry = hopf if where == "hopf-grid" else perturbed_torus
+    if where == "torus-points-5x8":
+        pts = entry.random_points(rng, 40).reshape(5, 8, 2)  # two batch axes
+    else:
+        pts = entry.grid.nodes
+    n = entry.metric.n
+    cx = CxBlocks(entry.metric.jet(pts), need_second=False)
+    fj = entry.random_scalar(rng, 0.2)(pts)
+    ev, deta = entry.random_oneform(rng, 0.2).values_and_dbar(pts)
+    u, du = np.real(fj.val), fj.d1[..., :n]
+
+    theta_f = dbar_star_scalar_omega(cx, u, du)
+    _assert_rel_close(theta_f, _dbar_star_scalar_omega_batch_first(cx, u, du))
+    _assert_rel_close(
+        inner_oneform(cx.Hinv, theta_f, ev), _inner_oneform_batch_first(cx.Hinv, theta_f, ev)
+    )
+    # both slot orders, with a transposed view as the suite passes it
+    dbar_eta = np.swapaxes(deta, -1, -2)
+    iH = 1j * cx.H
+    _assert_rel_close(inner_11(cx.Hinv, iH, dbar_eta), _inner_11_batch_first(cx.Hinv, iH, dbar_eta))
+    _assert_rel_close(inner_11(cx.Hinv, dbar_eta, iH), _inner_11_batch_first(cx.Hinv, dbar_eta, iH))
