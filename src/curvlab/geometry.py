@@ -568,25 +568,6 @@ def _hopf_jacobian(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(dz), np.imag(dz)], axis=-2)
 
 
-def _axis_modes(D: np.ndarray, periodic: bool):
-    """Orthonormal eigenvectors V and eigenvalues lam of D^T D, and the
-    0/1 mask `keep` that drops the Nyquist mode (-1)^j of a periodic axis
-    of even size.  That mode shares the eigenvalue 0 with the constants;
-    a rank-one shift to -1 before `eigh` splits it off as the first
-    column, exact up to rounding, and its eigenvalue is put back to 0."""
-    N = len(D)
-    DtD = D.T @ D
-    keep = np.ones(N)
-    split = periodic and N % 2 == 0
-    if split:
-        nyquist = (-1.0) ** np.arange(N) / np.sqrt(N)
-        DtD -= np.outer(nyquist, nyquist)
-    lam, V = np.linalg.eigh(DtD)
-    if split:
-        lam[0], keep[0] = 0.0, 0.0
-    return V, lam, keep
-
-
 class NodalDerivatives:
     """Chart partials of node values on a structured grid (`grid.axes`,
     nodes in its C order), by one dense matrix per chart axis: Fourier on
@@ -597,7 +578,9 @@ class NodalDerivatives:
     coordinates (x^1..x^n, y^1..y^n); it is the identity on the torus.
     On a periodic axis of even size the Fourier matrix annihilates the
     Nyquist mode (-1)^j: that mode has zero nodal gradient, and no
-    quadratic form in these partials sees it.  `sobolev` projects it out.
+    quadratic form in these partials sees it.  `project` removes it, and
+    `riesz` inverts a weighted H^1 operator on the rest; both work on the
+    Fourier modes of the periodic axes, each matrix of which is circulant.
     """
 
     def __init__(self, grid: QuadratureGrid):
@@ -609,7 +592,7 @@ class NodalDerivatives:
         if axes["kind"] == "torus":
             self.D = [_fourier_diff_matrix(N, N * h) for N, h in zip(self.shape, axes["spacings"])]
             self.jacobian = np.broadcast_to(np.eye(dim), (len(grid.nodes), dim, dim))
-            periodic = (True,) * dim
+            self.periodic = tuple(range(dim))
         else:  # hopf: the grid's construction refused any other kind
             nt, _, nb, ng = self.shape
             self.D = [
@@ -619,19 +602,16 @@ class NodalDerivatives:
                 _fourier_diff_matrix(ng, 2.0 * np.pi),
             ]
             self.jacobian = _hopf_jacobian(grid.nodes)
-            periodic = (True, False, True, True)
+            self.periodic = (0, 2, 3)
         self.DT = [np.ascontiguousarray(D.T) for D in self.D]
-        # the eigenbasis of the Kronecker sum sum_mu D_mu^T D_mu: per-axis
-        # eigenvectors, and per mode the summed eigenvalue and the Nyquist mask
-        self.V, self.VT = [], []
-        self.mode_lam, self.mode_keep = np.zeros(self.shape), np.ones(self.shape)
-        for a, (D, p) in enumerate(zip(self.D, periodic)):
-            V, lam, keep = _axis_modes(D, p)
-            self.V.append(np.ascontiguousarray(V))
-            self.VT.append(np.ascontiguousarray(V.T))
-            bcast = (-1,) + (1,) * (dim - 1 - a)
-            self.mode_lam = self.mode_lam + lam.reshape(bcast)
-            self.mode_keep = self.mode_keep * keep.reshape(bcast)
+        # the Fourier layout of `_modes`: the rfftn bins of the periodic axes,
+        # then the nodes of the rest (alpha on Hopf); `keep` is Pi, 0 on the
+        # Nyquist bin of an even axis
+        self.fixed = tuple(a for a in range(dim) if a not in self.periodic)
+        *full, last = (self.shape[a] for a in self.periodic)
+        self.bins = (*full, last // 2 + 1)
+        masks = [np.arange(b) != self.shape[a] / 2 for a, b in zip(self.periodic, self.bins)]
+        self.keep = np.prod(np.meshgrid(*masks, indexing="ij"), axis=0)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """(N, 2n) partials of node values along the chart axes, stored
@@ -643,20 +623,47 @@ class NodalDerivatives:
         """(N,) node values sum_mu D_mu^T fields[:, mu] of (N, 2n) chart fields."""
         return sum(_along(DT, fields[:, a].reshape(self.shape), a) for a, DT in enumerate(self.DT))
 
-    def sobolev(self, values: np.ndarray, kappa: float) -> np.ndarray:
-        """(N,) node values Pi (I + kappa sum_mu D_mu^T D_mu)^-1 values.
+    def _modes(self, values: np.ndarray) -> np.ndarray:
+        """Fourier coefficients (bins..., m) of node values over the
+        periodic axes, Nyquist bins zeroed; m counts the other nodes."""
+        c = np.fft.rfftn(values.reshape(self.shape), axes=self.periodic)
+        c = np.moveaxis(c, self.fixed, range(len(self.periodic), len(self.shape)))
+        return c.reshape(self.bins + (-1,)) * self.keep[..., None]
 
-        Pi removes the Nyquist mode (-1)^j along every periodic axis of
-        even size; with kappa = 0 the map is Pi itself.  The operator is a
-        Kronecker sum, so it is diagonal in the product of the per-axis
-        eigenvectors of D_mu^T D_mu: one `_along` pass per axis into that
-        basis, one weight per mode (zero on a Nyquist mode, which folds Pi
-        in), one pass per axis back.
+    def _nodes(self, c: np.ndarray) -> np.ndarray:
+        """(N,) node values of Fourier coefficients laid out as `_modes`'s."""
+        c = c.reshape(self.bins + tuple(self.shape[a] for a in self.fixed))
+        c = np.moveaxis(c, range(len(self.periodic), len(self.shape)), self.fixed)
+        return np.fft.irfftn(c, [self.shape[a] for a in self.periodic], axes=self.periodic).reshape(-1)
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """(N,) node values Pi values: the Nyquist mode (-1)^j removed along
+        every periodic axis of even size, whatever the other axes carry."""
+        return self._nodes(self._modes(values))
+
+    def riesz(self, w: np.ndarray, wK: np.ndarray, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The map g -> Pi Abar^-1 g, factored here once.
+
+        Abar = Wbar + kappa sum_{mu,nu} D_mu^T (wK)bar_{mu nu} D_nu, with
+        W = diag(w) and the (2n, 2n, N) coefficient field wK each averaged
+        along the periodic axes.  Abar then commutes with shifts along
+        those axes and with Pi, so it is block diagonal in their Fourier
+        modes: D_mu acts on a mode as its circulant eigenvalue
+        fft(D_mu[:, 0]) on a periodic axis and as D_alpha itself on the
+        alpha axis, and each mode's block is a dense n_alpha x n_alpha
+        matrix on Hopf and a scalar on the torus.
         """
-        c = values.reshape(self.shape)
-        for a, VT in enumerate(self.VT):
-            c = _along(VT, c, a).reshape(self.shape)
-        c = c * (self.mode_keep / (1.0 + kappa * self.mode_lam))
-        for a, V in enumerate(self.V):
-            c = _along(V, c, a).reshape(self.shape)
-        return c.reshape(-1)
+        dim, m = len(self.shape), int(np.prod([self.shape[a] for a in self.fixed]))
+        wbar = w.reshape(self.shape).mean(axis=self.periodic).reshape(m)
+        coeff = wK.reshape((dim, dim) + self.shape).mean(axis=tuple(2 + a for a in self.periodic))
+        coeff = coeff.reshape(dim, dim, m)
+        lams = [np.fft.fft(self.D[a][:, 0])[:b] for a, b in zip(self.periodic, self.bins)]
+        S = np.zeros(self.bins + (dim, m, m), dtype=complex)  # each partial on each mode
+        for a, lam in zip(self.periodic, np.meshgrid(*lams, indexing="ij")):
+            S[..., a, :, :] = lam[..., None, None] * np.eye(m)
+        for a in self.fixed:  # at most one: alpha
+            S[..., a, :, :] = self.D[a]
+        A = kappa * np.einsum("...aji,abj,...bjl->...il", S.conj(), coeff, S, optimize=True)
+        A[..., range(m), range(m)] += wbar
+        Ainv = np.linalg.inv(A)
+        return lambda g: self._nodes(np.einsum("...ij,...j->...i", Ainv, self._modes(g)))

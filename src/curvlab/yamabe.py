@@ -9,20 +9,20 @@ total curvature of e^f g needs first derivatives of f only:
     E(f) = integral of e^((n-1) f) (s + (m-1)(m-2)/4 |grad f|^2) dV,
 
 with m = 2n and all metric quantities taken in the base metric.  The
-descent is a Sobolev-preconditioned gradient descent on nodal values of
-f with Armijo backtracking from the grid's natural step N / sum(w);
-accepted steps never increase the quotient, and it has converged when the
-gradient norm is within GTOL.
+descent is a Sobolev gradient descent on nodal values of f, in the H^1
+inner product of the quotient's own principal part, with Armijo
+backtracking from the natural step V^(1 - 1/n); accepted steps never
+increase the quotient, and it has converged when the gradient norm is
+within GTOL.
 It works in the grid's chart coordinates: |grad f|^2 contracts the chart
 partials of `geometry.NodalDerivatives` with the chart inverse metric
 (J^T G J)^-1, J the chart Jacobian and G the real metric at the nodes.
 Every iterate and gradient lies in the Nyquist-free subspace of
-`NodalDerivatives.sobolev`, on which the discrete quotient is coercive.
+`NodalDerivatives.project`, on which the discrete quotient is coercive.
 One iteration evaluates one `NodalDerivatives` call (the partials of the
-search direction), one `.adjoint` (the gradient's flux term) and
-`.sobolev` once to project the gradient and, on the torus, once more to
-precondition it; the Armijo trials and the accepted point read their
-partials by linearity.
+search direction), one `.adjoint` (the gradient's flux term), one
+`.project` of the gradient and one application of the Riesz map; the
+Armijo trials and the accepted point read their partials by linearity.
 
 The pointwise law for s(e^f g) (`conformal_scalar_riemannian`) reads
 the Hermitian blocks of the base metric, to second order through
@@ -61,13 +61,6 @@ EXPONENT_NOTE = "volume exponent 1 - 1/n uses the complex dimension n"
 GTOL = 1e-8  # gradient norm at which the descent has converged
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking
 STALL = 1e-15  # relative predicted decrease at which a step only rounds
-# H^1 weight of the descent's inner product, in chart units, per grid kind.
-# On Hopf the constant-coefficient Kronecker sum misses the 1/sin^2(alpha)
-# weight of the gamma partials near alpha = 0: there a preconditioned step
-# above about 80 is unstable in a stiff mode, and the steps reach the
-# natural scale N / sum(w), about 250 on the default grid.  Hopf descends on
-# the projected gradient itself (kappa = 0).
-SOBOLEV_KAPPA = {"torus": 1.0, "hopf": 0.0}
 
 
 @dataclass
@@ -130,30 +123,30 @@ def minimize_quotient(
     max_iters: int = 200,
     f0: Optional[np.ndarray] = None,
 ) -> DescentResult:
-    """Preconditioned gradient descent over mean-zero, Nyquist-free nodal
+    """Sobolev gradient descent over mean-zero, Nyquist-free nodal
     conformal factors.
 
     Returns the discrete quotient at the last accepted step, the lowest of
     the monotone trace, together with that trace; non-convergence is
     reported through the flag.  f0, every step and the gradient lie in the
-    subspace Pi of `NodalDerivatives.sobolev`, which drops the Nyquist mode
+    subspace Pi of `NodalDerivatives.project`, which drops the Nyquist mode
     (-1)^j of every periodic axis of even size: the nodal partials do not
     see that mode, and along it the quotient would be unbounded below.  The
     gradient g is the projected gradient, and `gradient_norm` in the trace
-    is its norm, which GTOL bounds.  The search direction is the Sobolev
-    gradient d = Pi (I + kappa sum_mu D_mu^T D_mu)^-1 g, kappa the
-    SOBOLEV_KAPPA of the grid's kind, and a trial step is accepted when it
-    lowers the quotient by ARMIJO step (g . d).
-    The gradient carries the quadrature weights w, so the step's scale is
-    the natural step N / sum(w), one over the mean node weight: it is the
-    first trial step, and after each accepted step the next trial step
-    doubles up to it.  The descent has converged when the gradient norm is
-    within GTOL, whichever exit ends it.  Besides that and the budget, an
-    accepted step whose predicted decrease step (g . d) is within STALL
-    (1 + |q|) stops it: the quotient then moves by little more than the
-    rounding of its node sum, so the measured decrease q_prev - q would
-    stop at a step rounding picks, and further Armijo tests would be
-    decided by rounding too.
+    is its norm, which GTOL bounds.  The search direction is
+    d = Pi Abar^-1 g, Abar = W + kappa D^T W K D (`NodalDerivatives.riesz`,
+    W = diag(w), w and w K averaged along the periodic axes), and a trial
+    step is accepted when it lowers the quotient by ARMIJO step (g . d).
+    kappa = 2c = (m-1)(m-2)/2 and the step V^(1 - 1/n), V = sum(w), come
+    from the quotient's Hessian at f = 0, whose principal part is
+    2c D^T W K D / V^(1 - 1/n): so step d is a Newton step on the high
+    modes.  Every iteration's first trial step is that natural step.  The
+    descent has converged when the gradient norm is within GTOL, whichever
+    exit ends it.  Besides that and the budget, an accepted step whose
+    predicted decrease step (g . d) is within STALL (1 + |q|) stops it: the
+    quotient then moves by little more than the rounding of its node sum,
+    so the measured decrease q_prev - q would stop at a step rounding
+    picks, and further Armijo tests would be decided by rounding too.
 
     One iteration differentiates once and integrates by parts once: it forms
     the partials dd of the search direction d and K dd, each Armijo trial
@@ -170,11 +163,11 @@ def minimize_quotient(
     w = volume_weights(metric, grid)
     wsum = np.sum(w)
     nodal = NodalDerivatives(grid)
-    kappa = SOBOLEV_KAPPA[grid.axes["kind"]]
     s = map_nodes(lambda pts: riemannian_scalar(metric, pts)[0], grid.nodes)
     J = nodal.jacobian
     K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(metric.value(grid.nodes)) @ J)
     K = np.ascontiguousarray(np.moveaxis(K, 0, -1))  # K[a, b, p]
+    riesz = nodal.riesz(w, w * K, 2.0 * c)
 
     def partials(fv):
         """Chart partials df[a, p] of node values and K df."""
@@ -195,17 +188,16 @@ def minimize_quotient(
         dV = n * ewn
         gq = (dE - (1.0 - 1.0 / n) * (E / V) * dV) / V ** (1.0 - 1.0 / n)
         gq -= np.sum(w * gq) / wsum  # project onto mean-zero directions
-        return nodal.sobolev(gq, 0.0)
+        return nodal.project(gq)
 
     if f0 is None:
         f = np.zeros(len(grid.nodes))
     else:
-        f = nodal.sobolev(np.asarray(f0, dtype=float), 0.0)
+        f = nodal.project(np.asarray(f0, dtype=float))
     f -= np.sum(w * f) / wsum
     df, Kdf = partials(f)
 
-    natural = len(w) / wsum
-    step = natural
+    natural = wsum ** (1.0 - 1.0 / n)
     q, terms = energy(f, df, Kdf)
     g = gradient(Kdf, *terms)
     gnorm = float(np.linalg.norm(g))
@@ -213,7 +205,8 @@ def minimize_quotient(
     for it in range(1, max_iters + 1):
         if gnorm <= GTOL:
             break
-        d = nodal.sobolev(g, kappa) if kappa else g  # g is projected already
+        d = riesz(g)
+        step = natural
         slope = float(g @ d)
         dd, Kdd = partials(d)
         while step > 1e-14:
@@ -233,7 +226,6 @@ def minimize_quotient(
         trace.append(YamabeTrace(it, q, step, gnorm))
         if step * slope <= STALL * (1.0 + abs(q)):
             break
-        step = min(step * 2.0, natural)
     return DescentResult(q, trace, gnorm <= GTOL)
 
 

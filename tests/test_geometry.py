@@ -37,7 +37,7 @@ from curvlab.geometry import (
     volume_weights,
 )
 from curvlab.jets import coordinate_jets, squared_radius
-from tests.conftest import nyquist_free
+from tests.conftest import averaged_operator, nyquist_free
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +360,38 @@ def test_nodal_partials_are_linear_and_annihilate_constants(mid, resolution):
     ("torus-hermitian-perturbed", 8), ("torus-flat", 7), ("hopf-standard", None),
 ])
 def test_sobolev_inverts_the_kronecker_sum(mid, resolution, kappa):
-    # d = Pi (I + kappa sum D^T D)^-1 g read back through the partials and
-    # their adjoint, against the projection taken axis by axis
+    # with unit coefficients the Riesz map is Pi (I + kappa sum D^T D)^-1:
+    # d read back through the partials and their adjoint, against the
+    # projection taken axis by axis
     grid = build_manifold(ManifoldSpec(mid, resolution=resolution)).grid
     nodal = NodalDerivatives(grid)
-    g = rng_from_seed(5).normal(size=len(grid.nodes))
-    d = nodal.sobolev(g, kappa)
+    dim, N = len(nodal.shape), len(grid.nodes)
+    unit = np.broadcast_to(np.eye(dim)[..., None], (dim, dim, N))
+    g = rng_from_seed(5).normal(size=N)
+    d = nodal.riesz(np.ones(N), unit, kappa)(g)
     want = nyquist_free(g, grid.axes)
-    got = d + kappa * nodal.adjoint(nodal(d))
+    got = averaged_operator(nodal, grid.axes, np.ones(N), unit, kappa)(d)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mid, resolution", [
+    ("torus-hermitian-perturbed", 8), ("torus-flat", 7), ("hopf-standard", None),
+    ("hopf-conformal", None),
+])
+def test_riesz_map_inverts_the_averaged_operator(mid, resolution):
+    # the descent's map with the quotient's weights, w and w K averaged
+    # along the periodic axes (on the perturbed torus and on hopf-conformal
+    # they vary there), read back through the partials and their adjoint
+    entry = build_manifold(ManifoldSpec(mid, resolution=resolution, conformal_t=0.2))
+    grid, nodal = entry.grid, NodalDerivatives(entry.grid)
+    w = volume_weights(entry.metric, grid)
+    J = nodal.jacobian
+    K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(entry.metric.value(grid.nodes)) @ J)
+    wK = w * np.moveaxis(K, 0, -1)
+    g = rng_from_seed(5).normal(size=len(grid.nodes))
+    d = nodal.riesz(w, wK, 3.0)(g)
+    want = nyquist_free(g, grid.axes)
+    got = averaged_operator(nodal, grid.axes, w, wK, 3.0)(d)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -375,24 +399,24 @@ def test_sobolev_inverts_the_kronecker_sum(mid, resolution, kappa):
     ("torus-hermitian-perturbed", 8), ("torus-flat", 7), ("hopf-standard", None),
 ])
 def test_sobolev_projection_drops_exactly_the_nyquist_modes(mid, resolution):
-    # kappa = 0 is the projection Pi: idempotent, keeps constants, and
-    # removes (-1)^j along each periodic axis of even size, whatever the
-    # other axes carry; on an odd torus grid and on the Gauss-Legendre
-    # alpha axis the alternating mode is kept
+    # the projection Pi: idempotent, keeps constants, and removes (-1)^j
+    # along each periodic axis of even size, whatever the other axes
+    # carry; on an odd torus grid and on the Gauss-Legendre alpha axis the
+    # alternating mode is kept
     grid = build_manifold(ManifoldSpec(mid, resolution=resolution)).grid
     nodal = NodalDerivatives(grid)
     shape = nodal.shape
     rng = rng_from_seed(6)
     v = rng.normal(size=len(grid.nodes))
-    once = nodal.sobolev(v, 0.0)
-    assert np.max(np.abs(nodal.sobolev(once, 0.0) - once)) <= 1e-13 * np.max(np.abs(once))
+    once = nodal.project(v)
+    assert np.max(np.abs(nodal.project(once) - once)) <= 1e-13 * np.max(np.abs(once))
     ones = np.ones(len(grid.nodes))
-    assert np.max(np.abs(nodal.sobolev(ones, 0.0) - ones)) <= 1e-13
+    assert np.max(np.abs(nodal.project(ones) - ones)) <= 1e-13
     periodic = range(len(shape)) if grid.axes["kind"] == "torus" else (0, 2, 3)
     for a in range(len(shape)):
         other = rng.normal(size=shape).mean(axis=a, keepdims=True)
         mode = ((-1.0) ** np.indices(shape)[a] * other).ravel()
-        got = nodal.sobolev(mode, 0.0)
+        got = nodal.project(mode)
         if a in periodic and shape[a] % 2 == 0:
             assert np.max(np.abs(got)) <= 1e-13 * np.max(np.abs(mode)), a
         else:

@@ -15,7 +15,7 @@ from curvlab.geometry import (
     map_nodes,
     volume_weights,
 )
-from tests.conftest import nyquist_free
+from tests.conftest import averaged_operator, nyquist_free
 
 
 def test_zero_factor_recovers_scalar(hopf, rng):
@@ -174,8 +174,8 @@ def test_descent_quotient_matches_the_conformal_law(mid, grid):
     assert abs(res.trace[0].quotient - want) <= 1e-8 * abs(want)
 
 
-# Yamabe constant of the standard Hopf class, 6 (2 pi^2 log 2)^(1/2)
-HOPF_YAMABE = 22.193656061986
+# Yamabe constant of the standard Hopf class
+HOPF_YAMABE = 6.0 * np.sqrt(2.0 * np.pi**2 * np.log(2.0))
 
 
 @pytest.mark.parametrize("kind, arg", [
@@ -193,9 +193,9 @@ def test_quotient_is_coercive_on_the_default_hopf_grid(hopf, kind, arg):
     assert res.estimate >= HOPF_YAMABE * (1.0 - 1e-6)
 
 
-# every torus descent takes the natural step N / sum(w) from its first
-# iteration and ends on GTOL in 13-15 steps
-TORUS_STEPS = 16
+# every torus descent takes the natural step V^(1 - 1/n) at every
+# iteration and ends on GTOL in 4-7 steps
+TORUS_STEPS = 7
 
 
 def _seeded_descent(mid, grid, seed, max_iters=200):
@@ -225,12 +225,23 @@ def test_flat_torus_descent_converges_on_the_default_grid():
     assert len(res.trace) - 1 <= TORUS_STEPS
 
 
+@pytest.mark.parametrize("mid, t", [("hopf-standard", 0.1), ("hopf-conformal", 0.1), ("hopf-conformal", 0.2)],
+                         ids=["standard", "t0.1", "t0.2"])
+def test_hopf_descents_converge(mid, t):
+    # the default descent of the CLI on the class of the standard metric
+    entry = build_manifold(ManifoldSpec(mid, conformal_t=t))
+    f0 = np.real(entry.random_scalar(rng_from_seed(0), 0.05).values(entry.grid.nodes))
+    res = yamabe.minimize_quotient(entry.metric, entry.grid, f0=f0)
+    assert res.converged and res.trace[-1].gradient_norm <= yamabe.GTOL
+    assert abs(res.estimate - HOPF_YAMABE) <= 1e-12 * HOPF_YAMABE
+
+
 @pytest.mark.parametrize("exit_, gtol, max_iters", [
-    ("budget", 1e-8, 5), ("gtol", 1e-8, 200), ("stall", 1e-11, 200),
+    ("budget", 1e-8, 3), ("gtol", 1e-8, 200), ("stall", 1e-13, 200),
 ])
 def test_converged_reads_gtol_at_every_exit(monkeypatch, exit_, gtol, max_iters):
-    # the stall case asks for a gradient below its rounding floor (5e-10 to
-    # 4e-9 here): the descent stops on the predicted decrease, unconverged
+    # the stall case asks for a gradient below its rounding floor (2e-11
+    # here): the descent stops on the predicted decrease, unconverged
     monkeypatch.setattr(yamabe, "GTOL", gtol)
     res = _seeded_descent("torus-flat", 8, 1, max_iters)
     assert res.converged == (res.trace[-1].gradient_norm <= yamabe.GTOL)
@@ -238,10 +249,10 @@ def test_converged_reads_gtol_at_every_exit(monkeypatch, exit_, gtol, max_iters)
     assert res.converged == (exit_ == "gtol")
 
 
-def _sobolev_direction(nodal, g, kappa):
-    """The search direction by conjugate gradients on the matvec
-    d + kappa sum_mu D_mu^T D_mu d, read through the partials and their
-    adjoint, for a Nyquist-free g: the route the spectral solve must agree with."""
+def _riesz_direction(matvec, g):
+    """The search direction by conjugate gradients on the averaged
+    operator's matvec, for a Nyquist-free g: the route the per-mode solve
+    must agree with."""
     d = np.zeros_like(g)
     r = g.copy()
     p = r.copy()
@@ -249,7 +260,7 @@ def _sobolev_direction(nodal, g, kappa):
     for _ in range(10 * len(g)):
         if rr <= (1e-15 * np.linalg.norm(g)) ** 2:
             break
-        Ap = p + kappa * nodal.adjoint(nodal(p))
+        Ap = matvec(p)
         alpha = rr / (p @ Ap)
         d += alpha * p
         r -= alpha * Ap
@@ -261,8 +272,8 @@ def _sobolev_direction(nodal, g, kappa):
 def _reference_descent(metric, grid, max_iters, f0):
     """The descent with every Armijo trial and every gradient differentiating
     its own nodal values, the Nyquist projection taken axis by axis and the
-    Sobolev direction by conjugate gradients: the route the library's
-    spectral direction and linear reuse must follow."""
+    Riesz direction by conjugate gradients: the route the library's
+    per-mode direction and linear reuse must follow."""
     n = metric.n
     c = (2 * n - 1) * (2 * n - 2) / 4.0
     w = volume_weights(metric, grid)
@@ -270,6 +281,7 @@ def _reference_descent(metric, grid, max_iters, f0):
     s = map_nodes(lambda pts: tensors.riemannian_scalar(metric, pts)[0], grid.nodes)
     J = nodal.jacobian
     K = np.linalg.inv(np.swapaxes(J, 1, 2) @ hermitian_to_real(metric.value(grid.nodes)) @ J)
+    matvec = averaged_operator(nodal, grid.axes, w, w * np.moveaxis(K, 0, -1), 2.0 * c)
     f = nyquist_free(f0, grid.axes)
     f -= np.sum(w * f) / np.sum(w)
 
@@ -294,15 +306,14 @@ def _reference_descent(metric, grid, max_iters, f0):
         gq -= np.sum(w * gq) / np.sum(w)
         return E / V ** (1.0 - 1.0 / n), nyquist_free(gq, grid.axes)
 
-    natural = len(w) / np.sum(w)
-    step = natural
     q, g = grad_quotient(f)
     gnorm = float(np.linalg.norm(g))
     trace = [yamabe.YamabeTrace(0, q, 0.0, gnorm)]
     for it in range(1, max_iters + 1):
         if gnorm <= yamabe.GTOL:
             break
-        d = _sobolev_direction(nodal, g, yamabe.SOBOLEV_KAPPA[grid.axes["kind"]])
+        d = _riesz_direction(matvec, g)
+        step = np.sum(w) ** (1.0 - 1.0 / n)
         accepted = False
         while step > 1e-14:
             f_try = f - step * d
@@ -321,7 +332,6 @@ def _reference_descent(metric, grid, max_iters, f0):
         trace.append(yamabe.YamabeTrace(it, q, step, gnorm))
         if step * slope <= yamabe.STALL * (1.0 + abs(q)):
             break
-        step = min(step * 2.0, natural)
     return yamabe.DescentResult(q, trace, gnorm <= yamabe.GTOL)
 
 
