@@ -428,12 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--chern", help="Chern numbers, e.g. 'c1^2=0,c2=24'")
     ap.add_argument("--pontryagin", help="Pontryagin numbers, e.g. 'p1=-48'")
     ap.add_argument("--dim", type=int, help="real dimension for ahat")
-    ap.add_argument("--spin", action="store_true")
-    ap.add_argument("--qpos", action="store_true",
+    ap.add_argument("--spin", action="store_true", default=None)
+    ap.add_argument("--qpos", action="store_true", default=None,
                     help="assert a quasi-positive scalar curvature metric exists")
     return ap
 
 
+# the flags that a config file may set too, and the two with a field named otherwise
+_FLAG_KEYS = ("manifold", "seed", "grid", "points", "triples", "iters", "t", "derivative_mode",
+              "format", "out", "chern", "pontryagin", "dim", "spin", "qpos")
+_FLAG_FIELDS = {"t": "conformal_t", "format": "fmt"}
 _CONFIG_TYPES = {
     "seed": int, "grid": int, "points": int, "triples": int, "iters": int,
     "dim": int, "conformal_t": float, "spin": lambda s: s.lower() in ("1", "true", "yes"),
@@ -455,22 +459,13 @@ def make_config(argv) -> RunConfig:
                     raise ValueError(f"{key} must be finite and positive, got {val}")
                 cfg.tolerances[key[4:]] = tol
                 continue
-            if key == "t":
-                key = "conformal_t"
-            if key == "format":
-                key = "fmt"
-            if not hasattr(cfg, key):
+            if key not in _FLAG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _CONFIG_TYPES.get(key, str)(val))
-    for key in ("manifold", "seed", "grid", "points", "triples", "iters", "conformal_t",
-                "derivative_mode", "fmt", "out", "chern", "pontryagin", "dim"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if ns.spin:
-        cfg.spin = True
-    if ns.qpos:
-        cfg.qpos = True
+            attr = _FLAG_FIELDS.get(key, key)
+            setattr(cfg, attr, _CONFIG_TYPES.get(attr, str)(val))
+    for attr in (_FLAG_FIELDS.get(key, key) for key in _FLAG_KEYS):
+        if getattr(ns, attr) is not None:
+            setattr(cfg, attr, getattr(ns, attr))
     for key in ("points", "triples"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"--{key} must be at least 1, got {getattr(cfg, key)}")

@@ -31,17 +31,17 @@ So every entry of the Gram and operator matrices is a quadrature sum of
 weighted node fields W_f = w C_f times monomials, and the assembly is a
 transform (`galerkin_matrices`): the chunked walk keeps only the W_f,
 checked for non-finite values on the way, in node order, which is the C
-order of the product grid (`QuadratureGrid` checks it at construction),
-and per t-plane of the grid, where s is one number s_p,
-each node sum is read as a moment of their FFT over the periodic axes
-(Orszag's sum factorisation; a frequency is taken modulo its axis, as
-the quadrature aliases it).  No basis function is evaluated at a node.
-The moments form a small block per plane, and the factors s_p^q and q^k
-are applied to it by gathers (m^2 work per plane), conjugated for a
-flagged function since Re(D conj X) = Re(conj(D) X), so a solve never
-holds an m x N matrix.  The grid's `basis_batch` still evaluates the
-basis as stacked jets at a node chunk; the tests read it as the
-independent reference of the assembly.
+order of the product grid (`QuadratureGrid` checks it at construction).
+Per t-plane each node sum is read as a moment of their FFT over the
+periodic axes (Orszag's sum factorisation; a frequency is taken modulo
+its axis, as the quadrature aliases it), and no basis function is
+evaluated at a node.  s^q is e^(i beta_1 k t) times a real power that
+the degree of P cancels, so the planes fold into radial-frequency bins,
+and each matrix entry is read once from the bins with the weights q^k,
+conjugated for a flagged function since Re(D conj X) = Re(conj(D) X).
+A solve never holds an m x N matrix.  The grid's `basis_batch` still
+evaluates the basis as stacked jets at a node chunk; the tests read it
+as the independent reference of the assembly.
 
 The assembly is the one walk of a command over the metric jets of the
 grid.  Its pass keeps, per node in node order, what the rest of the
@@ -373,26 +373,25 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
     from the one `CxBlocks` per chunk that the assembly builds.
 
     gram[s, t] = sum_nodes w phi_s phi_t and op[s, t] = sum_nodes w phi_s L phi_t.
-    Real function s is Re(d_s s^q P_j), d_s = 1 for a real part and -i for
-    an imaginary part, and L of it is Re(d_s s^q (X0 + q X1 + q^2 X2)), each
-    row X_k a sum of terms kappa C_f w^T s^-sigma (`OperatorTerms`).  On a
-    t-plane of the grid s is one number s_p, so s_p^q leaves the node sum,
-    and the node sum of a product P_j Y of a polynomial and a row of
-    another is a sum of moments sum_nodes W_f w^T s^-sigma of the weighted
-    node fields W_f = w C_f (`coefficient_fields`).  The chunked walk keeps
-    only those fields, in node order: the grid's nodes sit on its product
-    lattice in C order (`QuadratureGrid`), so node i is cell i of
-    `_Lattice`.  No basis function is evaluated at a node.  Per plane,
-    the moments are read from the fields' FFT over the periodic axes, and
-    the block sum_nodes w Y[:2F] Y^T of the real split
-    Y = [Re P, Im P, Re X0, Im X0, ..., Im X2] is formed from
-    S1 = sum w P_j Y and S2 = sum w P_j conj(Y) (`_MomentPlan`).  Each
-    plane's block is then read by gathers with the weights d_s s_p^q q^k
-    and added to the two m x m matrices, and the Gram matrix is
-    symmetrized exactly.  A basis without radial exponents (q = 0) reads
-    X0 alone.  A function flagged as the partner conj(P_j) reads the rows
-    of P_j with the conjugate weights, as Re(D conj X) = Re(conj(D) X);
-    this holds for the real operator L.
+    Real function s is Re(rho s^q P_j), rho = 1 for a real part and -i for
+    an imaginary part, both conjugated with q for a partner conj(P_j) (as
+    Re(D conj X) = Re(conj(D) X) for the real L), and L of it is
+    Re(rho s^q (X0 + q X1 + q^2 X2)) (`OperatorTerms`).  s^q P_j is
+    e^(i beta_1 k t) P_j / |z|^|e_j| with the signed radial index k
+    (`_radial_index`), so by Re a Re b = Re(ab + conj(a) b) / 2
+
+        gram[s, t] = Re(rho_s rho_t B1[k_s + k_t] + conj(rho_s) rho_t B2[k_t - k_s]) / 2
+
+    at (j_s, j_t) and the row P, and op[s, t] is the same on the rows X_r
+    weighted by q_t^r.  The bins B_c[Delta] = sum_p e^(i beta_1 Delta t_p) S_c(p),
+    Delta = -2K..2K, fold the t-planes' sums S1 = sum w P_j Y and
+    S2 = sum w conj(P_j) Y, which are moments of the weighted node fields
+    W_f = w C_f (`coefficient_fields`, `_MomentPlan`).  The chunked walk
+    keeps only those fields, in node order: node i is cell i of `_Lattice`
+    (`QuadratureGrid` checks it), and no basis function is evaluated at a
+    node.  Each matrix is written once, a block of rows with equal k at a
+    time, by one gather from its bins; the Gram matrix is symmetrized
+    exactly.  The torus takes the same path with k = 0 on its one plane.
 
     The first chunk with a non-finite weight or coefficient raises
     NonFiniteIntegrand at its first bad node.  A grid without axes raises
@@ -422,28 +421,33 @@ def galerkin_matrices(metric: HermitianMetricField, grid: QuadratureGrid, w: np.
 
     map_nodes(accumulate, np.arange(N))
     plan = _MomentPlan(lattice, basis, OperatorTerms(n, basis.d1_shift, np.any(basis.powers)))
-    F, terms = len(basis.expo), len(plan.starts) - 1  # X0 alone, or X0, X1 and X2
+    F, rows = len(basis.expo), len(plan.starts)  # P, then X0 alone or X0, X1 and X2
     i = basis.index  # the complex function of each real function
-    q, j, flip = basis.powers[i], basis.poly[i], basis.conj[i]
-    rot = np.where(basis.imag, -1j, 1.0)  # Im x = Re(-i x)
-    re_at = j + 2 * F * np.arange(terms + 1)[:, None]  # Re rows of P, X0, ...; Im is F on
-    both = np.zeros((m, 2 * m))  # [gram | op]
+    j, imag = basis.poly[i], basis.imag
+    rho, q = (np.where(basis.conj[i], np.conj(x), x)
+              for x in (np.where(imag, -1j, 1.0), basis.powers[i]))
+    k = _radial_index(q)
+    K = np.abs(k).max()
+    bins = np.zeros((4 * K + 1, 2, F, F, rows), dtype=complex)  # (Delta, c, j, j', row)
+    delta = np.arange(-2 * K, 2 * K + 1)
     for p, t_p in enumerate(lattice.t):
-        block = plan.block(lattice.fourier(weighted, p), t_p)
-        d = rot * np.exp(q * (2.0 * t_p))  # d_s s_p^q
-        e = d * q ** np.arange(terms)[:, None]  # d_s s_p^q q^k, (terms, m)
-        # a partner conj(P_j) reads the rows of P_j: Re(D conj X) = Re(conj(D) X)
-        d, e = (np.where(flip, np.conj(x), x) for x in (d, e))
-        # columns: Re(d P_j) = Re d Re P_j - Im d Im P_j, and its L-value
-        cols = block[:, re_at[0]] * d.real - block[:, re_at[0] + F] * d.imag
-        lcols = sum(block[:, re_at[k + 1]] * e[k].real - block[:, re_at[k + 1] + F] * e[k].imag
-                    for k in range(terms))
-        cols = np.concatenate([cols, lcols], axis=1)  # (2F, 2m)
-        # rows: the same weights d on the Re and Im rows of each P_j
-        both += d.real[:, None] * cols[j]
-        both -= d.imag[:, None] * cols[j + F]
-    gram = both[:, :m]
-    return 0.5 * (gram + gram.T), both[:, m:].copy(), NodeFields(w, kept, chern, bulk)
+        S = plan.sums(lattice.fourier(weighted, p), t_p)
+        for b, phase in zip(bins, np.exp(1j * hopf_radial_frequency(1) * t_p * delta)):
+            b += phase * S
+    qr = np.zeros((rows - 1, 2 * K + 1, F), dtype=complex)  # q^r of each (k, j) read
+    qr[:, k + K, j] = q ** np.arange(rows - 1)[:, None]
+    gram, op = np.empty((m, m)), np.empty((m, m))
+    for k_s in np.unique(k):
+        at = k == k_s
+        # per k_t = -K..K, B1 at k_s + k_t and B2 at k_t - k_s; rho B1 + conj(rho) B2
+        # is B1 + B2 for rho = 1 and rho (B1 - B2) for rho = +-i
+        B1, B2 = bins[k_s + K : k_s + 3 * K + 1, 0], bins[K - k_s : 3 * K + 1 - k_s, 1]
+        B = np.stack([B1 + B2, B1 - B2])  # (imag_s, k_t, j_s, j_t, row)
+        cell = ((imag[at, None] * (2 * K + 1) + k + K) * F + j[at, None]) * F + j
+        weight = 0.5 * rho[at, None] * rho
+        gram[at] = np.real(weight * B[..., 0].ravel()[cell])
+        op[at] = np.real(weight * np.einsum("iksjr,rkj->iksj", B[..., 1:], qr).ravel()[cell])
+    return 0.5 * (gram + gram.T), op, NodeFields(w, kept, chern, bulk)
 
 
 class _Lattice:
@@ -511,22 +515,23 @@ class _Lattice:
 
 
 class _MomentPlan:
-    """Which moments the blocks of a basis read, and how.
+    """Which moments the plane sums of a basis read, and how.
 
     Entry (c, j, k, t) is term t of `OperatorTerms` on the monomial P_k,
     times P_j (c = 0) or conj(P_j) (c = 1): kappa[k, t] times the moment
     M_f(T, sigma) = sum_plane W_f w^T s^-sigma of the term's field f at the
     exponent T = e_j + e_k + shift_t, e_j read through `conj_expo` for
-    c = 1.  Only the distinct moments of the entries with kappa != 0 are
-    computed, each once per plane.  With s = e^(2t) and the degree,
-    profile and frequencies K of T (`_Lattice`),
+    c = 1, less the degree |e_j| + |e_k| that the radial powers of the two
+    functions cancel.  Only the distinct moments of the entries with
+    kappa != 0 are computed, each once per plane.  With s = e^(2t) and the
+    profile and frequencies K of T (`_Lattice`), such a moment is
 
-        M_f(T, sigma) = e^((|T| - 2 sigma) t_p) sum_alpha profile(T) DFT(W_f)(alpha, -K),
+        e^((|shift_t| - 2 sigma) t_p) sum_alpha profile(T) DFT(W_f)(alpha, -K),
 
     the DFT taken with e^(-i K.theta).  An entry's terms summed per row
-    give S1 = sum w P_j Y (c = 0) and conj(S2) = sum w conj(P_j) Y (c = 1):
-    the conjugate products read the same fields at the conjugate exponent,
-    so no conjugate field is formed.
+    give S1 = sum w P_j Y (c = 0) and S2 = sum w conj(P_j) Y (c = 1), each
+    times |z|^-(|e_j| + |e_k|): the conjugate products read the same fields
+    at the conjugate exponent, so no conjugate field is formed.
     """
 
     def __init__(self, lattice: _Lattice, basis, terms: OperatorTerms):
@@ -538,11 +543,12 @@ class _MomentPlan:
         # the exponent, so those of e_j (or conj_expo(e_j)), e_k and shift_t add
         lead = np.stack([expo, basis.conj_expo(expo)]) @ lattice.coords
         own, shift = expo @ lattice.coords, terms.shift @ lattice.coords
-        degree, *coords = (lead[:, :, None, None, a] + own[:, None, a] + shift[:, a]
-                           for a in range(lattice.coords.shape[1]))
+        coords = [lead[:, :, None, None, a] + own[:, None, a] + shift[:, a]
+                  for a in range(1, lattice.coords.shape[1])]
         freqs = [(-K) % size for K, size in zip(coords[lattice.profiles :], lattice.periodic)]
-        parts = [np.broadcast_to(terms.field, degree.shape), degree - 2 * terms.sigma,
-                 np.ravel_multi_index(freqs, lattice.periodic), *coords[: lattice.profiles]]
+        parts = np.broadcast_arrays(terms.field, shift[:, 0] - 2 * terms.sigma,
+                                    np.ravel_multi_index(freqs, lattice.periodic),
+                                    *coords[: lattice.profiles])
         low = [x.min() for x in parts]
         dims = [int(x.max() - lo) + 1 for x, lo in zip(parts, low)]
         key = np.ravel_multi_index([x - lo for x, lo in zip(parts, low)], dims)
@@ -554,20 +560,12 @@ class _MomentPlan:
         self.index = np.full((2, F, F, T), len(moments))  # the zero moment where kappa = 0
         self.index[:, :, live] = inverse.reshape(2, F, -1)
 
-    def block(self, dft, t_p: float) -> np.ndarray:
-        """The real-split block of one plane from the DFT of its weighted
-        fields (`_Lattice.fourier`): rows [Re P_j, Im P_j], and per row Y of
-        the table the columns [Re Y, Im Y] of every P_k, (2F, 2F rows)."""
+    def sums(self, dft, t_p: float) -> np.ndarray:
+        """S1 and S2 of one plane from the DFT of its weighted fields
+        (`_Lattice.fourier`), (2, j, k, row)."""
         moments = np.einsum("uj,uj->u", dft[self.field, :, self.bin], self.profile)
         moments = np.append(moments * np.exp(self.nu * t_p), 0.0)
-        S = np.add.reduceat(moments[self.index] * self.kappa, self.starts, axis=-1)
-        S1, S2 = S[0], np.conj(S[1])  # (j, k, row)
-        plus, minus = np.moveaxis(S1 + S2, -1, 1), np.moveaxis(S1 - S2, -1, 1)  # (j, row, k)
-        # Re a Re b = Re(ab + a conj b) / 2, Re a Im b = Im(ab - a conj b) / 2,
-        # Im a Re b = Im(ab + a conj b) / 2, Im a Im b = Re(a conj b - ab) / 2
-        block = np.stack([np.stack([plus.real, minus.imag], axis=2),
-                          np.stack([plus.imag, -minus.real], axis=2)])  # (2, j, row, 2, k)
-        return 0.5 * block.reshape(2 * len(S1), -1)
+        return np.add.reduceat(moments[self.index] * self.kappa, self.starts, axis=-1)
 
 
 def _check_finite(nodes, *rows):
@@ -589,16 +587,22 @@ def _check_resolves(grid: QuadratureGrid):
     the largest frequency of the grid's basis on it: two of its frequencies
     then alias, and the Gram matrix can lose rank.  K of a periodic axis is
     read off the exponents (`_Lattice.coords`), and K of the Hopf t-axis
-    (period log 2) is the largest radial index k, from Im q = beta_k / 2."""
+    (period log 2) is the largest |k| of its radial indices (`_radial_index`)."""
     basis, lattice = grid.basis, _Lattice(grid)
     names = (("beta", "gamma") if lattice.kind == "hopf"
              else [c + str(i) for c in "xy" for i in range(1, len(lattice.periodic) // 2 + 1)])
     K = np.abs(np.asarray(basis.expo) @ lattice.coords).max(axis=0)[1 + lattice.profiles:]
-    k_max = round(np.abs(np.imag(basis.powers)).max() / (0.5 * hopf_radial_frequency(1)))
+    k_max = np.abs(_radial_index(basis.powers)).max()
     for name, nodes, k in [("t", len(lattice.t), k_max), *zip(names, lattice.periodic, K)]:
         if nodes <= 2 * k:
             raise QuadratureUnsupported(f"the {name} axis has {nodes} nodes, and the basis "
                                         f"needs at least {2 * k + 1} (frequencies up to {k})")
+
+
+def _radial_index(q) -> np.ndarray:
+    """The signed radial index k of each power q = i beta_k / 2 - d / 2 of a
+    basis: Im q / (beta_1 / 2), rounded (0 without radial powers)."""
+    return np.rint(np.imag(q) / (0.5 * hopf_radial_frequency(1))).astype(int)
 
 
 def solve_gauduchon(

@@ -203,10 +203,10 @@ class HermitianMetricField:
         H = self.value(z)
         herm = _maxabs(H - np.conj(np.swapaxes(H, -1, -2)))
         if herm > 1e-10:
-            raise NotPositive(f"{self.name}: Hermitian symmetry violated by {herm:.3e}")
+            raise NotPositive(f"Hermitian symmetry violated by {herm:.3e}")
         w = np.linalg.eigvalsh(H)
         if np.min(w) <= tol:
-            raise NotPositive(f"{self.name}: smallest eigenvalue {np.min(w):.3e}")
+            raise NotPositive(f"smallest eigenvalue {np.min(w):.3e}")
         return float(np.min(w))
 
 

@@ -100,10 +100,13 @@ def test_unknown_id():
 
 
 def test_positive_definiteness_screen():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite) as exc:
         build_manifold(
             ManifoldSpec("torus-hermitian-perturbed", resolution=6, perturbation_amplitude=40.0)
         )
+    # the screen names the metric, once
+    assert str(exc.value).startswith("torus-hermitian-perturbed: smallest eigenvalue ")
+    assert str(exc.value).count("torus-hermitian-perturbed") == 1
 
 
 def test_samplers_respect_domains():
@@ -762,6 +765,16 @@ def test_cli_unknown_config_key(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("nonsense = 1\n")
     assert main(["lebrun-table", "--config", str(cfgfile)]) == 2
+
+
+@pytest.mark.parametrize("key", ["command", "tolerances", "identity_tol", "bind"])
+def test_cli_config_file_sets_flags_only(tmp_path, capsys, key):
+    # a RunConfig attribute that no flag sets is no config key either
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"{key} = check-identities\n")
+    assert main(["ahat", "--chern", "c1^2=0,c2=24", "--dim", "4", "--config", str(cfgfile)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"config error: unknown config key {key!r}")
 
 
 def test_run_config_tolerance_override(tmp_path):

@@ -20,6 +20,7 @@ from curvlab.catalog import (
     rng_from_seed,
     torus_grid,
 )
+from curvlab.cli import DEFAULT_TOLERANCES
 from curvlab.errors import (
     NoPositiveNullVector,
     NonConvergence,
@@ -654,7 +655,7 @@ def _dense_matrices(metric, grid, w, chunk=256):
 
 @pytest.mark.parametrize(
     "which", ["hopf-conformal", "torus-kahler-potential", "torus-hermitian-perturbed",
-              "hopf-basis-3-4", "hopf-basis-4-6", "hopf-odd-angles"]
+              "hopf-basis-3-4", "hopf-basis-4-6", "hopf-odd-angles", "hopf-odd-planes"]
 )
 def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, perturbed_torus,
                                                     which):
@@ -669,6 +670,9 @@ def test_streamed_matrices_equal_the_dense_products(conformal, kahler_torus, per
     elif which == "hopf-odd-angles":
         # odd beta and gamma axes: no Nyquist bin, and the moments alias
         grid = hopf_grid(4, 12, 13, 13)
+    elif which == "hopf-odd-planes":
+        # radial bins -6..6 on 5 planes: bins 5 apart share their plane phases
+        grid = replace(hopf_grid(5, 12, 13, 13), basis=HopfBasis(3, 4))
     assert len(grid.nodes) > NODE_CHUNK  # more than one chunk is summed
     w = volume_weights(entry.metric, grid)
     *streamed, _ = galerkin_matrices(entry.metric, grid, w)
@@ -1015,6 +1019,16 @@ def test_identity_conformal_family(t):
     assert abs(chk.lhs / expected - 1.0) < {0.1: 1e-10, 0.2: 1e-7}[t]
     tg = t * np.real(hopf_conformal_direction()(entry.grid.nodes).val)
     assert np.max(np.abs(chk.factor.values - (tg - tg.mean()))) <= 1e-4
+
+
+def test_refined_level_meets_the_solver_gate_on_the_conformal_family(conformal):
+    # HopfBasis(4, 6) read 1.717e-7 against the 1e-6 gate, and its total
+    # 7.0e-11 relative to 16 pi^2 log 2
+    grid = replace(hopf_grid(10, 12, 13, 13), basis=HopfBasis(4, 6))
+    sol = solve_gauduchon(conformal.metric, grid, curvature=True)
+    assert solved_residual(sol, grid) <= DEFAULT_TOLERANCES["solver_hopf"]
+    total = _total_identity(grid, sol.factor, sol.fields)[0]
+    assert abs(total / (16.0 * np.pi**2 * np.log(2.0)) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("mid", ["hopf-conformal", "torus-hermitian-perturbed",
