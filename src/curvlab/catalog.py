@@ -19,13 +19,10 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, UnknownId
 from .fields import (
-    BasisJets,
-    ExponentTable,
     HopfTerms,
     OneFormField,
     ScalarField,
     TorusTerms,
-    coordinate_slots,
     hopf_radial_frequency,
     plus_conj,
     random_hopf_oneform,
@@ -44,7 +41,7 @@ from .geometry import (
     lattice_nodes,
     metric_jet_from_entries,
 )
-from .jets import Jet2, MixedJet, coordinate_jets, squared_radius
+from .jets import Jet2, coordinate_jets, squared_radius
 
 CATALOG_IDS = (
     "torus-flat",
@@ -429,10 +426,10 @@ class TorusBasis(_ModeBasis):
     The complex modes exp(2 pi i (m.x/p + l.y/p)) = exp(a.z + b.zbar) are
     one `fields.TorusTerms` table with unit coefficients: the constant
     (a = b = 0) first, then one mode of each pair +-(m, l).  The real
-    functions are the constant, then Re and Im of every other mode.  A call
-    gives the modes' value, gradient and mixed block at a node chunk as
-    stacked rows (`TorusTerms.rows`); a solved combination (`field`) is one
-    table over the same modes, u = T + conj(T), as on the Hopf basis.
+    functions are the constant, then Re and Im of every other mode.  A
+    basis function is evaluated only inside a combination (`field`): one
+    table over the modes with a nonzero weight, u = T + conj(T), as on the
+    Hopf basis.
 
     The modes are the monomials of the assembly: the exponent of a mode is
     its frequency (m, l), which a product adds and the conjugate negates,
@@ -459,9 +456,6 @@ class TorusBasis(_ModeBasis):
     @staticmethod
     def conj_expo(expo):
         return -np.asarray(expo)
-
-    def __call__(self, z) -> BasisJets:
-        return BasisJets(self.terms.rows(z), self.index, self.imag)
 
     def field(self, coeffs, name: str) -> ScalarField:
         """u = sum c_s phi_s as one TorusTerms table T, u = T + conj(T)."""
@@ -499,13 +493,9 @@ class HopfBasis(_ModeBasis):
     e^(|T| t) cos^A(alpha) sin^B(alpha) e^(i (K_b beta + K_g gamma)) with
     A = T1 + T3, B = T2 + T4, K_b = T1 - T3 and K_g = T2 - T4, so every
     node sum is an FFT moment of a node field over every axis of the grid,
-    and no function is evaluated at a node.  A call evaluates the F
-    representatives w^e_j at a node chunk (value, gradient and mixed
-    Hessian block) by gathers from one table of monomials
-    (`fields.ExponentTable`), and declares the pairs and flags in its
-    BasisJets: the independent reference that the tests form s^q P_j
-    from.  A solved combination (`field`) is one `fields.HopfTerms` table
-    over the same pairs, with each function's own exponents.
+    and no function is evaluated at a node.  A basis function is evaluated
+    only inside a combination (`field`): one `fields.HopfTerms` table over
+    the pairs with a nonzero weight, with each function's own exponents.
 
     The functions are linearly independent on the annulus: no kept
     monomial is divisible by z1 zbar1, the normal form for
@@ -529,7 +519,6 @@ class HopfBasis(_ModeBasis):
         monos = sorted(set(reps), key=lambda m: (sum(m), m))
         pos = {m: j for j, m in enumerate(monos)}
         self.expo = np.array(monos)  # (F, 4): exponents of z1, z2, zbar1, zbar2
-        self._table = ExponentTable(np.arange(len(monos)), np.ones(len(monos)), self.expo)
         self.poly = np.array([pos[e] for e in reps])
         radial = 0.5j * np.array([hopf_radial_frequency(r) for r in range(kmax_t + 1)])
         self.powers = radial[np.array(k)] - 0.5 * self.expo[self.poly].sum(axis=1)  # q_kj
@@ -541,13 +530,6 @@ class HopfBasis(_ModeBasis):
     @staticmethod
     def conj_expo(expo):
         return np.asarray(expo)[..., [2, 3, 0, 1]]
-
-    def __call__(self, z) -> BasisJets:
-        z = np.asarray(z, dtype=complex)
-        val, d1 = self._table(coordinate_slots(z), "first")  # d1: gradient and mixed block
-        polys = MixedJet(2, val, np.moveaxis(d1[:, :4], 1, -1),
-                         np.moveaxis(d1[:, 4:], 1, -1).reshape(val.shape + (2, 2)))
-        return BasisJets(polys, self.index, self.imag, self.powers, self.poly, self.conj)
 
     def field(self, coeffs, name: str) -> ScalarField:
         """u = sum c_s phi_s as one HopfTerms table: Re sum W_i s^q_i w^e_i,

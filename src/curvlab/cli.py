@@ -399,8 +399,12 @@ def run(cfg: RunConfig):
 
 def _echo(cfg: RunConfig) -> str:
     parts = [cfg.command, f"manifold={cfg.manifold}", f"seed={cfg.seed}"]
+    if cfg.manifold == "hopf-conformal":
+        parts.append(f"t={cfg.conformal_t}")
     if cfg.grid is not None:
         parts.append(f"grid={cfg.grid}")
+    if cfg.derivative_mode == "fd":
+        parts.append("derivative_mode=fd")
     if cfg.command == "ahat":
         parts.append(f"dim={cfg.dim} spin={cfg.spin}")
     return " ".join(parts)
@@ -438,10 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
 _FLAG_KEYS = ("manifold", "seed", "grid", "points", "triples", "iters", "t", "derivative_mode",
               "format", "out", "chern", "pontryagin", "dim", "spin", "qpos")
 _FLAG_FIELDS = {"t": "conformal_t", "format": "fmt"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_bool(s: str) -> bool:
+    if s.lower() not in _BOOLEANS:
+        raise ValueError(f"a boolean key takes 1, true, yes, 0, false or no, got {s!r}")
+    return _BOOLEANS[s.lower()]
+
+
 _CONFIG_TYPES = {
     "seed": int, "grid": int, "points": int, "triples": int, "iters": int,
-    "dim": int, "conformal_t": float, "spin": lambda s: s.lower() in ("1", "true", "yes"),
-    "qpos": lambda s: s.lower() in ("1", "true", "yes"),
+    "dim": int, "conformal_t": float, "spin": _config_bool, "qpos": _config_bool,
 }
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import map_nodes
-from .jets import Jet2, MixedJet, coordinate_jets, exp_linear, squared_radius
+from .jets import Jet2, coordinate_jets, exp_linear, squared_radius
 
 
 class ScalarField:
@@ -132,50 +132,6 @@ class OneFormField:
 
 
 # ---------------------------------------------------------------------------
-# function bases for Galerkin solves
-# ---------------------------------------------------------------------------
-
-
-class BasisJets:
-    """A real function basis at one node chunk, as stacked complex jets.
-
-    `jet` holds F complex polynomials P_j along its leading axis.  Complex
-    function i is s^q_i P_j with s = |z|^2, q_i = powers[i] and j = poly[i];
-    a basis that declares no radial exponents has q = 0 and j = i, so its
-    complex functions are the P_j themselves.  Only the jets of the P_j are
-    formed.  Where conj[i], complex function i is s^q_i conj(P_j) instead:
-    a conjugate pair of polynomials is evaluated once, as its
-    representative P_j.  A real operator L maps conj(P) to the conjugate
-    of its value on P, so the flag is valid only for such an operator; a
-    basis that declares no flags has none set.  Real basis function s is
-    the real part of complex function index[s], or its imaginary part
-    where imag[s].  Only scalar-valued results of a real operator (values,
-    L phi) may be read off that way, since L(Re phi) = Re(L phi) holds for
-    such an operator, while derivatives of Re phi mix conjugate slots.
-
-    The Galerkin assembly reads no BasisJets: it reads the basis's
-    exponents and sums FFT moments of the node fields
-    (`gauduchon.galerkin_matrices`).  A chunk of basis jets is the
-    independent reference that the tests form s^q P_j and L of it from.
-    """
-
-    __slots__ = ("jet", "index", "imag", "powers", "poly", "conj")
-
-    def __init__(self, jet: MixedJet, index: np.ndarray, imag: np.ndarray, powers=None, poly=None,
-                 conj=None):
-        self.jet = jet
-        self.index = index
-        self.imag = imag
-        F = len(jet.val)
-        self.powers = np.asarray(np.zeros(F) if powers is None else powers, dtype=complex)
-        self.poly = np.asarray(np.arange(F) if poly is None else poly, dtype=int)
-        self.conj = np.zeros(len(self.poly), dtype=bool) if conj is None else np.asarray(conj, bool)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
-# ---------------------------------------------------------------------------
 # periodic (torus) constructions
 # ---------------------------------------------------------------------------
 
@@ -213,8 +169,6 @@ class TorusTerms:
     argument order of both `Jet2` (after n) and `geometry.MetricJet`.  The
     pending Hessian, on its first read, runs `hessian` on a private copy
     of the points; the jet writes its eager block into the mixed slots.
-    `rows` gives every term of a scalar table on its own, stacked along a
-    leading term axis.
     """
 
     def __init__(self, coeff, a, b):
@@ -227,7 +181,7 @@ class TorusTerms:
         C = coeff.reshape(T, -1)
         self.size = C.shape[1]  # entries per coefficient
         self.ab = np.concatenate([self.a, self.b], axis=1)
-        self.ab_mixed = self.a[:, :, None] * self.b[:, None, :]
+        ab_mixed = self.a[:, :, None] * self.b[:, None, :]
         # the Hessian's slot pairs A <= B, each once, and the pair each
         # slot (A, B) reads
         A, B = np.triu_indices(m)
@@ -237,7 +191,7 @@ class TorusTerms:
         self._weights = {
             "value": C,
             "gradient": (self.ab[:, :, None] * C[:, None, :]).reshape(T, -1),
-            "mixed": (self.ab_mixed.reshape(T, -1, 1) * C[:, None, :]).reshape(T, -1),
+            "mixed": (ab_mixed.reshape(T, -1, 1) * C[:, None, :]).reshape(T, -1),
             "hessian": ((self.ab[:, A] * self.ab[:, B])[:, :, None] * C[:, None, :]).reshape(T, -1),
         }
 
@@ -274,14 +228,6 @@ class TorusTerms:
     def jet(self, z) -> Jet2:
         """The Jet2 of a scalar table."""
         return Jet2(self.n, *self.parts(z))
-
-    def rows(self, z) -> MixedJet:
-        """Every term C_t e_t of a scalar table on its own at the points z
-        (N, n): value (term, N), gradient (term, N, 2n), mixed block
-        (term, N, n, n)."""
-        e = np.ascontiguousarray(self._exp(np.asarray(z, dtype=complex)).T) * self._weights["value"]
-        return MixedJet(self.n, e, e[..., None] * self.ab[:, None, :],
-                        e[..., None, None] * self.ab_mixed[:, None, :, :])
 
 
 def _draw_torus_terms(rng, n, periods, amplitude, kmax, modes):

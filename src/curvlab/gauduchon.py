@@ -39,9 +39,9 @@ evaluated at a node.  s^q is e^(i beta_1 k t) times a real power that
 the degree of P cancels, so the planes fold into radial-frequency bins,
 and each matrix entry is read once from the bins with the weights q^k,
 conjugated for a flagged function since Re(D conj X) = Re(conj(D) X).
-A solve never holds an m x N matrix.  The grid's `basis_batch` still
-evaluates the basis as stacked jets at a node chunk; the tests read it
-as the independent reference of the assembly.
+A solve never holds an m x N matrix.  The only evaluation of basis
+functions is a combination of them (`field` of the basis), such as the
+solved u.
 
 The assembly is the one walk of a command over the metric jets of the
 grid.  Its pass keeps, per node in node order, what the rest of the
@@ -57,7 +57,7 @@ Gauduchon total reads them with the jet of f alone (`_total_identity`).
 The solved u is kept as basis coefficients; on the Hopf grid it is one
 term table (u = Re sum W s^q w^e over the surviving functions,
 `fields.HopfTerms`) with rows keyed by the distinct powers q, evaluated
-from the same kind of monomial table as the basis rows, with its value,
+from one table of monomials (`fields.ExponentTable`), with its value,
 gradient and mixed block; its full Hessian stays pending until something
 reads it.  Its node values go through the table's value-only path, and
 the solved residual reads its jet once per chunk; `classify` derives the
@@ -217,8 +217,9 @@ def gauduchon_operator_coefficients(jet):
 def apply_gauduchon_operator(coeffs, ujet):
     """L u from precomputed coefficients and the jet of u.
 
-    `ujet` is a Jet2 or a MixedJet; a stacked family (leading axis before
-    the node axis) gets L applied to every member at once.
+    `ujet` is anything with a value, a gradient `d1` and a mixed block, such
+    as a Jet2; a stacked family (leading axis before the node axis) gets L
+    applied to every member at once.
     """
     a, b_holo, b_anti, c = coeffs
     n = a.shape[-1]

@@ -462,6 +462,8 @@ class QuadratureGrid:
     # smooth function basis for the Gauduchon solver (catalog.TorusBasis or
     # catalog.HopfBasis)
     basis: Optional[object] = None
+    # Always None: the basis wrapper of perfbench/tracing.py still reads this name.
+    basis_batch = None
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=complex)
@@ -493,12 +495,6 @@ class QuadratureGrid:
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(f"node {i} (z = {z[i]}) lies off lattice node {i} of the grid")
-
-    def basis_batch(self, z):
-        """The whole basis at a node chunk (BasisJets).  A method, so a copy
-        `replace(grid, basis=...)` evaluates the copy's basis.  The solver
-        does not call it: its assembly reads the basis's exponents."""
-        return self.basis(z)
 
 
 def integrate(metric: HermitianMetricField, grid: QuadratureGrid, integrand) -> float:

@@ -213,24 +213,6 @@ class Jet2:
         return (self - self.conj()) * (-0.5j)
 
 
-class MixedJet:
-    """Value, gradient and mixed Hessian block d_i d_jbar of a scalar field.
-
-    It is all that a second-order operator sum a[i, j] d_i d_jbar +
-    first-order terms reads, at a quarter of the second-order storage of
-    a Jet2.  Like Jet2, every component broadcasts over leading axes, which
-    lets one object hold a whole function family along its first axis.
-    """
-
-    __slots__ = ("n", "val", "d1", "mixed")
-
-    def __init__(self, n: int, val, d1, mixed):
-        self.n = n
-        self.val = val
-        self.d1 = d1
-        self.mixed = mixed
-
-
 def coordinate_jets(z):
     """All 2n coordinate jets (z^1..z^n, zbar^1..zbar^n) at points z."""
     z = np.asarray(z, dtype=complex)

@@ -545,6 +545,31 @@ def test_cli_bad_format_in_a_config_file(tmp_path, capsys):
     assert out.out == "" and out.err.startswith("config error: --format ")
 
 
+@pytest.mark.parametrize("line, code", [("spin = ture", 2), ("qpos = maybe", 2), ("spin = yes", 0)])
+def test_cli_boolean_keys_of_a_config_file(tmp_path, capsys, line, code):
+    # a misspelt boolean is refused, not read as false
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    argv = ["ahat", "--chern", "c1^2=0,c2=24", "--dim", "4", "--format", "records"]
+    assert main(argv + ["--config", str(cfgfile)]) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.out == "" and out.err.startswith("config error: ")
+    else:
+        assert '"check": "spin_integrality"' in out.out
+
+
+def test_cli_text_header_names_the_run(capsys):
+    # runs that differ in --t or in the derivative route differ in their header
+    heads = []
+    for extra in (["--t", "0.1"], ["--t", "0.2"], ["--t", "0.2", "--derivative-mode", "fd"]):
+        assert main(["lebrun-table", "--manifold", "hopf-conformal"] + extra) == 0
+        heads.append(capsys.readouterr().out.splitlines()[0])
+    assert heads == ["# lebrun-table manifold=hopf-conformal seed=0 t=0.1",
+                     "# lebrun-table manifold=hopf-conformal seed=0 t=0.2",
+                     "# lebrun-table manifold=hopf-conformal seed=0 t=0.2 derivative_mode=fd"]
+
+
 def test_cli_check_identities_rejects_zero_points(capsys):
     code = main(["check-identities", "--manifold", "torus-flat", "--points", "0", "--grid", "4"])
     assert code == 2

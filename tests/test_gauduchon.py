@@ -13,6 +13,7 @@ from curvlab import gauduchon, tensors
 from curvlab.catalog import (
     HopfBasis,
     ManifoldSpec,
+    TorusBasis,
     _hopf_basis_spec,
     build_manifold,
     hopf_conformal_direction,
@@ -262,22 +263,31 @@ def _unforced():
     raise AssertionError("the reference reads no full Hessian")
 
 
-def _lifted(coeffs, batch, z):
-    """Values and L-values of every complex function s^q P_j of the batch,
-    (functions, N) each: its jet formed by jet arithmetic, |z|^2 raised to
-    q times the batch's polynomial P_j (its conjugate where flagged), and L
-    applied to that jet."""
-    P = batch.jet
-    rows = Jet2(P.n, P.val[batch.poly], P.d1[batch.poly], _unforced, P.mixed[batch.poly])
+def _lifted(coeffs, basis, z):
+    """Values and L-values of every complex function s^q P_j of the basis,
+    (functions, N) each, by jet arithmetic alone: the jet of each
+    polynomial P_j formed on its own (coordinate products on Hopf, one
+    exp_linear per torus mode), stacked, conjugated where flagged and
+    multiplied by |z|^2 raised to q, and L applied to that jet."""
+    if isinstance(basis, TorusBasis):
+        n = z.shape[-1]
+        polys = [exp_linear(z, ab[:n], ab[n:]) for ab in basis.d1_weight]
+    else:
+        polys = [_polynomial(z, tuple(e[:2]), tuple(e[2:])) for e in basis.expo]
+
+    def stacked(part):
+        return np.stack([getattr(P, part) for P in polys])[basis.poly]
+
+    rows = Jet2(polys[0].n, stacked("val"), stacked("d1"), _unforced, stacked("mixed"))
     partner = rows.conj()
 
     def pick(part):
         a, b = getattr(partner, part), getattr(rows, part)
-        return np.where(batch.conj.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+        return np.where(basis.conj.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
 
-    phi = Jet2(P.n, pick("val"), pick("d1"), _unforced, pick("mixed"))
-    if np.any(batch.powers):
-        phi = squared_radius(z) ** batch.powers[:, None] * phi
+    phi = Jet2(rows.n, pick("val"), pick("d1"), _unforced, pick("mixed"))
+    if np.any(basis.powers):
+        phi = squared_radius(z) ** basis.powers[:, None] * phi
     return phi.val, apply_gauduchon_operator(coeffs, phi)
 
 
@@ -317,31 +327,23 @@ def _exponents(basis, i):
     return tuple(e[[2, 3, 0, 1]] if basis.conj[i] else e)
 
 
-def _real_rows(batch, x):
-    """Real function s of the batch: Re, or Im where imag[s], of row index[s] of x."""
-    x = x[batch.index]
-    return np.where(batch.imag[:, None], x.imag, x.real)
+def _real_rows(basis, x):
+    """Real function s of the basis: Re, or Im where imag[s], of row index[s] of x."""
+    x = x[basis.index]
+    return np.where(basis.imag[:, None], x.imag, x.real)
 
 
 def test_stacked_hopf_basis_matches_per_function_reference(conformal):
     z = conformal.random_points(rng_from_seed(64), 64)
     coeffs = gauduchon_operator_coefficients(conformal.metric.jet(z))
-    batch = conformal.grid.basis_batch(z)
+    basis = conformal.grid.basis
     spec = _hopf_basis_spec()
-    assert len(batch) == len(spec) == 275
+    assert len(basis) == len(spec) == 275
     # derivatives of Re/Im phi mix conjugate slots, so a row carries its
-    # value and L; the jets are compared on the polynomials w^e_j
-    val, lval = _lifted(coeffs, batch, z)
-    vals, lvals = _real_rows(batch, val), _real_rows(batch, lval)
+    # value and L
+    val, lval = _lifted(coeffs, basis, z)
+    vals, lvals = _real_rows(basis, val), _real_rows(basis, lval)
     for s, entry in enumerate(spec):
-        i = batch.index[s]
-        j = batch.poly[i]
-        P = _polynomial(z, *entry[1:3])  # the function's own monomial, formed directly
-        if batch.conj[i]:  # a partner is evaluated as its representative conj(P)
-            P = P.conj()
-        assert _rel(batch.jet.val[j], P.val) < 1e-13
-        assert _rel(batch.jet.d1[j], P.d1) < 1e-13
-        assert _rel(batch.jet.mixed[j], P.mixed) < 1e-13
         ref = _reference_row(z, *entry)
         assert _rel(vals[s], np.real(ref.val)) < 1e-13
         assert _rel(lvals[s], np.real(apply_gauduchon_operator(coeffs, ref))) < 1e-13
@@ -353,37 +355,6 @@ def _axis_points(rng, count):
     z[: count // 3, 0] = 0.0
     z[count // 3 : 2 * count // 3, 1] = 0.0
     return z
-
-
-def test_hopf_basis_rows_are_gathers_not_jet_products(conformal, monkeypatch):
-    # the basis reads its polynomials from one exponent table: no jet
-    # arithmetic runs while a chunk of rows is formed
-    calls = []
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "_chain", "conj"):
-        original = getattr(Jet2, name)
-        monkeypatch.setattr(Jet2, name, lambda *a, _f=original: calls.append(1) or _f(*a))
-    batch = conformal.grid.basis_batch(conformal.grid.nodes[:NODE_CHUNK])
-    assert len(batch) == 275 and calls == []
-
-
-def test_torus_rows_leave_the_mode_hessians_pending():
-    # a 1024-node chunk of the default torus basis holds the stacked rows of
-    # its 41 complex modes and no Hessian
-    entry = build_manifold(ManifoldSpec("torus-kahler-potential"))
-    z = entry.grid.nodes[:NODE_CHUNK]
-    tracemalloc.start()
-    try:
-        batch = entry.grid.basis_batch(z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(batch) == 81 and len(batch.jet.val) == 41 and peak <= 20e6
-    # the rows are the modes' mixed blocks, as their forced Hessians give them
-    terms = entry.grid.basis.terms
-    for s in (1, 2, 40):
-        i = batch.index[s]
-        want = exp_linear(z, terms.a[i], terms.b[i]).d2[:, :2, 2:]
-        assert np.max(np.abs(batch.jet.mixed[i] - want)) < 1e-13
 
 
 def _reference_torus_basis(n, periods, kmax=1):
@@ -402,11 +373,11 @@ def _reference_torus_basis(n, periods, kmax=1):
 def test_torus_basis_rows_match_per_mode_fields(perturbed_torus):
     z = perturbed_torus.random_points(rng_from_seed(65), 64)
     coeffs = gauduchon_operator_coefficients(perturbed_torus.metric.jet(z))
-    batch = perturbed_torus.grid.basis_batch(z)
-    val, lval = _lifted(coeffs, batch, z)
-    vals, lvals = _real_rows(batch, val), _real_rows(batch, lval)
+    basis = perturbed_torus.grid.basis
+    val, lval = _lifted(coeffs, basis, z)
+    vals, lvals = _real_rows(basis, val), _real_rows(basis, lval)
     reference = _reference_torus_basis(2, (1.0, 1.0))
-    assert len(batch) == len(reference) == 81
+    assert len(basis) == len(reference) == 81
     for s, phi in enumerate(reference):
         ref = phi(z)
         assert _rel(vals[s], np.real(ref.val)) < 1e-13
@@ -492,27 +463,29 @@ def test_hopf_basis_evaluates_each_conjugate_pair_once(conformal, hopf, level, c
         assert _rel(got, np.conj(want[:, rows])) <= 1e-14
 
 
-def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf):
-    # on hopf-standard u is constant, and the basis is independent, so only
-    # the constant carries a coefficient and the solved table holds it alone
+def test_solved_factor_field_is_the_basis_combination(conformal, conformal_solution, hopf,
+                                                      perturbed_torus):
     standard = solve_gauduchon(hopf.metric, hopf.grid)
-    for entry, sol in ((conformal, conformal_solution), (hopf, standard)):
+    torus = solve_gauduchon(perturbed_torus.metric, perturbed_torus.grid)
+    hopf_reference = [lambda z, spec=spec: _reference_row(z, *spec) for spec in _hopf_basis_spec()]
+    torus_reference = _reference_torus_basis(2, (1.0, 1.0))
+    for entry, sol, reference in ((conformal, conformal_solution, hopf_reference),
+                                  (hopf, standard, hopf_reference),
+                                  (perturbed_torus, torus, torus_reference)):
         z = entry.random_points(rng_from_seed(65), 64)
         got = sol.u_field(z)
-        want = None
-        used = set()
-        for c, spec in zip(sol.coeffs, _hopf_basis_spec()):
-            if c != 0.0:
-                term = _reference_row(z, *spec) * c
-                want = term if want is None else want + term
-                used.add(spec[1:3])
+        terms = [phi(z) * c for c, phi in zip(sol.coeffs, reference) if c != 0.0]
+        want = sum(terms[1:], terms[0])
         for part in ("val", "d1", "d2"):
             assert _rel(getattr(got, part), getattr(want, part)) < 1e-13, part
         # a batch shape and a single point give the same jets
         batched = sol.u_field(z.reshape(8, 8, 2))
         assert np.array_equal(batched.d2.reshape(64, 4, 4), got.d2)
         assert _rel(sol.u_field(z[5]).d1, got.d1[5]) < 1e-15
-    assert len(used) == 1
+    # on hopf-standard u is constant, and the basis is independent, so only
+    # the constant monomial carries a coefficient
+    used = {spec[1:3] for c, spec in zip(standard.coeffs, _hopf_basis_spec()) if c != 0.0}
+    assert used == {((0, 0), (0, 0))}
 
 
 def _table_of(u_field):
@@ -645,11 +618,10 @@ def _dense_matrices(metric, grid, w, chunk=256):
     for lo in range(0, len(grid.nodes), chunk):
         pts, wc = grid.nodes[lo : lo + chunk], w[lo : lo + chunk]
         coeffs = gauduchon_operator_coefficients(metric.jet(pts))
-        batch = grid.basis_batch(pts)
-        val, lval = _lifted(coeffs, batch, pts)
-        vals = _real_rows(batch, val)
+        val, lval = _lifted(coeffs, grid.basis, pts)
+        vals = _real_rows(grid.basis, val)
         gram += (vals * wc) @ vals.T
-        op += (vals * wc) @ _real_rows(batch, lval).T
+        op += (vals * wc) @ _real_rows(grid.basis, lval).T
     return gram, op
 
 
@@ -721,16 +693,6 @@ def test_a_permuted_grid_is_refused(hopf):
     first = int(np.argmax(perm != np.arange(len(perm))))
     with pytest.raises(ValueError, match=f"node {first} "):
         QuadratureGrid(grid.nodes[perm], grid.lebesgue_w[perm], grid.axes, grid.basis)
-
-
-def test_a_solve_evaluates_no_basis_rows(conformal, monkeypatch):
-    # the assembly reads FFT moments of the node fields, not basis rows
-    calls = []
-    batch = QuadratureGrid.basis_batch
-    monkeypatch.setattr(QuadratureGrid, "basis_batch",
-                        lambda grid, z: calls.append(1) or batch(grid, z))
-    sol = solve_gauduchon(conformal.metric, conformal.grid)
-    assert np.min(sol.u_nodes) > 0 and calls == []
 
 
 def test_a_grid_copied_with_another_basis_assembles_that_basis(conformal):
